@@ -3,8 +3,8 @@
 Three properties of the execution layer, at small scale so the whole
 file runs in well under a minute:
 
-* the process-pool and async shard-graph runners render byte-identically
-  to the serial one;
+* the shard-graph runner renders byte-identically to the serial one on
+  both local executors (process pool and threads);
 * a warmed artifact cache turns a repeat run into a replay (the
   second full pass must be at least 3x faster);
 * the shared trace/ADM tiers keep a mixed suite from regenerating
@@ -23,9 +23,10 @@ import time
 from repro.runner import (
     ArtifactCache,
     AsyncShardRunner,
-    ProcessPoolRunner,
+    RunnerPolicy,
     RunRequest,
     SerialRunner,
+    build_runner,
     cache_disabled,
 )
 
@@ -61,7 +62,10 @@ def test_parallel_matches_serial(benchmark, artifact_writer):
         serial = SerialRunner().run(_requests())
     with cache_disabled():
         parallel = benchmark.pedantic(
-            lambda: ProcessPoolRunner(jobs=2).run(_requests()),
+            # --jobs 2: the graph runner on its process-pool executor.
+            lambda: build_runner(RunnerPolicy(backend="async", jobs=2)).run(
+                _requests()
+            ),
             rounds=1,
             iterations=1,
         )

@@ -133,8 +133,10 @@ class Session:
         no_cache: Run with caching fully off; no manifests are
             persisted either (there is no store location without a
             cache dir).
-        runner: Backend name (``auto``/``serial``/``process``/
-            ``async``/``remote``) — see :class:`RunnerPolicy`.
+        runner: Backend name (``auto``/``serial``/``async``/
+            ``remote``) — see :class:`RunnerPolicy`.  ``async`` and
+            ``remote`` are the graph runner on a thread, process-pool
+            (``jobs > 1``), or remote-worker executor.
         jobs: Concurrency bound for parallel backends.
         workers: Remote worker spec (``"host:port,..."`` or
             ``"local:N"``); implies the remote backend under ``auto``.
@@ -297,11 +299,11 @@ class Session:
     ) -> list[RunOutcome]:
         """Execute a batch through a caller-constructed runner.
 
-        The service control plane uses this to inject its elastic
-        remote runner while keeping everything else the session does —
-        event dispatch, trail persistence, manifest recording — exactly
-        as :meth:`run` would.  ``last_manifests`` lines up with
-        ``requests`` afterwards.
+        The service control plane uses this to lend the runner its
+        long-lived remote executor while keeping everything else the
+        session does — event dispatch, trail persistence, manifest
+        recording — exactly as :meth:`run` would.  ``last_manifests``
+        lines up with ``requests`` afterwards.
         """
         return self._execute(runner, list(requests))
 
@@ -525,7 +527,7 @@ class Session:
             cache_stats = dict(profile.cache_stats)
             workers = dict(profile.scheduler.slots)
         else:
-            # Serial/process backends keep no scheduler profile; the
+            # The serial backend keeps no scheduler profile; the
             # batch's cache traffic is still observable as a delta.
             cache_stats = {
                 key: value - stats_before.get(key, 0)

@@ -31,14 +31,17 @@ persistence) lives in :mod:`repro.api`.  Dispatch is registry-driven:
 every artifact is an :class:`~repro.runner.registry.Experiment` spec,
 executed through a pluggable backend.  ``--jobs 1`` (the default) runs
 serially; ``--jobs N`` schedules every experiment's shard graph through
-one interleaved :class:`~repro.runner.async_graph.AsyncShardRunner`;
-``--runner`` overrides the choice (``serial`` / ``process`` / ``async``
-/ ``remote``).  The remote backend ships shards to ``repro worker``
+one interleaved :class:`~repro.runner.async_graph.AsyncShardRunner` on
+N local processes; ``--runner`` overrides the choice (``serial`` /
+``async`` / ``remote``; ``async`` at ``--jobs 1`` runs the graph on
+threads).  The remote backend ships shards to ``repro worker``
 processes named by ``--workers host:port,...`` (or ``--workers
 local:N``, which spawns N worker subprocesses on this machine); all
-workers must share the coordinator's ``--cache-dir``.  Runs share a
-content-keyed artifact cache (traces, fitted ADMs, results) persisted
-under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-shatter``;
+workers must share the coordinator's ``--cache-dir``.  A run that
+fails on a :class:`~repro.errors.ReproError`, raised directly or as
+the cause of a failed graph task, prints one stderr line and exits 1.
+Runs share a content-keyed artifact cache (traces, fitted ADMs, results)
+persisted under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-shatter``;
 ``--no-cache`` disables it and ``repro cache clear`` wipes it.  Every
 completed run leaves a manifest under ``<cache dir>/runs/``; ``repro
 runs list|show|diff|events`` query that history and ``repro runs
@@ -72,7 +75,7 @@ from repro.api import Session
 from repro.api.store import STORE_SUBDIR, RunStore
 from repro.core.report import format_table
 from repro.devtools.lint.cli import add_lint_parser, run_lint
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.events.processors import read_events_jsonl, render_profile
 from repro.runner import (
     ArtifactCache,
@@ -84,6 +87,7 @@ from repro.runner import (
     get_experiment,
     load_all,
 )
+from repro.runner.scheduler import TaskExecutionError
 
 load_all()
 
@@ -160,11 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--runner",
-        choices=["auto", "serial", "process", "async", "remote"],
         default="auto",
-        help="execution backend (auto: remote when --workers is given, "
-        "async shard graph when --jobs>1 or under --profile, else "
-        "serial)",
+        metavar="BACKEND",
+        help="execution backend: auto, serial, async, or remote (auto: "
+        "remote when --workers is given, async when --jobs>1 or under "
+        "--profile, else serial; async runs the shard graph on --jobs "
+        "processes, or on threads at --jobs 1)",
     )
     run_parser.add_argument(
         "--workers",
@@ -531,9 +536,16 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(str(error))
     if args.dry_run:
         return _cmd_dry_run(session, args, names)
-    outcomes = session.run(
-        [session.request(name, days=args.days) for name in names]
-    )
+    try:
+        outcomes = session.run(
+            [session.request(name, days=args.days) for name in names]
+        )
+    except (ReproError, TaskExecutionError) as error:
+        cause = error.__cause__ if isinstance(error, TaskExecutionError) else error
+        if not isinstance(cause, ReproError):
+            raise
+        print(f"run failed: {type(cause).__name__}: {error}", file=sys.stderr)
+        return 1
     for outcome in outcomes:
         print(f"=== {outcome.name} ===")
         print(outcome.rendered)

@@ -252,8 +252,9 @@ def _run_parallel(
 
     scheduler = GraphScheduler(
         jobs=jobs,
-        execute=lambda task, deps: _analyze_file(task.payload, rules, options),
-        pass_worker=False,
+        execute=lambda task, deps, worker: _analyze_file(
+            task.payload, rules, options
+        ),
     )
     tasks = [
         Task(key=index, payload=path, label=f"lint:{path.name}")

@@ -4,11 +4,13 @@ The subsystem every results-surface interface goes through:
 
 * :mod:`repro.runner.registry` — declarative :class:`Experiment` specs,
   one per paper table/figure, in a decorator-based global registry;
-* :mod:`repro.runner.serial` / :mod:`repro.runner.parallel` /
-  :mod:`repro.runner.async_graph` — execution backends behind the
-  :class:`BaseRunner` capability-declaring API (the async backend
-  schedules a shard-level dependency graph across all requests, with
-  thread, process, or remote-worker executors);
+* :mod:`repro.runner.serial` / :mod:`repro.runner.async_graph` — the
+  two runners behind the :class:`BaseRunner` capability-declaring API:
+  the serial oracle, and the graph runner that schedules a shard-level
+  dependency graph across all requests on one :class:`Executor` —
+  threads (:class:`ThreadExecutor`), local processes
+  (:class:`ProcessExecutor`, :mod:`repro.runner.pool`), or remote
+  workers;
 * :mod:`repro.runner.remote` — the remote-worker protocol
   (``repro worker`` server, :class:`RemoteExecutor` coordinator side);
 * :mod:`repro.runner.cache` — content-keyed memoization of house
@@ -17,9 +19,9 @@ The subsystem every results-surface interface goes through:
 
 Typical use::
 
-    from repro.runner import ProcessPoolRunner, RunRequest
+    from repro.runner import RunnerPolicy, RunRequest, build_runner
 
-    runner = ProcessPoolRunner(jobs=8)
+    runner = build_runner(RunnerPolicy(jobs=8))
     outcomes = runner.run([RunRequest.for_days("tab5", days=12), "fig3"])
     text = outcomes[0].rendered
 
@@ -29,7 +31,12 @@ construct it.
 """
 
 from repro.events.history import CostModel
-from repro.runner.async_graph import AsyncShardRunner, RunProfile
+from repro.runner.async_graph import (
+    AsyncShardRunner,
+    Executor,
+    RunProfile,
+    ThreadExecutor,
+)
 from repro.runner.base import (
     BaseRunner,
     CachePolicy,
@@ -46,7 +53,7 @@ from repro.runner.cache import (
     get_cache,
     set_cache,
 )
-from repro.runner.parallel import ProcessPoolRunner
+from repro.runner.pool import ProcessExecutor
 from repro.runner.remote import (
     LocalWorkerPool,
     RemoteExecutor,
@@ -79,31 +86,26 @@ def build_runner(
     The single factory every entry point shares: the CLI and
     :class:`repro.api.Session` both turn their knobs into a policy and
     call this, so backend-selection rules live in exactly one place.
-    ``cache`` (optional) becomes the runner's private cache instead of
-    the process-global one.  ``cost_model`` (optional) gives the graph
-    backends historical task-duration estimates so ready tasks are
-    dispatched longest-critical-path-first; the serial and process-pool
-    backends have no scheduling freedom and ignore it.
+    Every backend but ``serial`` is the graph runner; its executor is
+    remote when workers are named, a process pool when ``jobs > 1``,
+    else threads.  ``cache`` (optional) becomes the runner's private
+    cache instead of the process-global one.  ``cost_model`` (optional)
+    gives the graph runner historical task-duration estimates so ready
+    tasks are dispatched longest-critical-path-first; the serial
+    backend has no scheduling freedom and ignores it.
     """
     policy = policy if policy is not None else RunnerPolicy()
     backend = policy.resolved_backend()
-    if backend == "remote":
-        return AsyncShardRunner(
-            jobs=policy.jobs,
-            executor="remote",
-            workers=policy.workers,
-            cache=cache,
-            cost_model=cost_model,
-        )
     if backend == "serial":
         return SerialRunner(cache=cache)
-    if backend == "process":
-        return ProcessPoolRunner(jobs=policy.jobs, cache=cache)
+    if backend == "remote":
+        executor: Executor = RemoteExecutor(policy.workers, cache=cache)
+    elif policy.jobs > 1:
+        executor = ProcessExecutor(policy.jobs)
+    else:
+        executor = ThreadExecutor(policy.jobs)
     return AsyncShardRunner(
-        jobs=policy.jobs,
-        executor="process" if policy.jobs > 1 else "thread",
-        cache=cache,
-        cost_model=cost_model,
+        jobs=policy.jobs, cache=cache, executor=executor, cost_model=cost_model
     )
 
 
@@ -113,10 +115,11 @@ __all__ = [
     "BaseRunner",
     "CachePolicy",
     "CostModel",
+    "Executor",
     "Experiment",
     "LocalWorkerPool",
     "Param",
-    "ProcessPoolRunner",
+    "ProcessExecutor",
     "RemoteExecutor",
     "RemoteTaskError",
     "RunOutcome",
@@ -125,6 +128,7 @@ __all__ = [
     "RunnerCapabilities",
     "RunnerPolicy",
     "SerialRunner",
+    "ThreadExecutor",
     "WorkerServer",
     "build_runner",
     "all_experiments",

@@ -6,32 +6,31 @@ feeding per-shard compute, feeding a parent-side merge — and executes
 the *union* of all requested experiments' graphs through one
 :class:`~repro.runner.scheduler.GraphScheduler`.  Shards of different
 experiments interleave, cache-warming I/O overlaps with compute, and
-``jobs`` bounds total concurrency.
+the executor's slots bound total concurrency.
 
-Three executors are available:
+Where work units run is the runner's one :class:`Executor`:
 
-* ``"thread"`` (default) — work units run on worker threads.  Python's
+* :class:`ThreadExecutor` — work units run on worker threads.  Python's
   GIL serializes pure-Python compute, but cache I/O, NumPy kernels, and
   prepare stages overlap, and there is no pickling or process-spawn
   cost; this is also the mode whose cache telemetry a test can observe
   in-process.
-* ``"process"`` — work units are forwarded to a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (workers configured
-  like :class:`~repro.runner.parallel.ProcessPoolRunner`'s) for real
-  multi-core scaling; prepare stages warm the shared disk tier so other
-  workers load instead of recomputing.
-* ``"remote"`` — work units are serialized (via
-  :mod:`repro.core.serialization`) and shipped to ``repro worker``
-  processes, possibly on other hosts, through
-  :class:`~repro.runner.remote.RemoteExecutor`; the scheduler leases
-  per-worker slots, and a worker crash mid-shard retries the shard on a
-  survivor.  Workers share artifacts through a common disk cache dir
-  (see :meth:`~repro.runner.cache.ArtifactCache.write_sync_beacon`).
+* :class:`~repro.runner.pool.ProcessExecutor` — work units are
+  forwarded to a local process pool for real multi-core scaling;
+  prepare stages warm the shared disk tier so other workers load
+  instead of recomputing.
+* :class:`~repro.runner.remote.RemoteExecutor` — work units are
+  serialized (via :mod:`repro.core.serialization`) and shipped to
+  ``repro worker`` processes, possibly on other hosts; the scheduler
+  leases per-worker slots, and a worker crash mid-shard retries the
+  shard on a survivor.  Workers share artifacts through a common disk
+  cache dir (see
+  :meth:`~repro.runner.cache.ArtifactCache.write_sync_beacon`).
 
 Merging and rendering always happen in the coordinator, in shard
 declaration order, which keeps the output byte-identical to
-:class:`~repro.runner.serial.SerialRunner` no matter how the scheduler
-interleaved the work.
+:class:`~repro.runner.serial.SerialRunner` no matter which executor ran
+the work or how the scheduler interleaved it.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Protocol, Sequence
 
 from repro.events.dispatch import emit, emit_cache_delta
 from repro.events.history import CostModel, task_cost_key
@@ -54,7 +52,7 @@ from repro.runner.base import (
     RunRequest,
     RunnerCapabilities,
 )
-from repro.runner.cache import configure_cache, get_cache, set_cache
+from repro.runner.cache import get_cache, set_cache
 from repro.runner.registry import Experiment, get_experiment, load_all
 from repro.runner.scheduler import (
     GraphScheduler,
@@ -123,14 +121,6 @@ def _prepare_token(run_prepare, kwargs: dict) -> tuple:
     )
 
 
-def _init_worker(disk_dir: str | None, memory: bool) -> None:
-    """Match a process-pool worker's cache configuration to the parent's."""
-    current = get_cache()
-    current_dir = str(current.disk_dir) if current.disk_dir else None
-    if current_dir != disk_dir or current.memory_enabled != memory:
-        configure_cache(memory=memory, disk_dir=disk_dir)
-
-
 # Worker-side prepare dedup: a long-lived worker (remote ``repro
 # worker`` process, process-pool member) sees the same prepare payloads
 # again on every coordinator run and on crash-retries; re-executing one
@@ -151,7 +141,8 @@ def _prepare_fingerprint(name: str, params: dict, unit: dict) -> str:
 def _execute_payload(payload: tuple) -> tuple[Any, float]:
     """Run one work unit; returns ``(value, compute seconds)``.
 
-    Module-level so the process executor can pickle it.  ``payload`` is
+    Every executor ends here: on a coordinator thread, a pool member,
+    or a ``repro worker``.  ``payload`` is
     ``(op, experiment name, params, extra)`` with op one of ``"plain"``
     (extra unused), ``"shard"`` (extra is the shard dict), or
     ``"prepare"`` (extra is the prepare unit; the value is discarded —
@@ -206,21 +197,54 @@ def _execute_payload_with_stats(payload: tuple) -> tuple[Any, float, dict]:
     return value, seconds, dict(delta)
 
 
-def _execute_payload_shipping(payload: tuple) -> tuple[Any, str | None, float, dict]:
-    """As :func:`_execute_payload_with_stats`, but a result above the
-    cache's spill threshold is written to the shared disk tier and
-    returned as ``(None, token, ...)`` — a process-pool member shares
-    the coordinator's disk dir (see :func:`_init_worker`), so large
-    arrays travel as a file name instead of being pickled through the
-    pool's result pipe."""
-    value, seconds, delta = _execute_payload_with_stats(payload)
-    try:
-        token = get_cache().maybe_spill(value)
-    except Exception:
-        token = None
-    if token is not None:
-        return None, token, seconds, delta
-    return value, None, seconds, delta
+class Executor(Protocol):
+    """Where a graph run's work units execute.
+
+    ``slots`` maps worker name to capacity while the executor is open;
+    :meth:`run` executes one payload on one of those workers and returns
+    ``(value, compute seconds, cache-stats delta)``, the delta being the
+    worker-side cache traffic the coordinator's own stats did not see.
+    ``connects`` counts task-connection dials per worker over the
+    executor's life.  ``shares_memory`` declares that work runs in the
+    coordinator's process, so prepares can warm its memory tier.
+    """
+
+    name: str
+    shares_memory: bool
+    slots: dict[str, int]
+    connects: dict[str, int]
+
+    @property
+    def is_open(self) -> bool: ...
+
+    def open(self) -> None: ...
+
+    def close(self) -> None: ...
+
+    def run(self, worker: str, payload: tuple) -> tuple[Any, float, dict]: ...
+
+
+class ThreadExecutor:
+    """Runs work units on the coordinator's threads against its own
+    cache.  Nothing to start or stop, so it is always open."""
+
+    name = "thread"
+    shares_memory = True
+    is_open = True
+
+    def __init__(self, jobs: int = 1) -> None:
+        self.slots = {"local": max(1, jobs)}
+        self.connects: dict[str, int] = {}
+
+    def open(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    def run(self, worker: str, payload: tuple) -> tuple[Any, float, dict]:
+        value, seconds = _execute_payload(payload)
+        return value, seconds, {}
 
 
 class AsyncShardRunner(BaseRunner):
@@ -230,60 +254,36 @@ class AsyncShardRunner(BaseRunner):
         self,
         jobs: int | None = None,
         cache=None,
-        executor: str = "thread",
-        workers: str | Sequence[str] | None = None,
+        executor: Executor | None = None,
         cost_model: CostModel | None = None,
-        remote_executor: Any = None,
         on_scheduler: Any = None,
     ) -> None:
-        """``workers`` (remote executor only) is either a worker spec
-        string — ``"host:port,host:port"`` or ``"local:N"`` to spawn N
-        local worker subprocesses — or a sequence of addresses.
+        """``jobs`` is the concurrency bound the run reports (default:
+        the CPU count) and sizes the default :class:`ThreadExecutor`.
+        ``executor`` (see :func:`repro.runner.build_runner`) is opened
+        for each run with live tasks and closed after it — unless it is
+        already open, in which case the caller owns it: the service
+        control plane lends its long-lived remote executor this way.
         ``cost_model`` (optional) feeds prior-run task estimates to the
-        scheduler for critical-path ordering.
-
-        ``remote_executor`` (remote only) injects an already *started*
-        :class:`~repro.runner.remote.RemoteExecutor` — the service
-        control plane builds one from its worker registry — in place of
-        ``workers``; the caller owns its lifecycle (this runner never
-        closes it).  ``on_scheduler`` (optional callable) receives each
-        run's live :class:`GraphScheduler` just before dispatch, which
-        is how the control plane attaches elastic slot-table control.
+        scheduler for critical-path ordering.  ``on_scheduler``
+        (optional callable) receives each run's live
+        :class:`GraphScheduler` just before dispatch, which is how the
+        control plane attaches elastic slot-table control.
         """
         super().__init__(cache)
-        if executor not in ("thread", "process", "remote"):
-            raise ValueError(
-                "executor must be 'thread', 'process', or 'remote', "
-                f"got {executor!r}"
-            )
-        if executor == "remote" and not workers and remote_executor is None:
-            raise ValueError(
-                "the remote executor needs workers: pass "
-                "workers='host:port,...' or workers='local:N'"
-            )
-        if executor != "remote" and (workers or remote_executor is not None):
-            raise ValueError(f"workers={workers!r} requires executor='remote'")
-        if workers and remote_executor is not None:
-            raise ValueError("pass either workers or remote_executor, not both")
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.executor = executor
-        self.workers = workers
+        self.executor: Executor = (
+            executor if executor is not None else ThreadExecutor(self.jobs)
+        )
         self.cost_model = cost_model
         self.on_scheduler = on_scheduler
         self.last_profile: RunProfile | None = None
-        self._pool: ProcessPoolExecutor | None = None
-        self._injected_remote = remote_executor
-        self._remote = None  # RemoteExecutor while dispatching
         self._worker_stats: list[dict] = []
 
     @property
     def capabilities(self) -> RunnerCapabilities:
         return RunnerCapabilities(
-            name=f"async-graph[{self.executor}]",
-            parallel=self.jobs > 1 or self.executor == "remote",
-            max_workers=self.jobs,
-            shard_fanout=True,
-            async_graph=True,
+            name=f"async-graph[{self.executor.name}]", max_workers=self.jobs
         )
 
     # ------------------------------------------------------------------
@@ -465,12 +465,11 @@ class AsyncShardRunner(BaseRunner):
         self._worker_stats = []
         if live:
             # Prepares only help when the workers running the shards can
-            # read what they warmed: any tier under the thread executor
-            # (shared memory), the disk tier under the process and
-            # remote executors.
+            # read what they warmed: any tier when they share the
+            # coordinator's memory, otherwise only the disk tier.
             prepares_sharable = (
                 self.cache.enabled
-                if self.executor == "thread"
+                if self.executor.shares_memory
                 else self.cache.disk_dir is not None
             )
             tasks, _ = self.build_graph(
@@ -499,107 +498,49 @@ class AsyncShardRunner(BaseRunner):
         return [outcome for outcome in outcomes if outcome is not None]
 
     def _dispatch(self, tasks: list[Task]) -> tuple[dict, SchedulerProfile]:
-        """Execute the graph under this runner's executor; returns the
+        """Execute the graph on this runner's executor; returns the
         scheduler results and the run's profile."""
-        if self.executor == "thread":
-            emit(WorkerLeased(worker="local", capacity=self.jobs))
-            scheduler = self._track(
-                GraphScheduler(
-                    jobs=self.jobs,
-                    execute=self._execute_task,
-                    pass_worker=True,
-                    cost_model=self.cost_model,
-                )
-            )
-            return self._scheduler_run(scheduler, tasks), scheduler.profile
-        if self.executor == "process":
-            emit(WorkerLeased(worker="local", capacity=self.jobs))
-            scheduler = self._track(
-                GraphScheduler(
-                    jobs=self.jobs,
-                    execute=self._execute_task,
-                    pass_worker=True,
-                    cost_model=self.cost_model,
-                )
-            )
-            disk_dir = str(self.cache.disk_dir) if self.cache.disk_dir else None
-            with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(disk_dir, self.cache.memory_enabled),
-            ) as pool:
-                self._pool = pool
-                try:
-                    return self._scheduler_run(scheduler, tasks), scheduler.profile
-                finally:
-                    self._pool = None
-        if self._injected_remote is not None:
-            # An externally owned executor (the service control plane):
-            # already started, stays open after the run.
-            remote = self._injected_remote
-            scheduler = self._track(
-                GraphScheduler(
-                    slots=remote.slots,
-                    execute=self._execute_task,
-                    pass_worker=True,
-                    cost_model=self.cost_model,
-                )
-            )
-            self._remote = remote
-            try:
-                return self._scheduler_run(scheduler, tasks), scheduler.profile
-            finally:
-                scheduler.profile.worker_connects = dict(remote.connects)
-                self._remote = None
-        # Imported lazily: remote.py imports this module's payload
-        # helpers for the worker side.
-        from repro.runner.remote import RemoteExecutor
-
-        assert self.workers is not None
-        with RemoteExecutor(self.workers, cache=self.cache) as remote:
-            scheduler = self._track(
-                GraphScheduler(
-                    slots=remote.slots,
-                    execute=self._execute_task,
-                    pass_worker=True,
-                    cost_model=self.cost_model,
-                )
-            )
-            self._remote = remote
-            try:
-                return self._scheduler_run(scheduler, tasks), scheduler.profile
-            finally:
-                # Persistent-connection telemetry: how many TCP dials
-                # the run actually needed (~capacity per worker when
-                # pooling works; ~task count means reconnect churn).
-                scheduler.profile.worker_connects = dict(remote.connects)
-                self._remote = None
-
-    def _scheduler_run(self, scheduler: GraphScheduler, tasks: list[Task]) -> dict:
-        if self.on_scheduler is not None:
-            self.on_scheduler(scheduler)
+        executor = self.executor
+        owned = not executor.is_open
+        if owned:
+            executor.open()
         try:
-            return scheduler.run(tasks)
-        finally:
+            slots = dict(executor.slots)
+            for worker, capacity in slots.items():
+                emit(WorkerLeased(worker=worker, capacity=capacity))
+            dials = dict(executor.connects)
+            scheduler = GraphScheduler(
+                slots=slots, execute=self._execute_task, cost_model=self.cost_model
+            )
+            # Published before running, so a failed run still leaves its
+            # telemetry (failed task records included) inspectable; a
+            # successful run replaces it with the cache-stats-enriched one.
+            self.last_profile = RunProfile(scheduler=scheduler.profile)
             if self.on_scheduler is not None:
-                self.on_scheduler(None)
-
-    def _track(self, scheduler: GraphScheduler) -> GraphScheduler:
-        """Expose the scheduler's (in-place mutated) profile as
-        ``last_profile`` *before* running, so a failed run still leaves
-        its telemetry — including the failed task records — inspectable;
-        a successful run replaces it with the cache-stats-enriched one.
-        """
-        self.last_profile = RunProfile(scheduler=scheduler.profile)
-        return scheduler
+                self.on_scheduler(scheduler)
+            try:
+                return scheduler.run(tasks), scheduler.profile
+            finally:
+                if self.on_scheduler is not None:
+                    self.on_scheduler(None)
+                # This run's task-connection dials: ~capacity per worker
+                # when pooling works, ~task count means reconnect churn.
+                scheduler.profile.worker_connects = {
+                    worker: count - dials.get(worker, 0)
+                    for worker, count in dict(executor.connects).items()
+                    if count > dials.get(worker, 0)
+                }
+        finally:
+            if owned:
+                executor.close()
 
     def _execute_task(self, task: Task, deps: dict, worker: str) -> tuple[Any, float]:
         """Scheduler callback: run one task's payload.
 
-        Called on a worker thread for prepare/shard/plain tasks (routed
-        to ``worker`` under the remote executor) and on the event loop
-        for merge tasks (``local=True``) — merges never leave the
-        coordinator, which preserves byte-identical rendering.
+        Called on a worker thread for prepare/shard/plain tasks, which
+        the executor runs on ``worker``, and on the event loop for merge
+        tasks (``local=True``) — merges never leave the coordinator,
+        which preserves byte-identical rendering.
         """
         if task.payload[0] == "merge":
             _, name, params, shards = task.payload
@@ -612,27 +553,15 @@ class AsyncShardRunner(BaseRunner):
             started = time.perf_counter()
             value = exp.merge(params, shards, parts)
             # Merge outcomes carry the *compute* seconds of their
-            # shards, matching ProcessPoolRunner's accounting.
+            # shards, as if they had run one after another.
             shard_seconds = sum(deps[key][1] for key in ordered)
             return value, shard_seconds + time.perf_counter() - started
-        if self._remote is not None:
-            value, seconds, delta = self._remote.run_payload(worker, task.payload)
-            if delta:
-                # list.append is atomic; folded after the run completes.
-                self._worker_stats.append(delta)
-                emit_cache_delta(delta)
-            return value, seconds
-        if self.executor == "process" and self._pool is not None:
-            value, token, seconds, delta = self._pool.submit(
-                _execute_payload_shipping, task.payload
-            ).result()
-            if token is not None:
-                value = self.cache.take_spill(token)
-            if delta:
-                self._worker_stats.append(delta)
-                emit_cache_delta(delta)
-            return value, seconds
-        return _execute_payload(task.payload)
+        value, seconds, delta = self.executor.run(worker, task.payload)
+        if delta:
+            # list.append is atomic; folded after the run completes.
+            self._worker_stats.append(delta)
+            emit_cache_delta(delta)
+        return value, seconds
 
     def _collect(
         self,

@@ -32,14 +32,11 @@ from repro.runner.registry import Experiment, get_experiment
 
 @dataclass(frozen=True)
 class RunnerCapabilities:
-    """What an execution backend supports."""
+    """What an execution backend declares about itself: its name (run
+    manifests and trails record it) and its concurrency bound."""
 
     name: str
-    parallel: bool = False
     max_workers: int = 1
-    shard_fanout: bool = False
-    deterministic_order: bool = True
-    async_graph: bool = False
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,9 @@ class RunnerPolicy:
     ``backend="auto"`` resolves the way the CLI always has: remote when
     workers are named, the async shard graph when ``jobs > 1`` or when
     scheduler telemetry was asked for (``profile=True``), else serial.
+    Both ``async`` and ``remote`` are the graph runner; ``jobs > 1``
+    gives ``async`` a local process pool (see
+    :func:`repro.runner.build_runner`).
     """
 
     backend: str = "auto"
@@ -86,7 +86,7 @@ class RunnerPolicy:
     workers: str | None = None
     profile: bool = False
 
-    _BACKENDS = ("auto", "serial", "process", "async", "remote")
+    _BACKENDS = ("auto", "serial", "async", "remote")
 
     def __post_init__(self) -> None:
         if self.backend not in self._BACKENDS:

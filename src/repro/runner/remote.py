@@ -69,7 +69,7 @@ from repro.core.serialization import (
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.events.dispatch import emit
-from repro.events.model import WorkerConnected, WorkerLeased, WorkerLost
+from repro.events.model import WorkerConnected, WorkerLost
 from repro.runner.async_graph import _execute_payload_with_stats
 from repro.runner.cache import ArtifactCache, code_fingerprint, get_cache
 from repro.runner.scheduler import WorkerLostError
@@ -592,19 +592,26 @@ class RemoteExecutor:
     Usage::
 
         with RemoteExecutor("local:2", cache=cache) as remote:
-            scheduler = GraphScheduler(slots=remote.slots, execute=...)
+            value, seconds, delta = remote.run(address, payload)
 
     ``workers`` is ``"host:port,host:port"``, ``"local:N"``, or a
-    sequence of addresses.  :meth:`start` probes every worker
+    sequence of addresses; :meth:`open` probes every one of them
     (handshake: protocol, code fingerprint, shared cache dir) and fills
-    :attr:`slots` with each worker's advertised capacity.  Task traffic
-    flows over pooled persistent connections (one per busy slot);
-    :attr:`connects` counts the dials per worker.
+    :attr:`slots` with each worker's advertised capacity.  With
+    ``workers=None`` the executor opens with an empty table that
+    :meth:`probe` and :meth:`release` grow and shrink while it is open —
+    the ``repro serve`` control plane admits self-registered workers
+    that way.  Task traffic flows over pooled persistent connections
+    (one per busy slot); :attr:`connects` counts the dials per worker
+    over the executor's life.
     """
+
+    name = "remote"
+    shares_memory = False
 
     def __init__(
         self,
-        workers: str | Sequence[str],
+        workers: str | Sequence[str] | None = None,
         *,
         cache: ArtifactCache | None = None,
         connect_timeout: float = CONNECT_TIMEOUT,
@@ -613,12 +620,15 @@ class RemoteExecutor:
         self._cache = cache
         self._timeout = connect_timeout
         self.slots: dict[str, int] = {}
+        self.is_open = False
         self._pool: LocalWorkerPool | None = None
-        self._beacon: str | None = None
+        # The sync-beacon token workers must see (None when the
+        # coordinator has no disk tier to share).
+        self.beacon: str | None = None
         self._idle: dict[str, list[_SlotConnection]] = {}
         self._conn_lock = threading.Lock()
-        # Worker address -> task-connection dials this run.  The probe
-        # handshake is not counted: it exists per worker by design.
+        # Worker address -> task-connection dials.  The probe handshake
+        # is not counted: it exists per worker by design.
         self.connects: dict[str, int] = {}
 
     @property
@@ -628,28 +638,24 @@ class RemoteExecutor:
     # -- lifecycle ------------------------------------------------------
 
     def __enter__(self) -> "RemoteExecutor":
-        self.start()
+        self.open()
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def start(self) -> None:
-        addresses = self._resolve_addresses()
-        if self.cache.disk_dir is not None:
-            self._beacon = self.cache.write_sync_beacon()
+    def open(self) -> None:
+        addresses = [] if self._spec is None else self._resolve_addresses(self._spec)
+        self.beacon = self.cache.write_sync_beacon()
+        self.is_open = True
         try:
             for address in addresses:
-                self.slots[address] = self._probe(address)
-                emit(
-                    WorkerLeased(worker=address, capacity=self.slots[address])
-                )
+                self.probe(address)
         except BaseException:
             self.close()
             raise
 
-    def _resolve_addresses(self) -> list[str]:
-        spec = self._spec
+    def _resolve_addresses(self, spec: str | Sequence[str]) -> list[str]:
         if not isinstance(spec, str):
             addresses = [str(item).strip() for item in spec]
         elif spec.startswith("local:"):
@@ -665,7 +671,7 @@ class RemoteExecutor:
         else:
             addresses = [part.strip() for part in spec.split(",") if part.strip()]
         if not addresses:
-            raise ConfigurationError(f"no worker addresses in {self._spec!r}")
+            raise ConfigurationError(f"no worker addresses in {spec!r}")
         for address in addresses:
             parse_address(address)  # validate early, before any connect
         return addresses
@@ -687,9 +693,9 @@ class RemoteExecutor:
             self._pool.terminate()
             self._pool = None
         self.slots = {}
-        if self._beacon is not None:
-            self.cache.remove_sync_beacon(self._beacon)
-            self._beacon = None
+        self.cache.remove_sync_beacon(self.beacon)
+        self.beacon = None
+        self.is_open = False
 
     # -- protocol -------------------------------------------------------
 
@@ -715,7 +721,7 @@ class RemoteExecutor:
                     "type": "hello",
                     "protocol": PROTOCOL_VERSION,
                     "fingerprint": code_fingerprint(),
-                    "beacon": self._beacon if with_beacon else None,
+                    "beacon": self.beacon if with_beacon else None,
                 },
             )
             reply = _recv(stream)
@@ -739,8 +745,11 @@ class RemoteExecutor:
             raise WorkerLostError(address, f"unexpected handshake reply {reply!r}")
         return sock, stream, reply
 
-    def _probe(self, address: str) -> int:
-        """Handshake-only connection; validates and returns capacity."""
+    def probe(self, address: str) -> int:
+        """Handshake with ``address`` and admit it to the slot table;
+        returns its capacity.  Raises :class:`WorkerLostError` when the
+        worker is unreachable and :class:`ConfigurationError` on a
+        protocol, fingerprint, or shared-cache mismatch."""
         sock, stream, hello = self._connect(address, with_beacon=True)
         try:
             theirs = hello.get("fingerprint")
@@ -751,37 +760,32 @@ class RemoteExecutor:
                     "a remote shard could diverge from the serial oracle — "
                     "deploy matching code to every worker"
                 )
-            if self._beacon is not None and hello.get("shared_cache") is not True:
+            if self.beacon is not None and hello.get("shared_cache") is not True:
                 raise ConfigurationError(
                     f"worker {address} does not see the coordinator's cache "
                     f"dir {self.cache.disk_dir} — remote workers must be "
                     "started with the same (shared) --cache-dir"
                 )
-            return max(1, int(hello.get("capacity") or 1))
+            capacity = max(1, int(hello.get("capacity") or 1))
         finally:
             sock.close()
+        self.slots[address] = capacity
+        return capacity
+
+    def release(self, address: str) -> None:
+        """Forget a departed worker: drop its slots and close any pooled
+        connections to it (idempotent)."""
+        self.slots.pop(address, None)
+        self._drop_connections(address)
 
     def _request(self, address: str, message: dict, expect: str) -> dict:
         """One request/response exchange on a fresh connection."""
         sock, stream, _ = self._connect(address)
+        connection = _SlotConnection(address, sock, stream)
         try:
-            try:
-                _send(stream, message)
-                while True:
-                    reply = _recv(stream)
-                    if reply is None:
-                        raise WorkerLostError(address, "connection closed mid-task")
-                    if reply.get("type") == expect:
-                        return reply
-                    if reply.get("type") in ("log", "pong"):
-                        continue  # telemetry frames are informational
-                    raise WorkerLostError(
-                        address, f"unexpected reply {reply.get('type')!r}"
-                    )
-            except (OSError, ValueError, UnicodeDecodeError) as error:
-                raise WorkerLostError(address, str(error)) from error
+            return connection.request(message, expect)
         finally:
-            sock.close()
+            connection.close()
 
     def ping(self, address: str) -> bool:
         try:
@@ -816,7 +820,7 @@ class RemoteExecutor:
         for connection in connections:
             connection.close()
 
-    def run_payload(self, address: str, payload: tuple) -> tuple[Any, float, dict]:
+    def run(self, address: str, payload: tuple) -> tuple[Any, float, dict]:
         """Execute one task payload on ``address``.
 
         Returns ``(value, compute seconds, cache-stats delta)``.  Raises

@@ -54,7 +54,6 @@ rates.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import itertools
 import threading
 import time
@@ -233,27 +232,19 @@ class GraphScheduler:
     def __init__(
         self,
         jobs: int | None = None,
-        execute: Callable[..., Any] | None = None,
+        execute: Callable[[Task, dict[Any, Any], str], Any] | None = None,
         slots: Mapping[str, int] | None = None,
-        pass_worker: bool | None = None,
         cost_model: CostModel | None = None,
     ) -> None:
-        """``execute(task, deps)`` — or ``execute(task, deps, worker)``
-        for worker-routing executors — runs a task's payload given its
-        dependencies' results (keyed by task key).  It must be
-        thread-safe: non-local tasks call it from worker threads via
-        ``asyncio.to_thread`` (and it may itself hand off to a process
-        pool or a remote worker); ``local`` tasks call it on the event
-        loop thread.
+        """``execute(task, deps, worker)`` runs a task's payload on the
+        leased ``worker`` given its dependencies' results (keyed by task
+        key).  It must be thread-safe: non-local tasks call it from
+        worker threads via ``asyncio.to_thread`` (and it may itself hand
+        off to a process pool or a remote worker); ``local`` tasks call
+        it on the event loop thread with ``worker=""``.
 
         Concurrency comes from ``slots`` (worker name -> capacity) when
         given, else from ``jobs`` as a single ``{"local": jobs}`` pool.
-
-        ``pass_worker`` states explicitly whether ``execute`` takes the
-        worker name as a third argument; leave ``None`` to infer it
-        from the signature (wrapped callables — partials, ``*args``
-        decorators — should pass it explicitly, the inference only sees
-        the wrapper).
 
         ``cost_model`` (optional) supplies per-``cost_key`` runtime
         estimates from prior runs' trails; ready tasks are then ordered
@@ -275,9 +266,6 @@ class GraphScheduler:
             self.slots = {"local": max(1, jobs if jobs is not None else 1)}
         self.jobs = sum(self.slots.values())
         self._execute = execute
-        if pass_worker is None:
-            pass_worker = self._accepts_worker(execute)
-        self._pass_worker = pass_worker
         self._cost_model = cost_model
         self.profile = SchedulerProfile(jobs=self.jobs, slots=dict(self.slots))
         # Elastic-control publication point: while a run is live, other
@@ -287,32 +275,6 @@ class GraphScheduler:
         self._control: (
             Callable[[str, str, int], Awaitable[None]] | None
         ) = None  # guarded-by: _control_lock
-
-    @staticmethod
-    def _accepts_worker(execute: Callable[..., Any]) -> bool:
-        """Whether ``execute`` wants the worker name as a third arg."""
-        try:
-            parameters = inspect.signature(execute).parameters
-        except (TypeError, ValueError):  # builtins / odd callables
-            return False
-        kinds = [p.kind for p in parameters.values()]
-        if inspect.Parameter.VAR_POSITIONAL in kinds:
-            return True
-        positional = [
-            p
-            for p in parameters.values()
-            if p.kind
-            in (
-                inspect.Parameter.POSITIONAL_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        ]
-        return len(positional) >= 3
-
-    def _call(self, task: Task, deps: dict[Any, Any], worker: str) -> Any:
-        if self._pass_worker:
-            return self._execute(task, deps, worker)
-        return self._execute(task, deps)
 
     # -- elastic slot control (thread-safe, service control plane) -------
 
@@ -616,7 +578,7 @@ class GraphScheduler:
                 )
             )
             try:
-                result = self._call(task, deps, "")
+                result = self._execute(task, deps, "")
             except BaseException as error:  # re-raised
                 record(task, "", started, failed=True)
                 fail(task, "", error)
@@ -660,7 +622,7 @@ class GraphScheduler:
                     )
                 )
                 try:
-                    result = await asyncio.to_thread(self._call, task, deps, worker)
+                    result = await asyncio.to_thread(self._execute, task, deps, worker)
                 except WorkerLostError as error:
                     # The worker died, not the task: retire the worker
                     # and retry on a survivor (the attempt still shows

@@ -10,14 +10,12 @@ client the ``repro submit|jobs|drain`` verbs use.
 """
 
 from repro.service.agent import WorkerAgent
-from repro.service.elastic import ElasticRemoteExecutor
 from repro.service.jobs import JobRecord, JobStore
 from repro.service.registry import WorkerInfo, WorkerRegistry
 from repro.service.server import ControlPlane, HTTPError
 
 __all__ = [
     "ControlPlane",
-    "ElasticRemoteExecutor",
     "HTTPError",
     "JobRecord",
     "JobStore",

@@ -57,14 +57,13 @@ from repro.events.processors import read_events_jsonl
 from repro.runner.async_graph import AsyncShardRunner
 from repro.runner.base import RunRequest
 from repro.runner.cache import code_fingerprint
-from repro.runner.remote import PROTOCOL_VERSION, parse_address
+from repro.runner.remote import PROTOCOL_VERSION, RemoteExecutor, parse_address
 from repro.runner.scheduler import (
     GraphScheduler,
     TaskExecutionError,
     WorkerLostError,
 )
 from repro.service import jobs as jobstates
-from repro.service.elastic import ElasticRemoteExecutor
 from repro.service.jobs import JOBS_SUBDIR, MAX_ATTEMPTS, JobRecord, JobStore
 from repro.service.registry import (
     DEFAULT_HEARTBEAT_TIMEOUT,
@@ -169,7 +168,8 @@ class ControlPlane:
             )
         self.store: RunStore = self.session.store
         self.registry = WorkerRegistry(heartbeat_timeout=heartbeat_timeout)
-        self.elastic = ElasticRemoteExecutor(cache=self.session.cache)
+        # Opened empty at start; registrations probe workers into it.
+        self.executor = RemoteExecutor(cache=self.session.cache)
         self._resume = resume
         self._poll = poll_interval
         self._jobs_lock = threading.Lock()
@@ -195,7 +195,7 @@ class ControlPlane:
         """Bind, recover the persisted queue, start the service threads
         (HTTP front door, dispatch loop, heartbeat monitor); returns
         the bound ``host:port``."""
-        self.elastic.start()
+        self.executor.open()
         self._recover_jobs()
         httpd = _PlaneHTTPServer(self._listen, _Handler)
         httpd.plane = self
@@ -224,7 +224,7 @@ class ControlPlane:
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
-        self.elastic.close()
+        self.executor.close()
 
     def _recover_jobs(self) -> None:
         with self._jobs_lock:
@@ -310,7 +310,7 @@ class ControlPlane:
         return {
             "protocol": PROTOCOL_VERSION,
             "fingerprint": code_fingerprint(),
-            "beacon": self.elastic.beacon,
+            "beacon": self.executor.beacon,
             "store": str(self.store.root),
             "workers": len(self.registry.snapshot()),
             "jobs": jobs,
@@ -443,7 +443,7 @@ class ControlPlane:
         # announced address actually answers, re-checks the fingerprint
         # end-to-end, and verifies the shared-cache beacon.
         try:
-            capacity = self.elastic.probe(address)
+            capacity = self.executor.probe(address)
         except (WorkerLostError, ConfigurationError) as error:
             raise HTTPError(
                 409, f"cannot lease worker {address}: {error}"
@@ -464,7 +464,7 @@ class ControlPlane:
 
     def deregister_worker(self, address: str) -> bool:
         removed = self.registry.remove(address)
-        self.elastic.release(address)
+        self.executor.release(address)
         if removed:
             scheduler = self._live_scheduler()
             if scheduler is not None:
@@ -566,19 +566,19 @@ class ControlPlane:
         leasable set: probe joiners, release leavers.  Returns the
         resulting table ({} means nothing can run right now)."""
         leasable = self.registry.leasable()
-        for address in list(self.elastic.slots):
+        for address in list(self.executor.slots):
             if address not in leasable:
-                self.elastic.release(address)
+                self.executor.release(address)
         for address in leasable:
-            if address in self.elastic.slots:
+            if address in self.executor.slots:
                 continue
             try:
-                self.elastic.probe(address)
+                self.executor.probe(address)
             except (WorkerLostError, ConfigurationError):
                 # Unreachable despite heartbeats (or a freshly broken
                 # cache share): drop it; it may re-register later.
                 self.registry.remove(address)
-        return dict(self.elastic.slots)
+        return dict(self.executor.slots)
 
     def _run_batch(self, batch: list[JobRecord]) -> None:
         slots = self._sync_slots()
@@ -611,12 +611,13 @@ class ControlPlane:
                 for record, _, _ in spans:
                     emit(JobDequeued(job_id=record.job_id))
 
+        # The executor is already open, so the runner borrows it: pooled
+        # connections and the sync beacon outlive the batch.
         runner = AsyncShardRunner(
             jobs=sum(slots.values()),
             cache=self.session.cache,
-            executor="remote",
+            executor=self.executor,
             cost_model=self.session._cost_model(),
-            remote_executor=self.elastic,
             on_scheduler=attach,
         )
         try:
@@ -705,7 +706,7 @@ class ControlPlane:
                         silent_seconds=now - info.last_seen,
                     )
                 )
-                self.elastic.release(info.address)
+                self.executor.release(info.address)
                 scheduler = self._live_scheduler()
                 if scheduler is not None:
                     scheduler.retire_worker(info.address)

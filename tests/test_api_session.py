@@ -205,10 +205,10 @@ def test_cache_policy_refresh_forces_recompute(tmp_path):
 def test_batch_policy_conflicts_are_rejected(tmp_path):
     session = Session(cache_dir=str(tmp_path / "c"))
     serial = RunnerPolicy(backend="serial")
-    process = RunnerPolicy(backend="process", jobs=2)
+    graph = RunnerPolicy(backend="async", jobs=2)
     requests = [
         RunRequest.build("fig3", days=2, runner=serial),
-        RunRequest.build("fig6", days=2, runner=process),
+        RunRequest.build("fig6", days=2, runner=graph),
     ]
     with pytest.raises(ConfigurationError, match="conflicting"):
         session.run(requests)

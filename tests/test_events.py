@@ -46,8 +46,11 @@ from repro.events.history import params_fingerprint, task_cost_key
 from repro.runner import (
     ArtifactCache,
     AsyncShardRunner,
+    ProcessExecutor,
+    RemoteExecutor,
     RunRequest,
     SerialRunner,
+    ThreadExecutor,
     WorkerServer,
     cache_disabled,
     get_cache,
@@ -206,13 +209,17 @@ def _check_stream_invariants(events):
             )
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize(
+    "executor",
+    [ThreadExecutor, ProcessExecutor],
+    ids=["thread", "process"],
+)
 def test_event_stream_is_well_ordered_across_executors(
     executor, fresh_cache
 ):
     recorder = Recorder()
     with collect_events([recorder]) as aggregator:
-        runner = AsyncShardRunner(jobs=2, executor=executor)
+        runner = AsyncShardRunner(jobs=2, executor=executor(2))
         outcomes = runner.run([RunRequest.for_days("fig6", days=3)])
     assert outcomes[0].rendered
     _check_stream_invariants(recorder.events)
@@ -333,7 +340,7 @@ def test_params_fingerprint_is_stable_and_order_free():
 def _run_order(tasks, cost_model):
     order = []
 
-    def execute(task, deps):
+    def execute(task, deps, worker):
         order.append(task.key)
         return task.key
 
@@ -497,7 +504,7 @@ def test_artifacts_byte_identical_under_remote_workers(tmp_path, fresh_cache):
     addresses = [server.start_background() for server in servers]
     try:
         with collect_events() as aggregator:
-            runner = AsyncShardRunner(executor="remote", workers=addresses)
+            runner = AsyncShardRunner(executor=RemoteExecutor(addresses))
             outcomes = runner.run([RunRequest.for_days("fig3", days=2)])
         assert outcomes[0].rendered == oracle[0].rendered
         assert runner.last_profile is not None

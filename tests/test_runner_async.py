@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runner import (
     AsyncShardRunner,
+    ProcessExecutor,
     RunRequest,
     SerialRunner,
     cache_disabled,
@@ -41,9 +42,11 @@ def fresh_cache(tmp_path):
 
 def test_capabilities_declare_async_graph():
     caps = AsyncShardRunner(jobs=4).capabilities
-    assert caps.async_graph and caps.parallel and caps.shard_fanout
+    assert caps.name == "async-graph[thread]"
     assert caps.max_workers == 4
-    assert not SerialRunner().capabilities.async_graph
+    process = AsyncShardRunner(jobs=2, executor=ProcessExecutor(2))
+    assert process.capabilities.name == "async-graph[process]"
+    assert SerialRunner().capabilities.name == "serial"
 
 
 def test_async_matches_serial_byte_for_byte():
@@ -89,7 +92,7 @@ def test_async_process_executor_matches_serial():
     with cache_disabled():
         serial = SerialRunner().run(_requests())
     with cache_disabled():
-        run = AsyncShardRunner(jobs=2, executor="process").run(_requests())
+        run = AsyncShardRunner(jobs=2, executor=ProcessExecutor(2)).run(_requests())
     for s, a in zip(serial, run):
         assert a.rendered == s.rendered, f"{s.name} diverged in process mode"
 
@@ -320,7 +323,7 @@ def test_concurrent_same_key_puts_do_not_collide(tmp_path):
 def test_process_mode_profile_sees_worker_cache_traffic(fresh_cache):
     """Worker-side cache stats must ship back to the coordinator, or
     --profile reports ~0% hit rates for the CLI's default executor."""
-    runner = AsyncShardRunner(jobs=2, executor="process")
+    runner = AsyncShardRunner(jobs=2, executor=ProcessExecutor(2))
     runner.run(_requests([("fig3", {"n_days": 2, "seed": 31})]))
     stats = runner.last_profile.cache_stats
     assert stats.get("trace.puts", 0) >= 1, "worker trace traffic missing"
@@ -331,7 +334,9 @@ def test_memory_only_cache_skips_prepares_in_process_mode():
     """A process worker cannot share its memory tier, so warming it
     would be pure extra compute — the run must drop the prepare stage."""
     memory_only = ArtifactCache(memory=True, disk_dir=None)
-    runner = AsyncShardRunner(jobs=2, executor="process", cache=memory_only)
+    runner = AsyncShardRunner(
+        jobs=2, executor=ProcessExecutor(2), cache=memory_only
+    )
     outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
     labels = {r.label for r in runner.last_profile.scheduler.tasks}
     assert outcomes[0].rendered
@@ -347,11 +352,6 @@ def test_prepares_skipped_when_cache_disabled():
     assert outcomes[0].rendered
     assert not any("prep" in label for label in labels)
     assert {"fig3/shard0", "fig3/shard1", "fig3/merge"} <= labels
-
-
-def test_invalid_executor_rejected():
-    with pytest.raises(ValueError, match="executor"):
-        AsyncShardRunner(jobs=2, executor="carrier-pigeon")
 
 
 def test_shard_needs_validation():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 from repro.runner import get_cache
 from repro.runner.registry import experiment_names, experiments_by_tag
 
@@ -75,6 +76,31 @@ def test_cache_info_and_clear(tmp_path, capsys):
     assert "trace entries" not in out
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "graph"])
+def test_run_library_error_prints_one_line(jobs, tmp_path, capsys):
+    """A ReproError exits 1 with one stderr line, whether it is raised
+    directly (serial) or is the cause of a failed graph task."""
+    argv = ["run", "fig10", "--days", "3", "--jobs", jobs]
+    assert main([*argv, "--cache-dir", str(tmp_path / "cache")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: DatasetError: ")
+    assert err.endswith("need at least one training day\n")
+    assert err.count("\n") == 1
+
+
+def test_run_other_errors_keep_their_traceback(monkeypatch):
+    from repro.api import Session
+    from repro.runner.scheduler import TaskExecutionError
+
+    def fail(self, requests):
+        cause = ValueError("a bug, not a library error")
+        raise TaskExecutionError("k", "fig3/run", "local", cause) from cause
+
+    monkeypatch.setattr(Session, "run", fail)
+    with pytest.raises(TaskExecutionError, match="a bug"):
+        main(["run", "fig3", "--days", "3", "--no-cache"])
+
+
 def test_jobs_flag_parses():
     args = build_parser().parse_args(["run", "fig3", "--jobs", "4"])
     assert args.jobs == 4
@@ -86,7 +112,6 @@ def test_runner_auto_selection():
     from repro.cli import _make_session
     from repro.runner import (
         AsyncShardRunner,
-        ProcessPoolRunner,
         RunnerPolicy,
         SerialRunner,
         build_runner,
@@ -99,11 +124,12 @@ def test_runner_auto_selection():
         return build_runner(session.policy, cache=session.cache)
 
     assert isinstance(runner_for(["run", "fig3"]), SerialRunner)
-    assert isinstance(runner_for(["run", "fig3", "--jobs", "4"]), AsyncShardRunner)
-    assert isinstance(
-        runner_for(["run", "fig3", "--jobs", "4", "--runner", "process"]),
-        ProcessPoolRunner,
-    )
+    pooled = runner_for(["run", "fig3", "--jobs", "4"])
+    assert isinstance(pooled, AsyncShardRunner)
+    assert pooled.capabilities.name == "async-graph[process]"
+    # The process pool is the graph runner's executor, not a backend.
+    with pytest.raises(ConfigurationError, match="unknown runner backend"):
+        runner_for(["run", "fig3", "--jobs", "4", "--runner", "process"])
     assert isinstance(
         runner_for(["run", "fig3", "--runner", "async"]), AsyncShardRunner
     )
@@ -201,7 +227,7 @@ def test_profile_reports_corrupt_counter(tmp_path, capsys):
 
 def test_workers_flag_selects_remote_backend():
     from repro.cli import _make_session
-    from repro.runner import AsyncShardRunner, build_runner
+    from repro.runner import AsyncShardRunner, RemoteExecutor, build_runner
 
     parser = build_parser()
 
@@ -211,12 +237,12 @@ def test_workers_flag_selects_remote_backend():
 
     runner = runner_for(["run", "fig3", "--workers", "local:2"])
     assert isinstance(runner, AsyncShardRunner)
-    assert runner.executor == "remote"
-    assert runner.workers == "local:2"
+    assert isinstance(runner.executor, RemoteExecutor)
+    assert runner.capabilities.name == "async-graph[remote]"
     runner = runner_for(
         ["run", "fig3", "--runner", "remote", "--workers", "h1:70,h2:70"]
     )
-    assert runner.executor == "remote"
+    assert isinstance(runner.executor, RemoteExecutor)
 
 
 def test_remote_runner_flag_validation(tmp_path, capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.runner import (
-    ProcessPoolRunner,
+    RunnerPolicy,
     RunRequest,
     SerialRunner,
+    build_runner,
     cache_disabled,
     get_experiment,
 )
@@ -23,11 +24,17 @@ def _requests():
     return [RunRequest(name, dict(params)) for name, params in SMALL_REQUESTS]
 
 
+def _process_runner(jobs=2):
+    """The graph runner on its process-pool executor, as ``--jobs N``
+    builds it."""
+    return build_runner(RunnerPolicy(backend="async", jobs=jobs))
+
+
 def test_capabilities_declared():
     serial = SerialRunner().capabilities
-    assert serial.name == "serial" and not serial.parallel
-    pool = ProcessPoolRunner(jobs=3).capabilities
-    assert pool.parallel and pool.shard_fanout and pool.max_workers == 3
+    assert serial.name == "serial" and serial.max_workers == 1
+    pool = _process_runner(jobs=3).capabilities
+    assert pool.name == "async-graph[process]" and pool.max_workers == 3
 
 
 def test_serial_matches_direct_invocation():
@@ -56,7 +63,7 @@ def test_parallel_matches_serial_byte_for_byte():
     with cache_disabled():
         serial = SerialRunner().run(_requests())
     with cache_disabled():
-        parallel = ProcessPoolRunner(jobs=2).run(_requests())
+        parallel = _process_runner().run(_requests())
     assert [o.name for o in parallel] == [o.name for o in serial]
     for s, p in zip(serial, parallel):
         assert p.rendered == s.rendered, f"{s.name} diverged under parallelism"
@@ -71,7 +78,7 @@ def test_parallel_matches_serial_byte_for_byte():
 @pytest.mark.slow
 def test_parallel_string_requests_resolve_defaults():
     with cache_disabled():
-        outcome = ProcessPoolRunner(jobs=2).run_one(
+        outcome = _process_runner().run_one(
             "fig4",
             params={"n_days": 4, "min_pts_values": [3, 6], "k_values": [2, 4]},
         )

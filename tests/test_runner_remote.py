@@ -137,7 +137,7 @@ def test_worker_executes_payload(fresh_cache, worker_pair):
     with executor:
         assert executor.slots == {address: 1 for address in worker_pair}
         payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-        value, seconds, delta = executor.run_payload(worker_pair[0], payload)
+        value, seconds, delta = executor.run(worker_pair[0], payload)
         assert value.house == "A"
         assert seconds > 0
         assert delta.get("trace.puts", 0) >= 1, "telemetry must ship back"
@@ -148,7 +148,7 @@ def test_worker_ping_and_remote_error(fresh_cache, worker_pair):
         assert executor.ping(worker_pair[0])
         payload = ("shard", "no-such-exp", {}, {})
         with pytest.raises(RemoteTaskError, match="no-such-exp"):
-            executor.run_payload(worker_pair[0], payload)
+            executor.run(worker_pair[0], payload)
 
 
 def test_handshake_rejects_protocol_mismatch(worker_pair):
@@ -173,7 +173,7 @@ def test_shared_cache_dir_mismatch_is_rejected(tmp_path, fresh_cache):
     address = server.start_background()
     try:
         with pytest.raises(ConfigurationError, match="cache"):
-            RemoteExecutor([address], cache=fresh_cache).start()
+            RemoteExecutor([address], cache=fresh_cache).open()
     finally:
         server.close()
 
@@ -186,7 +186,7 @@ def test_unreachable_worker_is_reported():
     probe.close()
     with pytest.raises(WorkerLostError, match="connect failed"):
         with cache_disabled():
-            RemoteExecutor([dead], cache=get_cache()).start()
+            RemoteExecutor([dead], cache=get_cache()).open()
 
 
 def test_task_connections_are_persistent(fresh_cache, worker_pair):
@@ -196,7 +196,7 @@ def test_task_connections_are_persistent(fresh_cache, worker_pair):
         address = worker_pair[0]
         payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
         for _ in range(4):
-            executor.run_payload(address, payload)
+            executor.run(address, payload)
         assert executor.connects == {address: 1}, (
             "4 tasks over one worker should cost exactly one dial"
         )
@@ -209,8 +209,8 @@ def test_remote_task_error_keeps_the_connection(fresh_cache, worker_pair):
     with RemoteExecutor(worker_pair, cache=fresh_cache) as executor:
         address = worker_pair[0]
         with pytest.raises(RemoteTaskError):
-            executor.run_payload(address, ("shard", "no-such-exp", {}, {}))
-        value, _, _ = executor.run_payload(
+            executor.run(address, ("shard", "no-such-exp", {}, {}))
+        value, _, _ = executor.run(
             address, ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
         )
         assert value.house == "A"
@@ -228,7 +228,7 @@ def test_large_result_spills_through_shared_cache(tmp_path, worker_pair):
     try:
         with RemoteExecutor(worker_pair, cache=cache) as executor:
             payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-            value, _, _ = executor.run_payload(worker_pair[0], payload)
+            value, _, _ = executor.run(worker_pair[0], payload)
         assert value.house == "A"
         assert cache.stats["spill.puts"] >= 1, "worker must have spilled"
         assert cache.stats["spill.hits"] >= 1, "coordinator must have redeemed"
@@ -246,7 +246,7 @@ def test_spill_disabled_without_shared_disk(worker_pair):
     try:
         with RemoteExecutor(worker_pair, cache=cache) as executor:
             payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-            value, _, _ = executor.run_payload(worker_pair[0], payload)
+            value, _, _ = executor.run(worker_pair[0], payload)
         assert value.house == "A"
         assert cache.stats.get("spill.puts", 0) == 0
         assert cache.stats.get("spill.hits", 0) == 0
@@ -268,7 +268,7 @@ def test_remote_matches_serial_byte_for_byte(fresh_cache, worker_pair):
         serial = SerialRunner().run(
             [RunRequest(name, dict(params)) for name, params in requests]
         )
-    runner = AsyncShardRunner(executor="remote", workers=worker_pair)
+    runner = AsyncShardRunner(executor=RemoteExecutor(worker_pair))
     remote = runner.run([RunRequest(name, dict(params)) for name, params in requests])
     assert [o.name for o in remote] == [o.name for o in serial]
     for s, r in zip(serial, remote):
@@ -326,11 +326,11 @@ def test_streaming_fleet_matches_serial_across_backends(tmp_path, worker_pair):
     previous = get_cache()
     try:
         configure_cache(memory=True, disk_dir=tmp_path / "async-cache")
-        threaded = AsyncShardRunner(executor="thread", jobs=2).run(
+        threaded = AsyncShardRunner(jobs=2).run(
             [RunRequest(name, dict(params)) for name, params in requests]
         )
         configure_cache(memory=True, disk_dir=tmp_path / "remote-cache")
-        remote = AsyncShardRunner(executor="remote", workers=worker_pair).run(
+        remote = AsyncShardRunner(executor=RemoteExecutor(worker_pair)).run(
             [RunRequest(name, dict(params)) for name, params in requests]
         )
     finally:
@@ -353,7 +353,7 @@ def test_remote_tagged_subset_matches_serial_via_subprocess_workers(fresh_cache)
         serial = SerialRunner().run(
             [RunRequest(r.experiment, dict(r.params)) for r in requests]
         )
-    runner = AsyncShardRunner(executor="remote", workers="local:2")
+    runner = AsyncShardRunner(executor=RemoteExecutor("local:2"))
     remote = runner.run(
         [RunRequest(r.experiment, dict(r.params)) for r in requests]
     )
@@ -427,7 +427,7 @@ def test_worker_crash_mid_shard_retries_on_survivor(fresh_cache):
     solid_address = solid.start_background()
     try:
         runner = AsyncShardRunner(
-            executor="remote", workers=[flaky.address, solid_address]
+            executor=RemoteExecutor([flaky.address, solid_address])
         )
         outcome = runner.run_one("fig3", params={"n_days": 2, "seed": 9})
         assert outcome.rendered  # the run survived the crash
@@ -446,7 +446,7 @@ def test_worker_crash_mid_shard_retries_on_survivor(fresh_cache):
 def test_all_workers_crashing_fails_with_shard_identity(fresh_cache):
     flaky = _FlakyWorker()
     try:
-        runner = AsyncShardRunner(executor="remote", workers=[flaky.address])
+        runner = AsyncShardRunner(executor=RemoteExecutor([flaky.address]))
         with pytest.raises(TaskExecutionError, match="fig3") as info:
             runner.run_one("fig3", params={"n_days": 2, "seed": 9})
         assert "no live workers" in str(info.value)
@@ -487,7 +487,7 @@ def test_cancellation_drains_inflight_remote_tasks(fresh_cache, worker_pair):
         )
     )
     try:
-        runner = AsyncShardRunner(executor="remote", workers=worker_pair)
+        runner = AsyncShardRunner(executor=RemoteExecutor(worker_pair))
         with pytest.raises(TaskExecutionError, match="remote shard failure") as info:
             runner.run([RunRequest(exp.name, {})])
         assert "explode-remote" in info.value.label
@@ -499,12 +499,8 @@ def test_cancellation_drains_inflight_remote_tasks(fresh_cache, worker_pair):
 
 
 def test_invalid_worker_specs_rejected():
-    with pytest.raises(ValueError, match="workers"):
-        AsyncShardRunner(executor="remote")
-    with pytest.raises(ValueError, match="remote"):
-        AsyncShardRunner(executor="thread", workers="local:2")
     with cache_disabled():
         with pytest.raises(ConfigurationError, match="local:N"):
-            RemoteExecutor("local:zero", cache=get_cache()).start()
+            RemoteExecutor("local:zero", cache=get_cache()).open()
         with pytest.raises(ConfigurationError, match="no worker addresses"):
-            RemoteExecutor("", cache=get_cache()).start()
+            RemoteExecutor("", cache=get_cache()).open()

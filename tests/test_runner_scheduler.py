@@ -62,7 +62,7 @@ def test_dependencies_complete_before_dependents():
     finished = []
     lock = threading.Lock()
 
-    def execute(task, deps):
+    def execute(task, deps, worker):
         with lock:
             finished.append(task.key)
         return task.key
@@ -78,7 +78,7 @@ def test_dependencies_complete_before_dependents():
 
 
 def test_dependency_results_are_passed_to_dependents():
-    def execute(task, deps):
+    def execute(task, deps, worker):
         if task.key == "sum":
             return sum(deps.values())
         return int(task.key)
@@ -93,7 +93,7 @@ def test_concurrency_never_exceeds_jobs():
     peak = []
     lock = threading.Lock()
 
-    def execute(task, deps):
+    def execute(task, deps, worker):
         with lock:
             active.append(task.key)
             peak.append(len(active))
@@ -111,7 +111,7 @@ def test_independent_tasks_interleave():
     """With jobs>1, two independent chains overlap in wall time."""
     stamps = {}
 
-    def execute(task, deps):
+    def execute(task, deps, worker):
         start = time.perf_counter()
         time.sleep(0.05)
         stamps[task.key] = (start, time.perf_counter())
@@ -128,7 +128,7 @@ def test_local_tasks_run_on_the_coordinator_thread():
     main_thread = threading.get_ident()
     seen = {}
 
-    def execute(task, deps):
+    def execute(task, deps, worker):
         seen[task.key] = threading.get_ident()
         return None
 
@@ -149,7 +149,7 @@ def test_local_tasks_run_on_the_coordinator_thread():
 def test_failure_propagates_and_cancels_descendants():
     ran = []
 
-    def execute(task, deps):
+    def execute(task, deps, worker):
         ran.append(task.key)
         if task.key == "boom":
             raise ValueError("shard exploded")
@@ -169,7 +169,7 @@ def test_failure_cancels_unstarted_independent_tasks():
     ran = []
     lock = threading.Lock()
 
-    def execute(task, deps):
+    def execute(task, deps, worker):
         with lock:
             ran.append(task.key)
         if task.key == "boom":
@@ -185,7 +185,7 @@ def test_failure_cancels_unstarted_independent_tasks():
 
 
 def test_profile_records_every_task():
-    def execute(task, deps):
+    def execute(task, deps, worker):
         time.sleep(0.01)
         return None
 
@@ -202,7 +202,7 @@ def test_failed_task_still_recorded_in_profile():
     """A failed task's busy time must not vanish from the profile, or
     utilization misreports what the slots actually did."""
 
-    def execute(task, deps):
+    def execute(task, deps, worker):
         time.sleep(0.01)
         if task.key == "boom":
             raise RuntimeError("kaboom")
@@ -302,9 +302,9 @@ def test_all_workers_lost_fails_with_task_identity():
 
 def test_invalid_slots_rejected():
     with pytest.raises(ConfigurationError, match="slots"):
-        GraphScheduler(execute=lambda task, deps: None, slots={})
+        GraphScheduler(execute=lambda task, deps, worker: None, slots={})
     with pytest.raises(ConfigurationError, match="slots"):
-        GraphScheduler(execute=lambda task, deps: None, slots={"w": 0})
+        GraphScheduler(execute=lambda task, deps, worker: None, slots={"w": 0})
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_invalid_slots_rejected():
 
 
 def test_elastic_control_is_noop_without_a_live_run():
-    scheduler = GraphScheduler(execute=lambda task, deps: None, slots={"a": 1})
+    scheduler = GraphScheduler(execute=lambda task, deps, worker: None, slots={"a": 1})
     assert scheduler.add_worker("b", 2) is False
     assert scheduler.drain_worker("a") is False
     assert scheduler.retire_worker("a") is False

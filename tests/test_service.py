@@ -21,6 +21,7 @@ from repro.api.client import ServiceClient, ServiceError
 from repro.api.session import Session
 from repro.errors import ConfigurationError
 from repro.events.model import TaskFinished, WorkerLost
+from repro.events.processors import replay_events
 from repro.runner import SerialRunner, RunRequest
 from repro.runner.cache import code_fingerprint, configure_cache, get_cache, set_cache
 from repro.runner.registry import Experiment, Param, register, unregister
@@ -263,6 +264,32 @@ def test_service_job_byte_identical_to_serial(fresh_cache, tmp_path, sum_exp):
         plane.stop()
 
 
+def test_job_trail_folds_to_its_batch_profile(fresh_cache, tmp_path, sum_exp):
+    """Each job's trail replays to the live profile of the batch that
+    ran it: the slots leased at its start and the dials it made — none
+    on the second batch, which reuses the first one's pooled
+    connections."""
+    plane = _make_plane(tmp_path)
+    server = agent = None
+    try:
+        client = ServiceClient(plane.address)
+        server, agent = _joined_worker(plane, capacity=2)
+        for scale in (1, 2):
+            job = client.submit(sum_exp.name, params={"scale": scale})
+            final = client.wait(job["job_id"], timeout=60.0)
+            assert final["state"] == "done", final["error"]
+            folded = replay_events(client.events(job["job_id"]))
+            live = plane.session.last_profile.scheduler
+            assert folded.scheduler_profile() == live
+            assert live.slots == {server.address: 2}
+    finally:
+        if agent is not None:
+            agent.stop()
+        if server is not None:
+            server.close()
+        plane.stop()
+
+
 def test_sweep_job_runs_every_point_tagged(fresh_cache, tmp_path, sum_exp):
     plane = _make_plane(tmp_path)
     server = agent = None
@@ -342,7 +369,7 @@ def test_heartbeat_timeout_retires_silent_worker(fresh_cache, tmp_path):
         while client.workers() and time.monotonic() < deadline:
             time.sleep(0.1)
         assert client.workers() == []  # reaped as silent
-        assert server.address not in plane.elastic.slots
+        assert server.address not in plane.executor.slots
     finally:
         server.close()
         plane.stop()
@@ -445,7 +472,7 @@ def test_reaped_worker_rejoins_for_fresh_leases(fresh_cache, tmp_path, sum_exp):
         # Simulate a monitor reap (as a network blip would cause): the
         # agent's next heartbeat learns it is unknown and re-registers.
         plane.registry.remove(server.address)
-        plane.elastic.release(server.address)
+        plane.executor.release(server.address)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             workers = client.workers()
@@ -567,14 +594,14 @@ def test_graceful_shutdown_delivers_inflight_result(fresh_cache, sum_exp):
     server = WorkerServer()
     server.start_background()
     remote = RemoteExecutor([server.address], cache=fresh_cache)
-    remote.start()
+    remote.open()
     try:
         params = {"scale": 2, "delay": 0.4}
         results = []
 
         def _run():
             results.append(
-                remote.run_payload(
+                remote.run(
                     server.address,
                     ("shard", sum_exp.name, params, {"part": 3}),
                 )
@@ -589,7 +616,7 @@ def test_graceful_shutdown_delivers_inflight_result(fresh_cache, sum_exp):
         assert server.wait_drained(timeout=5.0)
         # Post-drain connections get a clean EOF, not new leases.
         with pytest.raises(WorkerLostError):
-            remote.run_payload(
+            remote.run(
                 server.address, ("shard", sum_exp.name, params, {"part": 0})
             )
     finally:
