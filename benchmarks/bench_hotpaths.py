@@ -1,11 +1,12 @@
 """Hot-path kernel benchmark: scalar reference vs vectorized engines.
 
-Times the three kernels the vectorization PR targets — SHATTER schedule
-synthesis, the closed-loop simulator, and ADM fit/containment — running
-each workload through its *scalar reference* path and its *vectorized*
-path, verifying the outputs agree exactly, and writing the measured
-speedups to ``BENCH_hotpaths.json`` at the repository root (the
-committed file documents the speedups on the reference machine).
+Times the hot kernels — SHATTER schedule synthesis (per day and
+batched), the closed-loop simulator, real-time attack execution, and
+ADM fit/containment — running each workload through its *scalar
+reference* path and its *vectorized* path, verifying the outputs agree
+exactly, and writing the measured speedups to ``BENCH_hotpaths.json``
+at the repository root (the committed file documents the speedups on
+the reference machine).
 
 Usage::
 
@@ -37,6 +38,10 @@ import numpy as np  # noqa: E402
 
 from repro.adm.cluster_model import AdmParams, ClusterADM  # noqa: E402
 from repro.attack.model import AttackerCapability  # noqa: E402
+from repro.attack.realtime import (  # noqa: E402
+    execute_attack,
+    execute_attack_reference,
+)
 from repro.attack.schedule import ScheduleConfig, shatter_schedule  # noqa: E402
 from repro.dataset.splits import split_days  # noqa: E402
 from repro.dataset.synthetic import SyntheticConfig, generate_house_trace  # noqa: E402
@@ -51,10 +56,10 @@ from repro.hvac.controller import DemandControlledHVAC  # noqa: E402
 from repro.hvac.pricing import TouPricing  # noqa: E402
 from repro.hvac.simulation import simulate, simulate_reference  # noqa: E402
 
-# Acceptance targets for the non-smoke run (see ISSUE 3 / ISSUE 6 /
-# ISSUE 8).
+# Speedup floors for the non-smoke run.
 TARGET_SCHEDULE_SPEEDUP = 5.0
 TARGET_SIMULATE_SPEEDUP = 3.0
+TARGET_EXECUTE_SPEEDUP = 2.5
 TARGET_SCHEDULE_BATCH_SPEEDUP = 8.0
 TARGET_CODEC_SPEEDUP = 5.0
 TARGET_FLEET_RSS_RATIO = 1.5
@@ -303,6 +308,61 @@ def bench(smoke: bool) -> dict:
         "speedup": before_s / after_s,
     }
 
+    # --- execute_attack (3 evaluation days; 1 in smoke) -----------------
+    execute_days = 1 if smoke else 3
+    execute_trace = generate_house_trace(
+        home, house="A", config=SyntheticConfig(n_days=7 + execute_days, seed=8)
+    )
+    execute_train, execute_eval = split_days(execute_trace, 7)
+    execute_adm = ClusterADM(adm_params).fit(execute_train, home.n_zones)
+    execute_schedule = shatter_schedule(
+        home, execute_adm, capability, pricing, execute_eval
+    )
+
+    def run_execution(execute):
+        return execute(
+            home,
+            controller,
+            execute_eval,
+            execute_schedule,
+            capability,
+            adm=execute_adm,
+            start_slot=7 * 1440,
+        )
+
+    before_s, reference_outcome = _best_of(
+        rounds, lambda: run_execution(execute_attack_reference)
+    )
+    after_s, fast_outcome = _best_of(rounds, lambda: run_execution(execute_attack))
+    assert fast_outcome.vector.triggered.any()
+    assert _results_equal(reference_outcome.result, fast_outcome.result)
+    for field in (
+        "spoofed_zone",
+        "spoofed_activity",
+        "delta_co2",
+        "delta_temperature",
+        "triggered",
+    ):
+        assert np.array_equal(
+            getattr(reference_outcome.vector, field),
+            getattr(fast_outcome.vector, field),
+        ), f"execute_attack paths disagree on {field}"
+    assert np.array_equal(reference_outcome.applied_zone, fast_outcome.applied_zone)
+    assert reference_outcome.trigger_decisions == fast_outcome.trigger_decisions
+    assert (
+        reference_outcome.applied_visit_fraction
+        == fast_outcome.applied_visit_fraction
+    )
+    results["execute_attack"] = {
+        "workload": (
+            f"ARAS-A, {execute_days}-day SHATTER schedule with appliance "
+            "triggering, per-slot loop vs simulate() + open-loop plant"
+        ),
+        "before_s": before_s,
+        "after_s": after_s,
+        "speedup": before_s / after_s,
+    }
+
     # --- artifact codec (base64-pickle JSON vs binary frames) -----------
     from repro.core.serialization import (
         _pickle_tag,
@@ -413,6 +473,7 @@ def main(argv: list[str] | None = None) -> int:
             "shatter_schedule": TARGET_SCHEDULE_SPEEDUP,
             "shatter_schedule_batch": TARGET_SCHEDULE_BATCH_SPEEDUP,
             "simulate": TARGET_SIMULATE_SPEEDUP,
+            "execute_attack": TARGET_EXECUTE_SPEEDUP,
             "artifact_codec": TARGET_CODEC_SPEEDUP,
             "fleet_peak_rss_ratio": TARGET_FLEET_RSS_RATIO,
         },
@@ -447,6 +508,11 @@ def main(argv: list[str] | None = None) -> int:
         if simulate_x < TARGET_SIMULATE_SPEEDUP:
             print(f"FAIL: simulate speedup {simulate_x:.2f}x < "
                   f"{TARGET_SIMULATE_SPEEDUP}x")
+            return 1
+        execute_x = results["execute_attack"]["speedup"]
+        if execute_x < TARGET_EXECUTE_SPEEDUP:
+            print(f"FAIL: execute_attack speedup {execute_x:.2f}x < "
+                  f"{TARGET_EXECUTE_SPEEDUP}x")
             return 1
         batch_x = results["shatter_schedule_batch"]["speedup"]
         if batch_x < TARGET_SCHEDULE_BATCH_SPEEDUP:

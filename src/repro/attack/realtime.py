@@ -13,11 +13,32 @@ the spoofed CO2/temperature must follow the model's predictions), while
 the physical zones evolve under the true occupants, true appliances,
 and the airflow the deceived controller actually commands.  The
 difference between shadow and true IAQ is the δ the attacker injects.
+
+Execution tiers
+---------------
+
+:func:`execute_attack` has no per-slot loop of its own.  The
+controller reads only the shadow state and the reported story, so the
+deceived closed loop — controller, shadow zones and AHU metering — is
+exactly :func:`~repro.hvac.simulation.simulate` over a trace of the
+applied spoofed zones and activities with the physical appliance
+status.  ``simulate`` picks the kernel: its fast one for the known
+controllers, its per-slot reference loop, which passes ``decide`` the
+same arguments, for any other.  The true zones only receive the
+airflow that loop commands: they are an open-loop response, which
+:func:`~repro.hvac.simulation.plant_response` computes as one
+recurrence per zone.  Visit feasibility and Algorithm 1's triggering
+stay scalar.
+
+:func:`execute_attack_reference` keeps the original per-slot loop — one
+``controller.decide`` per slot, shadow and true zones stepped side by
+side — as the oracle the fast path matches bit for bit (property-tested
+in ``tests/test_vectorized_kernels.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,10 +47,16 @@ from repro.attack.model import AttackerCapability, AttackVector
 from repro.attack.schedule import AttackSchedule
 from repro.attack.trigger import TriggerDecision, appliance_triggering_decisions
 from repro.errors import AttackError
+from repro.events.dispatch import ATTACK_EXECUTE, kernel_timer
 from repro.home.builder import SmartHome
 from repro.home.state import HomeTrace
 from repro.hvac.pricing import TouPricing
-from repro.hvac.simulation import OutdoorConditions, SimulationResult
+from repro.hvac.simulation import (
+    OutdoorConditions,
+    SimulationResult,
+    plant_response,
+    simulate,
+)
 from repro.units import SENSIBLE_HEAT_FACTOR, WATT_MINUTES_PER_KWH
 
 
@@ -113,6 +140,54 @@ def _apply_visit_feasibility(
     return applied_zone, applied_activity, fraction
 
 
+def _applied_story(
+    home: SmartHome,
+    actual_trace: HomeTrace,
+    schedule: AttackSchedule,
+    capability: AttackerCapability,
+    adm: ClusterADM | None,
+    enable_triggering: bool,
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, list[TriggerDecision]]:
+    """Validate the inputs, then fix what the attack reports and triggers.
+
+    Returns:
+        ``(applied_zone, applied_activity, applied_visit_fraction,
+        triggered, trigger_decisions)``: the reported story after the
+        feasibility filter, and Algorithm 1's activations over it (none
+        when triggering is off).
+    """
+    expected = actual_trace.occupant_zone.shape
+    for name in ("spoofed_zone", "spoofed_activity"):
+        shape = getattr(schedule, name).shape
+        if shape != expected:
+            raise AttackError(
+                f"schedule.{name} has shape {shape}, but the actual trace "
+                f"is {expected} (slots, occupants)"
+            )
+    if enable_triggering and adm is None:
+        raise AttackError("appliance triggering needs the attacker's ADM")
+
+    applied_zone, applied_activity, fraction = _apply_visit_feasibility(
+        schedule, actual_trace, capability
+    )
+    if enable_triggering:
+        applied_schedule = AttackSchedule(
+            spoofed_zone=applied_zone,
+            spoofed_activity=applied_activity,
+            expected_reward=schedule.expected_reward,
+            infeasible_days=schedule.infeasible_days,
+        )
+        triggered, decisions = appliance_triggering_decisions(
+            home, adm, applied_schedule, actual_trace, capability
+        )
+    else:
+        triggered = np.zeros(
+            (actual_trace.n_slots, home.n_appliances), dtype=bool
+        )
+        decisions = []
+    return applied_zone, applied_activity, fraction, triggered, decisions
+
+
 def execute_attack(
     home: SmartHome,
     controller,
@@ -128,9 +203,11 @@ def execute_attack(
 
     Args:
         home: The target home.
-        controller: The victim controller (``decide`` + ``config``).
+        controller: The victim controller (``decide`` + ``config``);
+            :func:`simulate` picks the kernel for its closed loop.
         actual_trace: Ground-truth behaviour over the attack span.
-        schedule: The pre-computed attack schedule.
+        schedule: The pre-computed attack schedule; its arrays must
+            have the actual trace's ``[T, O]`` shape.
         capability: Accessibility constraints.
         adm: The attacker's ADM, needed for Algorithm 1's ``minStay``;
             required when ``enable_triggering``.
@@ -141,30 +218,81 @@ def execute_attack(
 
     Returns:
         The outcome with vector, plant result, and diagnostics.
+
+    Raises:
+        AttackError: The schedule does not cover the trace slot for
+            slot, or triggering is on without an ADM.
+    """
+    with kernel_timer(ATTACK_EXECUTE):
+        outdoor = outdoor or OutdoorConditions()
+        applied_zone, applied_activity, fraction, triggered, decisions = (
+            _applied_story(
+                home, actual_trace, schedule, capability, adm, enable_triggering
+            )
+        )
+        # Triggered appliances really turn on, in both plants.  The
+        # controller sees only the reported story and the shadow IAQ it
+        # implies, so simulating that story yields the shadow zones and
+        # the airflow and metering the victim really runs.
+        status = actual_trace.appliance_status | triggered
+        shadow = simulate(
+            home,
+            HomeTrace(applied_zone, applied_activity, status),
+            controller,
+            outdoor=outdoor,
+            start_slot=start_slot,
+        )
+        # The true zones only receive that airflow.
+        co2, temperature = plant_response(
+            home,
+            HomeTrace(
+                actual_trace.occupant_zone, actual_trace.occupant_activity, status
+            ),
+            shadow.airflow_cfm,
+            controller.config,
+            outdoor,
+        )
+        vector = AttackVector(
+            spoofed_zone=applied_zone,
+            spoofed_activity=applied_activity,
+            delta_co2=shadow.co2_ppm - co2,
+            delta_temperature=shadow.temperature_f - temperature,
+            triggered=triggered,
+        )
+        return AttackOutcome(
+            vector=vector,
+            result=replace(shadow, co2_ppm=co2, temperature_f=temperature),
+            applied_zone=applied_zone,
+            trigger_decisions=decisions,
+            applied_visit_fraction=fraction,
+        )
+
+
+def execute_attack_reference(
+    home: SmartHome,
+    controller,
+    actual_trace: HomeTrace,
+    schedule: AttackSchedule,
+    capability: AttackerCapability,
+    adm: ClusterADM | None = None,
+    enable_triggering: bool = True,
+    outdoor: OutdoorConditions | None = None,
+    start_slot: int = 0,
+) -> AttackOutcome:
+    """The preserved per-slot implementation of :func:`execute_attack`.
+
+    One ``controller.decide`` per slot on the shadow state, with the
+    shadow and true zones stepped side by side — the oracle the fast
+    path's equivalence tests and the hot-path bench run against.  Same
+    arguments and result as :func:`execute_attack`.
     """
     outdoor = outdoor or OutdoorConditions()
     config = controller.config
-    applied_zone, applied_activity, fraction = _apply_visit_feasibility(
-        schedule, actual_trace, capability
+    applied_zone, applied_activity, fraction, triggered, decisions = (
+        _applied_story(
+            home, actual_trace, schedule, capability, adm, enable_triggering
+        )
     )
-
-    if enable_triggering:
-        if adm is None:
-            raise AttackError("appliance triggering needs the attacker's ADM")
-        applied_schedule = AttackSchedule(
-            spoofed_zone=applied_zone,
-            spoofed_activity=applied_activity,
-            expected_reward=schedule.expected_reward,
-            infeasible_days=schedule.infeasible_days,
-        )
-        triggered, decisions = appliance_triggering_decisions(
-            home, adm, applied_schedule, actual_trace, capability
-        )
-    else:
-        triggered = np.zeros(
-            (actual_trace.n_slots, home.n_appliances), dtype=bool
-        )
-        decisions = []
 
     # Triggered appliances really turn on: they join the physical trace.
     physical = actual_trace.copy()

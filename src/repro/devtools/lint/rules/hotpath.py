@@ -12,7 +12,11 @@ one array program instead of a per-day Python loop.
 This rule is call-graph-aware where the greps could not be: inside
 ``attack/schedule.py`` the restricted internals may only be called from
 their designated callers (the engine dispatcher and the batch wave
-solver), not merely "somewhere in the file".
+solver), not merely "somewhere in the file".  Attack execution follows
+the same contract: in ``attack/realtime.py`` a per-slot
+``controller.decide()`` may appear only inside the
+``execute_attack_reference`` oracle, because the production path runs
+the deceived loop through ``simulate``'s kernel.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ class HotPathScalarCalls(Rule):
             yield from self._check_fleet_attack(ctx)
         if ctx.match("adm/cluster_model.py"):
             yield from self._check_flag_visits(ctx)
+        if ctx.match("attack/realtime.py"):
+            yield from self._check_realtime_decide(ctx)
 
     def _check_schedule(self, ctx: FileContext) -> Iterator[Finding]:
         """Call-graph restrictions on the span-DP internals."""
@@ -149,3 +155,20 @@ class HotPathScalarCalls(Rule):
                         "containment kernel (benign_mask), not per-visit "
                         "is_benign_visit()",
                     )
+
+    def _check_realtime_decide(self, ctx: FileContext) -> Iterator[Finding]:
+        for call, enclosing in iter_calls_with_enclosing(ctx.tree):
+            func = call.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "decide"
+                and enclosing != "execute_attack_reference"
+            ):
+                yield self.finding(
+                    ctx,
+                    call,
+                    "attack execution must run the deceived loop through "
+                    "simulate(); a per-slot controller.decide() belongs "
+                    "only in the execute_attack_reference oracle (found "
+                    f"one in {enclosing})",
+                )

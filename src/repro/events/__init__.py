@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.events.dispatch import (
+    ATTACK_EXECUTE,
     GEOMETRY,
     REWARD_TABLES,
     SCHEDULE_DP,
@@ -95,6 +96,7 @@ def collect_events(
 
 
 __all__ = [
+    "ATTACK_EXECUTE",
     "EVENT_KINDS",
     "EVENT_WIRE_VERSION",
     "GEOMETRY",

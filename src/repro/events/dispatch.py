@@ -43,6 +43,7 @@ SCHEDULE_DP = "schedule_dp"
 SCHEDULE_DP_BATCH = "schedule_dp_batch"
 REWARD_TABLES = "reward_tables"
 SIMULATION = "simulation"
+ATTACK_EXECUTE = "attack_execute"
 
 
 class EventProcessor:

@@ -14,6 +14,7 @@ from repro.hvac.simulation import (
     OutdoorConditions,
     SimulationJob,
     SimulationResult,
+    plant_response,
     simulate,
     simulate_batch,
     simulate_reference,
@@ -37,6 +38,7 @@ __all__ = [
     "SimulationJob",
     "SimulationResult",
     "TouPricing",
+    "plant_response",
     "required_airflow_for_co2",
     "required_airflow_for_heat",
     "simulate",

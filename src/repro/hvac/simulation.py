@@ -33,6 +33,17 @@ or more zones the AHU metering sums match to summation-order rounding,
 see ``_fold``).  Controllers other than the two known ones fall back to
 the reference loop automatically.
 
+:func:`plant_response` is the open-loop half of the plant: zone CO2
+and temperature under an airflow schedule that is given, not decided.
+With no feedback every conditioned zone is an independent recurrence
+over ``t``, run as one tight loop per zone over precomputed gain
+columns, in the physics step's operation order.  Attack execution
+(:mod:`repro.attack.realtime`) pairs it with :func:`simulate`: the
+deceived controller's closed loop is a :func:`simulate` call over the
+reported story, and the true zones are the open-loop response to the
+airflow that call returns — bit-identical to stepping both plants
+slot by slot.
+
 :func:`simulate_batch` runs many independent simulations in one stacked
 array program: the zone axes of all jobs are concatenated, so one slot
 advance vectorizes across every home in the batch — the entry point for
@@ -521,6 +532,82 @@ def _simulate_fast(
         appliance_kwh=appliance_kwh.copy(),
         start_slot=start_slot,
     )
+
+
+def plant_response(
+    home: SmartHome,
+    trace: HomeTrace,
+    airflow_cfm: np.ndarray,
+    config: ControllerConfig,
+    outdoor: OutdoorConditions | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zone CO2 and temperature under a given airflow schedule.
+
+    The open-loop half of the plant: nothing feeds back into
+    ``airflow_cfm``, so every conditioned zone is an independent scalar
+    recurrence over ``t``, driven by the trace's occupant and appliance
+    gains.  The state-independent terms are computed as whole columns
+    and each zone then runs as one tight loop, with the physics step's
+    operation order, so the trajectories are bit-identical to stepping
+    the zones slot by slot next to the controller.
+
+    Args:
+        home: The home (zone volumes, occupants, appliances).
+        trace: Ground-truth occupants, activities and appliance status.
+        airflow_cfm: Supply airflow per zone, ``[T, Z]``.
+        config: Plant parameters (thermal mass, supply temperature,
+            envelope conductance); zones start at its temperature
+            setpoint.
+        outdoor: Weather; defaults to a constant cooling-season day.
+
+    Returns:
+        ``(co2_ppm, temperature_f)``, each ``[T, Z]``; unconditioned
+        zones hold their initial values.
+    """
+    outdoor = outdoor or OutdoorConditions()
+    n_slots, n_zones = trace.n_slots, home.n_zones
+    if airflow_cfm.shape != (n_slots, n_zones):
+        raise ControlError(
+            f"airflow shape {airflow_cfm.shape} does not match "
+            f"({n_slots} slots, {n_zones} zones)"
+        )
+    emission, occupant_heat = occupant_gain_matrices(
+        home, trace.occupant_zone, trace.occupant_activity
+    )
+    appliance_heat, _, _ = appliance_gain_tables(home, trace.appliance_status)
+    heat = occupant_heat + appliance_heat
+
+    out_co2 = float(outdoor.co2_ppm)
+    setpoint = float(config.temperature_setpoint_f)
+    supply = config.supply_temperature_f
+    outdoor_temps = outdoor.temperature_array(n_slots).tolist()
+    co2_out = np.full((n_slots, n_zones), out_co2)
+    temp_out = np.full((n_slots, n_zones), setpoint)
+    for zone in home.layout.conditioned_ids:
+        volume = float(home.layout[zone].volume_ft3)
+        capacity = config.mass_factor * volume * SENSIBLE_HEAT_FACTOR
+        conductance = config.envelope_conductance(volume)
+        airflow = airflow_cfm[:, zone]
+        generation = (emission[:, zone] / volume * 1e6).tolist()
+        exchange = np.minimum(airflow / volume, 1.0).tolist()
+        cooling_rate = (airflow * SENSIBLE_HEAT_FACTOR).tolist()
+        gains = heat[:, zone].tolist()
+        co2_col = [0.0] * n_slots
+        temp_col = [0.0] * n_slots
+        co2 = out_co2
+        temperature = setpoint
+        for t in range(n_slots):
+            co2 = co2 + generation[t] - exchange[t] * (co2 - out_co2)
+            temperature = temperature + (
+                gains[t]
+                - cooling_rate[t] * (temperature - supply)
+                + conductance * (outdoor_temps[t] - temperature)
+            ) / capacity
+            co2_col[t] = co2
+            temp_col[t] = temperature
+        co2_out[:, zone] = co2_col
+        temp_out[:, zone] = temp_col
+    return co2_out, temp_out
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,21 @@ def test_good_fixture_is_clean(rule, subdir, select):
     assert result.findings == []
 
 
+def test_hot_path_confines_realtime_decide_to_the_reference():
+    """``attack/realtime.py`` may call ``.decide(`` only inside the
+    ``execute_attack_reference`` oracle."""
+    select = ["hot-path-scalar-calls"]
+    good = lint_paths([FIXTURES / "hot_path_realtime" / "good"], select=select)
+    assert not good.errors
+    assert good.findings == []
+    bad = lint_paths([FIXTURES / "hot_path_realtime" / "bad"], select=select)
+    assert not bad.errors
+    (finding,) = bad.findings
+    assert finding.path.endswith("attack/realtime.py")
+    assert "execute_attack_reference" in finding.message
+    assert "in execute_attack)" in finding.message
+
+
 def test_lock_discipline_names_the_lock_and_declaration():
     tree = FIXTURES / "locks" / "bad"
     result = lint_paths([tree], select=["lock-discipline"])

@@ -1,8 +1,8 @@
 """Equivalence property tests: vectorized kernels vs scalar references.
 
 Every hot-path array program introduced by the kernel layer — batched
-hull containment, stay-range tables, the table-driven schedule DP, and
-the array-native simulation — must reproduce its scalar reference
+hull containment, stay-range tables, the table-driven schedule DP, the
+array-native simulation and attack execution — must reproduce its scalar reference
 *bit for bit* on randomized inputs.  These tests are the contract that
 keeps the fast paths honest; the scalar implementations stay importable
 exactly so they can serve as the oracle here (and in Fig. 11's
@@ -13,6 +13,7 @@ exhaustive exact-equality checks per draw) so failures replay
 deterministically.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend
 from repro.attack.model import AttackerCapability
+from repro.attack.realtime import execute_attack, execute_attack_reference
 from repro.attack.schedule import (
     ScheduleConfig,
     ScheduleJob,
@@ -46,7 +48,8 @@ from repro.home.builder import build_house_a, build_house_b
 from repro.hvac.ashrae import AshraeController
 from repro.hvac.controller import ControllerConfig, DemandControlledHVAC
 from repro.hvac.pricing import TouPricing
-from repro.events import GEOMETRY, collect_events
+from repro.errors import AttackError, ControlError
+from repro.events import ATTACK_EXECUTE, GEOMETRY, SIMULATION, collect_events
 from repro.runner.cache import get_cache
 from repro.hvac.simulation import (
     OutdoorConditions,
@@ -55,6 +58,7 @@ from repro.hvac.simulation import (
     _simulate_stacked,
     appliance_gain_tables,
     occupant_gain_matrices,
+    plant_response,
     simulate,
     simulate_batch,
     simulate_reference,
@@ -428,6 +432,251 @@ def test_flag_visits_matches_scalar_classification(aras_world):
             not adm.is_benign_visit(
                 visit.occupant_id, visit.zone_id, visit.arrival, visit.stay
             )
+        )
+
+
+# ----------------------------------------------------------------------
+# Attack execution: simulate() + open-loop plant vs the per-slot loop
+# ----------------------------------------------------------------------
+
+_VECTOR_FIELDS = (
+    "spoofed_zone",
+    "spoofed_activity",
+    "delta_co2",
+    "delta_temperature",
+    "triggered",
+)
+
+
+def _assert_outcomes_equal(fast, reference) -> None:
+    for field in _VECTOR_FIELDS:
+        assert np.array_equal(
+            getattr(fast.vector, field), getattr(reference.vector, field)
+        ), field
+    assert _results_equal(fast.result, reference.result)
+    assert fast.result.start_slot == reference.result.start_slot
+    assert np.array_equal(fast.applied_zone, reference.applied_zone)
+    assert fast.trigger_decisions == reference.trigger_decisions
+    assert fast.applied_visit_fraction == reference.applied_visit_fraction
+
+
+def _execute_both(home, controller, trace, schedule, capability, adm, **kwargs):
+    """Run both execution paths; assert they agree and return the fast one."""
+    fast = execute_attack(
+        home, controller, trace, schedule, capability, adm=adm, **kwargs
+    )
+    reference = execute_attack_reference(
+        home, controller, trace, schedule, capability, adm=adm, **kwargs
+    )
+    _assert_outcomes_equal(fast, reference)
+    return fast
+
+
+@pytest.fixture(scope="module")
+def attack_world(aras_world):
+    home, adm, evaluation = aras_world
+    schedule = shatter_schedule(
+        home, adm, AttackerCapability.full_access(home), TouPricing(), evaluation
+    )
+    return home, adm, evaluation, schedule
+
+
+@pytest.mark.parametrize("triggering", [True, False])
+def test_execute_attack_matches_reference_full_access(attack_world, triggering):
+    home, adm, evaluation, schedule = attack_world
+    outcome = _execute_both(
+        home,
+        DemandControlledHVAC(home),
+        evaluation,
+        schedule,
+        AttackerCapability.full_access(home),
+        adm,
+        enable_triggering=triggering,
+        start_slot=7 * 1440,
+    )
+    assert np.abs(outcome.vector.delta_co2).max() > 0
+    assert outcome.vector.triggered.any() == triggering
+
+
+@pytest.mark.parametrize("triggering", [True, False])
+def test_execute_attack_matches_reference_restricted_capability(
+    attack_world, triggering
+):
+    """Zone- and occupant-restricted attackers, the schedule built for
+    full access, so the feasibility filter drops visits."""
+    home, adm, evaluation, schedule = attack_world
+    controller = DemandControlledHVAC(home)
+    two_zones = AttackerCapability.with_zones(
+        home, [home.zone_id("Kitchen"), home.zone_id("Bedroom")]
+    )
+    outcome = _execute_both(
+        home,
+        controller,
+        evaluation,
+        schedule,
+        two_zones,
+        adm,
+        enable_triggering=triggering,
+    )
+    assert outcome.applied_visit_fraction < 1.0
+    one_occupant = AttackerCapability(
+        zones=frozenset(range(home.n_zones)),
+        occupants=frozenset({0}),
+        appliances=frozenset(range(home.n_appliances)),
+        slot_range=(300, 1100),
+    )
+    _execute_both(
+        home,
+        controller,
+        evaluation,
+        schedule,
+        one_occupant,
+        adm,
+        enable_triggering=triggering,
+    )
+
+
+def test_execute_attack_matches_reference_outdoor_profile(attack_world):
+    home, adm, evaluation, schedule = attack_world
+    profile = 78.0 + 14.0 * np.sin(
+        np.arange(evaluation.n_slots) / 1440.0 * 2 * np.pi
+    )
+    _execute_both(
+        home,
+        DemandControlledHVAC(home),
+        evaluation,
+        schedule,
+        AttackerCapability.full_access(home),
+        adm,
+        outdoor=OutdoorConditions(temperature_f=profile),
+    )
+
+
+@pytest.mark.parametrize("triggering", [True, False])
+def test_execute_attack_matches_reference_kmeans_house_b(triggering):
+    home = build_house_b()
+    trace = generate_house_trace(
+        home, house="B", config=SyntheticConfig(n_days=8, seed=91)
+    )
+    train, evaluation = split_days(trace, 7)
+    adm = ClusterADM(
+        AdmParams(backend=ClusterBackend.KMEANS, k=5, tolerance=5.0)
+    ).fit(train, home.n_zones)
+    capability = AttackerCapability.full_access(home)
+    schedule = shatter_schedule(home, adm, capability, TouPricing(), evaluation)
+    _execute_both(
+        home,
+        DemandControlledHVAC(home),
+        evaluation,
+        schedule,
+        capability,
+        adm,
+        enable_triggering=triggering,
+    )
+
+
+def test_execute_attack_matches_reference_large_home():
+    """8+ zones exercises the shadow loop's numpy-mirror metering path."""
+    ((home, trace),) = generate_home_fleet(1, n_zones=8, n_days=4, seed=3)
+    train, evaluation = split_days(trace, 2)
+    adm = ClusterADM(
+        AdmParams(backend=ClusterBackend.KMEANS, k=4, tolerance=5.0)
+    ).fit(train, home.n_zones)
+    capability = AttackerCapability.full_access(home)
+    schedule = shatter_schedule(home, adm, capability, TouPricing(), evaluation)
+    outcome = _execute_both(
+        home, DemandControlledHVAC(home), evaluation, schedule, capability, adm
+    )
+    assert home.n_zones >= 8
+    assert np.abs(outcome.vector.delta_temperature).max() > 0
+
+
+class _CountingController(DemandControlledHVAC):
+    """A subclass may change decide(); this one only counts the calls."""
+
+    def __init__(self, home):
+        super().__init__(home)
+        self.calls = 0
+
+    def decide(self, **kwargs):
+        self.calls += 1
+        return super().decide(**kwargs)
+
+
+def test_execute_attack_controller_subclass_decides_every_slot(attack_world):
+    """A subclass's decide() runs once per slot, as in the per-slot loop."""
+    home, adm, evaluation, schedule = attack_world
+    capability = AttackerCapability.full_access(home)
+    controller = _CountingController(home)
+    fast = execute_attack(home, controller, evaluation, schedule, capability, adm=adm)
+    assert controller.calls == evaluation.n_slots
+    _assert_outcomes_equal(
+        fast,
+        execute_attack_reference(
+            home, DemandControlledHVAC(home), evaluation, schedule, capability, adm=adm
+        ),
+    )
+
+
+def test_execute_attack_matches_reference_ashrae_controller(attack_world):
+    home, adm, evaluation, schedule = attack_world
+    controller = AshraeController(home, ControllerConfig()).calibrate(evaluation)
+    outcome = _execute_both(
+        home,
+        controller,
+        evaluation,
+        schedule,
+        AttackerCapability.full_access(home),
+        adm,
+    )
+    assert outcome.vector.triggered.any()
+
+
+def test_execute_attack_times_one_kernel_around_one_simulation(attack_world):
+    home, adm, evaluation, schedule = attack_world
+    with collect_events() as aggregator:
+        execute_attack(
+            home,
+            DemandControlledHVAC(home),
+            evaluation,
+            schedule,
+            AttackerCapability.full_access(home),
+            adm=adm,
+        )
+    assert aggregator.kernels[ATTACK_EXECUTE].calls == 1
+    assert aggregator.kernels[SIMULATION].calls == 1
+
+
+@pytest.mark.parametrize("execute", [execute_attack, execute_attack_reference])
+@pytest.mark.parametrize("extra_slots", [-100, 100])
+def test_execute_attack_rejects_mismatched_schedule(attack_world, execute, extra_slots):
+    """A schedule that does not cover the trace slot for slot is refused
+    before any compute, short or long alike."""
+    home, adm, evaluation, schedule = attack_world
+    n_slots = evaluation.n_slots + extra_slots
+    for field in ("spoofed_zone", "spoofed_activity"):
+        source = getattr(schedule, field)
+        resized = np.resize(source, (n_slots, source.shape[1]))
+        bad = replace(schedule, **{field: resized})
+        with pytest.raises(AttackError, match=field):
+            execute(
+                home,
+                DemandControlledHVAC(home),
+                evaluation,
+                bad,
+                AttackerCapability.full_access(home),
+                adm=adm,
+            )
+
+
+def test_plant_response_rejects_misshapen_airflow(sim_world):
+    home, trace = sim_world
+    with pytest.raises(ControlError):
+        plant_response(
+            home,
+            trace,
+            np.zeros((trace.n_slots - 1, home.n_zones)),
+            ControllerConfig(),
         )
 
 
