@@ -12,11 +12,14 @@ one array program instead of a per-day Python loop.
 This rule is call-graph-aware where the greps could not be: inside
 ``attack/schedule.py`` the restricted internals may only be called from
 their designated callers (the engine dispatcher and the batch wave
-solver), not merely "somewhere in the file".  Attack execution follows
-the same contract: in ``attack/realtime.py`` a per-slot
-``controller.decide()`` may appear only inside the
-``execute_attack_reference`` oracle, because the production path runs
-the deceived loop through ``simulate``'s kernel.
+solver), not merely "somewhere in the file".  The closed loop follows
+the same contract: a per-slot ``controller.decide()`` may appear in
+``attack/realtime.py`` only inside the ``execute_attack_reference``
+oracle, because the production path runs the deceived loop through
+``simulate``'s kernel, and in ``hvac/simulation.py`` only inside the
+``simulate_reference`` oracle and ``simulate``'s one-off probe of the
+ASHRAE baseline's fixed decision, because the kernels inline the
+control laws.
 """
 
 from __future__ import annotations
@@ -51,6 +54,20 @@ _BATCH_PRIVATE = (
 )
 _BATCH_INTERNAL_PREFIXES = ("_optimize_span", "_shatter_schedule_scalar")
 
+# Where a controller.decide() call may appear, per file, and why the
+# rest of the file must not step the controller slot by slot.
+_DECIDE_CALLERS = {
+    "attack/realtime.py": (
+        {"execute_attack_reference"},
+        "attack execution must run the deceived loop through simulate()",
+    ),
+    "hvac/simulation.py": (
+        {"simulate_reference", "simulate"},
+        "the simulation kernels inline the Eq. 1/2 control laws; only "
+        "simulate()'s one-off ASHRAE probe may ask the controller",
+    ),
+}
+
 
 @register
 class HotPathScalarCalls(Rule):
@@ -76,8 +93,9 @@ class HotPathScalarCalls(Rule):
             yield from self._check_fleet_attack(ctx)
         if ctx.match("adm/cluster_model.py"):
             yield from self._check_flag_visits(ctx)
-        if ctx.match("attack/realtime.py"):
-            yield from self._check_realtime_decide(ctx)
+        for path, (allowed, reason) in _DECIDE_CALLERS.items():
+            if ctx.match(path):
+                yield from self._check_decide(ctx, allowed, reason)
 
     def _check_schedule(self, ctx: FileContext) -> Iterator[Finding]:
         """Call-graph restrictions on the span-DP internals."""
@@ -156,19 +174,20 @@ class HotPathScalarCalls(Rule):
                         "is_benign_visit()",
                     )
 
-    def _check_realtime_decide(self, ctx: FileContext) -> Iterator[Finding]:
+    def _check_decide(
+        self, ctx: FileContext, allowed: set[str], reason: str
+    ) -> Iterator[Finding]:
         for call, enclosing in iter_calls_with_enclosing(ctx.tree):
             func = call.func
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr == "decide"
-                and enclosing != "execute_attack_reference"
+                and enclosing not in allowed
             ):
                 yield self.finding(
                     ctx,
                     call,
-                    "attack execution must run the deceived loop through "
-                    "simulate(); a per-slot controller.decide() belongs "
-                    "only in the execute_attack_reference oracle (found "
-                    f"one in {enclosing})",
+                    f"{reason}; controller.decide() belongs only in "
+                    f"{', '.join(sorted(allowed))} (found one in "
+                    f"{enclosing})",
                 )

@@ -101,24 +101,31 @@ class TouPricing:
                 matters because the battery resets daily).
 
         Returns:
-            Total dollars, with each day's first ``battery_kwh`` of peak
-            consumption billed off-peak.
+            Total dollars (a numpy float for non-empty input), with each
+            day's first ``battery_kwh`` of peak consumption billed
+            off-peak.  The peak mask and day index are built as arrays
+            once; the running sum stays a scalar loop so the additions
+            happen in slot order.
         """
         energy_kwh = np.asarray(energy_kwh, dtype=float)
+        if len(energy_kwh) == 0:
+            return 0.0
+        slots = start_slot + np.arange(len(energy_kwh))
+        peak = self.is_peak_array(slots).tolist()
+        days = (slots // MINUTES_PER_DAY).tolist()
+        off_peak_rate, peak_rate = self.off_peak_rate, self.peak_rate
         total = 0.0
         battery_left = self.battery_kwh
-        current_day = (start_slot) // MINUTES_PER_DAY
-        for index, kwh in enumerate(energy_kwh):
-            slot = start_slot + index
-            day = slot // MINUTES_PER_DAY
+        current_day = start_slot // MINUTES_PER_DAY
+        for kwh, in_peak, day in zip(energy_kwh.tolist(), peak, days):
             if day != current_day:
                 current_day = day
                 battery_left = self.battery_kwh
-            if not self.is_peak(slot):
-                total += kwh * self.off_peak_rate
+            if not in_peak:
+                total += kwh * off_peak_rate
                 continue
             covered = min(kwh, battery_left)
             battery_left -= covered
-            total += covered * self.off_peak_rate
-            total += (kwh - covered) * self.peak_rate
-        return total
+            total += covered * off_peak_rate
+            total += (kwh - covered) * peak_rate
+        return np.float64(total)

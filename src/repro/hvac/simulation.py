@@ -17,21 +17,24 @@ Execution tiers
 :func:`simulate` is array-native: everything that does not depend on
 the feedback state is precomputed as ``[T, zones]`` matrices up front —
 occupant CO2/heat gains (true and reported), appliance heat and power
-(deduplicated over distinct appliance on/off patterns), and the outdoor
-condition profile — and the remaining sequential loop over slots is a
-tight kernel over those rows.  The controller feedback (zone CO2 and
-temperature driving the next airflow decision) is inherently sequential
-over ``t``, so that loop survives; per slot it is pure arithmetic with
-no catalog lookups, no per-occupant scans, and no helper-function
-dispatch.
+(priced once per distinct appliance on/off pattern), and the outdoor
+condition profile.  The controller feedback (zone CO2 and temperature
+driving the next airflow decision) is sequential over ``t``, but each
+conditioned zone's Eq. 1/2 laws and physics step read only that zone's
+state, so the closed loop runs as one tight scalar recurrence per zone
+over ``t``, writing whole columns of airflow, ventilation, CO2 and
+temperature.  Eq. 3 metering reads every zone but feeds nothing back,
+so it runs after the loop as column arithmetic: numpy row sums over
+the full-width ``[T, Z]`` rows, the same sums the reference takes over
+each slot's zone vector.  The ASHRAE baseline's airflow is fixed, so
+its zones are the open-loop recurrence :func:`plant_response` runs.
 
 :func:`simulate_reference` preserves the original scalar
 implementation — per-slot ``controller.decide`` with the Eq. 1/2
 inversion helpers and per-zone Python loops — as the oracle.  The fast
-path reproduces it bit for bit (property-tested; for homes with eight
-or more zones the AHU metering sums match to summation-order rounding,
-see ``_fold``).  Controllers other than the two known ones fall back to
-the reference loop automatically.
+path reproduces it bit for bit at every zone count (property-tested).
+Controllers other than the two known ones fall back to the reference
+loop automatically.
 
 :func:`plant_response` is the open-loop half of the plant: zone CO2
 and temperature under an airflow schedule that is given, not decided.
@@ -47,7 +50,9 @@ slot by slot.
 :func:`simulate_batch` runs many independent simulations in one stacked
 array program: the zone axes of all jobs are concatenated, so one slot
 advance vectorizes across every home in the batch — the entry point for
-multi-home sweeps and multi-day shards.
+multi-home sweeps and multi-day shards.  Each job is metered after the
+loop with the same column arithmetic as :func:`simulate`, so stacking
+cannot change a bit.
 """
 
 from __future__ import annotations
@@ -192,9 +197,13 @@ def appliance_gain_tables(
     """Per-slot appliance heat and power, deduplicated by on/off pattern.
 
     A trace has few distinct appliance status rows (driven by activity
-    combinations), so each unique pattern is priced once — with the
+    combinations), so each distinct pattern is priced once — with the
     *same* scalar operations the reference performs per slot — and the
-    results are gathered back over ``[T]``.
+    results are gathered back over ``[T]``.  Rows are grouped by sorting
+    their packed bits (one small integer key column per 8 appliances)
+    and scanning the sorted rows for boundaries, which costs a fraction
+    of ``np.unique(status, axis=0)``'s sort over a void view; the order
+    of the groups cannot change a bit of the result.
 
     Args:
         home: The home (appliance heat/power and zone placement).
@@ -214,11 +223,21 @@ def appliance_gain_tables(
             appliance.heat_watts
         )
         watts[appliance.appliance_id] = appliance.power_watts
-    unique, inverse = np.unique(status, axis=0, return_inverse=True)
-    plant_u = np.zeros((len(unique), n_zones))
-    ctrl_u = np.zeros((len(unique), n_zones))
-    kwh_u = np.zeros(len(unique))
-    for index, row in enumerate(unique):
+    n_slots = len(status)
+    packed = np.packbits(status, axis=1)
+    # lexsort's last key is its primary one; with no appliances every
+    # row is the same (empty) pattern.
+    order = np.lexsort(packed.T[::-1]) if packed.shape[1] else np.arange(n_slots)
+    ranked = packed[order]
+    starts = np.ones(n_slots, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(n_slots, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    patterns = status[order[starts]]
+    plant_u = np.zeros((len(patterns), n_zones))
+    ctrl_u = np.zeros((len(patterns), n_zones))
+    kwh_u = np.zeros(len(patterns))
+    for index, row in enumerate(patterns):
         floats = row.astype(float)
         plant_u[index] = floats @ heat_by_zone
         kwh_u[index] = float(floats @ watts) / WATT_MINUTES_PER_KWH
@@ -263,15 +282,9 @@ def simulate(
         The full state/energy trajectories.
     """
     outdoor = outdoor or OutdoorConditions()
-    if reported_zone is None:
-        reported_zone = trace.occupant_zone
-    if reported_activity is None:
-        reported_activity = trace.occupant_activity
-    if reported_zone.shape != trace.occupant_zone.shape:
-        raise ControlError(
-            f"reported_zone shape {reported_zone.shape} does not match "
-            f"trace shape {trace.occupant_zone.shape}"
-        )
+    reported_zone, reported_activity = _reported_story(
+        trace, reported_zone, reported_activity
+    )
     # Exact-type checks: a subclass may override decide() with different
     # (or state-dependent) semantics, and must fall back to the
     # reference loop that actually calls it every slot.
@@ -321,19 +334,33 @@ def simulate(
         )
 
 
-def _fold(values: list) -> float:
-    """Left-fold sum, bit-equal to ``np.sum`` for fewer than 8 elements.
+def _reported_story(
+    trace: HomeTrace,
+    reported_zone: np.ndarray | None,
+    reported_activity: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """What the controller is told, defaulting to the ground truth.
 
-    numpy's pairwise summation degenerates to a sequential accumulation
-    below its 8-element unroll, which is why the fast kernel's scalar
-    metering is bit-identical to the reference for homes with fewer than
-    8 zones; at 8+ zones the two differ only in summation-order
-    rounding (see the equivalence tests' tolerance split).
+    Both arrays must cover the trace slot for slot and occupant for
+    occupant (``trace.occupant_zone``'s ``[T, O]``); anything else is
+    refused before any compute, instead of failing inside the gain
+    tables or being read short.
     """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    if reported_zone is None:
+        reported_zone = trace.occupant_zone
+    if reported_activity is None:
+        reported_activity = trace.occupant_activity
+    expected = trace.occupant_zone.shape
+    for name, array in (
+        ("reported_zone", reported_zone),
+        ("reported_activity", reported_activity),
+    ):
+        if array.shape != expected:
+            raise ControlError(
+                f"{name} shape {array.shape} does not match "
+                f"trace shape {expected}"
+            )
+    return reported_zone, reported_activity
 
 
 def _simulate_fast(
@@ -348,14 +375,16 @@ def _simulate_fast(
 ) -> SimulationResult:
     """The array-native engine behind :func:`simulate`.
 
-    All per-slot gains are precomputed as matrices; the remaining
-    sequential loop works on plain floats per conditioned zone, which
-    beats per-slot numpy dispatch for the handful of zones a home has.
-    ``fixed`` carries the (state-independent) airflow decision of the
-    ASHRAE baseline; ``None`` means the demand-controlled law runs.
+    All per-slot gains are precomputed as matrices.  Each conditioned
+    zone then runs alone over every slot (:func:`_demand_zone`), which
+    beats advancing all zones slot by slot for the handful of zones a
+    home has, and the AHU is metered over the finished columns
+    (:func:`_ahu_kwh`).  ``fixed`` carries the (state-independent)
+    airflow and ventilation decision of the ASHRAE baseline, under which
+    the zones are the open-loop response :func:`_zone_response`
+    computes; ``None`` means the demand-controlled law runs.
     """
     n_slots, n_zones = trace.n_slots, home.n_zones
-
     true_emission, true_occ_heat = occupant_gain_matrices(
         home, trace.occupant_zone, trace.occupant_activity
     )
@@ -363,26 +392,11 @@ def _simulate_fast(
         home, trace.appliance_status
     )
     true_heat = true_occ_heat + plant_app_heat
-
-    conditioned = list(home.layout.conditioned_ids)
-    volumes = [float(home.layout[z].volume_ft3) for z in conditioned]
-    capacities = [
-        config.mass_factor * v * SENSIBLE_HEAT_FACTOR for v in volumes
-    ]
-    conductances = [config.envelope_conductance(v) for v in volumes]
-    n_cond = len(conditioned)
-    co2_setpoint = config.co2_setpoint_ppm
-    temp_setpoint = config.temperature_setpoint_f
-    supply = config.supply_temperature_f
-    ctrl_out_co2 = config.outdoor_co2_ppm
-    min_fresh = config.minimum_fresh_fraction
-    out_co2 = outdoor.co2_ppm
-    shf = SENSIBLE_HEAT_FACTOR
-
-    outdoor_temps = outdoor.temperature_array(n_slots).tolist()
-    true_e = true_emission[:, conditioned].tolist()
-    true_h = true_heat[:, conditioned].tolist()
-
+    outdoor_temps = outdoor.temperature_array(n_slots)
+    temps = outdoor_temps.tolist()
+    out_co2 = float(outdoor.co2_ppm)
+    co2 = np.full((n_slots, n_zones), out_co2)
+    temperature = np.full((n_slots, n_zones), float(config.temperature_setpoint_f))
     if fixed is None:
         if (
             reported_zone is trace.occupant_zone
@@ -394,144 +408,214 @@ def _simulate_fast(
                 home, reported_zone, reported_activity
             )
         ctrl_heat = ctrl_occ_heat + ctrl_app_heat
-        ctrl_e = ctrl_emission[:, conditioned].tolist()
-        ctrl_h = ctrl_heat[:, conditioned].tolist()
-        fixed_airflow = fixed_ventilation = None
+        airflow = np.zeros((n_slots, n_zones))
+        ventilation = np.zeros((n_slots, n_zones))
     else:
-        ctrl_e = ctrl_h = None
-        fixed_airflow = [float(fixed[0][z]) for z in conditioned]
-        fixed_ventilation = [float(fixed[1][z]) for z in conditioned]
+        airflow = np.tile(fixed[0], (n_slots, 1))
+        ventilation = np.tile(fixed[1], (n_slots, 1))
 
-    co2 = [float(out_co2)] * n_cond
-    temperature = [float(temp_setpoint)] * n_cond
-
-    airflow_out = np.zeros((n_slots, n_zones))
-    co2_out = np.full((n_slots, n_zones), float(out_co2))
-    temp_out = np.full((n_slots, n_zones), float(temp_setpoint))
-    hvac_kwh = np.zeros(n_slots)
-
-    # Metering must reproduce the reference's np.sum over the full
-    # zone-length vectors: below 8 zones that is a plain left fold (the
-    # inert zones contribute exact zeros); at 8+ zones numpy's pairwise
-    # blocking kicks in, so the kernel keeps full-length mirrors and
-    # lets numpy do the same sums.
-    scalar_sums = n_zones < 8
-    if not scalar_sums:
-        af_vec = np.zeros(n_zones)
-        vent_vec = np.zeros(n_zones)
-        temp_vec = np.full(n_zones, float(temp_setpoint))
-
-    airflow = [0.0] * n_cond
-    ventilation = [0.0] * n_cond
-    for t in range(n_slots):
-        outdoor_temp = outdoor_temps[t]
+    for zone in home.layout.conditioned_ids:
+        volume = float(home.layout[zone].volume_ft3)
         if fixed is None:
-            ce_t = ctrl_e[t]
-            ch_t = ctrl_h[t]
-            for index in range(n_cond):
-                volume = volumes[index]
-                zone_co2 = co2[index]
-                unforced = zone_co2 + ce_t[index] / volume * 1e6
-                if unforced <= co2_setpoint:
-                    vent = 0.0
-                else:
-                    gradient = zone_co2 - ctrl_out_co2
-                    if gradient <= 0:
-                        vent = volume
-                    else:
-                        vent = (unforced - co2_setpoint) * volume / gradient
-                        if vent > volume:
-                            vent = volume
-                zone_temp = temperature[index]
-                if zone_temp <= supply:
-                    cooling_airflow = 0.0
-                else:
-                    capacity = capacities[index]
-                    leakage = conductances[index] * (outdoor_temp - zone_temp)
-                    unforced_temp = zone_temp + (ch_t[index] + leakage) / capacity
-                    if unforced_temp <= temp_setpoint:
-                        cooling_airflow = 0.0
-                    else:
-                        drop = shf * (zone_temp - supply) / capacity
-                        cooling_airflow = (unforced_temp - temp_setpoint) / drop
-                        if cooling_airflow > volume:
-                            cooling_airflow = volume
-                ventilation[index] = vent
-                airflow[index] = (
-                    vent if vent > cooling_airflow else cooling_airflow
-                )
-        else:
-            airflow = fixed_airflow
-            ventilation = fixed_ventilation
-
-        # Eq. 3 metering on the AHU mix.
-        if scalar_sums:
-            total_airflow = _fold(airflow)
-            vent_total = _fold(ventilation)
-            weighted = _fold(
-                [airflow[i] * temperature[i] for i in range(n_cond)]
+            (
+                airflow[:, zone],
+                ventilation[:, zone],
+                co2[:, zone],
+                temperature[:, zone],
+            ) = _demand_zone(
+                ctrl_emission[:, zone],
+                ctrl_heat[:, zone],
+                true_emission[:, zone],
+                true_heat[:, zone],
+                temps,
+                volume,
+                config,
+                out_co2,
             )
         else:
-            for index in range(n_cond):
-                zone = conditioned[index]
-                af_vec[zone] = airflow[index]
-                vent_vec[zone] = ventilation[index]
-                temp_vec[zone] = temperature[index]
-            total_airflow = float(af_vec.sum())
-            vent_total = float(vent_vec.sum())
-            weighted = float((af_vec * temp_vec).sum())
-        if total_airflow > 0:
-            return_temp = weighted / total_airflow
-            fresh = vent_total / total_airflow
-            if fresh < min_fresh:
-                fresh = min_fresh
-        else:
-            return_temp = temp_setpoint
-            fresh = min_fresh
-        mixed_temp = fresh * outdoor_temp + (1.0 - fresh) * return_temp
-        coil_delta = mixed_temp - supply
-        if coil_delta < 0.0:
-            coil_delta = 0.0
-        hvac_kwh[t] = (
-            total_airflow * coil_delta * SENSIBLE_HEAT_FACTOR
-        ) / WATT_MINUTES_PER_KWH
-
-        # Physics step on the true gains.
-        te_t = true_e[t]
-        th_t = true_h[t]
-        for index in range(n_cond):
-            volume = volumes[index]
-            af = airflow[index]
-            exchange = af / volume
-            if exchange > 1.0:
-                exchange = 1.0
-            zone_co2 = co2[index]
-            zone_co2 = (
-                zone_co2
-                + te_t[index] / volume * 1e6
-                - exchange * (zone_co2 - out_co2)
+            co2[:, zone], temperature[:, zone] = _zone_response(
+                airflow[:, zone],
+                true_emission[:, zone],
+                true_heat[:, zone],
+                temps,
+                volume,
+                config,
+                out_co2,
             )
-            co2[index] = zone_co2
-            zone_temp = temperature[index]
-            cooling = af * shf * (zone_temp - supply)
-            leakage = conductances[index] * (outdoor_temp - zone_temp)
-            zone_temp = zone_temp + (
-                (th_t[index] - cooling + leakage) / capacities[index]
-            )
-            temperature[index] = zone_temp
-            zone = conditioned[index]
-            airflow_out[t, zone] = af
-            co2_out[t, zone] = zone_co2
-            temp_out[t, zone] = zone_temp
 
     return SimulationResult(
-        airflow_cfm=airflow_out,
-        co2_ppm=co2_out,
-        temperature_f=temp_out,
-        hvac_kwh=hvac_kwh,
-        appliance_kwh=appliance_kwh.copy(),
+        airflow_cfm=airflow,
+        co2_ppm=co2,
+        temperature_f=temperature,
+        hvac_kwh=_ahu_kwh(airflow, ventilation, temperature, outdoor_temps, config),
+        appliance_kwh=appliance_kwh,
         start_slot=start_slot,
     )
+
+
+def _demand_zone(
+    ctrl_emission: np.ndarray,
+    ctrl_heat: np.ndarray,
+    true_emission: np.ndarray,
+    true_heat: np.ndarray,
+    outdoor_temps: list[float],
+    volume: float,
+    config: ControllerConfig,
+    out_co2: float,
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """One conditioned zone of the demand-controlled closed loop.
+
+    The Eq. 1/2 laws (:meth:`DemandControlledHVAC.decide`, inlined) read
+    the zone's own CO2 and temperature and the reported gains, and the
+    physics step moves the zone under the true gains and the decided
+    airflow.  Nothing from another zone feeds back, so the zone runs
+    alone over every slot, with the per-slot operation order.
+
+    Returns:
+        ``(airflow, ventilation, co2, temperature)`` over ``t``; CO2 and
+        temperature are the zone's state after each slot.
+    """
+    capacity = config.mass_factor * volume * SENSIBLE_HEAT_FACTOR
+    conductance = config.envelope_conductance(volume)
+    co2_setpoint = config.co2_setpoint_ppm
+    setpoint = config.temperature_setpoint_f
+    supply = config.supply_temperature_f
+    ctrl_out_co2 = config.outdoor_co2_ppm
+    shf = SENSIBLE_HEAT_FACTOR
+    ctrl_gen = (ctrl_emission / volume * 1e6).tolist()
+    ctrl_gains = ctrl_heat.tolist()
+    true_gen = (true_emission / volume * 1e6).tolist()
+    true_gains = true_heat.tolist()
+    n_slots = len(outdoor_temps)
+    airflow_col = [0.0] * n_slots
+    vent_col = [0.0] * n_slots
+    co2_col = [0.0] * n_slots
+    temp_col = [0.0] * n_slots
+    co2 = out_co2
+    temperature = float(setpoint)
+    for t in range(n_slots):
+        # Ventilation law (Eq. 1 inverted).
+        unforced = co2 + ctrl_gen[t]
+        if unforced <= co2_setpoint:
+            vent = 0.0
+        else:
+            gradient = co2 - ctrl_out_co2
+            if gradient <= 0:
+                vent = volume
+            else:
+                vent = (unforced - co2_setpoint) * volume / gradient
+                if vent > volume:
+                    vent = volume
+        # Cooling law (Eq. 2 inverted).
+        leakage = conductance * (outdoor_temps[t] - temperature)
+        if temperature <= supply:
+            cooling_airflow = 0.0
+        else:
+            unforced_temp = temperature + (ctrl_gains[t] + leakage) / capacity
+            if unforced_temp <= setpoint:
+                cooling_airflow = 0.0
+            else:
+                drop = shf * (temperature - supply) / capacity
+                cooling_airflow = (unforced_temp - setpoint) / drop
+                if cooling_airflow > volume:
+                    cooling_airflow = volume
+        airflow = vent if vent > cooling_airflow else cooling_airflow
+        # Physics step on the true gains.
+        exchange = airflow / volume
+        if exchange > 1.0:
+            exchange = 1.0
+        co2 = co2 + true_gen[t] - exchange * (co2 - out_co2)
+        cooling = airflow * shf * (temperature - supply)
+        temperature = temperature + (
+            (true_gains[t] - cooling + leakage) / capacity
+        )
+        airflow_col[t] = airflow
+        vent_col[t] = vent
+        co2_col[t] = co2
+        temp_col[t] = temperature
+    return airflow_col, vent_col, co2_col, temp_col
+
+
+def _zone_response(
+    airflow: np.ndarray,
+    emission: np.ndarray,
+    heat: np.ndarray,
+    outdoor_temps: list[float],
+    volume: float,
+    config: ControllerConfig,
+    out_co2: float,
+) -> tuple[list[float], list[float]]:
+    """One conditioned zone's CO2 and temperature under given airflow.
+
+    The physics step with nothing fed back: the state-independent terms
+    are whole columns and the zone runs as one tight loop over ``t``, in
+    the per-slot step's operation order, from outdoor CO2 and the
+    temperature setpoint.
+    """
+    capacity = config.mass_factor * volume * SENSIBLE_HEAT_FACTOR
+    conductance = config.envelope_conductance(volume)
+    supply = config.supply_temperature_f
+    generation = (emission / volume * 1e6).tolist()
+    exchange = np.minimum(airflow / volume, 1.0).tolist()
+    cooling_rate = (airflow * SENSIBLE_HEAT_FACTOR).tolist()
+    gains = heat.tolist()
+    n_slots = len(outdoor_temps)
+    co2_col = [0.0] * n_slots
+    temp_col = [0.0] * n_slots
+    co2 = out_co2
+    temperature = float(config.temperature_setpoint_f)
+    for t in range(n_slots):
+        co2 = co2 + generation[t] - exchange[t] * (co2 - out_co2)
+        temperature = temperature + (
+            gains[t]
+            - cooling_rate[t] * (temperature - supply)
+            + conductance * (outdoor_temps[t] - temperature)
+        ) / capacity
+        co2_col[t] = co2
+        temp_col[t] = temperature
+    return co2_col, temp_col
+
+
+def _ahu_kwh(
+    airflow: np.ndarray,
+    ventilation: np.ndarray,
+    temperature: np.ndarray,
+    outdoor_temps: np.ndarray,
+    config: ControllerConfig,
+) -> np.ndarray:
+    """Eq. 3 coil energy of the AHU mix per slot, over whole columns.
+
+    Args:
+        airflow: Supply airflow, ``[T, Z]``.
+        ventilation: Its CO2-driven component, ``[T, Z]``.
+        temperature: Zone temperatures after each slot, ``[T, Z]``; the
+            return air of slot ``t`` comes from the zones entering it.
+        outdoor_temps: Outdoor temperature per slot, ``[T]``.
+        config: Setpoint, supply temperature and minimum fresh share.
+
+    The sums over zones are row sums over full-width rows, the same
+    reduction the reference takes over each slot's ``[Z]`` vector (so
+    numpy's pairwise blocking at 8+ zones lines up too), and every
+    other step is the reference's scalar operation applied elementwise
+    in the same order.
+    """
+    setpoint = config.temperature_setpoint_f
+    minimum = config.minimum_fresh_fraction
+    entering = np.empty_like(temperature)
+    entering[:1] = setpoint
+    entering[1:] = temperature[:-1]
+    total = airflow.sum(axis=1)
+    vent_total = ventilation.sum(axis=1)
+    weighted = (airflow * entering).sum(axis=1)
+    moving = total > 0
+    divisor = np.where(moving, total, 1.0)
+    return_temp = np.where(moving, weighted / divisor, setpoint)
+    share = vent_total / divisor
+    fresh = np.where(moving & (share > minimum), share, minimum)
+    mixed = fresh * outdoor_temps + (1.0 - fresh) * return_temp
+    coil_delta = mixed - config.supply_temperature_f
+    coil_delta = np.where(coil_delta > 0.0, coil_delta, 0.0)
+    return total * coil_delta * SENSIBLE_HEAT_FACTOR / WATT_MINUTES_PER_KWH
 
 
 def plant_response(
@@ -578,36 +662,20 @@ def plant_response(
     heat = occupant_heat + appliance_heat
 
     out_co2 = float(outdoor.co2_ppm)
-    setpoint = float(config.temperature_setpoint_f)
-    supply = config.supply_temperature_f
     outdoor_temps = outdoor.temperature_array(n_slots).tolist()
-    co2_out = np.full((n_slots, n_zones), out_co2)
-    temp_out = np.full((n_slots, n_zones), setpoint)
+    co2 = np.full((n_slots, n_zones), out_co2)
+    temperature = np.full((n_slots, n_zones), float(config.temperature_setpoint_f))
     for zone in home.layout.conditioned_ids:
-        volume = float(home.layout[zone].volume_ft3)
-        capacity = config.mass_factor * volume * SENSIBLE_HEAT_FACTOR
-        conductance = config.envelope_conductance(volume)
-        airflow = airflow_cfm[:, zone]
-        generation = (emission[:, zone] / volume * 1e6).tolist()
-        exchange = np.minimum(airflow / volume, 1.0).tolist()
-        cooling_rate = (airflow * SENSIBLE_HEAT_FACTOR).tolist()
-        gains = heat[:, zone].tolist()
-        co2_col = [0.0] * n_slots
-        temp_col = [0.0] * n_slots
-        co2 = out_co2
-        temperature = setpoint
-        for t in range(n_slots):
-            co2 = co2 + generation[t] - exchange[t] * (co2 - out_co2)
-            temperature = temperature + (
-                gains[t]
-                - cooling_rate[t] * (temperature - supply)
-                + conductance * (outdoor_temps[t] - temperature)
-            ) / capacity
-            co2_col[t] = co2
-            temp_col[t] = temperature
-        co2_out[:, zone] = co2_col
-        temp_out[:, zone] = temp_col
-    return co2_out, temp_out
+        co2[:, zone], temperature[:, zone] = _zone_response(
+            airflow_cfm[:, zone],
+            emission[:, zone],
+            heat[:, zone],
+            outdoor_temps,
+            float(home.layout[zone].volume_ft3),
+            config,
+            out_co2,
+        )
+    return co2, temperature
 
 
 # ----------------------------------------------------------------------
@@ -633,15 +701,9 @@ def simulate_reference(
     """
     outdoor = outdoor or OutdoorConditions()
     config: ControllerConfig = controller.config
-    if reported_zone is None:
-        reported_zone = trace.occupant_zone
-    if reported_activity is None:
-        reported_activity = trace.occupant_activity
-    if reported_zone.shape != trace.occupant_zone.shape:
-        raise ControlError(
-            f"reported_zone shape {reported_zone.shape} does not match "
-            f"trace shape {trace.occupant_zone.shape}"
-        )
+    reported_zone, reported_activity = _reported_story(
+        trace, reported_zone, reported_activity
+    )
 
     n_slots, n_zones = trace.n_slots, home.n_zones
     co2 = np.full(n_zones, outdoor.co2_ppm, dtype=float)
@@ -763,7 +825,13 @@ class SimulationJob:
     start_slot: int = 0
 
 
-_STACK_THRESHOLD = 8  # measured crossover: stacking beats per-job runs
+# Conditioned zones a group needs before stacking beats per-job runs.
+# The stacked loop's per-slot cost barely grows with its width while the
+# per-zone kernel's grows linearly, so the crossover is a zone count,
+# not a job count: per-job runs win at 32 stacked zones, 48 is a tie
+# and stacking wins from 64 on, for 2-, 4- and 8-zone homes alike (see
+# the simulate_batch entry of benchmarks/bench_hotpaths.py).
+_STACK_THRESHOLD = 64
 
 
 def simulate_batch(jobs: Sequence[SimulationJob]) -> list[SimulationResult]:
@@ -775,13 +843,14 @@ def simulate_batch(jobs: Sequence[SimulationJob]) -> list[SimulationResult]:
     operations — the per-slot cost is shared by every home in the
     group, which is what makes wide sweeps (many homes, many attack
     variants, sharded day ranges) cheap.  Jobs the stacked kernel would
-    not speed up (other controllers, groups below the measured
-    ``_STACK_THRESHOLD`` crossover) run through :func:`simulate`
-    individually; results are returned in input order either way, and
-    match per-job :func:`simulate` runs (bit-identical for homes under
-    8 zones — the AHU metering reductions follow the same
-    summation-order caveat as the fast kernel).
+    not speed up (other controllers, groups holding fewer conditioned
+    zones than the measured ``_STACK_THRESHOLD`` crossover) run through
+    :func:`simulate` individually; results are returned in input order
+    either way, and are bit-identical to per-job :func:`simulate` runs.
+    Every job's reported story is checked before any job runs.
     """
+    for job in jobs:
+        _reported_story(job.trace, job.reported_zone, job.reported_activity)
     results: list[SimulationResult | None] = [None] * len(jobs)
     groups: dict[int, list[int]] = {}
     for index, job in enumerate(jobs):
@@ -793,7 +862,10 @@ def simulate_batch(jobs: Sequence[SimulationJob]) -> list[SimulationResult]:
     grouped: set[int] = set()
     with kernel_timer(SIMULATION):
         for indices in groups.values():
-            if len(indices) < _STACK_THRESHOLD:
+            zones = sum(
+                len(jobs[i].home.layout.conditioned_ids) for i in indices
+            )
+            if zones < _STACK_THRESHOLD:
                 continue
             for index, result in zip(
                 indices, _simulate_stacked([jobs[i] for i in indices])
@@ -817,7 +889,6 @@ def simulate_batch(jobs: Sequence[SimulationJob]) -> list[SimulationResult]:
 def _simulate_stacked(jobs: list[SimulationJob]) -> list[SimulationResult]:
     """Advance a group of demand-controlled jobs in one zone-stacked loop."""
     n_slots = jobs[0].trace.n_slots
-    n_jobs = len(jobs)
 
     # Per-job segment layout over the concatenated conditioned zones.
     seg_starts: list[int] = []
@@ -856,14 +927,10 @@ def _simulate_stacked(jobs: list[SimulationJob]) -> list[SimulationResult]:
     temp_set = np.array([cfg.temperature_setpoint_f for cfg in configs])[owner]
     supply = np.array([cfg.supply_temperature_f for cfg in configs])[owner]
     ctrl_out_co2 = np.array([cfg.outdoor_co2_ppm for cfg in configs])[owner]
-    temp_set_j = np.array([cfg.temperature_setpoint_f for cfg in configs])
-    supply_j = np.array([cfg.supply_temperature_f for cfg in configs])
-    min_fresh_j = np.array([cfg.minimum_fresh_fraction for cfg in configs])
     outdoors = [job.outdoor or OutdoorConditions() for job in jobs]
     out_co2 = np.array([o.co2_ppm for o in outdoors])[owner]
-    out_temp_j = np.stack(
-        [o.temperature_array(n_slots) for o in outdoors], axis=1
-    )  # [T, J]
+    outdoor_temps = [o.temperature_array(n_slots) for o in outdoors]
+    out_temp_j = np.stack(outdoor_temps, axis=1)  # [T, J]
 
     ctrl_gen = np.empty((n_slots, total))
     true_gen = np.empty((n_slots, total))
@@ -871,21 +938,9 @@ def _simulate_stacked(jobs: list[SimulationJob]) -> list[SimulationResult]:
     true_heat = np.empty((n_slots, total))
     appliance_kwh: list[np.ndarray] = []
     for j, job in enumerate(jobs):
-        reported_zone = (
-            job.reported_zone
-            if job.reported_zone is not None
-            else job.trace.occupant_zone
+        reported_zone, reported_activity = _reported_story(
+            job.trace, job.reported_zone, job.reported_activity
         )
-        reported_activity = (
-            job.reported_activity
-            if job.reported_activity is not None
-            else job.trace.occupant_activity
-        )
-        if reported_zone.shape != job.trace.occupant_zone.shape:
-            raise ControlError(
-                f"reported_zone shape {reported_zone.shape} does not match "
-                f"trace shape {job.trace.occupant_zone.shape}"
-            )
         te, th_occ = occupant_gain_matrices(
             job.home, job.trace.occupant_zone, job.trace.occupant_activity
         )
@@ -914,9 +969,9 @@ def _simulate_stacked(jobs: list[SimulationJob]) -> list[SimulationResult]:
     temperature = temp_set.astype(float).copy()
 
     af_out = np.zeros((n_slots, total))
+    vent_out = np.zeros((n_slots, total))
     co2_trace = np.zeros((n_slots, total))
     temp_trace = np.zeros((n_slots, total))
-    hvac_out = np.zeros((n_slots, n_jobs))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(n_slots):
@@ -936,28 +991,6 @@ def _simulate_stacked(jobs: list[SimulationJob]) -> list[SimulationResult]:
             cool = np.where(temperature <= supply, 0.0, cool)
             airflow = np.maximum(vent, cool)
 
-            # Per-job AHU metering (Eq. 3).  bincount accumulates in
-            # element order — the same left fold the fast kernel's
-            # scalar metering performs, so small homes stay bit-exact.
-            tot = np.bincount(owner, weights=airflow, minlength=n_jobs)
-            vent_tot = np.bincount(owner, weights=vent, minlength=n_jobs)
-            weighted = np.bincount(
-                owner, weights=airflow * temperature, minlength=n_jobs
-            )
-            positive = tot > 0
-            safe_tot = np.where(positive, tot, 1.0)
-            return_temp = np.where(positive, weighted / safe_tot, temp_set_j)
-            fresh = np.where(
-                positive,
-                np.maximum(min_fresh_j, vent_tot / safe_tot),
-                min_fresh_j,
-            )
-            mixed = fresh * out_temp_j[t] + (1.0 - fresh) * return_temp
-            coil = np.maximum(0.0, mixed - supply_j)
-            hvac_out[t] = (
-                tot * coil * SENSIBLE_HEAT_FACTOR
-            ) / WATT_MINUTES_PER_KWH
-
             # Physics step.
             exchange = np.minimum(airflow / volumes, 1.0)
             co2 = co2 + true_gen[t] - exchange * (co2 - out_co2)
@@ -967,20 +1000,25 @@ def _simulate_stacked(jobs: list[SimulationJob]) -> list[SimulationResult]:
             )
 
             af_out[t] = airflow
+            vent_out[t] = vent
             co2_trace[t] = co2
             temp_trace[t] = temperature
 
+    # Per-job Eq. 3 metering over the finished columns, exactly as
+    # simulate() meters.
     results = []
     for j, job in enumerate(jobs):
         ids = cond_ids[j]
         sl = slice(seg_starts[j], seg_starts[j] + len(ids))
         n_zones = job.home.n_zones
         airflow_full = np.zeros((n_slots, n_zones))
+        vent_full = np.zeros((n_slots, n_zones))
         co2_full = np.full((n_slots, n_zones), float(outdoors[j].co2_ppm))
         temp_full = np.full(
             (n_slots, n_zones), float(configs[j].temperature_setpoint_f)
         )
         airflow_full[:, ids] = af_out[:, sl]
+        vent_full[:, ids] = vent_out[:, sl]
         co2_full[:, ids] = co2_trace[:, sl]
         temp_full[:, ids] = temp_trace[:, sl]
         results.append(
@@ -988,7 +1026,13 @@ def _simulate_stacked(jobs: list[SimulationJob]) -> list[SimulationResult]:
                 airflow_cfm=airflow_full,
                 co2_ppm=co2_full,
                 temperature_f=temp_full,
-                hvac_kwh=hvac_out[:, j].copy(),
+                hvac_kwh=_ahu_kwh(
+                    airflow_full,
+                    vent_full,
+                    temp_full,
+                    outdoor_temps[j],
+                    configs[j],
+                ),
                 appliance_kwh=appliance_kwh[j],
                 start_slot=job.start_slot,
             )

@@ -87,6 +87,21 @@ def test_hot_path_confines_realtime_decide_to_the_reference():
     assert "in execute_attack)" in finding.message
 
 
+def test_hot_path_confines_simulation_decide_to_the_oracle_and_probe():
+    """``hvac/simulation.py`` may call ``.decide(`` only inside the
+    ``simulate_reference`` oracle and ``simulate``'s ASHRAE probe."""
+    select = ["hot-path-scalar-calls"]
+    good = lint_paths([FIXTURES / "hot_path_simulation" / "good"], select=select)
+    assert not good.errors
+    assert good.findings == []
+    bad = lint_paths([FIXTURES / "hot_path_simulation" / "bad"], select=select)
+    assert not bad.errors
+    (finding,) = bad.findings
+    assert finding.path.endswith("hvac/simulation.py")
+    assert "simulate, simulate_reference" in finding.message
+    assert "in _simulate_fast)" in finding.message
+
+
 def test_lock_discipline_names_the_lock_and_declaration():
     tree = FIXTURES / "locks" / "bad"
     result = lint_paths([tree], select=["lock-discipline"])

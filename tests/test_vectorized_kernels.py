@@ -54,7 +54,7 @@ from repro.runner.cache import get_cache
 from repro.hvac.simulation import (
     OutdoorConditions,
     SimulationJob,
-    _fold,
+    _STACK_THRESHOLD,
     _simulate_stacked,
     appliance_gain_tables,
     occupant_gain_matrices,
@@ -329,7 +329,7 @@ def test_simulate_matches_reference_ashrae(sim_world):
 
 
 def test_simulate_matches_reference_large_home():
-    """8+ zones exercises the kernel's numpy-mirror metering path."""
+    """8+ zones: the metering row sums use numpy's pairwise blocking."""
     fleet = generate_home_fleet(1, n_zones=8, n_days=2, seed=3)
     home, trace = fleet[0]
     controller = DemandControlledHVAC(home)
@@ -337,6 +337,182 @@ def test_simulate_matches_reference_large_home():
         simulate_reference(home, trace, controller),
         simulate(home, trace, controller),
     )
+
+
+@pytest.mark.parametrize("n_zones", [8, 10])
+@pytest.mark.parametrize("case", ["ashrae", "attacked_outdoor_profile"])
+def test_simulate_matches_reference_large_home_cases(n_zones, case):
+    """8+ zones (numpy's pairwise row sums in the metering) under the
+    fixed-airflow branch, and under a spoofed story with a sinusoidal
+    outdoor profile."""
+    ((home, trace),) = generate_home_fleet(1, n_zones=n_zones, n_days=2, seed=3)
+    assert home.n_zones >= 8
+    if case == "ashrae":
+        controller = AshraeController(home, ControllerConfig()).calibrate(trace)
+        kwargs = {}
+    else:
+        controller = DemandControlledHVAC(home)
+        rng = np.random.default_rng(n_zones)
+        reported_zone = trace.occupant_zone.copy()
+        mask = rng.random(reported_zone.shape) < 0.35
+        reported_zone[mask] = rng.integers(0, home.n_zones, size=int(mask.sum()))
+        profile = 78.0 + 14.0 * np.sin(
+            np.arange(trace.n_slots) / 1440.0 * 2 * np.pi
+        )
+        kwargs = {
+            "reported_zone": reported_zone,
+            "outdoor": OutdoorConditions(temperature_f=profile),
+        }
+    assert _results_equal(
+        simulate_reference(home, trace, controller, **kwargs),
+        simulate(home, trace, controller, **kwargs),
+    )
+
+
+def _misshapen(activity: np.ndarray, reshape: str) -> np.ndarray:
+    if reshape == "short":
+        return activity[:-100]
+    if reshape == "long":
+        return np.concatenate([activity, activity[:100]])
+    return np.concatenate([activity, activity[:, :1]], axis=1)
+
+
+@pytest.mark.parametrize("entry", ["simulate", "simulate_reference", "simulate_batch"])
+@pytest.mark.parametrize("reshape", ["short", "long", "extra_column"])
+def test_simulation_rejects_misshapen_reported_activity(sim_world, entry, reshape):
+    """A reported activity array that is not the trace's ``[T, O]`` is
+    refused before any simulation runs — in a batch, before its
+    well-formed jobs run too."""
+    home, trace = sim_world
+    controller = DemandControlledHVAC(home)
+    bad = _misshapen(trace.occupant_activity, reshape)
+    with collect_events() as aggregator:
+        with pytest.raises(ControlError, match="reported_activity"):
+            if entry == "simulate_batch":
+                simulate_batch(
+                    [
+                        SimulationJob(home, trace, controller),
+                        SimulationJob(home, trace, controller, reported_activity=bad),
+                    ]
+                )
+            else:
+                run = simulate if entry == "simulate" else simulate_reference
+                run(home, trace, controller, reported_activity=bad)
+    assert SIMULATION not in aggregator.kernels
+
+
+def _gain_tables_by_unique(home, status):
+    """``appliance_gain_tables`` grouped by ``np.unique(status, axis=0)``,
+    as first written: the grouping oracle."""
+    heat_by_zone = np.zeros((home.n_appliances, home.n_zones))
+    watts = np.zeros(home.n_appliances)
+    for appliance in home.appliances:
+        heat_by_zone[appliance.appliance_id, appliance.zone_id] = (
+            appliance.heat_watts
+        )
+        watts[appliance.appliance_id] = appliance.power_watts
+    unique, inverse = np.unique(status, axis=0, return_inverse=True)
+    plant_u = np.zeros((len(unique), home.n_zones))
+    ctrl_u = np.zeros((len(unique), home.n_zones))
+    kwh_u = np.zeros(len(unique))
+    for index, row in enumerate(unique):
+        floats = row.astype(float)
+        plant_u[index] = floats @ heat_by_zone
+        kwh_u[index] = float(floats @ watts) / 60000.0
+        for appliance in home.appliances:
+            if row[appliance.appliance_id]:
+                ctrl_u[index, appliance.zone_id] += appliance.heat_watts
+    return plant_u[inverse], ctrl_u[inverse], kwh_u[inverse]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "all_distinct",
+        "one_repeated_row",
+        "single_slot",
+        "empty",
+        "triggered",
+        "one_byte_home",
+    ],
+)
+def test_appliance_gain_tables_match_unique_grouping(sim_world, case):
+    """Packed-bit grouping prices every slot exactly as grouping by
+    ``np.unique`` did.  House A has 13 appliances, so its rows pack
+    into two bytes with a partial second one."""
+    home, trace = sim_world
+    rng = np.random.default_rng(41)
+    n_appliances = home.n_appliances
+    assert n_appliances > 8 and n_appliances % 8
+    if case == "all_distinct":
+        codes = rng.permutation(1 << n_appliances)[:500]
+        status = ((codes[:, None] >> np.arange(n_appliances)) & 1).astype(bool)
+    elif case == "one_repeated_row":
+        status = np.tile(rng.random(n_appliances) < 0.5, (300, 1))
+    elif case == "single_slot":
+        status = trace.appliance_status[700:701]
+    elif case == "empty":
+        status = trace.appliance_status[:0]
+    elif case == "triggered":
+        status = trace.appliance_status | (
+            rng.random(trace.appliance_status.shape) < 0.05
+        )
+    else:
+        ((home, fleet_trace),) = generate_home_fleet(
+            1, n_zones=4, n_days=1, seed=3
+        )
+        assert home.n_appliances <= 8
+        status = fleet_trace.appliance_status
+    expected = _gain_tables_by_unique(home, status)
+    got = appliance_gain_tables(home, status)
+    for want, have in zip(expected, got):
+        assert have.shape == want.shape
+        assert np.array_equal(have, want)
+
+
+def _cost_per_slot(pricing: TouPricing, energy_kwh, start_slot: int = 0):
+    """``TouPricing.cost`` as first written — ``is_peak`` and numpy-scalar
+    arithmetic on every slot — kept as the billing oracle."""
+    energy_kwh = np.asarray(energy_kwh, dtype=float)
+    total = 0.0
+    battery_left = pricing.battery_kwh
+    current_day = (start_slot) // 1440
+    for index, kwh in enumerate(energy_kwh):
+        slot = start_slot + index
+        day = slot // 1440
+        if day != current_day:
+            current_day = day
+            battery_left = pricing.battery_kwh
+        if not pricing.is_peak(slot):
+            total += kwh * pricing.off_peak_rate
+            continue
+        covered = min(kwh, battery_left)
+        battery_left -= covered
+        total += covered * pricing.off_peak_rate
+        total += (kwh - covered) * pricing.peak_rate
+    return total
+
+
+def test_tou_cost_matches_per_slot_loop():
+    """Bit-identical bills and the same return type (a numpy float, or
+    a plain 0.0 for no slots), across batteries from empty to larger
+    than any day's peak, start slots that cross day boundaries, and
+    runs of zero consumption."""
+    rng = np.random.default_rng(23)
+    for case in range(300):
+        pricing = TouPricing(battery_kwh=float(rng.uniform(0.0, 50.0)))
+        if case % 50 == 0:
+            pricing = TouPricing(battery_kwh=0.0)
+        n_slots = 0 if case == 1 else int(rng.integers(1, 3 * 1440))
+        energy = rng.random(n_slots) * float(rng.uniform(0.001, 0.3))
+        for _ in range(int(rng.integers(0, 4))):
+            start = int(rng.integers(0, max(n_slots, 1)))
+            energy[start : start + int(rng.integers(1, 400))] = 0.0
+        start_slot = int(rng.integers(0, 4 * 1440))
+        expected = _cost_per_slot(pricing, energy, start_slot)
+        got = pricing.cost(energy, start_slot=start_slot)
+        assert got == expected
+        assert type(got) is type(expected)
 
 
 def test_gain_matrices_match_reference_loops(sim_world):
@@ -379,16 +555,20 @@ def test_gain_matrices_match_reference_loops(sim_world):
 
 
 def test_simulate_batch_matches_individual_runs():
-    fleet = generate_home_fleet(8, n_zones=4, n_days=1, seed=29)
-    jobs = [
-        SimulationJob(home, trace, DemandControlledHVAC(home))
-        for home, trace in fleet
-    ]
-    batched = simulate_batch(jobs)
-    for job, result in zip(jobs, batched):
-        assert _results_equal(
-            result, simulate(job.home, job.trace, job.controller)
-        )
+    """Stacked groups (sized to cross the stacking threshold) equal
+    per-job runs bit for bit, 8+ zone homes included."""
+    for n_zones, n_homes in ((4, 16), (8, 8)):
+        assert n_zones * n_homes >= _STACK_THRESHOLD
+        fleet = generate_home_fleet(n_homes, n_zones=n_zones, n_days=1, seed=29)
+        jobs = [
+            SimulationJob(home, trace, DemandControlledHVAC(home))
+            for home, trace in fleet
+        ]
+        batched = simulate_batch(jobs)
+        for job, result in zip(jobs, batched):
+            assert _results_equal(
+                result, simulate(job.home, job.trace, job.controller)
+            )
 
 
 def test_stacked_kernel_matches_even_for_small_groups():
@@ -406,14 +586,6 @@ def test_stacked_kernel_matches_even_for_small_groups():
         assert _results_equal(
             result, simulate(job.home, job.trace, job.controller)
         )
-
-
-def test_fold_matches_numpy_sum_below_pairwise_block():
-    rng = np.random.default_rng(11)
-    for n in range(1, 8):
-        for _ in range(50):
-            values = (rng.random(n) * 900).tolist()
-            assert _fold(values) == float(np.asarray(values).sum())
 
 
 def test_outdoor_temperature_array_resolves_once():
@@ -576,7 +748,7 @@ def test_execute_attack_matches_reference_kmeans_house_b(triggering):
 
 
 def test_execute_attack_matches_reference_large_home():
-    """8+ zones exercises the shadow loop's numpy-mirror metering path."""
+    """8+ zones: the metering row sums use numpy's pairwise blocking."""
     ((home, trace),) = generate_home_fleet(1, n_zones=8, n_days=4, seed=3)
     train, evaluation = split_days(trace, 2)
     adm = ClusterADM(
