@@ -1,8 +1,9 @@
 """Hot-path kernel benchmark: scalar reference vs vectorized engines.
 
 Times the hot kernels — SHATTER schedule synthesis (per day and
-batched), the closed-loop simulator, real-time attack execution, and
-ADM fit/containment — running each workload through its *scalar
+batched), the closed-loop simulator, real-time attack execution and its
+visit-feasibility filter, the BIoTA greedy baseline, and ADM
+fit/containment — running each workload through its *scalar
 reference* path and its *vectorized* path, verifying the outputs agree
 exactly, and writing the measured speedups to ``BENCH_hotpaths.json``
 at the repository root (the committed file documents the speedups on
@@ -40,8 +41,14 @@ if str(_ROOT / "src") not in sys.path:
 import numpy as np  # noqa: E402
 
 from repro.adm.cluster_model import AdmParams, ClusterADM  # noqa: E402
+from repro.attack.biota import (  # noqa: E402
+    biota_greedy_attack,
+    biota_greedy_attack_reference,
+)
 from repro.attack.model import AttackerCapability  # noqa: E402
 from repro.attack.realtime import (  # noqa: E402
+    _apply_visit_feasibility,
+    _apply_visit_feasibility_reference,
     execute_attack,
     execute_attack_reference,
 )
@@ -63,6 +70,8 @@ from repro.hvac.simulation import simulate, simulate_reference  # noqa: E402
 TARGET_SCHEDULE_SPEEDUP = 5.0
 TARGET_SIMULATE_SPEEDUP = 6.0
 TARGET_EXECUTE_SPEEDUP = 6.0
+TARGET_BIOTA_SPEEDUP = 10.0
+TARGET_FEASIBILITY_SPEEDUP = 8.0
 TARGET_SCHEDULE_BATCH_SPEEDUP = 8.0
 TARGET_CODEC_SPEEDUP = 5.0
 TARGET_FLEET_RSS_RATIO = 1.5
@@ -366,6 +375,50 @@ def bench(smoke: bool) -> dict:
         "speedup": before_s / after_s,
     }
 
+    # --- BIoTA greedy baseline (same evaluation trace, full access) ----
+    before_s, reference_biota = _best_of(
+        rounds,
+        lambda: biota_greedy_attack_reference(home, capability, pricing, execute_eval),
+    )
+    after_s, fast_biota = _best_of(
+        rounds, lambda: biota_greedy_attack(home, capability, pricing, execute_eval)
+    )
+    assert _schedules_equal(reference_biota, fast_biota)
+    assert type(reference_biota.expected_reward) is type(fast_biota.expected_reward)
+    results["biota_greedy_attack"] = {
+        "workload": (
+            f"ARAS-A, {execute_days}-day BIoTA greedy attack, full access, "
+            "per-slot loop vs ranked-choice array pass"
+        ),
+        "before_s": before_s,
+        "after_s": after_s,
+        "speedup": before_s / after_s,
+    }
+
+    # --- visit feasibility (the SHATTER schedule above, full access) ----
+    before_s, reference_story = _best_of(
+        rounds,
+        lambda: _apply_visit_feasibility_reference(
+            execute_schedule, execute_eval, capability
+        ),
+    )
+    after_s, fast_story = _best_of(
+        rounds,
+        lambda: _apply_visit_feasibility(execute_schedule, execute_eval, capability),
+    )
+    assert np.array_equal(reference_story[0], fast_story[0])
+    assert np.array_equal(reference_story[1], fast_story[1])
+    assert reference_story[2] == fast_story[2]
+    results["visit_feasibility"] = {
+        "workload": (
+            f"ARAS-A, {execute_days}-day SHATTER schedule, full access, "
+            "per-visit slot tests vs run-length pass over capability masks"
+        ),
+        "before_s": before_s,
+        "after_s": after_s,
+        "speedup": before_s / after_s,
+    }
+
     # --- simulate_batch (per-job vs stacked, each side of the threshold)
     from repro.hvac.simulation import (
         _STACK_THRESHOLD,
@@ -533,6 +586,8 @@ def main(argv: list[str] | None = None) -> int:
             "shatter_schedule_batch": TARGET_SCHEDULE_BATCH_SPEEDUP,
             "simulate": TARGET_SIMULATE_SPEEDUP,
             "execute_attack": TARGET_EXECUTE_SPEEDUP,
+            "biota_greedy_attack": TARGET_BIOTA_SPEEDUP,
+            "visit_feasibility": TARGET_FEASIBILITY_SPEEDUP,
             "artifact_codec": TARGET_CODEC_SPEEDUP,
             "fleet_peak_rss_ratio": TARGET_FLEET_RSS_RATIO,
         },
@@ -580,6 +635,16 @@ def main(argv: list[str] | None = None) -> int:
         if execute_x < TARGET_EXECUTE_SPEEDUP:
             print(f"FAIL: execute_attack speedup {execute_x:.2f}x < "
                   f"{TARGET_EXECUTE_SPEEDUP}x")
+            return 1
+        biota_x = results["biota_greedy_attack"]["speedup"]
+        if biota_x < TARGET_BIOTA_SPEEDUP:
+            print(f"FAIL: biota_greedy_attack speedup {biota_x:.2f}x < "
+                  f"{TARGET_BIOTA_SPEEDUP}x")
+            return 1
+        feasibility_x = results["visit_feasibility"]["speedup"]
+        if feasibility_x < TARGET_FEASIBILITY_SPEEDUP:
+            print(f"FAIL: visit_feasibility speedup {feasibility_x:.2f}x < "
+                  f"{TARGET_FEASIBILITY_SPEEDUP}x")
             return 1
         batch_x = results["shatter_schedule_batch"]["speedup"]
         if batch_x < TARGET_SCHEDULE_BATCH_SPEEDUP:

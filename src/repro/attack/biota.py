@@ -10,6 +10,18 @@ which is why Table V reports 60-100% of BIoTA vectors being flagged.
 
 The module also generates the labelled attack datasets used to score
 the ADMs in Table IV and Fig. 5.
+
+:func:`biota_greedy_attack` is an array program.  The reward table is
+day-invariant (the tariff repeats daily), so it is built once per
+occupant and ranked once per minute of day with a stable sort, the tie
+order of the per-slot ``sorted``.  Occupants are processed in order,
+because an occupant's capacity check counts the zones the earlier ones
+were spoofed into; for one occupant every slot is independent, so all
+eligible slots take their first feasible zone by rank in one pass.  The
+chosen rewards are added as a sequential fold in (occupant, slot)
+order, the reference's summation order.  :func:`biota_greedy_attack_reference`
+keeps the per-slot loop as the oracle the array program matches bit
+for bit (``tests/test_vectorized_kernels.py``).
 """
 
 from __future__ import annotations
@@ -53,6 +65,8 @@ class BiotaRules:
         """
         if spoofed_zone.shape != actual_zone.shape:
             return False
+        if spoofed_zone.size == 0:
+            return True  # no slot to violate a rule in
         at_home_spoofed = (spoofed_zone != 0).sum(axis=1)
         at_home_actual = (actual_zone != 0).sum(axis=1)
         if not np.array_equal(at_home_spoofed, at_home_actual):
@@ -91,6 +105,87 @@ def biota_greedy_attack(
     re-reported in the most rewarding accessible zone (respecting
     capacity); occupants actually outside stay outside (the entrance
     count rule pins them).
+    """
+    rules = rules or BiotaRules()
+    controller_config = controller_config or ControllerConfig()
+    config = config or ScheduleConfig()
+    n_slots = actual_trace.n_slots
+    if n_slots % MINUTES_PER_DAY != 0:
+        raise AttackError("attack traces must cover whole days")
+
+    spoofed_zone = actual_trace.occupant_zone.copy()
+    spoofed_activity = actual_trace.occupant_activity.copy()
+    zones = [z for z in capability.schedulable_zones(home) if z != 0]
+    total_reward = 0.0
+    if not zones or not n_slots:
+        return AttackSchedule(
+            spoofed_zone=spoofed_zone,
+            spoofed_activity=spoofed_activity,
+            expected_reward=total_reward,
+        )
+
+    zone_ids = np.array(zones)
+    minute = np.arange(n_slots) % MINUTES_PER_DAY
+    attackable = capability.slot_mask(n_slots)
+    for occupant in home.occupants:
+        column = occupant.occupant_id
+        if column not in capability.occupants:
+            continue
+        actual = actual_trace.occupant_zone[:, column]
+        # The entrance count rule pins occupants who are outside.
+        slots = np.flatnonzero(
+            attackable & (actual != 0) & capability.zone_mask(actual)
+        )
+        if not len(slots):
+            continue
+        rewards, best_activity = _day_rewards(
+            home, column, zones, pricing, controller_config, config, 0
+        )
+        # Zones by descending reward per minute of day, ties by zone id.
+        ranked = np.argsort(-rewards[zone_ids], axis=0, kind="stable").T
+        candidates = zone_ids[ranked[minute[slots]]]  # [S, K] in rank order
+        rows = spoofed_zone[slots]
+        headcount = (rows[:, :, None] == candidates[:, None, :]).sum(axis=1)
+        feasible = (rows[:, column, None] == candidates) | (
+            headcount < rules.zone_capacity
+        )
+        first = feasible.argmax(axis=1)
+        found = feasible[np.arange(len(slots)), first]
+        if not found.any():
+            continue
+        slots = slots[found]
+        chosen = candidates[found, first[found]]
+        activity_of = np.zeros(home.n_zones, dtype=spoofed_activity.dtype)
+        for zone in np.unique(chosen).tolist():
+            activity_of[zone] = best_activity[zone]
+        spoofed_zone[slots, column] = chosen
+        spoofed_activity[slots, column] = activity_of[chosen]
+        # A sequential fold seeded with the running total, in the
+        # loop's order (np.sum would add pairwise and change bits).
+        picked = rewards[chosen, minute[slots]]
+        total_reward = np.add.accumulate(np.append(total_reward, picked))[-1]
+    return AttackSchedule(
+        spoofed_zone=spoofed_zone,
+        spoofed_activity=spoofed_activity,
+        expected_reward=total_reward,
+    )
+
+
+def biota_greedy_attack_reference(
+    home: SmartHome,
+    capability: AttackerCapability,
+    pricing: TouPricing,
+    actual_trace: HomeTrace,
+    rules: BiotaRules | None = None,
+    controller_config: ControllerConfig | None = None,
+    config: ScheduleConfig | None = None,
+) -> AttackSchedule:
+    """The preserved per-slot implementation of :func:`biota_greedy_attack`.
+
+    One zone sort and one headcount per (occupant, slot), with the
+    reward table rebuilt every day: the oracle the array program's
+    equivalence tests and the hot-path bench run against.  Same
+    arguments and result as :func:`biota_greedy_attack`.
     """
     rules = rules or BiotaRules()
     controller_config = controller_config or ControllerConfig()

@@ -78,6 +78,19 @@ class AttackerCapability:
         """Whether the attacker can place a phantom occupant in a zone."""
         return zone_id == 0 or zone_id in self.zones
 
+    def slot_mask(self, n_slots: int) -> np.ndarray:
+        """:meth:`can_attack_slot` for slots ``0 .. n_slots - 1``, ``[T]``."""
+        if self.slot_range is None:
+            return np.ones(n_slots, dtype=bool)
+        slots = np.arange(n_slots)
+        return (self.slot_range[0] <= slots) & (slots < self.slot_range[1])
+
+    def zone_mask(self, zone_ids: np.ndarray) -> np.ndarray:
+        """:meth:`can_spoof_zone` elementwise over an array of zone ids."""
+        zone_ids = np.asarray(zone_ids)
+        reachable = np.fromiter(self.zones, dtype=np.int64, count=len(self.zones))
+        return (zone_ids == 0) | np.isin(zone_ids, reachable)
+
     def schedulable_zones(self, home: SmartHome) -> list[int]:
         """Zones the scheduler may report occupants in (Outside first)."""
         return [z for z in range(home.n_zones) if self.can_spoof_zone(z)]

@@ -27,13 +27,18 @@ controllers, its per-slot reference loop, which passes ``decide`` the
 same arguments, for any other.  The true zones only receive the
 airflow that loop commands: they are an open-loop response, which
 :func:`~repro.hvac.simulation.plant_response` computes as one
-recurrence per zone.  Visit feasibility and Algorithm 1's triggering
-stay scalar.
+recurrence per zone.  Visit feasibility is one run-length pass per
+occupant over the capability's slot and zone masks
+(:meth:`~repro.attack.model.AttackerCapability.slot_mask` and
+:meth:`~repro.attack.model.AttackerCapability.zone_mask`).  Algorithm 1
+stays scalar.
 
 :func:`execute_attack_reference` keeps the original per-slot loop — one
 ``controller.decide`` per slot, shadow and true zones stepped side by
 side — as the oracle the fast path matches bit for bit (property-tested
 in ``tests/test_vectorized_kernels.py``).
+:func:`_apply_visit_feasibility_reference` keeps the per-visit loop of
+the feasibility filter the same way.
 """
 
 from __future__ import annotations
@@ -96,8 +101,49 @@ def _apply_visit_feasibility(
     of both the actual zone and the claimed zone and the slot is inside
     ``T^A``.  Rejected visits revert to the actual behaviour, keeping
     granularity at visit level so the reported stream stays
-    visit-consistent.
+    visit-consistent.  Runs that change nothing are not visits.
     """
+    actual_zone = actual_trace.occupant_zone
+    actual_activity = actual_trace.occupant_activity
+    applied_zone = actual_zone.copy()
+    applied_activity = actual_activity.copy()
+    n_slots, n_occupants = applied_zone.shape
+    scheduled_visits = 0
+    applied_visits = 0
+    attackable = capability.slot_mask(n_slots)
+    for occupant in range(n_occupants):
+        if not n_slots or occupant not in capability.occupants:
+            continue
+        spoofed = schedule.spoofed_zone[:, occupant]
+        activity = schedule.spoofed_activity[:, occupant]
+        actual = actual_zone[:, occupant]
+        starts = np.r_[0, np.flatnonzero(np.diff(spoofed)) + 1]
+        changes = np.logical_or.reduceat(
+            (actual != spoofed) | (actual_activity[:, occupant] != activity),
+            starts,
+        )
+        feasible = np.logical_and.reduceat(
+            attackable & capability.zone_mask(spoofed) & capability.zone_mask(actual),
+            starts,
+        )
+        applied = changes & feasible
+        scheduled_visits += int(np.count_nonzero(changes))
+        applied_visits += int(np.count_nonzero(applied))
+        slots = np.repeat(applied, np.diff(starts, append=n_slots))
+        applied_zone[slots, occupant] = spoofed[slots]
+        applied_activity[slots, occupant] = activity[slots]
+    fraction = applied_visits / scheduled_visits if scheduled_visits else 1.0
+    return applied_zone, applied_activity, fraction
+
+
+def _apply_visit_feasibility_reference(
+    schedule: AttackSchedule,
+    actual_trace: HomeTrace,
+    capability: AttackerCapability,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The preserved per-visit implementation of
+    :func:`_apply_visit_feasibility`, with per-slot capability tests: the
+    oracle of the equivalence tests and the hot-path bench."""
     applied_zone = actual_trace.occupant_zone.copy()
     applied_activity = actual_trace.occupant_activity.copy()
     n_slots, n_occupants = applied_zone.shape

@@ -19,7 +19,11 @@ oracle, because the production path runs the deceived loop through
 ``simulate``'s kernel, and in ``hvac/simulation.py`` only inside the
 ``simulate_reference`` oracle and ``simulate``'s one-off probe of the
 ASHRAE baseline's fixed decision, because the kernels inline the
-control laws.
+control laws.  The attacker's per-slot capability predicates
+(``can_attack_slot`` / ``can_spoof_zone``) are confined the same way in
+``attack/biota.py`` and ``attack/realtime.py``: the BIoTA attack and the
+visit-feasibility filter read ``slot_mask`` / ``zone_mask`` arrays, and
+only their ``_reference`` oracles test slot by slot.
 """
 
 from __future__ import annotations
@@ -54,17 +58,39 @@ _BATCH_PRIVATE = (
 )
 _BATCH_INTERNAL_PREFIXES = ("_optimize_span", "_shatter_schedule_scalar")
 
-# Where a controller.decide() call may appear, per file, and why the
-# rest of the file must not step the controller slot by slot.
-_DECIDE_CALLERS = {
+# Per-slot scalar methods confined per file: (methods, the functions
+# that may call them, why the rest of the file must not).
+_Confinement = tuple[tuple[str, ...], set[str], str]
+_CAPABILITY_PREDICATES = ("can_attack_slot", "can_spoof_zone")
+_CONFINED_CALLS: dict[str, tuple[_Confinement, ...]] = {
+    "attack/biota.py": (
+        (
+            _CAPABILITY_PREDICATES,
+            {"biota_greedy_attack_reference"},
+            "the BIoTA attack reads the capability's slot_mask()/"
+            "zone_mask() arrays",
+        ),
+    ),
     "attack/realtime.py": (
-        {"execute_attack_reference"},
-        "attack execution must run the deceived loop through simulate()",
+        (
+            ("decide",),
+            {"execute_attack_reference"},
+            "attack execution must run the deceived loop through simulate()",
+        ),
+        (
+            _CAPABILITY_PREDICATES,
+            {"_apply_visit_feasibility_reference"},
+            "visit feasibility reads the capability's slot_mask()/"
+            "zone_mask() arrays",
+        ),
     ),
     "hvac/simulation.py": (
-        {"simulate_reference", "simulate"},
-        "the simulation kernels inline the Eq. 1/2 control laws; only "
-        "simulate()'s one-off ASHRAE probe may ask the controller",
+        (
+            ("decide",),
+            {"simulate_reference", "simulate"},
+            "the simulation kernels inline the Eq. 1/2 control laws; only "
+            "simulate()'s one-off ASHRAE probe may ask the controller",
+        ),
     ),
 }
 
@@ -93,9 +119,10 @@ class HotPathScalarCalls(Rule):
             yield from self._check_fleet_attack(ctx)
         if ctx.match("adm/cluster_model.py"):
             yield from self._check_flag_visits(ctx)
-        for path, (allowed, reason) in _DECIDE_CALLERS.items():
+        for path, confinements in _CONFINED_CALLS.items():
             if ctx.match(path):
-                yield from self._check_decide(ctx, allowed, reason)
+                for methods, allowed, reason in confinements:
+                    yield from self._check_confined(ctx, methods, allowed, reason)
 
     def _check_schedule(self, ctx: FileContext) -> Iterator[Finding]:
         """Call-graph restrictions on the span-DP internals."""
@@ -174,20 +201,24 @@ class HotPathScalarCalls(Rule):
                         "is_benign_visit()",
                     )
 
-    def _check_decide(
-        self, ctx: FileContext, allowed: set[str], reason: str
+    def _check_confined(
+        self,
+        ctx: FileContext,
+        methods: tuple[str, ...],
+        allowed: set[str],
+        reason: str,
     ) -> Iterator[Finding]:
         for call, enclosing in iter_calls_with_enclosing(ctx.tree):
             func = call.func
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr == "decide"
+                and func.attr in methods
                 and enclosing not in allowed
             ):
                 yield self.finding(
                     ctx,
                     call,
-                    f"{reason}; controller.decide() belongs only in "
+                    f"{reason}; .{func.attr}() belongs only in "
                     f"{', '.join(sorted(allowed))} (found one in "
                     f"{enclosing})",
                 )

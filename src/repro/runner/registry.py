@@ -150,7 +150,14 @@ class Experiment:
 
     def resolve(self, days: int | None = None, **overrides: Any) -> dict[str, Any]:
         """Concrete parameters: defaults, then ``--days`` scaling, then
-        explicit overrides."""
+        explicit overrides.
+
+        Every training split (``training_days`` and each entry of
+        ``training_day_values``) must leave at least one training and
+        one evaluation day of the ``n_days`` trace, the bound
+        :func:`~repro.dataset.splits.split_days` enforces mid-run, so a
+        request that could only fail is rejected before any compute.
+        """
         params = self.defaults()
         if days is not None and self.scale_days is not None:
             params.update(self.scale_days(days))
@@ -160,7 +167,23 @@ class Experiment:
                 f"unknown parameter(s) for {self.name!r}: {sorted(unknown)}"
             )
         params.update(overrides)
+        self._check_splits(params)
         return params
+
+    def _check_splits(self, params: dict[str, Any]) -> None:
+        n_days = params.get("n_days")
+        if not isinstance(n_days, int):
+            return
+        splits = [params.get("training_days")]
+        if isinstance(params.get("training_day_values"), (list, tuple)):
+            splits.extend(params["training_day_values"])
+        for split in splits:
+            if isinstance(split, int) and not 1 <= split < n_days:
+                raise ConfigurationError(
+                    f"experiment {self.name!r} cannot train on {split} of "
+                    f"{n_days} days: a training split needs at least one "
+                    "training and one evaluation day"
+                )
 
     # ------------------------------------------------------------------
     # Execution

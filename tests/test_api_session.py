@@ -58,6 +58,10 @@ def test_sweep_validates_parameters_through_resolve(tmp_path):
     session = Session(cache_dir=str(tmp_path / "c"))
     with pytest.raises(ConfigurationError, match="unknown parameter"):
         session.sweep("fig3", grid={"not_a_param": [1, 2]})
+    # One bad point rejects the whole sweep before anything runs.
+    with pytest.raises(ConfigurationError, match="cannot train on 12 of 12 days"):
+        session.sweep("fig10", grid={"training_days": [5, 12]})
+    assert session.runs() == []
 
 
 # ----------------------------------------------------------------------

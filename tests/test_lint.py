@@ -102,6 +102,30 @@ def test_hot_path_confines_simulation_decide_to_the_oracle_and_probe():
     assert "in _simulate_fast)" in finding.message
 
 
+def test_hot_path_confines_capability_predicates_to_the_oracles():
+    """``attack/biota.py`` and ``attack/realtime.py`` may call
+    ``.can_attack_slot(`` / ``.can_spoof_zone(`` only inside their
+    ``_reference`` oracles."""
+    select = ["hot-path-scalar-calls"]
+    good = lint_paths([FIXTURES / "hot_path_capability" / "good"], select=select)
+    assert not good.errors
+    assert good.findings == []
+    bad = lint_paths([FIXTURES / "hot_path_capability" / "bad"], select=select)
+    assert not bad.errors
+    biota, realtime = sorted(bad.findings, key=lambda f: f.path)
+    assert biota.path.endswith("attack/biota.py")
+    assert ".can_attack_slot() belongs only in biota_greedy_attack_reference" in (
+        biota.message
+    )
+    assert "in biota_greedy_attack)" in biota.message
+    assert realtime.path.endswith("attack/realtime.py")
+    assert (
+        ".can_spoof_zone() belongs only in _apply_visit_feasibility_reference"
+        in realtime.message
+    )
+    assert "in _apply_visit_feasibility)" in realtime.message
+
+
 def test_lock_discipline_names_the_lock_and_declaration():
     tree = FIXTURES / "locks" / "bad"
     result = lint_paths([tree], select=["lock-discipline"])

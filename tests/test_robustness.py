@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.adm.cluster_model import AdmParams, ClusterADM
+from repro.attack.biota import BiotaRules, biota_greedy_attack
 from repro.attack.greedy import greedy_schedule
 from repro.attack.model import AttackerCapability
 from repro.attack.schedule import shatter_schedule
@@ -179,3 +180,22 @@ def test_empty_appliance_catalog_home():
     result = simulate(home, trace, DemandControlledHVAC(home))
     assert result.appliance_kwh.sum() == 0.0
     assert result.hvac_kwh.sum() > 0.0
+
+
+def test_biota_rules_accept_a_zero_slot_trace(solo_home):
+    """With no slots there is no rule to break (it used to raise on the
+    empty ``max`` reduction)."""
+    empty = HomeTrace.empty(0, 2, solo_home.n_appliances).occupant_zone
+    rules = BiotaRules()
+    assert rules.occupancy_consistent(empty, empty.copy()) is True
+    assert rules.occupancy_consistent(empty, np.zeros((0, 3), dtype=int)) is False
+    schedule = biota_greedy_attack(
+        solo_home,
+        AttackerCapability.full_access(solo_home),
+        TouPricing(),
+        HomeTrace.empty(0, 1, solo_home.n_appliances),
+    )
+    assert schedule.spoofed_zone.shape == (0, 1)
+    assert rules.occupancy_consistent(
+        schedule.spoofed_zone, schedule.spoofed_zone
+    )

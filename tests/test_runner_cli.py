@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.runner import get_cache
 from repro.runner.registry import experiment_names, experiments_by_tag
 
@@ -77,10 +77,17 @@ def test_cache_info_and_clear(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "graph"])
-def test_run_library_error_prints_one_line(jobs, tmp_path, capsys):
+def test_run_library_error_prints_one_line(jobs, tmp_path, capsys, monkeypatch):
     """A ReproError exits 1 with one stderr line, whether it is raised
     directly (serial) or is the cause of a failed graph task."""
-    argv = ["run", "fig10", "--days", "3", "--jobs", jobs]
+    from repro.runner.experiments import fig03
+
+    def fail(*args, **kwargs):
+        raise DatasetError("need at least one training day")
+
+    # Inside fig3's shard task; forked pool members inherit the patch.
+    monkeypatch.setattr(fig03, "simulate", fail)
+    argv = ["run", "fig3", "--days", "3", "--jobs", jobs]
     assert main([*argv, "--cache-dir", str(tmp_path / "cache")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed: DatasetError: ")
@@ -148,6 +155,14 @@ def test_dry_run_validates_whole_registry(capsys):
         assert name in out
     # Nothing was computed, so nothing was rendered.
     assert "===" not in out
+
+
+def test_dry_run_rejects_a_split_without_evaluation_days(capsys):
+    assert main(["run", "fig10", "--days", "3", "--dry-run"]) == 1
+    captured = capsys.readouterr()
+    assert "shard graphs valid" not in captured.out
+    assert captured.err.startswith("dry-run failed: experiment 'fig10' cannot")
+    assert main(["run", "fig10", "--days", "4", "--dry-run"]) == 0
 
 
 def test_dry_run_reports_graph_shape(capsys):

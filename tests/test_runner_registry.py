@@ -70,6 +70,42 @@ def test_resolve_rejects_unknown_parameters():
         get_experiment("fig3").resolve(bogus=1)
 
 
+# The largest --days each split experiment cannot train and evaluate on.
+LARGEST_BAD_DAYS = {
+    "fig10": 3,
+    "tab5": 3,
+    "tab6": 3,
+    "tab7": 3,
+    "tab4": 4,
+    "fig5": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGEST_BAD_DAYS))
+def test_build_rejects_a_split_without_training_or_evaluation_days(name):
+    from repro.runner import RunRequest
+
+    days = LARGEST_BAD_DAYS[name]
+    with pytest.raises(ConfigurationError, match=f"{name!r} cannot train on"):
+        RunRequest.build(name, days=days)
+    accepted = RunRequest.build(name, days=days + 1)
+    assert accepted.params["n_days"] == days + 1
+
+
+def test_resolve_checks_explicit_splits():
+    fig10, fig5 = get_experiment("fig10"), get_experiment("fig5")
+    with pytest.raises(ConfigurationError, match="cannot train on 12 of 12 days"):
+        fig10.resolve(training_days=12)
+    with pytest.raises(ConfigurationError, match="cannot train on 0 of 12 days"):
+        fig10.resolve(training_days=0)
+    assert fig10.resolve(training_days=11)["training_days"] == 11
+    with pytest.raises(ConfigurationError, match="cannot train on 14 of 14 days"):
+        fig5.resolve(training_day_values=[6, 14])
+    # Experiments without a split, and fleet_attack's scaled split.
+    get_experiment("fig3").resolve(days=1)
+    assert get_experiment("fleet_attack").resolve(days=1)["training_days"] == 1
+
+
 def test_timing_experiments_opt_out_of_caching():
     for name in ("fig11a", "fig11b"):
         exp = get_experiment(name)

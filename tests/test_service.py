@@ -327,7 +327,12 @@ def test_submit_validates_at_the_front_door(fresh_cache, tmp_path):
         with pytest.raises(ServiceError) as info:
             client.submit("fig3", params={"bogus_param": 1})
         assert info.value.status == 400
+        with pytest.raises(ServiceError) as info:
+            client.submit("fig10", days=3)
+        assert info.value.status == 400
+        assert "cannot train on 0 of 3 days" in str(info.value)
         assert client.jobs() == []  # nothing bad was enqueued
+        assert JobStore(plane.session.store.root / JOBS_SUBDIR).list() == []
     finally:
         plane.stop()
 

@@ -20,9 +20,21 @@ import numpy as np
 import pytest
 
 from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend
+from repro.attack.biota import (
+    BiotaRules,
+    biota_greedy_attack,
+    biota_greedy_attack_reference,
+)
+from repro.attack.greedy import greedy_schedule
 from repro.attack.model import AttackerCapability
-from repro.attack.realtime import execute_attack, execute_attack_reference
+from repro.attack.realtime import (
+    _apply_visit_feasibility,
+    _apply_visit_feasibility_reference,
+    execute_attack,
+    execute_attack_reference,
+)
 from repro.attack.schedule import (
+    AttackSchedule,
     ScheduleConfig,
     ScheduleJob,
     _StealthOracle,
@@ -1021,6 +1033,194 @@ def test_reward_tables_shared_through_cache(aras_world):
         ScheduleConfig(),
     )
     assert shifted is not first
+
+
+def _capabilities(home) -> dict[str, AttackerCapability]:
+    """Full access, two zones, one occupant over a slot range that
+    crosses the first day boundary, and only Outside spoofable."""
+    everything = AttackerCapability.full_access(home)
+    return {
+        "full": everything,
+        "two_zones": AttackerCapability.with_zones(home, [1, 2]),
+        "one_occupant_slot_range": replace(
+            everything, occupants=frozenset({0}), slot_range=(1000, 2000)
+        ),
+        "outside_only": replace(everything, zones=frozenset({0})),
+    }
+
+
+@pytest.fixture(scope="module")
+def baseline_homes():
+    """Houses A and B and an 8-zone fleet home, each with a 6-day trace.
+
+    The fleet home repeats activity menus across zones, so its reward
+    table ties zones at every minute and the stable rank order decides.
+    """
+    house_a, house_b = build_house_a(), build_house_b()
+    ((fleet_home, fleet_trace),) = generate_home_fleet(
+        1, n_zones=8, n_days=6, seed=3
+    )
+    return {
+        "house_a": (
+            house_a,
+            generate_house_trace(
+                house_a, house="A", config=SyntheticConfig(n_days=6, seed=41)
+            ),
+        ),
+        "house_b": (
+            house_b,
+            generate_house_trace(
+                house_b, house="B", config=SyntheticConfig(n_days=6, seed=42)
+            ),
+        ),
+        "fleet_8_zones": (fleet_home, fleet_trace),
+    }
+
+
+def _assert_schedules_identical(fast, reference) -> None:
+    assert np.array_equal(fast.spoofed_zone, reference.spoofed_zone)
+    assert np.array_equal(fast.spoofed_activity, reference.spoofed_activity)
+    assert fast.expected_reward == reference.expected_reward
+    assert type(fast.expected_reward) is type(reference.expected_reward)
+
+
+@pytest.mark.parametrize("n_days", [0, 1, 3, 6])
+@pytest.mark.parametrize("home_name", ["house_a", "house_b", "fleet_8_zones"])
+def test_biota_greedy_attack_matches_reference(baseline_homes, home_name, n_days):
+    home, trace = baseline_homes[home_name]
+    evaluation = trace.slice_slots(0, n_days * 1440)
+    pricing = TouPricing()
+    for capacity in (4, 1):
+        rules = BiotaRules(zone_capacity=capacity)
+        for name, capability in _capabilities(home).items():
+            fast = biota_greedy_attack(
+                home, capability, pricing, evaluation, rules=rules
+            )
+            reference = biota_greedy_attack_reference(
+                home, capability, pricing, evaluation, rules=rules
+            )
+            _assert_schedules_identical(fast, reference)
+            if n_days and name == "full":
+                assert isinstance(fast.expected_reward, np.float64)
+                assert fast.expected_reward > 0
+            if name == "outside_only" or not n_days:
+                assert fast.expected_reward == 0.0
+                assert np.array_equal(fast.spoofed_zone, evaluation.occupant_zone)
+
+
+def test_biota_fleet_home_ties_rewards(baseline_homes):
+    """The fleet home ties zones' rewards at every minute: an occupant
+    takes the lowest tied zone id, and at capacity 1 the next occupant
+    is pushed to its tied twin."""
+    from repro.attack.schedule import _day_rewards
+
+    home, trace = baseline_homes["fleet_8_zones"]
+    zones = np.arange(1, home.n_zones)
+    rewards = [
+        _day_rewards(
+            home,
+            occupant,
+            zones.tolist(),
+            TouPricing(),
+            ControllerConfig(),
+            ScheduleConfig(),
+            0,
+        )[0]
+        for occupant in (0, 1)
+    ]
+    assert len(np.unique(rewards[0][zones, 0])) < len(zones)
+    schedule = biota_greedy_attack(
+        home,
+        AttackerCapability.full_access(home),
+        TouPricing(),
+        trace,
+        rules=BiotaRules(zone_capacity=1),
+    )
+    minute = np.arange(trace.n_slots) % 1440
+    top = zones[rewards[0][zones].argmax(axis=0)][minute]  # lowest tied id
+    actual, spoofed = trace.occupant_zone, schedule.spoofed_zone
+    free = (actual[:, 0] != 0) & (actual[:, 1] != top)
+    assert free.any()
+    assert np.array_equal(spoofed[free, 0], top[free])
+    pushed = free & (actual[:, 1] != 0) & (spoofed[:, 1] != spoofed[:, 0])
+    tied = rewards[1][spoofed[:, 1], minute] == rewards[1][spoofed[:, 0], minute]
+    assert (pushed & tied).any()
+
+
+def _random_schedule(rng, actual, n_zones: int, n_activities: int) -> AttackSchedule:
+    """Random-length runs of random zones (some outside the home) and
+    activities; about a third of the runs copy reality."""
+    zone = actual.occupant_zone.copy()
+    activity = actual.occupant_activity.copy()
+    n_slots, n_occupants = zone.shape
+    for occupant in range(n_occupants):
+        start = 0
+        while start < n_slots:
+            end = min(n_slots, start + int(rng.integers(1, 240)))
+            if rng.random() < 2 / 3:
+                zone[start:end, occupant] = int(rng.integers(0, n_zones + 2))
+                activity[start:end, occupant] = rng.integers(
+                    1, n_activities + 1, size=end - start
+                )
+            start = end
+    return AttackSchedule(
+        spoofed_zone=zone, spoofed_activity=activity, expected_reward=0.0
+    )
+
+
+def _assert_feasibility_identical(schedule, actual, capability) -> None:
+    fast = _apply_visit_feasibility(schedule, actual, capability)
+    reference = _apply_visit_feasibility_reference(schedule, actual, capability)
+    assert np.array_equal(fast[0], reference[0])
+    assert np.array_equal(fast[1], reference[1])
+    assert fast[2] == reference[2]
+
+
+def test_visit_feasibility_matches_reference_on_attack_schedules(aras_world):
+    home, adm, evaluation = aras_world
+    pricing = TouPricing()
+    everything = AttackerCapability.full_access(home)
+    schedules = {
+        "shatter": shatter_schedule(home, adm, everything, pricing, evaluation),
+        "greedy": greedy_schedule(home, adm, everything, pricing, evaluation),
+        "biota": biota_greedy_attack(home, everything, pricing, evaluation),
+    }
+    fractions = set()
+    for schedule in schedules.values():
+        for capability in _capabilities(home).values():
+            _assert_feasibility_identical(schedule, evaluation, capability)
+            fractions.add(
+                _apply_visit_feasibility(schedule, evaluation, capability)[2]
+            )
+    assert 1.0 in fractions and len(fractions) > 2
+
+
+@pytest.mark.parametrize("n_slots", [0, 1, 2 * 1440])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_visit_feasibility_matches_reference_on_random_schedules(
+    baseline_homes, n_slots, seed
+):
+    rng = np.random.default_rng(seed)
+    for home, trace in baseline_homes.values():
+        actual = trace.slice_slots(0, n_slots)
+        schedule = _random_schedule(rng, actual, home.n_zones, len(home.activities))
+        for capability in _capabilities(home).values():
+            _assert_feasibility_identical(schedule, actual, capability)
+
+
+def test_capability_masks_match_scalar_predicates(baseline_homes):
+    home, _ = baseline_homes["house_a"]
+    zone_ids = np.arange(-2, home.n_zones + 3)
+    for capability in _capabilities(home).values():
+        for n_slots in (0, 1, 2 * 1440):
+            assert capability.slot_mask(n_slots).tolist() == [
+                capability.can_attack_slot(t) for t in range(n_slots)
+            ]
+        assert capability.zone_mask(zone_ids).tolist() == [
+            capability.can_spoof_zone(int(z)) for z in zone_ids
+        ]
+        grid = zone_ids.reshape(-1, 1)
+        assert capability.zone_mask(grid).shape == grid.shape
 
 
 def test_hot_path_lint_rule_is_clean():
