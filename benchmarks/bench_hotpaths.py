@@ -52,9 +52,14 @@ from repro.attack.realtime import (  # noqa: E402
     execute_attack,
     execute_attack_reference,
 )
-from repro.attack.schedule import ScheduleConfig, shatter_schedule  # noqa: E402
+from repro.attack.schedule import (  # noqa: E402
+    ScheduleConfig,
+    _StealthOracle,
+    shatter_schedule,
+)
 from repro.dataset.splits import split_days  # noqa: E402
 from repro.dataset.synthetic import SyntheticConfig, generate_house_trace  # noqa: E402
+from repro.errors import AttackError  # noqa: E402
 from repro.geometry import (  # noqa: E402
     point_in_hull,
     points_in_hulls,
@@ -101,6 +106,214 @@ def _results_equal(a, b) -> bool:
         np.array_equal(getattr(a, f), getattr(b, f))
         for f in ("airflow_cfm", "co2_ppm", "temperature_f", "hvac_kwh", "appliance_kwh")
     )
+
+
+def _optimize_span_vector(
+    zones: list[int],
+    rewards: np.ndarray,
+    oracle: _StealthOracle,
+    config: ScheduleConfig,
+    start: int,
+    end: int,
+    forbidden_first: int | None,
+    forbidden_last: int | None,
+) -> tuple[list[int], float] | None:
+    """Frozen copy of the per-span DP engine, the "before" arm's solver.
+
+    Before every ``vector`` span ran through
+    ``repro.attack.schedule._optimize_spans_batch``, the pre-batching
+    per-(home, day) loop solved each span here, and the
+    ``shatter_schedule_batch`` floor was set against this code.  The
+    body is the engine's, except that ``entry_any`` is derived from
+    ``oracle.entry``, which the oracle no longer precomputes.
+
+    DP states are flat parallel arrays in canonical (arrival, zone)
+    order — ``zone``/``arrival``/``value`` plus, gathered once at state
+    creation from the oracle's tables, the state's death slot (last slot
+    its zone can still be occupied) and its merged exit-interval bounds.
+    One slot advance is: a stay-survivor mask against the death slots,
+    one interval test for exit eligibility, and two ``argmax`` calls
+    (the best exit-eligible state, and the best outside that state's
+    zone) that decide every transition's parent — ``argmax`` returns the
+    first maximum, which in canonical order is exactly the reference
+    engine's tie-break.  Parent pointers are recorded per slot in index
+    arrays; the winning path is materialised by one backward walk.
+
+    Produces bit-identical ``(path, value)`` results to the reference
+    engine; the arm asserts its schedules equal the batched engine's.
+    """
+    entry = oracle.entry
+    max_int = oracle.max_int
+    width = oracle.lo.shape[2]
+    beam = config.beam_width
+    n_zones = len(zones)
+    minus_inf = -np.inf
+
+    init = [
+        z for z in zones if z != forbidden_first and entry[z, start]
+    ]
+    if not init:
+        return None
+
+    # Preallocated state columns.  States are append-only between beam
+    # prunes (which compact); a state whose zone can no longer be
+    # occupied is not removed but marked value = -inf, which keeps it
+    # out of every later argmax exactly as removal would — so indices
+    # into these columns stay stable for the parent pointers.
+    capacity = beam + (config.window + 1) * n_zones + len(init)
+    zone = np.zeros(capacity, dtype=np.int64)
+    stay_len = np.zeros(capacity, dtype=np.int64)  # t - arrival, kept current
+    value = np.zeros(capacity)
+    death = np.zeros(capacity, dtype=np.int64)
+    exit_lo = np.zeros((capacity, width))
+    exit_hi = np.zeros((capacity, width))
+
+    n = len(init)
+    init_arr = np.array(init, dtype=np.int64)
+    zone[:n] = init_arr
+    stay_len[:n] = 0
+    # The entry slot's occupancy reward is collected up front (the
+    # reference adds rewards[zone, start] to the zero-valued entries).
+    value[:n] = 0.0 + rewards[init_arr, start]
+    death[:n] = start + max_int[init_arr, start] - 1
+    exit_lo[:n] = oracle.lo[init_arr, start]
+    exit_hi[:n] = oracle.hi[init_arr, start]
+    # Path records, walked backwards at the end.  Slot records are
+    # (n_prev, born_parents, born_parent_zones): states below n_prev
+    # stayed put; born state i continues the path of born_parents[i],
+    # whose zone at birth time was born_parent_zones[i].  Prune records
+    # are (order,) mapping post-prune to pre-prune indices.
+    slot_records: list[tuple] = []
+
+    # ``min_death``/``max_death`` track, as plain ints, the earliest and
+    # latest slots any current state's zone feasibility runs out: the
+    # per-slot death scan is skipped entirely until t reaches min_death,
+    # and total extinction (the reference's empty-dict early return) is
+    # detected by t outrunning max_death.
+    min_death = int(death[:n].min())
+    max_death = int(death[:n].max())
+    entry_any = oracle.entry.any(axis=0)
+    flat = width == 1
+    lo1 = exit_lo[:, 0]
+    hi1 = exit_hi[:, 0]
+
+    first = True
+    for window_start in range(start, end, config.window):
+        window_end = min(window_start + config.window, end)
+        slots = range(window_start, window_end)
+        if first:
+            slots = range(start + 1, window_end)
+            first = False
+        for t in slots:
+            zs = zone[:n]
+            vs = value[:n]
+            ss = stay_len[:n]
+            ss += 1
+            born_zones: list[int] = []
+            born_parents: list[int] = []
+            exit_value: np.ndarray | None = None
+            if entry_any[t]:
+                # Every live state arrived at t-1 or earlier, so the
+                # reference's stay_so_far >= 1 exit precondition always
+                # holds here; only the interval membership is live.
+                if flat:
+                    exits = (lo1[:n] <= ss) & (ss <= hi1[:n])
+                else:
+                    exits = (
+                        (exit_lo[:n] <= ss[:, None])
+                        & (ss[:, None] <= exit_hi[:n])
+                    ).any(axis=1)
+                exit_value = np.where(exits, vs, minus_inf)
+                best = int(np.argmax(exit_value))
+                if exit_value[best] != minus_inf:
+                    best_zone = int(zs[best])
+                    other = np.where(zs == best_zone, minus_inf, exit_value)
+                    second = int(np.argmax(other))
+                    second_ok = other[second] != minus_inf
+                    entry_t = entry[:, t]
+                    for z_new in zones:
+                        if not entry_t[z_new]:
+                            continue
+                        if z_new != best_zone:
+                            pick = best
+                        elif second_ok:
+                            pick = second
+                        else:
+                            continue
+                        born_zones.append(z_new)
+                        born_parents.append(pick)
+            # Stay option: collect the slot reward, or die at -inf when
+            # the zone's maxStay is exhausted (dead stays dead: -inf
+            # plus any reward is still -inf).
+            vs += rewards[zs, t]
+            if t > min_death:
+                vs[death[:n] < t] = minus_inf
+            if born_zones:
+                born = np.array(born_zones, dtype=np.int64)
+                parents = np.array(born_parents, dtype=np.int64)
+                m = len(born)
+                zone[n : n + m] = born
+                stay_len[n : n + m] = 0
+                value[n : n + m] = exit_value[parents] + rewards[born, t]
+                born_death = t + max_int[born, t] - 1
+                death[n : n + m] = born_death
+                exit_lo[n : n + m] = oracle.lo[born, t]
+                exit_hi[n : n + m] = oracle.hi[born, t]
+                slot_records.append((n, parents, zs[parents]))
+                n += m
+                min_death = min(min_death, int(born_death.min()))
+                max_death = max(max_death, int(born_death.max()))
+            elif t > max_death:
+                return None  # every state died with no way out
+            else:
+                slot_records.append((n, None, None))
+        if n > beam:
+            order = np.argsort(-value[:n], kind="stable")[:beam]
+            order.sort()  # positions ascending == canonical (arrival, zone)
+            zone[: len(order)] = zone[order]
+            stay_len[: len(order)] = stay_len[order]
+            value[: len(order)] = value[order]
+            death[: len(order)] = death[order]
+            exit_lo[: len(order)] = exit_lo[order]
+            exit_hi[: len(order)] = exit_hi[order]
+            slot_records.append(("prune", order))
+            n = len(order)
+
+    # stay_len is t - arrival for the last advanced slot t = end - 1, so
+    # the forced-exit stay at the span boundary is one minute longer.
+    final_stay = stay_len[:n] + 1
+    finish = (
+        (exit_lo[:n] <= final_stay[:, None])
+        & (final_stay[:, None] <= exit_hi[:n])
+    ).any(axis=1)
+    if forbidden_last is not None:
+        finish &= zone[:n] != forbidden_last
+    finish_value = np.where(finish, value[:n], minus_inf)
+    winner = int(np.argmax(finish_value))
+    if finish_value[winner] == minus_inf:
+        return None
+
+    path: list[int] = []
+    index = winner
+    zone_now = int(zone[index])
+    for record in reversed(slot_records):
+        if record[0] == "prune":
+            index = int(record[1][index])
+            continue
+        n_prev, parents, parent_zones = record
+        path.append(zone_now)
+        if parents is not None and index >= n_prev:
+            offset = index - n_prev
+            zone_now = int(parent_zones[offset])
+            index = int(parents[offset])
+    path.append(zone_now)  # the entry slot emitted by the initial states
+    path.reverse()
+    if len(path) != end - start:
+        raise AttackError(
+            f"internal scheduling error: path length {len(path)} "
+            f"for span [{start}, {end})"
+        )
+    return path, float(finish_value[winner])
 
 
 def bench(smoke: bool) -> dict:
@@ -243,27 +456,33 @@ def bench(smoke: bool) -> dict:
         # The pre-batching code path: one vector-engine schedule per
         # (home, day), rebuilding the stealth oracles and reward tables
         # each call exactly as the per-day driver did before the batch
-        # engine (no oracle memo hits, no shared reward-table cache).
+        # engine (no oracle memo hits, no shared reward-table cache),
+        # with every span solved by the frozen per-span engine.
         out = []
-        with cache_disabled():
-            for job in fleet_jobs:
-                days = []
-                for day in range(eval_days):
-                    schedule_mod._ORACLE_MEMO.clear()
-                    days.append(
-                        _shatter_schedule_scalar(
-                            job.home,
-                            job.adm,
-                            job.capability,
-                            job.pricing,
-                            job.actual_trace.slice_slots(
-                                day * 1440, (day + 1) * 1440
-                            ),
-                            loop_controller,
-                            loop_config,
+        span_solver = schedule_mod._optimize_span
+        schedule_mod._optimize_span = _optimize_span_vector
+        try:
+            with cache_disabled():
+                for job in fleet_jobs:
+                    days = []
+                    for day in range(eval_days):
+                        schedule_mod._ORACLE_MEMO.clear()
+                        days.append(
+                            _shatter_schedule_scalar(
+                                job.home,
+                                job.adm,
+                                job.capability,
+                                job.pricing,
+                                job.actual_trace.slice_slots(
+                                    day * 1440, (day + 1) * 1440
+                                ),
+                                loop_controller,
+                                loop_config,
+                            )
                         )
-                    )
-                out.append(days)
+                    out.append(days)
+        finally:
+            schedule_mod._optimize_span = span_solver
         return out
 
     # Warm the oracle memo and the shared reward-table cache once so
@@ -292,8 +511,9 @@ def bench(smoke: bool) -> dict:
     results["shatter_schedule_batch"] = {
         "workload": (
             f"{fleet_homes}-home fleet x {eval_days} evaluation days, "
-            "pre-batching per-(home, day) vector DP loop (fresh oracle "
-            "and reward tables per call) vs one batched array program"
+            "pre-batching per-(home, day) loop on the frozen per-span DP "
+            "engine (fresh oracle and reward tables per call) vs one "
+            "batched array program"
         ),
         "before_s": before_s,
         "after_s": after_s,

@@ -15,13 +15,13 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend
 from repro.adm.tuning import best_by_davies_bouldin, sweep_dbscan_min_pts
-from repro.analysis.experiments import evaluate_adm_on_attacked
 from repro.attack.biota import biota_attack_samples
 from repro.core.report import format_table
 from repro.dataset.splits import split_days
 from repro.dataset.synthetic import SyntheticConfig, generate_house_trace
 from repro.home.builder import build_house_a
 from repro.hvac.pricing import TouPricing
+from repro.runner.common import evaluate_adm_on_attacked
 
 
 def main() -> None:

@@ -15,9 +15,11 @@ and execute a stealthy attack, read the report::
 Subsystem entry points live in their packages: :mod:`repro.home`,
 :mod:`repro.dataset`, :mod:`repro.adm`, :mod:`repro.hvac`,
 :mod:`repro.attack`, :mod:`repro.defense`, :mod:`repro.testbed`,
-:mod:`repro.smt`, :mod:`repro.analysis`.  Programs driving whole
-experiment runs (sweeps, run history) should go through
-:mod:`repro.api` — the session layer the ``repro`` CLI itself sits on.
+:mod:`repro.smt`.  The paper's tables and figures are registered
+experiments in :mod:`repro.runner.experiments` (one ``run_*`` function
+each).  Programs driving whole experiment runs (sweeps, run history)
+should go through :mod:`repro.api` — the session layer the ``repro``
+CLI itself sits on.
 """
 
 from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend

@@ -8,15 +8,18 @@ inside an ADM cluster hull (Eq. 20), staying never exceeding ``maxStay``
 
 The optimization is windowed, exactly as the paper describes: the
 NP-hard full-day problem (O(|Z|^|T|)) is solved optimally inside
-windows of ``I`` slots and the window solutions are merged.  Three
-engines compute the same windowed optimum:
+windows of ``I`` slots and the window solutions are merged.  One
+production engine and its scalar oracles compute the same windowed
+optimum:
 
-* the default ``vector`` engine — a table-driven array program: all
-  per-(zone, arrival) stay feasibility is precomputed for the full day
-  (:meth:`ClusterADM.stay_table`), DP states live in flat index arrays
-  in canonical (arrival, zone) order, and each slot advance is a
-  handful of numpy operations with parent pointers kept in index
-  arrays;
+* the default ``vector`` engine — a table-driven array program
+  (:func:`_optimize_spans_batch`) that advances many spans as the rows
+  of one program: all per-(zone, arrival) stay feasibility is
+  precomputed for the full day (:meth:`ClusterADM.stay_table`), DP
+  states live in ``[rows, states]`` index arrays in canonical
+  (arrival, zone) order, and each slot advance is a handful of numpy
+  operations with parent pointers kept in index arrays.  A single span
+  is a one-row batch;
 * the ``reference`` engine — the scalar dict-based dynamic program over
   (zone, arrival) states, kept as the bit-exact oracle the equivalence
   property tests compare against; and
@@ -73,9 +76,10 @@ class ScheduleConfig:
         exhaustive: Use the exponential path-enumeration engine instead
             of the DP (same answer, Fig. 11 cost profile).
         outdoor_temperature_f: Weather assumed when pricing airflow.
-        engine: DP implementation — ``"vector"`` (the table-driven array
-            program, default) or ``"reference"`` (the scalar dict DP kept
-            as the equivalence oracle).  Ignored when ``exhaustive``.
+        engine: DP implementation — ``"vector"`` (the batched
+            table-driven array program, default) or ``"reference"`` (the
+            scalar dict DP kept as the equivalence oracle).  Ignored when
+            ``exhaustive``.
     """
 
     window: int = 10
@@ -174,9 +178,6 @@ class _StealthOracle:
             -1.0,
         ).astype(np.int64)
         self.entry = self.max_int >= 0
-        # Any zone enterable at each minute: lets the DP skip the whole
-        # transition branch on slots where no visit can start.
-        self.entry_any = self.entry.any(axis=0)
         self.lo = lows - _EPS
         self.hi = highs + _EPS
         self._tables = tables
@@ -560,19 +561,22 @@ def _optimize_span(
     midnight exit rule.
 
     Returns ``(zone_per_slot, value)`` with ``end - start`` entries, or
-    ``None`` when no stealthy span schedule exists.
+    ``None`` when no stealthy span schedule exists.  The ``vector``
+    engine solves the span as a one-row :func:`_optimize_spans_batch`.
     """
     if not config.exhaustive and config.engine == "vector":
-        return _optimize_span_vector(
-            zones,
-            rewards,
+        task = _SpanTask(
             oracle,
+            rewards,
+            tuple(zones),
+            start,
+            end,
+            forbidden_first,
+            forbidden_last,
             config,
-            start=start,
-            end=end,
-            forbidden_first=forbidden_first,
-            forbidden_last=forbidden_last,
         )
+        with kernel_timer(SCHEDULE_DP_BATCH):
+            return _optimize_spans_batch([task], zones, config, start, end)[0]
     states = _span_initial_states(oracle, zones, start, forbidden_first)
     if not states:
         return None
@@ -613,207 +617,6 @@ def _optimize_span(
             f"for span [{start}, {end})"
         )
     return path, value
-
-
-def _optimize_span_vector(
-    zones: list[int],
-    rewards: np.ndarray,
-    oracle: _StealthOracle,
-    config: ScheduleConfig,
-    start: int,
-    end: int,
-    forbidden_first: int | None,
-    forbidden_last: int | None,
-) -> tuple[list[int], float] | None:
-    """Array-program implementation of :func:`_optimize_span`.
-
-    DP states are flat parallel arrays in canonical (arrival, zone)
-    order — ``zone``/``arrival``/``value`` plus, gathered once at state
-    creation from the oracle's tables, the state's death slot (last slot
-    its zone can still be occupied) and its merged exit-interval bounds.
-    One slot advance is: a stay-survivor mask against the death slots,
-    one interval test for exit eligibility, and two ``argmax`` calls
-    (the best exit-eligible state, and the best outside that state's
-    zone) that decide every transition's parent — ``argmax`` returns the
-    first maximum, which in canonical order is exactly the reference
-    engine's tie-break.  Parent pointers are recorded per slot in index
-    arrays; the winning path is materialised by one backward walk.
-
-    Produces bit-identical ``(path, value)`` results to the reference
-    engine (property-tested).
-    """
-    entry = oracle.entry
-    max_int = oracle.max_int
-    width = oracle.lo.shape[2]
-    beam = config.beam_width
-    n_zones = len(zones)
-    minus_inf = -np.inf
-
-    init = [
-        z for z in zones if z != forbidden_first and entry[z, start]
-    ]
-    if not init:
-        return None
-
-    # Preallocated state columns.  States are append-only between beam
-    # prunes (which compact); a state whose zone can no longer be
-    # occupied is not removed but marked value = -inf, which keeps it
-    # out of every later argmax exactly as removal would — so indices
-    # into these columns stay stable for the parent pointers.
-    capacity = beam + (config.window + 1) * n_zones + len(init)
-    zone = np.zeros(capacity, dtype=np.int64)
-    stay_len = np.zeros(capacity, dtype=np.int64)  # t - arrival, kept current
-    value = np.zeros(capacity)
-    death = np.zeros(capacity, dtype=np.int64)
-    exit_lo = np.zeros((capacity, width))
-    exit_hi = np.zeros((capacity, width))
-
-    n = len(init)
-    init_arr = np.array(init, dtype=np.int64)
-    zone[:n] = init_arr
-    stay_len[:n] = 0
-    # The entry slot's occupancy reward is collected up front (the
-    # reference adds rewards[zone, start] to the zero-valued entries).
-    value[:n] = 0.0 + rewards[init_arr, start]
-    death[:n] = start + max_int[init_arr, start] - 1
-    exit_lo[:n] = oracle.lo[init_arr, start]
-    exit_hi[:n] = oracle.hi[init_arr, start]
-    # Path records, walked backwards at the end.  Slot records are
-    # (n_prev, born_parents, born_parent_zones): states below n_prev
-    # stayed put; born state i continues the path of born_parents[i],
-    # whose zone at birth time was born_parent_zones[i].  Prune records
-    # are (order,) mapping post-prune to pre-prune indices.
-    slot_records: list[tuple] = []
-
-    # ``min_death``/``max_death`` track, as plain ints, the earliest and
-    # latest slots any current state's zone feasibility runs out: the
-    # per-slot death scan is skipped entirely until t reaches min_death,
-    # and total extinction (the reference's empty-dict early return) is
-    # detected by t outrunning max_death.
-    min_death = int(death[:n].min())
-    max_death = int(death[:n].max())
-    entry_any = oracle.entry_any
-    flat = width == 1
-    lo1 = exit_lo[:, 0]
-    hi1 = exit_hi[:, 0]
-
-    first = True
-    for window_start in range(start, end, config.window):
-        window_end = min(window_start + config.window, end)
-        slots = range(window_start, window_end)
-        if first:
-            slots = range(start + 1, window_end)
-            first = False
-        for t in slots:
-            zs = zone[:n]
-            vs = value[:n]
-            ss = stay_len[:n]
-            ss += 1
-            born_zones: list[int] = []
-            born_parents: list[int] = []
-            exit_value: np.ndarray | None = None
-            if entry_any[t]:
-                # Every live state arrived at t-1 or earlier, so the
-                # reference's stay_so_far >= 1 exit precondition always
-                # holds here; only the interval membership is live.
-                if flat:
-                    exits = (lo1[:n] <= ss) & (ss <= hi1[:n])
-                else:
-                    exits = (
-                        (exit_lo[:n] <= ss[:, None])
-                        & (ss[:, None] <= exit_hi[:n])
-                    ).any(axis=1)
-                exit_value = np.where(exits, vs, minus_inf)
-                best = int(np.argmax(exit_value))
-                if exit_value[best] != minus_inf:
-                    best_zone = int(zs[best])
-                    other = np.where(zs == best_zone, minus_inf, exit_value)
-                    second = int(np.argmax(other))
-                    second_ok = other[second] != minus_inf
-                    entry_t = entry[:, t]
-                    for z_new in zones:
-                        if not entry_t[z_new]:
-                            continue
-                        if z_new != best_zone:
-                            pick = best
-                        elif second_ok:
-                            pick = second
-                        else:
-                            continue
-                        born_zones.append(z_new)
-                        born_parents.append(pick)
-            # Stay option: collect the slot reward, or die at -inf when
-            # the zone's maxStay is exhausted (dead stays dead: -inf
-            # plus any reward is still -inf).
-            vs += rewards[zs, t]
-            if t > min_death:
-                vs[death[:n] < t] = minus_inf
-            if born_zones:
-                born = np.array(born_zones, dtype=np.int64)
-                parents = np.array(born_parents, dtype=np.int64)
-                m = len(born)
-                zone[n : n + m] = born
-                stay_len[n : n + m] = 0
-                value[n : n + m] = exit_value[parents] + rewards[born, t]
-                born_death = t + max_int[born, t] - 1
-                death[n : n + m] = born_death
-                exit_lo[n : n + m] = oracle.lo[born, t]
-                exit_hi[n : n + m] = oracle.hi[born, t]
-                slot_records.append((n, parents, zs[parents]))
-                n += m
-                min_death = min(min_death, int(born_death.min()))
-                max_death = max(max_death, int(born_death.max()))
-            elif t > max_death:
-                return None  # every state died with no way out
-            else:
-                slot_records.append((n, None, None))
-        if n > beam:
-            order = np.argsort(-value[:n], kind="stable")[:beam]
-            order.sort()  # positions ascending == canonical (arrival, zone)
-            zone[: len(order)] = zone[order]
-            stay_len[: len(order)] = stay_len[order]
-            value[: len(order)] = value[order]
-            death[: len(order)] = death[order]
-            exit_lo[: len(order)] = exit_lo[order]
-            exit_hi[: len(order)] = exit_hi[order]
-            slot_records.append(("prune", order))
-            n = len(order)
-
-    # stay_len is t - arrival for the last advanced slot t = end - 1, so
-    # the forced-exit stay at the span boundary is one minute longer.
-    final_stay = stay_len[:n] + 1
-    finish = (
-        (exit_lo[:n] <= final_stay[:, None])
-        & (final_stay[:, None] <= exit_hi[:n])
-    ).any(axis=1)
-    if forbidden_last is not None:
-        finish &= zone[:n] != forbidden_last
-    finish_value = np.where(finish, value[:n], minus_inf)
-    winner = int(np.argmax(finish_value))
-    if finish_value[winner] == minus_inf:
-        return None
-
-    path: list[int] = []
-    index = winner
-    zone_now = int(zone[index])
-    for record in reversed(slot_records):
-        if record[0] == "prune":
-            index = int(record[1][index])
-            continue
-        n_prev, parents, parent_zones = record
-        path.append(zone_now)
-        if parents is not None and index >= n_prev:
-            offset = index - n_prev
-            zone_now = int(parent_zones[offset])
-            index = int(parents[offset])
-    path.append(zone_now)  # the entry slot emitted by the initial states
-    path.reverse()
-    if len(path) != end - start:
-        raise AttackError(
-            f"internal scheduling error: path length {len(path)} "
-            f"for span [{start}, {end})"
-        )
-    return path, float(finish_value[winner])
 
 
 def _accessible_segments(
@@ -970,7 +773,6 @@ class _SpanTask:
     forbidden_last: int | None
     config: ScheduleConfig
     outcome: tuple[list[int], float] | None = None
-    solved: bool = False
 
 
 def _solve_span_tasks(tasks: list[_SpanTask]) -> None:
@@ -978,9 +780,8 @@ def _solve_span_tasks(tasks: list[_SpanTask]) -> None:
 
     Tasks sharing ``(start, end, zones, window, beam)`` advance through
     :func:`_optimize_spans_batch` as rows of one array program — all
-    attackable days of all occupants of all homes together; a group of
-    one routes straight to :func:`_optimize_span_vector` (no batch
-    overhead on the single-span path).  Failures get the same one-shot
+    attackable days of all occupants of all homes together, and a group
+    of one as a one-row batch.  Failures get the same one-shot
     4x-wider-beam retry as :func:`_optimize_span_with_retry`, again
     batched.
     """
@@ -998,28 +799,12 @@ def _solve_task_wave(tasks: list[_SpanTask], widen: bool) -> None:
         groups.setdefault(key, []).append(task)
     for (start, end, zones, window, beam), members in groups.items():
         solve_config = ScheduleConfig(window=window, beam_width=beam)
-        if len(members) == 1:
-            task = members[0]
-            with kernel_timer(SCHEDULE_DP):
-                task.outcome = _optimize_span_vector(
-                    list(zones),
-                    task.rewards,
-                    task.oracle,
-                    solve_config,
-                    start=start,
-                    end=end,
-                    forbidden_first=task.forbidden_first,
-                    forbidden_last=task.forbidden_last,
-                )
-        else:
-            with kernel_timer(SCHEDULE_DP_BATCH):
-                outcomes = _optimize_spans_batch(
-                    members, list(zones), solve_config, start, end
-                )
-            for task, outcome in zip(members, outcomes):
-                task.outcome = outcome
-        for task in members:
-            task.solved = True
+        with kernel_timer(SCHEDULE_DP_BATCH):
+            outcomes = _optimize_spans_batch(
+                members, list(zones), solve_config, start, end
+            )
+        for task, outcome in zip(members, outcomes):
+            task.outcome = outcome
 
 
 # Dead-state death sentinel of the batched DP: placeholder states (an
@@ -1035,32 +820,51 @@ def _optimize_spans_batch(
     start: int,
     end: int,
 ) -> list[tuple[list[int], float] | None]:
-    """Batched :func:`_optimize_span_vector`: one row per span task.
+    """The ``vector`` engine: one row of one array program per span task.
 
-    Every state column of the single-span engine gains a leading row
-    axis ``[B, capacity]`` and each slot advance runs once for the whole
-    batch.  Bit-identity with the per-task engine holds because:
+    Each row is the :func:`_optimize_span` problem of its task over
+    ``[start, end)``.  DP states are ``[B, capacity]`` columns — group
+    zone position, stay, value, death slot (the last slot the zone can
+    still be occupied) and merged exit-interval bounds — and each slot
+    advance runs once for the whole batch.  Results are bit-identical
+    to the reference dict DP (:func:`_advance_slot` /
+    :func:`_prune_beam`) because:
 
-    * born blocks are position-uniform — every group zone gets a slot in
-      ascending zone order in *every* row, with rows where the birth is
-      invalid (no entry, no eligible parent) holding a dead ``-inf``
-      placeholder.  Dead states never win an ``argmax``, never finish,
-      and stay ``-inf`` under reward addition, exactly like the
-      single-span engine's death-marked states — so the *relative*
-      canonical (arrival, zone) order of the live states is the same in
-      both layouts and every argmax tie-break picks the same state;
-    * the beam prune ranks with the same stable value sort; dead
-      placeholders sort last, so the surviving live states (and their
-      canonical order) match the per-task prune.  A row may prune at a
-      slot where alone it would not have (the position count is shared),
-      dropping only dead placeholders — unobservable in the output;
-    * rewards are added in the same order and with the same shapes, so
-      every float operation is identical.
+    * states keep the reference's canonical (arrival, zone) order: the
+      entry block and every born block hold one position per group zone,
+      in the order of ``zones``.  A state the reference would not hold
+      (not enterable, no eligible parent, ``maxStay`` exhausted) is a
+      dead ``-inf`` entry; it never wins an ``argmax``, never finishes,
+      and stays ``-inf`` under reward addition.  So every ``argmax``
+      (which returns the first maximum) picks the state the reference's
+      strict ``>`` scan picks: the best exit-eligible state, and the
+      best outside its zone for a transition into that zone;
+    * the beam prune reproduces the stable value sort plus canonical
+      re-sort of :func:`_prune_beam`.  Dead states sort last, so a row
+      that prunes where the reference would not (the position count is
+      shared and counts dead states) drops only dead states;
+    * rewards are added in the same order, so every float operation is
+      identical.
 
-    The oracle/reward tables are stacked once per distinct
-    ``(oracle, rewards)`` pair and gathered per row, so memory scales
-    with occupants, not with ``occupants x days``.
+    A row with no enterable first zone gets ``None`` before any table is
+    stacked, as the reference returns on an empty initial state set,
+    and a call with no live row returns at once.  The oracle/reward
+    tables are stacked once per distinct ``(oracle, rewards)`` pair and
+    gathered per row, so memory scales with occupants, not with
+    ``occupants x days``.
     """
+    outcomes: list[tuple[list[int], float] | None] = [None] * len(tasks)
+    live_rows = [
+        r
+        for r, task in enumerate(tasks)
+        if any(
+            z != task.forbidden_first and task.oracle.entry[z, start]
+            for z in zones
+        )
+    ]
+    if not live_rows:
+        return outcomes
+    tasks = [tasks[r] for r in live_rows]
     n_rows = len(tasks)
     m = len(zones)
     zarr = np.array(zones, dtype=np.int64)
@@ -1090,9 +894,8 @@ def _optimize_spans_batch(
     for p, (oracle, rewards) in enumerate(pairs):
         entry_tab[p] = oracle.entry[zarr]
         rew_tab[p] = rewards[zarr]
-    # Group-level birth gate over the group's zones only (the single
-    # span engine's entry_any covers all zones; restricting to the
-    # schedulable ones can only skip slots with no possible birth).
+    # Group-level birth gate: a slot where no group zone is enterable in
+    # any row can have no birth, so the loop treats it as quiet.
     entry_any = entry_tab.any(axis=(0, 1))
     # The interval and max-stay tables are only ever read at ``start``
     # and at born slots, so only those columns are stacked — column 0 is
@@ -1224,7 +1027,7 @@ def _optimize_spans_batch(
         # largest value is kept, and the remaining slots fill with the
         # *earliest* states tied at that value.  The kept positions are
         # then read out in ascending order — exactly the stable
-        # argsort + position re-sort of the per-span engine.
+        # argsort + canonical re-sort of _prune_beam.
         vals = value[:, :n]
         kth = np.partition(vals, n - beam, axis=1)[:, n - beam]
         above = vals > kth[:, None]
@@ -1279,8 +1082,13 @@ def _optimize_spans_batch(
             )
             # An outer-axis reduce adds rows sequentially, so seeding
             # row 0 with the accumulator reproduces the slot-by-slot
-            # addition order bit for bit.
-            np.add.reduce(buf, axis=0, out=vs)
+            # addition order bit for bit.  One state in one row would
+            # collapse the reduce to a 1-D pairwise sum, so that case
+            # takes the last prefix of a sequential accumulate.
+            if vs.size == 1:
+                vs[...] = np.add.accumulate(buf.reshape(-1))[-1]
+            else:
+                np.add.reduce(buf, axis=0, out=vs)
             slot_records.append(("run", n, length))
             t = stop
             continue
@@ -1401,12 +1209,9 @@ def _optimize_spans_batch(
     paths[:, 0] = zone_now  # the entry slot emitted by the init block
 
     zone_paths = zarr[paths]  # group-zone positions -> real zone ids
-    outcomes: list[tuple[list[int], float] | None] = []
-    for r in range(n_rows):
-        if not feasible[r]:
-            outcomes.append(None)
-            continue
-        outcomes.append((zone_paths[r].tolist(), float(winner_value[r])))
+    for row, r in enumerate(live_rows):
+        if feasible[row]:
+            outcomes[r] = (zone_paths[row].tolist(), float(winner_value[row]))
     return outcomes
 
 

@@ -11,8 +11,10 @@ one array program instead of a per-day Python loop.
 
 This rule is call-graph-aware where the greps could not be: inside
 ``attack/schedule.py`` the restricted internals may only be called from
-their designated callers (the engine dispatcher and the batch wave
-solver), not merely "somewhere in the file".  The closed loop follows
+their designated callers, not merely "somewhere in the file".  The one
+production DP engine, ``_optimize_spans_batch``, is entered from the
+batch wave solver and from the engine dispatcher ``_optimize_span`` (a
+one-row batch, the per-visit fallback's path).  The closed loop follows
 the same contract: a per-slot ``controller.decide()`` may appear in
 ``attack/realtime.py`` only inside the ``execute_attack_reference``
 oracle, because the production path runs the deceived loop through
@@ -43,8 +45,7 @@ _SCALAR_GEOMETRY = ("point_in_hull", "stay_range", "union_stay_ranges")
 
 # Who may call the span-DP internals inside attack/schedule.py.
 _ALLOWED_CALLERS = {
-    "_optimize_span_vector": {"_optimize_span", "_solve_task_wave"},
-    "_optimize_spans_batch": {"_solve_task_wave"},
+    "_optimize_spans_batch": {"_optimize_span", "_solve_task_wave"},
     "_optimize_span": {"_optimize_span_with_retry"},
     "_optimize_span_with_retry": {"_schedule_segment", "_segment_fallback"},
 }

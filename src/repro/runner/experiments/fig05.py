@@ -21,20 +21,16 @@ class Fig5Result:
     rendered: str = ""
 
 
-def _training_values(training_day_values: list[int] | None) -> list[int]:
-    return training_day_values or [6, 8, 10, 12]
-
-
 def _run_cell(
     backend: str,
     dataset: str,
-    n_days: int = 14,
-    training_day_values: list[int] | None = None,
-    seed: int = 2023,
+    n_days: int,
+    training_day_values: list[int],
+    seed: int,
 ) -> list[float]:
     """F1 scores over the training-day sweep for one (backend, dataset)."""
     scores = []
-    for days in _training_values(training_day_values):
+    for days in training_day_values:
         metrics = dataset_metrics(
             dataset,
             ClusterBackend(backend),
@@ -67,7 +63,7 @@ def _shard_needs(params: dict, shard: dict) -> list[int]:
 
 
 def _merge(params: dict, shards: list[dict], parts: list) -> list[Fig5Result]:
-    values = _training_values(params.get("training_day_values"))
+    values = list(params["training_day_values"])
     by_cell = {
         (shard["backend"], shard["dataset"]): part
         for shard, part in zip(shards, parts)
@@ -102,7 +98,7 @@ EXPERIMENT = register(
         render=lambda results: "\n\n".join(r.rendered for r in results),
         params=(
             Param("n_days", 14),
-            Param("training_day_values", None),
+            Param("training_day_values", [6, 8, 10, 12]),
             Param("seed", 2023),
         ),
         tags=frozenset({"figure", "adm", "detection", "sweep"}),
@@ -129,11 +125,13 @@ def run_fig5(
     training_day_values: list[int] | None = None,
     seed: int = 2023,
 ) -> list[Fig5Result]:
-    """Progressive F1 for both ADMs over the four datasets."""
-    return EXPERIMENT.execute(
-        {
-            "n_days": n_days,
-            "training_day_values": training_day_values,
-            "seed": seed,
-        }
-    )
+    """Progressive F1 for both ADMs over the four datasets.
+
+    ``training_day_values=None`` runs the experiment's default sweep,
+    which :meth:`Experiment.resolve` checks against ``n_days`` like an
+    explicit one.
+    """
+    params: dict = {"n_days": n_days, "seed": seed}
+    if training_day_values is not None:
+        params["training_day_values"] = training_day_values
+    return EXPERIMENT.execute(params)

@@ -156,7 +156,8 @@ class Experiment:
         ``training_day_values``) must leave at least one training and
         one evaluation day of the ``n_days`` trace, the bound
         :func:`~repro.dataset.splits.split_days` enforces mid-run, so a
-        request that could only fail is rejected before any compute.
+        request that could only fail is rejected before any compute.  So
+        is a ``training_day_values`` that is not a list of splits.
         """
         params = self.defaults()
         if days is not None and self.scale_days is not None:
@@ -171,13 +172,16 @@ class Experiment:
         return params
 
     def _check_splits(self, params: dict[str, Any]) -> None:
+        values = params.get("training_day_values", ())
+        if not isinstance(values, (list, tuple)):
+            raise ConfigurationError(
+                f"experiment {self.name!r} needs training_day_values as a "
+                f"list of training-day counts, not {values!r}"
+            )
         n_days = params.get("n_days")
         if not isinstance(n_days, int):
             return
-        splits = [params.get("training_days")]
-        if isinstance(params.get("training_day_values"), (list, tuple)):
-            splits.extend(params["training_day_values"])
-        for split in splits:
+        for split in (params.get("training_days"), *values):
             if isinstance(split, int) and not 1 <= split < n_days:
                 raise ConfigurationError(
                     f"experiment {self.name!r} cannot train on {split} of "

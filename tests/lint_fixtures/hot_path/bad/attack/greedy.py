@@ -7,4 +7,4 @@ def greedy_order(days):
 
 
 def warm_start(spans):
-    return _optimize_span_vector(spans)
+    return _optimize_spans_batch(spans)

@@ -14,15 +14,11 @@ def _optimize_span_with_retry(span):
 
 
 def _optimize_span(span):
-    return _optimize_span_vector(span)
+    return _optimize_spans_batch([span])[0]
 
 
 def _solve_task_wave(wave):
     return _optimize_spans_batch(wave)
-
-
-def _optimize_span_vector(span):
-    return span
 
 
 def _optimize_spans_batch(wave):

@@ -7,13 +7,15 @@ regressions in the pipeline surface here before the benchmark run.
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import (
-    DATASET_NAMES,
+from repro.runner.common import DATASET_NAMES
+from repro.runner.experiments import (
     run_fig3,
     run_fig4,
     run_fig5,
     run_fig6,
     run_fig10,
+    run_fig11_horizon,
+    run_fig11_zones,
     run_sec6,
     run_tab3,
     run_tab4,
@@ -21,7 +23,6 @@ from repro.analysis.experiments import (
     run_tab6,
     run_tab7,
 )
-from repro.analysis.scalability import run_fig11_horizon, run_fig11_zones
 
 
 def test_dataset_names_cover_both_houses():

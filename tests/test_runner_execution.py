@@ -38,7 +38,7 @@ def test_capabilities_declared():
 
 
 def test_serial_matches_direct_invocation():
-    from repro.analysis.experiments import run_fig6
+    from repro.runner.experiments import run_fig6
 
     with cache_disabled():
         outcome = SerialRunner().run_one("fig6", params={"n_days": 5, "seed": 3})

@@ -106,6 +106,25 @@ def test_resolve_checks_explicit_splits():
     assert get_experiment("fleet_attack").resolve(days=1)["training_days"] == 1
 
 
+def test_fig5_default_sweep_is_checked_before_compute():
+    """fig5's default training-day sweep is its Param default, so
+    overriding ``n_days`` alone is checked against it on every path
+    instead of failing mid-run in ``split_days``."""
+    from repro.runner import RunRequest
+    from repro.runner.experiments import run_fig5
+
+    fig5 = get_experiment("fig5")
+    assert fig5.resolve()["training_day_values"] == [6, 8, 10, 12]
+    assert fig5.resolve(n_days=13)["training_day_values"] == [6, 8, 10, 12]
+    bad = "'fig5' cannot train on 8 of 8 days"
+    with pytest.raises(ConfigurationError, match=bad):
+        RunRequest.build("fig5", overrides={"n_days": 8})
+    with pytest.raises(ConfigurationError, match=bad):
+        run_fig5(n_days=8)
+    with pytest.raises(ConfigurationError, match="list of training-day counts"):
+        fig5.resolve(training_day_values=None)
+
+
 def test_timing_experiments_opt_out_of_caching():
     for name in ("fig11a", "fig11b"):
         exp = get_experiment(name)

@@ -37,7 +37,10 @@ from repro.attack.schedule import (
     AttackSchedule,
     ScheduleConfig,
     ScheduleJob,
+    _SpanTask,
     _StealthOracle,
+    _optimize_span,
+    _optimize_spans_batch,
     occupant_reward_table,
     shatter_schedule,
     shatter_schedule_batch,
@@ -61,7 +64,13 @@ from repro.hvac.ashrae import AshraeController
 from repro.hvac.controller import ControllerConfig, DemandControlledHVAC
 from repro.hvac.pricing import TouPricing
 from repro.errors import AttackError, ControlError
-from repro.events import ATTACK_EXECUTE, GEOMETRY, SIMULATION, collect_events
+from repro.events import (
+    ATTACK_EXECUTE,
+    GEOMETRY,
+    SCHEDULE_DP_BATCH,
+    SIMULATION,
+    collect_events,
+)
 from repro.runner.cache import get_cache
 from repro.hvac.simulation import (
     OutdoorConditions,
@@ -267,6 +276,188 @@ def test_vector_dp_matches_reference_kmeans_house_b():
     )
     vector = shatter_schedule(home, adm, capability, pricing, evaluation)
     assert _schedules_equal(reference, vector)
+
+
+@pytest.fixture(scope="module")
+def span_worlds(aras_world):
+    """``(zones, rewards, oracle, actual day)`` per occupant of houses A
+    and B, with the production reward tables and stealth oracles."""
+    home_b = build_house_b()
+    trace_b = generate_house_trace(
+        home_b, house="B", config=SyntheticConfig(n_days=8, seed=91)
+    )
+    train_b, evaluation_b = split_days(trace_b, 7)
+    adm_b = ClusterADM(
+        AdmParams(backend=ClusterBackend.KMEANS, k=5, tolerance=5.0)
+    ).fit(train_b, home_b.n_zones)
+    home_a, adm_a, evaluation_a = aras_world
+    worlds = []
+    for home, adm, evaluation in (
+        (home_a, adm_a, evaluation_a),
+        (home_b, adm_b, evaluation_b),
+    ):
+        zones = AttackerCapability.full_access(home).schedulable_zones(home)
+        for occupant in range(home.n_occupants):
+            rewards, _ = occupant_reward_table(
+                home,
+                occupant,
+                zones,
+                TouPricing(),
+                ControllerConfig(),
+                ScheduleConfig(),
+            )
+            worlds.append(
+                (
+                    zones,
+                    rewards,
+                    stealth_oracle(adm, occupant, home.n_zones),
+                    evaluation.occupant_zone[:1440, occupant],
+                )
+            )
+    return worlds
+
+
+def _visit_bounds(actual) -> list[int]:
+    """Slots where a real visit starts, plus the end of the day."""
+    return [0, *(np.flatnonzero(actual[1:] != actual[:-1]) + 1).tolist(), 1440]
+
+
+def _random_spans(rng, zones, oracle, actual, count):
+    """Seeded ``(start, end, forbidden_first, forbidden_last)`` spans.
+
+    Per draw: a run of real visits anchored on the real zones around it
+    (the planner's segments and the per-visit fallback), a random span
+    with random anchors, and a one-slot span.  Then the two ways a span
+    has no enterable first zone: a minute where no zone can be entered,
+    and one whose only enterable zone is the forbidden first zone.
+    """
+    bounds = _visit_bounds(actual)
+
+    def anchor():
+        return None if rng.random() < 0.3 else int(rng.choice(zones))
+
+    spans = []
+    for _ in range(count):
+        i = int(rng.integers(0, len(bounds) - 1))
+        j = min(len(bounds) - 1, i + int(rng.integers(1, 4)))
+        start, end = bounds[i], bounds[j]
+        spans.append(
+            (
+                start,
+                end,
+                int(actual[start - 1]) if start > 0 else None,
+                int(actual[end]) if end < 1440 else None,
+            )
+        )
+        start = int(rng.integers(0, 1439))
+        spans.append(
+            (start, min(1440, start + int(rng.integers(2, 120))), anchor(), anchor())
+        )
+        spans.append((start, start + 1, anchor(), anchor()))
+    enterable = oracle.entry[zones].sum(axis=0)
+    closed = int(np.flatnonzero(enterable[:1400] == 0)[0])
+    lone = int(np.flatnonzero(enterable[:1400] == 1)[0])
+    only = zones[int(np.flatnonzero(oracle.entry[zones, lone])[0])]
+    spans.append((closed, closed + 30, None, None))
+    spans.append((lone, lone + 30, only, None))
+    return spans
+
+
+@pytest.mark.parametrize(
+    "config_kwargs",
+    [{"window": 1}, {"window": 10}, {"window": 30}, {"beam_width": 1}],
+)
+def test_span_dp_matches_reference_engine(span_worlds, config_kwargs):
+    """The vector engine solves any single span (a one-row batch) with
+    the dict DP's exact path and value."""
+    outcomes = []
+    for index, (zones, rewards, oracle, actual) in enumerate(span_worlds):
+        rng = np.random.default_rng(index)
+        for start, end, first, last in _random_spans(rng, zones, oracle, actual, 8):
+            span = dict(
+                start=start, end=end, forbidden_first=first, forbidden_last=last
+            )
+            reference = _optimize_span(
+                zones,
+                rewards,
+                oracle,
+                ScheduleConfig(engine="reference", **config_kwargs),
+                **span,
+            )
+            vector = _optimize_span(
+                zones, rewards, oracle, ScheduleConfig(**config_kwargs), **span
+            )
+            assert vector == reference, (index, span)
+            outcomes.append(vector)
+    assert None in outcomes
+    assert any(outcome is not None for outcome in outcomes)
+
+
+def test_spans_batch_rows_match_rows_solved_alone(span_worlds):
+    """One batch mixing dead rows (no enterable first zone) with live
+    ones returns, row for row, what each row returns alone and what the
+    dict DP returns; a lone span solved through ``_optimize_span``
+    records one ``schedule_dp_batch`` event."""
+    zones, rewards, oracle, actual = span_worlds[0]
+    config = ScheduleConfig()
+    bounds = _visit_bounds(actual)
+    runs = [
+        (bounds[i], bounds[j])
+        for i in range(len(bounds) - 1)
+        for j in range(i + 1, min(len(bounds), i + 4))
+    ]
+    # The first run of real visits the dict DP can spoof.
+    start, end = next(
+        (start, end)
+        for start, end in runs
+        if _optimize_span(
+            zones, rewards, oracle, ScheduleConfig(engine="reference"), start, end
+        )
+        is not None
+    )
+    tasks = [
+        _SpanTask(world[2], world[1], tuple(zones), start, end, first, last, config)
+        for world in span_worlds
+        for first in (None, *zones)
+        for last in (None, int(actual[end]) if end < 1440 else 0)
+    ]
+    dead = [
+        row
+        for row, task in enumerate(tasks)
+        if not any(
+            z != task.forbidden_first and task.oracle.entry[z, start]
+            for z in zones
+        )
+    ]
+    assert 0 < len(dead) < len(tasks)
+    together = _optimize_spans_batch(tasks, zones, config, start, end)
+    alone = [
+        _optimize_spans_batch([task], zones, config, start, end)[0]
+        for task in tasks
+    ]
+    reference = [
+        _optimize_span(
+            zones,
+            task.rewards,
+            task.oracle,
+            ScheduleConfig(engine="reference"),
+            start,
+            end,
+            task.forbidden_first,
+            task.forbidden_last,
+        )
+        for task in tasks
+    ]
+    assert together == alone == reference
+    assert all(together[row] is None for row in dead)
+    assert any(outcome is not None for outcome in together)
+    task = tasks[dead[0]]
+    with collect_events() as aggregator:
+        outcome = _optimize_span(
+            zones, task.rewards, task.oracle, config, start, end, task.forbidden_first
+        )
+    assert outcome is None
+    assert aggregator.kernels[SCHEDULE_DP_BATCH].calls == 1
 
 
 def _results_equal(a, b) -> bool:
