@@ -33,12 +33,15 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib.util
 import itertools
+import json
 import os
+import sys
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -113,6 +116,51 @@ def source_digest(source: str) -> str:
     return hashlib.sha256(ast.dump(tree).encode()).hexdigest()
 
 
+def tree_fingerprint(root: Path, memo_path: Path) -> str:
+    """The behaviour hash of the ``*.py`` tree under ``root``.
+
+    Each module contributes its relative path and :func:`source_digest`,
+    which stays the definition.  Parsing every module costs most of a
+    second, so the digests are memoized in the JSON file ``memo_path``,
+    keyed by the sha256 of each module's exact bytes: only modules whose
+    bytes the memo has not seen are parsed.  A missing, unreadable,
+    corrupt or other-interpreter memo just means recomputing; the memo
+    is then rewritten atomically with exactly this tree's entries, and a
+    failed write is ignored.
+    """
+    memo = _read_digest_memo(memo_path)
+    digests: dict[str, str] = {}
+    fingerprint = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        raw = path.read_bytes()
+        key = hashlib.sha256(raw).hexdigest()
+        digest = memo.get(key)
+        if not isinstance(digest, str):
+            # Decoded the way the interpreter reads source (UTF-8 or the
+            # coding cookie), never in the locale's encoding.
+            digest = source_digest(importlib.util.decode_source(raw))
+        digests[key] = digest
+        fingerprint.update(str(path.relative_to(root)).encode())
+        fingerprint.update(digest.encode())
+    if digests != memo:
+        payload = json.dumps({"python": sys.version, "digests": digests})
+        with suppress(OSError):
+            ArtifactCache._atomic_write(memo_path, payload.encode())
+    return fingerprint.hexdigest()[:16]
+
+
+def _read_digest_memo(memo_path: Path) -> dict[str, Any]:
+    try:
+        memo = json.loads(memo_path.read_bytes())
+    except (OSError, ValueError):
+        return {}
+    # ``ast.dump`` output may differ between interpreter builds.
+    if not isinstance(memo, dict) or memo.get("python") != sys.version:
+        return {}
+    digests = memo.get("digests")
+    return digests if isinstance(digests, dict) else {}
+
+
 def code_fingerprint() -> str:
     """A behaviour hash of the installed ``repro`` sources.
 
@@ -121,18 +169,19 @@ def code_fingerprint() -> str:
     from before the edit must never replay as if it were current.
     Keys are salted per-file with :func:`source_digest`, so formatting,
     comment, and docstring edits do **not** wipe the cache.  Computed
-    once per process (~120 small files).
+    once per process by :func:`tree_fingerprint`, whose digest memo sits
+    beside the package's bytecode (``__pycache__``, or under
+    ``PYTHONPYCACHEPREFIX``) rather than in a cache dir, so a process on
+    a fresh ``--cache-dir`` still finds it filled.
     """
     global _fingerprint
     if _fingerprint is None:
         import repro
 
         root = Path(repro.__file__).parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(source_digest(path.read_text()).encode())
-        _fingerprint = digest.hexdigest()[:16]
+        init_pyc = importlib.util.cache_from_source(str(root / "__init__.py"))
+        memo_name = f"source-digests.{sys.implementation.cache_tag}.json"
+        _fingerprint = tree_fingerprint(root, Path(init_pyc).parent / memo_name)
     return _fingerprint
 
 

@@ -229,9 +229,10 @@ def standard_prepare(
         house_trace(house, n_days, seed)
         return
     if op == "analysis":
+        assert training_days is not None
         config = StudyConfig(
             n_days=n_days,
-            training_days=(training_days if training_days is not None else n_days - 3),
+            training_days=training_days,
             seed=seed,
             adm_params=(
                 params_for(ClusterBackend(backend))

@@ -33,13 +33,14 @@ class Tab3Result:
     render=lambda result: result.rendered,
     params=(
         Param("n_days", 10),
+        Param("training_days", 7),
         Param("seed", 2023),
         Param("day", 3),
         Param("start_clock", "18:00"),
         Param("n_slots", 10),
     ),
     tags=frozenset({"table", "attack", "case-study"}),
-    scale_days=lambda days: {"n_days": days},
+    scale_days=lambda days: {"n_days": days, "training_days": days - 3},
     prepares=lambda params: [
         {"op": "trace", "house": "A"},
         {"op": "analysis", "house": "A", "after": [0]},
@@ -48,13 +49,14 @@ class Tab3Result:
 )
 def run_tab3(
     n_days: int = 10,
+    training_days: int = 7,
     seed: int = 2023,
     day: int = 3,
     start_clock: str = "18:00",
     n_slots: int = 10,
 ) -> Tab3Result:
     """The Section V case study: ten evening slots, both occupants."""
-    config = StudyConfig(n_days=n_days, training_days=n_days - 3, seed=seed)
+    config = StudyConfig(n_days=n_days, training_days=training_days, seed=seed)
     analysis = analysis_for_house("A", config)
     capability = AttackerCapability.full_access(analysis.home)
     shatter = analysis.shatter_attack(capability)

@@ -73,7 +73,7 @@ def test_fig6_kmeans_area_dominates():
 
 @pytest.mark.slow
 def test_tab3_structure():
-    result = run_tab3(n_days=8, seed=3)
+    result = run_tab3(n_days=8, training_days=5, seed=3)
     assert result.actual.shape == (10, 2)
     assert result.greedy.shape == (10, 2)
     assert result.shatter.shape == (10, 2)

@@ -1,5 +1,12 @@
 """Artifact cache: hit/miss behaviour and serialization round-trips."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -279,32 +286,173 @@ def test_source_digest_unparseable_source_falls_back():
     assert source_digest("def broken(:") != source_digest("def broken(:!")
 
 
-def test_docstring_edit_keeps_cache_keys_stable(tmp_path):
-    """End to end: recomputing the fingerprint over sources whose only
-    change is a docstring yields the same value, so disk entries written
-    before the edit still replay."""
-    import hashlib
-
+def _record_parses(monkeypatch):
+    """Every source ``tree_fingerprint`` parses, i.e. its memo misses."""
     from repro.runner import cache as cache_module
 
-    pkg = tmp_path / "fakepkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text('"""v1 docs."""\nX = 1\n')
+    parsed = []
+    real = cache_module.source_digest
 
-    def fingerprint_of_tree():
-        # Mirrors code_fingerprint()'s aggregation over a scratch tree
-        # (the real one is pinned to the installed repro package).
-        digest = hashlib.sha256()
-        for path in sorted(pkg.rglob("*.py")):
-            digest.update(str(path.relative_to(pkg)).encode())
-            digest.update(cache_module.source_digest(path.read_text()).encode())
-        return digest.hexdigest()[:16]
+    def recording(source):
+        parsed.append(source)
+        return real(source)
 
-    before = fingerprint_of_tree()
-    (pkg / "__init__.py").write_text('"""v2: reworded the docs."""\nX = 1\n')
-    assert fingerprint_of_tree() == before
-    (pkg / "__init__.py").write_text('"""v2: reworded the docs."""\nX = 2\n')
-    assert fingerprint_of_tree() != before
+    monkeypatch.setattr(cache_module, "source_digest", recording)
+    return parsed
+
+
+def _scratch_tree(root, files):
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return root
+
+
+def test_docstring_edit_keeps_cache_keys_stable(tmp_path, monkeypatch):
+    """End to end: recomputing the fingerprint over sources whose only
+    change is a docstring yields the same value, so disk entries written
+    before the edit still replay.  Through the memo, only the edited
+    module is parsed again."""
+    from repro.runner.cache import tree_fingerprint
+
+    pkg = _scratch_tree(
+        tmp_path / "fakepkg",
+        {"__init__.py": '"""v1 docs."""\nX = 1\n', "other.py": "Y = 2\n"},
+    )
+    memo = tmp_path / "memo.json"
+    parsed = _record_parses(monkeypatch)
+
+    before = tree_fingerprint(pkg, memo)
+    assert len(parsed) == 2
+    docs_edit = '"""v2: reworded the docs."""\nX = 1\n'
+    (pkg / "__init__.py").write_text(docs_edit)
+    parsed.clear()
+    assert tree_fingerprint(pkg, memo) == before
+    assert parsed == [docs_edit]
+    code_edit = '"""v2: reworded the docs."""\nX = 2\n'
+    (pkg / "__init__.py").write_text(code_edit)
+    parsed.clear()
+    assert tree_fingerprint(pkg, memo) != before
+    assert parsed == [code_edit]
+
+
+def test_code_fingerprint_memo_hit_equals_a_fresh_computation(
+    tmp_path, monkeypatch
+):
+    """The real package: a memo miss parses every module, a hit parses
+    none, and both give the process's fingerprint.  The memo follows the
+    bytecode prefix."""
+    import repro
+    from repro.runner import cache as cache_module
+
+    expected = cache_module.code_fingerprint()
+    n_modules = len(list(Path(repro.__file__).parent.rglob("*.py")))
+    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
+    parsed = _record_parses(monkeypatch)
+    for expected_parses in (n_modules, 0):
+        monkeypatch.setattr(cache_module, "_fingerprint", None)
+        parsed.clear()
+        assert cache_module.code_fingerprint() == expected
+        assert len(parsed) == expected_parses
+    assert [p.name for p in tmp_path.rglob("*.json")] == [
+        f"source-digests.{sys.implementation.cache_tag}.json"
+    ]
+
+
+def test_code_fingerprint_ignores_the_locale_encoding(tmp_path):
+    """The interpreter reads source as UTF-8 whatever the locale, and so
+    must the fingerprint: under an ASCII locale, with an empty memo so
+    every module is decoded, it is the same value."""
+    import repro
+    from repro.runner.cache import code_fingerprint
+
+    script = (
+        "import sys\n"
+        "from repro.runner.cache import code_fingerprint\n"
+        "sys.pycache_prefix = sys.argv[1]\n"
+        "print(code_fingerprint())\n"
+    )
+    env = dict(
+        os.environ,
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONPATH=str(Path(repro.__file__).parent.parent),
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == code_fingerprint()
+
+
+def _valid_memo(pkg, memo):
+    from repro.runner.cache import tree_fingerprint
+
+    return tree_fingerprint(pkg, memo), json.loads(memo.read_text())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda memo: b"\xff{not json",
+        lambda memo: b"[]",
+        lambda memo: json.dumps({**memo, "digests": list(memo["digests"])}),
+        lambda memo: json.dumps(
+            {**memo, "digests": {key: 7 for key in memo["digests"]}}
+        ),
+        lambda memo: json.dumps({**memo, "python": "2.7.18 (another build)"}),
+    ],
+    ids=["garbage", "not-an-object", "digests-list", "entry-types", "python"],
+)
+def test_corrupt_digest_memo_is_recomputed_and_rewritten(
+    tmp_path, monkeypatch, corrupt
+):
+    from repro.runner.cache import tree_fingerprint
+
+    pkg = _scratch_tree(tmp_path / "pkg", {"a.py": "A = 1\n", "b.py": "B = 2\n"})
+    memo = tmp_path / "memo.json"
+    expected, valid = _valid_memo(pkg, memo)
+    written = corrupt(valid)
+    memo.write_bytes(written if isinstance(written, bytes) else written.encode())
+    parsed = _record_parses(monkeypatch)
+    assert tree_fingerprint(pkg, memo) == expected
+    assert len(parsed) == 2
+    assert json.loads(memo.read_text()) == valid
+
+
+def test_unwritable_digest_memo_still_fingerprints(tmp_path, monkeypatch):
+    from repro.runner.cache import tree_fingerprint
+
+    pkg = _scratch_tree(tmp_path / "pkg", {"a.py": "A = 1\n"})
+    expected, _ = _valid_memo(pkg, tmp_path / "memo.json")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where the memo's directory would be")
+    parsed = _record_parses(monkeypatch)
+    for _ in range(2):
+        assert tree_fingerprint(pkg, blocker / "memo.json") == expected
+    assert len(parsed) == 2, "no memo, so every call parses"
+
+
+def test_digest_memo_holds_exactly_the_current_tree(tmp_path):
+    from repro.runner.cache import source_digest, tree_fingerprint
+
+    pkg = _scratch_tree(tmp_path / "pkg", {"a.py": "A = 1\n", "b.py": "B = 2\n"})
+    memo = tmp_path / "memo.json"
+    tree_fingerprint(pkg, memo)
+    (pkg / "b.py").unlink()
+    (pkg / "a.py").write_text("A = 3\n")
+    tree_fingerprint(pkg, memo)
+    assert json.loads(memo.read_text()) == {
+        "python": sys.version,
+        "digests": {
+            hashlib.sha256(b"A = 3\n").hexdigest(): source_digest("A = 3\n")
+        },
+    }
 
 
 def test_stats_delta_is_per_thread(tmp_path):

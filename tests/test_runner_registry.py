@@ -72,6 +72,7 @@ def test_resolve_rejects_unknown_parameters():
 
 # The largest --days each split experiment cannot train and evaluate on.
 LARGEST_BAD_DAYS = {
+    "tab3": 3,
     "fig10": 3,
     "tab5": 3,
     "tab6": 3,
@@ -90,6 +91,40 @@ def test_build_rejects_a_split_without_training_or_evaluation_days(name):
         RunRequest.build(name, days=days)
     accepted = RunRequest.build(name, days=days + 1)
     assert accepted.params["n_days"] == days + 1
+
+
+# Uncacheable timing experiments: fig11a alone takes ~5 s at days=1.
+TIMING_EXPERIMENTS = {"fig11a", "fig11b"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.slow)
+        if name in TIMING_EXPERIMENTS
+        else name
+        for name in sorted(EXPECTED_NAMES)
+    ],
+)
+def test_every_days_is_rejected_before_compute_or_runs(name, tmp_path):
+    """Walk ``days`` = 1, 2, …: every value below the smallest one
+    ``RunRequest.build`` accepts raises ``ConfigurationError``, and that
+    smallest one runs to completion, so no ``days`` passes the front
+    door and then fails mid-run."""
+    from repro.runner import RunRequest, SerialRunner
+    from repro.runner.cache import ArtifactCache
+
+    for days in range(1, 15):
+        try:
+            request = RunRequest.build(name, days=days)
+        except ConfigurationError:
+            continue
+        break
+    else:
+        pytest.fail(f"{name} rejects every days in 1..14")
+    runner = SerialRunner(ArtifactCache(memory=True, disk_dir=tmp_path))
+    [outcome] = runner.run([request])
+    assert outcome.name == name and outcome.rendered
 
 
 def test_resolve_checks_explicit_splits():
