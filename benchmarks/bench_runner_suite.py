@@ -97,9 +97,9 @@ def test_async_graph_matches_serial(benchmark, artifact_writer):
         "runner_suite_async",
         "\n".join(
             f"{r.label}: start +{r.started:.2f}s, {r.seconds:.2f}s"
-            for r in sorted(profile.scheduler.tasks, key=lambda r: r.started)
+            for r in sorted(profile.tasks, key=lambda r: r.started)
         )
-        + f"\nutilization: {100 * profile.scheduler.utilization:.0f}%",
+        + f"\nutilization: {100 * profile.utilization:.0f}%",
     )
 
 

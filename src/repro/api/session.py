@@ -73,9 +73,9 @@ from repro.runner import (
     default_disk_dir,
     load_all,
 )
-from repro.runner.async_graph import GraphSummary, RunProfile
+from repro.runner.async_graph import GraphSummary
 from repro.runner.cache import code_fingerprint
-from repro.runner.scheduler import Task
+from repro.runner.scheduler import SchedulerProfile, Task
 
 
 def expand_grid(grid: Mapping[str, Any]) -> list[dict[str, Any]]:
@@ -110,13 +110,14 @@ def expand_grid(grid: Mapping[str, Any]) -> list[dict[str, Any]]:
 
 @dataclass
 class SweepResult:
-    """One :meth:`Session.sweep`: points, outcomes, and telemetry."""
+    """One :meth:`Session.sweep`: points, outcomes, and telemetry
+    (``profile`` is the sweep run's event aggregate)."""
 
     experiment: str
     sweep_id: str
     points: list[dict[str, Any]]
     outcomes: list[RunOutcome]
-    profile: RunProfile | None = None
+    profile: ProfileAggregator | None = None
     manifests: list[RunManifest] = field(default_factory=list)
 
     def __iter__(self):
@@ -141,8 +142,11 @@ class Session:
         workers: Remote worker spec (``"host:port,..."`` or
             ``"local:N"``); implies the remote backend under ``auto``.
         profile: Collect scheduler telemetry (promotes ``auto`` to the
-            graph runner even at ``jobs=1``); read it from
-            :attr:`last_profile` after a run.
+            graph runner even at ``jobs=1``); after a run, read the
+            live :class:`~repro.runner.scheduler.SchedulerProfile` from
+            :attr:`last_profile` and the run's event aggregate, which
+            pool and remote workers' events reach too, from
+            :attr:`last_events`.
         store_dir: Override where manifests live (default
             ``<cache_dir>/runs``).
         record_runs: Persist a manifest per completed run.
@@ -217,7 +221,7 @@ class Session:
         self.events_mode = events
         self.schedule = schedule
         self._processors: list[EventProcessor] = []
-        self.last_profile: RunProfile | None = None
+        self.last_profile: SchedulerProfile | None = None
         self.last_runner: BaseRunner | None = None
         self.last_manifests: list[RunManifest] = []
         self.last_events: ProfileAggregator | None = None
@@ -360,7 +364,7 @@ class Session:
             sweep_id=sweep_id,
             points=expanded,
             outcomes=outcomes,
-            profile=self.last_profile,
+            profile=self.last_events,
             manifests=list(self.last_manifests),
         )
 
@@ -473,7 +477,6 @@ class Session:
     def _execute(
         self, runner: BaseRunner, requests: list[RunRequest]
     ) -> list[RunOutcome]:
-        stats_before = dict(self.cache.stats)
         aggregator = ProfileAggregator()
         processors: list[EventProcessor] = [aggregator, *self._processors]
         writer: JsonlEventWriter | None = None
@@ -508,7 +511,7 @@ class Session:
             else None
         )
         self.last_manifests = self._record(
-            requests, outcomes, runner, stats_before, trail_name
+            requests, outcomes, runner, aggregator.cache_stats, trail_name
         )
         return outcomes
 
@@ -517,24 +520,14 @@ class Session:
         requests: list[RunRequest],
         outcomes: list[RunOutcome],
         runner: BaseRunner,
-        stats_before: dict[str, int],
+        cache_stats: dict[str, int],
         trail_name: str = "",
     ) -> list[RunManifest]:
         if self.store is None:
             return []
+        # The serial backend keeps no scheduler profile.
         profile = self.last_profile
-        if profile is not None:
-            cache_stats = dict(profile.cache_stats)
-            workers = dict(profile.scheduler.slots)
-        else:
-            # The serial backend keeps no scheduler profile; the
-            # batch's cache traffic is still observable as a delta.
-            cache_stats = {
-                key: value - stats_before.get(key, 0)
-                for key, value in self.cache.stats.items()
-                if value != stats_before.get(key, 0)
-            }
-            workers = {}
+        workers = dict(profile.slots) if profile is not None else {}
         manifests = []
         for request, outcome in zip(requests, outcomes):
             created = time.time()
@@ -552,7 +545,7 @@ class Session:
                 cached=outcome.cached,
                 shards=outcome.shards,
                 sweep=request.sweep,
-                cache_stats=cache_stats,
+                cache_stats=dict(cache_stats),
                 rendered_path="",  # filled by the store
                 origin=self.origin,
                 events_path=trail_name,

@@ -34,9 +34,9 @@ from repro.events.dispatch import (
     SIMULATION,
     EventDispatcher,
     EventProcessor,
+    capture_events,
     current_dispatcher,
     emit,
-    emit_cache_delta,
     kernel_timer,
     record_kernel,
     use_dispatcher,
@@ -129,10 +129,10 @@ __all__ = [
     "WorkerLost",
     "WorkerRegistered",
     "WorkerRetired",
+    "capture_events",
     "collect_events",
     "current_dispatcher",
     "emit",
-    "emit_cache_delta",
     "event_from_wire",
     "event_to_wire",
     "kernel_timer",

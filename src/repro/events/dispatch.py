@@ -14,6 +14,13 @@ worker threads and the cache (called from any thread) must see the
 dispatcher the coordinator installed, the same reach-through convention
 as :func:`repro.runner.cache.set_cache`.
 
+:func:`capture_events` is the one per-thread exception: inside it,
+:func:`emit` appends to a list instead of dispatching.  Process-pool
+and remote workers run each task inside a capture and send the list
+home with the result, where the coordinator re-emits it, so worker
+telemetry reaches the run's processors through the same funnel.  It is
+per thread because a remote worker runs several tasks at once.
+
 The kernel-timing entry points (:func:`kernel_timer`,
 :func:`record_kernel`) live here too: kernels report as
 :class:`~repro.events.model.KernelTimed` events scoped to the current
@@ -28,14 +35,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
-from repro.events.model import (
-    CacheCorrupt,
-    CacheHit,
-    CacheMiss,
-    CachePut,
-    Event,
-    KernelTimed,
-)
+from repro.events.model import Event, KernelTimed
 
 # Canonical kernel names, so reports line up across subsystems.
 GEOMETRY = "geometry"
@@ -143,38 +143,33 @@ def use_dispatcher(dispatcher: EventDispatcher) -> Iterator[EventDispatcher]:
                 pass
 
 
+# The innermost capture list of each thread (see capture_events).
+_captured = threading.local()
+
+
+@contextmanager
+def capture_events() -> Iterator[list[Event]]:
+    """Collect this thread's events in a list instead of dispatching
+    them; the block's list is yielded and complete on exit."""
+    previous = getattr(_captured, "events", None)
+    events: list[Event] = []
+    _captured.events = events
+    try:
+        yield events
+    finally:
+        _captured.events = previous
+
+
 def emit(event: Event) -> None:
-    """Send one event to the current dispatcher (no-op without one)."""
+    """Send one event to this thread's capture, else to the current
+    dispatcher (no-op without either)."""
+    captured = getattr(_captured, "events", None)
+    if captured is not None:
+        captured.append(event)
+        return
     dispatcher = current_dispatcher()
     if dispatcher is not None:
         dispatcher.emit(event)
-
-
-_CACHE_EVENTS = {
-    "hits": CacheHit,
-    "misses": CacheMiss,
-    "puts": CachePut,
-    "corrupt": CacheCorrupt,
-}
-
-
-def emit_cache_delta(delta: dict) -> None:
-    """Re-emit a worker-shipped cache-stats delta as cache events.
-
-    Process-pool and remote workers run in other processes, so their
-    cache traffic never reaches the coordinator's dispatcher directly;
-    it ships home as a per-task stats delta instead.  Only the
-    tier-qualified keys (``"trace.hits"``) are re-emitted — the
-    aggregate keys (``"hits"``) always move in lockstep with them, and
-    the aggregator rebuilds both from the tier event alone.
-    """
-    for key, count in delta.items():
-        tier, _, name = key.partition(".")
-        if not name:
-            continue
-        cls = _CACHE_EVENTS.get(name)
-        if cls is not None and count:
-            emit(cls(tier=tier, count=int(count)))
 
 
 def record_kernel(name: str, seconds: float) -> None:

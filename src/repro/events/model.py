@@ -12,8 +12,9 @@ cache traffic (:class:`CacheHit` / :class:`CacheMiss` /
 :class:`JobQueued` / :class:`JobDequeued`).
 
 Events are plain data — no behaviour, no references into the runner —
-so they can cross the JSONL audit trail and be replayed later into the
-same aggregates a live run produces.  :func:`event_to_wire` /
+so they can cross the JSONL audit trail and a remote worker's result
+frame, and be replayed later into the same aggregates a live run
+produces.  :func:`event_to_wire` /
 :func:`event_from_wire` go through the task-payload wire codec
 (:mod:`repro.core.serialization`), so non-JSON field values like tuple
 task keys (``(0, "shard", 3)``) survive the round-trip *exactly*.

@@ -1,12 +1,12 @@
 """Built-in event processors: aggregation, JSONL persistence, rendering.
 
-:class:`ProfileAggregator` folds the event stream back into the same
-shapes the runner layer used to assemble by hand — a
+:class:`ProfileAggregator` folds the event stream into a
 :class:`~repro.runner.scheduler.SchedulerProfile` (reconstructed
-*exactly*: same records in the same order, same float sums), the cache
-stats dict, and per-kernel rollups — so ``--profile`` is now a pure
-renderer over one aggregate, identical in shape across the serial,
-async, and remote runners.
+*exactly*: same records in the same order, same float sums), the run's
+cache stats, and per-kernel rollups.  It is the one fold of run
+telemetry: ``--profile`` is a pure renderer over it and run manifests
+take their cache figures from it, identically for every runner and
+executor (pool and remote workers send their events home).
 
 :class:`JsonlEventWriter` persists the stream as an append-only JSONL
 audit trail next to the run manifests; :func:`read_events_jsonl` reads
@@ -83,8 +83,8 @@ class ProfileAggregator(EventProcessor):
         self.wall_seconds: float = 0.0
         self.cache_stats: dict[str, int] = {}
         # Bytes written per tier (CachePut.nbytes), kept apart from
-        # cache_stats so the latter stays comparable to the runner's
-        # event-count-only stats dict.
+        # cache_stats so the latter keeps ArtifactCache.stats's
+        # event-count keys.
         self.cache_put_bytes: dict[str, int] = {}
         self.kernels: dict[str, KernelStat] = {}
         # Service control-plane telemetry (zero outside `repro serve`).
@@ -327,7 +327,7 @@ def render_profile(aggregator: ProfileAggregator, runner_name: str) -> str:
     if aggregator.kernels:
         sections.append(
             format_table(
-                "Kernel profile (coordinator process)",
+                "Kernel profile",
                 ["kernel", "calls", "seconds"],
                 [
                     [name, stat.calls, f"{stat.seconds:.3f}"]

@@ -34,7 +34,6 @@ from repro.events.history import CostModel
 from repro.runner.async_graph import (
     AsyncShardRunner,
     Executor,
-    RunProfile,
     ThreadExecutor,
 )
 from repro.runner.base import (
@@ -123,7 +122,6 @@ __all__ = [
     "RemoteExecutor",
     "RemoteTaskError",
     "RunOutcome",
-    "RunProfile",
     "RunRequest",
     "RunnerCapabilities",
     "RunnerPolicy",

@@ -13,8 +13,7 @@ Where work units run is the runner's one :class:`Executor`:
 * :class:`ThreadExecutor` — work units run on worker threads.  Python's
   GIL serializes pure-Python compute, but cache I/O, NumPy kernels, and
   prepare stages overlap, and there is no pickling or process-spawn
-  cost; this is also the mode whose cache telemetry a test can observe
-  in-process.
+  cost.
 * :class:`~repro.runner.pool.ProcessExecutor` — work units are
   forwarded to a local process pool for real multi-core scaling;
   prepare stages warm the shared disk tier so other workers load
@@ -26,6 +25,11 @@ Where work units run is the runner's one :class:`Executor`:
   shard on a survivor.  Workers share artifacts through a common disk
   cache dir (see
   :meth:`~repro.runner.cache.ArtifactCache.write_sync_beacon`).
+
+Pool members and remote workers capture each task's events
+(:func:`~repro.events.dispatch.capture_events`) and send them home with
+its result; the runner re-emits them, so a run's one event stream
+covers every executor.
 
 Merging and rendering always happen in the coordinator, in shard
 declaration order, which keeps the output byte-identical to
@@ -40,12 +44,13 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
-from repro.events.dispatch import emit, emit_cache_delta
+from repro.events.dispatch import capture_events, emit
 from repro.events.history import CostModel, task_cost_key
-from repro.events.model import RunFinished, RunStarted, WorkerLeased
+from repro.events.model import Event, RunFinished, RunStarted, WorkerLeased
 from repro.runner.base import (
     BaseRunner,
     RunOutcome,
@@ -60,23 +65,6 @@ from repro.runner.scheduler import (
     Task,
     check_acyclic,
 )
-
-
-@dataclass
-class RunProfile:
-    """Telemetry for one ``AsyncShardRunner.run``: scheduler timings
-    plus the cache traffic the run generated."""
-
-    scheduler: SchedulerProfile
-    cache_stats: dict[str, int] = field(default_factory=dict)
-
-    def hit_rate(self, kind: str | None = None) -> float:
-        """Cache hit rate overall, or for one tier (``"adm"``, …)."""
-        prefix = f"{kind}." if kind else ""
-        hits = self.cache_stats.get(f"{prefix}hits", 0)
-        misses = self.cache_stats.get(f"{prefix}misses", 0)
-        total = hits + misses
-        return hits / total if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -184,17 +172,27 @@ def _execute_prepare_once(exp, params: dict, unit: dict) -> None:
         done.add(fingerprint)
 
 
-def _execute_payload_with_stats(payload: tuple) -> tuple[Any, float, dict]:
-    """As :func:`_execute_payload`, plus the worker-side cache-stats
-    delta — a process-pool or remote worker's cache traffic is invisible
-    to the coordinator, so it ships home with the result for
-    ``--profile``.  The delta is collected per thread
-    (:meth:`ArtifactCache.stats_delta`): a remote worker serving several
-    slots runs tasks concurrently, and a global before/after snapshot
-    would credit each task with its neighbours' traffic too."""
-    with get_cache().stats_delta() as delta:
+def _execute_shipping(
+    payload: tuple, spill: bool
+) -> tuple[Any, str | None, float, list[Event]]:
+    """Run one work unit in a worker process, capturing its events.
+
+    Returns ``(value, spill token, compute seconds, events)``.  With
+    ``spill`` set, a value above the cache's spill threshold is written
+    to the shared disk tier and travels home as a token (the value is
+    then ``None``); any spill hiccup (full disk, no disk tier) keeps it
+    inline.  The spill write is inside the capture, so its ``CachePut``
+    comes home too.
+    """
+    token = None
+    with capture_events() as events:
         value, seconds = _execute_payload(payload)
-    return value, seconds, dict(delta)
+        if spill:
+            with suppress(Exception):
+                token = get_cache().maybe_spill(value)
+    if token is not None:
+        value = None
+    return value, token, seconds, events
 
 
 class Executor(Protocol):
@@ -202,8 +200,10 @@ class Executor(Protocol):
 
     ``slots`` maps worker name to capacity while the executor is open;
     :meth:`run` executes one payload on one of those workers and returns
-    ``(value, compute seconds, cache-stats delta)``, the delta being the
-    worker-side cache traffic the coordinator's own stats did not see.
+    ``(value, compute seconds, events)``, the events being the ones the
+    payload emitted in another process, which the runner re-emits
+    (``[]`` when the work ran in the coordinator's, where they reached
+    its dispatcher directly).
     ``connects`` counts task-connection dials per worker over the
     executor's life.  ``shares_memory`` declares that work runs in the
     coordinator's process, so prepares can warm its memory tier.
@@ -221,7 +221,7 @@ class Executor(Protocol):
 
     def close(self) -> None: ...
 
-    def run(self, worker: str, payload: tuple) -> tuple[Any, float, dict]: ...
+    def run(self, worker: str, payload: tuple) -> tuple[Any, float, list[Event]]: ...
 
 
 class ThreadExecutor:
@@ -242,9 +242,9 @@ class ThreadExecutor:
     def close(self) -> None:
         pass
 
-    def run(self, worker: str, payload: tuple) -> tuple[Any, float, dict]:
+    def run(self, worker: str, payload: tuple) -> tuple[Any, float, list[Event]]:
         value, seconds = _execute_payload(payload)
-        return value, seconds, {}
+        return value, seconds, []
 
 
 class AsyncShardRunner(BaseRunner):
@@ -277,8 +277,7 @@ class AsyncShardRunner(BaseRunner):
         )
         self.cost_model = cost_model
         self.on_scheduler = on_scheduler
-        self.last_profile: RunProfile | None = None
-        self._worker_stats: list[dict] = []
+        self.last_profile: SchedulerProfile | None = None
 
     @property
     def capabilities(self) -> RunnerCapabilities:
@@ -450,7 +449,6 @@ class AsyncShardRunner(BaseRunner):
                 jobs=self.jobs,
             )
         )
-        stats_before = dict(self.cache.stats)
         outcomes: list[RunOutcome | None] = [None] * len(coerced)
         live: list[tuple[int, RunRequest, Experiment]] = []
         for index, request in enumerate(coerced):
@@ -462,7 +460,6 @@ class AsyncShardRunner(BaseRunner):
                 live.append((index, request, exp))
 
         profile = SchedulerProfile(jobs=self.jobs)
-        self._worker_stats = []
         if live:
             # Prepares only help when the workers running the shards can
             # read what they warmed: any tier when they share the
@@ -481,14 +478,7 @@ class AsyncShardRunner(BaseRunner):
             results, profile = self._dispatch(tasks)
             for position, (index, request, exp) in enumerate(live):
                 outcomes[index] = self._collect(exp, request, position, results)
-        cache_stats = {
-            key: value - stats_before.get(key, 0)
-            for key, value in self.cache.stats.items()
-        }
-        for delta in self._worker_stats:
-            for key, value in delta.items():
-                cache_stats[key] = cache_stats.get(key, 0) + value
-        self.last_profile = RunProfile(scheduler=profile, cache_stats=cache_stats)
+        self.last_profile = profile
         emit(
             RunFinished(
                 wall_seconds=profile.wall_seconds,
@@ -513,9 +503,8 @@ class AsyncShardRunner(BaseRunner):
                 slots=slots, execute=self._execute_task, cost_model=self.cost_model
             )
             # Published before running, so a failed run still leaves its
-            # telemetry (failed task records included) inspectable; a
-            # successful run replaces it with the cache-stats-enriched one.
-            self.last_profile = RunProfile(scheduler=scheduler.profile)
+            # telemetry (failed task records included) inspectable.
+            self.last_profile = scheduler.profile
             if self.on_scheduler is not None:
                 self.on_scheduler(scheduler)
             try:
@@ -556,11 +545,9 @@ class AsyncShardRunner(BaseRunner):
             # shards, as if they had run one after another.
             shard_seconds = sum(deps[key][1] for key in ordered)
             return value, shard_seconds + time.perf_counter() - started
-        value, seconds, delta = self.executor.run(worker, task.payload)
-        if delta:
-            # list.append is atomic; folded after the run completes.
-            self._worker_stats.append(delta)
-            emit_cache_delta(delta)
+        value, seconds, events = self.executor.run(worker, task.payload)
+        for event in events:
+            emit(event)
         return value, seconds
 
     def _collect(

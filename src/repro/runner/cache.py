@@ -255,7 +255,6 @@ class ArtifactCache:
             "corrupt": 0,
         }
         self._stats_lock = threading.Lock()
-        self._stats_local = threading.local()
 
     # Stats-event name -> typed telemetry event; one event per _count
     # call, so a run's dispatcher sees cache traffic as it happens.
@@ -271,32 +270,11 @@ class ArtifactCache:
         with self._stats_lock:
             self.stats[event] += 1
             self.stats[key] = self.stats.get(key, 0) + 1
-        delta = getattr(self._stats_local, "delta", None)
-        if delta is not None:
-            delta[event] = delta.get(event, 0) + 1
-            delta[key] = delta.get(key, 0) + 1
         cls = self._EVENT_TYPES.get(event)
         if cls is CachePut:
             emit(CachePut(tier=kind, nbytes=nbytes))
         elif cls is not None:
             emit(cls(tier=kind))
-
-    @contextmanager
-    def stats_delta(self) -> Iterator[dict[str, int]]:
-        """Collect the cache traffic of *this thread* inside the block.
-
-        Workers use it to ship one task's traffic home for
-        ``--profile``: a global before/after snapshot would fold in
-        whatever concurrent tasks on other threads did, double-counting
-        every event.
-        """
-        delta: dict[str, int] = {}
-        previous = getattr(self._stats_local, "delta", None)
-        self._stats_local.delta = delta
-        try:
-            yield delta
-        finally:
-            self._stats_local.delta = previous
 
     # ------------------------------------------------------------------
     # Plumbing

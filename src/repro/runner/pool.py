@@ -12,7 +12,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
-from repro.runner.async_graph import _execute_payload_with_stats
+from repro.events.model import Event
+from repro.runner.async_graph import _execute_shipping
 from repro.runner.cache import configure_cache, get_cache
 
 
@@ -24,29 +25,16 @@ def _init_worker(disk_dir: str | None, memory: bool) -> None:
         configure_cache(memory=memory, disk_dir=disk_dir)
 
 
-def _execute_payload_shipping(payload: tuple) -> tuple[Any, str | None, float, dict]:
-    """As :func:`~repro.runner.async_graph._execute_payload_with_stats`,
-    but a result above the cache's spill threshold is written to the
-    shared disk tier and returned as ``(None, token, ...)`` — a pool
-    member shares the coordinator's disk dir (see :func:`_init_worker`),
-    so large arrays travel as a file name instead of being pickled
-    through the pool's result pipe."""
-    value, seconds, delta = _execute_payload_with_stats(payload)
-    try:
-        token = get_cache().maybe_spill(value)
-    except Exception:
-        token = None
-    if token is not None:
-        return None, token, seconds, delta
-    return value, None, seconds, delta
-
-
 class ProcessExecutor:
     """Runs work units on ``jobs`` local worker processes.
 
     The pool is configured from the cache active when it opens (the
-    runner's, during a run), and its members' cache traffic comes home
-    with each result as a stats delta.
+    runner's, during a run).  A member shares the coordinator's disk dir
+    (see :func:`_init_worker`), so a large result travels as a spill
+    token instead of being pickled through the result pipe.  Each task
+    runs inside an event capture and its events come home in the result
+    tuple: a forked member inherits the coordinator's dispatcher, and
+    must never write to the trail file it also inherited.
     """
 
     name = "process"
@@ -77,11 +65,11 @@ class ProcessExecutor:
             self._pool.shutdown()
             self._pool = None
 
-    def run(self, worker: str, payload: tuple) -> tuple[Any, float, dict]:
+    def run(self, worker: str, payload: tuple) -> tuple[Any, float, list[Event]]:
         assert self._pool is not None, "open() the executor first"
-        value, token, seconds, delta = self._pool.submit(
-            _execute_payload_shipping, payload
+        value, token, seconds, events = self._pool.submit(
+            _execute_shipping, payload, True
         ).result()
         if token is not None:
             value = get_cache().take_spill(token)
-        return value, seconds, delta
+        return value, seconds, events

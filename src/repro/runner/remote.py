@@ -69,12 +69,19 @@ from repro.core.serialization import (
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.events.dispatch import emit
-from repro.events.model import WorkerConnected, WorkerLost
-from repro.runner.async_graph import _execute_payload_with_stats
+from repro.events.model import (
+    Event,
+    WorkerConnected,
+    WorkerLost,
+    event_from_wire,
+    event_to_wire,
+)
+from repro.runner.async_graph import _execute_shipping
 from repro.runner.cache import ArtifactCache, code_fingerprint, get_cache
 from repro.runner.scheduler import WorkerLostError
 
-PROTOCOL_VERSION = 1
+# Version 2: a result frame carries the events its task emitted.
+PROTOCOL_VERSION = 2
 
 # How long a coordinator waits for a worker to answer a handshake /
 # accept a connection.  Task execution itself is unbounded — shards
@@ -228,27 +235,23 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
     def _run_task(self, message: dict) -> dict:
         try:
             payload = task_payload_from_wire(message.get("payload") or {})
-            value, seconds, delta = _execute_payload_with_stats(payload)
+            # A coordinator with a disk tier marks the task spillable:
+            # the beacon handshake already proved both sides see the
+            # same storage, so a large result can travel as a token
+            # instead of megabytes of JSON.
+            value, token, seconds, events = _execute_shipping(
+                payload, bool(message.get("spill_ok"))
+            )
             reply = {
                 "type": "result",
                 "ok": True,
                 "seconds": seconds,
-                "cache_stats": delta,
+                "events": [event_to_wire(event) for event in events],
             }
-            # A coordinator with a disk tier marks the task spillable:
-            # the beacon handshake already proved both sides see the
-            # same storage, so a large result can travel as a token
-            # instead of megabytes of JSON.  Any spill hiccup (full
-            # disk, no disk tier here) falls back to the inline path.
-            if message.get("spill_ok"):
-                try:
-                    token = get_cache().maybe_spill(value)
-                except Exception:
-                    token = None
-                if token is not None:
-                    reply["spill"] = token
-                    return reply
-            reply["value"] = encode_wire_value(value)
+            if token is not None:
+                reply["spill"] = token
+            else:
+                reply["value"] = encode_wire_value(value)
             return reply
         except BaseException as error:  # shipped to coordinator
             return {
@@ -592,7 +595,7 @@ class RemoteExecutor:
     Usage::
 
         with RemoteExecutor("local:2", cache=cache) as remote:
-            value, seconds, delta = remote.run(address, payload)
+            value, seconds, events = remote.run(address, payload)
 
     ``workers`` is ``"host:port,host:port"``, ``"local:N"``, or a
     sequence of addresses; :meth:`open` probes every one of them
@@ -603,7 +606,8 @@ class RemoteExecutor:
     the ``repro serve`` control plane admits self-registered workers
     that way.  Task traffic flows over pooled persistent connections
     (one per busy slot); :attr:`connects` counts the dials per worker
-    over the executor's life.
+    over the executor's life.  Each result frame carries the events the
+    task emitted on its worker, which :meth:`run` decodes and returns.
     """
 
     name = "remote"
@@ -820,10 +824,11 @@ class RemoteExecutor:
         for connection in connections:
             connection.close()
 
-    def run(self, address: str, payload: tuple) -> tuple[Any, float, dict]:
+    def run(self, address: str, payload: tuple) -> tuple[Any, float, list[Event]]:
         """Execute one task payload on ``address``.
 
-        Returns ``(value, compute seconds, cache-stats delta)``.  Raises
+        Returns ``(value, compute seconds, events)``, the events being
+        what the payload emitted on the worker.  Raises
         :class:`WorkerLostError` on transport failure (scheduler retries
         elsewhere) and :class:`RemoteTaskError` when the payload itself
         raised on the worker.  The connection is leased from the
@@ -870,7 +875,7 @@ class RemoteExecutor:
             return (
                 value,
                 float(reply.get("seconds") or 0.0),
-                dict(reply.get("cache_stats") or {}),
+                [event_from_wire(wire) for wire in reply.get("events") or ()],
             )
         detail = reply.get("error") or {}
         raise RemoteTaskError(

@@ -84,7 +84,7 @@ def test_sweep_shares_prepares_across_points(tmp_path):
     assert sweep.profile is not None
     prep_records = [
         record
-        for record in sweep.profile.scheduler.tasks
+        for record in sweep.profile.scheduler_profile().tasks
         if "/prep" in record.label
     ]
     assert len(prep_records) == 1, "shared prepare must be scheduled once"

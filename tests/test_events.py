@@ -226,7 +226,7 @@ def test_event_stream_is_well_ordered_across_executors(
     # Scheduler task events happen on the event-loop thread in record
     # order, so the aggregator's reconstruction equals the live profile.
     assert runner.last_profile is not None
-    assert aggregator.scheduler_profile() == runner.last_profile.scheduler
+    assert aggregator.scheduler_profile() == runner.last_profile
 
 
 def test_serial_runner_emits_through_the_same_pipeline(fresh_cache):
@@ -248,20 +248,31 @@ def test_serial_runner_emits_through_the_same_pipeline(fresh_cache):
 # ----------------------------------------------------------------------
 
 
-def test_trail_replays_to_the_live_aggregate(tmp_path):
+@pytest.mark.parametrize(
+    "name,days", [("fig6", 3), ("fig10", 4)], ids=["fig6", "fig10"]
+)
+def test_trail_replays_to_the_live_aggregate(tmp_path, name, days):
     session = Session(cache_dir=str(tmp_path / "cache"), jobs=2)
-    session.submit("fig6", days=3)
+    session.submit(name, days=days)
     live = session.last_events
     assert live is not None and session.last_profile is not None
-    assert live.scheduler_profile() == session.last_profile.scheduler
+    assert live.scheduler_profile() == session.last_profile
 
     manifest = session.last_manifests[0]
     assert manifest.events_path, "events=auto must persist a trail"
     assert session.last_events_path is not None
     assert session.last_events_path.is_file()
+    # Only the coordinator writes the trail (pool members inherit its
+    # open writer): one header, then each event once, in seq order.
+    lines = session.last_events_path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [r["kind"] for r in records].count("TrailHeader") == 1
+    seqs = [r["seq"] for r in records if r["kind"] != "TrailHeader"]
+    assert len(set(seqs)) == len(seqs), "duplicate seq numbers"
+    assert all(a < b for a, b in zip(seqs, seqs[1:])), "seq not increasing"
 
     replayed = replay_events(session.events(manifest))
-    assert replayed.scheduler_profile() == session.last_profile.scheduler
+    assert replayed.scheduler_profile() == session.last_profile
     assert replayed.cache_stats == live.cache_stats
     assert replayed.kernels == live.kernels
     assert replayed.run_started == live.run_started
@@ -289,13 +300,49 @@ def test_render_profile_matches_cli_shape(tmp_path):
     assert "utilization" in text
     assert "cache hit rate (all)" in text
     assert "cache corrupt entries" in text
-    # Kernels execute in pool processes under jobs=2, so the kernel
-    # section only appears when the coordinator ran them itself.
+    # Kernels execute in pool processes under jobs=2; their events come
+    # home with each result, so the kernel table is there as in serial.
+    assert "Kernel profile" in text.splitlines()
     serial = Session(cache_dir=str(tmp_path / "serial"), runner="serial")
     serial.submit("fig3", days=2)
-    assert "Kernel profile (coordinator process)" in render_profile(
+    assert "Kernel profile" in render_profile(
         serial.last_events, "serial"
-    )
+    ).splitlines()
+
+
+def test_every_backend_trail_has_the_serial_kernels_and_put_bytes(tmp_path):
+    """Pool and remote workers send their events home: whichever
+    executor ran it, a fig10 trail names the serial run's kernels,
+    records the bytes the workers wrote, and replays to its live
+    aggregate."""
+    backends = {
+        "serial": {"runner": "serial"},
+        "pool": {"jobs": 2},
+        "remote": {"workers": "local:2"},
+    }
+    trails = {}
+    for label, kwargs in backends.items():
+        session = Session(cache_dir=str(tmp_path / label), **kwargs)
+        session.submit("fig10", days=4)
+        events = session.events(session.last_manifests[0])
+        live = session.last_events
+        replayed = replay_events(events)
+        assert replayed.scheduler_profile() == live.scheduler_profile(), label
+        assert replayed.cache_stats == live.cache_stats, label
+        assert replayed.kernels == live.kernels, label
+        trails[label] = events
+    serial_kernels = {
+        e.kernel for e in trails["serial"] if isinstance(e, KernelTimed)
+    }
+    assert serial_kernels
+    for label, events in trails.items():
+        kernels = {e.kernel for e in events if isinstance(e, KernelTimed)}
+        assert kernels == serial_kernels, label
+        for tier in ("trace", "adm"):
+            assert any(
+                isinstance(e, CachePut) and e.tier == tier and e.nbytes > 0
+                for e in events
+            ), f"{label}: no {tier} put bytes"
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +555,7 @@ def test_artifacts_byte_identical_under_remote_workers(tmp_path, fresh_cache):
             outcomes = runner.run([RunRequest.for_days("fig3", days=2)])
         assert outcomes[0].rendered == oracle[0].rendered
         assert runner.last_profile is not None
-        assert (
-            aggregator.scheduler_profile() == runner.last_profile.scheduler
-        )
+        assert aggregator.scheduler_profile() == runner.last_profile
         assert set(aggregator.slots) == set(addresses)
         assert aggregator.worker_connects, "dials must be observable"
     finally:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.events import collect_events
 from repro.runner import (
     AsyncShardRunner,
     ProcessExecutor,
@@ -119,15 +120,16 @@ def test_result_cache_replay(fresh_cache):
 
 def test_profile_reports_tasks_and_cache_traffic(fresh_cache):
     runner = AsyncShardRunner(jobs=2)
-    runner.run(_requests([("fig3", {"n_days": 2, "seed": 22})]))
+    with collect_events() as events:
+        runner.run(_requests([("fig3", {"n_days": 2, "seed": 22})]))
     profile = runner.last_profile
     assert profile is not None
-    labels = {record.label for record in profile.scheduler.tasks}
+    labels = {record.label for record in profile.tasks}
     assert any(label.startswith("fig3/prep") for label in labels)
     assert any(label.startswith("fig3/shard") for label in labels)
     assert "fig3/merge" in labels
-    assert profile.scheduler.wall_seconds > 0
-    assert profile.cache_stats.get("trace.puts", 0) >= 1
+    assert profile.wall_seconds > 0
+    assert events.cache_stats.get("trace.puts", 0) >= 1
 
 
 def test_adm_disk_tier_replays_in_fresh_process(fresh_cache):
@@ -135,8 +137,9 @@ def test_adm_disk_tier_replays_in_fresh_process(fresh_cache):
     fitted inside ShatterAnalysis instead of re-clustering."""
     request = [("tab6", {"n_days": 5, "training_days": 3, "seed": 5})]
     runner = AsyncShardRunner(jobs=2)
-    first = runner.run(_requests(request))
-    stats = runner.last_profile.cache_stats
+    with collect_events() as events:
+        first = runner.run(_requests(request))
+    stats = events.cache_stats
     assert stats.get("adm.puts", 0) >= 4, "defender+attacker fits per house"
 
     # Same disk tier, fresh memory: what a new process (or CI replay)
@@ -145,10 +148,11 @@ def test_adm_disk_tier_replays_in_fresh_process(fresh_cache):
     for entry in (fresh_cache.disk_dir / "result").iterdir():
         entry.unlink()
     rerun_runner = AsyncShardRunner(jobs=2)
-    second = rerun_runner.run(_requests(request))
+    with collect_events() as events:
+        second = rerun_runner.run(_requests(request))
     assert second[0].rendered == first[0].rendered
     assert not second[0].cached
-    stats = rerun_runner.last_profile.cache_stats
+    stats = events.cache_stats
     assert stats.get("adm.hits", 0) >= 4, "ADM fits must replay from disk"
     assert stats.get("adm.puts", 0) == 0, "nothing should be re-fitted"
 
@@ -321,11 +325,12 @@ def test_concurrent_same_key_puts_do_not_collide(tmp_path):
 
 @pytest.mark.slow
 def test_process_mode_profile_sees_worker_cache_traffic(fresh_cache):
-    """Worker-side cache stats must ship back to the coordinator, or
+    """Worker-side cache events must ship back to the coordinator, or
     --profile reports ~0% hit rates for the CLI's default executor."""
     runner = AsyncShardRunner(jobs=2, executor=ProcessExecutor(2))
-    runner.run(_requests([("fig3", {"n_days": 2, "seed": 31})]))
-    stats = runner.last_profile.cache_stats
+    with collect_events() as events:
+        runner.run(_requests([("fig3", {"n_days": 2, "seed": 31})]))
+    stats = events.cache_stats
     assert stats.get("trace.puts", 0) >= 1, "worker trace traffic missing"
 
 
@@ -338,7 +343,7 @@ def test_memory_only_cache_skips_prepares_in_process_mode():
         jobs=2, executor=ProcessExecutor(2), cache=memory_only
     )
     outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
-    labels = {r.label for r in runner.last_profile.scheduler.tasks}
+    labels = {r.label for r in runner.last_profile.tasks}
     assert outcomes[0].rendered
     assert not any("prep" in label for label in labels)
 
@@ -348,7 +353,7 @@ def test_prepares_skipped_when_cache_disabled():
     with cache_disabled():
         runner = AsyncShardRunner(jobs=2)
         outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
-        labels = {r.label for r in runner.last_profile.scheduler.tasks}
+        labels = {r.label for r in runner.last_profile.tasks}
     assert outcomes[0].rendered
     assert not any("prep" in label for label in labels)
     assert {"fig3/shard0", "fig3/shard1", "fig3/merge"} <= labels

@@ -455,33 +455,47 @@ def test_digest_memo_holds_exactly_the_current_tree(tmp_path):
     }
 
 
-def test_stats_delta_is_per_thread(tmp_path):
+def test_captured_events_are_per_thread(tmp_path):
     """Concurrent tasks on one worker must each ship home only their
-    own traffic — a global before/after snapshot would double-count."""
+    own events — a process-wide capture would double-count."""
     import threading
+
+    from repro.events import (
+        CacheHit,
+        CachePut,
+        capture_events,
+        collect_events,
+    )
 
     cache = ArtifactCache(memory=True, disk_dir=None)
     _, trace = _small_trace()
-    deltas = {}
+    captured = {}
     ready = threading.Barrier(2)
 
     def task(name, house):
-        with cache.stats_delta() as delta:
+        with capture_events() as events:
             ready.wait(timeout=5.0)
             cache.put_trace(house, 1, 1, trace)
             cache.get_trace(house, 1, 1)
-        deltas[name] = delta
+            # Both captures stay open until both threads have emitted.
+            ready.wait(timeout=5.0)
+        captured[name] = events
 
     threads = [
         threading.Thread(target=task, args=("t1", "A")),
         threading.Thread(target=task, args=("t2", "B")),
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for delta in deltas.values():
-        assert delta["puts"] == 1 and delta["hits"] == 1
+    with collect_events() as dispatched:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert set(captured) == {"t1", "t2"}
+    for events in captured.values():
+        assert [type(event) for event in events] == [CachePut, CacheHit]
+        assert all(event.tier == "trace" for event in events)
+    assert dispatched.events_seen == 0, "captured events must not dispatch"
     # The shared aggregate still sees everything.
     assert cache.stats["puts"] == 2 and cache.stats["hits"] == 2
 

@@ -20,6 +20,7 @@ from repro.core.serialization import (
     task_payload_to_wire,
 )
 from repro.errors import ConfigurationError
+from repro.events import CachePut
 from repro.runner import (
     AsyncShardRunner,
     RemoteExecutor,
@@ -137,10 +138,13 @@ def test_worker_executes_payload(fresh_cache, worker_pair):
     with executor:
         assert executor.slots == {address: 1 for address in worker_pair}
         payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-        value, seconds, delta = executor.run(worker_pair[0], payload)
+        value, seconds, events = executor.run(worker_pair[0], payload)
         assert value.house == "A"
         assert seconds > 0
-        assert delta.get("trace.puts", 0) >= 1, "telemetry must ship back"
+        trace_puts = [
+            e for e in events if isinstance(e, CachePut) and e.tier == "trace"
+        ]
+        assert len(trace_puts) >= 1, "telemetry must ship back"
 
 
 def test_worker_ping_and_remote_error(fresh_cache, worker_pair):
@@ -228,9 +232,13 @@ def test_large_result_spills_through_shared_cache(tmp_path, worker_pair):
     try:
         with RemoteExecutor(worker_pair, cache=cache) as executor:
             payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-            value, _, _ = executor.run(worker_pair[0], payload)
+            value, _, events = executor.run(worker_pair[0], payload)
         assert value.house == "A"
         assert cache.stats["spill.puts"] >= 1, "worker must have spilled"
+        assert any(
+            isinstance(e, CachePut) and e.tier == "spill" and e.nbytes > 0
+            for e in events
+        ), "the worker's spill put must come home with the result"
         assert cache.stats["spill.hits"] >= 1, "coordinator must have redeemed"
         spill_dir = tmp_path / "cache" / "spill"
         assert not list(spill_dir.glob("*.raf")), "take_spill must unlink"
@@ -275,17 +283,15 @@ def test_remote_matches_serial_byte_for_byte(fresh_cache, worker_pair):
         assert r.rendered == s.rendered, f"{s.name} diverged under remote"
     profile = runner.last_profile
     assert profile is not None
-    workers = {
-        record.worker for record in profile.scheduler.tasks if not record.local
-    }
+    workers = {record.worker for record in profile.tasks if not record.local}
     assert workers <= set(worker_pair) and workers, "tasks must name workers"
-    assert profile.scheduler.slots == {address: 1 for address in worker_pair}
+    assert profile.slots == {address: 1 for address in worker_pair}
     # Persistent-connection telemetry: every dial shows in the profile,
     # and no worker dialed more than once per slot it served.
-    connects = profile.scheduler.worker_connects
+    connects = profile.worker_connects
     assert set(connects) <= set(worker_pair) and connects
     for address, count in connects.items():
-        assert count <= profile.scheduler.slots[address], (
+        assert count <= profile.slots[address], (
             f"worker {address} reconnected per task ({count} dials)"
         )
 
@@ -431,7 +437,7 @@ def test_worker_crash_mid_shard_retries_on_survivor(fresh_cache):
         )
         outcome = runner.run_one("fig3", params={"n_days": 2, "seed": 9})
         assert outcome.rendered  # the run survived the crash
-        profile = runner.last_profile.scheduler
+        profile = runner.last_profile
         lost = [record for record in profile.tasks if record.failed]
         assert flaky.tasks_dropped >= 1, "the flaky worker must see a task"
         assert lost and all(r.worker == flaky.address for r in lost)
@@ -491,7 +497,7 @@ def test_cancellation_drains_inflight_remote_tasks(fresh_cache, worker_pair):
         with pytest.raises(TaskExecutionError, match="remote shard failure") as info:
             runner.run([RunRequest(exp.name, {})])
         assert "explode-remote" in info.value.label
-        profile = runner.last_profile.scheduler
+        profile = runner.last_profile
         merges = [r for r in profile.tasks if r.local]
         assert not merges, "merge must not have run"
     finally:

@@ -279,7 +279,7 @@ def test_job_trail_folds_to_its_batch_profile(fresh_cache, tmp_path, sum_exp):
             final = client.wait(job["job_id"], timeout=60.0)
             assert final["state"] == "done", final["error"]
             folded = replay_events(client.events(job["job_id"]))
-            live = plane.session.last_profile.scheduler
+            live = plane.session.last_profile
             assert folded.scheduler_profile() == live
             assert live.slots == {server.address: 2}
     finally:
