@@ -20,6 +20,7 @@ replay semantics) always hold.
 import os
 import time
 
+from repro.events import collect_events
 from repro.runner import (
     ArtifactCache,
     AsyncShardRunner,
@@ -83,7 +84,7 @@ def test_parallel_matches_serial(benchmark, artifact_writer):
 def test_async_graph_matches_serial(benchmark, artifact_writer):
     with cache_disabled():
         serial = SerialRunner().run(_requests())
-    with cache_disabled():
+    with cache_disabled(), collect_events() as events:
         runner = AsyncShardRunner(jobs=2)
         outcomes = benchmark.pedantic(
             lambda: runner.run(_requests()),
@@ -92,7 +93,7 @@ def test_async_graph_matches_serial(benchmark, artifact_writer):
         )
     for s, a in zip(serial, outcomes):
         assert a.rendered == s.rendered, f"{s.name} diverged under async graph"
-    profile = runner.last_profile
+    profile = events.scheduler_profile()
     artifact_writer(
         "runner_suite_async",
         "\n".join(
@@ -139,13 +140,14 @@ def test_trace_tier_dedupes_generation(benchmark):
 
     def run_pair():
         runner = SerialRunner(cache=cache)
-        runner.run(
-            [
-                RunRequest("fig4", {"n_days": 6, "seed": 3, "min_pts_values": [3, 6], "k_values": [2, 4]}),
-                RunRequest("fig6", {"n_days": 6, "seed": 3}),
-            ]
-        )
-        return cache.stats
+        with collect_events() as events:
+            runner.run(
+                [
+                    RunRequest("fig4", {"n_days": 6, "seed": 3, "min_pts_values": [3, 6], "k_values": [2, 4]}),
+                    RunRequest("fig6", {"n_days": 6, "seed": 3}),
+                ]
+            )
+        return events.cache_stats
 
     stats = benchmark.pedantic(run_pair, rounds=1, iterations=1)
     assert stats["hits"] > 0, "shared trace should hit the cache"

@@ -16,6 +16,11 @@ use instead of shelling out:
   :class:`~repro.api.store.RunManifest` under the cache dir, queryable
   via :meth:`Session.runs` and the ``repro runs`` CLI verbs.
 
+A run's event stream is its only record: :attr:`Session.last_events`
+(its aggregate) and :attr:`Session.last_events_path` (its trail) are
+published before it starts, so they describe a run that fails too, and
+manifests take their slot table and cache figures from the aggregate.
+
 The byte-identity invariant carries over: a sweep of one point renders
 byte-identically to ``repro run`` of the same experiment/parameters,
 because merge and render still happen in the coordinator in shard
@@ -75,7 +80,7 @@ from repro.runner import (
 )
 from repro.runner.async_graph import GraphSummary
 from repro.runner.cache import code_fingerprint
-from repro.runner.scheduler import SchedulerProfile, Task
+from repro.runner.scheduler import Task
 
 
 def expand_grid(grid: Mapping[str, Any]) -> list[dict[str, Any]]:
@@ -143,10 +148,8 @@ class Session:
             ``"local:N"``); implies the remote backend under ``auto``.
         profile: Collect scheduler telemetry (promotes ``auto`` to the
             graph runner even at ``jobs=1``); after a run, read the
-            live :class:`~repro.runner.scheduler.SchedulerProfile` from
-            :attr:`last_profile` and the run's event aggregate, which
-            pool and remote workers' events reach too, from
-            :attr:`last_events`.
+            run's event aggregate, which pool and remote workers'
+            events reach too, from :attr:`last_events`.
         store_dir: Override where manifests live (default
             ``<cache_dir>/runs``).
         record_runs: Persist a manifest per completed run.
@@ -221,7 +224,6 @@ class Session:
         self.events_mode = events
         self.schedule = schedule
         self._processors: list[EventProcessor] = []
-        self.last_profile: SchedulerProfile | None = None
         self.last_runner: BaseRunner | None = None
         self.last_manifests: list[RunManifest] = []
         self.last_events: ProfileAggregator | None = None
@@ -477,7 +479,13 @@ class Session:
     def _execute(
         self, runner: BaseRunner, requests: list[RunRequest]
     ) -> list[RunOutcome]:
+        # Published before the run, so a failed run leaves its own
+        # record here, not the previous run's.
         aggregator = ProfileAggregator()
+        self.last_runner = runner
+        self.last_events = aggregator
+        self.last_events_path = None
+        self.last_manifests = []
         processors: list[EventProcessor] = [aggregator, *self._processors]
         writer: JsonlEventWriter | None = None
         trail_name = ""
@@ -492,6 +500,7 @@ class Session:
                     "runner": runner.capabilities.name,
                 },
             )
+            self.last_events_path = writer.path
             processors.append(writer)
         dispatcher = EventDispatcher(processors)
         try:
@@ -502,16 +511,8 @@ class Session:
             # session-lived, and the aggregator stays readable.
             if writer is not None:
                 writer.close()
-        self.last_runner = runner
-        self.last_profile = getattr(runner, "last_profile", None)
-        self.last_events = aggregator
-        self.last_events_path = (
-            self.store.root / trail_name
-            if writer is not None and self.store is not None
-            else None
-        )
         self.last_manifests = self._record(
-            requests, outcomes, runner, aggregator.cache_stats, trail_name
+            requests, outcomes, runner, aggregator, trail_name
         )
         return outcomes
 
@@ -520,14 +521,11 @@ class Session:
         requests: list[RunRequest],
         outcomes: list[RunOutcome],
         runner: BaseRunner,
-        cache_stats: dict[str, int],
+        aggregator: ProfileAggregator,
         trail_name: str = "",
     ) -> list[RunManifest]:
         if self.store is None:
             return []
-        # The serial backend keeps no scheduler profile.
-        profile = self.last_profile
-        workers = dict(profile.slots) if profile is not None else {}
         manifests = []
         for request, outcome in zip(requests, outcomes):
             created = time.time()
@@ -540,12 +538,12 @@ class Session:
                 fingerprint=code_fingerprint(),
                 runner=runner.capabilities.name,
                 jobs=runner.capabilities.max_workers,
-                workers=workers,
+                workers=dict(aggregator.slots),
                 seconds=outcome.seconds,
                 cached=outcome.cached,
                 shards=outcome.shards,
                 sweep=request.sweep,
-                cache_stats=dict(cache_stats),
+                cache_stats=dict(aggregator.cache_stats),
                 rendered_path="",  # filled by the store
                 origin=self.origin,
                 events_path=trail_name,

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import difflib
 import json
-import os
-import threading
 import time
 import uuid
 from dataclasses import dataclass, replace
@@ -31,6 +29,7 @@ from typing import Any
 
 from repro.core.serialization import decode_wire_value, encode_wire_value
 from repro.errors import ConfigurationError
+from repro.runner.cache import atomic_write
 
 _MANIFEST_VERSION = 1
 
@@ -189,20 +188,12 @@ class RunStore:
         self.root.mkdir(parents=True, exist_ok=True)
         rendered_name = f"{manifest.run_id}.txt"
         manifest = replace(manifest, rendered_path=rendered_name)
-        self._atomic_write(self.root / rendered_name, rendered.encode())
-        self._atomic_write(
+        atomic_write(self.root / rendered_name, rendered.encode())
+        atomic_write(
             self.root / f"{manifest.run_id}.json",
             json.dumps(manifest_to_wire(manifest), sort_keys=True).encode(),
         )
         return manifest
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(
-            path.suffix + f".tmp{os.getpid()}-{threading.get_ident()}"
-        )
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
 
     # ------------------------------------------------------------------
     # Querying

@@ -69,7 +69,6 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable
 
 from repro.api import Session
 from repro.api.store import STORE_SUBDIR, RunStore
@@ -84,28 +83,11 @@ from repro.runner import (
     default_disk_dir,
     experiment_names,
     experiments_by_tag,
-    get_experiment,
     load_all,
 )
 from repro.runner.scheduler import TaskExecutionError
 
 load_all()
-
-
-def _compat_render(name: str) -> Callable[[int], str]:
-    def render(days: int) -> str:
-        exp = get_experiment(name)
-        return exp.render(exp.execute(exp.resolve(days=days)))
-
-    return render
-
-
-# Historical interface: artifact id -> (description, render(days)).  The
-# registry is the source of truth; this stays for callers and tests that
-# predate it.
-ARTIFACTS: dict[str, tuple[str, Callable[[int], str]]] = {
-    exp.name: (exp.title, _compat_render(exp.name)) for exp in all_experiments()
-}
 
 
 def _artifact_id(value: str) -> str:
@@ -714,10 +696,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         rows.append([f"{kind} entries", count])
     rows.append(["total bytes", info["disk_bytes"]])
     if verified is not None:
-        # Stats are per-process, so a plain `cache info` could only
-        # ever report 0 here; the row is shown when --verify actually
-        # scanned the tiers.
-        rows.append(["corrupt entries", info["stats"].get("corrupt", 0)])
+        # Shown only when --verify actually scanned the tiers.
+        corrupt = sum(report["corrupt"] for report in verified.values())
+        rows.append(["corrupt entries", corrupt])
     print(format_table("Artifact cache", ["key", "value"], rows))
     if verified is not None:
         print(

@@ -14,7 +14,8 @@ cache traffic (:class:`CacheHit` / :class:`CacheMiss` /
 Events are plain data — no behaviour, no references into the runner —
 so they can cross the JSONL audit trail and a remote worker's result
 frame, and be replayed later into the same aggregates a live run
-produces.  :func:`event_to_wire` /
+produces.  They are a run's only record: nothing in the execution
+stack keeps a tally of the same facts beside them.  :func:`event_to_wire` /
 :func:`event_from_wire` go through the task-payload wire codec
 (:mod:`repro.core.serialization`), so non-JSON field values like tuple
 task keys (``(0, "shard", 3)``) survive the round-trip *exactly*.
@@ -48,10 +49,10 @@ class RunStarted(Event):
 
 @dataclass(frozen=True)
 class RunFinished(Event):
-    """The batch completed; wall/busy totals for the whole run."""
+    """The batch ended, successfully or not; its wall time.  (Busy time
+    is the sum of the task events' seconds.)"""
 
     wall_seconds: float
-    busy_seconds: float
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Built-in event processors: aggregation, JSONL persistence, rendering.
 
 :class:`ProfileAggregator` folds the event stream into a
-:class:`~repro.runner.scheduler.SchedulerProfile` (reconstructed
-*exactly*: same records in the same order, same float sums), the run's
-cache stats, and per-kernel rollups.  It is the one fold of run
-telemetry: ``--profile`` is a pure renderer over it and run manifests
-take their cache figures from it, identically for every runner and
-executor (pool and remote workers send their events home).
+:class:`SchedulerProfile` (one :class:`TaskRecord` per task attempt,
+failed ones included, in dispatch order), the run's cache stats, and
+per-kernel rollups.  It is the only record of a run: the scheduler,
+the executors and the cache keep no tallies of their own, ``--profile``
+is a pure renderer over the aggregate, and run manifests take their
+slot table and cache figures from it, identically for every runner and
+executor (pool and remote workers send their events home).  Runners
+emit ``RunFinished`` even when a run fails, so a failed run's
+aggregate still holds its tasks and wall time.
 
 :class:`JsonlEventWriter` persists the stream as an append-only JSONL
 audit trail next to the run manifests; :func:`read_events_jsonl` reads
@@ -19,8 +22,9 @@ historical trails.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.events.dispatch import EventProcessor
 from repro.events.model import (
@@ -49,8 +53,65 @@ from repro.events.model import (
     event_to_wire,
 )
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a module cycle
-    from repro.runner.scheduler import SchedulerProfile
+
+@dataclass
+class TaskRecord:
+    """One task execution attempt, as its task event reported it."""
+
+    key: Any  # unique hashable id within the graph
+    label: str
+    started: float
+    seconds: float
+    local: bool
+    worker: str = ""
+    failed: bool = False
+
+
+@dataclass
+class SchedulerProfile:
+    """What a run did with its concurrency budget (see
+    :meth:`ProfileAggregator.scheduler_profile`)."""
+
+    jobs: int
+    wall_seconds: float = 0.0
+    busy_seconds: float = 0.0
+    tasks: list[TaskRecord] = field(default_factory=list)
+    # Worker name -> concurrent slot count leased to the run.
+    slots: dict[str, int] = field(default_factory=dict)
+    # Worker name -> task connections dialed (remote executor only).
+    # With persistent per-slot connections this stays at ~capacity per
+    # worker; a count tracking the task count means reconnect churn.
+    worker_connects: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def utilization(self) -> float:
+        """Mean fraction of the slot budget kept busy (0..1)."""
+        if self.wall_seconds <= 0.0 or self.jobs <= 0:
+            return 0.0
+        return min(1.0, self.busy_seconds / (self.wall_seconds * self.jobs))
+
+    def worker_busy(self) -> dict[str, float]:
+        """Seconds each worker spent executing (failed attempts count:
+        a crashed shard still occupied the slot)."""
+        busy = {worker: 0.0 for worker in self.slots}
+        for record in self.tasks:
+            if record.local or not record.worker:
+                continue
+            busy[record.worker] = busy.get(record.worker, 0.0) + record.seconds
+        return busy
+
+    def worker_utilization(self) -> dict[str, float]:
+        """Per-worker mean fraction of its slots kept busy (0..1)."""
+        busy = self.worker_busy()
+        if self.wall_seconds <= 0.0:
+            return {worker: 0.0 for worker in busy}
+        return {
+            worker: min(
+                1.0,
+                seconds / (self.wall_seconds * max(1, self.slots.get(worker, 1))),
+            )
+            for worker, seconds in busy.items()
+        }
 
 _CACHE_EVENT_NAMES: dict[type, str] = {
     CacheHit: "hits",
@@ -63,11 +124,9 @@ _CACHE_EVENT_NAMES: dict[type, str] = {
 class ProfileAggregator(EventProcessor):
     """Reconstructs run telemetry from the event stream.
 
-    Task events append in dispatch order — the same order the scheduler
-    appends its ``TaskRecord`` list and sums ``busy_seconds`` — so
-    :meth:`scheduler_profile` compares equal to the live profile, and a
-    JSONL trail (which preserves dispatch order) replays to the same
-    aggregate.
+    Task events append, and their seconds sum, in dispatch order, which
+    a JSONL trail preserves, so a replayed trail folds to the same
+    aggregate as the live run, float sums included.
     """
 
     def __init__(self) -> None:
@@ -81,10 +140,12 @@ class ProfileAggregator(EventProcessor):
         self.started_tasks: int = 0
         self.busy_seconds: float = 0.0
         self.wall_seconds: float = 0.0
+        # Event counts, overall and per tier: "hits", "adm.hits", …
+        # "corrupt" counts disk entries that failed to decode (also
+        # counted as misses): a storage-health signal a miss is not.
         self.cache_stats: dict[str, int] = {}
         # Bytes written per tier (CachePut.nbytes), kept apart from
-        # cache_stats so the latter keeps ArtifactCache.stats's
-        # event-count keys.
+        # cache_stats so the latter holds event counts only.
         self.cache_put_bytes: dict[str, int] = {}
         self.kernels: dict[str, KernelStat] = {}
         # Service control-plane telemetry (zero outside `repro serve`).
@@ -144,22 +205,15 @@ class ProfileAggregator(EventProcessor):
     # -- derived aggregates ---------------------------------------------
 
     @property
-    def has_tasks(self) -> bool:
-        return bool(self.task_events)
-
-    @property
     def jobs(self) -> int:
-        """Total slot budget, matching ``SchedulerProfile.jobs``."""
+        """Total slot budget: the leased slots, else the runner's
+        declared bound (a run that leased none)."""
         if self.slots:
             return sum(self.slots.values())
         return self.run_started.jobs if self.run_started is not None else 0
 
-    def scheduler_profile(self) -> "SchedulerProfile":
+    def scheduler_profile(self) -> SchedulerProfile:
         """The :class:`SchedulerProfile` this stream describes."""
-        # Imported here, not at module top: the scheduler emits through
-        # this package, so a top-level import would be circular.
-        from repro.runner.scheduler import SchedulerProfile, TaskRecord
-
         profile = SchedulerProfile(
             jobs=self.jobs,
             wall_seconds=self.wall_seconds,

@@ -29,7 +29,11 @@ Where work units run is the runner's one :class:`Executor`:
 Pool members and remote workers capture each task's events
 (:func:`~repro.events.dispatch.capture_events`) and send them home with
 its result; the runner re-emits them, so a run's one event stream
-covers every executor.
+covers every executor.  That stream is the run's only record: the
+runner keeps no profile, and it emits ``RunFinished`` even when the
+run fails.  Callers that run it outside a
+:class:`~repro.api.Session` fold the stream with
+:func:`repro.events.collect_events`.
 
 Merging and rendering always happen in the coordinator, in shard
 declaration order, which keeps the output byte-identical to
@@ -50,7 +54,7 @@ from typing import Any, Protocol, Sequence
 
 from repro.events.dispatch import capture_events, emit
 from repro.events.history import CostModel, task_cost_key
-from repro.events.model import Event, RunFinished, RunStarted, WorkerLeased
+from repro.events.model import Event, RunFinished, RunStarted
 from repro.runner.base import (
     BaseRunner,
     RunOutcome,
@@ -59,12 +63,7 @@ from repro.runner.base import (
 )
 from repro.runner.cache import get_cache, set_cache
 from repro.runner.registry import Experiment, get_experiment, load_all
-from repro.runner.scheduler import (
-    GraphScheduler,
-    SchedulerProfile,
-    Task,
-    check_acyclic,
-)
+from repro.runner.scheduler import GraphScheduler, Task, check_acyclic
 
 
 @dataclass(frozen=True)
@@ -203,16 +202,14 @@ class Executor(Protocol):
     ``(value, compute seconds, events)``, the events being the ones the
     payload emitted in another process, which the runner re-emits
     (``[]`` when the work ran in the coordinator's, where they reached
-    its dispatcher directly).
-    ``connects`` counts task-connection dials per worker over the
-    executor's life.  ``shares_memory`` declares that work runs in the
-    coordinator's process, so prepares can warm its memory tier.
+    its dispatcher directly).  ``shares_memory`` declares that work
+    runs in the coordinator's process, so prepares can warm its memory
+    tier.
     """
 
     name: str
     shares_memory: bool
     slots: dict[str, int]
-    connects: dict[str, int]
 
     @property
     def is_open(self) -> bool: ...
@@ -234,7 +231,6 @@ class ThreadExecutor:
 
     def __init__(self, jobs: int = 1) -> None:
         self.slots = {"local": max(1, jobs)}
-        self.connects: dict[str, int] = {}
 
     def open(self) -> None:
         pass
@@ -277,7 +273,6 @@ class AsyncShardRunner(BaseRunner):
         )
         self.cost_model = cost_model
         self.on_scheduler = on_scheduler
-        self.last_profile: SchedulerProfile | None = None
 
     @property
     def capabilities(self) -> RunnerCapabilities:
@@ -449,6 +444,13 @@ class AsyncShardRunner(BaseRunner):
                 jobs=self.jobs,
             )
         )
+        started = time.perf_counter()
+        try:
+            return self._run_requests(coerced)
+        finally:
+            emit(RunFinished(wall_seconds=time.perf_counter() - started))
+
+    def _run_requests(self, coerced: list[RunRequest]) -> list[RunOutcome]:
         outcomes: list[RunOutcome | None] = [None] * len(coerced)
         live: list[tuple[int, RunRequest, Experiment]] = []
         for index, request in enumerate(coerced):
@@ -459,7 +461,6 @@ class AsyncShardRunner(BaseRunner):
             else:
                 live.append((index, request, exp))
 
-        profile = SchedulerProfile(jobs=self.jobs)
         if live:
             # Prepares only help when the workers running the shards can
             # read what they warmed: any tier when they share the
@@ -475,50 +476,31 @@ class AsyncShardRunner(BaseRunner):
             )
             # build_graph keys tasks by position within `live`; map back
             # to the original request index for outcome placement.
-            results, profile = self._dispatch(tasks)
+            results = self._dispatch(tasks)
             for position, (index, request, exp) in enumerate(live):
                 outcomes[index] = self._collect(exp, request, position, results)
-        self.last_profile = profile
-        emit(
-            RunFinished(
-                wall_seconds=profile.wall_seconds,
-                busy_seconds=profile.busy_seconds,
-            )
-        )
         return [outcome for outcome in outcomes if outcome is not None]
 
-    def _dispatch(self, tasks: list[Task]) -> tuple[dict, SchedulerProfile]:
+    def _dispatch(self, tasks: list[Task]) -> dict:
         """Execute the graph on this runner's executor; returns the
-        scheduler results and the run's profile."""
+        scheduler results."""
         executor = self.executor
         owned = not executor.is_open
         if owned:
             executor.open()
         try:
-            slots = dict(executor.slots)
-            for worker, capacity in slots.items():
-                emit(WorkerLeased(worker=worker, capacity=capacity))
-            dials = dict(executor.connects)
             scheduler = GraphScheduler(
-                slots=slots, execute=self._execute_task, cost_model=self.cost_model
+                slots=dict(executor.slots),
+                execute=self._execute_task,
+                cost_model=self.cost_model,
             )
-            # Published before running, so a failed run still leaves its
-            # telemetry (failed task records included) inspectable.
-            self.last_profile = scheduler.profile
             if self.on_scheduler is not None:
                 self.on_scheduler(scheduler)
             try:
-                return scheduler.run(tasks), scheduler.profile
+                return scheduler.run(tasks)
             finally:
                 if self.on_scheduler is not None:
                     self.on_scheduler(None)
-                # This run's task-connection dials: ~capacity per worker
-                # when pooling works, ~task count means reconnect churn.
-                scheduler.profile.worker_connects = {
-                    worker: count - dials.get(worker, 0)
-                    for worker, count in dict(executor.connects).items()
-                    if count > dials.get(worker, 0)
-                }
         finally:
             if owned:
                 executor.close()

@@ -23,6 +23,12 @@ ships only the token (:meth:`ArtifactCache.put_spill` /
 :meth:`ArtifactCache.take_spill`), keeping multi-megabyte arrays off
 the JSON socket.
 
+The cache keeps no counters: every hit, miss, put and corrupt entry
+is a typed cache event (:mod:`repro.events.model`), which the run's
+:class:`~repro.events.processors.ProfileAggregator` counts per tier.
+Every file it writes goes through :func:`atomic_write`, as do the run
+store's, the job store's and the code fingerprint's digest memo.
+
 The process-global cache is configured once per run (CLI flags, worker
 initializers) through :func:`configure_cache`; library code reaches it
 with :func:`get_cache`.  ``with cache_disabled():`` is the escape hatch
@@ -34,11 +40,9 @@ from __future__ import annotations
 import ast
 import hashlib
 import importlib.util
-import itertools
 import json
 import os
 import sys
-import threading
 import time
 import uuid
 from contextlib import contextmanager, suppress
@@ -83,6 +87,26 @@ def _env_threshold(name: str, default: int) -> int:
         raise ConfigurationError(
             f"{name} must be an integer byte count, got {raw!r}"
         ) from exc
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step: readers see the old
+    bytes or the new ones, never a torn file.
+
+    The bytes go to a temp file beside ``path`` and then ``os.replace``
+    it.  The temp name is a random ``uuid4``, because workers on several
+    hosts (or in containers that repeat PIDs) share one cache dir.  A
+    failed write removes its temp file and re-raises.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp{uuid.uuid4().hex}")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 _fingerprint: str | None = None
@@ -145,7 +169,7 @@ def tree_fingerprint(root: Path, memo_path: Path) -> str:
     if digests != memo:
         payload = json.dumps({"python": sys.version, "digests": digests})
         with suppress(OSError):
-            ArtifactCache._atomic_write(memo_path, payload.encode())
+            atomic_write(memo_path, payload.encode())
     return fingerprint.hexdigest()[:16]
 
 
@@ -240,41 +264,6 @@ class ArtifactCache:
             if spill_threshold is None
             else int(spill_threshold)
         )
-        # Aggregate counters plus per-tier ones ("adm.hits", …), which
-        # is what lets ``--profile`` report hit rates tier by tier.
-        # "corrupt" counts disk entries that failed to decode (torn
-        # write, stale format) — those are deleted and also recorded as
-        # misses, but a nonzero corrupt count is a storage-health signal
-        # a plain miss is not.  Guarded by a lock: the async runner's
-        # thread executor drives one cache from many threads, and racing
-        # += would undercount.
-        self.stats: dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "puts": 0,
-            "corrupt": 0,
-        }
-        self._stats_lock = threading.Lock()
-
-    # Stats-event name -> typed telemetry event; one event per _count
-    # call, so a run's dispatcher sees cache traffic as it happens.
-    _EVENT_TYPES = {
-        "hits": CacheHit,
-        "misses": CacheMiss,
-        "puts": CachePut,
-        "corrupt": CacheCorrupt,
-    }
-
-    def _count(self, kind: str, event: str, *, nbytes: int = 0) -> None:
-        key = f"{kind}.{event}"
-        with self._stats_lock:
-            self.stats[event] += 1
-            self.stats[key] = self.stats.get(key, 0) + 1
-        cls = self._EVENT_TYPES.get(event)
-        if cls is CachePut:
-            emit(CachePut(tier=kind, nbytes=nbytes))
-        elif cls is not None:
-            emit(cls(tier=kind))
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -293,27 +282,12 @@ class ArtifactCache:
             return None
         return self.disk_dir / kind / f"{digest}{suffix}"
 
-    # Distinguishes concurrent writers of the *same* key within one
-    # process (PID alone is not unique across the thread executor).
-    _tmp_counter = itertools.count()
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(
-            path.suffix
-            + f".tmp{os.getpid()}-{threading.get_ident()}"
-            + f"-{next(ArtifactCache._tmp_counter)}"
-        )
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-
     def _get(
         self, kind: str, token: tuple, suffix: str, decode, decode_path=None
     ) -> Any | None:
         digest = _digest(kind, token)
         if self._memory is not None and digest in self._memory:
-            self._count(kind, "hits")
+            emit(CacheHit(tier=kind))
             return self._memory[digest]
         path = self._disk_path(kind, digest, suffix)
         if path is not None and path.exists():
@@ -327,21 +301,21 @@ class ArtifactCache:
                     value = decode(path.read_bytes())
             except Exception:
                 # A torn or corrupt file must not crash the run, but it
-                # is not a plain miss either: count it separately and
+                # is not a plain miss either: report it separately and
                 # delete it so the next writer starts clean instead of
                 # every reader re-tripping on the same bad bytes.
                 value = None
-                self._count(kind, "corrupt")
+                emit(CacheCorrupt(tier=kind))
                 try:
                     path.unlink()
                 except OSError:
                     pass  # racing reader already removed it
             if value is not None:
-                self._count(kind, "hits")
+                emit(CacheHit(tier=kind))
                 if self._memory is not None:
                     self._memory[digest] = value
                 return value
-        self._count(kind, "misses")
+        emit(CacheMiss(tier=kind))
         return None
 
     def _put(self, kind: str, token: tuple, suffix: str, value: Any, encode) -> None:
@@ -353,8 +327,8 @@ class ArtifactCache:
         if path is not None:
             data = encode(value)
             nbytes = len(data)
-            self._atomic_write(path, data)
-        self._count(kind, "puts", nbytes=nbytes)
+            atomic_write(path, data)
+        emit(CachePut(tier=kind, nbytes=nbytes))
 
     # ------------------------------------------------------------------
     # Binary tier plumbing
@@ -427,15 +401,15 @@ class ArtifactCache:
             return None
         digest = _digest("analysis", token)
         if digest in self._memory:
-            self._count("analysis", "hits")
+            emit(CacheHit(tier="analysis"))
             return self._memory[digest]
-        self._count("analysis", "misses")
+        emit(CacheMiss(tier="analysis"))
         return None
 
     def put_analysis(self, token: tuple, analysis: Any) -> None:
         if self._memory is None:
             return
-        self._count("analysis", "puts")
+        emit(CachePut(tier="analysis"))
         self._memory[_digest("analysis", token)] = analysis
 
     # ------------------------------------------------------------------
@@ -479,8 +453,8 @@ class ArtifactCache:
             raise ConfigurationError("spilling requires a disk cache dir")
         token = uuid.uuid4().hex
         data = encode_artifact(value)
-        self._atomic_write(self._spill_path(token), data)
-        self._count("spill", "puts", nbytes=len(data))
+        atomic_write(self._spill_path(token), data)
+        emit(CachePut(tier="spill", nbytes=len(data)))
         return token
 
     def take_spill(self, token: str) -> Any:
@@ -494,12 +468,12 @@ class ArtifactCache:
             raise ConfigurationError(f"malformed spill token {token!r}")
         path = self._spill_path(token)
         if not path.exists():
-            self._count("spill", "misses")
+            emit(CacheMiss(tier="spill"))
             raise ConfigurationError(f"spilled payload {token} not found")
         try:
             value = decode_artifact_file(path, memmap_threshold=self.memmap_threshold)
         except Exception as exc:
-            self._count("spill", "corrupt")
+            emit(CacheCorrupt(tier="spill"))
             try:
                 path.unlink()
             except OSError:
@@ -507,7 +481,7 @@ class ArtifactCache:
             raise ConfigurationError(
                 f"spilled payload {token} is corrupt: {exc}"
             ) from exc
-        self._count("spill", "hits")
+        emit(CacheHit(tier="spill"))
         try:
             path.unlink()
         except OSError:
@@ -559,7 +533,7 @@ class ArtifactCache:
                 except OSError:
                     pass  # racing coordinator; its beacon, its problem
         token = uuid.uuid4().hex
-        self._atomic_write(self._beacon_path(token), b"repro-shared-cache\n")
+        atomic_write(self._beacon_path(token), b"repro-shared-cache\n")
         return token
 
     def check_sync_beacon(self, token: str | None) -> bool:
@@ -587,10 +561,11 @@ class ArtifactCache:
     def verify_disk(self) -> dict[str, dict[str, int]]:
         """Decode every persisted artifact; delete the ones that fail.
 
-        Returns ``{tier: {"checked": n, "corrupt": m}}`` and counts each
-        corrupt file in :attr:`stats` — ``repro cache info --verify``
-        is the offline sweep for storage that took torn writes (e.g. a
-        shared cache dir after a worker host died mid-copy).
+        Returns ``{tier: {"checked": n, "corrupt": m}}`` and emits
+        ``CacheCorrupt`` for each corrupt file — ``repro cache info
+        --verify`` is the offline sweep for storage that took torn
+        writes (e.g. a shared cache dir after a worker host died
+        mid-copy).
         """
         # Full-read decoders: every buffer checksum is verified here,
         # including for frames large enough that the hot read path would
@@ -618,7 +593,7 @@ class ArtifactCache:
                     decode(entry.read_bytes())
                 except Exception:
                     corrupt += 1
-                    self._count(kind_dir.name, "corrupt")
+                    emit(CacheCorrupt(tier=kind_dir.name))
                     try:
                         entry.unlink()
                     except OSError:
@@ -669,7 +644,6 @@ class ArtifactCache:
             "memory_entries": len(self._memory or {}),
             "disk_files": files,
             "disk_bytes": total_bytes,
-            "stats": dict(self.stats),
         }
 
 

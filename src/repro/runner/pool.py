@@ -42,7 +42,6 @@ class ProcessExecutor:
 
     def __init__(self, jobs: int = 1) -> None:
         self.slots = {"local": max(1, jobs)}
-        self.connects: dict[str, int] = {}
         self._pool: ProcessPoolExecutor | None = None
 
     @property

@@ -152,13 +152,19 @@ class Experiment:
         """Concrete parameters: defaults, then ``--days`` scaling, then
         explicit overrides.
 
-        Every training split (``training_days`` and each entry of
+        ``days`` and an integral ``n_days`` must be at least 1: no
+        experiment has anything to compute on an empty trace.  Every
+        training split (``training_days`` and each entry of
         ``training_day_values``) must leave at least one training and
         one evaluation day of the ``n_days`` trace, the bound
         :func:`~repro.dataset.splits.split_days` enforces mid-run, so a
         request that could only fail is rejected before any compute.  So
         is a ``training_day_values`` that is not a list of splits.
         """
+        if days is not None and days < 1:
+            raise ConfigurationError(
+                f"experiment {self.name!r} needs days >= 1, got {days!r}"
+            )
         params = self.defaults()
         if days is not None and self.scale_days is not None:
             params.update(self.scale_days(days))
@@ -179,8 +185,12 @@ class Experiment:
                 f"list of training-day counts, not {values!r}"
             )
         n_days = params.get("n_days")
-        if not isinstance(n_days, int):
+        if not isinstance(n_days, int) or isinstance(n_days, bool):
             return
+        if n_days < 1:
+            raise ConfigurationError(
+                f"experiment {self.name!r} needs n_days >= 1, got {n_days}"
+            )
         for split in (params.get("training_days"), *values):
             if isinstance(split, int) and not 1 <= split < n_days:
                 raise ConfigurationError(

@@ -12,9 +12,10 @@ runs tasks over **persistent per-slot connections**: the worker handler
 serves a multi-task loop, so a connection is dialed once (with its
 handshake), checked out for one task at a time, and reused for the rest
 of the run — at most ``capacity`` connections per worker, instead of
-one TCP dial + handshake per task.  Dial counts are exposed as
-:attr:`RemoteExecutor.connects` and reported in the scheduler profile
-(``worker_connects``), so reconnect churn is visible telemetry.
+one TCP dial + handshake per task.  Every dial emits
+:class:`~repro.events.model.WorkerConnected`, which the run's profile
+counts per worker (``worker_connects``), so reconnect churn is visible
+telemetry.
 
 Correctness is anchored by three handshake checks on every connection:
 
@@ -605,9 +606,9 @@ class RemoteExecutor:
     :meth:`probe` and :meth:`release` grow and shrink while it is open —
     the ``repro serve`` control plane admits self-registered workers
     that way.  Task traffic flows over pooled persistent connections
-    (one per busy slot); :attr:`connects` counts the dials per worker
-    over the executor's life.  Each result frame carries the events the
-    task emitted on its worker, which :meth:`run` decodes and returns.
+    (one per busy slot); each dial emits ``WorkerConnected``.  Each
+    result frame carries the events the task emitted on its worker,
+    which :meth:`run` decodes and returns.
     """
 
     name = "remote"
@@ -631,9 +632,6 @@ class RemoteExecutor:
         self.beacon: str | None = None
         self._idle: dict[str, list[_SlotConnection]] = {}
         self._conn_lock = threading.Lock()
-        # Worker address -> task-connection dials.  The probe handshake
-        # is not counted: it exists per worker by design.
-        self.connects: dict[str, int] = {}
 
     @property
     def cache(self) -> ArtifactCache:
@@ -807,8 +805,7 @@ class RemoteExecutor:
             if idle:
                 return idle.pop()
         sock, stream, _ = self._connect(address)
-        with self._conn_lock:
-            self.connects[address] = self.connects.get(address, 0) + 1
+        # Task dials only: the probe handshake exists per worker by design.
         emit(WorkerConnected(worker=address))
         return _SlotConnection(address, sock, stream)
 

@@ -45,10 +45,13 @@ a :class:`TaskExecutionError` naming the failing task (original
 exception chained as ``__cause__``) — a mid-graph crash can neither
 hang the scheduler nor silently drop sibling experiments.
 
-Every run produces a :class:`SchedulerProfile` (per-task timings
-including failed attempts, utilization of the slot budget overall and
-per worker) that ``repro run --profile`` reports alongside cache hit
-rates.
+The scheduler keeps no profile of its own.  It emits ``WorkerLeased``
+for its slot table, ``TaskStarted`` and then ``TaskFinished`` or
+``TaskFailed`` for every attempt (failed and retried ones included)
+and ``WorkerRetired`` for lost workers; a
+:class:`~repro.events.processors.ProfileAggregator` folds those into
+the run's :class:`~repro.events.processors.SchedulerProfile`, which
+``repro run --profile`` reports.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import asyncio
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -101,19 +104,6 @@ class Task:
     client: str = ""
 
 
-@dataclass
-class TaskRecord:
-    """Telemetry for one task execution attempt."""
-
-    key: Any  # unique hashable id within the graph
-    label: str
-    started: float
-    seconds: float
-    local: bool
-    worker: str = ""
-    failed: bool = False
-
-
 class TaskExecutionError(RuntimeError):
     """A task's payload raised; carries the failing task's identity.
 
@@ -138,52 +128,6 @@ class WorkerLostError(RuntimeError):
     def __init__(self, worker: str, message: str):
         super().__init__(f"worker {worker!r} lost: {message}")
         self.worker = worker
-
-
-@dataclass
-class SchedulerProfile:
-    """What a scheduler run did with its concurrency budget."""
-
-    jobs: int
-    wall_seconds: float = 0.0
-    busy_seconds: float = 0.0
-    tasks: list[TaskRecord] = field(default_factory=list)
-    # Worker name -> concurrent slot count the run was configured with.
-    slots: dict[str, int] = field(default_factory=dict)
-    # Worker name -> task connections dialed (remote executor only).
-    # With persistent per-slot connections this stays at ~capacity per
-    # worker; a count tracking the task count means reconnect churn.
-    worker_connects: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def utilization(self) -> float:
-        """Mean fraction of the slot budget kept busy (0..1)."""
-        if self.wall_seconds <= 0.0 or self.jobs <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (self.wall_seconds * self.jobs))
-
-    def worker_busy(self) -> dict[str, float]:
-        """Seconds each worker spent executing (failed attempts count:
-        a crashed shard still occupied the slot)."""
-        busy = {worker: 0.0 for worker in self.slots}
-        for record in self.tasks:
-            if record.local or not record.worker:
-                continue
-            busy[record.worker] = busy.get(record.worker, 0.0) + record.seconds
-        return busy
-
-    def worker_utilization(self) -> dict[str, float]:
-        """Per-worker mean fraction of its slots kept busy (0..1)."""
-        busy = self.worker_busy()
-        if self.wall_seconds <= 0.0:
-            return {worker: 0.0 for worker in busy}
-        return {
-            worker: min(
-                1.0,
-                seconds / (self.wall_seconds * max(1, self.slots.get(worker, 1))),
-            )
-            for worker, seconds in busy.items()
-        }
 
 
 def check_acyclic(tasks: Sequence[Task]) -> list[Any]:
@@ -264,10 +208,8 @@ class GraphScheduler:
             self.slots = dict(slots)
         else:
             self.slots = {"local": max(1, jobs if jobs is not None else 1)}
-        self.jobs = sum(self.slots.values())
         self._execute = execute
         self._cost_model = cost_model
-        self.profile = SchedulerProfile(jobs=self.jobs, slots=dict(self.slots))
         # Elastic-control publication point: while a run is live, other
         # threads submit slot-table mutations through these.
         self._control_lock = threading.Lock()
@@ -483,9 +425,6 @@ class GraphScheduler:
                     worker_order.setdefault(worker, len(worker_order))
                     dead.discard(worker)
                     drained.discard(worker)
-                    self.profile.slots[worker] = capacity
-                    self.profile.jobs = sum(self.profile.slots.values())
-                    self.jobs = self.profile.jobs
                 elif action == "retire":
                     changed = worker in self.slots and worker not in dead
                     dead.add(worker)
@@ -504,25 +443,12 @@ class GraphScheduler:
             started: float,
             failed: bool,
             retrying: bool = False,
-        ) -> float:
+        ) -> None:
+            # Always on the event loop thread, so task events reach the
+            # dispatcher in the order the attempts ended.
             seconds = time.perf_counter() - started
-            self.profile.busy_seconds += seconds
             label = task.label or str(task.key)
             offset = started - started_wall
-            self.profile.tasks.append(
-                TaskRecord(
-                    key=task.key,
-                    label=label,
-                    started=offset,
-                    seconds=seconds,
-                    local=task.local,
-                    worker=worker,
-                    failed=failed,
-                )
-            )
-            # Emitted adjacent to the profile mutation, on the event
-            # loop thread, with the same floats — so an aggregator (or
-            # a replayed trail) reconstructs this profile exactly.
             if failed:
                 emit(
                     TaskFailed(
@@ -548,7 +474,6 @@ class GraphScheduler:
                         cost_key=task.cost_key,
                     )
                 )
-            return seconds
 
         def fail(task: Task, worker: str, error: BaseException) -> None:
             if not failure:
@@ -625,8 +550,8 @@ class GraphScheduler:
                     result = await asyncio.to_thread(self._execute, task, deps, worker)
                 except WorkerLostError as error:
                     # The worker died, not the task: retire the worker
-                    # and retry on a survivor (the attempt still shows
-                    # in the profile — its slot time was real).
+                    # and retry on a survivor (the attempt is still
+                    # reported as failed — its slot time was real).
                     record(task, worker, started, failed=True, retrying=True)
                     await retire_lost(error.worker or worker)
                     await release_slot(worker)
@@ -671,6 +596,8 @@ class GraphScheduler:
             self._loop = asyncio.get_running_loop()
             self._control = control
         try:
+            for worker, capacity in self.slots.items():
+                emit(WorkerLeased(worker=worker, capacity=capacity))
             initially_ready = [
                 task.key for task in tasks if indegree[task.key] == 0
             ]
@@ -685,7 +612,6 @@ class GraphScheduler:
             with self._control_lock:
                 self._loop = None
                 self._control = None
-        self.profile.wall_seconds = time.perf_counter() - started_wall
         if failure:
             raise failure[0]
         missing = [task.key for task in tasks if task.key not in results]

@@ -10,6 +10,7 @@ from repro.events.history import task_cost_key
 from repro.events.model import (
     RunFinished,
     RunStarted,
+    TaskFailed,
     TaskFinished,
     TaskStarted,
     WorkerLeased,
@@ -28,9 +29,10 @@ class SerialRunner(BaseRunner):
 
     Serial runs emit through the same event pipeline as the graph
     runners — one ``{name}/run`` task per non-replayed request on a
-    single-slot ``local`` worker — so ``--profile`` has the same shape
-    on every backend and serial timings feed the same cost-model
-    history.
+    single-slot ``local`` worker, ``TaskFailed`` when it raises, and
+    ``RunFinished`` whether or not the run succeeds — so ``--profile``
+    has the same shape on every backend and serial timings feed the
+    same cost-model history.
     """
 
     @property
@@ -59,58 +61,48 @@ class SerialRunner(BaseRunner):
         )
         emit(WorkerLeased(worker="local", capacity=1))
         wall_started = time.perf_counter()
-        busy = 0.0
         outcomes = []
-        for index, request in enumerate(coerced):
-            exp = get_experiment(request.experiment)
-            cached = self._cached_outcome(exp, request)
-            if cached is not None:
-                # A result-tier replay runs nothing; its cache traffic
-                # was already emitted by the cache itself.
-                outcomes.append(cached)
-                continue
-            label = f"{exp.name}/run"
-            started = time.perf_counter()
-            emit(
-                TaskStarted(
+        try:
+            for index, request in enumerate(coerced):
+                exp = get_experiment(request.experiment)
+                cached = self._cached_outcome(exp, request)
+                if cached is not None:
+                    # A result-tier replay runs nothing; its cache
+                    # traffic was already emitted by the cache itself.
+                    outcomes.append(cached)
+                    continue
+                label = f"{exp.name}/run"
+                cost_key = task_cost_key(label, request.params)
+                started = time.perf_counter()
+                task = TaskStarted(
                     key=(index, "run"),
                     label=label,
                     worker="local",
                     local=False,
                     started=started - wall_started,
                 )
-            )
-            value = exp.execute(request.params)
-            seconds = time.perf_counter() - started
-            busy += seconds
-            emit(
-                TaskFinished(
-                    key=(index, "run"),
-                    label=label,
-                    worker="local",
-                    local=False,
-                    started=started - wall_started,
-                    seconds=seconds,
-                    cost_key=task_cost_key(label, request.params),
+                emit(task)
+                try:
+                    value = exp.execute(request.params)
+                except BaseException:
+                    seconds = time.perf_counter() - started
+                    emit(TaskFailed(**vars(task), seconds=seconds, cost_key=cost_key))
+                    raise
+                seconds = time.perf_counter() - started
+                emit(TaskFinished(**vars(task), seconds=seconds, cost_key=cost_key))
+                outcomes.append(
+                    self._finish(
+                        exp,
+                        request,
+                        value,
+                        seconds=seconds,
+                        shards=(
+                            len(exp.shard_params(request.params))
+                            if exp.shardable
+                            else 1
+                        ),
+                    )
                 )
-            )
-            outcomes.append(
-                self._finish(
-                    exp,
-                    request,
-                    value,
-                    seconds=seconds,
-                    shards=(
-                        len(exp.shard_params(request.params))
-                        if exp.shardable
-                        else 1
-                    ),
-                )
-            )
-        emit(
-            RunFinished(
-                wall_seconds=time.perf_counter() - wall_started,
-                busy_seconds=busy,
-            )
-        )
+        finally:
+            emit(RunFinished(wall_seconds=time.perf_counter() - wall_started))
         return outcomes

@@ -17,8 +17,6 @@ numpy scalars included.
 from __future__ import annotations
 
 import json
-import os
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field, replace
@@ -27,6 +25,7 @@ from typing import Any
 
 from repro.core.serialization import decode_wire_value, encode_wire_value
 from repro.errors import ConfigurationError
+from repro.runner.cache import atomic_write
 
 _JOB_VERSION = 1
 
@@ -159,15 +158,10 @@ class JobStore:
         return f"job-{experiment}-{stamp}-{uuid.uuid4().hex[:6]}"
 
     def save(self, record: JobRecord) -> JobRecord:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"{record.job_id}.json"
-        tmp = path.with_suffix(
-            path.suffix + f".tmp{os.getpid()}-{threading.get_ident()}"
+        atomic_write(
+            self.root / f"{record.job_id}.json",
+            json.dumps(job_to_wire(record), sort_keys=True).encode(),
         )
-        tmp.write_bytes(
-            json.dumps(job_to_wire(record), sort_keys=True).encode()
-        )
-        os.replace(tmp, path)
         return record
 
     def get(self, job_id: str) -> JobRecord:

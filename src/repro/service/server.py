@@ -29,7 +29,9 @@ Failure policy: a batch that dies because *workers* died is requeued
 wholesale (bounded by :data:`~repro.service.jobs.MAX_ATTEMPTS`); a
 batch that dies because a *payload* raised is split — each member job
 is requeued isolated (a batch of one) so the failure lands on the job
-that owns it instead of poisoning its neighbours.
+that owns it instead of poisoning its neighbours.  Either way each job
+links the failed batch's event trail, so ``GET /jobs/<id>/events``
+explains a failed job as it does a finished one.
 """
 
 from __future__ import annotations
@@ -117,7 +119,13 @@ class _Handler(BaseHTTPRequestHandler):
             pass  # client hung up; nothing to salvage
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not declared.isdecimal():
+            self.close_connection = True  # the body's extent is unknown
+            raise HTTPError(
+                400, f"Content-Length must be a byte count, got {declared!r}"
+            )
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -321,12 +329,16 @@ class ControlPlane:
     # ------------------------------------------------------------------
 
     def submit(self, body: dict) -> JobRecord:
-        """Validate and enqueue one submission (run or sweep)."""
+        """Validate and enqueue one submission (run or sweep); ``days``
+        must be null or a JSON integer that is not a bool."""
         experiment = str(body.get("experiment") or "")
         if not experiment:
             raise HTTPError(400, "submission names no experiment")
-        days_raw = body.get("days")
-        days = int(days_raw) if days_raw is not None else None
+        days = body.get("days")
+        if days is not None and (
+            isinstance(days, bool) or not isinstance(days, int)
+        ):
+            raise HTTPError(400, f"days must be an integer, got {days!r}")
         params = body.get("params") or {}
         grid = body.get("grid") or None
         client = str(body.get("client") or "anonymous")
@@ -625,19 +637,24 @@ class ControlPlane:
             # (rendered text, run ids, event trail) comes from the run
             # store the session just wrote.
             self.session.run_with(runner, requests)
-        except TaskExecutionError as error:
+        except Exception as error:
+            # The failed batch's trail explains the failure, so every
+            # job it moves on links it (a later attempt relinks).
+            trail = self.session.last_events_path
+            link: dict[str, Any] = {}
+            if trail is not None:
+                link["events_path"] = str(trail.relative_to(self.store.root))
             records = [record for record, _, _ in spans]
-            if isinstance(error.__cause__, WorkerLostError):
-                self._requeue(records, reason=str(error))
+            if not isinstance(error, TaskExecutionError):
+                self._finish_failed(records, str(error), **link)
+            elif isinstance(error.__cause__, WorkerLostError):
+                self._requeue(records, reason=str(error), **link)
             elif len(records) > 1:
                 # A payload failure in a shared batch: rerun each job
                 # alone so the failure attaches to the job that owns it.
-                self._requeue(records, reason=str(error), isolate=True)
+                self._requeue(records, reason=str(error), isolate=True, **link)
             else:
-                self._finish_failed(records, str(error))
-            return
-        except Exception as error:
-            self._finish_failed([record for record, _, _ in spans], str(error))
+                self._finish_failed(records, str(error), **link)
             return
         manifests = self.session.last_manifests
         with self._jobs_lock:
@@ -661,7 +678,10 @@ class ControlPlane:
         *,
         reason: str,
         isolate: bool = False,
+        **changes: Any,
     ) -> None:
+        """Requeue ``records`` (or fail those out of attempts), applying
+        ``changes`` (a failed batch's ``events_path``) to each."""
         with self._jobs_lock:
             for record in records:
                 current = self._jobs.get(record.job_id)
@@ -673,6 +693,7 @@ class ControlPlane:
                             f"gave up after {current.attempts} attempts: "
                             f"{reason}"
                         ),
+                        **changes,
                     )
                 else:
                     self._jobs.transition(
@@ -680,16 +701,19 @@ class ControlPlane:
                         jobstates.QUEUED,
                         isolate=isolate or current.isolate,
                         error=reason,
+                        **changes,
                     )
         with self._wake:
             self._wake.notify_all()
 
-    def _finish_failed(self, records: list[JobRecord], message: str) -> None:
+    def _finish_failed(
+        self, records: list[JobRecord], message: str, **changes: Any
+    ) -> None:
         with self._jobs_lock:
             for record in records:
                 current = self._jobs.get(record.job_id)
                 self._jobs.transition(
-                    current, jobstates.FAILED, error=message
+                    current, jobstates.FAILED, error=message, **changes
                 )
 
     # ------------------------------------------------------------------

@@ -180,6 +180,9 @@ def test_submit_runs_and_persists_manifest(tmp_path):
     assert manifest.params == outcome.params
     assert manifest.origin == "api"
     assert manifest.fingerprint
+    # Slots and cache figures come from the run's event aggregate.
+    assert manifest.workers == {"local": 1}
+    assert manifest.cache_stats == session.last_events.cache_stats
     assert session.rendered(manifest) == outcome.rendered
     # A second, replayed run records its own manifest, marked cached.
     again = session.submit("fig3", days=2)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import ARTIFACTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.runner import experiment_names
 
 
 def test_all_artifact_ids_registered():
@@ -23,13 +24,13 @@ def test_all_artifact_ids_registered():
         "fleet",
         "fleet_attack",
     }
-    assert set(ARTIFACTS) == expected
+    assert set(experiment_names()) == expected
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in ARTIFACTS:
+    for name in experiment_names():
         assert name in out
 
 

@@ -1,6 +1,6 @@
-"""The structured event stream: wire codec, dispatcher, aggregator ==
-live profile, JSONL trails, cost-model scheduling, and the byte-identity
-invariant with events enabled."""
+"""The structured event stream: wire codec, dispatcher, aggregator,
+replayed trail == live aggregate, failed runs' records, cost-model
+scheduling, and the byte-identity invariant with events enabled."""
 
 import json
 
@@ -58,6 +58,7 @@ from repro.runner import (
     set_cache,
 )
 from repro.runner.cache import configure_cache
+from repro.runner.registry import Experiment, Param, register, unregister
 from repro.runner.scheduler import GraphScheduler, Task
 
 load_all()
@@ -91,7 +92,7 @@ def fresh_cache(tmp_path):
 
 ONE_OF_EACH = [
     RunStarted(experiments=("fig3", "tab5"), runner="async", jobs=4),
-    RunFinished(wall_seconds=1.5, busy_seconds=0.7),
+    RunFinished(wall_seconds=1.5),
     TaskStarted(
         key=(0, "shard", 3), label="fig3/shard3", worker="local",
         local=False, started=0.25,
@@ -224,9 +225,10 @@ def test_event_stream_is_well_ordered_across_executors(
     assert outcomes[0].rendered
     _check_stream_invariants(recorder.events)
     # Scheduler task events happen on the event-loop thread in record
-    # order, so the aggregator's reconstruction equals the live profile.
-    assert runner.last_profile is not None
-    assert aggregator.scheduler_profile() == runner.last_profile
+    # order, so the recorded stream replays to the live aggregate.
+    profile = aggregator.scheduler_profile()
+    assert profile.tasks and profile.wall_seconds > 0
+    assert replay_events(recorder.events).scheduler_profile() == profile
 
 
 def test_serial_runner_emits_through_the_same_pipeline(fresh_cache):
@@ -255,8 +257,7 @@ def test_trail_replays_to_the_live_aggregate(tmp_path, name, days):
     session = Session(cache_dir=str(tmp_path / "cache"), jobs=2)
     session.submit(name, days=days)
     live = session.last_events
-    assert live is not None and session.last_profile is not None
-    assert live.scheduler_profile() == session.last_profile
+    assert live is not None and live.task_events
 
     manifest = session.last_manifests[0]
     assert manifest.events_path, "events=auto must persist a trail"
@@ -272,11 +273,60 @@ def test_trail_replays_to_the_live_aggregate(tmp_path, name, days):
     assert all(a < b for a, b in zip(seqs, seqs[1:])), "seq not increasing"
 
     replayed = replay_events(session.events(manifest))
-    assert replayed.scheduler_profile() == session.last_profile
+    assert replayed.scheduler_profile() == live.scheduler_profile()
     assert replayed.cache_stats == live.cache_stats
     assert replayed.kernels == live.kernels
     assert replayed.run_started == live.run_started
     assert replayed.run_finished == live.run_finished
+
+
+@pytest.fixture()
+def flaky_exp():
+    """A sharded experiment whose shards raise when ``fail`` is set."""
+
+    def _run_shard(part, fail):
+        if fail:
+            raise RuntimeError(f"shard {part} exploded")
+        return part
+
+    exp = register(
+        Experiment(
+            name="evt-flaky",
+            artifact="synthetic evt-flaky",
+            title="failing-run fixture",
+            render=str,
+            shards=lambda params: [{"part": 0}, {"part": 1}],
+            run_shard=_run_shard,
+            merge=lambda params, shards, parts: sum(parts),
+            params=(Param("fail", False),),
+            cacheable=False,
+        )
+    )
+    yield exp
+    unregister(exp.name)
+
+
+@pytest.mark.parametrize("runner", ["serial", "async"])
+def test_failed_session_run_keeps_its_own_record(tmp_path, flaky_exp, runner):
+    """A failed run's aggregate and trail are that run's — its failed
+    task and its RunFinished — not the previous run's."""
+    session = Session(cache_dir=str(tmp_path / "cache"), runner=runner)
+    session.submit(flaky_exp.name)
+    previous = session.last_events_path
+    assert session.last_manifests
+    with pytest.raises(Exception, match="exploded"):
+        session.submit(flaky_exp.name, fail=True)
+    failed = session.last_events
+    assert failed is not None
+    assert [e for e in failed.task_events if isinstance(e, TaskFailed)]
+    assert failed.run_finished is not None and failed.wall_seconds > 0
+    assert session.last_manifests == []
+    path = session.last_events_path
+    assert path is not None and path != previous and path.is_file()
+    trail = read_events_jsonl(path)
+    assert any(isinstance(event, TaskFailed) for event in trail)
+    assert isinstance(trail[-1], RunFinished)
+    assert replay_events(trail).scheduler_profile() == failed.scheduler_profile()
 
 
 def test_trail_reader_skips_header_and_torn_tail(tmp_path):
@@ -550,12 +600,13 @@ def test_artifacts_byte_identical_under_remote_workers(tmp_path, fresh_cache):
     servers = [WorkerServer(), WorkerServer()]
     addresses = [server.start_background() for server in servers]
     try:
-        with collect_events() as aggregator:
+        recorder = Recorder()
+        with collect_events([recorder]) as aggregator:
             runner = AsyncShardRunner(executor=RemoteExecutor(addresses))
             outcomes = runner.run([RunRequest.for_days("fig3", days=2)])
         assert outcomes[0].rendered == oracle[0].rendered
-        assert runner.last_profile is not None
-        assert aggregator.scheduler_profile() == runner.last_profile
+        replayed = replay_events(recorder.events)
+        assert replayed.scheduler_profile() == aggregator.scheduler_profile()
         assert set(aggregator.slots) == set(addresses)
         assert aggregator.worker_connects, "dials must be observable"
     finally:

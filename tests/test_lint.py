@@ -126,6 +126,26 @@ def test_hot_path_confines_capability_predicates_to_the_oracles():
     assert "in _apply_visit_feasibility)" in realtime.message
 
 
+def test_telemetry_confines_profiles_to_the_aggregator():
+    """A ``SchedulerProfile`` or ``TaskRecord`` is built only by the
+    aggregator in ``events/processors.py``; one built anywhere else,
+    bare or through a module attribute, is a tally beside the events."""
+    select = ["telemetry-discipline"]
+    tree = FIXTURES / "telemetry" / "profiles"
+    good = lint_paths([tree / "good"], select=select)
+    assert not good.errors
+    assert good.findings == []
+    bad = lint_paths([tree / "bad"], select=select)
+    assert not bad.errors
+    assert all(f.path.endswith("runner/scheduler.py") for f in bad.findings)
+    assert all("events/processors.py" in f.message for f in bad.findings)
+    assert sorted((f.line, f.message.split("(")[0]) for f in bad.findings) == [
+        (9, "SchedulerProfile"),
+        (12, "TaskRecord"),
+        (16, "SchedulerProfile"),
+    ]
+
+
 def test_lock_discipline_names_the_lock_and_declaration():
     tree = FIXTURES / "locks" / "bad"
     result = lint_paths([tree], select=["lock-discipline"])

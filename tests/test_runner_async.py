@@ -122,8 +122,7 @@ def test_profile_reports_tasks_and_cache_traffic(fresh_cache):
     runner = AsyncShardRunner(jobs=2)
     with collect_events() as events:
         runner.run(_requests([("fig3", {"n_days": 2, "seed": 22})]))
-    profile = runner.last_profile
-    assert profile is not None
+    profile = events.scheduler_profile()
     labels = {record.label for record in profile.tasks}
     assert any(label.startswith("fig3/prep") for label in labels)
     assert any(label.startswith("fig3/shard") for label in labels)
@@ -229,13 +228,14 @@ def test_cyclic_prepare_graph_is_rejected_before_execution():
 
 def test_dry_run_planning_touches_no_cache(fresh_cache):
     runner = AsyncShardRunner(jobs=2)
-    tasks, summaries = runner.build_graph(
-        [RunRequest("tab5", {"n_days": 5, "training_days": 3, "seed": 2})]
-    )
+    with collect_events() as events:
+        tasks, summaries = runner.build_graph(
+            [RunRequest("tab5", {"n_days": 5, "training_days": 3, "seed": 2})]
+        )
     assert summaries[0].shards == 8
     assert summaries[0].prepares == 10
     assert len(tasks) == summaries[0].tasks
-    assert fresh_cache.stats["hits"] == 0 and fresh_cache.stats["misses"] == 0
+    assert events.cache_stats == {}
 
 
 def test_identical_prepare_units_dedup_across_experiments():
@@ -342,18 +342,19 @@ def test_memory_only_cache_skips_prepares_in_process_mode():
     runner = AsyncShardRunner(
         jobs=2, executor=ProcessExecutor(2), cache=memory_only
     )
-    outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
-    labels = {r.label for r in runner.last_profile.tasks}
+    with collect_events() as events:
+        outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
+    labels = {r.label for r in events.scheduler_profile().tasks}
     assert outcomes[0].rendered
     assert not any("prep" in label for label in labels)
 
 
 def test_prepares_skipped_when_cache_disabled():
     """Warming a cache nobody can read would double the compute."""
-    with cache_disabled():
+    with cache_disabled(), collect_events() as events:
         runner = AsyncShardRunner(jobs=2)
         outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
-        labels = {r.label for r in runner.last_profile.tasks}
+    labels = {r.label for r in events.scheduler_profile().tasks}
     assert outcomes[0].rendered
     assert not any("prep" in label for label in labels)
     assert {"fig3/shard0", "fig3/shard1", "fig3/merge"} <= labels

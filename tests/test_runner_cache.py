@@ -18,6 +18,7 @@ from repro.core.serialization import (
     home_trace_to_dict,
 )
 from repro.dataset.synthetic import SyntheticConfig, generate_house_trace
+from repro.events import collect_events, replay_events
 from repro.home.builder import build_house_a
 from repro.runner import SerialRunner, cache_disabled
 from repro.runner.cache import (
@@ -95,13 +96,14 @@ def test_cluster_adm_dict_round_trip_preserves_decisions():
 def test_trace_disk_round_trip(tmp_path):
     cache = ArtifactCache(memory=False, disk_dir=tmp_path)
     _, trace = _small_trace()
-    assert cache.get_trace("A", 2, 5) is None
-    cache.put_trace("A", 2, 5, trace)
-    assert (tmp_path / "trace").exists(), "trace tier must persist to disk"
-    loaded = cache.get_trace("A", 2, 5)
+    with collect_events() as events:
+        assert cache.get_trace("A", 2, 5) is None
+        cache.put_trace("A", 2, 5, trace)
+        assert (tmp_path / "trace").exists(), "trace tier must persist to disk"
+        loaded = cache.get_trace("A", 2, 5)
     np.testing.assert_array_equal(loaded.occupant_zone, trace.occupant_zone)
-    assert cache.stats["hits"] == 1
-    assert cache.stats["misses"] == 1
+    assert events.cache_stats["hits"] == 1
+    assert events.cache_stats["misses"] == 1
 
 
 def test_cached_trace_is_defensively_copied(fresh_cache):
@@ -194,17 +196,19 @@ def test_corrupt_disk_entry_is_a_miss_counted_and_deleted(tmp_path):
     cache.put_trace("A", 2, 5, trace)
     for entry in (tmp_path / "trace").iterdir():
         entry.write_text("{not json")
-    assert cache.get_trace("A", 2, 5) is None
-    # Not silently folded into misses: the corrupt counter fires (per
-    # tier and aggregate) and the bad file is deleted so the next put
-    # starts clean.
-    assert cache.stats["corrupt"] == 1
-    assert cache.stats["trace.corrupt"] == 1
-    assert cache.stats["misses"] == 1
+    with collect_events() as events:
+        assert cache.get_trace("A", 2, 5) is None
+    # Not silently folded into misses: a corrupt event fires (counted
+    # per tier and aggregate) and the bad file is deleted so the next
+    # put starts clean.
+    assert events.cache_stats["corrupt"] == 1
+    assert events.cache_stats["trace.corrupt"] == 1
+    assert events.cache_stats["misses"] == 1
     assert not any((tmp_path / "trace").iterdir()), "bad file must be deleted"
     # The next read is a clean miss, not a second corruption.
-    assert cache.get_trace("A", 2, 5) is None
-    assert cache.stats["corrupt"] == 1
+    with collect_events() as events:
+        assert cache.get_trace("A", 2, 5) is None
+    assert events.cache_stats == {"misses": 1, "trace.misses": 1}
     cache.put_trace("A", 2, 5, trace)
     assert cache.get_trace("A", 2, 5) is not None
 
@@ -217,13 +221,46 @@ def test_verify_disk_reports_and_removes_corrupt_entries(tmp_path):
     cache.put_result("fig3", (("n_days", "2"),), {"x": 1})
     victim = sorted((tmp_path / "trace").iterdir())[0]
     victim.write_bytes(b"\x00torn")
-    report = cache.verify_disk()
+    with collect_events() as events:
+        report = cache.verify_disk()
     assert report["trace"] == {"checked": 2, "corrupt": 1}
     assert report["result"] == {"checked": 1, "corrupt": 0}
     assert not victim.exists()
-    assert cache.stats["corrupt"] == 1
+    assert events.cache_stats == {"corrupt": 1, "trace.corrupt": 1}
     # A second scan is clean.
     assert cache.verify_disk()["trace"] == {"checked": 1, "corrupt": 0}
+
+
+def test_atomic_write_names_temps_by_uuid_and_cleans_up(tmp_path, monkeypatch):
+    """Temp names must not repeat across hosts that share a cache dir
+    (PIDs and thread ids do), and a failed write leaves no temp file."""
+    import re
+
+    from repro.runner import cache as cache_module
+
+    target = tmp_path / "sub" / "entry.raf"
+    temps = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        temps.append(Path(src).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(cache_module.os, "replace", recording_replace)
+    cache_module.atomic_write(target, b"first")
+    cache_module.atomic_write(target, b"second")
+    assert target.read_bytes() == b"second"
+    assert len(set(temps)) == 2
+    assert all(re.fullmatch(r"entry\.raf\.tmp[0-9a-f]{32}", name) for name in temps)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache_module.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cache_module.atomic_write(target, b"third")
+    assert target.read_bytes() == b"second"
+    assert sorted(entry.name for entry in target.parent.iterdir()) == ["entry.raf"]
 
 
 def test_sync_beacon_round_trip(tmp_path):
@@ -496,22 +533,25 @@ def test_captured_events_are_per_thread(tmp_path):
         assert [type(event) for event in events] == [CachePut, CacheHit]
         assert all(event.tier == "trace" for event in events)
     assert dispatched.events_seen == 0, "captured events must not dispatch"
-    # The shared aggregate still sees everything.
-    assert cache.stats["puts"] == 2 and cache.stats["hits"] == 2
+    # Folded together, the captures still account for everything.
+    stats = replay_events(captured["t1"] + captured["t2"]).cache_stats
+    assert stats["puts"] == 2 and stats["hits"] == 2
 
 
 def test_per_tier_stats_are_tracked(tmp_path):
     cache = ArtifactCache(memory=False, disk_dir=tmp_path)
-    assert cache.get_result("fig3", (("n_days", "1"),)) is None
-    cache.put_result("fig3", (("n_days", "1"),), {"x": 1})
-    assert cache.get_result("fig3", (("n_days", "1"),)) == {"x": 1}
-    assert cache.stats["result.misses"] == 1
-    assert cache.stats["result.puts"] == 1
-    assert cache.stats["result.hits"] == 1
+    with collect_events() as events:
+        assert cache.get_result("fig3", (("n_days", "1"),)) is None
+        cache.put_result("fig3", (("n_days", "1"),), {"x": 1})
+        assert cache.get_result("fig3", (("n_days", "1"),)) == {"x": 1}
+    stats = events.cache_stats
+    assert stats["result.misses"] == 1
+    assert stats["result.puts"] == 1
+    assert stats["result.hits"] == 1
     # Aggregates still add up across tiers.
-    assert cache.stats["hits"] == 1
-    assert cache.stats["misses"] == 1
-    assert cache.stats["puts"] == 1
+    assert stats["hits"] == 1
+    assert stats["misses"] == 1
+    assert stats["puts"] == 1
 
 
 def test_code_fingerprint_salts_every_key(tmp_path, monkeypatch):
@@ -556,12 +596,14 @@ def test_torn_binary_trace_entry_is_corrupt_then_miss(tmp_path):
     assert victim.suffix == ".raf"
     raw = victim.read_bytes()
     victim.write_bytes(raw[: len(raw) // 2])
-    assert cache.get_trace("A", 2, 5) is None
-    assert cache.stats["trace.corrupt"] == 1
-    assert cache.stats["trace.misses"] == 1
-    assert not victim.exists(), "torn frame must be deleted"
-    assert cache.get_trace("A", 2, 5) is None
-    assert cache.stats["trace.corrupt"] == 1
+    with collect_events() as events:
+        assert cache.get_trace("A", 2, 5) is None
+        assert events.cache_stats["trace.corrupt"] == 1
+        assert events.cache_stats["trace.misses"] == 1
+        assert not victim.exists(), "torn frame must be deleted"
+        assert cache.get_trace("A", 2, 5) is None
+    assert events.cache_stats["trace.corrupt"] == 1
+    assert events.cache_stats["trace.misses"] == 2
 
 
 def test_torn_binary_result_and_rewards_entries(tmp_path):
@@ -571,10 +613,11 @@ def test_torn_binary_result_and_rewards_entries(tmp_path):
     for tier in ("result", "rewards"):
         (victim,) = (tmp_path / tier).iterdir()
         victim.write_bytes(victim.read_bytes()[:40])
-    assert cache.get_result("fig3", (("n_days", "2"),)) is None
-    assert cache.get_rewards(("r",)) is None
-    assert cache.stats["result.corrupt"] == 1
-    assert cache.stats["rewards.corrupt"] == 1
+    with collect_events() as events:
+        assert cache.get_result("fig3", (("n_days", "2"),)) is None
+        assert cache.get_rewards(("r",)) is None
+    assert events.cache_stats["result.corrupt"] == 1
+    assert events.cache_stats["rewards.corrupt"] == 1
 
 
 def test_verify_disk_covers_binary_tiers(tmp_path):
@@ -604,10 +647,11 @@ def test_rewards_tier_persists_across_processes(tmp_path):
     cache.put_rewards(("p",), table)
     # A fresh process: same disk, cold memory.
     cold = ArtifactCache(memory=True, disk_dir=tmp_path)
-    rewards, best = cold.get_rewards(("p",))
+    with collect_events() as events:
+        rewards, best = cold.get_rewards(("p",))
     np.testing.assert_array_equal(rewards, table[0])
     assert best == {0: 3, 1: 5}
-    assert cold.stats["rewards.hits"] == 1
+    assert events.cache_stats["rewards.hits"] == 1
 
 
 def test_memmap_reads_above_threshold(tmp_path):
@@ -643,20 +687,21 @@ def test_put_counts_encoded_bytes(tmp_path):
 
 
 def test_spill_round_trip_and_one_shot(tmp_path):
-    cache = ArtifactCache(memory=False, disk_dir=tmp_path)
-    payload = {"arr": np.arange(1000, dtype=np.int64), "rows": [(1, 2.5)]}
-    token = cache.put_spill(payload)
-    assert cache.stats["spill.puts"] == 1
-    value = cache.take_spill(token)
-    np.testing.assert_array_equal(value["arr"], payload["arr"])
-    assert value["rows"] == [(1, 2.5)]
-    assert cache.stats["spill.hits"] == 1
-    # One-shot: the file is gone; a second take is a counted miss.
     from repro.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError, match="not found"):
-        cache.take_spill(token)
-    assert cache.stats["spill.misses"] == 1
+    cache = ArtifactCache(memory=False, disk_dir=tmp_path)
+    payload = {"arr": np.arange(1000, dtype=np.int64), "rows": [(1, 2.5)]}
+    with collect_events() as events:
+        token = cache.put_spill(payload)
+        assert events.cache_stats["spill.puts"] == 1
+        value = cache.take_spill(token)
+        np.testing.assert_array_equal(value["arr"], payload["arr"])
+        assert value["rows"] == [(1, 2.5)]
+        assert events.cache_stats["spill.hits"] == 1
+        # One-shot: the file is gone; a second take is a counted miss.
+        with pytest.raises(ConfigurationError, match="not found"):
+            cache.take_spill(token)
+    assert events.cache_stats["spill.misses"] == 1
 
 
 def test_torn_spill_raises_and_counts_corrupt(tmp_path):
@@ -666,9 +711,9 @@ def test_torn_spill_raises_and_counts_corrupt(tmp_path):
     token = cache.put_spill({"arr": np.arange(1000)})
     (victim,) = (tmp_path / "spill").iterdir()
     victim.write_bytes(victim.read_bytes()[:100])
-    with pytest.raises(ConfigurationError, match="corrupt"):
+    with collect_events() as events, pytest.raises(ConfigurationError, match="corrupt"):
         cache.take_spill(token)
-    assert cache.stats["spill.corrupt"] == 1
+    assert events.cache_stats == {"corrupt": 1, "spill.corrupt": 1}
     assert not victim.exists()
 
 

@@ -44,14 +44,15 @@ def test_every_paper_artifact_registered_exactly_once():
     assert get_experiment("fig11b").artifact == "Fig. 11(b)"
 
 
-def test_registry_drives_cli_artifacts():
-    from repro.cli import ARTIFACTS
+def test_registry_drives_cli_artifacts(capsys):
+    from repro.cli import main
 
-    assert set(ARTIFACTS) == set(experiment_names())
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     for exp in all_experiments():
-        description, render = ARTIFACTS[exp.name]
-        assert description == exp.title
-        assert callable(render)
+        assert any(
+            exp.name in line.split() and exp.title in line for line in lines
+        ), f"repro list must show {exp.name} with its title"
 
 
 def test_resolve_defaults_and_day_scaling():
@@ -107,21 +108,21 @@ TIMING_EXPERIMENTS = {"fig11a", "fig11b"}
     ],
 )
 def test_every_days_is_rejected_before_compute_or_runs(name, tmp_path):
-    """Walk ``days`` = 1, 2, …: every value below the smallest one
+    """Walk ``days`` = -1, 0, 1, …: every value below the smallest one
     ``RunRequest.build`` accepts raises ``ConfigurationError``, and that
     smallest one runs to completion, so no ``days`` passes the front
     door and then fails mid-run."""
     from repro.runner import RunRequest, SerialRunner
     from repro.runner.cache import ArtifactCache
 
-    for days in range(1, 15):
+    for days in range(-1, 15):
         try:
             request = RunRequest.build(name, days=days)
         except ConfigurationError:
             continue
         break
     else:
-        pytest.fail(f"{name} rejects every days in 1..14")
+        pytest.fail(f"{name} rejects every days in -1..14")
     runner = SerialRunner(ArtifactCache(memory=True, disk_dir=tmp_path))
     [outcome] = runner.run([request])
     assert outcome.name == name and outcome.rendered
@@ -139,6 +140,17 @@ def test_resolve_checks_explicit_splits():
     # Experiments without a split, and fleet_attack's scaled split.
     get_experiment("fig3").resolve(days=1)
     assert get_experiment("fleet_attack").resolve(days=1)["training_days"] == 1
+
+
+def test_resolve_rejects_days_below_one():
+    fig3 = get_experiment("fig3")
+    for days in (0, -1):
+        with pytest.raises(ConfigurationError, match="needs days >= 1"):
+            fig3.resolve(days=days)
+    for n_days in (0, -3):
+        with pytest.raises(ConfigurationError, match="needs n_days >= 1"):
+            fig3.resolve(n_days=n_days)
+    assert fig3.resolve(days=1)["n_days"] == 1
 
 
 def test_fig5_default_sweep_is_checked_before_compute():

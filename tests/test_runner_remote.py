@@ -20,7 +20,7 @@ from repro.core.serialization import (
     task_payload_to_wire,
 )
 from repro.errors import ConfigurationError
-from repro.events import CachePut
+from repro.events import CachePut, collect_events, replay_events
 from repro.runner import (
     AsyncShardRunner,
     RemoteExecutor,
@@ -196,29 +196,31 @@ def test_unreachable_worker_is_reported():
 def test_task_connections_are_persistent(fresh_cache, worker_pair):
     """Per-slot connections are dialed once and reused: many payloads
     to one worker must not reconnect per task (ROADMAP open item)."""
-    with RemoteExecutor(worker_pair, cache=fresh_cache) as executor:
-        address = worker_pair[0]
-        payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-        for _ in range(4):
-            executor.run(address, payload)
-        assert executor.connects == {address: 1}, (
-            "4 tasks over one worker should cost exactly one dial"
-        )
+    with collect_events() as run:
+        with RemoteExecutor(worker_pair, cache=fresh_cache) as executor:
+            address = worker_pair[0]
+            payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
+            for _ in range(4):
+                executor.run(address, payload)
+    assert run.worker_connects == {address: 1}, (
+        "4 tasks over one worker should cost exactly one dial"
+    )
 
 
 def test_remote_task_error_keeps_the_connection(fresh_cache, worker_pair):
     """A payload raising on the worker is a *task* failure: the worker
     handler's loop is still serving, so the connection is pooled and
     the next task reuses it."""
-    with RemoteExecutor(worker_pair, cache=fresh_cache) as executor:
-        address = worker_pair[0]
-        with pytest.raises(RemoteTaskError):
-            executor.run(address, ("shard", "no-such-exp", {}, {}))
-        value, _, _ = executor.run(
-            address, ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-        )
-        assert value.house == "A"
-        assert executor.connects == {address: 1}
+    with collect_events() as run:
+        with RemoteExecutor(worker_pair, cache=fresh_cache) as executor:
+            address = worker_pair[0]
+            with pytest.raises(RemoteTaskError):
+                executor.run(address, ("shard", "no-such-exp", {}, {}))
+            value, _, _ = executor.run(
+                address, ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
+            )
+    assert value.house == "A"
+    assert run.worker_connects == {address: 1}
 
 
 def test_large_result_spills_through_shared_cache(tmp_path, worker_pair):
@@ -230,16 +232,20 @@ def test_large_result_spills_through_shared_cache(tmp_path, worker_pair):
         memory=True, disk_dir=tmp_path / "cache", spill_threshold=1
     )
     try:
-        with RemoteExecutor(worker_pair, cache=cache) as executor:
-            payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-            value, _, events = executor.run(worker_pair[0], payload)
+        with collect_events() as coordinator:
+            with RemoteExecutor(worker_pair, cache=cache) as executor:
+                payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
+                value, _, events = executor.run(worker_pair[0], payload)
         assert value.house == "A"
-        assert cache.stats["spill.puts"] >= 1, "worker must have spilled"
+        worker = replay_events(events).cache_stats
+        assert worker["spill.puts"] >= 1, "worker must have spilled"
         assert any(
             isinstance(e, CachePut) and e.tier == "spill" and e.nbytes > 0
             for e in events
         ), "the worker's spill put must come home with the result"
-        assert cache.stats["spill.hits"] >= 1, "coordinator must have redeemed"
+        assert coordinator.cache_stats["spill.hits"] >= 1, (
+            "coordinator must have redeemed"
+        )
         spill_dir = tmp_path / "cache" / "spill"
         assert not list(spill_dir.glob("*.raf")), "take_spill must unlink"
     finally:
@@ -252,12 +258,13 @@ def test_spill_disabled_without_shared_disk(worker_pair):
     previous = get_cache()
     cache = configure_cache(memory=True, spill_threshold=1)
     try:
-        with RemoteExecutor(worker_pair, cache=cache) as executor:
-            payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
-            value, _, _ = executor.run(worker_pair[0], payload)
+        with collect_events() as coordinator:
+            with RemoteExecutor(worker_pair, cache=cache) as executor:
+                payload = ("shard", "fig3", {"n_days": 2, "seed": 5}, {"house": "A"})
+                value, _, events = executor.run(worker_pair[0], payload)
         assert value.house == "A"
-        assert cache.stats.get("spill.puts", 0) == 0
-        assert cache.stats.get("spill.hits", 0) == 0
+        assert replay_events(events).cache_stats.get("spill.puts", 0) == 0
+        assert coordinator.cache_stats.get("spill.hits", 0) == 0
     finally:
         set_cache(previous)
 
@@ -277,12 +284,14 @@ def test_remote_matches_serial_byte_for_byte(fresh_cache, worker_pair):
             [RunRequest(name, dict(params)) for name, params in requests]
         )
     runner = AsyncShardRunner(executor=RemoteExecutor(worker_pair))
-    remote = runner.run([RunRequest(name, dict(params)) for name, params in requests])
+    with collect_events() as run:
+        remote = runner.run(
+            [RunRequest(name, dict(params)) for name, params in requests]
+        )
     assert [o.name for o in remote] == [o.name for o in serial]
     for s, r in zip(serial, remote):
         assert r.rendered == s.rendered, f"{s.name} diverged under remote"
-    profile = runner.last_profile
-    assert profile is not None
+    profile = run.scheduler_profile()
     workers = {record.worker for record in profile.tasks if not record.local}
     assert workers <= set(worker_pair) and workers, "tasks must name workers"
     assert profile.slots == {address: 1 for address in worker_pair}
@@ -435,9 +444,10 @@ def test_worker_crash_mid_shard_retries_on_survivor(fresh_cache):
         runner = AsyncShardRunner(
             executor=RemoteExecutor([flaky.address, solid_address])
         )
-        outcome = runner.run_one("fig3", params={"n_days": 2, "seed": 9})
+        with collect_events() as run:
+            outcome = runner.run_one("fig3", params={"n_days": 2, "seed": 9})
         assert outcome.rendered  # the run survived the crash
-        profile = runner.last_profile
+        profile = run.scheduler_profile()
         lost = [record for record in profile.tasks if record.failed]
         assert flaky.tasks_dropped >= 1, "the flaky worker must see a task"
         assert lost and all(r.worker == flaky.address for r in lost)
@@ -494,10 +504,14 @@ def test_cancellation_drains_inflight_remote_tasks(fresh_cache, worker_pair):
     )
     try:
         runner = AsyncShardRunner(executor=RemoteExecutor(worker_pair))
-        with pytest.raises(TaskExecutionError, match="remote shard failure") as info:
-            runner.run([RunRequest(exp.name, {})])
+        with collect_events() as run:
+            with pytest.raises(
+                TaskExecutionError, match="remote shard failure"
+            ) as info:
+                runner.run([RunRequest(exp.name, {})])
         assert "explode-remote" in info.value.label
-        profile = runner.last_profile
+        profile = run.scheduler_profile()
+        assert any(record.failed for record in profile.tasks)
         merges = [r for r in profile.tasks if r.local]
         assert not merges, "merge must not have run"
     finally:

@@ -2,10 +2,12 @@
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.events import RunFinished, collect_events, emit
 from repro.runner.scheduler import (
     GraphScheduler,
     Task,
@@ -20,6 +22,18 @@ def _graph(*tasks):
         Task(key=key, payload=key, deps=tuple(deps), label=str(key))
         for key, deps in tasks
     ]
+
+
+@contextmanager
+def _collected_run():
+    """Fold a bare scheduler run's events, closed with ``RunFinished``
+    the way a runner closes its runs (even when the block raises)."""
+    with collect_events() as aggregator:
+        started = time.perf_counter()
+        try:
+            yield aggregator
+        finally:
+            emit(RunFinished(wall_seconds=time.perf_counter() - started))
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +204,9 @@ def test_profile_records_every_task():
         return None
 
     scheduler = GraphScheduler(jobs=2, execute=execute)
-    scheduler.run(_graph(("a", []), ("b", ["a"]), ("c", ["a"])))
-    profile = scheduler.profile
+    with _collected_run() as run:
+        scheduler.run(_graph(("a", []), ("b", ["a"]), ("c", ["a"])))
+    profile = run.scheduler_profile()
     assert {record.key for record in profile.tasks} == {"a", "b", "c"}
     assert profile.wall_seconds > 0
     assert profile.busy_seconds >= 0.03
@@ -209,15 +224,17 @@ def test_failed_task_still_recorded_in_profile():
         return None
 
     scheduler = GraphScheduler(jobs=1, execute=execute)
-    with pytest.raises(TaskExecutionError, match="kaboom"):
+    with _collected_run() as run, pytest.raises(TaskExecutionError, match="kaboom"):
         scheduler.run(_graph(("ok", []), ("boom", [])))
-    records = {record.key: record for record in scheduler.profile.tasks}
+    profile = run.scheduler_profile()
+    records = {record.key: record for record in profile.tasks}
     assert set(records) == {"ok", "boom"}
     assert records["boom"].failed and not records["ok"].failed
     assert records["boom"].seconds > 0
-    assert scheduler.profile.busy_seconds >= (
+    assert profile.busy_seconds >= (
         records["ok"].seconds + records["boom"].seconds
     )
+    assert profile.wall_seconds > 0, "a failed run keeps its wall time"
 
 
 # ----------------------------------------------------------------------
@@ -241,8 +258,9 @@ def test_slots_bound_concurrency_per_worker():
 
     tasks = _graph(*((f"t{i}", []) for i in range(10)))
     scheduler = GraphScheduler(execute=execute, slots={"w1": 2, "w2": 1})
-    results = scheduler.run(tasks)
-    assert scheduler.jobs == 3
+    with _collected_run() as run:
+        results = scheduler.run(tasks)
+    assert run.jobs == 3
     assert peak["w1"] <= 2 and peak["w2"] <= 1
     assert set(results.values()) == {"w1", "w2"}, "both workers must be used"
 
@@ -253,8 +271,9 @@ def test_profile_attributes_tasks_to_workers():
         return worker
 
     scheduler = GraphScheduler(execute=execute, slots={"w1": 1, "w2": 1})
-    scheduler.run(_graph(*((f"t{i}", []) for i in range(4))))
-    profile = scheduler.profile
+    with _collected_run() as run:
+        scheduler.run(_graph(*((f"t{i}", []) for i in range(4))))
+    profile = run.scheduler_profile()
     assert profile.slots == {"w1": 1, "w2": 1}
     assert {record.worker for record in profile.tasks} == {"w1", "w2"}
     busy = profile.worker_busy()
@@ -279,9 +298,10 @@ def test_worker_lost_retries_on_a_survivor():
 
     tasks = _graph(*((f"t{i}", []) for i in range(4)))
     scheduler = GraphScheduler(execute=execute, slots={"flaky": 1, "solid": 1})
-    results = scheduler.run(tasks)
+    with _collected_run() as run:
+        results = scheduler.run(tasks)
     assert all(value == "solid" for value in results.values())
-    lost = [record for record in scheduler.profile.tasks if record.failed]
+    lost = [record for record in run.scheduler_profile().tasks if record.failed]
     assert lost, "the lost attempt must be recorded"
     assert all(record.worker == "flaky" for record in lost)
     # After the loss, nothing else was sent to the dead worker.
@@ -379,7 +399,9 @@ def test_worker_added_mid_run_takes_load():
 
     controller = threading.Thread(target=control)
     controller.start()
-    results = scheduler.run(_graph(*((f"t{i}", []) for i in range(8))))
+    with _collected_run() as run:
+        results = scheduler.run(_graph(*((f"t{i}", []) for i in range(8))))
     controller.join(timeout=10.0)
     assert set(results.values()) == {"a", "b"}, "the new worker must be leased"
-    assert scheduler.profile.slots.get("b") == 2
+    assert run.slots == {"a": 1, "b": 2}
+    assert run.jobs == 3

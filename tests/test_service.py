@@ -6,6 +6,7 @@ churn, drain, and crash-resume scenarios are exact and fast; one
 subprocess test pins the ``repro worker`` SIGTERM contract.
 """
 
+import http.client
 import json
 import signal
 import socket
@@ -20,7 +21,7 @@ import pytest
 from repro.api.client import ServiceClient, ServiceError
 from repro.api.session import Session
 from repro.errors import ConfigurationError
-from repro.events.model import TaskFinished, WorkerLost
+from repro.events.model import TaskFailed, TaskFinished, WorkerLost
 from repro.events.processors import replay_events
 from repro.runner import SerialRunner, RunRequest
 from repro.runner.cache import code_fingerprint, configure_cache, get_cache, set_cache
@@ -54,7 +55,9 @@ def sum_exp():
     def _shards(params):
         return [{"part": index} for index in range(4)]
 
-    def _run_shard(scale, part, delay=0.0):
+    def _run_shard(scale, part, delay=0.0, fail_part=-1):
+        if part == fail_part:
+            raise RuntimeError(f"svc-sum shard {part} exploded")
         if delay:
             time.sleep(delay)
         return part * scale
@@ -71,7 +74,7 @@ def sum_exp():
             shards=_shards,
             run_shard=_run_shard,
             merge=_merge,
-            params=(Param("scale", 1), Param("delay", 0.0)),
+            params=(Param("scale", 1), Param("delay", 0.0), Param("fail_part", -1)),
             cacheable=False,
         )
     )
@@ -265,7 +268,7 @@ def test_service_job_byte_identical_to_serial(fresh_cache, tmp_path, sum_exp):
 
 
 def test_job_trail_folds_to_its_batch_profile(fresh_cache, tmp_path, sum_exp):
-    """Each job's trail replays to the live profile of the batch that
+    """Each job's trail replays to the live aggregate of the batch that
     ran it: the slots leased at its start and the dials it made — none
     on the second batch, which reuses the first one's pooled
     connections."""
@@ -279,7 +282,7 @@ def test_job_trail_folds_to_its_batch_profile(fresh_cache, tmp_path, sum_exp):
             final = client.wait(job["job_id"], timeout=60.0)
             assert final["state"] == "done", final["error"]
             folded = replay_events(client.events(job["job_id"]))
-            live = plane.session.last_profile
+            live = plane.session.last_events.scheduler_profile()
             assert folded.scheduler_profile() == live
             assert live.slots == {server.address: 2}
     finally:
@@ -331,9 +334,91 @@ def test_submit_validates_at_the_front_door(fresh_cache, tmp_path):
             client.submit("fig10", days=3)
         assert info.value.status == 400
         assert "cannot train on 0 of 3 days" in str(info.value)
+        # days must be null or a JSON integer (not a bool), and >= 1.
+        for days in ("three", [3], 2.5, True, 0, -1):
+            with pytest.raises(ServiceError) as info:
+                client.submit("fig3", days=days)
+            assert info.value.status == 400, days
+        # Content-Length must be a byte count: no 500, and no read that
+        # waits for the client to hang up.
+        for length in ("abc", "-1", "1.5"):
+            status, reply = _post_raw(plane.address, length)
+            assert status == 400, (length, reply)
+            assert "Content-Length" in reply["error"]
         assert client.jobs() == []  # nothing bad was enqueued
         assert JobStore(plane.session.store.root / JOBS_SUBDIR).list() == []
     finally:
+        plane.stop()
+
+
+def _post_raw(address, content_length):
+    """POST a valid fig3 submission to /jobs under a hand-written
+    ``Content-Length`` header; returns (status, decoded reply)."""
+    host, port = address.rsplit(":", 1)
+    connection = http.client.HTTPConnection(host, int(port), timeout=10.0)
+    try:
+        connection.putrequest("POST", "/jobs")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders(b'{"experiment": "fig3"}')
+        reply = connection.getresponse()
+        return reply.status, json.loads(reply.read() or b"{}")
+    finally:
+        connection.close()
+
+
+def test_failed_job_links_the_trail_that_explains_it(
+    fresh_cache, tmp_path, sum_exp
+):
+    plane = _make_plane(tmp_path)
+    server = agent = None
+    try:
+        client = ServiceClient(plane.address)
+        server, agent = _joined_worker(plane)
+        job = client.submit(sum_exp.name, params={"fail_part": 2})
+        final = client.wait(job["job_id"], timeout=60.0)
+        assert final["state"] == "failed"
+        assert "exploded" in final["error"]
+        failed = [e for e in client.events(job["job_id"]) if isinstance(e, TaskFailed)]
+        assert [e.label for e in failed] == [f"{sum_exp.name}/shard2"]
+    finally:
+        if agent is not None:
+            agent.stop()
+        if server is not None:
+            server.close()
+        plane.stop()
+
+
+def test_failing_and_healthy_jobs_sharing_a_batch_each_keep_a_trail(
+    fresh_cache, tmp_path, sum_exp
+):
+    """Submitted before any worker joins, both jobs run in one batch.
+    The failure splits it: the healthy job still ends done, the failing
+    one ends failed, and each links a trail."""
+    plane = _make_plane(tmp_path)
+    server = agent = None
+    try:
+        client = ServiceClient(plane.address)
+        bad = client.submit(sum_exp.name, params={"fail_part": 1})
+        good = client.submit(sum_exp.name, params={"scale": 2})
+        server, agent = _joined_worker(plane)
+        bad_final = client.wait(bad["job_id"], timeout=60.0)
+        good_final = client.wait(good["job_id"], timeout=60.0)
+        assert good_final["state"] == "done", good_final["error"]
+        assert bad_final["state"] == "failed"
+        assert bad_final["attempts"] == good_final["attempts"] == 2, (
+            "both jobs must have shared the first batch"
+        )
+        bad_trail = client.events(bad["job_id"])
+        assert any(isinstance(e, TaskFailed) for e in bad_trail)
+        good_trail = client.events(good["job_id"])
+        assert any(isinstance(e, TaskFinished) for e in good_trail)
+        assert not any(isinstance(e, TaskFailed) for e in good_trail)
+    finally:
+        if agent is not None:
+            agent.stop()
+        if server is not None:
+            server.close()
         plane.stop()
 
 

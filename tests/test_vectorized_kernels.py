@@ -71,7 +71,6 @@ from repro.events import (
     SIMULATION,
     collect_events,
 )
-from repro.runner.cache import get_cache
 from repro.hvac.simulation import (
     OutdoorConditions,
     SimulationJob,
@@ -1209,12 +1208,12 @@ def test_reward_tables_shared_through_cache(aras_world):
     first = occupant_reward_table(
         home, 0, zones, TouPricing(), ControllerConfig(), ScheduleConfig()
     )
-    hits = get_cache().stats.get("rewards.hits", 0)
-    second = occupant_reward_table(
-        home, 0, zones, TouPricing(), ControllerConfig(), ScheduleConfig()
-    )
+    with collect_events() as events:
+        second = occupant_reward_table(
+            home, 0, zones, TouPricing(), ControllerConfig(), ScheduleConfig()
+        )
     assert second is first
-    assert get_cache().stats.get("rewards.hits", 0) == hits + 1
+    assert events.cache_stats.get("rewards.hits", 0) == 1
     shifted = occupant_reward_table(
         home,
         0,
