@@ -29,7 +29,6 @@ from repro.api.store import (
     manifest_to_wire,
 )
 from repro.events.dispatch import EventProcessor
-from repro.events.history import CostModel
 from repro.events.model import Event
 from repro.events.processors import ProfileAggregator, read_events_jsonl
 from repro.runner.base import (
@@ -41,7 +40,6 @@ from repro.runner.base import (
 
 __all__ = [
     "CachePolicy",
-    "CostModel",
     "Event",
     "EventProcessor",
     "ProfileAggregator",

@@ -59,7 +59,6 @@ from repro.events.dispatch import (
     EventProcessor,
     use_dispatcher,
 )
-from repro.events.history import CostModel
 from repro.events.model import Event
 from repro.events.processors import (
     JsonlEventWriter,
@@ -133,9 +132,9 @@ class Session:
     """A configured connection to the experiment stack.
 
     Args:
-        cache_dir: Disk tier for the artifact cache (and the run
-            store).  Defaults to ``$REPRO_CACHE_DIR`` /
-            ``~/.cache/repro-shatter``.
+        cache_dir: Disk tier for the artifact cache; the run store
+            lives at ``<cache_dir>/runs``.  Defaults to
+            ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-shatter``.
         no_cache: Run with caching fully off; no manifests are
             persisted either (there is no store location without a
             cache dir).
@@ -146,13 +145,6 @@ class Session:
         jobs: Concurrency bound for parallel backends.
         workers: Remote worker spec (``"host:port,..."`` or
             ``"local:N"``); implies the remote backend under ``auto``.
-        profile: Collect scheduler telemetry (promotes ``auto`` to the
-            graph runner even at ``jobs=1``); after a run, read the
-            run's event aggregate, which pool and remote workers'
-            events reach too, from :attr:`last_events`.
-        store_dir: Override where manifests live (default
-            ``<cache_dir>/runs``).
-        record_runs: Persist a manifest per completed run.
         origin: Stamped on every manifest (``"api"``, ``"cli"``).
         events: JSONL event-trail persistence: ``"auto"`` (write a
             trail whenever the session has a run store), ``"jsonl"``
@@ -160,16 +152,11 @@ class Session:
             (never write).  An in-memory
             :class:`~repro.events.processors.ProfileAggregator` is
             attached to every run regardless — read it from
-            :attr:`last_events`.
-        schedule: ``"cost"`` loads task-duration estimates from prior
-            runs' event trails so the graph scheduler dispatches
-            longest-critical-path-first; ``"fifo"`` keeps pure
-            submission order.  With no history the cost model is empty
-            and both behave identically.
+            :attr:`last_events`, which pool and remote workers' events
+            reach too.
     """
 
     _EVENT_MODES = ("auto", "jsonl", "off")
-    _SCHEDULES = ("cost", "fifo")
 
     def __init__(
         self,
@@ -179,27 +166,16 @@ class Session:
         runner: str = "auto",
         jobs: int = 1,
         workers: str | None = None,
-        profile: bool = False,
-        store_dir: str | None = None,
-        record_runs: bool = True,
         origin: str = "api",
         events: str = "auto",
-        schedule: str = "cost",
     ) -> None:
         load_all()
-        self.policy = RunnerPolicy(
-            backend=runner, jobs=max(1, jobs), workers=workers, profile=profile
-        )
+        self.policy = RunnerPolicy(backend=runner, jobs=max(1, jobs), workers=workers)
         self.policy.resolved_backend()  # fail fast on contradictory knobs
         if events not in self._EVENT_MODES:
             raise ConfigurationError(
                 f"unknown events mode {events!r}; pick one of "
                 f"{', '.join(self._EVENT_MODES)}"
-            )
-        if schedule not in self._SCHEDULES:
-            raise ConfigurationError(
-                f"unknown schedule {schedule!r}; pick one of "
-                f"{', '.join(self._SCHEDULES)}"
             )
         if no_cache:
             self.cache = ArtifactCache(memory=False, disk_dir=None)
@@ -208,21 +184,17 @@ class Session:
                 memory=True, disk_dir=cache_dir or default_disk_dir()
             )
         self.origin = origin
-        root = store_dir or (
-            self.cache.disk_dir / STORE_SUBDIR
+        self.store: RunStore | None = (
+            RunStore(self.cache.disk_dir / STORE_SUBDIR)
             if self.cache.disk_dir is not None
             else None
-        )
-        self.store: RunStore | None = (
-            RunStore(root) if record_runs and root is not None else None
         )
         if events == "jsonl" and self.store is None:
             raise ConfigurationError(
                 "events='jsonl' needs somewhere to write trails; this "
-                "session persists no runs (no_cache/record_runs=False)"
+                "session persists no runs (no_cache)"
             )
         self.events_mode = events
-        self.schedule = schedule
         self._processors: list[EventProcessor] = []
         self.last_runner: BaseRunner | None = None
         self.last_manifests: list[RunManifest] = []
@@ -295,10 +267,7 @@ class Session:
         """
         coerced = self._coerce(requests)
         chosen = policy if policy is not None else self._batch_policy(coerced)
-        runner = build_runner(
-            chosen, cache=self.cache, cost_model=self._cost_model()
-        )
-        return self._execute(runner, coerced)
+        return self._execute(build_runner(chosen, cache=self.cache), coerced)
 
     def run_with(
         self, runner: BaseRunner, requests: Sequence[RunRequest]
@@ -428,7 +397,7 @@ class Session:
     def _require_store(self) -> RunStore:
         if self.store is None:
             raise ConfigurationError(
-                "this session persists no runs (no_cache/record_runs=False)"
+                "this session persists no runs (no_cache)"
             )
         return self.store
 
@@ -460,21 +429,9 @@ class Session:
         factory, with the backend pinned to a graph-capable one
         (remote when the session names workers, async otherwise)."""
         backend = "remote" if self.policy.workers else "async"
-        runner = build_runner(
-            replace(self.policy, backend=backend),
-            cache=self.cache,
-            cost_model=self._cost_model(),
-        )
+        runner = build_runner(replace(self.policy, backend=backend), cache=self.cache)
         assert isinstance(runner, AsyncShardRunner)
         return runner
-
-    def _cost_model(self) -> CostModel | None:
-        """Historical task-duration estimates for cost scheduling, or
-        ``None`` under ``schedule="fifo"`` / without a store (no trail
-        history to learn from)."""
-        if self.schedule != "cost" or self.store is None:
-            return None
-        return CostModel.from_trails(self.store.events_dir)
 
     def _execute(
         self, runner: BaseRunner, requests: list[RunRequest]

@@ -36,8 +36,8 @@ _MANIFEST_VERSION = 1
 # Subdirectory of the artifact-cache dir that holds the run store.
 STORE_SUBDIR = "runs"
 
-# Subdirectory of the store root that holds JSONL event trails; the
-# cost model scans it for historical task durations.
+# Subdirectory of the store root that holds JSONL event trails, one
+# per run batch; every manifest of the batch names it.
 EVENTS_SUBDIR = "events"
 
 
@@ -167,11 +167,6 @@ class RunStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
 
-    @property
-    def events_dir(self) -> Path:
-        """Where this store keeps JSONL event trails."""
-        return self.root / EVENTS_SUBDIR
-
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
@@ -297,7 +292,9 @@ class RunStore:
         lineage is always retained, whatever the rules say: that run is
         the baseline future ``runs diff`` calls compare against, and
         deleting the last witness of a code version would make "what
-        changed since?" unanswerable.
+        changed since?" unanswerable.  Every manifest of one run batch
+        names the batch's single event trail, so a trail is deleted only
+        with the last run that reads it.
 
         Returns the deleted manifests, oldest first.
         """
@@ -332,21 +329,26 @@ class RunStore:
                 for manifest in manifests
                 if manifest.created < cutoff
             )
-        deleted = []
-        for manifest in manifests:
-            if manifest.run_id not in doomed_ids:
-                continue
-            if manifest.run_id in protected_ids:
-                continue
-            self._delete_run_files(manifest)
-            deleted.append(manifest)
+        doomed_ids -= protected_ids
+        deleted = [
+            manifest for manifest in manifests if manifest.run_id in doomed_ids
+        ]
+        kept_trails = {
+            manifest.events_path
+            for manifest in manifests
+            if manifest.run_id not in doomed_ids
+        }
+        for manifest in deleted:
+            self._delete_run_files(
+                manifest, with_trail=manifest.events_path not in kept_trails
+            )
         return deleted
 
-    def _delete_run_files(self, manifest: RunManifest) -> None:
+    def _delete_run_files(self, manifest: RunManifest, with_trail: bool) -> None:
         paths = [self.root / f"{manifest.run_id}.json"]
         if manifest.rendered_path:
             paths.append(self.root / manifest.rendered_path)
-        if manifest.events_path:
+        if with_trail and manifest.events_path:
             paths.append(self.root / manifest.events_path)
         for path in paths:
             try:

@@ -46,14 +46,12 @@ persisted under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-shatter``;
 completed run leaves a manifest under ``<cache dir>/runs/``; ``repro
 runs list|show|diff|events`` query that history and ``repro runs
 prune --keep N|--older-than D`` garbage-collects it (always retaining
-each lineage's newest run).  Every run emits a
-typed telemetry stream (:mod:`repro.events`): ``--events`` controls
-whether the stream is also persisted as a JSONL audit trail next to
-the manifests (``auto`` writes one whenever a run store exists), and
-``--schedule cost`` (the default) lets the graph scheduler order ready
-tasks by critical-path estimates learned from those trails
-(``--schedule fifo`` keeps pure submission order).  ``--profile`` is a
-renderer over the same stream: scheduler utilization (per worker, with
+each lineage's newest run and every trail a kept run reads).  Every
+run emits a typed telemetry stream (:mod:`repro.events`): ``--events``
+controls whether the stream is also persisted as a JSONL audit trail
+next to the manifests (``auto`` writes one whenever a run store
+exists).  ``--profile`` renders the same stream and leaves the backend
+as the other flags chose it: scheduler utilization (per worker, with
 task-connection counts, for the remote backend), per-tier cache hit
 rates plus corrupt-entry counts, and per-kernel wall time (batched
 geometry, schedule DP, simulation), identical in shape on every
@@ -149,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         metavar="BACKEND",
         help="execution backend: auto, serial, async, or remote (auto: "
-        "remote when --workers is given, async when --jobs>1 or under "
-        "--profile, else serial; async runs the shard graph on --jobs "
-        "processes, or on threads at --jobs 1)",
+        "remote when --workers is given, async when --jobs>1, else "
+        "serial; async runs the shard graph on --jobs processes, or on "
+        "threads at --jobs 1)",
     )
     run_parser.add_argument(
         "--workers",
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print per-task scheduler timings, utilization, cache hit "
-        "rates (async runner), and per-kernel wall time",
+        "rates, and per-kernel wall time of the run",
     )
     run_parser.add_argument(
         "--dry-run",
@@ -195,15 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL event-trail persistence: auto writes a trail next "
         "to the run manifests whenever a run store exists, jsonl "
         "requires it, off disables it",
-    )
-    run_parser.add_argument(
-        "--schedule",
-        choices=["cost", "fifo"],
-        default="cost",
-        help="graph-scheduler dispatch order: cost ranks ready tasks "
-        "by critical-path estimates learned from prior runs' event "
-        "trails (falls back to fifo without history), fifo keeps pure "
-        "submission order",
     )
 
     worker_parser = subparsers.add_parser(
@@ -460,10 +449,8 @@ def _make_session(args: argparse.Namespace, origin: str = "cli") -> Session:
         runner=args.runner,
         jobs=args.jobs,
         workers=args.workers,
-        profile=args.profile,
         origin=origin,
         events=getattr(args, "events", "auto"),
-        schedule=getattr(args, "schedule", "cost"),
     )
 
 

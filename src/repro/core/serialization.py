@@ -1,14 +1,16 @@
-"""JSON serialization of attack artifacts and cached pipeline inputs.
+"""Serialization of attack artifacts, cached artifacts and task payloads.
 
 Attack vectors and reports are the framework's deliverables; defenders
 feed them into other tooling (SIEM rules, dashboards, tickets), so they
-need a stable on-disk form.  Arrays serialize compactly: boolean and
-integer matrices as nested lists, with shapes validated on load.
+need a stable on-disk JSON form.  Arrays serialize compactly: boolean
+and integer matrices as nested lists, with shapes validated on load.
 
-House traces and fitted ADMs are the experiment suite's two hot shared
-*inputs*; their codecs here back the artifact cache in
-:mod:`repro.runner.cache`, so a second ``repro run --all`` restores them
-from disk instead of regenerating and refitting.
+The artifact cache in :mod:`repro.runner.cache` stores every disk tier
+(house traces, fitted ADMs, reward tables, results, spills) as binary
+array frames (:func:`encode_artifact` / :func:`decode_artifact`); a
+fitted ADM enters a frame as plain arrays
+(:func:`cluster_adm_to_arrays`).  Task payloads and events cross the
+remote-worker wire as tagged JSON (:func:`encode_wire_value`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.core.arrayframe import decode_frame, decode_frame_file, encode_frame
 from repro.core.report import AttackReport, CostBreakdown
 from repro.errors import ConfigurationError
 from repro.geometry import ConvexHull
-from repro.home.state import HomeTrace
 
 _FORMAT_VERSION = 1
 
@@ -145,49 +146,7 @@ def load_attack_report(path: str | Path) -> AttackReport:
 
 
 # ----------------------------------------------------------------------
-# House traces (cache tier for synthetic trace generation)
-# ----------------------------------------------------------------------
-
-
-def home_trace_to_dict(trace: HomeTrace) -> dict:
-    """A JSON-ready representation of a ground-truth trace."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "occupant_zone": trace.occupant_zone.tolist(),
-        "occupant_activity": trace.occupant_activity.tolist(),
-        "appliance_status": trace.appliance_status.astype(int).tolist(),
-    }
-
-
-def home_trace_from_dict(payload: dict) -> HomeTrace:
-    """Rebuild a trace; validates the format version and shapes."""
-    version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported home-trace format version {version!r}"
-        )
-    try:
-        return HomeTrace(
-            occupant_zone=np.asarray(payload["occupant_zone"], dtype=np.int64),
-            occupant_activity=np.asarray(
-                payload["occupant_activity"], dtype=np.int64
-            ),
-            appliance_status=np.asarray(payload["appliance_status"], dtype=bool),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"missing home-trace field: {exc}") from exc
-
-
-def save_home_trace(trace: HomeTrace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(home_trace_to_dict(trace)))
-
-
-def load_home_trace(path: str | Path) -> HomeTrace:
-    return home_trace_from_dict(json.loads(Path(path).read_text()))
-
-
-# ----------------------------------------------------------------------
-# Fitted cluster ADMs (cache tier for ADM training)
+# Fitted cluster ADM parameters (part of the ADM cache tier's frames)
 # ----------------------------------------------------------------------
 
 
@@ -214,67 +173,6 @@ def adm_params_from_dict(payload: dict) -> AdmParams:
         )
     except KeyError as exc:
         raise ConfigurationError(f"missing ADM-params field: {exc}") from exc
-
-
-def cluster_adm_to_dict(adm: ClusterADM) -> dict:
-    """A JSON-ready representation of a *fitted* ADM.
-
-    Captures the full decision surface — per-(occupant, zone) training
-    points, cluster labels, and hull vertices — so a reloaded ADM
-    answers every membership / stay-range query identically.
-    """
-    groups = []
-    for (occupant, zone), group in sorted(adm._groups.items()):
-        groups.append(
-            {
-                "occupant": occupant,
-                "zone": zone,
-                "points": group.points.tolist(),
-                "labels": group.labels.tolist(),
-                "hulls": [hull.vertices.tolist() for hull in group.hulls],
-            }
-        )
-    return {
-        "format_version": _FORMAT_VERSION,
-        "params": adm_params_to_dict(adm.params),
-        "n_zones": adm.n_zones,
-        "n_occupants": adm.n_occupants,
-        "groups": groups,
-    }
-
-
-def cluster_adm_from_dict(payload: dict) -> ClusterADM:
-    """Rebuild a fitted ADM without re-running the clustering."""
-    version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported cluster-ADM format version {version!r}"
-        )
-    try:
-        adm = ClusterADM(adm_params_from_dict(payload["params"]))
-        adm._n_zones = int(payload["n_zones"])
-        adm._n_occupants = int(payload["n_occupants"])
-        for entry in payload["groups"]:
-            points = np.asarray(entry["points"], dtype=float).reshape(-1, 2)
-            labels = np.asarray(entry["labels"], dtype=np.int64)
-            hulls = [
-                ConvexHull(np.asarray(vertices, dtype=float))
-                for vertices in entry["hulls"]
-            ]
-            adm._groups[(int(entry["occupant"]), int(entry["zone"]))] = (
-                _GroupModel(points=points, labels=labels, hulls=hulls)
-            )
-    except KeyError as exc:
-        raise ConfigurationError(f"missing cluster-ADM field: {exc}") from exc
-    return adm
-
-
-def save_cluster_adm(adm: ClusterADM, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cluster_adm_to_dict(adm)))
-
-
-def load_cluster_adm(path: str | Path) -> ClusterADM:
-    return cluster_adm_from_dict(json.loads(Path(path).read_text()))
 
 
 # ----------------------------------------------------------------------
@@ -312,9 +210,11 @@ def decode_artifact_file(path: str | Path, memmap_threshold: int | None = None) 
 def cluster_adm_to_arrays(adm: ClusterADM) -> dict:
     """An array-native (frame-ready) representation of a fitted ADM.
 
-    Same decision surface as :func:`cluster_adm_to_dict`, but training
-    points, labels, and hull vertices stay numpy arrays so the frame
-    codec writes them as raw buffers instead of JSON number lists.
+    Captures the full decision surface — per-(occupant, zone) training
+    points, cluster labels, and hull vertices — so a reloaded ADM
+    answers every membership / stay-range query identically.  The
+    arrays stay numpy arrays, which the frame codec writes as raw
+    buffers.
     """
     groups = []
     for (occupant, zone), group in sorted(adm._groups.items()):

@@ -1,10 +1,9 @@
 """``repro.events`` — the structured telemetry stream.
 
 Typed events (:mod:`repro.events.model`), one dispatcher funnel with
-pluggable processors (:mod:`repro.events.dispatch`), the built-in
+pluggable processors (:mod:`repro.events.dispatch`), and the built-in
 aggregator / JSONL writer / profile renderer
-(:mod:`repro.events.processors`), and the runtime-history cost model
-fed by persisted trails (:mod:`repro.events.history`).
+(:mod:`repro.events.processors`).
 
 Producers — the scheduler, the runners, the remote executor, the cache,
 the kernels — call :func:`emit`; it routes to whatever dispatcher the
@@ -40,11 +39,6 @@ from repro.events.dispatch import (
     kernel_timer,
     record_kernel,
     use_dispatcher,
-)
-from repro.events.history import (
-    CostModel,
-    params_fingerprint,
-    task_cost_key,
 )
 from repro.events.model import (
     EVENT_KINDS,
@@ -108,7 +102,6 @@ __all__ = [
     "CacheHit",
     "CacheMiss",
     "CachePut",
-    "CostModel",
     "Event",
     "EventDispatcher",
     "EventProcessor",
@@ -136,11 +129,9 @@ __all__ = [
     "event_from_wire",
     "event_to_wire",
     "kernel_timer",
-    "params_fingerprint",
     "read_events_jsonl",
     "record_kernel",
     "render_profile",
     "replay_events",
-    "task_cost_key",
     "use_dispatcher",
 ]

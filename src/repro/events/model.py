@@ -70,9 +70,7 @@ class TaskStarted(Event):
 
 @dataclass(frozen=True)
 class TaskFinished(Event):
-    """One task completed.  ``cost_key`` is the stable identity the
-    cost model keys runtime history on (label + params fingerprint);
-    empty when the producer does not participate in cost scheduling."""
+    """One task completed."""
 
     key: Any
     label: str
@@ -80,7 +78,6 @@ class TaskFinished(Event):
     local: bool
     started: float
     seconds: float
-    cost_key: str = ""
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,6 @@ class TaskFailed(Event):
     started: float
     seconds: float
     retrying: bool = False
-    cost_key: str = ""
 
 
 @dataclass(frozen=True)
@@ -252,8 +248,9 @@ def event_from_wire(payload: dict) -> Event:
     """Invert :func:`event_to_wire` (envelope fields are dropped).
 
     Unknown *fields* of a known kind are ignored so trails written by a
-    newer producer still replay; an unknown *kind* raises — callers that
-    scan whole trails filter on :data:`EVENT_KINDS` first.
+    newer producer, or by an older one that still carried a field since
+    removed, replay; an unknown *kind* raises — callers that scan whole
+    trails filter on :data:`EVENT_KINDS` first.
     """
     from repro.core.serialization import decode_wire_value
 

@@ -15,8 +15,8 @@ aggregate still holds its tasks and wall time.
 audit trail next to the run manifests; :func:`read_events_jsonl` reads
 one back (tolerating a torn final line from a crashed run), and
 :func:`replay_events` pushes recorded events through a fresh processor
-— the replay-equals-live property is what lets the cost model trust
-historical trails.
+— the replay-equals-live property is what makes a persisted trail as
+good a record of a run as its live aggregate.
 """
 
 from __future__ import annotations

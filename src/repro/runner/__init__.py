@@ -7,7 +7,8 @@ The subsystem every results-surface interface goes through:
 * :mod:`repro.runner.serial` / :mod:`repro.runner.async_graph` — the
   two runners behind the :class:`BaseRunner` capability-declaring API:
   the serial oracle, and the graph runner that schedules a shard-level
-  dependency graph across all requests on one :class:`Executor` —
+  dependency graph across all requests, in submission order, on one
+  :class:`Executor` —
   threads (:class:`ThreadExecutor`), local processes
   (:class:`ProcessExecutor`, :mod:`repro.runner.pool`), or remote
   workers;
@@ -30,7 +31,6 @@ backend with a :class:`RunnerPolicy` and let :func:`build_runner`
 construct it.
 """
 
-from repro.events.history import CostModel
 from repro.runner.async_graph import (
     AsyncShardRunner,
     Executor,
@@ -78,7 +78,6 @@ def build_runner(
     policy: RunnerPolicy | None = None,
     *,
     cache: ArtifactCache | None = None,
-    cost_model: CostModel | None = None,
 ) -> BaseRunner:
     """Construct the execution backend a :class:`RunnerPolicy` names.
 
@@ -88,10 +87,7 @@ def build_runner(
     Every backend but ``serial`` is the graph runner; its executor is
     remote when workers are named, a process pool when ``jobs > 1``,
     else threads.  ``cache`` (optional) becomes the runner's private
-    cache instead of the process-global one.  ``cost_model`` (optional)
-    gives the graph runner historical task-duration estimates so ready
-    tasks are dispatched longest-critical-path-first; the serial
-    backend has no scheduling freedom and ignores it.
+    cache instead of the process-global one.
     """
     policy = policy if policy is not None else RunnerPolicy()
     backend = policy.resolved_backend()
@@ -103,9 +99,7 @@ def build_runner(
         executor = ProcessExecutor(policy.jobs)
     else:
         executor = ThreadExecutor(policy.jobs)
-    return AsyncShardRunner(
-        jobs=policy.jobs, cache=cache, executor=executor, cost_model=cost_model
-    )
+    return AsyncShardRunner(jobs=policy.jobs, cache=cache, executor=executor)
 
 
 __all__ = [
@@ -113,7 +107,6 @@ __all__ = [
     "AsyncShardRunner",
     "BaseRunner",
     "CachePolicy",
-    "CostModel",
     "Executor",
     "Experiment",
     "LocalWorkerPool",

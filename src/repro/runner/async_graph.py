@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
 from repro.events.dispatch import capture_events, emit
-from repro.events.history import CostModel, task_cost_key
 from repro.events.model import Event, RunFinished, RunStarted
 from repro.runner.base import (
     BaseRunner,
@@ -251,7 +250,6 @@ class AsyncShardRunner(BaseRunner):
         jobs: int | None = None,
         cache=None,
         executor: Executor | None = None,
-        cost_model: CostModel | None = None,
         on_scheduler: Any = None,
     ) -> None:
         """``jobs`` is the concurrency bound the run reports (default:
@@ -260,9 +258,7 @@ class AsyncShardRunner(BaseRunner):
         for each run with live tasks and closed after it — unless it is
         already open, in which case the caller owns it: the service
         control plane lends its long-lived remote executor this way.
-        ``cost_model`` (optional) feeds prior-run task estimates to the
-        scheduler for critical-path ordering.  ``on_scheduler``
-        (optional callable) receives each run's live
+        ``on_scheduler`` (optional callable) receives each run's live
         :class:`GraphScheduler` just before dispatch, which is how the
         control plane attaches elastic slot-table control.
         """
@@ -271,7 +267,6 @@ class AsyncShardRunner(BaseRunner):
         self.executor: Executor = (
             executor if executor is not None else ThreadExecutor(self.jobs)
         )
-        self.cost_model = cost_model
         self.on_scheduler = on_scheduler
 
     @property
@@ -360,15 +355,12 @@ class AsyncShardRunner(BaseRunner):
                     for dep in unit.get("after", ())
                 )
             )
-            merged = {k: v for k, v in unit.items() if k != "after"}
-            label = f"{exp.name}/prep{unit_index}"
             tasks.append(
                 Task(
                     key=key,
                     payload=("prepare", exp.name, params, unit),
                     deps=deps,
-                    label=label,
-                    cost_key=task_cost_key(label, {**params, **merged}),
+                    label=f"{exp.name}/prep{unit_index}",
                     client=request.client,
                 )
             )
@@ -381,7 +373,6 @@ class AsyncShardRunner(BaseRunner):
                     payload=("plain", exp.name, params, None),
                     deps=prep_keys,
                     label=f"{exp.name}/run",
-                    cost_key=task_cost_key(f"{exp.name}/run", params),
                     client=request.client,
                 )
             )
@@ -398,14 +389,12 @@ class AsyncShardRunner(BaseRunner):
                 )
             else:
                 deps = ()
-            label = f"{exp.name}/shard{shard_index}"
             tasks.append(
                 Task(
                     key=key,
                     payload=("shard", exp.name, params, shard),
                     deps=deps,
-                    label=label,
-                    cost_key=task_cost_key(label, params),
+                    label=f"{exp.name}/shard{shard_index}",
                     client=request.client,
                 )
             )
@@ -417,7 +406,6 @@ class AsyncShardRunner(BaseRunner):
                 deps=tuple(shard_keys),
                 label=f"{exp.name}/merge",
                 local=True,
-                cost_key=task_cost_key(f"{exp.name}/merge", params),
                 client=request.client,
             )
         )
@@ -492,7 +480,6 @@ class AsyncShardRunner(BaseRunner):
             scheduler = GraphScheduler(
                 slots=dict(executor.slots),
                 execute=self._execute_task,
-                cost_model=self.cost_model,
             )
             if self.on_scheduler is not None:
                 self.on_scheduler(scheduler)

@@ -73,18 +73,17 @@ class CachePolicy:
 class RunnerPolicy:
     """Which execution backend a batch of requests runs under.
 
-    ``backend="auto"`` resolves the way the CLI always has: remote when
-    workers are named, the async shard graph when ``jobs > 1`` or when
-    scheduler telemetry was asked for (``profile=True``), else serial.
-    Both ``async`` and ``remote`` are the graph runner; ``jobs > 1``
-    gives ``async`` a local process pool (see
-    :func:`repro.runner.build_runner`).
+    ``backend="auto"`` resolves to remote when workers are named, the
+    async shard graph when ``jobs > 1``, else serial.  Both ``async``
+    and ``remote`` are the graph runner; ``jobs > 1`` gives ``async`` a
+    local process pool (see :func:`repro.runner.build_runner`).  Every
+    backend emits the same task, worker and run events, so telemetry
+    never decides the backend.
     """
 
     backend: str = "auto"
     jobs: int = 1
     workers: str | None = None
-    profile: bool = False
 
     _BACKENDS = ("auto", "serial", "async", "remote")
 
@@ -102,7 +101,7 @@ class RunnerPolicy:
             if self.workers:
                 backend = "remote"
             else:
-                backend = "async" if self.jobs > 1 or self.profile else "serial"
+                backend = "async" if self.jobs > 1 else "serial"
         if backend == "remote" and not self.workers:
             raise ConfigurationError(
                 "--runner remote needs --workers host:port,... or "

@@ -34,10 +34,10 @@ rule sees a consistent table.
 
 When tasks from more than one *client* share the graph (the service's
 multi-client batches), ready-queue priority round-robins across
-clients: each client's tasks are ordered by cost rank, and the n-th
+clients: each client's tasks keep their submission order, and the n-th
 task of every client outranks everyone's (n+1)-th — one tenant's big
 sweep cannot starve another's small run.  With a single client the
-ranks reduce exactly to the cost/FIFO order described above.
+ranks reduce exactly to submission order.
 
 The first task *failure* (the payload raising) cancels everything not
 yet started, lets in-flight tasks drain, and re-raises in the caller as
@@ -65,7 +65,6 @@ from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.events.dispatch import emit
-from repro.events.history import CostModel
 from repro.events.model import (
     TaskFailed,
     TaskFinished,
@@ -86,13 +85,10 @@ class Task:
         label: Human-readable name for profiles and error messages.
         local: Run in the coordinator (event loop) instead of the
             executor — for cheap, order-sensitive work such as merges.
-        cost_key: Stable runtime-history identity (label + params
-            fingerprint) the cost model estimates by; empty opts the
-            task out of cost-based ordering.
         client: Submitting tenant for multi-client fairness; tasks of
             distinct clients round-robin at the ready queue.  Empty
-            (the default everywhere outside the service) keeps the
-            plain cost/FIFO order.
+            (the default everywhere outside the service) keeps plain
+            submission order.
     """
 
     key: Any  # unique hashable id within the graph
@@ -100,7 +96,6 @@ class Task:
     deps: tuple[Any, ...] = ()
     label: str = ""
     local: bool = False
-    cost_key: str = ""
     client: str = ""
 
 
@@ -178,7 +173,6 @@ class GraphScheduler:
         jobs: int | None = None,
         execute: Callable[[Task, dict[Any, Any], str], Any] | None = None,
         slots: Mapping[str, int] | None = None,
-        cost_model: CostModel | None = None,
     ) -> None:
         """``execute(task, deps, worker)`` runs a task's payload on the
         leased ``worker`` given its dependencies' results (keyed by task
@@ -189,13 +183,6 @@ class GraphScheduler:
 
         Concurrency comes from ``slots`` (worker name -> capacity) when
         given, else from ``jobs`` as a single ``{"local": jobs}`` pool.
-
-        ``cost_model`` (optional) supplies per-``cost_key`` runtime
-        estimates from prior runs' trails; ready tasks are then ordered
-        by estimated critical path to the graph's sinks instead of
-        submission order.  Without a model — or for tasks with no
-        estimate — ordering degrades to the deterministic FIFO
-        (submission-order) behaviour.
         """
         if execute is None:
             raise ConfigurationError("GraphScheduler requires an execute callable")
@@ -209,7 +196,6 @@ class GraphScheduler:
         else:
             self.slots = {"local": max(1, jobs if jobs is not None else 1)}
         self._execute = execute
-        self._cost_model = cost_model
         # Elastic-control publication point: while a run is live, other
         # threads submit slot-table mutations through these.
         self._control_lock = threading.Lock()
@@ -260,63 +246,24 @@ class GraphScheduler:
         future.result(timeout=30.0)
         return True
 
-    def _task_ranks(
-        self, tasks: Sequence[Task]
-    ) -> dict[Any, tuple[float, float, int]]:
+    def _task_ranks(self, tasks: Sequence[Task]) -> dict[Any, tuple[int, int]]:
         """Dispatch priority per task: lower tuples run first.
 
-        The rank is ``(fairness ordinal, cost rank, submission index)``.
-        With a cost model, the cost rank is the negated estimated
-        critical path from the task to the graph's sinks (its own
-        estimate plus the longest estimated dependent chain), so the
-        work gating the most downstream compute starts earliest.
-        Submission index is always the tie-break — and, without a model
-        (every estimate 0.0), the effective order, which is exactly the
-        old FIFO behaviour.
-
-        The fairness ordinal interleaves concurrent clients: within
-        each client, tasks are numbered 0, 1, 2, … in cost-rank order,
-        and the ordinal leads the tuple, so every client's n-th-best
-        task outranks every client's (n+1)-th.  With one distinct
-        client (the non-service case) every ordinal is 0 and the rank
-        reduces to the plain cost/FIFO order.
+        The rank is ``(client ordinal, submission index)``.  The ordinal
+        interleaves concurrent clients: each client's tasks are numbered
+        0, 1, 2, … in submission order, so every client's n-th task
+        outranks every client's (n+1)-th.  With one distinct client
+        (the non-service case) every ordinal is 0 and the rank is plain
+        submission order.
         """
-        index = {task.key: position for position, task in enumerate(tasks)}
-        if self._cost_model is None or not self._cost_model:
-            base = {task.key: (0.0, index[task.key]) for task in tasks}
-        else:
-            estimates = {
-                task.key: (
-                    self._cost_model.estimate(task.cost_key)
-                    if task.cost_key
-                    else 0.0
-                )
-                for task in tasks
-            }
-            dependents: dict[Any, list[Any]] = {task.key: [] for task in tasks}
-            for task in tasks:
-                for dep in set(task.deps):
-                    dependents[dep].append(task.key)
-            critical: dict[Any, float] = {}
-            for key in reversed(check_acyclic(tasks)):
-                critical[key] = estimates[key] + max(
-                    (critical[dependent] for dependent in dependents[key]),
-                    default=0.0,
-                )
-            base = {
-                task.key: (-critical[task.key], index[task.key]) for task in tasks
-            }
-        clients = {task.client for task in tasks}
-        if len(clients) <= 1:
-            return {key: (0.0, *rank) for key, rank in base.items()}
-        ranks: dict[Any, tuple[float, float, int]] = {}
-        for client in clients:
-            members = sorted(
-                (task for task in tasks if task.client == client),
-                key=lambda task: base[task.key],
-            )
-            for ordinal, task in enumerate(members):
-                ranks[task.key] = (float(ordinal), *base[task.key])
+        if len({task.client for task in tasks}) <= 1:
+            return {task.key: (0, index) for index, task in enumerate(tasks)}
+        counts: dict[str, int] = {}
+        ranks: dict[Any, tuple[int, int]] = {}
+        for index, task in enumerate(tasks):
+            ordinal = counts.get(task.client, 0)
+            counts[task.client] = ordinal + 1
+            ranks[task.key] = (ordinal, index)
         return ranks
 
     def run(self, tasks: Sequence[Task]) -> dict[Any, Any]:
@@ -356,18 +303,18 @@ class GraphScheduler:
         # tasks are spawned in rank order, and contended slots go to the
         # best-ranked waiter rather than the first arrival.
         ranks = self._task_ranks(tasks)
-        waiting: set[tuple[float, float, int, int]] = set()  # guarded-by: slot_free
+        waiting: set[tuple[int, int, int]] = set()  # guarded-by: slot_free
         ticket = itertools.count()
         started_wall = time.perf_counter()
 
-        async def acquire_slot(task_rank: tuple[float, float, int]) -> str | None:
+        async def acquire_slot(task_rank: tuple[int, int]) -> str | None:
             """Lease a slot of a live worker; ``None`` once all workers
             are dead (the caller turns that into a task failure).
 
             Among waiters, the best (lowest) rank wins each freed slot:
             every waiter registers in ``waiting`` and only proceeds when
-            it is the minimum, so cost-model priority holds under
-            contention, not just at spawn time.
+            it is the minimum, so rank order holds under contention,
+            not just at spawn time.
             """
             entry = (*task_rank, next(ticket))
             async with slot_free:
@@ -459,7 +406,6 @@ class GraphScheduler:
                         started=offset,
                         seconds=seconds,
                         retrying=retrying,
-                        cost_key=task.cost_key,
                     )
                 )
             else:
@@ -471,7 +417,6 @@ class GraphScheduler:
                         local=task.local,
                         started=offset,
                         seconds=seconds,
-                        cost_key=task.cost_key,
                     )
                 )
 
@@ -566,10 +511,10 @@ class GraphScheduler:
                 record(task, worker, started, failed=False)
                 results[task.key] = result
                 # Dependents spawn *before* the slot frees: a newly
-                # unblocked critical-path task must be in the waiting
-                # set when the freed slot is handed out, or an
-                # already-queued lower-rank task would win it by
-                # arrival order.
+                # unblocked task that outranks the queued waiters must
+                # be in the waiting set when the freed slot is handed
+                # out, or a lower-rank waiter would win it by arrival
+                # order.
                 schedule_dependents(task.key)
                 await release_slot(worker)
                 return

@@ -6,7 +6,6 @@ import time
 from typing import Sequence
 
 from repro.events.dispatch import emit
-from repro.events.history import task_cost_key
 from repro.events.model import (
     RunFinished,
     RunStarted,
@@ -31,8 +30,7 @@ class SerialRunner(BaseRunner):
     runners — one ``{name}/run`` task per non-replayed request on a
     single-slot ``local`` worker, ``TaskFailed`` when it raises, and
     ``RunFinished`` whether or not the run succeeds — so ``--profile``
-    has the same shape on every backend and serial timings feed the
-    same cost-model history.
+    and persisted trails have the same shape on every backend.
     """
 
     @property
@@ -71,12 +69,10 @@ class SerialRunner(BaseRunner):
                     # traffic was already emitted by the cache itself.
                     outcomes.append(cached)
                     continue
-                label = f"{exp.name}/run"
-                cost_key = task_cost_key(label, request.params)
                 started = time.perf_counter()
                 task = TaskStarted(
                     key=(index, "run"),
-                    label=label,
+                    label=f"{exp.name}/run",
                     worker="local",
                     local=False,
                     started=started - wall_started,
@@ -86,10 +82,10 @@ class SerialRunner(BaseRunner):
                     value = exp.execute(request.params)
                 except BaseException:
                     seconds = time.perf_counter() - started
-                    emit(TaskFailed(**vars(task), seconds=seconds, cost_key=cost_key))
+                    emit(TaskFailed(**vars(task), seconds=seconds))
                     raise
                 seconds = time.perf_counter() - started
-                emit(TaskFinished(**vars(task), seconds=seconds, cost_key=cost_key))
+                emit(TaskFinished(**vars(task), seconds=seconds))
                 outcomes.append(
                     self._finish(
                         exp,

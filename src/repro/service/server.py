@@ -629,7 +629,6 @@ class ControlPlane:
             jobs=sum(slots.values()),
             cache=self.session.cache,
             executor=self.executor,
-            cost_model=self.session._cost_model(),
             on_scheduler=attach,
         )
         try:

@@ -199,6 +199,26 @@ def test_prune_deletes_event_trails(tmp_path):
     assert not trail.exists(), "event trail must be garbage-collected"
 
 
+def test_prune_keeps_a_trail_a_kept_run_still_reads(tmp_path):
+    # Every manifest of one run batch names the batch's single trail.
+    store = RunStore(tmp_path / "runs")
+    trail = tmp_path / "runs" / "events" / "batch.jsonl"
+    trail.parent.mkdir(parents=True)
+    trail.write_text('{"type": "RunFinished"}\n')
+    for run_id, created in (("r-a", 1000.0), ("r-b", 2000.0)):
+        store.record(
+            _manifest(run_id=run_id, created=created,
+                      events_path="events/batch.jsonl"),
+            run_id,
+        )
+    store.record(_manifest(run_id="r-c", created=3000.0), "c")
+    assert [m.run_id for m in store.prune(keep=2)] == ["r-a"]
+    assert store.events_file("r-b") == trail
+    # The last run of the batch to go takes the trail with it.
+    assert [m.run_id for m in store.prune(keep=1)] == ["r-b"]
+    assert not trail.exists()
+
+
 def test_prune_requires_a_rule_and_validates_bounds(tmp_path):
     store = RunStore(tmp_path / "runs")
     with pytest.raises(ConfigurationError, match="retention rule"):

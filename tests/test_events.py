@@ -1,5 +1,5 @@
 """The structured event stream: wire codec, dispatcher, aggregator,
-replayed trail == live aggregate, failed runs' records, cost-model
+replayed trail == live aggregate, failed runs' records, submission-order
 scheduling, and the byte-identity invariant with events enabled."""
 
 import json
@@ -14,7 +14,6 @@ from repro.events import (
     CacheHit,
     CacheMiss,
     CachePut,
-    CostModel,
     EventDispatcher,
     EventProcessor,
     HeartbeatMissed,
@@ -22,7 +21,6 @@ from repro.events import (
     JobQueued,
     JsonlEventWriter,
     KernelTimed,
-    ProfileAggregator,
     RunFinished,
     RunStarted,
     TaskFailed,
@@ -42,7 +40,6 @@ from repro.events import (
     replay_events,
     use_dispatcher,
 )
-from repro.events.history import params_fingerprint, task_cost_key
 from repro.runner import (
     ArtifactCache,
     AsyncShardRunner,
@@ -99,11 +96,11 @@ ONE_OF_EACH = [
     ),
     TaskFinished(
         key=(0, "shard", 3), label="fig3/shard3", worker="w:1",
-        local=False, started=0.25, seconds=0.1, cost_key="fig3/shard3|ab12",
+        local=False, started=0.25, seconds=0.1,
     ),
     TaskFailed(
         key=(1, "run"), label="tab5/run", worker="w:2", local=False,
-        started=0.5, seconds=0.2, retrying=True, cost_key="tab5/run|cd34",
+        started=0.5, seconds=0.2, retrying=True,
     ),
     WorkerLeased(worker="127.0.0.1:7070", capacity=2),
     WorkerConnected(worker="127.0.0.1:7070"),
@@ -146,6 +143,22 @@ def test_wire_unknown_kind_rejected_unknown_field_dropped():
     payload = event_to_wire(WorkerRetired(worker="w"))
     payload["data"]["added_in_the_future"] = 42
     assert event_from_wire(payload) == WorkerRetired(worker="w")
+    # Trails written while the scheduler still learned task costs from
+    # history carry one more field on every task end; they replay as
+    # the task events of today.
+    finished = TaskFinished(
+        key=(0, "shard", 3), label="fig3/shard3", worker="w:1",
+        local=False, started=0.25, seconds=0.1,
+    )
+    failed = TaskFailed(
+        key=(1, "run"), label="tab5/run", worker="w:2", local=False,
+        started=0.5, seconds=0.2, retrying=True,
+    )
+    old_keys = ((finished, "fig3/shard3|ab12"), (failed, "tab5/run|cd34"))
+    for event, old_key in old_keys:
+        payload = event_to_wire(event, seq=3, ts=1.0)
+        payload["data"]["cost_key"] = old_key
+        assert event_from_wire(json.loads(json.dumps(payload))) == event
 
 
 # ----------------------------------------------------------------------
@@ -422,112 +435,38 @@ def test_cache_traffic_is_emitted_as_events(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Cost model
+# Dispatch order
 # ----------------------------------------------------------------------
 
 
-def test_params_fingerprint_is_stable_and_order_free():
-    a = params_fingerprint({"x": 1, "y": [2, 3]})
-    b = params_fingerprint({"y": [2, 3], "x": 1})
-    assert a == b and len(a) == 12
-    assert params_fingerprint({"x": 2, "y": [2, 3]}) != a
-    assert task_cost_key("fig3/run", {"x": 1}).startswith("fig3/run|")
-
-
-def _run_order(tasks, cost_model):
+def _run_order(tasks):
     order = []
 
     def execute(task, deps, worker):
         order.append(task.key)
         return task.key
 
-    GraphScheduler(jobs=1, execute=execute, cost_model=cost_model).run(tasks)
+    GraphScheduler(jobs=1, execute=execute).run(tasks)
     return order
-
-
-def test_cost_model_orders_ready_tasks_by_critical_path():
-    tasks = [
-        Task(key="a", payload=None, label="a", cost_key="a"),
-        Task(key="b", payload=None, label="b", cost_key="b"),
-        Task(key="c", payload=None, label="c", cost_key="c"),
-    ]
-    model = CostModel({"a": 0.1, "b": 5.0, "c": 1.0})
-    assert _run_order(tasks, model) == ["b", "c", "a"]
-    # Deterministic: same model, same order, every time.
-    assert _run_order(tasks, model) == ["b", "c", "a"]
-
-
-def test_cost_model_ranks_by_downstream_chain_not_own_cost():
-    # x is cheap but gates y (expensive), so x outranks z.
-    tasks = [
-        Task(key="z", payload=None, label="z", cost_key="z"),
-        Task(key="x", payload=None, label="x", cost_key="x"),
-        Task(key="y", payload=None, deps=("x",), label="y", cost_key="y"),
-    ]
-    model = CostModel({"x": 0.1, "y": 5.0, "z": 1.0})
-    assert _run_order(tasks, model) == ["x", "y", "z"]
 
 
 def test_without_history_scheduling_degrades_to_fifo():
     tasks = [
-        Task(key="a", payload=None, label="a", cost_key="a"),
-        Task(key="b", payload=None, label="b", cost_key="b"),
-        Task(key="c", payload=None, label="c", cost_key="c"),
+        Task(key="a", payload=None, label="a"),
+        Task(key="b", payload=None, label="b"),
+        Task(key="c", payload=None, label="c"),
     ]
-    assert _run_order(tasks, None) == ["a", "b", "c"]
-    assert _run_order(tasks, CostModel()) == ["a", "b", "c"]
-    # Unknown keys estimate to 0.0 → still submission order.
-    assert _run_order(tasks, CostModel({"other": 9.0})) == ["a", "b", "c"]
-
-
-def test_cost_model_from_trails_averages_finished_tasks(tmp_path):
-    trails = tmp_path / "events"
-    for name, seconds in (("t1", 2.0), ("t2", 4.0)):
-        writer = JsonlEventWriter(trails / f"{name}.jsonl")
-        writer.handle(
-            TaskFinished(
-                key=(0, "run"), label="fig3/run", worker="local",
-                local=False, started=0.0, seconds=seconds, cost_key="k1",
-            ),
-            0,
-            0.0,
-        )
-        # Failed attempts measure the failure, not the work: ignored.
-        writer.handle(
-            TaskFailed(
-                key=(1, "run"), label="tab5/run", worker="local",
-                local=False, started=0.0, seconds=99.0, cost_key="k2",
-            ),
-            1,
-            0.0,
-        )
-        writer.close()
-    model = CostModel.from_trails(trails)
-    assert model.estimate("k1") == pytest.approx(3.0)
-    assert model.estimate("k2") == 0.0
-    assert model.estimate("unknown") == 0.0
-    assert len(model) == 1 and bool(model)
-    # Missing directory → empty model, FIFO fallback downstream.
-    assert not CostModel.from_trails(tmp_path / "nowhere")
-    # max_trails keeps the newest (sorted-name-descending) trails only.
-    newest_only = CostModel.from_trails(trails, max_trails=1)
-    assert newest_only.estimate("k1") == pytest.approx(4.0)
-
-
-def test_session_feeds_trail_history_into_the_scheduler(tmp_path):
-    session = Session(cache_dir=str(tmp_path / "cache"), jobs=2)
-    session.submit("fig6", days=3)
-    model = session._cost_model()
-    assert model is not None and model
-    run_key = task_cost_key(
-        "fig6/run", session.last_manifests[0].params
-    )
-    assert any(key.startswith("fig6/") for key in model.estimates())
-    assert run_key in model.estimates() or any(
-        "/merge" in key or "/shard" in key for key in model.estimates()
-    )
-    fifo = Session(cache_dir=str(tmp_path / "cache"), schedule="fifo")
-    assert fifo._cost_model() is None
+    assert _run_order(tasks) == ["a", "b", "c"]
+    # Deterministic: the same graph runs in the same order every time.
+    assert _run_order(tasks) == ["a", "b", "c"]
+    # Ready tasks start in submission order, whatever they unblock:
+    # x gates y, yet z was submitted first and runs first.
+    chain = [
+        Task(key="z", payload=None, label="z"),
+        Task(key="x", payload=None, label="x"),
+        Task(key="y", payload=None, deps=("x",), label="y"),
+    ]
+    assert _run_order(chain) == ["z", "x", "y"]
 
 
 # ----------------------------------------------------------------------
@@ -564,8 +503,6 @@ def test_session_events_jsonl_requires_a_store():
         Session(no_cache=True, events="jsonl")
     with pytest.raises(ConfigurationError, match="events mode"):
         Session(no_cache=True, events="sometimes")
-    with pytest.raises(ConfigurationError, match="schedule"):
-        Session(no_cache=True, schedule="vibes")
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,10 @@ import pytest
 
 from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend
 from repro.core.serialization import (
-    cluster_adm_from_dict,
-    cluster_adm_to_dict,
-    home_trace_from_dict,
-    home_trace_to_dict,
+    cluster_adm_from_arrays,
+    cluster_adm_to_arrays,
+    decode_artifact,
+    encode_artifact,
 )
 from repro.dataset.synthetic import SyntheticConfig, generate_house_trace
 from repro.events import collect_events, replay_events
@@ -54,7 +54,7 @@ def _small_trace():
 
 def test_home_trace_dict_round_trip():
     _, trace = _small_trace()
-    clone = home_trace_from_dict(home_trace_to_dict(trace))
+    clone = decode_artifact(encode_artifact(trace))
     np.testing.assert_array_equal(clone.occupant_zone, trace.occupant_zone)
     np.testing.assert_array_equal(
         clone.occupant_activity, trace.occupant_activity
@@ -71,7 +71,9 @@ def test_cluster_adm_dict_round_trip_preserves_decisions():
         backend=ClusterBackend.DBSCAN, eps=40.0, min_pts=3, tolerance=20.0
     )
     adm = ClusterADM(params).fit(trace, home.n_zones)
-    clone = cluster_adm_from_dict(cluster_adm_to_dict(adm))
+    clone = cluster_adm_from_arrays(
+        decode_artifact(encode_artifact(cluster_adm_to_arrays(adm)))
+    )
     assert clone.params == params
     assert clone.n_zones == adm.n_zones
     assert clone.n_occupants == adm.n_occupants

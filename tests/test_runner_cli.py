@@ -140,8 +140,9 @@ def test_runner_auto_selection():
     assert isinstance(
         runner_for(["run", "fig3", "--runner", "async"]), AsyncShardRunner
     )
-    # --profile needs scheduler telemetry, so auto promotes to async.
-    assert isinstance(runner_for(["run", "fig3", "--profile"]), AsyncShardRunner)
+    # --profile reports on the run it is given: every backend emits the
+    # same telemetry, so the flag never changes the backend.
+    assert isinstance(runner_for(["run", "fig3", "--profile"]), SerialRunner)
     # The factory is also reachable without any argparse plumbing.
     assert isinstance(build_runner(RunnerPolicy(backend="serial")), SerialRunner)
 
@@ -183,6 +184,8 @@ def test_profile_prints_scheduler_telemetry(tmp_path, capsys):
             "--days",
             "3",
             "--profile",
+            "--runner",
+            "async",
             "--cache-dir",
             str(tmp_path / "c"),
         ]
