@@ -565,7 +565,12 @@ def bench(smoke: bool) -> dict:
     before_s, reference_outcome = _best_of(
         rounds, lambda: run_execution(execute_attack_reference)
     )
-    after_s, fast_outcome = _best_of(rounds, lambda: run_execution(execute_attack))
+    # With the cache on, every round after the first would replay the
+    # first one's memoized closed loop: time the kernel, not the memo.
+    with cache_disabled():
+        after_s, fast_outcome = _best_of(
+            rounds, lambda: run_execution(execute_attack)
+        )
     assert fast_outcome.vector.triggered.any()
     assert _results_equal(reference_outcome.result, fast_outcome.result)
     for field in (

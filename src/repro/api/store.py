@@ -40,6 +40,11 @@ STORE_SUBDIR = "runs"
 # per run batch; every manifest of the batch names it.
 EVENTS_SUBDIR = "events"
 
+# Subdirectory of the store root that holds the control plane's job
+# records (:mod:`repro.service.jobs`); a failed batch's jobs name its
+# trail.
+JOBS_SUBDIR = "jobs"
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -296,6 +301,13 @@ class RunStore:
         names the batch's single event trail, so a trail is deleted only
         with the last run that reads it.
 
+        A run that raised leaves a trail but no manifest.  Such an
+        *orphan* (a trail under ``events/`` that no manifest and no
+        control-plane job record names) is deleted when its last write
+        is older than the ``older_than_days`` cutoff, or, under
+        ``keep``, older than the oldest run that survives: a newer one
+        may belong to a run still in flight.
+
         Returns the deleted manifests, oldest first.
         """
         if keep is None and older_than_days is None:
@@ -320,6 +332,7 @@ class RunStore:
                 manifest.run_id
                 for manifest in manifests[: len(manifests) - keep]
             )
+        cutoff: float | None = None
         if older_than_days is not None:
             cutoff = (time.time() if now is None else now) - (
                 older_than_days * 86400.0
@@ -342,7 +355,46 @@ class RunStore:
             self._delete_run_files(
                 manifest, with_trail=manifest.events_path not in kept_trails
             )
+        # An orphan is doomed by either rule: older than the age cutoff,
+        # or, under keep, older than the oldest run that survives.
+        limits: list[float] = [] if cutoff is None else [cutoff]
+        survivors = [
+            manifest.created
+            for manifest in manifests
+            if manifest.run_id not in doomed_ids
+        ]
+        if keep is not None and survivors:
+            limits.append(min(survivors))
+        if limits:
+            self._delete_orphan_trails(manifests, max(limits))
         return deleted
+
+    def _delete_orphan_trails(
+        self, manifests: list[RunManifest], cutoff: float
+    ) -> None:
+        """Delete every trail under ``events/`` last written before
+        ``cutoff`` that no manifest and no control-plane job record
+        names."""
+        named = {
+            self.root / manifest.events_path
+            for manifest in manifests
+            if manifest.events_path
+        }
+        for record in (self.root / JOBS_SUBDIR).glob("*.json"):
+            try:
+                events_path = json.loads(record.read_text()).get("events_path")
+            except (OSError, ValueError, AttributeError):
+                continue  # torn/foreign record; it names nothing here
+            if events_path:
+                named.add(self.root / events_path)
+        for path in (self.root / EVENTS_SUBDIR).glob("*.jsonl"):
+            if path in named:
+                continue
+            try:
+                if path.stat().st_mtime < cutoff:
+                    path.unlink()
+            except OSError:
+                pass  # already gone; pruning is idempotent
 
     def _delete_run_files(self, manifest: RunManifest, with_trail: bool) -> None:
         paths = [self.root / f"{manifest.run_id}.json"]

@@ -31,7 +31,11 @@ recurrence per zone.  Visit feasibility is one run-length pass per
 occupant over the capability's slot and zone masks
 (:meth:`~repro.attack.model.AttackerCapability.slot_mask` and
 :meth:`~repro.attack.model.AttackerCapability.zone_mask`).  Algorithm 1
-stays scalar.
+stays scalar.  Capability sweeps and repeated table cells apply the
+same story again, so the deceived loop and the true zones' response
+are memoized by content
+(:func:`~repro.hvac.simulation.closed_loop_token`) in the artifact
+cache's memory-only analysis tier.
 
 :func:`execute_attack_reference` keeps the original per-slot loop — one
 ``controller.decide`` per slot, shadow and true zones stepped side by
@@ -59,6 +63,7 @@ from repro.hvac.pricing import TouPricing
 from repro.hvac.simulation import (
     OutdoorConditions,
     SimulationResult,
+    closed_loop_token,
     plant_response,
     simulate,
 )
@@ -234,6 +239,71 @@ def _applied_story(
     return applied_zone, applied_activity, fraction, triggered, decisions
 
 
+def _attacked_loop(
+    home: SmartHome,
+    controller,
+    actual_trace: HomeTrace,
+    applied_zone: np.ndarray,
+    applied_activity: np.ndarray,
+    status: np.ndarray,
+    outdoor: OutdoorConditions,
+    start_slot: int,
+) -> tuple[SimulationResult, np.ndarray, np.ndarray]:
+    """The deceived closed loop and the true zones' CO2 and temperature.
+
+    The controller sees only the reported story and the shadow IAQ it
+    implies, so simulating that story yields the shadow zones and the
+    airflow and metering the victim really runs; the true zones only
+    receive that airflow.  The three values are memoized read-only
+    under :func:`~repro.hvac.simulation.closed_loop_token`, so a hit
+    returns the arrays the miss computed.
+    """
+    # Imported here: the cache lives in the runner layer, which imports
+    # the attack layer; a module-level import would cycle.
+    from repro.runner.cache import get_cache
+
+    cache = get_cache()
+    key = (
+        closed_loop_token(
+            home,
+            controller,
+            outdoor,
+            start_slot,
+            actual_trace.occupant_zone,
+            actual_trace.occupant_activity,
+            applied_zone,
+            applied_activity,
+            status,
+        )
+        if cache.memory_enabled
+        else None
+    )
+    token = ("closed-loop", "attack", key)
+    if key is not None:
+        hit = cache.get_analysis(token)
+        if hit is not None:
+            return hit
+    shadow = simulate(
+        home,
+        HomeTrace(applied_zone, applied_activity, status),
+        controller,
+        outdoor=outdoor,
+        start_slot=start_slot,
+    )
+    co2, temperature = plant_response(
+        home,
+        HomeTrace(actual_trace.occupant_zone, actual_trace.occupant_activity, status),
+        shadow.airflow_cfm,
+        controller.config,
+        outdoor,
+    )
+    if key is not None:
+        co2.setflags(write=False)
+        temperature.setflags(write=False)
+        cache.put_analysis(token, (shadow.freeze(), co2, temperature))
+    return shadow, co2, temperature
+
+
 def execute_attack(
     home: SmartHome,
     controller,
@@ -276,27 +346,17 @@ def execute_attack(
                 home, actual_trace, schedule, capability, adm, enable_triggering
             )
         )
-        # Triggered appliances really turn on, in both plants.  The
-        # controller sees only the reported story and the shadow IAQ it
-        # implies, so simulating that story yields the shadow zones and
-        # the airflow and metering the victim really runs.
+        # Triggered appliances really turn on, in both plants.
         status = actual_trace.appliance_status | triggered
-        shadow = simulate(
+        shadow, co2, temperature = _attacked_loop(
             home,
-            HomeTrace(applied_zone, applied_activity, status),
             controller,
-            outdoor=outdoor,
-            start_slot=start_slot,
-        )
-        # The true zones only receive that airflow.
-        co2, temperature = plant_response(
-            home,
-            HomeTrace(
-                actual_trace.occupant_zone, actual_trace.occupant_activity, status
-            ),
-            shadow.airflow_cfm,
-            controller.config,
+            actual_trace,
+            applied_zone,
+            applied_activity,
+            status,
             outdoor,
+            start_slot,
         )
         vector = AttackVector(
             spoofed_zone=applied_zone,

@@ -53,10 +53,19 @@ advance vectorizes across every home in the batch — the entry point for
 multi-home sweeps and multi-day shards.  Each job is metered after the
 loop with the same column arithmetic as :func:`simulate`, so stacking
 cannot change a bit.
+
+:func:`closed_loop_token` is the content key under which callers
+memoize a closed loop in the artifact cache's memory-only analysis
+tier: the benign run (:meth:`repro.core.shatter.ShatterAnalysis.benign_result`)
+and the attacked one (:func:`repro.attack.realtime.execute_attack`).
+:func:`simulate` itself memoizes nothing; a stored result is made
+read-only (:meth:`SimulationResult.freeze`), because every hit shares
+it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,6 +154,20 @@ class SimulationResult:
                 for d in range(days)
             ]
         )
+
+    def freeze(self) -> "SimulationResult":
+        """Make every trajectory read-only, in place, and return
+        ``self``: a memoized result is shared by every caller that hits
+        it."""
+        for array in (
+            self.airflow_cfm,
+            self.co2_ppm,
+            self.temperature_f,
+            self.hvac_kwh,
+            self.appliance_kwh,
+        ):
+            array.setflags(write=False)
+        return self
 
 
 # ----------------------------------------------------------------------
@@ -676,6 +699,55 @@ def plant_response(
             out_co2,
         )
     return co2, temperature
+
+
+# ----------------------------------------------------------------------
+# Memo key
+# ----------------------------------------------------------------------
+
+
+def closed_loop_token(
+    home: SmartHome,
+    controller,
+    outdoor: OutdoorConditions | None,
+    start_slot: int,
+    *arrays: np.ndarray,
+) -> str | None:
+    """The content key of a closed loop, or ``None`` when it has none.
+
+    Callers memoize a :func:`simulate` run, and what they derive from
+    it, under this key, so it covers everything the fast kernel reads:
+    the ``repr`` of the home, the controller config, ``start_slot`` and
+    the outdoor CO2, then the dtype, shape and raw bytes of the outdoor
+    temperature and of every array passed in (the caller passes every
+    trace and story array its loop reads).  The ``repr`` is exact: the
+    home and the frozen config are dataclasses of strings, ints and
+    floats, whose reprs round-trip.  An ndarray's would not be, since it
+    rounds and truncates, so arrays are hashed by their bytes.
+
+    Only :func:`simulate`'s own fast-kernel condition has a key: an
+    exact :class:`DemandControlledHVAC` bound to ``home``.  A subclass
+    may override ``decide``, and :meth:`AshraeController.calibrate`
+    rewrites its design loads in place, which no config repr captures.
+    """
+    if type(controller) is not DemandControlledHVAC or controller.home is not home:
+        return None
+    outdoor = outdoor or OutdoorConditions()
+    inputs = (np.asarray(outdoor.temperature_f), *arrays)
+    digest = hashlib.sha256(
+        repr(
+            (
+                home,
+                controller.config,
+                start_slot,
+                outdoor.co2_ppm,
+                [(array.dtype.str, array.shape) for array in inputs],
+            )
+        ).encode()
+    )
+    for array in inputs:
+        digest.update(np.ascontiguousarray(array))
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -23,14 +23,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+# The run store names the queue directory (its prune reads the
+# records); the plane imports the name from here.
+from repro.api.store import JOBS_SUBDIR as JOBS_SUBDIR
 from repro.core.serialization import decode_wire_value, encode_wire_value
 from repro.errors import ConfigurationError
 from repro.runner.cache import atomic_write
 
 _JOB_VERSION = 1
-
-# Subdirectory of the run-store root that holds the job queue.
-JOBS_SUBDIR = "jobs"
 
 # Job lifecycle.  queued -> running -> done | failed; queued jobs may
 # also be cancelled; running jobs found at startup go back to queued

@@ -2,6 +2,7 @@
 schema stability, and run diffing."""
 
 import json
+import os
 
 import pytest
 
@@ -217,6 +218,42 @@ def test_prune_keeps_a_trail_a_kept_run_still_reads(tmp_path):
     # The last run of the batch to go takes the trail with it.
     assert [m.run_id for m in store.prune(keep=1)] == ["r-b"]
     assert not trail.exists()
+
+
+def test_prune_deletes_orphan_trails_of_failed_runs(tmp_path):
+    """A run that raised leaves a trail and no manifest.  Either rule
+    deletes such an orphan, but never one a control-plane job record
+    names, and ``keep`` spares one newer than every kept run (it may
+    belong to a run still in flight)."""
+    root = tmp_path / "runs"
+    store = RunStore(root)
+    (root / "events").mkdir(parents=True)
+    (root / "jobs").mkdir()
+
+    def trail(name, mtime):
+        path = root / "events" / f"{name}.jsonl"
+        path.write_text('{"kind": "RunStarted"}\n')
+        os.utime(path, (mtime, mtime))
+        return path
+
+    old_orphan = trail("failed-old", 1000.0)
+    job_linked = trail("failed-job", 1000.0)
+    new_orphan = trail("failed-new", 3000.0)
+    kept_trail = trail("kept", 2000.0)
+    (root / "jobs" / "job-1.json").write_text(
+        json.dumps({"job_id": "job-1", "events_path": "events/failed-job.jsonl"})
+    )
+    store.record(
+        _manifest(run_id="r-a", created=2000.0, events_path="events/kept.jsonl"),
+        "a",
+    )
+    # r-a is its lineage's newest run, so no manifest is pruned.
+    assert store.prune(keep=0) == []
+    assert not old_orphan.exists()
+    assert new_orphan.exists() and job_linked.exists() and kept_trail.exists()
+    assert store.prune(older_than_days=1, now=3000.0 + 86400.0 + 1.0) == []
+    assert not new_orphan.exists()
+    assert job_linked.exists() and kept_trail.exists()
 
 
 def test_prune_requires_a_rule_and_validates_bounds(tmp_path):

@@ -76,6 +76,10 @@ def test_partial_knowledge_changes_attacker_adm():
     )
     full_schedule = full.shatter_attack()
     assert schedule.expected_reward <= full_schedule.expected_reward + 1e-9
+    # Seeing every training day, the attacker extracts exactly the
+    # defender's rules: one shared fit.  Half the days need their own.
+    assert full.attacker_adm is full.defender_adm
+    assert partial.attacker_adm is not partial.defender_adm
 
 
 def test_zone_capability_reduces_impact(analysis):

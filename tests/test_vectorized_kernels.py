@@ -13,7 +13,7 @@ exhaustive exact-equality checks per draw) so failures replay
 deterministically.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.attack.schedule import (
     shatter_schedule_batch,
     stealth_oracle,
 )
+from repro.core.shatter import ShatterAnalysis, StudyConfig
 from repro.dataset.splits import split_days
 from repro.dataset.synthetic import (
     SyntheticConfig,
@@ -77,12 +78,14 @@ from repro.hvac.simulation import (
     _STACK_THRESHOLD,
     _simulate_stacked,
     appliance_gain_tables,
+    closed_loop_token,
     occupant_gain_matrices,
     plant_response,
     simulate,
     simulate_batch,
     simulate_reference,
 )
+from repro.runner.cache import ArtifactCache, cache_disabled, get_cache, set_cache
 
 _SIM_FIELDS = (
     "airflow_cfm",
@@ -835,10 +838,14 @@ def _assert_outcomes_equal(fast, reference) -> None:
 
 
 def _execute_both(home, controller, trace, schedule, capability, adm, **kwargs):
-    """Run both execution paths; assert they agree and return the fast one."""
-    fast = execute_attack(
-        home, controller, trace, schedule, capability, adm=adm, **kwargs
-    )
+    """Run both execution paths; assert they agree and return the fast one.
+
+    The fast path runs with the cache off, so it computes its closed
+    loop instead of replaying an earlier test's memoized one."""
+    with cache_disabled():
+        fast = execute_attack(
+            home, controller, trace, schedule, capability, adm=adm, **kwargs
+        )
     reference = execute_attack_reference(
         home, controller, trace, schedule, capability, adm=adm, **kwargs
     )
@@ -1052,6 +1059,235 @@ def test_plant_response_rejects_misshapen_airflow(sim_world):
             np.zeros((trace.n_slots - 1, home.n_zones)),
             ControllerConfig(),
         )
+
+
+# ----------------------------------------------------------------------
+# Closed-loop memo: content-keyed, read-only, bypassed by unknown loops
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def memo_cache():
+    """A fresh memory-only process cache, so hits are this test's own."""
+    previous = get_cache()
+    cache = set_cache(ArtifactCache())
+    yield cache
+    set_cache(previous)
+
+
+def _memo_inputs(attack_world):
+    """``closed_loop_token`` arguments of one attacked loop: home,
+    controller, outdoor, start slot, then the actual zone and activity,
+    the applied zone and activity, and the applied status."""
+    home, adm, evaluation, schedule = attack_world
+    triggered = np.zeros_like(evaluation.appliance_status)
+    triggered[100:200, 0] = True
+    return [
+        home,
+        DemandControlledHVAC(home),
+        None,
+        7 * 1440,
+        evaluation.occupant_zone,
+        evaluation.occupant_activity,
+        schedule.spoofed_zone,
+        schedule.spoofed_activity,
+        evaluation.appliance_status | triggered,
+    ]
+
+
+def _nudged(value):
+    """The next float above ``value``: the smallest change a key must see."""
+    return float(np.nextafter(value, np.inf))
+
+
+def _perturbations(inputs):
+    """One changed copy of ``inputs`` per input the key must cover."""
+    home, controller, outdoor, start_slot, *arrays = inputs
+    occupants = list(home.occupants)
+    occupants[0] = replace(
+        occupants[0], metabolic_factor=_nudged(occupants[0].metabolic_factor)
+    )
+    other_home = replace(home, occupants=occupants)
+    cases = {
+        "home float": [
+            other_home, DemandControlledHVAC(other_home), outdoor, start_slot, *arrays
+        ]
+    }
+    defaults = ControllerConfig()
+    for field in fields(ControllerConfig):
+        config = replace(
+            defaults, **{field.name: _nudged(getattr(defaults, field.name))}
+        )
+        cases[f"config {field.name}"] = [
+            home, DemandControlledHVAC(home, config), outdoor, start_slot, *arrays
+        ]
+    weather = OutdoorConditions()
+    for field in ("co2_ppm", "temperature_f"):
+        changed = replace(weather, **{field: _nudged(getattr(weather, field))})
+        cases[f"outdoor {field}"] = [home, controller, changed, start_slot, *arrays]
+    cases["start slot"] = [home, controller, outdoor, start_slot + 1440, *arrays]
+    names = (
+        "actual zone",
+        "actual activity",
+        "applied zone",
+        "applied activity",
+        "triggered status",
+    )
+    for position, name in enumerate(names):
+        changed_arrays = [array.copy() for array in arrays]
+        flipped = changed_arrays[position]
+        flipped[500, 0] = (
+            not flipped[500, 0] if flipped.dtype == bool else flipped[500, 0] + 1
+        )
+        cases[name] = [home, controller, outdoor, start_slot, *changed_arrays]
+    return cases
+
+
+def test_closed_loop_memo_keys_on_every_input(attack_world, memo_cache):
+    """Equal content is one entry (array copies, the default weather
+    spelled out); the smallest change to any input is a miss."""
+    inputs = _memo_inputs(attack_world)
+    home, controller, _, start_slot, *arrays = inputs
+    base = ("closed-loop", "attack", closed_loop_token(*inputs))
+    memo_cache.put_analysis(base, "entry")
+    copies = [
+        home, controller, OutdoorConditions(), start_slot, *(a.copy() for a in arrays)
+    ]
+    cases = _perturbations(inputs)
+    assert len(cases) == 1 + len(fields(ControllerConfig)) + 2 + 1 + 5
+    with collect_events() as aggregator:
+        token = ("closed-loop", "attack", closed_loop_token(*copies))
+        assert memo_cache.get_analysis(token) == "entry"
+        for name, changed in cases.items():
+            token = ("closed-loop", "attack", closed_loop_token(*changed))
+            assert memo_cache.get_analysis(token) is None, name
+    assert aggregator.cache_stats["analysis.hits"] == 1
+    assert aggregator.cache_stats["analysis.misses"] == len(cases)
+
+
+def _execute_memo(attack_world, controller=None, **kwargs):
+    home, adm, evaluation, schedule = attack_world
+    return execute_attack(
+        home,
+        controller or DemandControlledHVAC(home),
+        evaluation,
+        schedule,
+        AttackerCapability.full_access(home),
+        adm=adm,
+        start_slot=7 * 1440,
+        **kwargs,
+    )
+
+
+def test_closed_loop_memo_hit_matches_the_reference(attack_world, memo_cache):
+    """The second call replays the first one's loop, and the replayed
+    outcome equals the per-slot oracle bit for bit."""
+    home, adm, evaluation, schedule = attack_world
+    with collect_events() as aggregator:
+        first = _execute_memo(attack_world)
+        hit = _execute_memo(attack_world)
+    assert aggregator.kernels[SIMULATION].calls == 1
+    assert aggregator.kernels[ATTACK_EXECUTE].calls == 2
+    assert aggregator.cache_stats["analysis.misses"] == 1
+    assert aggregator.cache_stats["analysis.puts"] == 1
+    assert aggregator.cache_stats["analysis.hits"] == 1
+    assert hit.result.airflow_cfm is first.result.airflow_cfm
+    _assert_outcomes_equal(
+        hit,
+        execute_attack_reference(
+            home,
+            DemandControlledHVAC(home),
+            evaluation,
+            schedule,
+            AttackerCapability.full_access(home),
+            adm=adm,
+            start_slot=7 * 1440,
+        ),
+    )
+
+
+def test_closed_loop_memo_separates_one_story_over_two_truths(
+    attack_world, memo_cache
+):
+    """The applied story alone does not key an attacked loop: the true
+    zones respond to the actual trace.  Two traces that differ only in
+    an activity the attacker overwrote are two entries, each equal to
+    the oracle."""
+    home, adm, evaluation, schedule = attack_world
+    first = _execute_memo(attack_world, enable_triggering=False)
+    actual = evaluation.occupant_zone[:, 0]
+    slot = np.flatnonzero((first.applied_zone[:, 0] != actual) & (actual != 0))[0]
+    current = home.activities.by_id(int(evaluation.occupant_activity[slot, 0]))
+    other = evaluation.copy()
+    other.occupant_activity[slot, 0] = next(
+        a.activity_id for a in home.activities if a.met != current.met
+    )
+    with collect_events() as aggregator:
+        second = _execute_memo(
+            (home, adm, other, schedule), enable_triggering=False
+        )
+    assert aggregator.cache_stats["analysis.misses"] == 1
+    assert np.array_equal(second.applied_zone, first.applied_zone)
+    assert not np.array_equal(second.result.co2_ppm, first.result.co2_ppm)
+    _assert_outcomes_equal(
+        second,
+        execute_attack_reference(
+            home,
+            DemandControlledHVAC(home),
+            other,
+            schedule,
+            AttackerCapability.full_access(home),
+            adm=adm,
+            enable_triggering=False,
+            start_slot=7 * 1440,
+        ),
+    )
+
+
+def test_closed_loop_memo_values_are_read_only(attack_world, memo_cache):
+    outcome = _execute_memo(attack_world)
+    for field in _SIM_FIELDS:
+        with pytest.raises(ValueError):
+            getattr(outcome.result, field)[0] = 0.0
+    analysis = ShatterAnalysis.for_house(
+        "A", StudyConfig(n_days=4, training_days=3, seed=2)
+    )
+    benign = analysis.benign_result()
+    assert analysis.benign_result() is benign
+    for field in _SIM_FIELDS:
+        with pytest.raises(ValueError):
+            getattr(benign, field)[0] = 0.0
+
+
+def test_closed_loop_memo_bypasses_unknown_controllers(attack_world, memo_cache):
+    """A subclass and the ASHRAE baseline never reach the tier, and
+    each call computes its own loop."""
+    home, adm, evaluation, schedule = attack_world
+    ashrae = AshraeController(home, ControllerConfig()).calibrate(evaluation)
+    with collect_events() as aggregator:
+        for controller in (_CountingController(home), ashrae):
+            for _ in range(2):
+                _execute_memo(attack_world, controller)
+    assert aggregator.kernels[SIMULATION].calls == 4
+    assert not any(key.startswith("analysis.") for key in aggregator.cache_stats)
+    # Bound to an equal home that is not this one: simulate() would not
+    # take its fast kernel either.
+    other = DemandControlledHVAC(build_house_a())
+    assert closed_loop_token(home, other, None, 0) is None
+
+
+def test_closed_loop_memo_is_off_with_the_memory_tier(attack_world):
+    """With memory off every call recomputes and no analysis traffic
+    is emitted."""
+    with cache_disabled(), collect_events() as aggregator:
+        for _ in range(2):
+            _execute_memo(attack_world)
+        analysis = ShatterAnalysis.for_house(
+            "A", StudyConfig(n_days=4, training_days=3, seed=2)
+        )
+        assert analysis.benign_result() is not analysis.benign_result()
+    assert aggregator.kernels[SIMULATION].calls == 4
+    assert not any(key.startswith("analysis.") for key in aggregator.cache_stats)
 
 
 # ----------------------------------------------------------------------
