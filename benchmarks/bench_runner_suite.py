@@ -37,8 +37,9 @@ SMOKE_REQUESTS = [
     ("fig3", {"n_days": 3, "seed": 1}),
     ("fig4", {"n_days": 5, "seed": 2023, "min_pts_values": [3, 6], "k_values": [2, 4]}),
     ("fig6", {"n_days": 5, "seed": 3}),
-    # Exercises the batched schedule DP end to end (shards + prepares
-    # through the graph runner, reward-table sharing through the cache).
+    # Exercises the batched schedule DP end to end (shards and merge
+    # through the graph runner, ADM and reward-table sharing through
+    # the cache).
     (
         "fleet_attack",
         {

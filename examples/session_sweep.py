@@ -2,8 +2,9 @@
 
 The Session is the programmatic front door the CLI itself sits on: this
 script runs the `fleet` scaling experiment across several fleet sizes
-as ONE sweep — every point executes through a single union shard DAG —
-then queries the persistent run store the sweep left behind.
+as ONE sweep — every point runs in one batch through the session's
+backend, here a single union shard graph on two local processes — then
+queries the persistent run store the sweep left behind.
 
 Run it (uses $REPRO_CACHE_DIR, or a throwaway temp dir)::
 

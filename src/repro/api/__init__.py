@@ -6,7 +6,7 @@ Everything the runners can do is reachable through one object::
 
     session = Session(cache_dir="/tmp/repro-cache", jobs=4)
     outcome = session.submit("fig3", days=7)          # one run
-    sweep = session.sweep("fig4", grid={...})          # many, one DAG
+    sweep = session.sweep("fig4", grid={...})          # many, one batch
     history = session.runs()                           # persisted manifests
 
 The ``repro`` CLI is a thin client over this package; services,

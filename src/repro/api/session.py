@@ -9,9 +9,9 @@ use instead of shelling out:
   backend the session's :class:`~repro.runner.base.RunnerPolicy` names;
 * :meth:`Session.sweep` makes parameter sweeps first-class: a grid (or
   explicit point list) expands deterministically into many requests
-  that execute through **one union shard DAG**, so prepare stages
-  shared between sweep points (trace generation, ADM fits) are
-  scheduled exactly once instead of once per point;
+  that run as **one batch** through the session's backend; what the
+  points share (traces, ADM fits, reward tables) reaches each of them
+  through the artifact cache instead of being recomputed per point;
 * every completed run persists a
   :class:`~repro.api.store.RunManifest` under the cache dir, queryable
   via :meth:`Session.runs` and the ``repro runs`` CLI verbs.
@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -253,21 +253,11 @@ class Session:
             request = self.request(name, days=days, cache=cache, **overrides)
         return self.run([request])[0]
 
-    def run(
-        self,
-        requests: Sequence[RunRequest | str],
-        *,
-        policy: RunnerPolicy | None = None,
-    ) -> list[RunOutcome]:
-        """Execute a batch of requests through one runner.
-
-        The backend comes from ``policy``, else from a policy pinned on
-        the requests (all pinning requests must agree), else from the
-        session's default.
-        """
+    def run(self, requests: Sequence[RunRequest | str]) -> list[RunOutcome]:
+        """Execute a batch of requests through one runner: the backend
+        the session's :class:`RunnerPolicy` names."""
         coerced = self._coerce(requests)
-        chosen = policy if policy is not None else self._batch_policy(coerced)
-        return self._execute(build_runner(chosen, cache=self.cache), coerced)
+        return self._execute(build_runner(self.policy, cache=self.cache), coerced)
 
     def run_with(
         self, runner: BaseRunner, requests: Sequence[RunRequest]
@@ -292,7 +282,7 @@ class Session:
         base: Mapping[str, Any] | None = None,
         cache: CachePolicy | None = None,
     ) -> SweepResult:
-        """Run one experiment across many parameter points, as one DAG.
+        """Run one experiment across many parameter points, as one batch.
 
         ``grid`` (a mapping of parameter name to a list of values)
         expands via :func:`expand_grid`; ``points`` is the explicit
@@ -300,11 +290,11 @@ class Session:
         overrides apply to every point; ``days`` scales each point the
         way ``repro run --days`` would.
 
-        All points execute through a single
-        :class:`~repro.runner.async_graph.AsyncShardRunner` union
-        graph, so prepare stages whose inputs the sweep does not vary
-        are deduplicated across points — fitting shared traces/ADMs
-        once is what makes wide scenario sweeps affordable.
+        All points run through the session's backend, exactly as
+        :meth:`run` runs a batch.  Traces and ADM fits whose inputs the
+        sweep does not vary reach every point through the artifact
+        cache instead of being recomputed per point — what makes wide
+        scenario sweeps affordable.
         """
         if (grid is None) == (points is None):
             raise ConfigurationError(
@@ -328,8 +318,7 @@ class Session:
             )
             for point in expanded
         ]
-        runner = self._graph_runner()
-        outcomes = self._execute(runner, requests)
+        outcomes = self.run(requests)
         return SweepResult(
             experiment=name,
             sweep_id=sweep_id,
@@ -414,24 +403,6 @@ class Session:
         if not coerced:
             raise ConfigurationError("nothing to run: the batch is empty")
         return coerced
-
-    def _batch_policy(self, requests: Sequence[RunRequest]) -> RunnerPolicy:
-        pinned = {r.runner for r in requests if r.runner is not None}
-        if len(pinned) > 1:
-            raise ConfigurationError(
-                "requests in one batch pin conflicting runner policies; "
-                "split the batch or align them"
-            )
-        return next(iter(pinned)) if pinned else self.policy
-
-    def _graph_runner(self) -> AsyncShardRunner:
-        """The union-DAG runner a sweep always uses: the shared
-        factory, with the backend pinned to a graph-capable one
-        (remote when the session names workers, async otherwise)."""
-        backend = "remote" if self.policy.workers else "async"
-        runner = build_runner(replace(self.policy, backend=backend), cache=self.cache)
-        assert isinstance(runner, AsyncShardRunner)
-        return runner
 
     def _execute(
         self, runner: BaseRunner, requests: list[RunRequest]

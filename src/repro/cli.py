@@ -216,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker_parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="run without any artifact cache (shards recompute "
-        "everything; prepares are pointless)",
+        help="run without any artifact cache (every shard recomputes "
+        "the traces and ADMs it needs)",
     )
     worker_parser.add_argument(
         "--jobs",
@@ -470,8 +470,8 @@ def _cmd_dry_run(session: Session, args: argparse.Namespace, names: list[str]) -
     print(
         format_table(
             f"Dry run: {len(tasks)} task(s) across {len(names)} experiment(s)",
-            ["id", "prepare tasks", "shards", "graph tasks"],
-            [[s.name, s.prepares, s.shards, s.tasks] for s in summaries],
+            ["id", "shards", "graph tasks"],
+            [[s.name, s.shards, s.tasks] for s in summaries],
         )
     )
     print("shard graphs valid: acyclic, all dependencies resolved")

@@ -1,23 +1,25 @@
 """Shard-graph execution: one scheduler interleaving every experiment.
 
 :class:`AsyncShardRunner` decomposes each :class:`RunRequest` into a
-shard-level task graph — prepare stages (trace generation, ADM fitting)
-feeding per-shard compute, feeding a parent-side merge — and executes
-the *union* of all requested experiments' graphs through one
+shard-level task graph — its shards feeding one coordinator-side merge,
+or a single task for a plain experiment — and executes the *union* of
+all requested experiments' graphs through one
 :class:`~repro.runner.scheduler.GraphScheduler`.  Shards of different
-experiments interleave, cache-warming I/O overlaps with compute, and
-the executor's slots bound total concurrency.
+experiments interleave, and the executor's slots bound total
+concurrency.  A shard gets the traces and ADMs it shares with other
+shards through the content-keyed artifact cache
+(:mod:`repro.runner.common`): whichever shard asks first computes and
+stores an artifact, and the rest read it.
 
 Where work units run is the runner's one :class:`Executor`:
 
 * :class:`ThreadExecutor` — work units run on worker threads.  Python's
-  GIL serializes pure-Python compute, but cache I/O, NumPy kernels, and
-  prepare stages overlap, and there is no pickling or process-spawn
-  cost.
+  GIL serializes pure-Python compute, but cache I/O and NumPy kernels
+  overlap, and there is no pickling or process-spawn cost.
 * :class:`~repro.runner.pool.ProcessExecutor` — work units are
-  forwarded to a local process pool for real multi-core scaling;
-  prepare stages warm the shared disk tier so other workers load
-  instead of recomputing.
+  forwarded to a local process pool for real multi-core scaling; the
+  members share the coordinator's disk tier, so an artifact one member
+  stored the others load instead of recomputing.
 * :class:`~repro.runner.remote.RemoteExecutor` — work units are
   serialized (via :mod:`repro.core.serialization`) and shipped to
   ``repro worker`` processes, possibly on other hosts; the scheduler
@@ -43,11 +45,8 @@ the work or how the scheduler interleaved it.
 
 from __future__ import annotations
 
-import inspect
 import os
-import threading
 import time
-import weakref
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
@@ -70,58 +69,8 @@ class GraphSummary:
     """Shape of one request's task graph (for ``--dry-run``)."""
 
     name: str
-    prepares: int
     shards: int
     tasks: int
-
-
-def _prepare_token(run_prepare, kwargs: dict) -> tuple:
-    """Identity of one prepare call, for cross-experiment dedup.
-
-    Two prepare tasks are the same work iff they call the same function
-    with the same *consumed* keyword arguments.  Arguments swallowed by
-    a ``**kwargs`` catch-all (the registry convention for "ignore this
-    experiment's unrelated parameters", as in ``standard_prepare``) are
-    dropped — otherwise fig3's and fig4's identical trace warm-ups
-    would differ just because fig4 also carries sweep parameters.
-    """
-    consumed = dict(kwargs)
-    try:
-        parameters = inspect.signature(run_prepare).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        parameters = None
-    if parameters is not None and any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    ):
-        named = {
-            name
-            for name, p in parameters.items()
-            if p.kind
-            in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-        }
-        consumed = {k: v for k, v in kwargs.items() if k in named}
-    return (
-        getattr(run_prepare, "__module__", ""),
-        getattr(run_prepare, "__qualname__", repr(run_prepare)),
-        repr(sorted(consumed.items())),
-    )
-
-
-# Worker-side prepare dedup: a long-lived worker (remote ``repro
-# worker`` process, process-pool member) sees the same prepare payloads
-# again on every coordinator run and on crash-retries; re-executing one
-# it already ran against the *same* cache is pure waste.  Keyed weakly
-# by the cache object so a reconfigured cache (fresh memory tier, test
-# fixture) correctly re-runs its warm-ups.
-_prepares_done: "weakref.WeakKeyDictionary[Any, set[str]]" = (
-    weakref.WeakKeyDictionary()
-)
-_prepares_lock = threading.Lock()
-
-
-def _prepare_fingerprint(name: str, params: dict, unit: dict) -> str:
-    merged = {**params, **{k: v for k, v in unit.items() if k != "after"}}
-    return repr((name, sorted(merged.items())))
 
 
 def _execute_payload(payload: tuple) -> tuple[Any, float]:
@@ -129,10 +78,8 @@ def _execute_payload(payload: tuple) -> tuple[Any, float]:
 
     Every executor ends here: on a coordinator thread, a pool member,
     or a ``repro worker``.  ``payload`` is
-    ``(op, experiment name, params, extra)`` with op one of ``"plain"``
-    (extra unused), ``"shard"`` (extra is the shard dict), or
-    ``"prepare"`` (extra is the prepare unit; the value is discarded —
-    prepares matter only for their effect on the shared cache).
+    ``(op, experiment name, params, extra)`` with op ``"plain"`` (extra
+    unused) or ``"shard"`` (extra is the shard dict).
     """
     op, name, params, extra = payload
     load_all()
@@ -142,32 +89,9 @@ def _execute_payload(payload: tuple) -> tuple[Any, float]:
         value = exp.execute(params)
     elif op == "shard":
         value = exp.execute_shard(params, extra)
-    elif op == "prepare":
-        _execute_prepare_once(exp, params, extra)
-        value = None
     else:  # pragma: no cover - defends against graph-builder bugs
         raise ValueError(f"unknown task op {op!r}")
     return value, time.perf_counter() - started
-
-
-def _execute_prepare_once(exp, params: dict, unit: dict) -> None:
-    """Run a prepare unit unless this process already ran it against
-    the currently active cache."""
-    cache = get_cache()
-    if not cache.enabled:
-        exp.execute_prepare(params, unit)
-        return
-    fingerprint = _prepare_fingerprint(exp.name, params, unit)
-    with _prepares_lock:
-        done = _prepares_done.get(cache)
-        if done is None:
-            done = set()
-            _prepares_done[cache] = done
-        if fingerprint in done:
-            return
-    exp.execute_prepare(params, unit)
-    with _prepares_lock:
-        done.add(fingerprint)
 
 
 def _execute_shipping(
@@ -201,13 +125,10 @@ class Executor(Protocol):
     ``(value, compute seconds, events)``, the events being the ones the
     payload emitted in another process, which the runner re-emits
     (``[]`` when the work ran in the coordinator's, where they reached
-    its dispatcher directly).  ``shares_memory`` declares that work
-    runs in the coordinator's process, so prepares can warm its memory
-    tier.
+    its dispatcher directly).
     """
 
     name: str
-    shares_memory: bool
     slots: dict[str, int]
 
     @property
@@ -225,7 +146,6 @@ class ThreadExecutor:
     cache.  Nothing to start or stop, so it is always open."""
 
     name = "thread"
-    shares_memory = True
     is_open = True
 
     def __init__(self, jobs: int = 1) -> None:
@@ -280,120 +200,53 @@ class AsyncShardRunner(BaseRunner):
     # ------------------------------------------------------------------
 
     def build_graph(
-        self,
-        requests: Sequence[RunRequest | str],
-        include_prepares: bool = True,
+        self, requests: Sequence[RunRequest | str]
     ) -> tuple[list[Task], list[GraphSummary]]:
         """The union task graph for ``requests`` (validated acyclic).
 
         Pure planning — nothing is executed and the cache is never
         consulted, so ``repro run --all --dry-run`` can call this to
-        prove every registered experiment decomposes cleanly.
-
-        Identical prepare units (same ``run_prepare`` callable, same
-        merged kwargs) are deduplicated *across* experiments: fig10 and
-        tab6 both warming house A's trace share one graph node, so a
-        cold cache is never stampeded by concurrent identical work.
-        Because prepares exist only to populate caches, the runner
-        passes ``include_prepares=False`` when its cache is disabled —
-        warming a cache nobody can read would double the compute.
+        prove every registered experiment decomposes cleanly.  A sharded
+        request contributes its shards and one merge that depends on
+        all of them; a plain request contributes one task.
         """
         tasks: list[Task] = []
         summaries: list[GraphSummary] = []
-        # Payload identity -> canonical task key, for cross-experiment
-        # prepare dedup; per-request keys alias into it.
-        canonical: dict[tuple, tuple] = {}
         for index, request in enumerate(self._coerce(requests)):
             exp = get_experiment(request.experiment)
             before = len(tasks)
-            prepares, shards = self._request_tasks(
-                tasks, canonical, index, exp, request, include_prepares
-            )
+            shards = self._request_tasks(tasks, index, exp, request)
             summaries.append(
-                GraphSummary(
-                    name=exp.name,
-                    prepares=prepares,
-                    shards=shards,
-                    tasks=len(tasks) - before,
-                )
+                GraphSummary(name=exp.name, shards=shards, tasks=len(tasks) - before)
             )
         check_acyclic(tasks)
         return tasks, summaries
 
+    @staticmethod
     def _request_tasks(
-        self,
-        tasks: list[Task],
-        canonical: dict[tuple, tuple],
-        index: int,
-        exp: Experiment,
-        request: RunRequest,
-        include_prepares: bool,
-    ) -> tuple[int, int]:
-        """Append one request's tasks; returns (prepares, shards)."""
+        tasks: list[Task], index: int, exp: Experiment, request: RunRequest
+    ) -> int:
+        """Append one request's tasks; returns its shard count."""
         params = request.params
-        units = exp.prepare_units(params) if include_prepares else []
-        # Local prepare key -> graph key (its own, or an earlier
-        # identical unit's).  Resolved for every unit up front so
-        # "after" edges may point forward (cycles are for check_acyclic
-        # to report, not a lookup error here).
-        alias: dict[tuple, tuple] = {}
-        for unit_index, unit in enumerate(units):
-            key = (index, "prep", unit_index)
-            merged = {k: v for k, v in unit.items() if k != "after"}
-            token = _prepare_token(exp.run_prepare, {**params, **merged})
-            if token in canonical:
-                alias[key] = canonical[token]
-            else:
-                alias[key] = canonical[token] = key
-        for unit_index, unit in enumerate(units):
-            key = (index, "prep", unit_index)
-            if alias[key] != key:
-                continue  # deduplicated into an earlier identical unit
-            deps = tuple(
-                dict.fromkeys(
-                    alias[(index, "prep", dep)]
-                    for dep in unit.get("after", ())
-                )
-            )
-            tasks.append(
-                Task(
-                    key=key,
-                    payload=("prepare", exp.name, params, unit),
-                    deps=deps,
-                    label=f"{exp.name}/prep{unit_index}",
-                    client=request.client,
-                )
-            )
-
-        prep_keys = tuple(dict.fromkeys(alias.values()))
         if not exp.shardable:
             tasks.append(
                 Task(
                     key=(index, "run"),
                     payload=("plain", exp.name, params, None),
-                    deps=prep_keys,
                     label=f"{exp.name}/run",
                     client=request.client,
                 )
             )
-            return len(units), 0
+            return 0
 
         shards = exp.shard_params(params)
         shard_keys = []
         for shard_index, shard in enumerate(shards):
             key = (index, "shard", shard_index)
-            if units:
-                needed = exp.shard_prepare_deps(params, shard, len(units))
-                deps = tuple(
-                    dict.fromkeys(alias[(index, "prep", dep)] for dep in needed)
-                )
-            else:
-                deps = ()
             tasks.append(
                 Task(
                     key=key,
                     payload=("shard", exp.name, params, shard),
-                    deps=deps,
                     label=f"{exp.name}/shard{shard_index}",
                     client=request.client,
                 )
@@ -409,7 +262,7 @@ class AsyncShardRunner(BaseRunner):
                 client=request.client,
             )
         )
-        return len(units), len(shards)
+        return len(shards)
 
     # ------------------------------------------------------------------
     # Execution
@@ -450,18 +303,7 @@ class AsyncShardRunner(BaseRunner):
                 live.append((index, request, exp))
 
         if live:
-            # Prepares only help when the workers running the shards can
-            # read what they warmed: any tier when they share the
-            # coordinator's memory, otherwise only the disk tier.
-            prepares_sharable = (
-                self.cache.enabled
-                if self.executor.shares_memory
-                else self.cache.disk_dir is not None
-            )
-            tasks, _ = self.build_graph(
-                [request for _, request, _ in live],
-                include_prepares=prepares_sharable,
-            )
+            tasks, _ = self.build_graph([request for _, request, _ in live])
             # build_graph keys tasks by position within `live`; map back
             # to the original request index for outcome placement.
             results = self._dispatch(tasks)
@@ -495,7 +337,7 @@ class AsyncShardRunner(BaseRunner):
     def _execute_task(self, task: Task, deps: dict, worker: str) -> tuple[Any, float]:
         """Scheduler callback: run one task's payload.
 
-        Called on a worker thread for prepare/shard/plain tasks, which
+        Called on a worker thread for shard and plain tasks, which
         the executor runs on ``worker``, and on the event loop for merge
         tasks (``local=True``) — merges never leave the coordinator,
         which preserves byte-identical rendering.

@@ -124,17 +124,15 @@ class RunRequest:
     that routes name/days/overrides through ``resolve()`` so every
     entry point gets the same unknown-parameter validation and
     ``--days`` scaling.  ``sweep`` groups the requests of one
-    :meth:`repro.api.Session.sweep` expansion; ``runner`` optionally
-    pins the batch's :class:`RunnerPolicy` (all requests of one batch
-    must agree).  ``client`` names the submitting tenant when requests
-    from several clients share one batch (the service control plane):
-    the scheduler round-robins ready tasks across distinct clients.
+    :meth:`repro.api.Session.sweep` expansion.  ``client`` names the
+    submitting tenant when requests from several clients share one
+    batch (the service control plane): the scheduler round-robins ready
+    tasks across distinct clients.
     """
 
     experiment: str
     params: dict[str, Any] = field(default_factory=dict)
     cache: CachePolicy = field(default_factory=CachePolicy)
-    runner: RunnerPolicy | None = None
     sweep: str | None = None
     client: str = ""
 
@@ -145,7 +143,6 @@ class RunRequest:
         days: int | None = None,
         overrides: dict[str, Any] | None = None,
         cache: CachePolicy | None = None,
-        runner: RunnerPolicy | None = None,
         sweep: str | None = None,
         client: str = "",
     ) -> "RunRequest":
@@ -155,7 +152,6 @@ class RunRequest:
             experiment=name,
             params=exp.resolve(days=days, **(overrides or {})),
             cache=cache if cache is not None else CachePolicy(),
-            runner=runner,
             sweep=sweep,
             client=client,
         )

@@ -506,12 +506,13 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     #
     # A remote worker is only useful if its ``--cache-dir`` is the same
-    # shared storage the coordinator warms (prepare stages write traces
-    # and ADMs that the worker's shards must be able to read).  The
-    # beacon handshake proves it: the coordinator drops a random token
-    # file under its disk tier, the worker checks the same relative
-    # path under *its* disk tier, and a miss means the two processes
-    # are looking at different directories.
+    # shared storage the coordinator reads (shards on every worker store
+    # traces and ADMs there for each other, and spilled results travel
+    # home through it).  The beacon handshake proves it: the
+    # coordinator drops a random token file under its disk tier, the
+    # worker checks the same relative path under *its* disk tier, and a
+    # miss means the two processes are looking at different
+    # directories.
 
     def write_sync_beacon(self) -> str | None:
         """Drop a beacon file under the disk tier; returns its token

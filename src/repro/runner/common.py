@@ -19,7 +19,6 @@ from repro.core.shatter import ShatterAnalysis, StudyConfig
 from repro.dataset.features import extract_visits
 from repro.dataset.splits import KnowledgeLevel, split_days
 from repro.dataset.synthetic import SyntheticConfig, generate_house_trace
-from repro.errors import ConfigurationError
 from repro.home.builder import SmartHome, build_house_a, build_house_b
 from repro.home.state import HomeTrace
 from repro.hvac.pricing import TouPricing
@@ -82,7 +81,7 @@ def fitted_adm(
     """Fit (or fetch) a cluster ADM.
 
     ``cache_token`` names the training data's provenance — e.g.
-    ``("house-train", house, n_days, seed, training_days)`` — so the
+    ``("house-full", house, n_days, seed)`` for a whole trace — so the
     cache key is content-determined without hashing the trace itself.
     Pass ``None`` for ad-hoc training data that should never be cached.
     """
@@ -146,11 +145,14 @@ def dataset_metrics(
             occupant_activity=np.concatenate([d.occupant_activity for d in kept]),
             appliance_status=np.concatenate([d.appliance_status for d in kept]),
         )
+    # The defender's ADM, under the token ShatterAnalysis fits it with
+    # (provenance + role), so Fig. 5, Tab. IV and the attack tables
+    # share one fit of the same training prefix.
     adm = fitted_adm(
         train,
         home.n_zones,
         params_for(backend),
-        cache_token=("house-train", house, n_days, seed, training_days),
+        cache_token=("house", house, n_days, seed, "defender", training_days),
     )
     # The paper injects BIoTA attack windows into the dataset itself —
     # its quoted attack ratios (12.4% for HAO1 at 10 days, etc.) are
@@ -200,75 +202,6 @@ def analysis_for_house(house: str, config: StudyConfig) -> ShatterAnalysis:
         )
         cache.put_analysis(token, analysis)
     return analysis
-
-
-def standard_prepare(
-    op: str,
-    house: str,
-    n_days: int,
-    seed: int = 2023,
-    training_days: int | None = None,
-    backend: str | None = None,
-    knowledge: str | None = None,
-    **_: object,
-) -> None:
-    """Shared ``run_prepare`` dispatcher for the experiment modules'
-    shard graphs.
-
-    Every op exists purely to warm the artifact cache ahead of the
-    shards that need it (extra experiment parameters are ignored):
-
-    * ``"trace"`` — generate the house trace;
-    * ``"analysis"`` — build the :class:`ShatterAnalysis` (trace plus
-      defender/attacker ADM fits into the ADM disk tier);
-    * ``"dataset_adm"`` — fit the defender ADM on the training split,
-      under the same cache token :func:`dataset_metrics` uses;
-    * ``"full_adm"`` — fit an ADM on the whole trace (Fig. 6's token).
-    """
-    if op == "trace":
-        house_trace(house, n_days, seed)
-        return
-    if op == "analysis":
-        assert training_days is not None
-        config = StudyConfig(
-            n_days=n_days,
-            training_days=training_days,
-            seed=seed,
-            adm_params=(
-                params_for(ClusterBackend(backend))
-                if backend is not None
-                else AdmParams()
-            ),
-            knowledge=(
-                KnowledgeLevel(knowledge)
-                if knowledge is not None
-                else KnowledgeLevel.ALL_DATA
-            ),
-        )
-        analysis_for_house(house, config)
-        return
-    if op == "dataset_adm":
-        assert training_days is not None and backend is not None
-        home, trace = house_trace(house, n_days, seed)
-        train, _ = split_days(trace, training_days)
-        fitted_adm(
-            train,
-            home.n_zones,
-            params_for(ClusterBackend(backend)),
-            cache_token=("house-train", house, n_days, seed, training_days),
-        )
-        return
-    if op == "full_adm":
-        assert backend is not None
-        home, trace = house_trace(house, n_days, seed)
-        fitted_adm(
-            trace,
-            home.n_zones,
-            params_for(ClusterBackend(backend)),
-            cache_token=("house-full", house, n_days, seed),
-        )
-        return
-    raise ConfigurationError(f"unknown prepare op {op!r}")
 
 
 def triggering_impact(analysis: ShatterAnalysis, capability) -> float:

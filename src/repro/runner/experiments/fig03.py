@@ -11,7 +11,7 @@ from repro.hvac.ashrae import AshraeController
 from repro.hvac.controller import ControllerConfig, DemandControlledHVAC
 from repro.hvac.pricing import TouPricing
 from repro.hvac.simulation import simulate
-from repro.runner.common import house_trace, standard_prepare
+from repro.runner.common import house_trace
 from repro.runner.registry import Experiment, Param, register
 
 
@@ -54,14 +54,6 @@ def _shards(params: dict) -> list[dict]:
     return [{"house": "A"}, {"house": "B"}]
 
 
-def _prepares(params: dict) -> list[dict]:
-    return [{"op": "trace", "house": "A"}, {"op": "trace", "house": "B"}]
-
-
-def _shard_needs(params: dict, shard: dict) -> list[int]:
-    return [0 if shard["house"] == "A" else 1]
-
-
 def _merge(params: dict, shards: list[dict], parts: list) -> list[Fig3Result]:
     return list(parts)
 
@@ -82,9 +74,6 @@ EXPERIMENT = register(
         shards=_shards,
         run_shard=_run_house,
         merge=_merge,
-        prepares=_prepares,
-        run_prepare=standard_prepare,
-        shard_needs=_shard_needs,
     )
 )
 

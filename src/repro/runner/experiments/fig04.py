@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.adm.tuning import SweepPoint, sweep_dbscan_min_pts, sweep_kmeans_k
 from repro.core.report import format_series
-from repro.runner.common import house_trace, standard_prepare
+from repro.runner.common import house_trace
 from repro.runner.registry import Experiment, Param, register
 
 
@@ -38,11 +38,6 @@ def _run_sweep(
 
 def _shards(params: dict) -> list[dict]:
     return [{"sweep": "dbscan"}, {"sweep": "kmeans"}]
-
-
-def _prepares(params: dict) -> list[dict]:
-    # Both sweeps cluster the same HAO1 trace; warm it once.
-    return [{"op": "trace", "house": "A"}]
 
 
 def _merge(params: dict, shards: list[dict], parts: list) -> Fig4Result:
@@ -89,8 +84,6 @@ EXPERIMENT = register(
         shards=_shards,
         run_shard=_run_sweep,
         merge=_merge,
-        prepares=_prepares,
-        run_prepare=standard_prepare,
     )
 )
 

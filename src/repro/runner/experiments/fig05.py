@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from repro.adm.cluster_model import ClusterBackend
 from repro.core.report import format_series
 from repro.dataset.splits import KnowledgeLevel
-from repro.runner.common import DATASET_NAMES, dataset_metrics, standard_prepare
+from repro.runner.common import DATASET_NAMES, dataset_metrics
 from repro.runner.registry import Experiment, Param, register
 
 _BACKENDS = (ClusterBackend.DBSCAN, ClusterBackend.KMEANS)
@@ -49,17 +49,6 @@ def _shards(params: dict) -> list[dict]:
         for backend in _BACKENDS
         for dataset in DATASET_NAMES
     ]
-
-
-def _prepares(params: dict) -> list[dict]:
-    # Every (backend, dataset) cell sweeps its own training-day values,
-    # so only the two house traces are shared across shards.
-    return [{"op": "trace", "house": "A"}, {"op": "trace", "house": "B"}]
-
-
-def _shard_needs(params: dict, shard: dict) -> list[int]:
-    house, _ = DATASET_NAMES[shard["dataset"]]
-    return [0 if house == "A" else 1]
 
 
 def _merge(params: dict, shards: list[dict], parts: list) -> list[Fig5Result]:
@@ -113,9 +102,6 @@ EXPERIMENT = register(
         shards=_shards,
         run_shard=_run_cell,
         merge=_merge,
-        prepares=_prepares,
-        run_prepare=standard_prepare,
-        shard_needs=_shard_needs,
     )
 )
 

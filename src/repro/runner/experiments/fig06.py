@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 from repro.adm.cluster_model import ClusterBackend
 from repro.core.report import format_table
-from repro.runner.common import (
-    fitted_adm,
-    house_trace,
-    params_for,
-    standard_prepare,
-)
+from repro.runner.common import fitted_adm, house_trace, params_for
 from repro.runner.registry import Experiment, Param, register
 
 
@@ -57,20 +52,6 @@ def _shards(params: dict) -> list[dict]:
     return [{"backend": "dbscan"}, {"backend": "kmeans"}]
 
 
-def _prepares(params: dict) -> list[dict]:
-    # The canonical three-stage chain: generate the trace once, then fit
-    # each backend's ADM into the cache before its shard reads it.
-    return [
-        {"op": "trace", "house": "A"},
-        {"op": "full_adm", "house": "A", "backend": "dbscan", "after": [0]},
-        {"op": "full_adm", "house": "A", "backend": "kmeans", "after": [0]},
-    ]
-
-
-def _shard_needs(params: dict, shard: dict) -> list[int]:
-    return [1 if shard["backend"] == "dbscan" else 2]
-
-
 def _merge(params: dict, shards: list[dict], parts: list) -> list[Fig6Result]:
     return list(parts)
 
@@ -87,9 +68,6 @@ EXPERIMENT = register(
         shards=_shards,
         run_shard=_run_backend,
         merge=_merge,
-        prepares=_prepares,
-        run_prepare=standard_prepare,
-        shard_needs=_shard_needs,
     )
 )
 

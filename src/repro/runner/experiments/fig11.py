@@ -13,10 +13,8 @@ hulls for the scheduler to work with.
 Both register as experiments (``fig11a``/``fig11b``) so ``repro run
 --all`` covers every paper artifact, but they are *timing* experiments:
 ``cacheable=False`` (replaying stale timings would defeat the point)
-and ``deterministic=False`` (measured seconds vary run to run).  For
-the same reason they declare no prepare stage in the shard graph —
-warming caches for a benchmark would contaminate what it measures —
-so each runs as a single graph node.
+and ``deterministic=False`` (measured seconds vary run to run).  Each
+runs as a single ``plain`` graph task.
 """
 
 from __future__ import annotations

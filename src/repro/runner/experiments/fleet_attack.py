@@ -11,9 +11,9 @@ program, and the day-periodic reward tables are shared across the fleet
 through the artifact cache's rewards tier.
 
 Shards own contiguous home-index chunks (``generate_home_fleet(start=)``
-regenerates exactly a shard's homes), and the shard graph declares one
-ADM-warming prepare unit per home so the graph-aware runner overlaps
-fitting with scheduling.  The rendered table reports per-home expected
+regenerates exactly a shard's homes), and each shard fits its own homes'
+ADMs through the cache's ADM tier, so a rerun against a warm disk tier
+loads them instead.  The rendered table reports per-home expected
 attack reward and feasibility bookkeeping, so the artifact doubles as a
 determinism check on the batched scheduler (results must match per-home
 scheduling bit for bit).
@@ -56,12 +56,11 @@ def _fleet_analysis(
     """The full pipeline for fleet home ``index``.
 
     The ADM fits route through the cache's ADM tier under a
-    fleet-specific provenance, so prepares warm them for the shards.
-    Deliberately *not* memoized as a whole: pinning every home's full
-    analysis in the process-local analysis tier made coordinator RSS
-    grow linearly with fleet size, while rebuilding from the warmed
-    trace/ADM tiers is cheap (vectorized trace regen + cached fits) and
-    keeps only the active chunk's analyses alive.
+    fleet-specific provenance.  Deliberately *not* memoized as a whole:
+    pinning every home's full analysis in the process-local analysis
+    tier made coordinator RSS grow linearly with fleet size, while
+    rebuilding from the ADM tier is cheap (vectorized trace regen +
+    cached fits) and keeps only the active chunk's analyses alive.
     """
     ((home, trace),) = generate_home_fleet(
         1, n_zones=n_zones, n_days=n_days, seed=seed, start=index
@@ -122,27 +121,6 @@ def _shards(params: dict) -> list[dict]:
         {"start": start, "stop": min(start + chunk, n_homes)}
         for start in range(0, n_homes, chunk)
     ]
-
-
-def _prepares(params: dict) -> list[dict]:
-    return [{"index": index} for index in range(params["n_homes"])]
-
-
-def _run_prepare(
-    index: int,
-    n_zones: int = 4,
-    n_days: int = 4,
-    training_days: int = 2,
-    seed: int = 2023,
-    backend: str = "kmeans",
-    **_: object,
-) -> None:
-    """Warm one home's trace + defender/attacker ADM fits."""
-    _fleet_analysis(index, n_zones, n_days, training_days, seed, backend)
-
-
-def _shard_needs(params: dict, shard: dict) -> list[int]:
-    return list(range(shard["start"], shard["stop"]))
 
 
 def _merge(params: dict, shards: list[dict], parts: list) -> FleetAttackResult:
@@ -209,9 +187,6 @@ EXPERIMENT = register(
         shards=_shards,
         run_shard=_run_chunk,
         merge=_merge,
-        prepares=_prepares,
-        run_prepare=_run_prepare,
-        shard_needs=_shard_needs,
     )
 )
 

@@ -1,7 +1,7 @@
 """Section VI — prototype-testbed validation (single unit of work).
 
-Runs in seconds and touches none of the shared trace/ADM caches, so its
-shard graph is a single node with no prepare stage.
+Runs in seconds and touches none of the shared trace/ADM caches; its
+shard graph is a single ``plain`` task.
 """
 
 from __future__ import annotations

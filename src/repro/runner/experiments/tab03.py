@@ -10,7 +10,7 @@ from repro.attack.model import AttackerCapability
 from repro.attack.trigger import appliance_triggering_decisions
 from repro.core.report import format_table
 from repro.core.shatter import StudyConfig
-from repro.runner.common import analysis_for_house, standard_prepare
+from repro.runner.common import analysis_for_house
 from repro.runner.registry import Param, experiment
 from repro.units import clock_to_slot, slot_to_clock
 
@@ -41,11 +41,6 @@ class Tab3Result:
     ),
     tags=frozenset({"table", "attack", "case-study"}),
     scale_days=lambda days: {"n_days": days, "training_days": days - 3},
-    prepares=lambda params: [
-        {"op": "trace", "house": "A"},
-        {"op": "analysis", "house": "A", "after": [0]},
-    ],
-    run_prepare=standard_prepare,
 )
 def run_tab3(
     n_days: int = 10,

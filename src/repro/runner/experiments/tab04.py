@@ -8,7 +8,7 @@ from repro.adm.cluster_model import ClusterBackend
 from repro.adm.metrics import BinaryMetrics
 from repro.core.report import format_table
 from repro.dataset.splits import KnowledgeLevel
-from repro.runner.common import DATASET_NAMES, dataset_metrics, standard_prepare
+from repro.runner.common import DATASET_NAMES, dataset_metrics
 from repro.runner.registry import Experiment, Param, register
 
 _BACKENDS = (ClusterBackend.DBSCAN, ClusterBackend.KMEANS)
@@ -60,30 +60,6 @@ def _shards(params: dict) -> list[dict]:
     ]
 
 
-def _prepares(params: dict) -> list[dict]:
-    # Traces first, then one defender-ADM fit per (house, backend) —
-    # the fit every dataset/knowledge cell of that house replays.
-    units = [{"op": "trace", "house": "A"}, {"op": "trace", "house": "B"}]
-    for trace_index, house in enumerate(("A", "B")):
-        for backend in _BACKENDS:
-            units.append(
-                {
-                    "op": "dataset_adm",
-                    "house": house,
-                    "backend": backend.value,
-                    "after": [trace_index],
-                }
-            )
-    return units
-
-
-def _shard_needs(params: dict, shard: dict) -> list[int]:
-    house, _ = DATASET_NAMES[shard["dataset"]]
-    house_offset = 0 if house == "A" else len(_BACKENDS)
-    backend_offset = [b.value for b in _BACKENDS].index(shard["backend"])
-    return [2 + house_offset + backend_offset]
-
-
 def _merge(params: dict, shards: list[dict], parts: list) -> Tab4Result:
     rows = [
         Tab4Row(
@@ -129,9 +105,6 @@ EXPERIMENT = register(
         shards=_shards,
         run_shard=_run_cell,
         merge=_merge,
-        prepares=_prepares,
-        run_prepare=standard_prepare,
-        shard_needs=_shard_needs,
     )
 )
 

@@ -8,7 +8,7 @@ from repro.adm.cluster_model import ClusterBackend
 from repro.core.report import AttackReport, format_table
 from repro.core.shatter import StudyConfig
 from repro.dataset.splits import KnowledgeLevel
-from repro.runner.common import analysis_for_house, params_for, standard_prepare
+from repro.runner.common import analysis_for_house, params_for
 from repro.runner.registry import Experiment, Param, register
 
 _BACKENDS = (ClusterBackend.DBSCAN, ClusterBackend.KMEANS)
@@ -50,21 +50,6 @@ def _shards(params: dict) -> list[dict]:
         for backend in _BACKENDS
         for knowledge in _KNOWLEDGE
     ]
-
-
-def _prepares(params: dict) -> list[dict]:
-    # One analysis (trace + defender/attacker ADM fits) per cell, each
-    # gated on its house's trace so trace generation happens once.
-    units = [{"op": "trace", "house": "A"}, {"op": "trace", "house": "B"}]
-    for shard in _shards(params):
-        units.append(
-            {"op": "analysis", **shard, "after": [0 if shard["house"] == "A" else 1]}
-        )
-    return units
-
-
-def _shard_needs(params: dict, shard: dict) -> list[int]:
-    return [2 + _shards(params).index(shard)]
 
 
 def _merge(params: dict, shards: list[dict], parts: list) -> Tab5Result:
@@ -118,9 +103,6 @@ EXPERIMENT = register(
         shards=_shards,
         run_shard=_run_cell,
         merge=_merge,
-        prepares=_prepares,
-        run_prepare=standard_prepare,
-        shard_needs=_shard_needs,
     )
 )
 

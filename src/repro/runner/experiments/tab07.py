@@ -5,11 +5,7 @@ from __future__ import annotations
 from repro.attack.model import AttackerCapability
 from repro.core.report import format_table
 from repro.core.shatter import StudyConfig
-from repro.runner.common import (
-    analysis_for_house,
-    standard_prepare,
-    triggering_impact,
-)
+from repro.runner.common import analysis_for_house, triggering_impact
 from repro.runner.experiments.tab06 import CapabilitySweepResult
 from repro.runner.registry import Experiment, Param, register
 
@@ -39,19 +35,6 @@ def _run_house(
 
 def _shards(params: dict) -> list[dict]:
     return [{"house": "A"}, {"house": "B"}]
-
-
-def _prepares(params: dict) -> list[dict]:
-    return [
-        {"op": "trace", "house": "A"},
-        {"op": "trace", "house": "B"},
-        {"op": "analysis", "house": "A", "after": [0]},
-        {"op": "analysis", "house": "B", "after": [1]},
-    ]
-
-
-def _shard_needs(params: dict, shard: dict) -> list[int]:
-    return [2 if shard["house"] == "A" else 3]
 
 
 def _merge(params: dict, shards: list[dict], parts: list) -> CapabilitySweepResult:
@@ -84,9 +67,6 @@ EXPERIMENT = register(
         shards=_shards,
         run_shard=_run_house,
         merge=_merge,
-        prepares=_prepares,
-        run_prepare=standard_prepare,
-        shard_needs=_shard_needs,
     )
 )
 

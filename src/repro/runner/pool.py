@@ -38,7 +38,6 @@ class ProcessExecutor:
     """
 
     name = "process"
-    shares_memory = False
 
     def __init__(self, jobs: int = 1) -> None:
         self.slots = {"local": max(1, jobs)}

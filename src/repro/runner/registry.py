@@ -19,17 +19,10 @@ Experiments come in two executable shapes:
   a parallel runner that fans the same shards out and merges in order
   produces *identical* results by construction.
 
-Experiments may additionally declare a **shard graph**: ``prepares(params)``
-names cache-warming stages (trace generation, ADM fitting) that shards
-depend on, each executed via ``run_prepare(**params, **unit)`` purely
-for its side effect on the shared artifact cache.  A prepare unit may
-depend on earlier units through its ``"after"`` key (a list of unit
-indices), and ``shard_needs(params, shard)`` narrows which prepare
-units a given shard waits for (default: all of them).  Graph-aware
-runners (:class:`~repro.runner.async_graph.AsyncShardRunner`) schedule
-the resulting trace → ADM → shard → merge DAG; every other runner is
-free to ignore the declarations because prepares only populate caches —
-they never change what ``run_shard`` computes.
+A graph-aware runner (:class:`~repro.runner.async_graph.AsyncShardRunner`)
+turns a sharded experiment into its shards feeding one coordinator-side
+merge, and a plain one into a single task; shards share traces and ADMs
+through the content-keyed artifact cache (:mod:`repro.runner.common`).
 
 ``render(value)`` must be a cheap pure function of the structured value:
 runners call it after (possibly remote or cached) execution, which is
@@ -37,8 +30,8 @@ what guarantees serial, parallel, and cached runs emit byte-identical
 text.
 
 Because shards may execute on remote workers, everything a spec puts in
-``params``, shard dicts, and prepare units must survive the task-payload
-wire codec (:mod:`repro.core.serialization`) *exactly* — JSON scalars,
+``params`` and shard dicts must survive the task-payload wire codec
+(:mod:`repro.core.serialization`) *exactly* — JSON scalars,
 lists/tuples/dicts of them, or values whose pickle round-trips.  Enum
 members should be shipped as their ``.value`` (the existing convention);
 ``tests/test_runner_remote.py`` pins the round-trip for every
@@ -78,10 +71,6 @@ class Experiment:
         scale_days: Maps the CLI ``--days`` knob to parameter overrides.
         shards / run_shard / merge: Sharded execution triple (see module
             docstring); all three or none.
-        prepares / run_prepare: Optional cache-warming stages of the
-            shard graph (see module docstring); both or neither.
-        shard_needs: Optional map from a shard to the prepare-unit
-            indices it depends on; requires ``prepares`` and ``shards``.
         cacheable: Whether results may be replayed from the cache
             (timing experiments opt out).
         deterministic: Whether identical params imply identical values
@@ -102,9 +91,6 @@ class Experiment:
     shards: Callable[[dict], list[dict]] | None = None
     run_shard: Callable[..., Any] | None = None
     merge: Callable[[dict, list[dict], list[Any]], Any] | None = None
-    prepares: Callable[[dict], list[dict]] | None = None
-    run_prepare: Callable[..., Any] | None = None
-    shard_needs: Callable[[dict, dict], list[int]] | None = None
     cacheable: bool = True
     deterministic: bool = True
 
@@ -121,18 +107,6 @@ class Experiment:
             raise ConfigurationError(
                 f"experiment {self.name!r} has no way to execute: "
                 "provide fn or a shard triple"
-            )
-        if (self.prepares is None) != (self.run_prepare is None):
-            raise ConfigurationError(
-                f"experiment {self.name!r} must define both of "
-                "prepares/run_prepare or neither"
-            )
-        if self.shard_needs is not None and (
-            self.prepares is None or self.shards is None
-        ):
-            raise ConfigurationError(
-                f"experiment {self.name!r} declares shard_needs without "
-                "a prepare stage and shards to connect"
             )
         if self.cacheable and not self.deterministic:
             raise ConfigurationError(
@@ -216,53 +190,6 @@ class Experiment:
         assert self.run_shard is not None
         return self.run_shard(**{**params, **shard})
 
-    # ------------------------------------------------------------------
-    # Shard graph
-    # ------------------------------------------------------------------
-
-    def prepare_units(self, params: dict[str, Any]) -> list[dict[str, Any]]:
-        """The cache-warming stages of this experiment's shard graph.
-
-        Each unit is a kwargs dict for :meth:`execute_prepare`; the
-        reserved ``"after"`` key (a list of unit indices) declares
-        intra-stage dependencies and is stripped before the call.
-        """
-        if self.prepares is None:
-            return []
-        units = self.prepares(params)
-        for index, unit in enumerate(units):
-            for dep in unit.get("after", ()):
-                if not 0 <= dep < len(units) or dep == index:
-                    raise ConfigurationError(
-                        f"experiment {self.name!r} prepare unit {index} "
-                        f"names an invalid dependency {dep}"
-                    )
-        return units
-
-    def execute_prepare(self, params: dict[str, Any], unit: dict[str, Any]) -> Any:
-        """Run one prepare unit (for its cache side effect)."""
-        assert self.run_prepare is not None
-        kwargs = {key: value for key, value in unit.items() if key != "after"}
-        return self.run_prepare(**{**params, **kwargs})
-
-    def shard_prepare_deps(
-        self,
-        params: dict[str, Any],
-        shard: dict[str, Any],
-        n_units: int,
-    ) -> list[int]:
-        """Which prepare units a shard must wait for (default: all)."""
-        if self.shard_needs is None:
-            return list(range(n_units))
-        deps = self.shard_needs(params, shard)
-        for dep in deps:
-            if not 0 <= dep < n_units:
-                raise ConfigurationError(
-                    f"experiment {self.name!r} shard {shard!r} needs an "
-                    f"invalid prepare unit {dep}"
-                )
-        return list(deps)
-
     def execute(
         self, params: dict[str, Any] | None = None, days: int | None = None
     ) -> Any:
@@ -318,8 +245,6 @@ def experiment(
     params: tuple[Param, ...] = (),
     tags: frozenset[str] | set[str] | tuple[str, ...] = (),
     scale_days: Callable[[int], dict[str, Any]] | None = None,
-    prepares: Callable[[dict], list[dict]] | None = None,
-    run_prepare: Callable[..., Any] | None = None,
     cacheable: bool = True,
     deterministic: bool = True,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
@@ -336,8 +261,6 @@ def experiment(
                 params=params,
                 tags=frozenset(tags),
                 scale_days=scale_days,
-                prepares=prepares,
-                run_prepare=run_prepare,
                 cacheable=cacheable,
                 deterministic=deterministic,
             )

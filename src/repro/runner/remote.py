@@ -26,8 +26,10 @@ Correctness is anchored by three handshake checks on every connection:
   code_fingerprint`), otherwise a shard computed remotely could differ
   from the serial oracle;
 * **shared cache dir** — when the coordinator has a disk tier it drops
-  a sync beacon and the worker must see the same file, proving prepare
-  stages warm storage the worker's shards can actually read.
+  a sync beacon and the worker must see the same file, proving the
+  worker reads and writes the coordinator's disk tier and spill
+  directory: a trace or ADM one shard stored is there for every other
+  worker, and a spilled result token resolves on the coordinator.
 
 Failure semantics: a task exception on the worker comes back typed and
 re-raises in the coordinator as :class:`RemoteTaskError` (the scheduler
@@ -612,7 +614,6 @@ class RemoteExecutor:
     """
 
     name = "remote"
-    shares_memory = False
 
     def __init__(
         self,

@@ -6,7 +6,8 @@ ready tasks start in deterministic submission order, and at most the
 slot budget runs at once.  Because the union of several experiments'
 graphs is just one bigger DAG, shards of different experiments
 interleave freely — a long sweep no longer serializes the suite behind
-it — and cache-warming prepare tasks overlap with unrelated compute.
+it.  The graph runner builds shards-feed-one-merge graphs, but the
+scheduler runs any DAG.
 
 Execution is delegated to a caller-supplied ``execute`` callable (run
 in a worker thread or handed to a process pool or remote worker by the

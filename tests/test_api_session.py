@@ -70,8 +70,8 @@ def test_sweep_validates_parameters_through_resolve(tmp_path):
 
 
 def test_sweep_shares_prepares_across_points(tmp_path):
-    """The scenario-diversity unlock: a 3-point sweep of a
-    prepare-bearing experiment schedules the shared trace prepare
+    """The scenario-diversity unlock: the points of a 3-point sweep
+    share their trace through the artifact cache, so it is generated
     exactly once, not once per point."""
     session = Session(cache_dir=str(tmp_path / "cache"))
     sweep = session.sweep(
@@ -82,12 +82,6 @@ def test_sweep_shares_prepares_across_points(tmp_path):
     )
     assert len(sweep.outcomes) == 3
     assert sweep.profile is not None
-    prep_records = [
-        record
-        for record in sweep.profile.scheduler_profile().tasks
-        if "/prep" in record.label
-    ]
-    assert len(prep_records) == 1, "shared prepare must be scheduled once"
     assert sweep.profile.cache_stats.get("trace.puts") == 1, (
         "the shared trace must be generated exactly once across the sweep"
     )
@@ -207,18 +201,6 @@ def test_cache_policy_refresh_forces_recompute(tmp_path):
     fresh = session.submit("fig3", days=2, cache=CachePolicy.refresh())
     assert not fresh.cached, "read_results=False must force recomputation"
     assert fresh.rendered == first.rendered
-
-
-def test_batch_policy_conflicts_are_rejected(tmp_path):
-    session = Session(cache_dir=str(tmp_path / "c"))
-    serial = RunnerPolicy(backend="serial")
-    graph = RunnerPolicy(backend="async", jobs=2)
-    requests = [
-        RunRequest.build("fig3", days=2, runner=serial),
-        RunRequest.build("fig6", days=2, runner=graph),
-    ]
-    with pytest.raises(ConfigurationError, match="conflicting"):
-        session.run(requests)
 
 
 def test_runner_policy_validation():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.events import collect_events
 from repro.runner import (
     AsyncShardRunner,
@@ -13,13 +12,9 @@ from repro.runner import (
     get_cache,
     set_cache,
 )
+from repro.runner.async_graph import GraphSummary
 from repro.runner.cache import ArtifactCache, configure_cache
-from repro.runner.registry import (
-    Experiment,
-    all_experiments,
-    get_experiment,
-    unregister,
-)
+from repro.runner.registry import Experiment, all_experiments, unregister
 
 SMALL_REQUESTS = [
     ("fig3", {"n_days": 3, "seed": 1}),
@@ -124,7 +119,6 @@ def test_profile_reports_tasks_and_cache_traffic(fresh_cache):
         runner.run(_requests([("fig3", {"n_days": 2, "seed": 22})]))
     profile = events.scheduler_profile()
     labels = {record.label for record in profile.tasks}
-    assert any(label.startswith("fig3/prep") for label in labels)
     assert any(label.startswith("fig3/shard") for label in labels)
     assert "fig3/merge" in labels
     assert profile.wall_seconds > 0
@@ -202,32 +196,6 @@ def test_shard_exception_propagates_and_skips_merge():
         unregister(exp.name)
 
 
-def test_cyclic_prepare_graph_is_rejected_before_execution():
-    from repro.runner.registry import register
-
-    exp = register(
-        Experiment(
-            name="cyclic-async",
-            artifact="synthetic cyclic",
-            title="cyclic prepare fixture",
-            render=str,
-            shards=lambda params: [{"part": 0}],
-            run_shard=lambda part: part,
-            merge=lambda params, shards, parts: parts,
-            prepares=lambda params: [
-                {"op": "a", "after": [1]},
-                {"op": "b", "after": [0]},
-            ],
-            run_prepare=lambda **kwargs: None,
-        )
-    )
-    try:
-        with pytest.raises(ConfigurationError, match="cycle"):
-            AsyncShardRunner(jobs=2).build_graph([RunRequest(exp.name, {})])
-    finally:
-        unregister(exp.name)
-
-
 def test_dry_run_planning_touches_no_cache(fresh_cache):
     runner = AsyncShardRunner(jobs=2)
     with collect_events() as events:
@@ -235,63 +203,40 @@ def test_dry_run_planning_touches_no_cache(fresh_cache):
             [RunRequest("tab5", {"n_days": 5, "training_days": 3, "seed": 2})]
         )
     assert summaries[0].shards == 8
-    assert summaries[0].prepares == 10
     assert len(tasks) == summaries[0].tasks
     assert events.cache_stats == {}
 
 
-def test_identical_prepare_units_dedup_across_experiments():
-    """fig10 / tab6 / tab7 all warm house traces and analyses with the
-    same kwargs; the union graph must carry each warm-up once."""
+def test_every_graph_is_shards_feeding_one_merge():
+    """At its default parameters, a sharded experiment's graph is exactly
+    its shards plus one coordinator-side merge that depends on all of
+    them, and a plain experiment's is one dependency-free ``plain`` task:
+    shards reach shared traces and ADMs through the cache, not through
+    graph stages."""
     runner = AsyncShardRunner(jobs=2)
-    shared = {"n_days": 5, "training_days": 3, "seed": 5}
-    tasks, summaries = runner.build_graph(
-        [
-            RunRequest("fig10", dict(shared)),
-            RunRequest("tab6", dict(shared)),
-            RunRequest("tab7", dict(shared)),
+    for exp in all_experiments():
+        request = RunRequest.build(exp.name)
+        tasks, summaries = runner.build_graph([request])
+        params = request.params
+        if not exp.shardable:
+            assert [(t.key, t.payload, t.deps) for t in tasks] == [
+                ((0, "run"), ("plain", exp.name, params, None), ())
+            ], exp.name
+            assert summaries == [GraphSummary(exp.name, shards=0, tasks=1)]
+            continue
+        shards = exp.shard_params(params)
+        shard_keys = [(0, "shard", index) for index in range(len(shards))]
+        *shard_tasks, merge = tasks
+        assert [(t.key, t.payload, t.deps) for t in shard_tasks] == [
+            (key, ("shard", exp.name, params, shard), ())
+            for key, shard in zip(shard_keys, shards)
+        ], exp.name
+        assert merge.key == (0, "merge") and merge.local, exp.name
+        assert merge.payload == ("merge", exp.name, params, shards), exp.name
+        assert merge.deps == tuple(shard_keys), exp.name
+        assert summaries == [
+            GraphSummary(exp.name, shards=len(shards), tasks=len(shards) + 1)
         ]
-    )
-    by_name = {s.name: s for s in summaries}
-    assert by_name["fig10"].tasks == 7  # 4 prepares + 2 shards + merge
-    # tab6/tab7 declare the same 4 prepare units; all alias fig10's.
-    assert by_name["tab6"].tasks == 3
-    assert by_name["tab7"].tasks == 3
-    prep_tasks = [t for t in tasks if t.payload[0] == "prepare"]
-    assert len(prep_tasks) == 4
-    # tab6's shards depend on fig10's canonical prepare nodes.
-    tab6_shards = [
-        t for t in tasks if t.payload[0] == "shard" and t.key[0] == 1
-    ]
-    assert all(dep[0] == 0 for shard in tab6_shards for dep in shard.deps)
-
-
-def test_prepare_dedup_ignores_catchall_swallowed_params():
-    """fig3 and fig4 carry different extra parameters, but their house-A
-    trace warm-ups call standard_prepare with the same consumed kwargs —
-    one graph node, no cold-cache stampede."""
-    runner = AsyncShardRunner(jobs=2)
-    tasks, _ = runner.build_graph(
-        [
-            RunRequest("fig3", {"n_days": 5, "seed": 2023}),
-            RunRequest(
-                "fig4",
-                {
-                    "n_days": 5,
-                    "seed": 2023,
-                    "min_pts_values": [3],
-                    "k_values": [2],
-                },
-            ),
-        ]
-    )
-    trace_preps = [
-        t
-        for t in tasks
-        if t.payload[0] == "prepare" and t.payload[3].get("op") == "trace"
-        and t.payload[3].get("house") == "A"
-    ]
-    assert len(trace_preps) == 1, "identical trace warm-ups must merge"
 
 
 def test_concurrent_same_key_puts_do_not_collide(tmp_path):
@@ -336,23 +281,9 @@ def test_process_mode_profile_sees_worker_cache_traffic(fresh_cache):
     assert stats.get("trace.puts", 0) >= 1, "worker trace traffic missing"
 
 
-@pytest.mark.slow
-def test_memory_only_cache_skips_prepares_in_process_mode():
-    """A process worker cannot share its memory tier, so warming it
-    would be pure extra compute — the run must drop the prepare stage."""
-    memory_only = ArtifactCache(memory=True, disk_dir=None)
-    runner = AsyncShardRunner(
-        jobs=2, executor=ProcessExecutor(2), cache=memory_only
-    )
-    with collect_events() as events:
-        outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
-    labels = {r.label for r in events.scheduler_profile().tasks}
-    assert outcomes[0].rendered
-    assert not any("prep" in label for label in labels)
-
-
 def test_prepares_skipped_when_cache_disabled():
-    """Warming a cache nobody can read would double the compute."""
+    """With the cache disabled, fig3 still runs as its shards and merge
+    and nothing else."""
     with cache_disabled(), collect_events() as events:
         runner = AsyncShardRunner(jobs=2)
         outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
@@ -360,9 +291,3 @@ def test_prepares_skipped_when_cache_disabled():
     assert outcomes[0].rendered
     assert not any("prep" in label for label in labels)
     assert {"fig3/shard0", "fig3/shard1", "fig3/merge"} <= labels
-
-
-def test_shard_needs_validation():
-    exp = get_experiment("fig3")
-    with pytest.raises(ConfigurationError, match="invalid prepare unit"):
-        exp.shard_prepare_deps({}, {"house": "A"}, n_units=0)

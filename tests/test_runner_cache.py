@@ -17,6 +17,8 @@ from repro.core.serialization import (
     decode_artifact,
     encode_artifact,
 )
+from repro.core.shatter import StudyConfig
+from repro.dataset.splits import KnowledgeLevel
 from repro.dataset.synthetic import SyntheticConfig, generate_house_trace
 from repro.events import collect_events, replay_events
 from repro.home.builder import build_house_a
@@ -28,7 +30,13 @@ from repro.runner.cache import (
     get_cache,
     set_cache,
 )
-from repro.runner.common import fitted_adm, house_trace
+from repro.runner.common import (
+    analysis_for_house,
+    dataset_metrics,
+    fitted_adm,
+    house_trace,
+    params_for,
+)
 
 
 @pytest.fixture()
@@ -139,6 +147,34 @@ def test_fitted_adm_memoizes(fresh_cache):
     assert second is first, "memory tier should return the same object"
     uncached = fitted_adm(trace, home.n_zones, params, cache_token=None)
     assert uncached is not first
+
+
+def test_dataset_metrics_shares_the_defender_adm_fit(fresh_cache):
+    """Fig. 5 / Tab. IV score the defender's ADM: the same training
+    prefix and hyperparameters ShatterAnalysis fits, under the same
+    cache token, so the two callers share one fit."""
+    with collect_events() as events:
+        dataset_metrics(
+            "HAO1",
+            ClusterBackend.DBSCAN,
+            KnowledgeLevel.ALL_DATA,
+            n_days=6,
+            training_days=3,
+            seed=11,
+        )
+        analysis_for_house(
+            "A",
+            StudyConfig(
+                n_days=6,
+                training_days=3,
+                seed=11,
+                adm_params=params_for(ClusterBackend.DBSCAN),
+            ),
+        )
+    stats = events.cache_stats
+    assert stats.get("adm.misses", 0) == 1
+    assert stats.get("adm.puts", 0) == 1
+    assert stats.get("adm.hits", 0) == 1
 
 
 def test_result_round_trip(tmp_path):

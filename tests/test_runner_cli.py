@@ -172,8 +172,8 @@ def test_dry_run_reports_graph_shape(capsys):
     row = next(
         line for line in out.splitlines() if line.startswith("fig6")
     )
-    # fig6: trace + two ADM fits feed two shards and a merge (6 tasks).
-    assert row.split() == ["fig6", "3", "2", "6"]
+    # fig6: two shards feed a merge (3 tasks).
+    assert row.split() == ["fig6", "2", "3"]
 
 
 def test_profile_prints_scheduler_telemetry(tmp_path, capsys):

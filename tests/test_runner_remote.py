@@ -105,16 +105,12 @@ def test_task_payload_versioned():
 
 
 def test_every_registered_payload_survives_the_wire():
-    """Each experiment's resolved params, shard dicts, and prepare units
-    must round-trip exactly — a payload the codec mangles would make a
-    remote shard compute something else."""
+    """Each experiment's resolved params and shard dicts must round-trip
+    exactly — a payload the codec mangles would make a remote shard
+    compute something else."""
     for exp in all_experiments():
         params = exp.resolve(days=5)
-        units = exp.prepare_units(params)
         shards = exp.shard_params(params) if exp.shardable else [None]
-        for unit in units:
-            payload = ("prepare", exp.name, params, unit)
-            assert task_payload_from_wire(task_payload_to_wire(payload)) == payload
         for shard in shards:
             op = "shard" if exp.shardable else "plain"
             payload = (op, exp.name, params, shard)
@@ -171,7 +167,7 @@ def test_handshake_rejects_protocol_mismatch(worker_pair):
 
 def test_shared_cache_dir_mismatch_is_rejected(tmp_path, fresh_cache):
     """A worker looking at different storage than the coordinator must
-    be refused: its shards could never read what prepares warmed."""
+    be refused: its shards could never read what other workers stored."""
     elsewhere = ArtifactCache(memory=True, disk_dir=tmp_path / "other")
     server = WorkerServer(cache=elsewhere)
     address = server.start_background()
