@@ -10,7 +10,9 @@ at the repository root (the committed file documents the speedups on
 the reference machine).  ``simulate_batch`` has no scalar arm: its
 entry times per-job runs against the stacked kernel at one fleet size
 on each side of the stacking threshold, the measurement the threshold
-is set from.
+is set from.  Nor has ``fleet_geometry``: it times a k-means fleet's
+ADM fits and, separately, their stay tables and stealth oracles, and
+checks every table row against the scalar ``union_stay_ranges``.
 
 Usage::
 
@@ -520,6 +522,71 @@ def bench(smoke: bool) -> dict:
         "speedup": before_s / after_s,
     }
 
+    # --- fleet ADM geometry (fits, stay tables, stealth oracles) --------
+    from repro.core.serialization import (
+        cluster_adm_from_arrays,
+        cluster_adm_to_arrays,
+    )
+    from repro.runner.common import params_for
+
+    geometry_homes = 4 if smoke else 16
+    geometry_fleet = [
+        (g_home, split_days(g_trace, 2)[0])
+        for g_home, g_trace in generate_home_fleet(
+            geometry_homes, n_zones=4, n_days=6, seed=47
+        )
+    ]
+    kmeans_params = params_for(ClusterBackend.KMEANS)
+    fit_s, geometry_adms = _best_of(
+        rounds,
+        lambda: [
+            ClusterADM(kmeans_params).fit(g_train, g_home.n_zones)
+            for g_home, g_train in geometry_fleet
+        ],
+    )
+    # Every round builds the tables and oracles of fresh ADM copies
+    # (an ADM caches its stay tables), made outside the timed region.
+    unbuilt = [
+        [cluster_adm_from_arrays(cluster_adm_to_arrays(adm)) for adm in geometry_adms]
+        for _ in range(rounds)
+    ]
+
+    def tables_and_oracles():
+        adms = unbuilt.pop()
+        for adm in adms:
+            for occupant in range(adm.n_occupants):
+                _StealthOracle(adm, occupant, adm.n_zones)
+        return adms
+
+    geometry_s, built = _best_of(rounds, tables_and_oracles)
+    hull_kinds = [0, 0, 0]
+    rows_with_intervals = 0
+    n_rows = 0
+    for adm in built:
+        for occupant in range(adm.n_occupants):
+            for zone in range(adm.n_zones):
+                hulls = adm.hulls(occupant, zone)
+                table = adm.stay_table(occupant, zone)
+                for arrival in range(table.n_arrivals):
+                    assert table.intervals(arrival) == union_stay_ranges(
+                        hulls, float(arrival)
+                    )
+                for hull in hulls:
+                    hull_kinds[min(hull.n_vertices, 3) - 1] += 1
+                rows_with_intervals += int(np.count_nonzero(table.counts))
+                n_rows += table.n_arrivals
+    results["fleet_geometry"] = {
+        "workload": (
+            f"{geometry_homes}-home k-means fleet (4 zones, 6 days, 2 training "
+            "days): the ADM fits, then every stay table and both stealth "
+            "oracles of each home"
+        ),
+        "fit_s": fit_s,
+        "tables_oracles_s": geometry_s,
+        "hulls": dict(zip(("points", "segments", "polygons"), hull_kinds)),
+        "rows_with_intervals": rows_with_intervals / n_rows,
+    }
+
     # --- simulate (7-day closed loop; 2-day in smoke) -------------------
     sim_days = 2 if smoke else 7
     sim_trace = generate_house_trace(
@@ -840,6 +907,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"{kernel:18s} base {numbers['rss_base_kb']:10.0f}KB  "
                 f"10x {numbers['rss_10x_kb']:10.0f}KB  "
                 f"ratio {numbers['ratio']:6.2f}x"
+            )
+        elif "fit_s" in numbers:
+            print(
+                f"{kernel:18s} fits {numbers['fit_s']:8.4f}s  "
+                f"tables+oracles {numbers['tables_oracles_s']:8.4f}s"
             )
         else:
             print(f"{kernel:18s} {numbers['seconds']:8.4f}s")

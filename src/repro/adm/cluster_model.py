@@ -190,10 +190,11 @@ class ClusterADM:
 
         Row ``a`` of the returned table equals
         ``self.stay_ranges(occupant, zone, float(a))`` bit for bit, for
-        all 1440 arrivals, computed in one batched geometry pass and
-        cached until the next :meth:`fit`.  This is the table the attack
-        scheduler's per-day DP feeds on instead of querying stay ranges
-        one ``(zone, arrival)`` pair at a time.
+        all 1440 arrivals, and is cached until the next :meth:`fit`.
+        :func:`stay_range_table` slices the hulls only at the arrivals
+        inside some hull's x-range; every other row is empty.  This is
+        the table the attack scheduler's per-day DP feeds on instead of
+        querying stay ranges one ``(zone, arrival)`` pair at a time.
         """
         self._require_fitted()
         key = (occupant, zone)

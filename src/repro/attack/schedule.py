@@ -127,9 +127,12 @@ class _StealthOracle:
     """Table-backed ADM stay queries for one occupant.
 
     The construction pulls, per zone, the full 1440-arrival merged stay
-    interval table from :meth:`ClusterADM.stay_table` (one batched
-    geometry pass per zone) and derives the scheduler's integer-minute
-    feasibility arrays from it in vectorized form:
+    interval table from :meth:`ClusterADM.stay_table` and derives the
+    scheduler's integer-minute feasibility arrays from it in vectorized
+    form.  Only the (zone, arrival) rows holding an interval are
+    derived; every other row gets the values the derivation gives an
+    all-padding row (``-1``, ``False``, ``+inf``/``-inf``), which is
+    most of them for ADMs fitted on a few training days:
 
     * ``max_int[Z, 1440]`` / ``min_int[Z, 1440]`` — the largest/smallest
       integer stay admitted at each arrival (``-1`` when none, i.e. the
@@ -153,33 +156,43 @@ class _StealthOracle:
         tables = [adm.stay_table(occupant_id, zone) for zone in range(n_zones)]
         width = max(table.max_intervals for table in tables)
         slots = tables[0].n_arrivals
-        lows = np.full((n_zones, slots, width), np.inf)
-        highs = np.full((n_zones, slots, width), -np.inf)
-        for zone, table in enumerate(tables):
-            lows[zone, :, : table.max_intervals] = table.lows
-            highs[zone, :, : table.max_intervals] = table.highs
         counts = np.stack([table.counts for table in tables])
-        valid = np.arange(width)[None, None, :] < counts[:, :, None]
+        # Only the (zone, arrival) rows holding an interval are derived.
+        # Every other row is all padding, and the fills below are what
+        # the derivation gives padding: no stay (-1), no entry, and
+        # +inf - eps == +inf / -inf + eps == -inf bounds.
+        zone_rows, arrival_rows = np.nonzero(counts)
+        lows = np.full((len(zone_rows), width), np.inf)
+        highs = np.full((len(zone_rows), width), -np.inf)
+        for zone, table in enumerate(tables):
+            picked = zone_rows == zone
+            lows[picked, : table.max_intervals] = table.lows[arrival_rows[picked]]
+            highs[picked, : table.max_intervals] = table.highs[arrival_rows[picked]]
+        valid = np.arange(width)[None, :] < counts[zone_rows, arrival_rows][:, None]
         # Integer-duration feasibility, vectorized over every interval:
         # the largest integer stay floor(high + eps) counts only when it
         # reaches the smallest one max(1, ceil(low - eps)).
         high_int = np.floor(highs + _EPS)
         low_int = np.maximum(1.0, np.ceil(lows - _EPS))
         feasible = valid & (high_int >= low_int)
-        self.max_int = np.where(
-            feasible.any(axis=2),
-            np.max(np.where(feasible, high_int, -np.inf), axis=2),
+        self.max_int = np.full((n_zones, slots), -1, dtype=np.int64)
+        self.max_int[zone_rows, arrival_rows] = np.where(
+            feasible.any(axis=1),
+            np.max(np.where(feasible, high_int, -np.inf), axis=1),
             -1.0,
         ).astype(np.int64)
         admissible = valid & (low_int <= highs + _EPS)
-        self.min_int = np.where(
-            admissible.any(axis=2),
-            np.min(np.where(admissible, low_int, np.inf), axis=2),
+        self.min_int = np.full((n_zones, slots), -1, dtype=np.int64)
+        self.min_int[zone_rows, arrival_rows] = np.where(
+            admissible.any(axis=1),
+            np.min(np.where(admissible, low_int, np.inf), axis=1),
             -1.0,
         ).astype(np.int64)
         self.entry = self.max_int >= 0
-        self.lo = lows - _EPS
-        self.hi = highs + _EPS
+        self.lo = np.full((n_zones, slots, width), np.inf)
+        self.lo[zone_rows, arrival_rows] = lows - _EPS
+        self.hi = np.full((n_zones, slots, width), -np.inf)
+        self.hi[zone_rows, arrival_rows] = highs + _EPS
         self._tables = tables
 
     def intervals(self, zone: int, arrival: int) -> list[tuple[float, float]]:

@@ -95,8 +95,21 @@ class ConvexHull:
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
-    """Unique rows, preserving nothing about order (sorted)."""
-    return np.unique(points, axis=0)
+    """Unique rows of an ``[n, 2]`` array, sorted by x, then y.
+
+    Returns the rows ``np.unique(points, axis=0)`` returns, in the same
+    order: a stable lexsort, then a compare of each row with its sorted
+    predecessor.  NaN never equals itself, so rows holding a NaN are all
+    kept, as ``np.unique`` keeps them.  On tiny ADM clusters this is
+    several times faster than ``np.unique``'s structured-dtype sort.
+    """
+    ordered = points[np.lexsort((points[:, 1], points[:, 0]))]
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    keep[1:] = (ordered[1:, 0] != ordered[:-1, 0]) | (
+        ordered[1:, 1] != ordered[:-1, 1]
+    )
+    return ordered[keep]
 
 
 def _farthest_from_line(

@@ -32,6 +32,12 @@ from repro.geometry.convexhull import ConvexHull
 
 _EPS = 1e-9
 
+# How far outside a hull's vertex x-range an arrival may lie and still
+# go through the edge-matrix pass.  Any value above the slice epsilon is
+# exact; this one is a thousand times above it, so rounding near the
+# bound can never drop an arrival the slice tests would admit.
+_CANDIDATE_MARGIN = 1e-6
+
 
 def left_of_line_segment(
     x: float, y: float, start: np.ndarray, end: np.ndarray, tolerance: float = _EPS
@@ -363,11 +369,20 @@ def stay_range_table(
 ) -> StayRangeTable:
     """Batched :func:`union_stay_ranges` over many arrival times.
 
-    Computes, in one edge-matrix pass per hull, the merged admissible
-    stay intervals at every arrival in ``arrivals`` — the table the
-    attack scheduler's ``maxStay``/``minStay``/feasibility arrays are
-    derived from.  Row ``i`` of the result reproduces
-    ``union_stay_ranges(hulls, arrivals[i])`` bit for bit.
+    Computes the merged admissible stay intervals at every arrival in
+    ``arrivals`` — the table the attack scheduler's
+    ``maxStay``/``minStay``/feasibility arrays are derived from.  Row
+    ``i`` of the result reproduces ``union_stay_ranges(hulls,
+    arrivals[i])`` bit for bit.
+
+    Rows are independent, so the edge-matrix pass
+    (:func:`_merged_stay_rows`) runs only on the *candidate* arrivals:
+    those inside some hull's vertex x-range widened by
+    ``_CANDIDATE_MARGIN``.  Every other arrival misses every hull by
+    more than the slice epsilon, so its row is empty and stays padding.
+    ADM hulls fitted on a few training days are mostly points and short
+    segments, so a full day of arrivals usually has only a handful of
+    candidates.
 
     Args:
         hulls: The cluster hulls of one (occupant, zone) pair.
@@ -378,14 +393,52 @@ def stay_range_table(
     """
     arrivals = np.asarray(arrivals, dtype=float)
     n = len(arrivals)
-    n_hulls = len(hulls)
-    if n_hulls == 0 or n == 0:
+    rows = _candidate_rows(hulls, arrivals)
+    if len(rows) == 0:
         return StayRangeTable(
             arrivals=arrivals,
             lows=np.full((n, 1), np.inf),
             highs=np.full((n, 1), -np.inf),
             counts=np.zeros(n, dtype=np.int64),
         )
+    row_low, row_high, row_counts = _merged_stay_rows(hulls, arrivals[rows])
+    width = max(1, int(row_counts.max()))
+    lows = np.full((n, width), np.inf)
+    highs = np.full((n, width), -np.inf)
+    counts = np.zeros(n, dtype=np.int64)
+    lows[rows] = row_low[:, :width]
+    highs[rows] = row_high[:, :width]
+    counts[rows] = row_counts
+    return StayRangeTable(arrivals=arrivals, lows=lows, highs=highs, counts=counts)
+
+
+def _candidate_rows(hulls: list[ConvexHull], arrivals: np.ndarray) -> np.ndarray:
+    """Indices of the arrivals some hull's slice test could admit.
+
+    The test is the complement form the slice kernels use,
+    ``~((x < lo) | (x > hi))``, so a NaN arrival is a candidate exactly
+    as it passes their range tests.
+    """
+    inside = np.zeros(len(arrivals), dtype=bool)
+    for hull in hulls:
+        low, high = hull.x_range()
+        inside |= ~(
+            (arrivals < low - _CANDIDATE_MARGIN) | (arrivals > high + _CANDIDATE_MARGIN)
+        )
+    return np.flatnonzero(inside)
+
+
+def _merged_stay_rows(
+    hulls: list[ConvexHull], arrivals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge-matrix pass: merged intervals at every arrival given.
+
+    Returns ``(lows, highs, counts)`` with ``[N, H]`` bound arrays
+    (``H = len(hulls)``, padded with ``+inf``/``-inf``) and ``[N]``
+    counts.  ``hulls`` must not be empty.
+    """
+    n = len(arrivals)
+    n_hulls = len(hulls)
     per_low = np.full((n, n_hulls), np.inf)
     per_high = np.full((n, n_hulls), -np.inf)
     per_valid = np.zeros((n, n_hulls), dtype=bool)
@@ -431,10 +484,4 @@ def stay_range_table(
         out_low[where, slot] = cur_low[where]
         out_high[where, slot] = cur_high[where]
         counts[where] += 1
-    width = max(1, int(counts.max()))
-    return StayRangeTable(
-        arrivals=arrivals,
-        lows=out_low[:, :width],
-        highs=out_high[:, :width],
-        counts=counts,
-    )
+    return out_low, out_high, counts

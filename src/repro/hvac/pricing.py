@@ -103,9 +103,59 @@ class TouPricing:
         Returns:
             Total dollars (a numpy float for non-empty input), with each
             day's first ``battery_kwh`` of peak consumption billed
-            off-peak.  The peak mask and day index are built as arrays
-            once; the running sum stays a scalar loop so the additions
-            happen in slot order.
+            off-peak.  Bit-identical to :meth:`cost_reference`: the
+            loop's terms — one per off-peak slot, two per peak slot —
+            are laid out in its order and folded left to right by one
+            ``np.add.accumulate`` seeded with ``0.0``.  An array with a
+            negative or non-finite entry is billed by the loop itself.
+        """
+        energy_kwh = np.asarray(energy_kwh, dtype=float)
+        if len(energy_kwh) == 0:
+            return 0.0
+        if not (np.isfinite(energy_kwh).all() and (energy_kwh >= 0).all()):
+            return self.cost_reference(energy_kwh, start_slot)
+        slots = start_slot + np.arange(len(energy_kwh))
+        peak = self.is_peak_array(slots)
+        covered = self._battery_covered(energy_kwh, peak, slots // MINUTES_PER_DAY)
+        terms = np.empty((len(energy_kwh), 2))
+        terms[:, 0] = np.where(peak, covered, energy_kwh) * self.off_peak_rate
+        terms[:, 1] = (energy_kwh - covered) * self.peak_rate
+        used = np.stack([np.ones_like(peak), peak], axis=1)
+        return np.add.accumulate(np.concatenate(([0.0], terms[used])))[-1]
+
+    def _battery_covered(
+        self, energy_kwh: np.ndarray, peak: np.ndarray, days: np.ndarray
+    ) -> np.ndarray:
+        """Per-slot kWh the battery covers (read at peak slots only).
+
+        Each day's peak slots are contiguous.  Over them the battery
+        level before each slot is one sequential ``np.subtract.accumulate``
+        chain from ``battery_kwh``, which is the loop's level until the
+        first slot that needs more than is left: that slot gets the
+        rest, and every later one of the day gets nothing.  Entries must
+        be finite and non-negative.
+        """
+        covered = np.zeros(len(energy_kwh))
+        peak_slots = np.flatnonzero(peak)
+        new_day = np.flatnonzero(np.diff(days[peak_slots])) + 1
+        for day_slots in np.split(peak_slots, new_day):
+            kwh = energy_kwh[day_slots]
+            left = np.subtract.accumulate(np.concatenate(([self.battery_kwh], kwh)))
+            share = kwh.copy()
+            short = np.flatnonzero(kwh > left[:-1])
+            if len(short):
+                first = short[0]
+                share[first] = left[first]
+                share[first + 1 :] = 0.0
+            covered[day_slots] = share
+        return covered
+
+    def cost_reference(self, energy_kwh: np.ndarray, start_slot: int = 0) -> float:
+        """The slot-by-slot billing loop :meth:`cost` is bit-identical to.
+
+        The peak mask and day index are built as arrays once; the
+        running sum is a scalar loop, so the additions happen in slot
+        order.
         """
         energy_kwh = np.asarray(energy_kwh, dtype=float)
         if len(energy_kwh) == 0:

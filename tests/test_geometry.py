@@ -14,6 +14,7 @@ from repro.geometry import (
     stay_range,
     union_stay_ranges,
 )
+from repro.geometry.convexhull import _dedupe
 
 
 def test_square_hull_is_ccw():
@@ -94,6 +95,28 @@ def test_union_stay_ranges_merges_overlaps():
 def test_union_stay_ranges_empty_when_missed():
     hull = quickhull(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]))
     assert union_stay_ranges([hull], 9.0) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dedupe_returns_np_unique_rows_in_order(seed):
+    """Integer and float point sets with repeated rows, from one point
+    to past the size where ``np.unique`` stops insertion-sorting, and a
+    set with NaN rows (never equal, so all kept)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        n = int(rng.integers(1, 60))
+        if rng.random() < 0.5:
+            points = rng.integers(0, 6, size=(n, 2)).astype(float)
+        else:
+            pool = rng.uniform(0, 1440, size=(max(1, n // 3), 2))
+            points = pool[rng.integers(0, len(pool), size=n)]
+            points[:, 1][rng.random(n) < 0.3] = pool[0, 1]
+        if seed == 5:
+            points[rng.random(n) < 0.2, int(rng.integers(0, 2))] = np.nan
+        got = _dedupe(points)
+        want = np.unique(points, axis=0)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite

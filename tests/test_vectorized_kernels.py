@@ -144,6 +144,71 @@ def test_stay_range_table_matches_union_stay_ranges(seed):
                 assert glow == elow and ghigh == ehigh
 
 
+def _fleet_regime_hulls(rng: np.random.Generator) -> list:
+    """Hull sets like a 2-training-day fleet ADM's: integer vertices,
+    mostly points and segments (horizontal, vertical and diagonal), the
+    odd polygon, and the day's first and last minutes as vertices."""
+    hulls = []
+    for _ in range(rng.integers(1, 6)):
+        kind = int(rng.integers(0, 5))
+        x = rng.choice([0, 1439, rng.integers(0, 1440)])
+        anchor = np.array([float(x), float(rng.integers(1, 300))])
+        if kind == 0:
+            points = anchor[None, :]
+        elif kind == 1:  # horizontal
+            points = np.array([anchor, [float(rng.integers(0, 1440)), anchor[1]]])
+        elif kind == 2:  # vertical
+            points = np.array([anchor, [anchor[0], float(rng.integers(1, 300))]])
+        elif kind == 3:  # diagonal
+            points = np.array(
+                [anchor, [float(rng.integers(0, 1440)), float(rng.integers(1, 300))]]
+            )
+        else:
+            others = rng.integers(0, 1440, size=(int(rng.integers(2, 8)), 2))
+            points = np.concatenate([anchor[None, :], others]).astype(float)
+        hulls.append(quickhull(points))
+    return hulls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_stay_range_table_matches_scalar_tier_in_the_fleet_regime(seed):
+    """Point and segment hulls at integer x are where arrivals land on
+    hull vertices.  Every row must equal the scalar tier, on the minute
+    grid and within (and just beyond) the slice epsilon of every vertex,
+    and the whole table must equal the edge-matrix pass run over every
+    arrival.  That includes a NaN arrival, which passes the kernels'
+    range tests: its row is not empty when a non-vertical segment or a
+    polygon is present.  (The two tiers order NaN bounds differently,
+    so the scalar tier is not the oracle for that row.)"""
+    from repro.geometry.halfplane import _merged_stay_rows
+
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        hulls = _fleet_regime_hulls(rng)
+        xs = np.unique(np.concatenate([h.vertices[:, 0] for h in hulls]))
+        arrivals = np.concatenate(
+            [
+                np.arange(1440.0),
+                *(xs + offset for offset in (-2e-9, -0.5e-9, 0.5e-9, 2e-9)),
+                [np.nan],
+            ]
+        )
+        table = stay_range_table(hulls, arrivals)
+        for index, arrival in enumerate(arrivals[:-1]):
+            assert table.intervals(index) == union_stay_ranges(hulls, float(arrival))
+        lows, highs, counts = _merged_stay_rows(hulls, arrivals)
+        width = max(1, int(counts.max()))
+        assert table.lows.tobytes() == lows[:, :width].tobytes()
+        assert table.highs.tobytes() == highs[:, :width].tobytes()
+        assert table.counts.tobytes() == counts.tobytes()
+        assert table.lows.shape == (len(arrivals), width)
+        sliced_at_nan = any(
+            hull.n_vertices > 2 or hull.vertices[0, 0] != hull.vertices[-1, 0]
+            for hull in hulls
+        )
+        assert (table.counts[-1] > 0) == sliced_at_nan
+
+
 @pytest.fixture(scope="module")
 def aras_world():
     home = build_house_a()
@@ -159,11 +224,17 @@ def aras_world():
 def test_stealth_oracle_matches_adm_scalar_queries(aras_world):
     """The table-backed oracle answers exactly like per-call stay_ranges."""
     home, adm, _ = aras_world
+    _assert_oracles_match_scalar_queries(
+        adm, home.n_occupants, home.n_zones, range(0, 1440, 17)
+    )
+
+
+def _assert_oracles_match_scalar_queries(adm, n_occupants, n_zones, arrivals):
     eps = 1e-6
-    for occupant in range(home.n_occupants):
-        oracle = _StealthOracle(adm, occupant, home.n_zones)
-        for zone in range(home.n_zones):
-            for arrival in range(0, 1440, 17):
+    for occupant in range(n_occupants):
+        oracle = _StealthOracle(adm, occupant, n_zones)
+        for zone in range(n_zones):
+            for arrival in arrivals:
                 intervals = adm.stay_ranges(occupant, zone, float(arrival))
                 assert oracle.intervals(zone, arrival) == intervals
                 best = None
@@ -186,6 +257,63 @@ def test_stealth_oracle_matches_adm_scalar_queries(aras_world):
                         low - eps <= stay <= high + eps for low, high in intervals
                     )
                     assert oracle.exit_ok(zone, arrival, stay) == expected
+
+
+@pytest.fixture(scope="module")
+def fleet_adms():
+    """K-means ADMs of 2-training-day fleet homes, fitted as the
+    ``fleet_attack`` experiment fits them: nearly every hull is a point
+    or a segment, and few table rows hold an interval."""
+    from repro.runner.common import KMEANS_PARAMS
+
+    adms = []
+    for home, trace in generate_home_fleet(3, n_zones=4, n_days=6, seed=1):
+        train, _ = split_days(trace, 2)
+        adms.append((home, ClusterADM(KMEANS_PARAMS).fit(train, home.n_zones)))
+    return adms
+
+
+def test_stealth_oracle_matches_adm_scalar_queries_fleet(fleet_adms):
+    """Every arrival minute of fleet ADMs, where the oracle derives only
+    the rows that hold an interval and fills the rest."""
+    kinds = set()
+    for home, adm in fleet_adms:
+        _assert_oracles_match_scalar_queries(
+            adm, home.n_occupants, home.n_zones, range(1440)
+        )
+        for occupant in range(home.n_occupants):
+            for zone in range(home.n_zones):
+                kinds.update(min(h.n_vertices, 3) for h in adm.hulls(occupant, zone))
+    assert {1, 2} <= kinds
+
+
+@pytest.mark.parametrize("memmap_threshold", [0, None])
+def test_geometry_from_a_decoded_adm_frame_matches(
+    fleet_adms, tmp_path, memmap_threshold
+):
+    """An ADM read back from its ``.raf`` frame holds read-only hull
+    arrays; its stay tables and oracles are the in-process ones."""
+    token = ("fleet-geometry",)
+    for index, (home, adm) in enumerate(fleet_adms):
+        ArtifactCache(memory=False, disk_dir=tmp_path).put_adm(token + (index,), adm)
+        decoded = ArtifactCache(
+            memory=False, disk_dir=tmp_path, memmap_threshold=memmap_threshold
+        ).get_adm(token + (index,))
+        for occupant in range(home.n_occupants):
+            for zone in range(home.n_zones):
+                hulls = decoded.hulls(occupant, zone)
+                assert all(not hull.vertices.flags.writeable for hull in hulls)
+                got = decoded.stay_table(occupant, zone)
+                want = adm.stay_table(occupant, zone)
+                for field in ("lows", "highs", "counts"):
+                    got_array, want_array = getattr(got, field), getattr(want, field)
+                    assert got_array.tobytes() == want_array.tobytes()
+                    assert got_array.shape == want_array.shape
+            got = _StealthOracle(decoded, occupant, home.n_zones)
+            want = _StealthOracle(adm, occupant, home.n_zones)
+            for field in ("max_int", "min_int", "entry", "lo", "hi"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+                assert getattr(got, field).shape == getattr(want, field).shape
 
 
 def _schedules_equal(a, b) -> bool:
@@ -718,6 +846,47 @@ def test_tou_cost_matches_per_slot_loop():
         got = pricing.cost(energy, start_slot=start_slot)
         assert got == expected
         assert type(got) is type(expected)
+
+
+def test_tou_cost_is_the_billing_loop_bit_for_bit():
+    """The array bill against ``cost_reference``, compared as the bytes
+    of the returned ``np.float64``: multi-day arrays at random start
+    offsets with runs of zeros, a battery used up exactly at the end of
+    a slot and one used up part-way through a slot (kWh in 1/64 steps,
+    so those sums are exact), and arrays the loop bills itself (a
+    negative or non-finite entry)."""
+    rng = np.random.default_rng(31)
+    for case in range(600):
+        n_slots = int(rng.integers(1, 4 * 1440))
+        start_slot = int(rng.integers(0, 5 * 1440))
+        energy = rng.integers(0, 20, size=n_slots) / 64.0
+        for _ in range(int(rng.integers(0, 4))):
+            start = int(rng.integers(0, n_slots))
+            energy[start : start + int(rng.integers(1, 400))] = 0.0
+        pricing = TouPricing(
+            off_peak_rate=float(rng.uniform(0.0, 1.0)),
+            peak_rate=float(rng.uniform(0.0, 1.0)),
+            battery_kwh=float(rng.uniform(0.0, 20.0)),
+        )
+        peak = np.flatnonzero(pricing.is_peak_array(start_slot + np.arange(n_slots)))
+        if case % 3 and len(peak) > 1:
+            day = (start_slot + peak) // 1440
+            first_day = peak[day == day[0]]
+            used = int(rng.integers(1, len(first_day) + 1))
+            battery = float(energy[first_day[:used]].sum())
+            if case % 3 == 2:  # runs out inside the next slot with any use
+                nxt = first_day[min(used, len(first_day) - 1)]
+                energy[nxt] = 1.0
+                battery += 0.5
+            pricing = replace(pricing, battery_kwh=battery)
+        if case % 50 == 0:
+            energy[int(rng.integers(0, n_slots))] = float(
+                rng.choice([-0.25, np.nan, np.inf])
+            )
+        got = pricing.cost(energy, start_slot=start_slot)
+        want = pricing.cost_reference(energy, start_slot=start_slot)
+        assert type(got) is np.float64 and type(want) is np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 def test_gain_matrices_match_reference_loops(sim_world):
