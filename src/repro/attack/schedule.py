@@ -770,9 +770,10 @@ def _optimize_span_with_retry(
 class _SpanTask:
     """One whole-span DP problem of the batch planner.
 
-    A task is the ``(job, occupant, day, segment)`` unit of work: the
-    span bounds are minutes-of-day, the oracle and reward table identify
-    the occupant, and ``outcome`` is filled in by
+    A task is one distinct ``(job, occupant, segment)`` unit of work,
+    shared by every day whose segment poses the same problem: the span
+    bounds are minutes-of-day, the oracle and reward table identify the
+    occupant, and ``outcome`` is filled in by
     :func:`_solve_span_tasks` — ``(path, value)`` exactly as
     :func:`_optimize_span_with_retry` would have returned, or ``None``.
     """
@@ -1413,7 +1414,12 @@ def _plan_vector_job(
     work is hoisted: the oracle is memoized per ADM, the reward /
     best-activity tables are computed once per occupant (they are
     day-periodic) and the reality table once over the whole trace (its
-    per-day slices are bit-identical to per-day computation).
+    per-day slices are bit-identical to per-day computation).  So two
+    days of one occupant whose segments share bounds and forbidden
+    zones pose the same DP problem: they share one task, and each day
+    plan reads its outcome.  A row's result does not depend on its
+    batch-mates (see :func:`_optimize_spans_batch`), so this is
+    bit-identical to solving every day.
     """
     home, capability = job.home, job.capability
     trace = job.actual_trace
@@ -1423,6 +1429,7 @@ def _plan_vector_job(
     n_days = n_slots // MINUTES_PER_DAY
     zones = capability.schedulable_zones(home)
     day_plans: list[_DayPlan] = []
+    distinct: dict[tuple, _SpanTask] = {}
     for occupant in home.occupants:
         if occupant.occupant_id not in capability.occupants:
             continue
@@ -1475,17 +1482,20 @@ def _plan_vector_job(
                     if seg_end < MINUTES_PER_DAY
                     else None
                 )
-                task = _SpanTask(
-                    oracle=oracle,
-                    rewards=rewards,
-                    zones=tuple(zones),
-                    start=seg_start,
-                    end=seg_end,
-                    forbidden_first=forbidden_first,
-                    forbidden_last=forbidden_last,
-                    config=config,
-                )
-                tasks.append(task)
+                key = (oid, seg_start, seg_end, forbidden_first, forbidden_last)
+                task = distinct.get(key)
+                if task is None:
+                    task = distinct[key] = _SpanTask(
+                        oracle=oracle,
+                        rewards=rewards,
+                        zones=tuple(zones),
+                        start=seg_start,
+                        end=seg_end,
+                        forbidden_first=forbidden_first,
+                        forbidden_last=forbidden_last,
+                        config=config,
+                    )
+                    tasks.append(task)
                 plan.segments.append(
                     _SegmentPlan(
                         seg_start,
@@ -1714,11 +1724,12 @@ def shatter_schedule_batch(jobs: Sequence[ScheduleJob]) -> list[AttackSchedule]:
     """Synthesize SHATTER schedules for many homes in one array program.
 
     ``vector``-engine jobs run through a three-phase pipeline: every
-    (occupant, day, segment) of every job becomes one whole-span DP
-    task (:func:`_plan_vector_job`), compatible tasks advance together
-    as rows of the batched engine (:func:`_solve_span_tasks`), and the
-    solutions are adopted back per job in the scalar engine's original
-    order (:func:`_assemble_schedule`).  Results are bit-identical to
+    distinct (occupant, segment) problem of every job becomes one
+    whole-span DP task (:func:`_plan_vector_job`), compatible tasks
+    advance together as rows of the batched engine
+    (:func:`_solve_span_tasks`), and the solutions are adopted back per
+    job, day by day, in the scalar engine's original order
+    (:func:`_assemble_schedule`).  Results are bit-identical to
     calling :func:`shatter_schedule` per job — which itself is this
     function applied to a single job.  ``reference``/``exhaustive``
     jobs run the scalar loop unchanged.

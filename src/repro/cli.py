@@ -223,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="slot capacity advertised to the coordinator (default 1)",
+        help="slot capacity advertised to the coordinator (default 1); "
+        "N > 1 slots are N forked processes, each with its own memory "
+        "tier, and one slot runs tasks in this process",
     )
     worker_parser.add_argument(
         "--join",
@@ -707,7 +709,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     SIGTERM (and Ctrl-C) trigger a *graceful* shutdown: the in-flight
     task finishes and its result is delivered, the worker deregisters
     from its control plane (``--join`` mode), and the process exits 0 —
-    a rolling restart never loses a shard.
+    a rolling restart never loses a shard.  A pool member that dies
+    mid-task breaks the worker: it stops serving and exits 1, and its
+    coordinators retry the lost shards elsewhere.
     """
     import signal
 
@@ -751,6 +755,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         if agent is not None:
             agent.stop()  # deregisters: the plane stops leasing us now
         server.close()
+    if server.broken:
+        print("worker stopped: a pool member died mid-task", file=sys.stderr)
+        return 1
     return 0
 
 

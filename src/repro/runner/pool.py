@@ -1,15 +1,29 @@
-"""Process-pool executor: run a graph's work units on local processes.
+"""Process pools: run work units on local processes.
 
-Pool members share the coordinator's disk cache directory (writes are
-atomic rename, so concurrent writers are safe); each keeps its own
-memory tier.  Under the default ``fork`` start method members inherit
-the coordinator's configured cache; the initializer re-applies the
-configuration so ``spawn`` platforms behave the same.
+Two owners open the same pool: :class:`ProcessExecutor`, the
+coordinator's process backend (``Session(jobs=N)``, ``repro run
+--jobs N``), and a ``repro worker --jobs N`` with more than one slot
+(:class:`~repro.runner.remote.WorkerServer`), whose N slots are N
+members.
+
+Pool members share the owner's disk cache directory (writes are atomic
+rename, so concurrent writers are safe); each keeps its own memory
+tier.  Under the default ``fork`` start method members inherit the
+owner's configured cache; the initializer re-applies the configuration
+so ``spawn`` platforms behave the same.  A member ignores SIGINT, since
+a Ctrl-C reaches the whole foreground process group and the owner
+decides what an interrupt means, and it exits as soon as its owner
+process is gone, however the owner died.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.connection import wait
 from typing import Any
 
 from repro.events.model import Event
@@ -18,11 +32,48 @@ from repro.runner.cache import configure_cache, get_cache
 
 
 def _init_worker(disk_dir: str | None, memory: bool) -> None:
-    """Match a pool member's cache configuration to the coordinator's."""
+    """Set up a pool member: ignore Ctrl-C, exit with the owner, and
+    match the owner's cache configuration."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with, args=(parent.sentinel,), daemon=True
+        ).start()
     current = get_cache()
     current_dir = str(current.disk_dir) if current.disk_dir else None
     if current_dir != disk_dir or current.memory_enabled != memory:
         configure_cache(memory=memory, disk_dir=disk_dir)
+
+
+def _exit_with(parent_sentinel: int) -> None:
+    """Block until the owner process is gone, then end this member at
+    once (a SIGKILLed owner runs no shutdown that could stop it)."""
+    wait([parent_sentinel])
+    os._exit(1)
+
+
+def open_pool(jobs: int) -> ProcessPoolExecutor:
+    """A ``jobs``-member pool configured from the active cache."""
+    cache = get_cache()
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_init_worker,
+        initargs=(
+            str(cache.disk_dir) if cache.disk_dir else None,
+            cache.memory_enabled,
+        ),
+    )
+
+
+def run_in_pool(
+    pool: ProcessPoolExecutor, payload: tuple, spill: bool
+) -> tuple[Any, str | None, float, list[Event]]:
+    """Run one payload on a member: ``(value, spill token, compute
+    seconds, events)`` as :func:`~repro.runner.async_graph.
+    _execute_shipping` returns them, the token not yet redeemed.
+    Raises ``BrokenProcessPool`` when a member died."""
+    return pool.submit(_execute_shipping, payload, spill).result()
 
 
 class ProcessExecutor:
@@ -48,15 +99,7 @@ class ProcessExecutor:
         return self._pool is not None
 
     def open(self) -> None:
-        cache = get_cache()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.slots["local"],
-            initializer=_init_worker,
-            initargs=(
-                str(cache.disk_dir) if cache.disk_dir else None,
-                cache.memory_enabled,
-            ),
-        )
+        self._pool = open_pool(self.slots["local"])
 
     def close(self) -> None:
         if self._pool is not None:
@@ -65,9 +108,7 @@ class ProcessExecutor:
 
     def run(self, worker: str, payload: tuple) -> tuple[Any, float, list[Event]]:
         assert self._pool is not None, "open() the executor first"
-        value, token, seconds, events = self._pool.submit(
-            _execute_shipping, payload, True
-        ).result()
+        value, token, seconds, events = run_in_pool(self._pool, payload, True)
         if token is not None:
             value = get_cache().take_spill(token)
         return value, seconds, events

@@ -31,10 +31,17 @@ Correctness is anchored by three handshake checks on every connection:
   directory: a trace or ADM one shard stored is there for every other
   worker, and a spilled result token resolves on the coordinator.
 
+A worker's slots are where its tasks run.  A one-slot worker runs each
+task on the handler thread of the connection that sent it.  A worker
+with ``--jobs N`` slots, N > 1, forks an N-member process pool
+(:mod:`repro.runner.pool`) before it serves, and each task runs in a
+member, so N tasks do not share one GIL; every member keeps its own
+memory tier and shares the disk tier.
+
 Failure semantics: a task exception on the worker comes back typed and
 re-raises in the coordinator as :class:`RemoteTaskError` (the scheduler
 wraps it with the task identity); a *transport* failure — the worker
-process died, the host vanished — raises
+process died, the host vanished, a pool member died mid-task — raises
 :class:`~repro.runner.scheduler.WorkerLostError`, which the scheduler
 answers by retiring the worker's slots and retrying the task on a
 survivor.  Merge and render never leave the coordinator, so remote runs
@@ -60,6 +67,8 @@ import subprocess
 import sys
 import threading
 import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Sequence
@@ -81,6 +90,7 @@ from repro.events.model import (
 )
 from repro.runner.async_graph import _execute_shipping
 from repro.runner.cache import ArtifactCache, code_fingerprint, get_cache
+from repro.runner.pool import open_pool, run_in_pool
 from repro.runner.scheduler import WorkerLostError
 
 # Version 2: a result frame carries the events its task emitted.
@@ -218,7 +228,10 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                 # still in flight to the coordinator.
                 owner._mark_busy(token, True)
                 try:
-                    _send(self.wfile, self._run_task(message))
+                    reply = self._run_task(owner, message)
+                    if reply is None:
+                        return  # no result: the coordinator sees a lost worker
+                    _send(self.wfile, reply)
                 finally:
                     owner._mark_busy(token, False)
                 if owner.is_draining():
@@ -235,14 +248,16 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                     },
                 )
 
-    def _run_task(self, message: dict) -> dict:
+    def _run_task(self, owner: "WorkerServer", message: dict) -> dict | None:
+        """The result frame for one task frame, or ``None`` when a pool
+        member died running it."""
         try:
             payload = task_payload_from_wire(message.get("payload") or {})
             # A coordinator with a disk tier marks the task spillable:
             # the beacon handshake already proved both sides see the
             # same storage, so a large result can travel as a token
             # instead of megabytes of JSON.
-            value, token, seconds, events = _execute_shipping(
+            value, token, seconds, events = owner._execute(
                 payload, bool(message.get("spill_ok"))
             )
             reply = {
@@ -256,6 +271,11 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
             else:
                 reply["value"] = encode_wire_value(value)
             return reply
+        except BrokenProcessPool:
+            # Not the task's failure: the shard must retry on another
+            # worker, and this one can serve nothing more.
+            owner._break()
+            return None
         except BaseException as error:  # shipped to coordinator
             return {
                 "type": "result",
@@ -278,11 +298,18 @@ class WorkerServer:
     """Serves shard-task payloads over TCP (the ``repro worker`` core).
 
     ``capacity`` is advertised to coordinators, which lease that many
-    concurrent slots; the server itself handles each connection in its
-    own thread and trusts the coordinator to respect the lease.
-    ``cache`` overrides the cache used for the shared-dir beacon check
-    (tests); task execution always goes through the process-global
-    cache, which the CLI configures from ``--cache-dir``.
+    concurrent slots, and the server trusts them to respect the lease.
+    Each connection is served by its own handler thread.  With one slot
+    that thread runs the task itself.  With more, :meth:`start` forks a
+    ``capacity``-member process pool (:mod:`repro.runner.pool`) and
+    every task runs in a member, so the slots do not share one GIL.
+    Each member keeps its own memory tier.  A member that dies mid-task
+    breaks the pool: the connections it served drop without a result,
+    which their coordinators see as a lost worker, and the server stops
+    serving (:attr:`broken`).  ``cache`` overrides the cache used for
+    the shared-dir beacon check (tests); task execution always goes
+    through the process-global cache, which the CLI configures from
+    ``--cache-dir``.
     """
 
     def __init__(
@@ -299,7 +326,9 @@ class WorkerServer:
         self._cache = cache
         self._server: _WorkerTCPServer | None = None
         self._thread: threading.Thread | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._ever_served = False
+        self.broken = False
         # Graceful-shutdown bookkeeping: which coordinator connections
         # exist and which are mid-task right now.
         self._state_lock = threading.Lock()
@@ -319,11 +348,32 @@ class WorkerServer:
         return f"{host}:{port}"
 
     def start(self) -> str:
-        """Bind the listening socket; returns the bound ``host:port``."""
-        server = _WorkerTCPServer((self._host, self._port), _WorkerHandler)
+        """Fork the pool members (more than one slot), then bind the
+        listening socket; returns the bound ``host:port``."""
+        if self.capacity > 1:
+            self._pool = open_pool(self.capacity)
+            # Fork every member now: this process has no serving,
+            # handler or heartbeat thread yet, and no listening socket
+            # for a member to inherit.
+            for future in [self._pool.submit(os.getpid) for _ in range(self.capacity)]:
+                future.result()
+        try:
+            server = _WorkerTCPServer((self._host, self._port), _WorkerHandler)
+        except BaseException:
+            self._close_pool()
+            raise
         server.owner = self
         self._server = server
         return self.address
+
+    def _execute(
+        self, payload: tuple, spill: bool
+    ) -> tuple[Any, str | None, float, list[Event]]:
+        """Run one payload: in a pool member, or on the calling handler
+        thread when the server has one slot."""
+        if self._pool is None:
+            return _execute_shipping(payload, spill)
+        return run_in_pool(self._pool, payload, spill)
 
     def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -411,6 +461,17 @@ class WorkerServer:
         (only meaningful after :meth:`begin_graceful_shutdown`)."""
         return self._drained.wait(timeout)
 
+    def _break(self) -> None:
+        """A pool member died: the pool is gone, so stop serving (the
+        ``repro worker`` process then exits non-zero)."""
+        self.broken = True
+        self.begin_graceful_shutdown()
+
+    def _close_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
     def close(self) -> None:
         if self._server is not None:
             if self._ever_served:
@@ -422,6 +483,7 @@ class WorkerServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._close_pool()
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,18 @@
 In-process :class:`WorkerServer` threads share the test's registry and
 cache, so synthetic experiments and crash scenarios are exact; one
 end-to-end test (and the slow tagged-subset equality test) goes through
-real ``repro worker`` subprocesses via ``workers="local:N"``.
+real ``repro worker`` subprocesses via ``workers="local:N"``.  A server
+with two slots forks its pool members when it starts, so every test
+registers its experiments and configures its cache before that.
 """
 
 import json
+import multiprocessing
+import os
+import signal
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +62,10 @@ def worker_pair():
     yield addresses
     for server in servers:
         server.close()
+
+
+def _member_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +151,41 @@ def test_worker_executes_payload(fresh_cache, worker_pair):
             e for e in events if isinstance(e, CachePut) and e.tier == "trace"
         ]
         assert len(trace_puts) >= 1, "telemetry must ship back"
+
+
+def test_pooled_worker_runs_tasks_in_its_members(fresh_cache):
+    """A two-slot worker runs every task in one of the two processes it
+    forked at start; a one-slot worker runs it on its handler thread."""
+    exp = register(
+        Experiment(
+            name="where-am-i",
+            artifact="synthetic where-am-i",
+            title="worker process fixture",
+            render=str,
+            shards=lambda params: [{"part": 0}],
+            run_shard=lambda part: os.getpid(),
+            merge=lambda params, shards, parts: list(parts),
+            cacheable=False,
+            deterministic=False,
+        )
+    )
+    known = _member_pids()
+    pooled, single = WorkerServer(capacity=2), WorkerServer()
+    try:
+        addresses = [pooled.start_background(), single.start_background()]
+        members = _member_pids() - known
+        assert len(members) == 2, "start() forks one member per slot"
+        payload = ("shard", exp.name, {}, {"part": 0})
+        with RemoteExecutor(addresses, cache=fresh_cache) as executor:
+            assert executor.slots == {addresses[0]: 2, addresses[1]: 1}
+            ran_on = {executor.run(addresses[0], payload)[0] for _ in range(4)}
+            assert executor.run(addresses[1], payload)[0] == os.getpid()
+        assert ran_on and ran_on <= members
+    finally:
+        pooled.close()
+        single.close()
+        unregister(exp.name)
+    assert not members & _member_pids(), "close() must stop every member"
 
 
 def test_worker_ping_and_remote_error(fresh_cache, worker_pair):
@@ -271,6 +316,20 @@ def test_spill_disabled_without_shared_disk(worker_pair):
 
 
 def test_remote_matches_serial_byte_for_byte(fresh_cache, worker_pair):
+    _assert_remote_matches_serial(worker_pair, capacity=1)
+
+
+def test_pooled_remote_matches_serial_byte_for_byte(fresh_cache):
+    """The same run through one two-slot worker, whose tasks run in its
+    forked pool members."""
+    server = WorkerServer(capacity=2)
+    try:
+        _assert_remote_matches_serial([server.start_background()], capacity=2)
+    finally:
+        server.close()
+
+
+def _assert_remote_matches_serial(addresses, capacity):
     requests = [
         ("fig3", {"n_days": 3, "seed": 1}),
         ("fig6", {"n_days": 4, "seed": 3}),
@@ -279,7 +338,7 @@ def test_remote_matches_serial_byte_for_byte(fresh_cache, worker_pair):
         serial = SerialRunner().run(
             [RunRequest(name, dict(params)) for name, params in requests]
         )
-    runner = AsyncShardRunner(executor=RemoteExecutor(worker_pair))
+    runner = AsyncShardRunner(executor=RemoteExecutor(addresses))
     with collect_events() as run:
         remote = runner.run(
             [RunRequest(name, dict(params)) for name, params in requests]
@@ -289,12 +348,12 @@ def test_remote_matches_serial_byte_for_byte(fresh_cache, worker_pair):
         assert r.rendered == s.rendered, f"{s.name} diverged under remote"
     profile = run.scheduler_profile()
     workers = {record.worker for record in profile.tasks if not record.local}
-    assert workers <= set(worker_pair) and workers, "tasks must name workers"
-    assert profile.slots == {address: 1 for address in worker_pair}
+    assert workers <= set(addresses) and workers, "tasks must name workers"
+    assert profile.slots == {address: capacity for address in addresses}
     # Persistent-connection telemetry: every dial shows in the profile,
     # and no worker dialed more than once per slot it served.
     connects = profile.worker_connects
-    assert set(connects) <= set(worker_pair) and connects
+    assert set(connects) <= set(addresses) and connects
     for address, count in connects.items():
         assert count <= profile.slots[address], (
             f"worker {address} reconnected per task ({count} dials)"
@@ -453,6 +512,65 @@ def test_worker_crash_mid_shard_retries_on_survivor(fresh_cache):
     finally:
         flaky.close()
         solid.close()
+
+
+def test_pool_member_killed_mid_shard_retries_on_survivor(fresh_cache, tmp_path):
+    """A pool member dying mid-shard is a lost worker, not a task
+    error: the pooled worker drops its connections without a result and
+    stops serving, and every shard it held reruns on the one-slot
+    survivor, so the run still renders what serial renders."""
+    flag = tmp_path / "kill-one-member"
+    coordinator = os.getpid()
+
+    def _run_shard(part):
+        if os.getpid() != coordinator and flag.exists():
+            try:
+                flag.unlink()
+            except FileNotFoundError:
+                pass  # the other member got here first
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.1)
+        return part * part
+
+    exp = register(
+        Experiment(
+            name="member-killer",
+            artifact="synthetic member-killer",
+            title="pool member crash fixture",
+            render=str,
+            shards=lambda params: [{"part": index} for index in range(6)],
+            run_shard=_run_shard,
+            merge=lambda params, shards, parts: sum(parts),
+            cacheable=False,
+            deterministic=False,
+        )
+    )
+    known = _member_pids()
+    pooled, single = WorkerServer(capacity=2), WorkerServer()
+    try:
+        with cache_disabled():
+            serial = SerialRunner().run([RunRequest(exp.name, {})])
+        addresses = [pooled.start_background(), single.start_background()]
+        members = _member_pids() - known
+        flag.touch()
+        runner = AsyncShardRunner(executor=RemoteExecutor(addresses))
+        with collect_events() as run:
+            remote = runner.run([RunRequest(exp.name, {})])
+        assert remote[0].rendered == serial[0].rendered
+        assert not flag.exists(), "a member must have been killed"
+        profile = run.scheduler_profile()
+        failed = [record for record in profile.tasks if record.failed]
+        assert failed and all(r.worker == addresses[0] for r in failed)
+        assert pooled.broken
+        probe = RemoteExecutor(None, cache=fresh_cache, connect_timeout=2.0)
+        assert not probe.ping(addresses[0]), "a broken worker serves nothing"
+        assert probe.ping(addresses[1])
+    finally:
+        pooled.close()
+        single.close()
+        unregister(exp.name)
+    assert not members & _member_pids()
 
 
 def test_all_workers_crashing_fails_with_shard_identity(fresh_cache):

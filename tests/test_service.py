@@ -8,6 +8,7 @@ subprocess test pins the ``repro worker`` SIGTERM contract.
 
 import http.client
 import json
+import multiprocessing
 import signal
 import socket
 import subprocess
@@ -681,9 +682,22 @@ def test_fresh_start_without_resume_cancels_stale_jobs(
 
 
 def test_graceful_shutdown_delivers_inflight_result(fresh_cache, sum_exp):
-    server = WorkerServer()
+    _assert_graceful_shutdown_delivers_inflight_result(fresh_cache, sum_exp, 1)
+
+
+def test_pooled_graceful_shutdown_delivers_inflight_result(fresh_cache, sum_exp):
+    """At two slots the in-flight task runs in a pool member: its result
+    is still delivered, and no member outlives the server."""
+    _assert_graceful_shutdown_delivers_inflight_result(fresh_cache, sum_exp, 2)
+
+
+def _assert_graceful_shutdown_delivers_inflight_result(cache, exp, capacity):
+    known = {child.pid for child in multiprocessing.active_children()}
+    server = WorkerServer(capacity=capacity)
     server.start_background()
-    remote = RemoteExecutor([server.address], cache=fresh_cache)
+    members = {child.pid for child in multiprocessing.active_children()} - known
+    assert len(members) == (capacity if capacity > 1 else 0)
+    remote = RemoteExecutor([server.address], cache=cache)
     remote.open()
     try:
         params = {"scale": 2, "delay": 0.4}
@@ -693,7 +707,7 @@ def test_graceful_shutdown_delivers_inflight_result(fresh_cache, sum_exp):
             results.append(
                 remote.run(
                     server.address,
-                    ("shard", sum_exp.name, params, {"part": 3}),
+                    ("shard", exp.name, params, {"part": 3}),
                 )
             )
 
@@ -706,12 +720,13 @@ def test_graceful_shutdown_delivers_inflight_result(fresh_cache, sum_exp):
         assert server.wait_drained(timeout=5.0)
         # Post-drain connections get a clean EOF, not new leases.
         with pytest.raises(WorkerLostError):
-            remote.run(
-                server.address, ("shard", sum_exp.name, params, {"part": 0})
-            )
+            remote.run(server.address, ("shard", exp.name, params, {"part": 0}))
     finally:
         remote.close()
         server.close()
+    assert not members & {
+        child.pid for child in multiprocessing.active_children()
+    }, "no pool member may outlive the server"
 
 
 def test_worker_cli_sigterm_exits_zero(tmp_path):
@@ -735,5 +750,37 @@ def test_worker_cli_sigterm_exits_zero(tmp_path):
         if process.poll() is None:
             process.kill()
         process.wait(timeout=10.0)
+        process.stdout.close()
+        process.stderr.close()
+
+
+def test_pooled_worker_cli_sigterm_exits_zero(process_table):
+    """A two-slot ``repro worker`` forks two members; on SIGTERM it still
+    exits 0, and neither member is left running."""
+    import repro
+
+    src_root = str(Path(repro.__file__).parent.parent)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--listen",
+         "127.0.0.1:0", "--no-cache", "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": src_root, "PATH": "/usr/bin:/bin"},
+    )
+    members: list[int] = []
+    try:
+        line = process.stdout.readline()
+        assert line.startswith("REPRO-WORKER-LISTEN ")
+        members = process_table.children(process.pid)
+        assert len(members) == 2
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30.0) == 0
+        assert process_table.survivors(members, timeout=0.0) == []
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.wait(timeout=10.0)
+        process_table.survivors(members, timeout=0.0)
         process.stdout.close()
         process.stderr.close()

@@ -33,6 +33,7 @@ from repro.attack.realtime import (
     execute_attack,
     execute_attack_reference,
 )
+import repro.attack.schedule as schedule_module
 from repro.attack.schedule import (
     AttackSchedule,
     ScheduleConfig,
@@ -41,6 +42,7 @@ from repro.attack.schedule import (
     _StealthOracle,
     _optimize_span,
     _optimize_spans_batch,
+    _plan_vector_job,
     occupant_reward_table,
     shatter_schedule,
     shatter_schedule_batch,
@@ -61,6 +63,7 @@ from repro.geometry import (
     union_stay_ranges,
 )
 from repro.home.builder import build_house_a, build_house_b
+from repro.home.state import HomeTrace
 from repro.hvac.ashrae import AshraeController
 from repro.hvac.controller import ControllerConfig, DemandControlledHVAC
 from repro.hvac.pricing import TouPricing
@@ -405,6 +408,156 @@ def test_vector_dp_matches_reference_kmeans_house_b():
         config=ScheduleConfig(engine="reference"),
     )
     vector = shatter_schedule(home, adm, capability, pricing, evaluation)
+    assert _schedules_equal(reference, vector)
+
+
+def _record_first_wave_rows(monkeypatch) -> list[_SpanTask]:
+    """The rows ``_optimize_spans_batch`` receives from the batch
+    planner's first DP wave: not the widened retry wave, and not the
+    per-visit fallback's calls."""
+    rows: list[_SpanTask] = []
+    in_waves: list[bool] = []
+    solve_tasks, solve_batch = schedule_module._solve_span_tasks, _optimize_spans_batch
+    beam = ScheduleConfig().beam_width
+
+    def waves(tasks):
+        in_waves.append(True)
+        try:
+            solve_tasks(tasks)
+        finally:
+            in_waves.pop()
+
+    def batch(tasks, zones, config, start, end):
+        if in_waves and config.beam_width == beam:
+            rows.extend(tasks)
+        return solve_batch(tasks, zones, config, start, end)
+
+    monkeypatch.setattr(schedule_module, "_solve_span_tasks", waves)
+    monkeypatch.setattr(schedule_module, "_optimize_spans_batch", batch)
+    return rows
+
+
+def test_full_access_days_of_one_occupant_are_one_row(aras_world, monkeypatch):
+    """Under full access every evaluation day of an occupant is the same
+    ``(0, 1440)`` problem with no anchors: the batch gets one row per
+    occupant, not one per (occupant, day)."""
+    home, adm, evaluation = aras_world
+    assert evaluation.n_slots // 1440 > 1
+    rows = _record_first_wave_rows(monkeypatch)
+    shatter_schedule(
+        home, adm, AttackerCapability.full_access(home), TouPricing(), evaluation
+    )
+    assert len(rows) == home.n_occupants
+    assert {id(task.oracle) for task in rows} == {
+        id(stealth_oracle(adm, oid, home.n_zones))
+        for oid in range(home.n_occupants)
+    }
+    assert all((task.start, task.end) == (0, 1440) for task in rows)
+
+
+def test_restricted_days_keep_one_row_per_distinct_segment(aras_world, monkeypatch):
+    """With zone-restricted access the segments differ per day: the batch
+    gets one row per distinct (occupant, segment, anchors) problem, days
+    that pose the same problem share its row, and the schedule is still
+    the reference engine's."""
+    home, adm, evaluation = aras_world
+    capability = AttackerCapability.with_zones(home, [1, 3])
+    pricing = TouPricing()
+    job = ScheduleJob(home, adm, capability, pricing, evaluation)
+    tasks: list[_SpanTask] = []
+    plans = _plan_vector_job(job, ControllerConfig(), ScheduleConfig(), tasks)
+    by_key: dict[tuple, set[int]] = {}
+    days: dict[int, set[tuple]] = {}
+    for plan in plans:
+        for seg in plan.segments:
+            key = (
+                plan.occupant_id,
+                seg.seg_start,
+                seg.seg_end,
+                seg.forbidden_first,
+                seg.forbidden_last,
+            )
+            by_key.setdefault(key, set()).add(id(seg.task))
+            days.setdefault(plan.day, set()).add(key)
+    assert len(days) > 1 and len({frozenset(keys) for keys in days.values()}) > 1
+    assert all(len(ids) == 1 for ids in by_key.values())
+    assert len(tasks) == len(by_key) > home.n_occupants
+
+    rows = _record_first_wave_rows(monkeypatch)
+    vector = shatter_schedule(home, adm, capability, pricing, evaluation)
+    assert len(rows) == len(by_key)
+    reference = shatter_schedule(
+        home,
+        adm,
+        capability,
+        pricing,
+        evaluation,
+        config=ScheduleConfig(engine="reference"),
+    )
+    assert _schedules_equal(reference, vector)
+
+
+def test_days_differing_only_in_an_anchor_keep_their_own_rows(aras_world):
+    """Two days with the same segment bounds whose real zone just before
+    or just after a segment differs pose different problems there:
+    those segments get a row per day, every other segment shares one,
+    and the schedule is still the reference engine's."""
+    home, adm, evaluation = aras_world
+    capability = AttackerCapability.with_zones(home, [1, 3])
+    day = evaluation.slice_slots(0, 1440)
+    zones = day.occupant_zone.copy()
+    spoofable = np.isin(zones[:, 0], sorted(capability.zones))
+    # The unspoofable slot right before one segment and the one right
+    # after another move to another unspoofable zone: the bounds stay,
+    # the anchors change.
+    before = int(np.flatnonzero(spoofable[1:] & ~spoofable[:-1])[0])
+    after = int(np.flatnonzero(spoofable[:-1] & ~spoofable[1:])[-1]) + 1
+    moved = zones.copy()
+    for slot in (before, after):
+        moved[slot, 0] = next(
+            zone
+            for zone in range(home.n_zones)
+            if zone not in capability.zones and zone != zones[slot, 0]
+        )
+    trace = HomeTrace(
+        occupant_zone=np.concatenate([zones, moved]),
+        occupant_activity=np.concatenate([day.occupant_activity] * 2),
+        appliance_status=np.concatenate([day.appliance_status] * 2),
+    )
+    pricing = TouPricing()
+    tasks: list[_SpanTask] = []
+    first, second = [
+        plan
+        for plan in _plan_vector_job(
+            ScheduleJob(home, adm, capability, pricing, trace),
+            ControllerConfig(),
+            ScheduleConfig(),
+            tasks,
+        )
+        if plan.occupant_id == 0
+    ]
+    assert [(s.seg_start, s.seg_end) for s in first.segments] == [
+        (s.seg_start, s.seg_end) for s in second.segments
+    ]
+    pairs = list(zip(first.segments, second.segments))
+    assert any(a.forbidden_first != b.forbidden_first for a, b in pairs)
+    assert any(a.forbidden_last != b.forbidden_last for a, b in pairs)
+    own_rows = [a.seg_start for a, b in pairs if a.task is not b.task]
+    assert own_rows == [
+        a.seg_start
+        for a, b in pairs
+        if (a.forbidden_first, a.forbidden_last)
+        != (b.forbidden_first, b.forbidden_last)
+    ]
+    reference = shatter_schedule(
+        home,
+        adm,
+        capability,
+        pricing,
+        trace,
+        config=ScheduleConfig(engine="reference"),
+    )
+    vector = shatter_schedule(home, adm, capability, pricing, trace)
     assert _schedules_equal(reference, vector)
 
 
