@@ -7,12 +7,10 @@ fit/containment — running each workload through its *scalar
 reference* path and its *vectorized* path, verifying the outputs agree
 exactly, and writing the measured speedups to ``BENCH_hotpaths.json``
 at the repository root (the committed file documents the speedups on
-the reference machine).  ``simulate_batch`` has no scalar arm: its
-entry times per-job runs against the stacked kernel at one fleet size
-on each side of the stacking threshold, the measurement the threshold
-is set from.  Nor has ``fleet_geometry``: it times a k-means fleet's
-ADM fits and, separately, their stay tables and stealth oracles, and
-checks every table row against the scalar ``union_stay_ranges``.
+the reference machine).  ``fleet_geometry`` has no scalar arm: it
+times a k-means fleet's ADM fits and, separately, their stay tables and
+stealth oracles, and checks every table row against the scalar
+``union_stay_ranges``.
 
 Usage::
 
@@ -711,58 +709,6 @@ def bench(smoke: bool) -> dict:
         "speedup": before_s / after_s,
     }
 
-    # --- simulate_batch (per-job vs stacked, each side of the threshold)
-    from repro.hvac.simulation import (
-        _STACK_THRESHOLD,
-        SimulationJob,
-        _simulate_stacked,
-        simulate_batch,
-    )
-
-    batch_days = 1 if smoke else 3
-    batch_sizes = []
-    for batch_homes in (8, 32):
-        batch_jobs = [
-            SimulationJob(b_home, b_trace, DemandControlledHVAC(b_home))
-            for b_home, b_trace in generate_home_fleet(
-                batch_homes, n_zones=4, n_days=batch_days, seed=43
-            )
-        ]
-        stacked_zones = sum(
-            len(job.home.layout.conditioned_ids) for job in batch_jobs
-        )
-        per_job_s, per_job = _best_of(
-            rounds,
-            lambda: [simulate(j.home, j.trace, j.controller) for j in batch_jobs],
-        )
-        stacked_s, stacked = _best_of(
-            rounds, lambda: _simulate_stacked(batch_jobs)
-        )
-        chosen = simulate_batch(batch_jobs)
-        for solo, stack, pick in zip(per_job, stacked, chosen):
-            assert _results_equal(solo, stack)
-            assert _results_equal(solo, pick)
-        batch_sizes.append(
-            {
-                "homes": batch_homes,
-                "stacked_zones": stacked_zones,
-                "per_job_s": per_job_s,
-                "stacked_s": stacked_s,
-                "stacks": stacked_zones >= _STACK_THRESHOLD,
-            }
-        )
-    assert [size["stacks"] for size in batch_sizes] == [False, True]
-    results["simulate_batch"] = {
-        "workload": (
-            f"4-zone fleet homes, {batch_days}-day benign closed loops, "
-            "per-job simulate() vs the zone-stacked kernel; "
-            "simulate_batch stacks a group from threshold_zones "
-            "conditioned zones"
-        ),
-        "threshold_zones": _STACK_THRESHOLD,
-        "sizes": batch_sizes,
-    }
-
     # --- artifact codec (base64-pickle JSON vs binary frames) -----------
     from repro.core.serialization import (
         _pickle_tag,
@@ -894,14 +840,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"after {numbers['after_s']:8.4f}s  "
                 f"speedup {numbers['speedup']:6.2f}x"
             )
-        elif "sizes" in numbers:
-            for size in numbers["sizes"]:
-                print(
-                    f"{kernel:18s} {size['stacked_zones']:4d} zones  "
-                    f"per-job {size['per_job_s']:8.4f}s  "
-                    f"stacked {size['stacked_s']:8.4f}s  "
-                    f"stacks {size['stacks']}"
-                )
         elif "ratio" in numbers:
             print(
                 f"{kernel:18s} base {numbers['rss_base_kb']:10.0f}KB  "

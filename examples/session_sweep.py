@@ -30,7 +30,7 @@ def main() -> None:
     session = Session(cache_dir=cache_dir, jobs=2)
 
     print(f"cache + run store: {cache_dir}")
-    print("sweeping the batched fleet simulation over fleet sizes...\n")
+    print("sweeping the fleet simulation over fleet sizes...\n")
     sweep = session.sweep(
         "fleet",
         grid={"n_homes": [2, 4, 6]},

@@ -32,14 +32,12 @@ from repro.events.dispatch import EventProcessor
 from repro.events.model import Event
 from repro.events.processors import ProfileAggregator, read_events_jsonl
 from repro.runner.base import (
-    CachePolicy,
     RunnerPolicy,
     RunOutcome,
     RunRequest,
 )
 
 __all__ = [
-    "CachePolicy",
     "Event",
     "EventProcessor",
     "ProfileAggregator",

@@ -69,7 +69,6 @@ from repro.runner import (
     ArtifactCache,
     AsyncShardRunner,
     BaseRunner,
-    CachePolicy,
     RunnerPolicy,
     RunOutcome,
     RunRequest,
@@ -210,7 +209,6 @@ class Session:
         name: str,
         *,
         days: int | None = None,
-        cache: CachePolicy | None = None,
         sweep: str | None = None,
         client: str = "",
         **overrides: Any,
@@ -224,7 +222,6 @@ class Session:
             name,
             days=days,
             overrides=overrides,
-            cache=cache,
             sweep=sweep,
             client=client,
         )
@@ -238,19 +235,18 @@ class Session:
         name: str | RunRequest,
         *,
         days: int | None = None,
-        cache: CachePolicy | None = None,
         **overrides: Any,
     ) -> RunOutcome:
         """Run one experiment; returns its outcome (manifest persisted)."""
         if isinstance(name, RunRequest):
-            if days is not None or overrides or cache is not None:
+            if days is not None or overrides:
                 raise ConfigurationError(
                     "submit(request) takes no extra parameters; build "
                     "them into the request"
                 )
             request = name
         else:
-            request = self.request(name, days=days, cache=cache, **overrides)
+            request = self.request(name, days=days, **overrides)
         return self.run([request])[0]
 
     def run(self, requests: Sequence[RunRequest | str]) -> list[RunOutcome]:
@@ -280,7 +276,6 @@ class Session:
         points: Iterable[Mapping[str, Any]] | None = None,
         days: int | None = None,
         base: Mapping[str, Any] | None = None,
-        cache: CachePolicy | None = None,
     ) -> SweepResult:
         """Run one experiment across many parameter points, as one batch.
 
@@ -312,7 +307,6 @@ class Session:
             self.request(
                 name,
                 days=days,
-                cache=cache,
                 sweep=sweep_id,
                 **{**dict(base or {}), **point},
             )

@@ -39,7 +39,9 @@ processes named by ``--workers host:port,...`` (or ``--workers
 local:N``, which spawns N worker subprocesses on this machine); all
 workers must share the coordinator's ``--cache-dir``.  A run that
 fails on a :class:`~repro.errors.ReproError`, raised directly or as
-the cause of a failed graph task, prints one stderr line and exits 1.
+the cause of a failed graph task, or that loses its last remote
+worker, prints one stderr line and exits 1; Ctrl-C prints one line
+and exits 130.
 Runs share a content-keyed artifact cache (traces, fitted ADMs, results)
 persisted under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-shatter``;
 ``--no-cache`` disables it and ``repro cache clear`` wipes it.  Every
@@ -83,7 +85,7 @@ from repro.runner import (
     experiments_by_tag,
     load_all,
 )
-from repro.runner.scheduler import TaskExecutionError
+from repro.runner.scheduler import TaskExecutionError, WorkerLostError
 
 load_all()
 
@@ -511,9 +513,14 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         outcomes = session.run(
             [session.request(name, days=args.days) for name in names]
         )
+    except KeyboardInterrupt:
+        print("run interrupted", file=sys.stderr)
+        return 130
     except (ReproError, TaskExecutionError) as error:
         cause = error.__cause__ if isinstance(error, TaskExecutionError) else error
-        if not isinstance(cause, ReproError):
+        # A library error or a lost last worker is the run's outcome,
+        # not a bug: one line.  Anything else keeps its traceback.
+        if not isinstance(cause, (ReproError, WorkerLostError)):
             raise
         print(f"run failed: {type(cause).__name__}: {error}", file=sys.stderr)
         return 1

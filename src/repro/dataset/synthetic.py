@@ -16,7 +16,7 @@ activity, as in the real ARAS labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -350,9 +350,9 @@ def generate_home_fleet(
     Every home gets routines derived from the built-in House-A anchors,
     re-targeted onto its own zones with a per-home jitter seed, so the
     fleet exercises distinct-but-realistic occupancy.  This is the
-    workload generator behind the batched simulation entry point
-    (:func:`repro.hvac.simulation.simulate_batch`) and the fleet
-    throughput experiments.
+    workload generator behind the ``fleet`` experiment, which simulates
+    each chunk through :func:`repro.hvac.simulation.simulate_batch`,
+    and the ``fleet_attack`` schedule sweep.
 
     ``start`` selects a window of the (conceptually infinite) fleet:
     homes ``start .. start + n_homes - 1``.  Home ``i`` is identical no

@@ -1,10 +1,9 @@
 """Project-native AST static analysis (``repro lint``).
 
-The engine (:mod:`~repro.devtools.lint.engine`) parses each file once
-through a content-hash cache, fans the selected rules out across worker
-threads, honours inline ``# repro-lint: disable=RULE`` suppressions
-(stale ones are themselves findings) and an optional committed
-baseline, and renders text or JSON with a stable exit-code contract —
+The engine (:mod:`~repro.devtools.lint.engine`) parses each file once,
+runs the selected rules over it in one serial loop, honours inline
+``# repro-lint: disable=RULE`` suppressions (stale ones are themselves
+findings), and renders text or JSON with a stable exit-code contract —
 0 clean, 1 findings, 2 engine errors — shared by CI, pre-commit, and
 humans.
 
@@ -21,7 +20,7 @@ from repro.devtools.lint.base import (
     all_rules,
     register,
 )
-from repro.devtools.lint.engine import LintResult, lint_paths, parse_cache_info
+from repro.devtools.lint.engine import LintResult, lint_paths
 from repro.devtools.lint.reporters import (
     EXIT_CLEAN,
     EXIT_ERROR,
@@ -43,7 +42,6 @@ __all__ = [
     "all_rules",
     "exit_code",
     "lint_paths",
-    "parse_cache_info",
     "register",
     "render_json",
     "render_text",

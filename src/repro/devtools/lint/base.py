@@ -6,10 +6,9 @@ inspects one parsed file (:class:`FileContext`) at a time and yields
 registry via the :func:`register` decorator, so the engine, the CLI's
 ``--select``, and ``--list-rules`` all share one catalogue.
 
-Rules are pure functions of the context they are handed: the engine
-runs them from worker threads, and the parsed tree they receive may be
-shared across runs through the content-hash parse cache — rules must
-never mutate it.
+Rules are pure functions of the context they are handed: every
+selected rule walks the same parsed tree, so a rule must never mutate
+it.
 """
 
 from __future__ import annotations

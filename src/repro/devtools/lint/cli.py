@@ -8,12 +8,9 @@ only registers the subparser and dispatches here.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from repro.devtools.lint.base import all_rules
-from repro.devtools.lint.baseline import write_baseline
 from repro.devtools.lint.engine import lint_paths
 from repro.devtools.lint.reporters import (
     EXIT_CLEAN,
@@ -25,10 +22,6 @@ from repro.devtools.lint.reporters import (
 from repro.errors import ConfigurationError
 
 DEFAULT_PATHS = ["src/repro"]
-
-
-def default_jobs() -> int:
-    return min(8, os.cpu_count() or 1)
 
 
 def add_lint_parser(subparsers: argparse._SubParsersAction) -> None:
@@ -63,25 +56,6 @@ def add_lint_parser(subparsers: argparse._SubParsersAction) -> None:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=default_jobs(),
-        help="analyze files concurrently (default: min(8, cpu count))",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of grandfathered findings to subtract "
-        "(default: .repro-lint-baseline.json when it exists)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot the current findings into the baseline file "
-        "instead of failing on them",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list the registered rules and exit",
@@ -103,33 +77,11 @@ def run_lint(args: argparse.Namespace) -> int:
     select = None
     if args.select is not None:
         select = [name for name in args.select.split(",") if name]
-    baseline = args.baseline
-    if baseline is None and Path(".repro-lint-baseline.json").is_file():
-        baseline = ".repro-lint-baseline.json"
     try:
-        result = lint_paths(
-            paths,
-            select=select,
-            jobs=max(1, args.jobs),
-            # When snapshotting, lint raw findings: the old baseline
-            # must not leak stale entries into the new one.
-            baseline_path=None if args.write_baseline else baseline,
-        )
+        result = lint_paths(paths, select=select)
     except ConfigurationError as error:
         print(f"repro lint: {error}", file=sys.stderr)
         return EXIT_ERROR
-    if args.write_baseline:
-        if result.errors:
-            print(render_text(result), file=sys.stderr)
-            print(
-                "repro lint: refusing to write a baseline from a failed run",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-        target = Path(baseline or ".repro-lint-baseline.json")
-        count = write_baseline(target, result.findings, result.sources)
-        print(f"wrote {count} baseline entr(y/ies) to {target}")
-        return EXIT_CLEAN
     report = (
         render_json(result)
         if args.output_format == "json"

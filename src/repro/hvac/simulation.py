@@ -47,12 +47,9 @@ reported story, and the true zones are the open-loop response to the
 airflow that call returns — bit-identical to stepping both plants
 slot by slot.
 
-:func:`simulate_batch` runs many independent simulations in one stacked
-array program: the zone axes of all jobs are concatenated, so one slot
-advance vectorizes across every home in the batch — the entry point for
-multi-home sweeps and multi-day shards.  Each job is metered after the
-loop with the same column arithmetic as :func:`simulate`, so stacking
-cannot change a bit.
+:func:`simulate_batch` is the entry point for multi-home sweeps: it
+checks every job's reported story before any job runs, then makes one
+:func:`simulate` call per job, in input order.
 
 :func:`closed_loop_token` is the content key under which callers
 memoize a closed loop in the artifact cache's memory-only analysis
@@ -876,7 +873,7 @@ def simulate_reference(
 
 
 # ----------------------------------------------------------------------
-# Batched multi-day / multi-home entry point
+# Batched multi-home entry point
 # ----------------------------------------------------------------------
 
 
@@ -897,216 +894,24 @@ class SimulationJob:
     start_slot: int = 0
 
 
-# Conditioned zones a group needs before stacking beats per-job runs.
-# The stacked loop's per-slot cost barely grows with its width while the
-# per-zone kernel's grows linearly, so the crossover is a zone count,
-# not a job count: per-job runs win at 32 stacked zones, 48 is a tie
-# and stacking wins from 64 on, for 2-, 4- and 8-zone homes alike (see
-# the simulate_batch entry of benchmarks/bench_hotpaths.py).
-_STACK_THRESHOLD = 64
-
-
 def simulate_batch(jobs: Sequence[SimulationJob]) -> list[SimulationResult]:
-    """Run many independent simulations as one stacked array program.
+    """Run many independent simulations, one :func:`simulate` per job.
 
-    Jobs driven by :class:`DemandControlledHVAC` over the same number of
-    slots are grouped, their (conditioned) zone axes concatenated, and
-    the whole group advances slot by slot with one set of vectorized
-    operations — the per-slot cost is shared by every home in the
-    group, which is what makes wide sweeps (many homes, many attack
-    variants, sharded day ranges) cheap.  Jobs the stacked kernel would
-    not speed up (other controllers, groups holding fewer conditioned
-    zones than the measured ``_STACK_THRESHOLD`` crossover) run through
-    :func:`simulate` individually; results are returned in input order
-    either way, and are bit-identical to per-job :func:`simulate` runs.
-    Every job's reported story is checked before any job runs.
+    Every job's reported story is checked before any job runs, so a
+    misshapen story anywhere in the batch is refused before compute.
+    Results are returned in input order.
     """
     for job in jobs:
         _reported_story(job.trace, job.reported_zone, job.reported_activity)
-    results: list[SimulationResult | None] = [None] * len(jobs)
-    groups: dict[int, list[int]] = {}
-    for index, job in enumerate(jobs):
-        if (
-            type(job.controller) is DemandControlledHVAC
-            and job.controller.home is job.home
-        ):
-            groups.setdefault(job.trace.n_slots, []).append(index)
-    grouped: set[int] = set()
-    with kernel_timer(SIMULATION):
-        for indices in groups.values():
-            zones = sum(
-                len(jobs[i].home.layout.conditioned_ids) for i in indices
-            )
-            if zones < _STACK_THRESHOLD:
-                continue
-            for index, result in zip(
-                indices, _simulate_stacked([jobs[i] for i in indices])
-            ):
-                results[index] = result
-            grouped.update(indices)
-    for index, job in enumerate(jobs):
-        if index not in grouped:
-            results[index] = simulate(
-                job.home,
-                job.trace,
-                job.controller,
-                outdoor=job.outdoor,
-                reported_zone=job.reported_zone,
-                reported_activity=job.reported_activity,
-                start_slot=job.start_slot,
-            )
-    return results  # type: ignore[return-value]
-
-
-def _simulate_stacked(jobs: list[SimulationJob]) -> list[SimulationResult]:
-    """Advance a group of demand-controlled jobs in one zone-stacked loop."""
-    n_slots = jobs[0].trace.n_slots
-
-    # Per-job segment layout over the concatenated conditioned zones.
-    seg_starts: list[int] = []
-    job_of_zone: list[int] = []
-    cond_ids: list[list[int]] = []
-    cursor = 0
-    for j, job in enumerate(jobs):
-        ids = list(job.home.layout.conditioned_ids)
-        cond_ids.append(ids)
-        seg_starts.append(cursor)
-        job_of_zone.extend([j] * len(ids))
-        cursor += len(ids)
-    total = cursor
-    owner = np.array(job_of_zone, dtype=np.intp)
-
-    def per_zone(values_by_job: list[list[float]]) -> np.ndarray:
-        return np.array([v for values in values_by_job for v in values])
-
-    volumes = per_zone(
-        [[float(job.home.layout[z].volume_ft3) for z in ids] for job, ids in zip(jobs, cond_ids)]
-    )
-    configs = [job.controller.config for job in jobs]  # type: ignore[union-attr]
-    capacities = per_zone(
-        [
-            [cfg.mass_factor * float(job.home.layout[z].volume_ft3) * SENSIBLE_HEAT_FACTOR for z in ids]
-            for job, ids, cfg in zip(jobs, cond_ids, configs)
-        ]
-    )
-    conductances = per_zone(
-        [
-            [cfg.envelope_conductance(float(job.home.layout[z].volume_ft3)) for z in ids]
-            for job, ids, cfg in zip(jobs, cond_ids, configs)
-        ]
-    )
-    co2_set = np.array([cfg.co2_setpoint_ppm for cfg in configs])[owner]
-    temp_set = np.array([cfg.temperature_setpoint_f for cfg in configs])[owner]
-    supply = np.array([cfg.supply_temperature_f for cfg in configs])[owner]
-    ctrl_out_co2 = np.array([cfg.outdoor_co2_ppm for cfg in configs])[owner]
-    outdoors = [job.outdoor or OutdoorConditions() for job in jobs]
-    out_co2 = np.array([o.co2_ppm for o in outdoors])[owner]
-    outdoor_temps = [o.temperature_array(n_slots) for o in outdoors]
-    out_temp_j = np.stack(outdoor_temps, axis=1)  # [T, J]
-
-    ctrl_gen = np.empty((n_slots, total))
-    true_gen = np.empty((n_slots, total))
-    ctrl_heat = np.empty((n_slots, total))
-    true_heat = np.empty((n_slots, total))
-    appliance_kwh: list[np.ndarray] = []
-    for j, job in enumerate(jobs):
-        reported_zone, reported_activity = _reported_story(
-            job.trace, job.reported_zone, job.reported_activity
+    return [
+        simulate(
+            job.home,
+            job.trace,
+            job.controller,
+            outdoor=job.outdoor,
+            reported_zone=job.reported_zone,
+            reported_activity=job.reported_activity,
+            start_slot=job.start_slot,
         )
-        te, th_occ = occupant_gain_matrices(
-            job.home, job.trace.occupant_zone, job.trace.occupant_activity
-        )
-        plant_app, ctrl_app, kwh = appliance_gain_tables(
-            job.home, job.trace.appliance_status
-        )
-        if (
-            reported_zone is job.trace.occupant_zone
-            and reported_activity is job.trace.occupant_activity
-        ):
-            ce, ch_occ = te, th_occ
-        else:
-            ce, ch_occ = occupant_gain_matrices(
-                job.home, reported_zone, reported_activity
-            )
-        ids = cond_ids[j]
-        sl = slice(seg_starts[j], seg_starts[j] + len(ids))
-        vol = volumes[sl]
-        ctrl_gen[:, sl] = ce[:, ids] / vol * 1e6
-        true_gen[:, sl] = te[:, ids] / vol * 1e6
-        ctrl_heat[:, sl] = (ch_occ + ctrl_app)[:, ids]
-        true_heat[:, sl] = (th_occ + plant_app)[:, ids]
-        appliance_kwh.append(kwh)
-
-    co2 = out_co2.astype(float).copy()
-    temperature = temp_set.astype(float).copy()
-
-    af_out = np.zeros((n_slots, total))
-    vent_out = np.zeros((n_slots, total))
-    co2_trace = np.zeros((n_slots, total))
-    temp_trace = np.zeros((n_slots, total))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(n_slots):
-            otz = out_temp_j[t][owner]
-            # Ventilation law (Eq. 1 inverted), elementwise per zone.
-            unforced = co2 + ctrl_gen[t]
-            gradient = co2 - ctrl_out_co2
-            vent = np.minimum((unforced - co2_set) * volumes / gradient, volumes)
-            vent = np.where(gradient <= 0, volumes, vent)
-            vent = np.where(unforced <= co2_set, 0.0, vent)
-            # Cooling law (Eq. 2 inverted).
-            leakage = conductances * (otz - temperature)
-            unforced_temp = temperature + (ctrl_heat[t] + leakage) / capacities
-            drop = SENSIBLE_HEAT_FACTOR * (temperature - supply) / capacities
-            cool = np.minimum((unforced_temp - temp_set) / drop, volumes)
-            cool = np.where(unforced_temp <= temp_set, 0.0, cool)
-            cool = np.where(temperature <= supply, 0.0, cool)
-            airflow = np.maximum(vent, cool)
-
-            # Physics step.
-            exchange = np.minimum(airflow / volumes, 1.0)
-            co2 = co2 + true_gen[t] - exchange * (co2 - out_co2)
-            cooling = airflow * SENSIBLE_HEAT_FACTOR * (temperature - supply)
-            temperature = temperature + (
-                (true_heat[t] - cooling + leakage) / capacities
-            )
-
-            af_out[t] = airflow
-            vent_out[t] = vent
-            co2_trace[t] = co2
-            temp_trace[t] = temperature
-
-    # Per-job Eq. 3 metering over the finished columns, exactly as
-    # simulate() meters.
-    results = []
-    for j, job in enumerate(jobs):
-        ids = cond_ids[j]
-        sl = slice(seg_starts[j], seg_starts[j] + len(ids))
-        n_zones = job.home.n_zones
-        airflow_full = np.zeros((n_slots, n_zones))
-        vent_full = np.zeros((n_slots, n_zones))
-        co2_full = np.full((n_slots, n_zones), float(outdoors[j].co2_ppm))
-        temp_full = np.full(
-            (n_slots, n_zones), float(configs[j].temperature_setpoint_f)
-        )
-        airflow_full[:, ids] = af_out[:, sl]
-        vent_full[:, ids] = vent_out[:, sl]
-        co2_full[:, ids] = co2_trace[:, sl]
-        temp_full[:, ids] = temp_trace[:, sl]
-        results.append(
-            SimulationResult(
-                airflow_cfm=airflow_full,
-                co2_ppm=co2_full,
-                temperature_f=temp_full,
-                hvac_kwh=_ahu_kwh(
-                    airflow_full,
-                    vent_full,
-                    temp_full,
-                    outdoor_temps[j],
-                    configs[j],
-                ),
-                appliance_kwh=appliance_kwh[j],
-                start_slot=job.start_slot,
-            )
-        )
-    return results
+        for job in jobs
+    ]

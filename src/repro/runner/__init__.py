@@ -38,7 +38,6 @@ from repro.runner.async_graph import (
 )
 from repro.runner.base import (
     BaseRunner,
-    CachePolicy,
     RunnerCapabilities,
     RunnerPolicy,
     RunOutcome,
@@ -106,7 +105,6 @@ __all__ = [
     "ArtifactCache",
     "AsyncShardRunner",
     "BaseRunner",
-    "CachePolicy",
     "Executor",
     "Experiment",
     "LocalWorkerPool",

@@ -2,8 +2,8 @@
 
 A runner takes :class:`RunRequest`s — the typed unit of work every
 entry point (CLI, :class:`repro.api.Session`, benchmarks) speaks: an
-experiment name, its fully-resolved parameters, and per-request
-:class:`CachePolicy`.  Batches of requests are the native input:
+experiment name and its fully-resolved parameters.  Batches of
+requests are the native input:
 ``run(requests)`` is the only execution entry point, and graph-aware
 runners plan one union DAG across the whole batch.  Runners produce
 :class:`RunOutcome`s (structured value + rendered text + timing),
@@ -11,8 +11,10 @@ declare what they support via :class:`RunnerCapabilities`, and are
 constructed from a :class:`RunnerPolicy` by
 :func:`repro.runner.build_runner`.
 
-All runners share the result-replay tier of the artifact cache, so the
-choice of runner never changes *what* is computed, only how fast.
+All runners share the result-replay tier of the artifact cache: a
+cacheable experiment's result is read before it runs and written after,
+whenever the cache is on.  The choice of runner never changes *what*
+is computed, only how fast.
 Rendering always happens in the coordinating process, from the merged
 structured value: that is the invariant that makes serial, parallel,
 and cached runs emit byte-identical artifacts.
@@ -37,36 +39,6 @@ class RunnerCapabilities:
 
     name: str
     max_workers: int = 1
-
-
-@dataclass(frozen=True)
-class CachePolicy:
-    """How one request interacts with the result-replay cache tier.
-
-    The trace/ADM tiers are an implementation detail of the experiment
-    internals and stay on; this policy governs only whole-result replay
-    — the tier that can turn a run into a no-op.  ``read_results=False``
-    forces recomputation (while still persisting the fresh value unless
-    ``write_results`` is also off), the knob a benchmark or a
-    staleness-suspicious rerun wants.
-    """
-
-    read_results: bool = True
-    write_results: bool = True
-
-    @staticmethod
-    def replay() -> "CachePolicy":
-        return CachePolicy()
-
-    @staticmethod
-    def refresh() -> "CachePolicy":
-        """Recompute, then overwrite the cached result."""
-        return CachePolicy(read_results=False, write_results=True)
-
-    @staticmethod
-    def bypass() -> "CachePolicy":
-        """Neither read nor write the result tier."""
-        return CachePolicy(read_results=False, write_results=False)
 
 
 @dataclass(frozen=True)
@@ -117,7 +89,7 @@ class RunnerPolicy:
 
 @dataclass
 class RunRequest:
-    """One experiment to run: resolved parameters plus run policies.
+    """One experiment to run: its resolved parameters and batch tags.
 
     ``params`` must be the output of :meth:`Experiment.resolve` (or a
     dict of known parameter names) — :meth:`build` is the constructor
@@ -132,7 +104,6 @@ class RunRequest:
 
     experiment: str
     params: dict[str, Any] = field(default_factory=dict)
-    cache: CachePolicy = field(default_factory=CachePolicy)
     sweep: str | None = None
     client: str = ""
 
@@ -142,7 +113,6 @@ class RunRequest:
         *,
         days: int | None = None,
         overrides: dict[str, Any] | None = None,
-        cache: CachePolicy | None = None,
         sweep: str | None = None,
         client: str = "",
     ) -> "RunRequest":
@@ -151,7 +121,6 @@ class RunRequest:
         return RunRequest(
             experiment=name,
             params=exp.resolve(days=days, **(overrides or {})),
-            cache=cache if cache is not None else CachePolicy(),
             sweep=sweep,
             client=client,
         )
@@ -223,13 +192,8 @@ class BaseRunner(ABC):
     def _cached_outcome(
         self, exp: Experiment, request: RunRequest
     ) -> RunOutcome | None:
-        """Replay a previous run of a cacheable experiment, if stored
-        and the request's cache policy allows reading it."""
-        if (
-            not exp.cacheable
-            or not self.cache.enabled
-            or not request.cache.read_results
-        ):
+        """Replay a previous run of a cacheable experiment, if stored."""
+        if not exp.cacheable or not self.cache.enabled:
             return None
         started = time.perf_counter()
         value = self.cache.get_result(exp.name, _result_token(request.params))
@@ -254,12 +218,7 @@ class BaseRunner(ABC):
     ) -> RunOutcome:
         """Render, store in the result cache, and wrap up an outcome."""
         params = request.params
-        if (
-            not cached
-            and exp.cacheable
-            and self.cache.enabled
-            and request.cache.write_results
-        ):
+        if not cached and exp.cacheable and self.cache.enabled:
             self.cache.put_result(exp.name, _result_token(params), value)
         return RunOutcome(
             name=exp.name,

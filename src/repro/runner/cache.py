@@ -69,24 +69,10 @@ from repro.home.state import HomeTrace
 _CACHE_VERSION = 2
 
 _ENV_DIR = "REPRO_CACHE_DIR"
-_ENV_MEMMAP = "REPRO_MEMMAP_THRESHOLD"
-_ENV_SPILL = "REPRO_SPILL_THRESHOLD"
 
 # Worker results smaller than this cross the socket inline; larger ones
 # spill to the shared disk tier (when one is configured).
 DEFAULT_SPILL_THRESHOLD = 256 * 1024
-
-
-def _env_threshold(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"{name} must be an integer byte count, got {raw!r}"
-        ) from exc
 
 
 def atomic_write(path: Path, data: bytes) -> None:
@@ -255,14 +241,12 @@ class ArtifactCache:
         self._memory: dict[str, Any] | None = {} if memory else None
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.memmap_threshold = (
-            _env_threshold(_ENV_MEMMAP, DEFAULT_MEMMAP_THRESHOLD)
+            DEFAULT_MEMMAP_THRESHOLD
             if memmap_threshold is None
             else int(memmap_threshold)
         )
         self.spill_threshold = (
-            _env_threshold(_ENV_SPILL, DEFAULT_SPILL_THRESHOLD)
-            if spill_threshold is None
-            else int(spill_threshold)
+            DEFAULT_SPILL_THRESHOLD if spill_threshold is None else int(spill_threshold)
         )
 
     # ------------------------------------------------------------------

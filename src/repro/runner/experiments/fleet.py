@@ -3,20 +3,17 @@
 Not a paper artifact: this is the scaling workload the ROADMAP's
 production north star asks for.  A fleet of scaled synthetic homes
 (:func:`repro.dataset.synthetic.iter_home_fleet`) is simulated through
-the *batched* closed-loop entry point
-(:func:`repro.hvac.simulation.simulate_batch`), which concatenates the
-homes' zone axes and advances every home in one stacked array program —
-the per-slot cost is shared by the whole fleet instead of paid per
-home.
+the batched closed-loop entry point
+(:func:`repro.hvac.simulation.simulate_batch`), which runs one
+per-zone :func:`repro.hvac.simulation.simulate` call per home.
 
 Shards own contiguous home-index chunks (``iter_home_fleet(start=)``
 regenerates exactly a shard's homes lazily), so no process ever
 materializes more than one chunk of traces: the coordinator folds
 fixed-size per-chunk cost rows, which is what keeps its peak RSS flat
-as the fleet grows.  Chunking cannot change the numbers — the stacked
-kernel is bit-identical to per-home simulation (and therefore to any
-chunk composition) — so the rendered table doubles as a determinism
-check on the batched kernel.
+as the fleet grows.  Every home is simulated on its own, so chunking
+cannot change the numbers, and the rendered table doubles as a
+determinism check across chunk compositions and backends.
 """
 
 from __future__ import annotations
@@ -120,7 +117,7 @@ EXPERIMENT = register(
             Param("n_zones", 4),
             Param("n_days", 3),
             Param("seed", 2023),
-            Param("chunk", 4, "homes per shard"),
+            Param("chunk", 4, "homes per shard (one simulate_batch call)"),
         ),
         tags=frozenset({"sweep", "scaling", "extension"}),
         scale_days=lambda days: {"n_days": max(1, days // 2)},
@@ -141,12 +138,14 @@ def run_fleet(
     """Benign cost of every home in a synthetic fleet, batched.
 
     Args:
-        n_homes: Fleet size (each chunk enters one stacked simulation).
+        n_homes: Fleet size.
         n_zones: Conditioned zones per home.
         n_days: Trace length per home.
         seed: Fleet generation seed.
-        chunk: Homes per shard (memory/parallelism granularity knob;
-            results are chunk-invariant).
+        chunk: Homes per shard, each shard one
+            :func:`~repro.hvac.simulation.simulate_batch` call (the
+            memory and parallelism granularity; results are
+            chunk-invariant).
     """
     return EXPERIMENT.execute(
         {

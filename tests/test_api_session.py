@@ -3,7 +3,7 @@ and the byte-identity invariant between the API and the CLI."""
 
 import pytest
 
-from repro.api import CachePolicy, RunRequest, RunnerPolicy, Session, expand_grid
+from repro.api import RunRequest, RunnerPolicy, Session, expand_grid
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.runner import SerialRunner, cache_disabled
@@ -191,16 +191,6 @@ def test_no_cache_session_runs_without_a_store(tmp_path):
     assert session.runs() == []
     with pytest.raises(ConfigurationError, match="persists no runs"):
         session.run_manifest("anything")
-
-
-def test_cache_policy_refresh_forces_recompute(tmp_path):
-    session = Session(cache_dir=str(tmp_path / "cache"))
-    first = session.submit("fig3", days=2)
-    replay = session.submit("fig3", days=2)
-    assert not first.cached and replay.cached
-    fresh = session.submit("fig3", days=2, cache=CachePolicy.refresh())
-    assert not fresh.cached, "read_results=False must force recomputation"
-    assert fresh.rendered == first.rendered
 
 
 def test_runner_policy_validation():

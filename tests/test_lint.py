@@ -3,9 +3,8 @@
 Rule behaviour is exercised against checked-in fixture trees
 (``tests/lint_fixtures/<rule>/{good,bad}``) whose inner paths mimic the
 ``src/repro`` shapes the rules gate on; engine mechanics (suppressions,
-baselines, reporters, exit codes, parallelism, parse cache) run against
-temp files.  The suite ends with the gate that matters: the full rule
-set over ``src/repro`` itself is clean.
+reporters, exit codes) run against temp files.  The suite ends with the
+gate that matters: the full rule set over ``src/repro`` itself is clean.
 """
 
 import json
@@ -22,11 +21,9 @@ from repro.devtools.lint import (
     all_rules,
     exit_code,
     lint_paths,
-    parse_cache_info,
     render_json,
     render_text,
 )
-from repro.devtools.lint.baseline import write_baseline
 from repro.errors import ConfigurationError
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -219,49 +216,6 @@ def test_unknown_rule_suppression_is_flagged(tmp_path):
     assert "no-such-rule" in finding.message
 
 
-def test_baseline_grandfathers_then_expires(tmp_path):
-    target = _write(
-        tmp_path,
-        "runner/mod.py",
-        """\
-        print("a")
-        print("b")
-        """,
-    )
-    baseline = tmp_path / "baseline.json"
-    first = lint_paths([target])
-    assert len(first.findings) == 2
-    assert write_baseline(baseline, first.findings, first.sources) == 2
-
-    grandfathered = lint_paths([target], baseline_path=baseline)
-    assert grandfathered.clean
-
-    # A *new* violation is not excused — and baseline matching keys on
-    # line content, so the old ones stay excused after the shift.
-    target.write_text('print("new")\n' + target.read_text())
-    shifted = lint_paths([target], baseline_path=baseline)
-    assert [f.line for f in shifted.findings] == [1]
-
-
-def test_baseline_matching_is_count_aware(tmp_path):
-    target = _write(tmp_path, "runner/mod.py", 'print("a")\n')
-    baseline = tmp_path / "baseline.json"
-    first = lint_paths([target])
-    write_baseline(baseline, first.findings, first.sources)
-    # Duplicate the baselined line: one copy is excused, not both.
-    target.write_text('print("a")\nprint("a")\n')
-    result = lint_paths([target], baseline_path=baseline)
-    assert len(result.findings) == 1
-
-
-def test_malformed_baseline_is_a_configuration_error(tmp_path):
-    target = _write(tmp_path, "mod.py", "value = 1\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text('{"oops": true}')
-    with pytest.raises(ConfigurationError):
-        lint_paths([target], baseline_path=baseline)
-
-
 def test_unknown_select_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="no-such-rule"):
         lint_paths([FIXTURES], select=["no-such-rule"])
@@ -279,26 +233,6 @@ def test_syntax_error_is_an_engine_error_not_a_finding(tmp_path):
 def test_missing_path_is_an_engine_error():
     result = lint_paths(["no/such/path.py"])
     assert result.errors and exit_code(result) == EXIT_ERROR
-
-
-def test_parallel_run_matches_serial():
-    serial = lint_paths([FIXTURES], jobs=1)
-    parallel = lint_paths([FIXTURES], jobs=4)
-    assert parallel.findings == serial.findings
-    assert parallel.errors == serial.errors
-    assert parallel.files == serial.files
-
-
-def test_parse_cache_dedupes_identical_sources(tmp_path):
-    body = 'value = "parse-cache-probe-df83a1"\n'
-    for name in ("one.py", "two.py"):
-        (tmp_path / name).write_text(body)
-    before = parse_cache_info()
-    lint_paths([tmp_path])
-    after_first = parse_cache_info()
-    assert after_first == before + 1  # identical bytes parse once
-    lint_paths([tmp_path])
-    assert parse_cache_info() == after_first  # re-lint is a cache hit
 
 
 def test_exit_code_contract(tmp_path):
@@ -367,15 +301,6 @@ def test_cli_list_rules(capsys):
         assert rule in out
 
 
-def test_cli_write_baseline_roundtrip(tmp_path, capsys, monkeypatch):
-    _write(tmp_path, "pkg/runner/mod.py", 'print("x")\n')
-    monkeypatch.chdir(tmp_path)
-    assert main(["lint", "pkg", "--write-baseline"]) == EXIT_CLEAN
-    capsys.readouterr()
-    # The default baseline is picked up on the next run.
-    assert main(["lint", "pkg"]) == EXIT_CLEAN
-
-
 # ---------------------------------------------------------------------------
 # the gate itself
 
@@ -393,6 +318,6 @@ def test_rule_registry_is_complete():
 
 
 def test_src_repro_self_lint_is_clean():
-    result = lint_paths([SRC], jobs=4)
+    result = lint_paths([SRC])
     assert result.errors == []
     assert result.findings == [], render_text(result)

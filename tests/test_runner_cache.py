@@ -771,19 +771,11 @@ def test_maybe_spill_respects_threshold_and_disk(tmp_path):
     )
 
 
-def test_threshold_env_overrides(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_MEMMAP_THRESHOLD", "123")
-    monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "456")
-    cache = ArtifactCache(memory=False, disk_dir=tmp_path)
-    assert cache.memmap_threshold == 123
-    assert cache.spill_threshold == 456
+def test_threshold_env_overrides(tmp_path):
+    """The memmap and spill thresholds are set only by constructor
+    arguments, which is how tests force either path."""
     explicit = ArtifactCache(
         memory=False, disk_dir=tmp_path, memmap_threshold=7, spill_threshold=8
     )
     assert explicit.memmap_threshold == 7
     assert explicit.spill_threshold == 8
-    monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "not-a-number")
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError, match="REPRO_SPILL_THRESHOLD"):
-        ArtifactCache(memory=False, disk_dir=tmp_path)

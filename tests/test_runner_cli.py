@@ -1,5 +1,12 @@
 """Tests for the registry-driven CLI surface (new commands and flags)."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -93,6 +100,72 @@ def test_run_library_error_prints_one_line(jobs, tmp_path, capsys, monkeypatch):
     assert err.startswith("run failed: DatasetError: ")
     assert err.endswith("need at least one training day\n")
     assert err.count("\n") == 1
+
+
+def test_run_worker_loss_prints_one_line(tmp_path, capsys, monkeypatch):
+    """A remote run whose last worker is lost exits 1 with one stderr
+    line, like a library error."""
+    from repro.runner.remote import RemoteExecutor, WorkerServer
+    from repro.runner.scheduler import WorkerLostError
+
+    def lose(self, address, payload):
+        raise WorkerLostError(address, "connection reset")
+
+    server = WorkerServer()
+    address = server.start_background()
+    monkeypatch.setattr(RemoteExecutor, "run", lose)
+    try:
+        argv = ["run", "fig3", "--days", "3", "--runner", "remote"]
+        argv += ["--workers", address, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 1
+    finally:
+        server.close()
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: WorkerLostError: ")
+    assert "no live workers remain" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "pool"])
+def test_run_interrupt_prints_one_line(jobs, tmp_path, process_table):
+    """Ctrl-C reaches the whole process group; ``repro run`` exits 130
+    with one stderr line and leaves no pool member running."""
+    import repro
+
+    cache_dir = tmp_path / "cache"
+    argv = ["run", "--all", "--days", "6", "--jobs", jobs]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv, "--cache-dir", str(cache_dir)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={
+            "PYTHONPATH": str(Path(repro.__file__).parent.parent),
+            "PATH": "/usr/bin:/bin",
+        },
+        start_new_session=True,
+    )
+    children: list[int] = []
+    try:
+        # The run's trail is opened as the run starts.
+        deadline = time.monotonic() + 60.0
+        while not list(cache_dir.glob("runs/events/*.jsonl")):
+            assert process.poll() is None, process.stderr.read()
+            assert time.monotonic() < deadline, "the run never started"
+            time.sleep(0.05)
+        time.sleep(1.5)
+        assert process.poll() is None, "the run ended before the interrupt"
+        children = process_table.children(process.pid)
+        os.killpg(process.pid, signal.SIGINT)
+        code = process.wait(timeout=60.0)
+        assert (code, process.stderr.read()) == (130, "run interrupted\n")
+        assert process_table.survivors(children, timeout=0.0) == []
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait(timeout=10.0)
+        process_table.survivors(children, timeout=0.0)
+        process.stderr.close()
 
 
 def test_run_other_errors_keep_their_traceback(monkeypatch):

@@ -78,8 +78,6 @@ from repro.events import (
 from repro.hvac.simulation import (
     OutdoorConditions,
     SimulationJob,
-    _STACK_THRESHOLD,
-    _simulate_stacked,
     appliance_gain_tables,
     closed_loop_token,
     occupant_gain_matrices,
@@ -1082,10 +1080,9 @@ def test_gain_matrices_match_reference_loops(sim_world):
 
 
 def test_simulate_batch_matches_individual_runs():
-    """Stacked groups (sized to cross the stacking threshold) equal
-    per-job runs bit for bit, 8+ zone homes included."""
+    """Batched fleets equal per-job runs bit for bit, 8+ zone homes
+    included."""
     for n_zones, n_homes in ((4, 16), (8, 8)):
-        assert n_zones * n_homes >= _STACK_THRESHOLD
         fleet = generate_home_fleet(n_homes, n_zones=n_zones, n_days=1, seed=29)
         jobs = [
             SimulationJob(home, trace, DemandControlledHVAC(home))
@@ -1096,23 +1093,6 @@ def test_simulate_batch_matches_individual_runs():
             assert _results_equal(
                 result, simulate(job.home, job.trace, job.controller)
             )
-
-
-def test_stacked_kernel_matches_even_for_small_groups():
-    """Below the stacking threshold the kernel itself still agrees."""
-    home = build_house_a()
-    traces = [
-        generate_house_trace(
-            home, house="A", config=SyntheticConfig(n_days=1, seed=s)
-        )
-        for s in (1, 2)
-    ]
-    controller = DemandControlledHVAC(home)
-    jobs = [SimulationJob(home, trace, controller) for trace in traces]
-    for job, result in zip(jobs, _simulate_stacked(jobs)):
-        assert _results_equal(
-            result, simulate(job.home, job.trace, job.controller)
-        )
 
 
 def test_outdoor_temperature_array_resolves_once():
