@@ -26,8 +26,10 @@ only rounds, workload sizes, and the speedup gates.
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -710,12 +712,7 @@ def bench(smoke: bool) -> dict:
     }
 
     # --- artifact codec (base64-pickle JSON vs binary frames) -----------
-    from repro.core.serialization import (
-        _pickle_tag,
-        decode_artifact,
-        decode_wire_value,
-        encode_artifact,
-    )
+    from repro.core.serialization import decode_artifact, encode_artifact
 
     codec_homes, codec_days = (2, 2) if smoke else (6, 6)
     codec_payload = [
@@ -726,10 +723,12 @@ def bench(smoke: bool) -> dict:
     ]
 
     def pickle_json_round_trip():
-        # The pre-frame artifact path: tagged base64-pickle inside a
-        # JSON document (the v1 cache's on-disk encoding).
-        wire = json.dumps(_pickle_tag(codec_payload))
-        return decode_wire_value(json.loads(wire))
+        # The pre-frame artifact path, inlined here since the package no
+        # longer has it: tagged base64-pickle inside a JSON document (the
+        # v1 cache's on-disk encoding).
+        raw = pickle.dumps(codec_payload, protocol=pickle.HIGHEST_PROTOCOL)
+        wire = json.dumps({"__pickle__": base64.b64encode(raw).decode("ascii")})
+        return pickle.loads(base64.b64decode(json.loads(wire)["__pickle__"]))
 
     def frame_round_trip():
         return decode_artifact(encode_artifact(codec_payload))

@@ -1,10 +1,9 @@
-"""Binary array-frame codec: zero-copy serialization for array payloads.
+"""Binary array-frame codec: the one encoding for structured values.
 
-Large artifacts (house traces, fitted-ADM decision surfaces, spilled
-shard results) are dominated by numpy arrays, and shipping those as
-base64-encoded pickle inside JSON pays three taxes per boundary
-crossing: a pickle walk, a 4/3 base64 blow-up, and a JSON string parse.
-This module frames a nested container of arrays as::
+House traces, fitted-ADM decision surfaces, shard results and spilled
+payloads are dominated by numpy arrays.  Every one of them is stored
+in the cache's disk tiers and sent home from remote workers as a frame,
+a nested container of arrays laid out as::
 
     RAF1 | header length (uint32 LE) | header JSON | pad | buffers...
 
@@ -12,16 +11,12 @@ The header JSON carries a *manifest* — the container structure with
 scalar leaves embedded — plus a buffer table (dtype, shape, C/F memory
 order, byte offset, byte length, crc32) describing the concatenated raw
 array buffers that follow.  Buffers are 64-byte aligned, so decoding is
-one ``np.frombuffer`` per array over the frame's memory — zero-copy —
-and :func:`decode_frame_file` can map a large frame with ``np.memmap``
-so arrays page in lazily instead of being read up front.
+one ``np.frombuffer`` per array over the frame's memory — zero-copy.
 
-Checksum policy: every buffer's crc32 is stored and verified on fully
-materialized decodes (``verify=True``, the default for byte decodes and
-the cache's corrupt-scan).  Memory-mapped decodes skip the crc — it
-would fault in every page and defeat the mapping — but still validate
-the magic, the header, and every buffer's bounds and shape/dtype
-consistency, so a truncated file fails loudly either way.
+Checksum policy: every buffer's crc32 is stored, and every decode
+verifies every buffer it reads, so a torn or flipped frame fails loudly
+at any size (as :class:`~repro.errors.ConfigurationError`) before a
+wrong value can reach a caller.
 
 Decoded arrays are read-only views of the frame buffer (callers that
 need to mutate copy explicitly, which is also the existing contract for
@@ -29,12 +24,13 @@ shared cache entries).  Round-trips are bit-exact: dtypes (including
 byte order), shapes, memory order, container types (list vs tuple), and
 scalar types are all preserved.
 
-This module deliberately never imports ``pickle`` — CI greps it to keep
-the array path pickle-free.  Leaves the manifest cannot express
-natively (arbitrary objects, object-dtype arrays) go through the
-caller-supplied ``fallback_encode`` / ``fallback_decode`` hooks; the
-wrappers in :mod:`repro.core.serialization` plug the trusted-link
-pickle codec in there, keeping the trust boundary where it always was.
+The manifest's leaves are a closed set: JSON scalars, lists, tuples,
+dicts (any encodable keys), bytes, numpy arrays and scalars of a
+non-object dtype, and dataclass instances.  Anything else (enum
+members, sets, arbitrary objects) raises ``ConfigurationError`` naming
+its type.  Decoding never executes stored code, but a dataclass node
+names the class the decoder imports and instantiates, so frames are
+for trusted storage and trusted coordinator↔worker links.
 """
 
 from __future__ import annotations
@@ -44,8 +40,7 @@ import importlib
 import json
 import struct
 import zlib
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -55,7 +50,7 @@ FRAME_MAGIC = b"RAF1"
 FRAME_VERSION = 1
 
 # Buffer alignment inside a frame.  64 covers every numpy itemsize and
-# keeps memmap'd reads cache-line aligned.
+# keeps decoded arrays cache-line aligned.
 _ALIGN = 64
 
 # Node tags used in the manifest tree.  Single-key dicts keep the
@@ -68,7 +63,6 @@ _N_ARRAY = "a"  # buffer index
 _N_NPSCALAR = "s"  # buffer index of a 0-d array; decodes to a np scalar
 _N_BYTES = "b"  # buffer index of raw bytes
 _N_DATACLASS = "dc"  # [module, qualname, [[field, node], ...]]
-_N_FALLBACK = "f"  # buffer index, encoded by the fallback hook
 
 
 def _pad(n: int) -> int:
@@ -76,8 +70,7 @@ def _pad(n: int) -> int:
 
 
 class _Encoder:
-    def __init__(self, fallback: Callable[[Any], bytes] | None) -> None:
-        self._fallback = fallback
+    def __init__(self) -> None:
         self.buffers: list[dict] = []
         self.chunks: list[bytes] = []
         self._offset = 0
@@ -142,19 +135,15 @@ class _Encoder:
                     fields,
                 ]
             }
-        if self._fallback is None:
-            raise ConfigurationError(
-                f"array frame cannot encode {type(value).__name__} "
-                "without a fallback codec"
-            )
-        return {_N_FALLBACK: self._add_buffer(self._fallback(value), None, None, None)}
+        raise ConfigurationError(
+            f"array frame cannot encode {type(value).__module__}."
+            f"{type(value).__qualname__} values"
+        )
 
 
-def encode_frame(
-    value: Any, fallback_encode: Callable[[Any], bytes] | None = None
-) -> bytes:
+def encode_frame(value: Any) -> bytes:
     """Serialize ``value`` (nested containers of arrays) to one frame."""
-    encoder = _Encoder(fallback_encode)
+    encoder = _Encoder()
     manifest = encoder.node(value)
     header = json.dumps(
         {
@@ -176,19 +165,10 @@ def encode_frame(
 
 
 class _Decoder:
-    def __init__(
-        self,
-        buf,  # bytes | memoryview over the whole frame
-        data_start: int,
-        buffers: list[dict],
-        fallback: Callable[[bytes], Any] | None,
-        verify: bool,
-    ) -> None:
-        self._buf = buf
+    def __init__(self, buf, data_start: int, buffers: list[dict]) -> None:
+        self._buf = buf  # bytes | memoryview over the whole frame
         self._start = data_start
         self._buffers = buffers
-        self._fallback = fallback
-        self._verify = verify
 
     def _raw(self, index: Any) -> tuple[memoryview, dict]:
         if not isinstance(index, int) or not 0 <= index < len(self._buffers):
@@ -201,7 +181,7 @@ class _Decoder:
                 f"array frame buffer {index} exceeds the frame (truncated?)"
             )
         chunk = memoryview(self._buf)[offset : offset + nbytes]
-        if self._verify and zlib.crc32(chunk) != int(meta["crc32"]):
+        if zlib.crc32(chunk) != int(meta["crc32"]):
             raise ConfigurationError(f"array frame buffer {index} fails its checksum")
         return chunk, meta
 
@@ -240,14 +220,6 @@ class _Decoder:
             return bytes(chunk)
         if tag == _N_DATACLASS:
             return self._dataclass(body)
-        if tag == _N_FALLBACK:
-            if self._fallback is None:
-                raise ConfigurationError(
-                    "array frame holds a fallback-coded leaf but no "
-                    "fallback codec was provided"
-                )
-            chunk, _ = self._raw(body)
-            return self._fallback(bytes(chunk))
         raise ConfigurationError(f"unknown array-frame node tag {tag!r}")
 
     def _dataclass(self, body: Any) -> Any:
@@ -296,47 +268,16 @@ def _parse_header(buf) -> tuple[dict, int]:
     return header, prefix_len + _pad(prefix_len)
 
 
-def decode_frame(
-    raw,
-    fallback_decode: Callable[[bytes], Any] | None = None,
-    verify: bool = True,
-) -> Any:
-    """Invert :func:`encode_frame` over in-memory bytes.
+def decode_frame(raw) -> Any:
+    """Invert :func:`encode_frame` over in-memory bytes, verifying every
+    buffer's checksum.
 
     Decoded arrays are read-only zero-copy views into ``raw``; pass the
     result to ``np.copy`` / ``.copy()`` where mutation is needed.
     """
     header, data_start = _parse_header(raw)
-    decoder = _Decoder(
-        raw, data_start, list(header.get("buffers") or []), fallback_decode, verify
-    )
+    decoder = _Decoder(raw, data_start, list(header.get("buffers") or []))
     return decoder.node(header.get("manifest"))
-
-
-# Files at or above this size decode through np.memmap by default, so
-# their arrays page in lazily instead of being read up front.
-DEFAULT_MEMMAP_THRESHOLD = 1 << 20
-
-
-def decode_frame_file(
-    path: str | Path,
-    fallback_decode: Callable[[bytes], Any] | None = None,
-    memmap_threshold: int | None = None,
-) -> Any:
-    """Decode a frame from disk, memory-mapping it above the threshold.
-
-    Mapped decodes skip per-buffer checksums (they would page the whole
-    file in); structural validation still runs, and the cache's
-    ``verify_disk`` sweep uses the fully-read, checksummed path.
-    """
-    path = Path(path)
-    threshold = (
-        DEFAULT_MEMMAP_THRESHOLD if memmap_threshold is None else memmap_threshold
-    )
-    if path.stat().st_size >= threshold:
-        mapped = np.memmap(path, dtype=np.uint8, mode="r")
-        return decode_frame(memoryview(mapped), fallback_decode, verify=False)
-    return decode_frame(path.read_bytes(), fallback_decode, verify=True)
 
 
 def estimate_payload_bytes(value: Any) -> int:

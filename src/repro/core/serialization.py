@@ -5,19 +5,22 @@ feed them into other tooling (SIEM rules, dashboards, tickets), so they
 need a stable on-disk JSON form.  Arrays serialize compactly: boolean
 and integer matrices as nested lists, with shapes validated on load.
 
-The artifact cache in :mod:`repro.runner.cache` stores every disk tier
-(house traces, fitted ADMs, reward tables, results, spills) as binary
-array frames (:func:`encode_artifact` / :func:`decode_artifact`); a
-fitted ADM enters a frame as plain arrays
-(:func:`cluster_adm_to_arrays`).  Task payloads and events cross the
-remote-worker wire as tagged JSON (:func:`encode_wire_value`).
+Structured values have one binary encoding, the array frame
+(:mod:`repro.core.arrayframe`): the artifact cache in
+:mod:`repro.runner.cache` stores every disk tier (house traces, fitted
+ADMs, reward tables, results, spills) as frames
+(:func:`encode_artifact` / :func:`decode_artifact`), and a remote
+worker sends each task's value home as one.  A fitted ADM enters a
+frame as plain arrays (:func:`cluster_adm_to_arrays`).  JSON-shaped
+records (task payloads, events, run manifests, job records) are tagged
+JSON (:func:`encode_wire_value`), which carries exact scalar, container
+and array types and raises on anything else.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import pickle
 from pathlib import Path
 from typing import Any
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend, _GroupModel
 from repro.attack.model import AttackVector
-from repro.core.arrayframe import decode_frame, decode_frame_file, encode_frame
+from repro.core.arrayframe import decode_frame, encode_frame
 from repro.core.report import AttackReport, CostBreakdown
 from repro.errors import ConfigurationError
 from repro.geometry import ConvexHull
@@ -176,35 +179,24 @@ def adm_params_from_dict(payload: dict) -> AdmParams:
 
 
 # ----------------------------------------------------------------------
-# Binary artifact frames (cache tiers, spilled shard results)
+# Binary artifact frames (cache tiers, spilled and remote shard results)
 # ----------------------------------------------------------------------
-#
-# The frame codec itself (:mod:`repro.core.arrayframe`) is pickle-free;
-# these wrappers plug a pickle fallback in for the rare leaf the
-# manifest cannot express natively (enum members, odd objects inside
-# result dataclasses).  Arrays, containers, scalars, and dataclasses
-# never touch the fallback, so the hot payloads stay raw buffers.
-
-
-def _frame_fallback_encode(value: Any) -> bytes:
-    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def encode_artifact(value: Any) -> bytes:
-    """Frame an artifact (nested containers of arrays) for disk."""
-    return encode_frame(value, fallback_encode=_frame_fallback_encode)
+    """Frame an artifact (nested containers of arrays) for disk or wire."""
+    return encode_frame(value)
 
 
 def decode_artifact(raw: bytes) -> Any:
-    """Decode a fully read artifact frame, verifying buffer checksums."""
-    return decode_frame(raw, fallback_decode=pickle.loads, verify=True)
+    """Decode an artifact frame held in memory, verifying its checksums."""
+    return decode_frame(raw)
 
 
-def decode_artifact_file(path: str | Path, memmap_threshold: int | None = None) -> Any:
-    """Decode an artifact frame from disk (memory-mapped when large)."""
-    return decode_frame_file(
-        path, fallback_decode=pickle.loads, memmap_threshold=memmap_threshold
-    )
+def decode_artifact_file(path: str | Path) -> Any:
+    """Read an artifact frame from disk and decode it, verifying its
+    checksums."""
+    return decode_frame(Path(path).read_bytes())
 
 
 def cluster_adm_to_arrays(adm: ClusterADM) -> dict:
@@ -268,34 +260,26 @@ def cluster_adm_from_arrays(payload: dict) -> ClusterADM:
 #
 # The shard-graph runners describe every work unit as an
 # ``(op, experiment, params, extra)`` tuple; a remote coordinator ships
-# those tuples to ``repro worker`` processes as JSON messages.  Values
-# are encoded structurally — JSON scalars pass through, tuples and
-# bytes get tagged wrappers so they round-trip *exactly* (a shard that
-# received a list where it declared a tuple could compute something
-# else), numpy arrays and scalars get a raw-buffer tag (dtype + shape +
-# base64 of ``tobytes``, never pickle — results above the spill
-# threshold bypass the socket entirely, see :mod:`repro.runner.remote`)
-# — and anything else (dataclasses, enums) falls back to a tagged
-# pickle.  The pickle arm means the wire format is only for trusted
-# coordinator↔worker links, the same trust domain as
-# :mod:`multiprocessing`.
+# those tuples to ``repro worker`` processes as JSON messages, and run
+# manifests, job records and events use the same encoding.  Values are
+# encoded structurally — JSON scalars pass through, tuples and bytes get
+# tagged wrappers so they round-trip *exactly* (a shard that received a
+# list where it declared a tuple could compute something else), numpy
+# arrays and scalars get a raw-buffer tag (dtype + shape + base64 of
+# ``tobytes``) — and anything else (sets, enums, dataclasses, dicts with
+# non-string keys) raises :class:`ConfigurationError`.  Task *results*
+# do not use this codec: they travel home as array frames.
 
 _WIRE_VERSION = 1
 
 _TAG_TUPLE = "__tuple__"
 _TAG_BYTES = "__bytes__"
 _TAG_NDARRAY = "__ndarray__"
-_TAG_PICKLE = "__pickle__"
-_TAGS = (_TAG_TUPLE, _TAG_BYTES, _TAG_NDARRAY, _TAG_PICKLE)
-
-
-def _pickle_tag(value: Any) -> dict:
-    raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    return {_TAG_PICKLE: base64.b64encode(raw).decode("ascii")}
+_TAGS = (_TAG_TUPLE, _TAG_BYTES, _TAG_NDARRAY)
 
 
 def _ndarray_tag(value: Any) -> dict:
-    """The pickle-free wire arm for numpy arrays and scalars."""
+    """The wire arm for numpy arrays and scalars."""
     scalar = isinstance(value, np.generic)
     arr = np.asarray(value)
     if arr.flags.c_contiguous or arr.ndim <= 1:
@@ -321,8 +305,8 @@ def _ndarray_untag(spec: dict) -> Any:
     shape = tuple(int(n) for n in spec.get("shape") or ())
     order = "F" if spec.get("order") == "F" else "C"
     flat = np.frombuffer(base64.b64decode(spec["data"]), dtype=dtype)
-    # .copy() detaches from the read-only decode buffer: the pickle arm
-    # this replaces produced writable arrays, and callers may rely on it.
+    # .copy() detaches from the read-only decode buffer, so a decoded
+    # record owns writable arrays.
     arr = flat.reshape(shape, order=order).copy(order=order)
     return arr[()] if spec.get("scalar") else arr
 
@@ -335,6 +319,8 @@ def encode_wire_value(value: Any) -> Any:
     the wire — their ``repr`` differs, so letting them decay to the
     builtin would let a remotely rendered artifact diverge from the
     serial oracle — and therefore take the ndarray arm (as 0-d buffers).
+    A value with no exact encoding raises :class:`ConfigurationError`
+    naming its type.
     """
     if value is None or type(value) in (bool, int, float, str):
         return value
@@ -347,12 +333,17 @@ def encode_wire_value(value: Any) -> Any:
     if isinstance(value, (np.ndarray, np.generic)) and not value.dtype.hasobject:
         return _ndarray_tag(value)
     if type(value) is dict:
-        if all(type(key) is str for key in value) and not any(
-            tag in value for tag in _TAGS
-        ):
-            return {key: encode_wire_value(item) for key, item in value.items()}
-        return _pickle_tag(value)
-    return _pickle_tag(value)
+        for key in value:
+            if type(key) is not str or key in _TAGS:
+                raise ConfigurationError(
+                    f"the wire codec cannot carry dict key {key!r}: keys "
+                    f"must be strings other than {', '.join(_TAGS)}"
+                )
+        return {key: encode_wire_value(item) for key, item in value.items()}
+    raise ConfigurationError(
+        f"the wire codec cannot carry {type(value).__module__}."
+        f"{type(value).__qualname__} values"
+    )
 
 
 def decode_wire_value(obj: Any) -> Any:
@@ -366,8 +357,6 @@ def decode_wire_value(obj: Any) -> Any:
             return base64.b64decode(obj[_TAG_BYTES])
         if _TAG_NDARRAY in obj and len(obj) == 1:
             return _ndarray_untag(obj[_TAG_NDARRAY])
-        if _TAG_PICKLE in obj and len(obj) == 1:
-            return pickle.loads(base64.b64decode(obj[_TAG_PICKLE]))
         return {key: decode_wire_value(item) for key, item in obj.items()}
     return obj
 

@@ -1,14 +1,13 @@
-"""``pickle-discipline``: the array codec's trust boundary stays pickle-free.
+"""``pickle-discipline``: no :mod:`pickle` in the linted tree.
 
-``core/arrayframe.py`` is the binary frame codec untrusted bytes flow
-through — it must never import or touch :mod:`pickle` (PR 8 made it a
-raw-buffer format precisely so decoding is structural, not executable).
-``core/serialization.py`` *is* allowed a tagged-pickle fallback for
-exotic leaves on trusted links, but ndarray payloads must always take
-the raw-buffer ``__ndarray__`` arm: any branch taken because a value is
-an ndarray / numpy scalar must not reach ``_pickle_tag`` or
-``pickle.dumps``, and the ``_ndarray_*`` codec arms themselves must not
-mention pickle at all.
+Structured values cross every process boundary as array frames
+(:mod:`repro.core.arrayframe`) or tagged JSON
+(:func:`repro.core.serialization.encode_wire_value`), whose decoders
+are structural: a value neither can encode raises instead of falling
+back to an executable format.  This rule keeps it that way for every
+file it is pointed at (``repro lint src/repro``): no ``import`` of the
+``pickle`` module (or its C accelerator ``_pickle``), no ``from`` import
+of either, and no reference to a name ``pickle``.
 """
 
 from __future__ import annotations
@@ -17,97 +16,35 @@ import ast
 from typing import Iterator
 
 from repro.devtools.lint.base import FileContext, Finding, Rule, register
-from repro.devtools.lint.rules.common import call_name, iter_name_references
 
-_NDARRAY_TEST_NAMES = {"ndarray", "generic"}
-_PICKLE_CALLS = {"_pickle_tag", "dumps", "loads"}
+_MODULES = {"pickle", "_pickle"}
 
 
-def _mentions_ndarray(test: ast.AST) -> bool:
-    for _, name in iter_name_references(test):
-        if name in _NDARRAY_TEST_NAMES:
-            return True
-    return False
-
-
-def _pickle_call(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name) and func.id == "_pickle_tag":
-        return True
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr in ("dumps", "loads")
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "pickle"
-    ):
-        return True
-    return False
+def _root(module: str | None) -> str:
+    return (module or "").split(".")[0]
 
 
 @register
 class PickleDiscipline(Rule):
     name = "pickle-discipline"
     description = (
-        "no pickle in core/arrayframe.py; ndarrays must take the "
-        "raw-buffer wire arm in core/serialization.py, never the "
-        "tagged-pickle fallback"
+        "no pickle anywhere: array frames and tagged JSON are the only "
+        "codecs, and a value neither encodes raises"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.match("core/arrayframe.py"):
-            yield from self._check_arrayframe(ctx)
-        if ctx.match("core/serialization.py"):
-            yield from self._check_serialization(ctx)
-
-    def _check_arrayframe(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name.split(".")[0] == "pickle":
-                        yield self.finding(
-                            ctx, node, "arrayframe must not import pickle"
-                        )
+                    if _root(alias.name) in _MODULES:
+                        yield self.finding(ctx, node, f"import of {alias.name}")
             elif isinstance(node, ast.ImportFrom):
-                if (node.module or "").split(".")[0] == "pickle":
-                    yield self.finding(
-                        ctx, node, "arrayframe must not import from pickle"
-                    )
-            elif isinstance(node, ast.Name) and node.id == "pickle":
+                if _root(node.module) in _MODULES:
+                    yield self.finding(ctx, node, f"import from {node.module}")
+            elif isinstance(node, ast.Name) and node.id in _MODULES:
                 yield self.finding(
                     ctx,
                     node,
-                    "arrayframe is the trust boundary for array artifacts "
-                    "and must stay pickle-free",
+                    f"reference to {node.id}: encode with array frames "
+                    "or tagged JSON",
                 )
-
-    def _check_serialization(self, ctx: FileContext) -> Iterator[Finding]:
-        # 1. The dedicated ndarray codec arms stay pickle-free.
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not node.name.startswith("_ndarray"):
-                    continue
-                for inner in ast.walk(node):
-                    if isinstance(inner, ast.Call) and _pickle_call(inner):
-                        yield self.finding(
-                            ctx,
-                            inner,
-                            f"{node.name}() is the pickle-free wire arm for "
-                            f"arrays; it must not call {call_name(inner)}",
-                        )
-        # 2. A branch taken *because* the value is an ndarray must not
-        #    fall back to pickle.
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.If):
-                continue
-            if not _mentions_ndarray(node.test):
-                continue
-            for stmt in node.body:
-                for inner in ast.walk(stmt):
-                    if isinstance(inner, ast.Call) and _pickle_call(inner):
-                        yield self.finding(
-                            ctx,
-                            inner,
-                            "ndarray payloads must take the raw-buffer "
-                            "__ndarray__ wire arm, never the tagged-pickle "
-                            "fallback",
-                        )

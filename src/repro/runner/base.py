@@ -27,6 +27,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
+from repro.core.serialization import encode_wire_value
 from repro.errors import ConfigurationError
 from repro.runner.cache import ArtifactCache, get_cache
 from repro.runner.registry import Experiment, get_experiment
@@ -95,7 +96,9 @@ class RunRequest:
     dict of known parameter names) — :meth:`build` is the constructor
     that routes name/days/overrides through ``resolve()`` so every
     entry point gets the same unknown-parameter validation and
-    ``--days`` scaling.  ``sweep`` groups the requests of one
+    ``--days`` scaling, and that rejects a parameter the task-payload
+    wire codec cannot carry exactly (a set, an enum member) before any
+    compute.  ``sweep`` groups the requests of one
     :meth:`repro.api.Session.sweep` expansion.  ``client`` names the
     submitting tenant when requests from several clients share one
     batch (the service control plane): the scheduler round-robins ready
@@ -117,13 +120,15 @@ class RunRequest:
         client: str = "",
     ) -> "RunRequest":
         """The typed front door: resolve parameters through the spec."""
-        exp = get_experiment(name)
-        return RunRequest(
-            experiment=name,
-            params=exp.resolve(days=days, **(overrides or {})),
-            sweep=sweep,
-            client=client,
-        )
+        params = get_experiment(name).resolve(days=days, **(overrides or {}))
+        for key, value in params.items():
+            try:
+                encode_wire_value(value)
+            except ConfigurationError as error:
+                raise ConfigurationError(
+                    f"parameter {key!r} of {name!r}: {error}"
+                ) from None
+        return RunRequest(experiment=name, params=params, sweep=sweep, client=client)
 
     @staticmethod
     def for_days(name: str, days: int | None = None) -> "RunRequest":

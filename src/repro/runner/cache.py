@@ -6,9 +6,10 @@ fitted ADMs, keyed by the training data's provenance plus the
 hyperparameters.  :class:`ArtifactCache` memoizes both — in memory
 within a process, and optionally on disk (binary array frames via
 :mod:`repro.core.arrayframe`) so a second ``repro run --all`` restores
-them instead of regenerating and refitting.  Frames above
-:attr:`ArtifactCache.memmap_threshold` decode through ``np.memmap``, so
-restoring a fleet-sized artifact does not page the whole file in.
+them instead of regenerating and refitting.  Every disk read decodes
+the whole frame and verifies every buffer's checksum, whatever its
+size: a torn or flipped entry is reported (``CacheCorrupt``), deleted
+and recomputed, never returned.
 
 A third tier caches whole experiment *results* (framed structured
 values) so a repeated run of a deterministic experiment with identical
@@ -50,11 +51,10 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.adm.cluster_model import AdmParams, ClusterADM
-from repro.core.arrayframe import DEFAULT_MEMMAP_THRESHOLD, estimate_payload_bytes
+from repro.core.arrayframe import estimate_payload_bytes
 from repro.core.serialization import (
     cluster_adm_from_arrays,
     cluster_adm_to_arrays,
-    decode_artifact,
     decode_artifact_file,
     encode_artifact,
 )
@@ -65,7 +65,7 @@ from repro.home.state import HomeTrace
 
 # Bump when cached payload semantics change; stale entries are ignored
 # because the version participates in every key.  v2: binary ``.raf``
-# array frames replaced the JSON/pickle disk formats.
+# array frames replaced the v1 disk formats.
 _CACHE_VERSION = 2
 
 _ENV_DIR = "REPRO_CACHE_DIR"
@@ -73,6 +73,10 @@ _ENV_DIR = "REPRO_CACHE_DIR"
 # Worker results smaller than this cross the socket inline; larger ones
 # spill to the shared disk tier (when one is configured).
 DEFAULT_SPILL_THRESHOLD = 256 * 1024
+
+# The disk tiers, each a directory of ``.raf`` frames under the cache
+# dir, that ``verify_disk`` sweeps.
+_FRAME_TIERS = ("trace", "adm", "rewards", "result", "spill")
 
 
 def atomic_write(path: Path, data: bytes) -> None:
@@ -235,16 +239,10 @@ class ArtifactCache:
         *,
         memory: bool = True,
         disk_dir: str | Path | None = None,
-        memmap_threshold: int | None = None,
         spill_threshold: int | None = None,
     ) -> None:
         self._memory: dict[str, Any] | None = {} if memory else None
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.memmap_threshold = (
-            DEFAULT_MEMMAP_THRESHOLD
-            if memmap_threshold is None
-            else int(memmap_threshold)
-        )
         self.spill_threshold = (
             DEFAULT_SPILL_THRESHOLD if spill_threshold is None else int(spill_threshold)
         )
@@ -261,28 +259,41 @@ class ArtifactCache:
     def memory_enabled(self) -> bool:
         return self._memory is not None
 
-    def _disk_path(self, kind: str, digest: str, suffix: str) -> Path | None:
+    def _disk_path(self, kind: str, digest: str) -> Path | None:
         if self.disk_dir is None:
             return None
-        return self.disk_dir / kind / f"{digest}{suffix}"
+        return self.disk_dir / kind / f"{digest}.raf"
 
-    def _get(
-        self, kind: str, token: tuple, suffix: str, decode, decode_path=None
-    ) -> Any | None:
+    # Disk entries are ``.raf`` array frames (raw buffers + manifest,
+    # :mod:`repro.core.arrayframe`).  ``_decode`` is the one reader of a
+    # tier's files, for ``_get`` and ``verify_disk`` alike: it decodes
+    # the whole frame, checking every buffer's crc32, then validates or
+    # rebuilds the tier's value.  Any exception it raises makes the entry
+    # count as corrupt.
+
+    def _decode(self, kind: str, path: Path) -> Any:
+        value = decode_artifact_file(path)
+        if kind == "trace":
+            return self._check_trace(value)
+        if kind == "adm":
+            return cluster_adm_from_arrays(value)
+        return value
+
+    @staticmethod
+    def _encode(kind: str, value: Any) -> bytes:
+        if kind == "adm":
+            value = cluster_adm_to_arrays(value)
+        return encode_artifact(value)
+
+    def _get(self, kind: str, token: tuple) -> Any | None:
         digest = _digest(kind, token)
         if self._memory is not None and digest in self._memory:
             emit(CacheHit(tier=kind))
             return self._memory[digest]
-        path = self._disk_path(kind, digest, suffix)
+        path = self._disk_path(kind, digest)
         if path is not None and path.exists():
             try:
-                # ``decode_path`` lets binary tiers decode straight from
-                # the file (memory-mapping large frames) instead of
-                # slurping the bytes first.
-                if decode_path is not None:
-                    value = decode_path(path)
-                else:
-                    value = decode(path.read_bytes())
+                value = self._decode(kind, path)
             except Exception:
                 # A torn or corrupt file must not crash the run, but it
                 # is not a plain miss either: report it separately and
@@ -302,34 +313,17 @@ class ArtifactCache:
         emit(CacheMiss(tier=kind))
         return None
 
-    def _put(self, kind: str, token: tuple, suffix: str, value: Any, encode) -> None:
+    def _put(self, kind: str, token: tuple, value: Any) -> None:
         digest = _digest(kind, token)
         if self._memory is not None:
             self._memory[digest] = value
-        path = self._disk_path(kind, digest, suffix)
+        path = self._disk_path(kind, digest)
         nbytes = 0
         if path is not None:
-            data = encode(value)
+            data = self._encode(kind, value)
             nbytes = len(data)
             atomic_write(path, data)
         emit(CachePut(tier=kind, nbytes=nbytes))
-
-    # ------------------------------------------------------------------
-    # Binary tier plumbing
-    # ------------------------------------------------------------------
-    #
-    # Disk entries are ``.raf`` array frames (raw buffers + manifest,
-    # :mod:`repro.core.arrayframe`).  Each tier supplies a ``post`` hook
-    # that validates/reconstructs the decoded payload; a hook that
-    # raises makes the entry count as corrupt, exactly like a torn file.
-
-    def _artifact_decoders(self, post):
-        return (
-            lambda raw: post(decode_artifact(raw)),
-            lambda path: post(
-                decode_artifact_file(path, memmap_threshold=self.memmap_threshold)
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Trace tier
@@ -344,37 +338,21 @@ class ArtifactCache:
         return value
 
     def get_trace(self, house: str, n_days: int, seed: int) -> HomeTrace | None:
-        decode, decode_path = self._artifact_decoders(self._check_trace)
-        value = self._get(
-            "trace", (house, n_days, seed), ".raf", decode, decode_path
-        )
+        value = self._get("trace", (house, n_days, seed))
         return value.copy() if value is not None else None
 
     def put_trace(self, house: str, n_days: int, seed: int, trace: HomeTrace) -> None:
-        self._put(
-            "trace",
-            (house, n_days, seed),
-            ".raf",
-            trace.copy(),
-            encode_artifact,
-        )
+        self._put("trace", (house, n_days, seed), trace.copy())
 
     # ------------------------------------------------------------------
     # ADM tier
     # ------------------------------------------------------------------
 
     def get_adm(self, token: tuple) -> ClusterADM | None:
-        decode, decode_path = self._artifact_decoders(cluster_adm_from_arrays)
-        return self._get("adm", token, ".raf", decode, decode_path)
+        return self._get("adm", token)
 
     def put_adm(self, token: tuple, adm: ClusterADM) -> None:
-        self._put(
-            "adm",
-            token,
-            ".raf",
-            adm,
-            lambda value: encode_artifact(cluster_adm_to_arrays(value)),
-        )
+        self._put("adm", token, adm)
 
     # ------------------------------------------------------------------
     # Analysis tier (memory only — pipeline objects are process-local)
@@ -404,22 +382,20 @@ class ArtifactCache:
     # ------------------------------------------------------------------
 
     def get_rewards(self, token: tuple) -> Any | None:
-        decode, decode_path = self._artifact_decoders(lambda value: value)
-        return self._get("rewards", token, ".raf", decode, decode_path)
+        return self._get("rewards", token)
 
     def put_rewards(self, token: tuple, value: Any) -> None:
-        self._put("rewards", token, ".raf", value, encode_artifact)
+        self._put("rewards", token, value)
 
     # ------------------------------------------------------------------
     # Result tier
     # ------------------------------------------------------------------
 
     def get_result(self, experiment: str, token: tuple) -> Any | None:
-        decode, decode_path = self._artifact_decoders(lambda value: value)
-        return self._get("result", (experiment,) + token, ".raf", decode, decode_path)
+        return self._get("result", (experiment,) + token)
 
     def put_result(self, experiment: str, token: tuple, value: Any) -> None:
-        self._put("result", (experiment,) + token, ".raf", value, encode_artifact)
+        self._put("result", (experiment,) + token, value)
 
     # ------------------------------------------------------------------
     # Spill tier (large-payload side channel for remote workers)
@@ -427,9 +403,7 @@ class ArtifactCache:
     #
     # Unlike the content-keyed tiers, spill entries are one-shot: the
     # worker writes under a random token, the coordinator decodes and
-    # deletes.  ``take_spill`` unlinks *after* decoding — with a
-    # memory-mapped frame the mapping keeps the data alive (POSIX) while
-    # the directory stays clean.
+    # deletes.
 
     def put_spill(self, value: Any) -> str:
         """Persist ``value`` under a fresh token; requires a disk tier."""
@@ -455,7 +429,7 @@ class ArtifactCache:
             emit(CacheMiss(tier="spill"))
             raise ConfigurationError(f"spilled payload {token} not found")
         try:
-            value = decode_artifact_file(path, memmap_threshold=self.memmap_threshold)
+            value = self._decode("spill", path)
         except Exception as exc:
             emit(CacheCorrupt(tier="spill"))
             try:
@@ -552,22 +526,11 @@ class ArtifactCache:
         writes (e.g. a shared cache dir after a worker host died
         mid-copy).
         """
-        # Full-read decoders: every buffer checksum is verified here,
-        # including for frames large enough that the hot read path would
-        # memory-map them without CRC-checking.
-        decoders = {
-            "trace": lambda raw: self._check_trace(decode_artifact(raw)),
-            "adm": lambda raw: cluster_adm_from_arrays(decode_artifact(raw)),
-            "rewards": decode_artifact,
-            "result": decode_artifact,
-            "spill": decode_artifact,
-        }
         report: dict[str, dict[str, int]] = {}
         if self.disk_dir is None or not self.disk_dir.exists():
             return report
         for kind_dir in sorted(self.disk_dir.iterdir()):
-            decode = decoders.get(kind_dir.name)
-            if decode is None or not kind_dir.is_dir():
+            if kind_dir.name not in _FRAME_TIERS or not kind_dir.is_dir():
                 continue
             checked = corrupt = 0
             for entry in sorted(kind_dir.iterdir()):
@@ -575,7 +538,7 @@ class ArtifactCache:
                     continue
                 checked += 1
                 try:
-                    decode(entry.read_bytes())
+                    self._decode(kind_dir.name, entry)
                 except Exception:
                     corrupt += 1
                     emit(CacheCorrupt(tier=kind_dir.name))
@@ -647,16 +610,12 @@ def configure_cache(
     *,
     memory: bool = True,
     disk_dir: str | Path | None = None,
-    memmap_threshold: int | None = None,
     spill_threshold: int | None = None,
 ) -> ArtifactCache:
     """Install (and return) a fresh process-global cache."""
     global _active
     _active = ArtifactCache(
-        memory=memory,
-        disk_dir=disk_dir,
-        memmap_threshold=memmap_threshold,
-        spill_threshold=spill_threshold,
+        memory=memory, disk_dir=disk_dir, spill_threshold=spill_threshold
     )
     return _active
 

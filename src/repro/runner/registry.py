@@ -30,12 +30,17 @@ what guarantees serial, parallel, and cached runs emit byte-identical
 text.
 
 Because shards may execute on remote workers, everything a spec puts in
-``params`` and shard dicts must survive the task-payload wire codec
-(:mod:`repro.core.serialization`) *exactly* — JSON scalars,
-lists/tuples/dicts of them, or values whose pickle round-trips.  Enum
-members should be shipped as their ``.value`` (the existing convention);
-``tests/test_runner_remote.py`` pins the round-trip for every
-registered spec.
+``params`` and shard dicts must be a tagged-JSON value of the task-payload
+wire codec (:func:`repro.core.serialization.encode_wire_value`), which
+carries it *exactly*: JSON scalars, bytes, numpy arrays and scalars, and
+lists, tuples and string-keyed dicts of them.  Anything else (a set, an
+enum member, a dataclass) makes the codec raise, so
+:meth:`~repro.runner.base.RunRequest.build` rejects such a parameter
+before compute.  Enum members are shipped as their ``.value`` (the
+existing convention); ``tests/test_runner_remote.py`` pins the
+round-trip for every registered spec.  A shard's *result* may be any
+value the array frame encodes (:mod:`repro.core.arrayframe`), which
+adds dataclasses and dicts with non-string keys.
 """
 
 from __future__ import annotations

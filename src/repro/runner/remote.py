@@ -4,7 +4,8 @@ The shard-graph scheduler bounds all work by the slots it is given; on
 one machine those are threads or process-pool members.  This module
 crosses the machine boundary: a *worker* is a ``repro worker --listen
 host:port --cache-dir <shared>`` process serving the task-payload wire
-protocol (newline-delimited JSON frames, payloads encoded by
+protocol (newline-delimited JSON messages: task payloads as tagged JSON,
+each task's value sent home as a base64 array frame, both from
 :mod:`repro.core.serialization`), and :class:`RemoteExecutor` is the
 coordinator side that probes workers, leases them to the
 :class:`~repro.runner.scheduler.GraphScheduler` as named slots, and
@@ -51,13 +52,14 @@ stay byte-identical to :class:`~repro.runner.serial.SerialRunner`.
 protocol against worker subprocesses on this machine, so CI and laptops
 exercise the exact code path a cluster would.
 
-The wire format embeds pickles for non-JSON values; like
-:mod:`multiprocessing`, it is for trusted coordinator↔worker links
+A result frame names the dataclasses its decoder imports and
+instantiates, so the protocol is for trusted coordinator↔worker links
 only — do not expose a worker port to untrusted networks.
 """
 
 from __future__ import annotations
 
+import base64
 import collections
 import json
 import os
@@ -74,8 +76,8 @@ from pathlib import Path
 from typing import Any, BinaryIO, Sequence
 
 from repro.core.serialization import (
-    decode_wire_value,
-    encode_wire_value,
+    decode_artifact,
+    encode_artifact,
     task_payload_from_wire,
     task_payload_to_wire,
 )
@@ -93,8 +95,9 @@ from repro.runner.cache import ArtifactCache, code_fingerprint, get_cache
 from repro.runner.pool import open_pool, run_in_pool
 from repro.runner.scheduler import WorkerLostError
 
-# Version 2: a result frame carries the events its task emitted.
-PROTOCOL_VERSION = 2
+# Version 2: a result message carries the events its task emitted.
+# Version 3: a task's value travels as a base64 array frame.
+PROTOCOL_VERSION = 3
 
 # How long a coordinator waits for a worker to answer a handshake /
 # accept a connection.  Task execution itself is unbounded — shards
@@ -249,8 +252,8 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
                 )
 
     def _run_task(self, owner: "WorkerServer", message: dict) -> dict | None:
-        """The result frame for one task frame, or ``None`` when a pool
-        member died running it."""
+        """The result message for one task message, or ``None`` when a
+        pool member died running it."""
         try:
             payload = task_payload_from_wire(message.get("payload") or {})
             # A coordinator with a disk tier marks the task spillable:
@@ -269,7 +272,8 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
             if token is not None:
                 reply["spill"] = token
             else:
-                reply["value"] = encode_wire_value(value)
+                frame = encode_artifact(value)
+                reply["frame"] = base64.b64encode(frame).decode("ascii")
             return reply
         except BrokenProcessPool:
             # Not the task's failure: the shard must retry on another
@@ -631,21 +635,16 @@ class _SlotConnection:
     def request(self, message: dict, expect: str) -> dict:
         try:
             _send(self._stream, message)
-            while True:
-                reply = _recv(self._stream)
-                if reply is None:
-                    raise WorkerLostError(
-                        self.address, "connection closed mid-task"
-                    )
-                if reply.get("type") == expect:
-                    return reply
-                if reply.get("type") in ("log", "pong"):
-                    continue  # telemetry frames are informational
-                raise WorkerLostError(
-                    self.address, f"unexpected reply {reply.get('type')!r}"
-                )
+            reply = _recv(self._stream)
         except (OSError, ValueError, UnicodeDecodeError) as error:
             raise WorkerLostError(self.address, str(error)) from error
+        if reply is None:
+            raise WorkerLostError(self.address, "connection closed mid-task")
+        if reply.get("type") != expect:
+            raise WorkerLostError(
+                self.address, f"unexpected reply {reply.get('type')!r}"
+            )
+        return reply
 
     def close(self) -> None:
         try:
@@ -671,8 +670,10 @@ class RemoteExecutor:
     the ``repro serve`` control plane admits self-registered workers
     that way.  Task traffic flows over pooled persistent connections
     (one per busy slot); each dial emits ``WorkerConnected``.  Each
-    result frame carries the events the task emitted on its worker,
-    which :meth:`run` decodes and returns.
+    result message carries the task's value as an array frame (or a
+    spill token) and the events the task emitted on its worker, which
+    :meth:`run` decodes and returns; arrays in a decoded value are
+    read-only views of the frame.
     """
 
     name = "remote"
@@ -931,7 +932,7 @@ class RemoteExecutor:
                     self._drop_connections(address)
                     raise WorkerLostError(address, str(error)) from error
             else:
-                value = decode_wire_value(reply.get("value"))
+                value = decode_artifact(base64.b64decode(reply["frame"]))
             return (
                 value,
                 float(reply.get("seconds") or 0.0),

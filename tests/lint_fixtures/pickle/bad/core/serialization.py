@@ -1,13 +1,15 @@
-"""An ndarray-taken branch falls back to the tagged-pickle arm."""
+"""A codec that falls back to pickle for values the frame cannot encode."""
 
 import pickle
+from pickle import loads
 
 
-def _pickle_tag(payload):
-    return {"__pickle__": payload.hex()}
+def encode(value, frame):
+    try:
+        return frame(value)
+    except TypeError:
+        return pickle.dumps(value)
 
 
-def encode(value, ndarray):
-    if isinstance(value, ndarray):
-        return _pickle_tag(pickle.dumps(value))
-    return value
+def decode(raw):
+    return loads(raw)

@@ -1,18 +1,14 @@
-"""ndarray payloads take the raw-buffer arm; the tagged-pickle fallback
-is reserved for non-array leaves."""
+"""Values the frame cannot encode raise; nothing falls back to pickle."""
 
-import pickle
-
-
-def _pickle_tag(payload):
-    return {"__pickle__": payload.hex()}
+import json
 
 
-def _ndarray_tag(value):
-    return {"__ndarray__": value.tobytes().hex(), "dtype": str(value.dtype)}
+def encode(value, frame):
+    try:
+        return frame(value)
+    except TypeError as error:
+        raise ValueError(f"cannot encode {type(value).__name__}") from error
 
 
-def encode(value, ndarray, generic):
-    if isinstance(value, (ndarray, generic)):
-        return _ndarray_tag(value)
-    return _pickle_tag(pickle.dumps(value))
+def encode_record(record):
+    return json.dumps(record)

@@ -64,6 +64,22 @@ def test_sweep_validates_parameters_through_resolve(tmp_path):
     assert session.runs() == []
 
 
+def test_request_rejects_a_parameter_the_wire_codec_cannot_carry(tmp_path):
+    """A set has no tagged-JSON encoding, so no remote worker, run
+    manifest or job record could carry it: the request is rejected at
+    the front door, before any compute."""
+    session = Session(cache_dir=str(tmp_path / "c"))
+    with pytest.raises(ConfigurationError, match="'min_pts_values'.*builtins.set"):
+        session.request("fig4", min_pts_values={2, 4})
+    with pytest.raises(ConfigurationError, match="'min_pts_values'"):
+        session.submit("fig4", days=3, min_pts_values={2, 4})
+    assert session.runs() == []
+    assert not (tmp_path / "c" / "trace").exists(), "nothing was computed"
+    # The same values as a list are a valid request.
+    request = session.request("fig4", min_pts_values=[2, 4])
+    assert request.params["min_pts_values"] == [2, 4]
+
+
 # ----------------------------------------------------------------------
 # Sweep execution
 # ----------------------------------------------------------------------

@@ -7,18 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core.arrayframe import (
-    DEFAULT_MEMMAP_THRESHOLD,
     FRAME_MAGIC,
     decode_frame,
-    decode_frame_file,
     encode_frame,
     estimate_payload_bytes,
 )
-from repro.core.serialization import (
-    decode_artifact,
-    decode_artifact_file,
-    encode_artifact,
-)
+from repro.core.serialization import decode_artifact_file, encode_artifact
 from repro.errors import ConfigurationError
 
 
@@ -121,16 +115,14 @@ def test_decoded_arrays_are_zero_copy_readonly_views():
     writable[0] = -1  # the documented escape hatch
 
 
-def test_exotic_leaf_requires_fallback():
-    with pytest.raises(ConfigurationError, match="fallback"):
-        encode_frame({"color": _Color.RED})
-    raw = encode_artifact({"color": _Color.RED, "arr": np.arange(3)})
-    clone = decode_artifact(raw)
-    assert clone["color"] is _Color.RED
-    np.testing.assert_array_equal(clone["arr"], np.arange(3))
-    # A frame holding a fallback leaf cannot decode without the hook.
-    with pytest.raises(ConfigurationError, match="fallback"):
-        decode_frame(raw)
+def test_exotic_leaf_raises_naming_its_type():
+    """A leaf outside the manifest's closed set has no second codec to
+    fall back to: encoding raises and names the type."""
+    for encode in (encode_frame, encode_artifact):
+        with pytest.raises(ConfigurationError, match=r"test_arrayframe\._Color"):
+            encode({"color": _Color.RED, "arr": np.arange(3)})
+    with pytest.raises(ConfigurationError, match=r"builtins\.set"):
+        encode_frame([{1, 2}])
 
 
 # ----------------------------------------------------------------------
@@ -154,10 +146,11 @@ def test_truncated_header_rejected():
 
 
 def test_truncated_buffer_rejected_even_without_crc():
+    """The bounds check fires before the checksum is computed."""
     raw = encode_frame(np.arange(1000, dtype=np.int64))
     torn = raw[:-64]
     with pytest.raises(ConfigurationError, match="truncated|exceeds"):
-        decode_frame(torn, verify=False)
+        decode_frame(torn)
 
 
 def test_flipped_bit_fails_checksum():
@@ -165,36 +158,19 @@ def test_flipped_bit_fails_checksum():
     raw[-1] ^= 0xFF
     with pytest.raises(ConfigurationError, match="checksum"):
         decode_frame(bytes(raw))
-    # The unverified decode (memmap policy) accepts the flipped payload
-    # byte — that is the documented trade; structure still validates.
-    decode_frame(bytes(raw), verify=False)
 
 
 # ----------------------------------------------------------------------
-# File / memmap decodes
+# File decodes
 # ----------------------------------------------------------------------
-
-
-def test_file_decode_memmap_and_read_paths_agree(tmp_path):
-    payload = {"big": np.arange(4096, dtype=np.float64), "tag": "x"}
-    path = tmp_path / "frame.raf"
-    path.write_bytes(encode_frame(payload))
-    mapped = decode_frame_file(path, memmap_threshold=1)
-    read = decode_frame_file(path, memmap_threshold=1 << 30)
-    np.testing.assert_array_equal(mapped["big"], read["big"])
-    assert mapped["tag"] == read["tag"] == "x"
-    # The mapped decode must stay a view into the mapping, not a copy.
-    base = mapped["big"]
-    while getattr(base, "base", None) is not None:
-        base = base.base
-    assert isinstance(base, (np.memmap, memoryview))
 
 
 def test_artifact_file_wrapper(tmp_path):
     path = tmp_path / "artifact.raf"
     path.write_bytes(encode_artifact({"arr": np.arange(10)}))
-    clone = decode_artifact_file(path, memmap_threshold=1)
+    clone = decode_artifact_file(path)
     np.testing.assert_array_equal(clone["arr"], np.arange(10))
+    assert not clone["arr"].flags.writeable
 
 
 # ----------------------------------------------------------------------
@@ -209,4 +185,3 @@ def test_estimate_payload_bytes_tracks_array_sizes():
     assert large >= 800_000
     assert estimate_payload_bytes(b"x" * 100) >= 100
     assert estimate_payload_bytes(_Point(xy=np.zeros(4), label="p")) >= 32
-    assert DEFAULT_MEMMAP_THRESHOLD > 0

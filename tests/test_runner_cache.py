@@ -620,7 +620,7 @@ def test_describe_reports_tiers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Binary frame tiers: torn tails, memmap reads, spill side channel
+# Binary frame tiers: torn tails, flipped bytes, spill side channel
 # ----------------------------------------------------------------------
 
 
@@ -692,15 +692,36 @@ def test_rewards_tier_persists_across_processes(tmp_path):
     assert events.cache_stats["rewards.hits"] == 1
 
 
-def test_memmap_reads_above_threshold(tmp_path):
-    _, trace = _small_trace()
-    cache = ArtifactCache(memory=False, disk_dir=tmp_path, memmap_threshold=1)
-    cache.put_trace("A", 2, 5, trace)
-    loaded = cache.get_trace("A", 2, 5)
-    np.testing.assert_array_equal(loaded.occupant_zone, trace.occupant_zone)
-    # get_trace copies defensively, so the returned arrays are writable
-    # even when the decode was memory-mapped.
-    loaded.occupant_zone[:] = -1
+@pytest.mark.parametrize("n_days, over_one_mib", [(14, False), (20, True)])
+def test_flipped_trace_frame_is_corrupt_at_any_size(tmp_path, n_days, over_one_mib):
+    """A flipped last byte is caught on both sides of 1 MiB.  Frames that
+    large used to be memory-mapped and decoded without their checksums,
+    so a 20-day house trace came back altered with no ``CacheCorrupt``."""
+    previous = get_cache()
+    cache = configure_cache(memory=False, disk_dir=tmp_path)
+    try:
+        _, original = house_trace("A", n_days, 2023)
+        (victim,) = (tmp_path / "trace").iterdir()
+        assert (victim.stat().st_size >= 1 << 20) is over_one_mib
+        data = bytearray(victim.read_bytes())
+        data[-1] ^= 0xFF
+        victim.write_bytes(bytes(data))
+        with collect_events() as events:
+            assert cache.get_trace("A", n_days, 2023) is None
+        assert events.cache_stats["trace.corrupt"] == 1
+        assert not victim.exists(), "the flipped frame must be deleted"
+        _, regenerated = house_trace("A", n_days, 2023)
+        reread = cache.get_trace("A", n_days, 2023)
+    finally:
+        set_cache(previous)
+    for field in ("occupant_zone", "occupant_activity", "appliance_status"):
+        for trace in (regenerated, reread):
+            np.testing.assert_array_equal(
+                getattr(trace, field), getattr(original, field)
+            )
+    # get_trace copies defensively, so a trace read back from its frame
+    # is writable even though the frame's arrays are read-only views.
+    reread.occupant_zone[:] = -1
 
 
 def test_put_counts_encoded_bytes(tmp_path):
@@ -772,10 +793,7 @@ def test_maybe_spill_respects_threshold_and_disk(tmp_path):
 
 
 def test_threshold_env_overrides(tmp_path):
-    """The memmap and spill thresholds are set only by constructor
-    arguments, which is how tests force either path."""
-    explicit = ArtifactCache(
-        memory=False, disk_dir=tmp_path, memmap_threshold=7, spill_threshold=8
-    )
-    assert explicit.memmap_threshold == 7
+    """The spill threshold is set only by a constructor argument, which
+    is how tests force either path."""
+    explicit = ArtifactCache(memory=False, disk_dir=tmp_path, spill_threshold=8)
     assert explicit.spill_threshold == 8

@@ -88,7 +88,6 @@ def test_wire_codec_round_trips_exactly():
         {"key": [1.5, (2, 3)], "other": {"deep": None}},
         np.int64(4),
         np.float64(0.25),  # float subclass: must NOT decay to builtin
-        bytearray(b"mut"),
         np.arange(6).reshape(2, 3),
     ]
     for value in values:
@@ -100,6 +99,12 @@ def test_wire_codec_round_trips_exactly():
         else:
             assert decoded == value
             assert type(decoded) is type(value)
+    # No fallback arm: a value without an exact encoding raises.
+    with pytest.raises(ConfigurationError, match="builtins.bytearray"):
+        encode_wire_value(bytearray(b"mut"))
+    for value in ({1, 2}, {1: "int key"}, [{"__tuple__": []}]):
+        with pytest.raises(ConfigurationError, match="wire codec cannot carry"):
+            encode_wire_value(value)
 
 
 def test_wire_codec_distinguishes_tuple_from_list():
@@ -151,6 +156,36 @@ def test_worker_executes_payload(fresh_cache, worker_pair):
             e for e in events if isinstance(e, CachePut) and e.tier == "trace"
         ]
         assert len(trace_puts) >= 1, "telemetry must ship back"
+        # The value came home as an array frame: exact types, and arrays
+        # that are read-only views of the frame.
+        assert type(value.savings_percent) is np.float64
+        assert not value.ashrae_daily.flags.writeable
+
+
+def test_remote_result_without_a_frame_encoding_is_a_task_error(
+    fresh_cache, worker_pair
+):
+    """A shard value the array frame cannot encode fails its task with a
+    ``ConfigurationError`` naming the type; the connection stays up."""
+    exp = register(
+        Experiment(
+            name="set-result",
+            artifact="synthetic set-result",
+            title="unencodable result fixture",
+            render=str,
+            shards=lambda params: [{"part": 0}],
+            run_shard=lambda part: {part, part + 1},
+            merge=lambda params, shards, parts: list(parts),
+        )
+    )
+    try:
+        with RemoteExecutor(worker_pair, cache=fresh_cache) as executor:
+            payload = ("shard", exp.name, {}, {"part": 0})
+            with pytest.raises(RemoteTaskError, match="Configuration.*builtins.set"):
+                executor.run(worker_pair[0], payload)
+            assert executor.ping(worker_pair[0])
+    finally:
+        unregister(exp.name)
 
 
 def test_pooled_worker_runs_tasks_in_its_members(fresh_cache):

@@ -48,6 +48,12 @@ from repro.attack.schedule import (
     shatter_schedule_batch,
     stealth_oracle,
 )
+from repro.core.serialization import (
+    cluster_adm_from_arrays,
+    cluster_adm_to_arrays,
+    decode_artifact,
+    encode_artifact,
+)
 from repro.core.shatter import ShatterAnalysis, StudyConfig
 from repro.dataset.splits import split_days
 from repro.dataset.synthetic import (
@@ -288,33 +294,56 @@ def test_stealth_oracle_matches_adm_scalar_queries_fleet(fleet_adms):
     assert {1, 2} <= kinds
 
 
-@pytest.mark.parametrize("memmap_threshold", [0, None])
+def _adm_through_result_channel(cache: ArtifactCache, adm: ClusterADM) -> ClusterADM:
+    """An ADM sent home as a remote result: its array form spills to a
+    ``.raf`` frame under the disk tier, or crosses inline as a frame."""
+    arrays = cluster_adm_to_arrays(adm)
+    token = cache.maybe_spill(arrays)
+    if token is not None:
+        return cluster_adm_from_arrays(cache.take_spill(token))
+    return cluster_adm_from_arrays(decode_artifact(encode_artifact(arrays)))
+
+
+@pytest.mark.parametrize("spill_threshold", [0, None])
 def test_geometry_from_a_decoded_adm_frame_matches(
-    fleet_adms, tmp_path, memmap_threshold
+    fleet_adms, tmp_path, spill_threshold
 ):
-    """An ADM read back from its ``.raf`` frame holds read-only hull
-    arrays; its stay tables and oracles are the in-process ones."""
+    """An ADM read back from a frame — its ``.raf`` ADM-tier entry, or
+    the result channel (spilled at threshold 0, inline under the
+    default) — holds read-only hull arrays; its stay tables and oracles
+    are the in-process ones."""
     token = ("fleet-geometry",)
     for index, (home, adm) in enumerate(fleet_adms):
         ArtifactCache(memory=False, disk_dir=tmp_path).put_adm(token + (index,), adm)
-        decoded = ArtifactCache(
-            memory=False, disk_dir=tmp_path, memmap_threshold=memmap_threshold
-        ).get_adm(token + (index,))
-        for occupant in range(home.n_occupants):
-            for zone in range(home.n_zones):
-                hulls = decoded.hulls(occupant, zone)
-                assert all(not hull.vertices.flags.writeable for hull in hulls)
-                got = decoded.stay_table(occupant, zone)
-                want = adm.stay_table(occupant, zone)
-                for field in ("lows", "highs", "counts"):
-                    got_array, want_array = getattr(got, field), getattr(want, field)
-                    assert got_array.tobytes() == want_array.tobytes()
-                    assert got_array.shape == want_array.shape
-            got = _StealthOracle(decoded, occupant, home.n_zones)
-            want = _StealthOracle(adm, occupant, home.n_zones)
-            for field in ("max_int", "min_int", "entry", "lo", "hi"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-                assert getattr(got, field).shape == getattr(want, field).shape
+        reader = ArtifactCache(
+            memory=False, disk_dir=tmp_path, spill_threshold=spill_threshold
+        )
+        from_tier = reader.get_adm(token + (index,))
+        from_result = _adm_through_result_channel(reader, adm)
+        # Threshold 0 spills every result, and taking a spill deletes its
+        # frame; the default sends these few-KiB ADMs inline.
+        assert (tmp_path / "spill").is_dir() == (spill_threshold == 0)
+        assert not any((tmp_path / "spill").glob("*.raf"))
+        for decoded in (from_tier, from_result):
+            _assert_decoded_adm_geometry_matches(decoded, adm, home)
+
+
+def _assert_decoded_adm_geometry_matches(decoded, adm, home) -> None:
+    for occupant in range(home.n_occupants):
+        for zone in range(home.n_zones):
+            hulls = decoded.hulls(occupant, zone)
+            assert all(not hull.vertices.flags.writeable for hull in hulls)
+            got = decoded.stay_table(occupant, zone)
+            want = adm.stay_table(occupant, zone)
+            for field in ("lows", "highs", "counts"):
+                got_array, want_array = getattr(got, field), getattr(want, field)
+                assert got_array.tobytes() == want_array.tobytes()
+                assert got_array.shape == want_array.shape
+        got = _StealthOracle(decoded, occupant, home.n_zones)
+        want = _StealthOracle(adm, occupant, home.n_zones)
+        for field in ("max_int", "min_int", "entry", "lo", "hi"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert getattr(got, field).shape == getattr(want, field).shape
 
 
 def _schedules_equal(a, b) -> bool:
