@@ -94,14 +94,13 @@ def test_async_graph_matches_serial(benchmark, artifact_writer):
         )
     for s, a in zip(serial, outcomes):
         assert a.rendered == s.rendered, f"{s.name} diverged under async graph"
-    profile = events.scheduler_profile()
     artifact_writer(
         "runner_suite_async",
         "\n".join(
-            f"{r.label}: start +{r.started:.2f}s, {r.seconds:.2f}s"
-            for r in sorted(profile.tasks, key=lambda r: r.started)
+            f"{e.label}: start +{e.started:.2f}s, {e.seconds:.2f}s"
+            for e in sorted(events.task_events, key=lambda e: e.started)
         )
-        + f"\nutilization: {100 * profile.utilization:.0f}%",
+        + f"\nutilization: {100 * events.utilization:.0f}%",
     )
 
 

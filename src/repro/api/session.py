@@ -145,17 +145,13 @@ class Session:
         workers: Remote worker spec (``"host:port,..."`` or
             ``"local:N"``); implies the remote backend under ``auto``.
         origin: Stamped on every manifest (``"api"``, ``"cli"``).
-        events: JSONL event-trail persistence: ``"auto"`` (write a
-            trail whenever the session has a run store), ``"jsonl"``
-            (require persistence; errors without a store), ``"off"``
-            (never write).  An in-memory
-            :class:`~repro.events.processors.ProfileAggregator` is
-            attached to every run regardless — read it from
-            :attr:`last_events`, which pool and remote workers' events
-            reach too.
-    """
 
-    _EVENT_MODES = ("auto", "jsonl", "off")
+    Every run's events fold into a fresh
+    :class:`~repro.events.processors.ProfileAggregator`, read from
+    :attr:`last_events` (pool and remote workers' events reach it
+    too); a session with a run store also writes each run's JSONL
+    trail beside the manifests, and a ``no_cache`` session writes none.
+    """
 
     def __init__(
         self,
@@ -166,16 +162,10 @@ class Session:
         jobs: int = 1,
         workers: str | None = None,
         origin: str = "api",
-        events: str = "auto",
     ) -> None:
         load_all()
         self.policy = RunnerPolicy(backend=runner, jobs=max(1, jobs), workers=workers)
         self.policy.resolved_backend()  # fail fast on contradictory knobs
-        if events not in self._EVENT_MODES:
-            raise ConfigurationError(
-                f"unknown events mode {events!r}; pick one of "
-                f"{', '.join(self._EVENT_MODES)}"
-            )
         if no_cache:
             self.cache = ArtifactCache(memory=False, disk_dir=None)
         else:
@@ -188,12 +178,6 @@ class Session:
             if self.cache.disk_dir is not None
             else None
         )
-        if events == "jsonl" and self.store is None:
-            raise ConfigurationError(
-                "events='jsonl' needs somewhere to write trails; this "
-                "session persists no runs (no_cache)"
-            )
-        self.events_mode = events
         self._processors: list[EventProcessor] = []
         self.last_runner: BaseRunner | None = None
         self.last_manifests: list[RunManifest] = []
@@ -411,7 +395,7 @@ class Session:
         processors: list[EventProcessor] = [aggregator, *self._processors]
         writer: JsonlEventWriter | None = None
         trail_name = ""
-        if self.events_mode != "off" and self.store is not None:
+        if self.store is not None:
             trail_id = RunStore.new_run_id(requests[0].experiment, time.time())
             trail_name = f"{EVENTS_SUBDIR}/{trail_id}.jsonl"
             writer = JsonlEventWriter(

@@ -260,15 +260,12 @@ class RunStore:
     def events_file(self, run: RunManifest | str) -> Path:
         """The JSONL event-trail path a run persisted.
 
-        Raises :class:`ConfigurationError` when the run was executed
-        without event persistence or its trail file has gone missing.
+        Raises :class:`ConfigurationError` when the manifest names no
+        trail or its trail file has gone missing.
         """
         manifest = run if isinstance(run, RunManifest) else self.get(run)
         if not manifest.events_path:
-            raise ConfigurationError(
-                f"run {manifest.run_id} has no event trail "
-                "(it ran with events off)"
-            )
+            raise ConfigurationError(f"run {manifest.run_id} has no event trail")
         path = self.root / manifest.events_path
         if not path.is_file():
             raise ConfigurationError(

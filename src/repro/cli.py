@@ -49,16 +49,16 @@ completed run leaves a manifest under ``<cache dir>/runs/``; ``repro
 runs list|show|diff|events`` query that history and ``repro runs
 prune --keep N|--older-than D`` garbage-collects it (always retaining
 each lineage's newest run and every trail a kept run reads).  Every
-run emits a typed telemetry stream (:mod:`repro.events`): ``--events``
-controls whether the stream is also persisted as a JSONL audit trail
-next to the manifests (``auto`` writes one whenever a run store
-exists).  ``--profile`` renders the same stream and leaves the backend
-as the other flags chose it: scheduler utilization (per worker, with
-task-connection counts, for the remote backend), per-tier cache hit
-rates plus corrupt-entry counts, and per-kernel wall time (batched
-geometry, schedule DP, simulation), identical in shape on every
-backend; ``--dry-run`` validates the selection's shard graphs
-(registry completeness, acyclicity) without computing anything.
+run emits a typed telemetry stream (:mod:`repro.events`), persisted as
+a JSONL audit trail next to the manifests whenever a run store exists
+(every run but ``--no-cache``).  ``--profile`` renders the same stream
+and leaves the backend as the other flags chose it: scheduler
+utilization (per worker, with task-connection counts, for the remote
+backend), per-tier cache hit rates plus corrupt-entry counts, and
+per-kernel wall time (batched geometry, schedule DP, simulation),
+identical in shape on every backend; ``--dry-run`` validates the
+selection's shard graphs (registry completeness, acyclicity) without
+computing anything.
 """
 
 from __future__ import annotations
@@ -187,14 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="validate the selection's shard graphs (registry "
         "completeness, acyclicity) without computing",
-    )
-    run_parser.add_argument(
-        "--events",
-        choices=["auto", "jsonl", "off"],
-        default="auto",
-        help="JSONL event-trail persistence: auto writes a trail next "
-        "to the run manifests whenever a run store exists, jsonl "
-        "requires it, off disables it",
     )
 
     worker_parser = subparsers.add_parser(
@@ -454,7 +446,6 @@ def _make_session(args: argparse.Namespace, origin: str = "cli") -> Session:
         jobs=args.jobs,
         workers=args.workers,
         origin=origin,
-        events=getattr(args, "events", "auto"),
     )
 
 

@@ -14,7 +14,7 @@ it.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Type
 
@@ -70,9 +70,6 @@ class FileContext:
     tree: ast.Module
     # line number -> full comment text (including the leading '#').
     comments: Mapping[int, str]
-    # Rule tuning knobs threaded through from the engine (tests use
-    # these; the CLI exposes none).
-    options: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def posix(self) -> str:

@@ -37,24 +37,6 @@ from repro.errors import ConfigurationError
 UNUSED_SUPPRESSION = "unused-suppression"
 
 
-@dataclass(frozen=True)
-class _Parsed:
-    tree: ast.Module
-    comments: Mapping[int, str]
-    suppressions: tuple[Suppression, ...]
-
-
-def parse_source(source: str) -> _Parsed:
-    """Parse ``source`` into its tree, comments and suppressions."""
-    tree = ast.parse(source)
-    comments = scan_comments(source)
-    return _Parsed(
-        tree=tree,
-        comments=comments,
-        suppressions=tuple(extract_suppressions(source, comments)),
-    )
-
-
 @dataclass
 class LintResult:
     """Outcome of one engine run (findings and errors are sorted)."""
@@ -108,10 +90,7 @@ def resolve_rules(select: Iterable[str] | None) -> dict[str, Rule]:
 
 
 def _analyze_file(
-    path: Path,
-    rules: Mapping[str, Rule],
-    options: Mapping[str, str],
-    result: LintResult,
+    path: Path, rules: Mapping[str, Rule], result: LintResult
 ) -> None:
     """Add one file's findings, or the error that stopped it, to ``result``."""
     posix = path.as_posix()
@@ -121,26 +100,22 @@ def _analyze_file(
         result.errors.append(LintError(path=posix, message=str(error)))
         return
     try:
-        parsed = parse_source(source)
+        tree = ast.parse(source)
+        comments = scan_comments(source)
+        suppressions = tuple(extract_suppressions(source, comments))
     except SyntaxError as error:
         result.errors.append(
             LintError(path=posix, message=f"syntax error: {error.msg} (line {error.lineno})")
         )
         return
-    ctx = FileContext(
-        path=path,
-        source=source,
-        tree=parsed.tree,
-        comments=parsed.comments,
-        options=options,
-    )
+    ctx = FileContext(path=path, source=source, tree=tree, comments=comments)
     raw_findings: list[Finding] = []
     for rule in rules.values():
         if rule.name == UNUSED_SUPPRESSION:
             continue  # synthesized below, from suppression accounting
         raw_findings.extend(rule.check(ctx))
     result.findings.extend(
-        _apply_suppressions(ctx, raw_findings, parsed.suppressions, rules)
+        _apply_suppressions(ctx, raw_findings, suppressions, rules)
     )
 
 
@@ -191,9 +166,7 @@ def _apply_suppressions(
 
 
 def lint_paths(
-    paths: Sequence[Path | str],
-    select: Iterable[str] | None = None,
-    options: Mapping[str, str] | None = None,
+    paths: Sequence[Path | str], select: Iterable[str] | None = None
 ) -> LintResult:
     """Run the selected rules over ``paths`` and collate the outcome.
 
@@ -204,9 +177,8 @@ def lint_paths(
     rules = resolve_rules(select)
     files, discovery_errors = discover_files(paths)
     result = LintResult(errors=list(discovery_errors), files=len(files))
-    options = dict(options or {})
     for path in files:
-        _analyze_file(path, rules, options, result)
+        _analyze_file(path, rules, result)
     result.findings.sort()
     result.errors.sort()
     return result

@@ -10,7 +10,6 @@ fixture under ``tests/lint_fixtures/``, and it is automatically part of
 """
 
 from repro.devtools.lint.rules import (  # noqa: F401  (registration imports)
-    events_wire,
     hotpath,
     locks,
     pickles,

@@ -16,7 +16,7 @@ For tests and ad-hoc inspection::
 
     with collect_events() as aggregator:
         runner.run(["fig3"])
-    profile = aggregator.scheduler_profile()
+    aggregator.task_events, aggregator.utilization, aggregator.cache_stats
 """
 
 from __future__ import annotations

@@ -66,26 +66,11 @@ class EventProcessor:
 class EventDispatcher:
     """Sequences events and fans them out to processors."""
 
-    def __init__(
-        self,
-        processors: Iterable[EventProcessor] = (),
-        run_id: str = "",
-    ) -> None:
-        self.run_id = run_id
-        self._processors: list[EventProcessor] = list(processors)  # guarded-by: _lock
+    def __init__(self, processors: Iterable[EventProcessor] = ()) -> None:
+        self._processors = tuple(processors)
         self._lock = threading.Lock()
         self._seq = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-
-    @property
-    def processors(self) -> tuple[EventProcessor, ...]:
-        with self._lock:
-            return tuple(self._processors)
-
-    def add(self, processor: EventProcessor) -> EventProcessor:
-        with self._lock:
-            self._processors.append(processor)
-        return processor
 
     def emit(self, event: Event) -> None:
         with self._lock:
@@ -103,8 +88,7 @@ class EventDispatcher:
             if self._closed:
                 return
             self._closed = True
-            processors = list(self._processors)
-        for processor in processors:
+        for processor in self._processors:
             processor.close()
 
 

@@ -18,7 +18,9 @@ produces.  They are a run's only record: nothing in the execution
 stack keeps a tally of the same facts beside them.  :func:`event_to_wire` /
 :func:`event_from_wire` go through the task-payload wire codec
 (:mod:`repro.core.serialization`), so non-JSON field values like tuple
-task keys (``(0, "shard", 3)``) survive the round-trip *exactly*.
+task keys (``(0, "shard", 3)``) survive the round-trip *exactly*; the
+decoder's kind table, :data:`EVENT_KINDS`, is every subclass of
+:class:`Event`.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class RunFinished(Event):
 class TaskStarted(Event):
     """One graph task began executing on a worker (or the coordinator
     for ``local`` merge tasks).  ``started`` is seconds since the run's
-    wall clock started, matching ``TaskRecord.started``."""
+    wall clock started."""
 
     key: Any
     label: str
@@ -208,28 +210,11 @@ class KernelStat:
     seconds: float = 0.0
 
 
-_EVENT_TYPES: tuple[type[Event], ...] = (
-    RunStarted,
-    RunFinished,
-    TaskStarted,
-    TaskFinished,
-    TaskFailed,
-    WorkerLeased,
-    WorkerConnected,
-    WorkerLost,
-    WorkerRetired,
-    WorkerRegistered,
-    HeartbeatMissed,
-    JobQueued,
-    JobDequeued,
-    CacheHit,
-    CacheMiss,
-    CachePut,
-    CacheCorrupt,
-    KernelTimed,
-)
-
-EVENT_KINDS: dict[str, type[Event]] = {cls.__name__: cls for cls in _EVENT_TYPES}
+# ``__subclasses__()`` lists direct subclasses only, in definition order:
+# an event kind subclasses Event directly and is defined above this line.
+EVENT_KINDS: dict[str, type[Event]] = {
+    cls.__name__: cls for cls in Event.__subclasses__()
+}
 
 
 def event_to_wire(event: Event, seq: int = 0, ts: float = 0.0) -> dict:

@@ -1,8 +1,8 @@
 """Built-in event processors: aggregation, JSONL persistence, rendering.
 
-:class:`ProfileAggregator` folds the event stream into a
-:class:`SchedulerProfile` (one :class:`TaskRecord` per task attempt,
-failed ones included, in dispatch order), the run's cache stats, and
+:class:`ProfileAggregator` folds the event stream into the run's slot
+table, its task events (one per task attempt, failed ones included, in
+dispatch order) with their busy time, the run's cache stats, and
 per-kernel rollups.  It is the only record of a run: the scheduler,
 the executors and the cache keep no tallies of their own, ``--profile``
 is a pure renderer over the aggregate, and run manifests take their
@@ -54,65 +54,6 @@ from repro.events.model import (
 )
 
 
-@dataclass
-class TaskRecord:
-    """One task execution attempt, as its task event reported it."""
-
-    key: Any  # unique hashable id within the graph
-    label: str
-    started: float
-    seconds: float
-    local: bool
-    worker: str = ""
-    failed: bool = False
-
-
-@dataclass
-class SchedulerProfile:
-    """What a run did with its concurrency budget (see
-    :meth:`ProfileAggregator.scheduler_profile`)."""
-
-    jobs: int
-    wall_seconds: float = 0.0
-    busy_seconds: float = 0.0
-    tasks: list[TaskRecord] = field(default_factory=list)
-    # Worker name -> concurrent slot count leased to the run.
-    slots: dict[str, int] = field(default_factory=dict)
-    # Worker name -> task connections dialed (remote executor only).
-    # With persistent per-slot connections this stays at ~capacity per
-    # worker; a count tracking the task count means reconnect churn.
-    worker_connects: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def utilization(self) -> float:
-        """Mean fraction of the slot budget kept busy (0..1)."""
-        if self.wall_seconds <= 0.0 or self.jobs <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (self.wall_seconds * self.jobs))
-
-    def worker_busy(self) -> dict[str, float]:
-        """Seconds each worker spent executing (failed attempts count:
-        a crashed shard still occupied the slot)."""
-        busy = {worker: 0.0 for worker in self.slots}
-        for record in self.tasks:
-            if record.local or not record.worker:
-                continue
-            busy[record.worker] = busy.get(record.worker, 0.0) + record.seconds
-        return busy
-
-    def worker_utilization(self) -> dict[str, float]:
-        """Per-worker mean fraction of its slots kept busy (0..1)."""
-        busy = self.worker_busy()
-        if self.wall_seconds <= 0.0:
-            return {worker: 0.0 for worker in busy}
-        return {
-            worker: min(
-                1.0,
-                seconds / (self.wall_seconds * max(1, self.slots.get(worker, 1))),
-            )
-            for worker, seconds in busy.items()
-        }
-
 _CACHE_EVENT_NAMES: dict[type, str] = {
     CacheHit: "hits",
     CacheMiss: "misses",
@@ -121,39 +62,44 @@ _CACHE_EVENT_NAMES: dict[type, str] = {
 }
 
 
+@dataclass
 class ProfileAggregator(EventProcessor):
     """Reconstructs run telemetry from the event stream.
 
     Task events append, and their seconds sum, in dispatch order, which
-    a JSONL trail preserves, so a replayed trail folds to the same
-    aggregate as the live run, float sums included.
+    a JSONL trail preserves, so a replayed trail folds to an aggregate
+    equal to the live run's, field for field, float sums included.
     """
 
-    def __init__(self) -> None:
-        self.run_started: RunStarted | None = None
-        self.run_finished: RunFinished | None = None
-        self.slots: dict[str, int] = {}
-        self.worker_connects: dict[str, int] = {}
-        self.lost_workers: list[WorkerLost] = []
-        self.retired_workers: list[str] = []
-        self.task_events: list[TaskFinished | TaskFailed] = []
-        self.started_tasks: int = 0
-        self.busy_seconds: float = 0.0
-        self.wall_seconds: float = 0.0
-        # Event counts, overall and per tier: "hits", "adm.hits", …
-        # "corrupt" counts disk entries that failed to decode (also
-        # counted as misses): a storage-health signal a miss is not.
-        self.cache_stats: dict[str, int] = {}
-        # Bytes written per tier (CachePut.nbytes), kept apart from
-        # cache_stats so the latter holds event counts only.
-        self.cache_put_bytes: dict[str, int] = {}
-        self.kernels: dict[str, KernelStat] = {}
-        # Service control-plane telemetry (zero outside `repro serve`).
-        self.registered_workers: dict[str, int] = {}
-        self.heartbeats_missed: list[str] = []
-        self.jobs_queued: int = 0
-        self.jobs_dequeued: int = 0
-        self.events_seen: int = 0
+    run_started: RunStarted | None = None
+    run_finished: RunFinished | None = None
+    # Worker name -> concurrent slot count leased to the run.
+    slots: dict[str, int] = field(default_factory=dict)
+    # Worker name -> task connections dialed (remote executor only).
+    # With persistent per-slot connections this stays at ~capacity per
+    # worker; a count tracking the task count means reconnect churn.
+    worker_connects: dict[str, int] = field(default_factory=dict)
+    lost_workers: list[WorkerLost] = field(default_factory=list)
+    retired_workers: list[str] = field(default_factory=list)
+    # One event per task attempt; a TaskFailed is a failed attempt.
+    task_events: list[TaskFinished | TaskFailed] = field(default_factory=list)
+    started_tasks: int = 0
+    busy_seconds: float = 0.0
+    wall_seconds: float = 0.0
+    # Event counts, overall and per tier: "hits", "adm.hits", …
+    # "corrupt" counts disk entries that failed to decode (also
+    # counted as misses): a storage-health signal a miss is not.
+    cache_stats: dict[str, int] = field(default_factory=dict)
+    # Bytes written per tier (CachePut.nbytes), kept apart from
+    # cache_stats so the latter holds event counts only.
+    cache_put_bytes: dict[str, int] = field(default_factory=dict)
+    kernels: dict[str, KernelStat] = field(default_factory=dict)
+    # Service control-plane telemetry (zero outside `repro serve`).
+    registered_workers: dict[str, int] = field(default_factory=dict)
+    heartbeats_missed: list[str] = field(default_factory=list)
+    jobs_queued: int = 0
+    jobs_dequeued: int = 0
+    events_seen: int = 0
 
     # -- EventProcessor -------------------------------------------------
 
@@ -212,28 +158,35 @@ class ProfileAggregator(EventProcessor):
             return sum(self.slots.values())
         return self.run_started.jobs if self.run_started is not None else 0
 
-    def scheduler_profile(self) -> SchedulerProfile:
-        """The :class:`SchedulerProfile` this stream describes."""
-        profile = SchedulerProfile(
-            jobs=self.jobs,
-            wall_seconds=self.wall_seconds,
-            busy_seconds=self.busy_seconds,
-            slots=dict(self.slots),
-            worker_connects=dict(self.worker_connects),
-        )
+    @property
+    def utilization(self) -> float:
+        """Mean fraction of the slot budget kept busy (0..1)."""
+        if self.wall_seconds <= 0.0 or self.jobs <= 0:
+            return 0.0
+        return min(1.0, self.busy_seconds / (self.wall_seconds * self.jobs))
+
+    def worker_busy(self) -> dict[str, float]:
+        """Seconds each worker spent executing (failed attempts count:
+        a crashed shard still occupied the slot)."""
+        busy = {worker: 0.0 for worker in self.slots}
         for event in self.task_events:
-            profile.tasks.append(
-                TaskRecord(
-                    key=event.key,
-                    label=event.label,
-                    started=event.started,
-                    seconds=event.seconds,
-                    local=event.local,
-                    worker=event.worker,
-                    failed=isinstance(event, TaskFailed),
-                )
+            if event.local or not event.worker:
+                continue
+            busy[event.worker] = busy.get(event.worker, 0.0) + event.seconds
+        return busy
+
+    def worker_utilization(self) -> dict[str, float]:
+        """Per-worker mean fraction of its slots kept busy (0..1)."""
+        busy = self.worker_busy()
+        if self.wall_seconds <= 0.0:
+            return {worker: 0.0 for worker in busy}
+        return {
+            worker: min(
+                1.0,
+                seconds / (self.wall_seconds * max(1, self.slots.get(worker, 1))),
             )
-        return profile
+            for worker, seconds in busy.items()
+        }
 
     def hit_rate(self, tier: str | None = None) -> float:
         """Cache hit rate overall, or for one tier (``"adm"``, …)."""
@@ -324,44 +277,43 @@ def render_profile(aggregator: ProfileAggregator, runner_name: str) -> str:
     """
     from repro.core.report import format_table
 
-    profile = aggregator.scheduler_profile()
     sections: list[str] = []
     rows = [
         [
-            record.label + (" [failed]" if record.failed else ""),
-            f"{record.started:.2f}",
-            f"{record.seconds:.2f}",
-            "coordinator" if record.local else (record.worker or "worker"),
+            event.label + (" [failed]" if isinstance(event, TaskFailed) else ""),
+            f"{event.started:.2f}",
+            f"{event.seconds:.2f}",
+            "coordinator" if event.local else (event.worker or "worker"),
         ]
-        for record in sorted(profile.tasks, key=lambda r: r.started)
+        for event in sorted(aggregator.task_events, key=lambda e: e.started)
     ]
     sections.append(
         format_table(
-            f"Scheduler profile ({runner_name}, {profile.jobs} job(s))",
+            f"Scheduler profile ({runner_name}, {aggregator.jobs} job(s))",
             ["task", "start (s)", "seconds", "where"],
             rows,
         )
     )
     summary = [
-        ["wall seconds", f"{profile.wall_seconds:.2f}"],
-        ["busy seconds", f"{profile.busy_seconds:.2f}"],
-        ["utilization", f"{100.0 * profile.utilization:.0f}%"],
+        ["wall seconds", f"{aggregator.wall_seconds:.2f}"],
+        ["busy seconds", f"{aggregator.busy_seconds:.2f}"],
+        ["utilization", f"{100.0 * aggregator.utilization:.0f}%"],
         ["cache hit rate (all)", f"{100.0 * aggregator.hit_rate():.0f}%"],
     ]
-    if len(profile.slots) > 1 or "local" not in profile.slots:
+    if len(aggregator.slots) > 1 or "local" not in aggregator.slots:
         # Multi-worker (remote) run: break utilization down per worker.
-        busy = profile.worker_busy()
-        for worker, utilization in sorted(profile.worker_utilization().items()):
+        busy = aggregator.worker_busy()
+        for worker, utilization in sorted(aggregator.worker_utilization().items()):
             detail = (
                 f"{busy.get(worker, 0.0):.2f}s busy, "
                 f"{100.0 * utilization:.0f}% of "
-                f"{profile.slots.get(worker, 1)} slot(s)"
+                f"{aggregator.slots.get(worker, 1)} slot(s)"
             )
-            if profile.worker_connects:
+            if aggregator.worker_connects:
                 # Persistent-connection telemetry: ~capacity dials per
                 # worker is healthy; ~task-count dials is churn.
                 detail += (
-                    f", {profile.worker_connects.get(worker, 0)} "
+                    f", {aggregator.worker_connects.get(worker, 0)} "
                     "task connection(s)"
                 )
             summary.append([f"worker {worker}", detail])

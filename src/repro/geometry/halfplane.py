@@ -390,8 +390,15 @@ def stay_range_table(
 
     Returns:
         The packed :class:`StayRangeTable`.
+
+    Raises:
+        ValueError: An arrival is NaN.  The scalar tier slices a hull at
+            NaN into NaN bounds, which merge in no defined order, so no
+            table could reproduce it.
     """
     arrivals = np.asarray(arrivals, dtype=float)
+    if np.isnan(arrivals).any():
+        raise ValueError("stay_range_table: an arrival time is NaN")
     n = len(arrivals)
     rows = _candidate_rows(hulls, arrivals)
     if len(rows) == 0:
@@ -413,12 +420,7 @@ def stay_range_table(
 
 
 def _candidate_rows(hulls: list[ConvexHull], arrivals: np.ndarray) -> np.ndarray:
-    """Indices of the arrivals some hull's slice test could admit.
-
-    The test is the complement form the slice kernels use,
-    ``~((x < lo) | (x > hi))``, so a NaN arrival is a candidate exactly
-    as it passes their range tests.
-    """
+    """Indices of the arrivals some hull's slice test could admit."""
     inside = np.zeros(len(arrivals), dtype=bool)
     for hull in hulls:
         low, high = hull.x_range()

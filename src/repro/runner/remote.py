@@ -219,9 +219,7 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
             if message is None:
                 return
             kind = message.get("type")
-            if kind == "ping":
-                _send(self.wfile, {"type": "pong"})
-            elif kind == "shutdown":
+            if kind == "shutdown":
                 _send(self.wfile, {"type": "bye"})
                 owner.request_shutdown()
                 return
@@ -852,13 +850,6 @@ class RemoteExecutor:
             return connection.request(message, expect)
         finally:
             connection.close()
-
-    def ping(self, address: str) -> bool:
-        try:
-            self._request(address, {"type": "ping"}, expect="pong")
-            return True
-        except (WorkerLostError, ConfigurationError):
-            return False
 
     # -- persistent task connections ------------------------------------
 

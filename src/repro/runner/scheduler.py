@@ -15,7 +15,7 @@ caller); merge and render stay in the coordinator, which is what
 preserves the byte-identical-artifact invariant across runners.
 
 Concurrency is expressed as named worker *slots*: the single-machine
-executors use one ``{"local": jobs}`` pool, while a remote executor
+executors pass one ``{"local": jobs}`` pool, while a remote executor
 passes one entry per worker (``{"host:port": capacity, ...}``).  The
 scheduler leases a slot per executor task, records which worker ran
 it, and — when an executor reports the worker itself died
@@ -51,8 +51,8 @@ for its slot table, ``TaskStarted`` and then ``TaskFinished`` or
 ``TaskFailed`` for every attempt (failed and retried ones included)
 and ``WorkerRetired`` for lost workers; a
 :class:`~repro.events.processors.ProfileAggregator` folds those into
-the run's :class:`~repro.events.processors.SchedulerProfile`, which
-``repro run --profile`` reports.
+the run's slot table, task attempts and utilization, which ``repro
+run --profile`` reports.
 """
 
 from __future__ import annotations
@@ -171,9 +171,8 @@ class GraphScheduler:
 
     def __init__(
         self,
-        jobs: int | None = None,
-        execute: Callable[[Task, dict[Any, Any], str], Any] | None = None,
-        slots: Mapping[str, int] | None = None,
+        execute: Callable[[Task, dict[Any, Any], str], Any],
+        slots: Mapping[str, int],
     ) -> None:
         """``execute(task, deps, worker)`` runs a task's payload on the
         leased ``worker`` given its dependencies' results (keyed by task
@@ -182,20 +181,14 @@ class GraphScheduler:
         off to a process pool or a remote worker); ``local`` tasks call
         it on the event loop thread with ``worker=""``.
 
-        Concurrency comes from ``slots`` (worker name -> capacity) when
-        given, else from ``jobs`` as a single ``{"local": jobs}`` pool.
+        Concurrency comes from ``slots`` (worker name -> capacity).
         """
-        if execute is None:
-            raise ConfigurationError("GraphScheduler requires an execute callable")
-        if slots is not None:
-            if not slots or any(count < 1 for count in slots.values()):
-                raise ConfigurationError(
-                    "scheduler slots must name at least one worker with a "
-                    f"positive capacity, got {dict(slots)!r}"
-                )
-            self.slots = dict(slots)
-        else:
-            self.slots = {"local": max(1, jobs if jobs is not None else 1)}
+        if not slots or any(count < 1 for count in slots.values()):
+            raise ConfigurationError(
+                "scheduler slots must name at least one worker with a "
+                f"positive capacity, got {dict(slots)!r}"
+            )
+        self.slots = dict(slots)
         self._execute = execute
         # Elastic-control publication point: while a run is live, other
         # threads submit slot-table mutations through these.

@@ -213,6 +213,8 @@ def test_prune_keeps_a_trail_a_kept_run_still_reads(tmp_path):
             run_id,
         )
     store.record(_manifest(run_id="r-c", created=3000.0), "c")
+    with pytest.raises(ConfigurationError, match="no event trail"):
+        store.events_file("r-c")
     assert [m.run_id for m in store.prune(keep=2)] == ["r-a"]
     assert store.events_file("r-b") == trail
     # The last run of the batch to go takes the trail with it.

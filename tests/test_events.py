@@ -9,11 +9,13 @@ import pytest
 from repro.api import Session
 from repro.errors import ConfigurationError
 from repro.events import (
+    EVENT_KINDS,
     GEOMETRY,
     CacheCorrupt,
     CacheHit,
     CacheMiss,
     CachePut,
+    Event,
     EventDispatcher,
     EventProcessor,
     HeartbeatMissed,
@@ -116,6 +118,24 @@ ONE_OF_EACH = [
     CacheCorrupt(tier="analysis"),
     KernelTimed(kernel=GEOMETRY, seconds=0.015625),
 ]
+
+
+def test_every_event_kind_is_a_frozen_dataclass():
+    """Events are shared across threads and kept in aggregates, so
+    Event and each kind the wire codec decodes is a frozen dataclass."""
+    for cls in (Event, *EVENT_KINDS.values()):
+        # Read the class's own params: a subclass without the decorator
+        # would inherit Event's.
+        params = vars(cls).get("__dataclass_params__")
+        assert params is not None and params.frozen, (
+            f"{cls.__name__} must be @dataclass(frozen=True)"
+        )
+
+
+def test_round_trip_catalogue_holds_one_of_each_kind():
+    """ONE_OF_EACH, which the round-trip test below runs, has an
+    instance of every kind in EVENT_KINDS and of no other class."""
+    assert {type(event) for event in ONE_OF_EACH} == set(EVENT_KINDS.values())
 
 
 @pytest.mark.parametrize("event", ONE_OF_EACH, ids=lambda e: type(e).__name__)
@@ -239,9 +259,8 @@ def test_event_stream_is_well_ordered_across_executors(
     _check_stream_invariants(recorder.events)
     # Scheduler task events happen on the event-loop thread in record
     # order, so the recorded stream replays to the live aggregate.
-    profile = aggregator.scheduler_profile()
-    assert profile.tasks and profile.wall_seconds > 0
-    assert replay_events(recorder.events).scheduler_profile() == profile
+    assert aggregator.task_events and aggregator.wall_seconds > 0
+    assert replay_events(recorder.events) == aggregator
 
 
 def test_serial_runner_emits_through_the_same_pipeline(fresh_cache):
@@ -255,7 +274,7 @@ def test_serial_runner_emits_through_the_same_pipeline(fresh_cache):
     assert labels == ["fig3/run"]
     assert aggregator.slots == {"local": 1}
     assert aggregator.busy_seconds > 0.0
-    assert aggregator.scheduler_profile().jobs == 1
+    assert aggregator.jobs == 1
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +292,7 @@ def test_trail_replays_to_the_live_aggregate(tmp_path, name, days):
     assert live is not None and live.task_events
 
     manifest = session.last_manifests[0]
-    assert manifest.events_path, "events=auto must persist a trail"
+    assert manifest.events_path, "a session with a store persists a trail"
     assert session.last_events_path is not None
     assert session.last_events_path.is_file()
     # Only the coordinator writes the trail (pool members inherit its
@@ -285,12 +304,7 @@ def test_trail_replays_to_the_live_aggregate(tmp_path, name, days):
     assert len(set(seqs)) == len(seqs), "duplicate seq numbers"
     assert all(a < b for a, b in zip(seqs, seqs[1:])), "seq not increasing"
 
-    replayed = replay_events(session.events(manifest))
-    assert replayed.scheduler_profile() == live.scheduler_profile()
-    assert replayed.cache_stats == live.cache_stats
-    assert replayed.kernels == live.kernels
-    assert replayed.run_started == live.run_started
-    assert replayed.run_finished == live.run_finished
+    assert replay_events(session.events(manifest)) == live
 
 
 @pytest.fixture()
@@ -339,7 +353,7 @@ def test_failed_session_run_keeps_its_own_record(tmp_path, flaky_exp, runner):
     trail = read_events_jsonl(path)
     assert any(isinstance(event, TaskFailed) for event in trail)
     assert isinstance(trail[-1], RunFinished)
-    assert replay_events(trail).scheduler_profile() == failed.scheduler_profile()
+    assert replay_events(trail) == failed
 
 
 def test_trail_reader_skips_header_and_torn_tail(tmp_path):
@@ -388,11 +402,7 @@ def test_every_backend_trail_has_the_serial_kernels_and_put_bytes(tmp_path):
         session = Session(cache_dir=str(tmp_path / label), **kwargs)
         session.submit("fig10", days=4)
         events = session.events(session.last_manifests[0])
-        live = session.last_events
-        replayed = replay_events(events)
-        assert replayed.scheduler_profile() == live.scheduler_profile(), label
-        assert replayed.cache_stats == live.cache_stats, label
-        assert replayed.kernels == live.kernels, label
+        assert replay_events(events) == session.last_events, label
         trails[label] = events
     serial_kernels = {
         e.kernel for e in trails["serial"] if isinstance(e, KernelTimed)
@@ -446,7 +456,7 @@ def _run_order(tasks):
         order.append(task.key)
         return task.key
 
-    GraphScheduler(jobs=1, execute=execute).run(tasks)
+    GraphScheduler(execute=execute, slots={"local": 1}).run(tasks)
     return order
 
 
@@ -485,34 +495,23 @@ def test_session_subscribe_sees_live_events(tmp_path):
     assert len(recorder.seen) > count, "subscription spans runs"
 
 
-def test_session_events_off_and_missing_trails(tmp_path):
-    session = Session(cache_dir=str(tmp_path / "cache"), events="off")
+def test_session_events_off_and_missing_trails():
+    """A no_cache session has no run store, so it writes no trail and
+    has none to read back; its in-memory aggregate is still there."""
+    session = Session(no_cache=True)
     session.submit("fig3", days=2)
-    manifest = session.last_manifests[0]
-    assert manifest.events_path == ""
+    assert session.last_manifests == []
     assert session.last_events_path is None
-    assert session.last_events is not None, (
-        "the in-memory aggregator is attached even with persistence off"
+    assert session.last_events is not None and session.last_events.task_events, (
+        "the in-memory aggregator is attached without a store"
     )
-    with pytest.raises(ConfigurationError, match="no event trail"):
-        session.events(manifest)
-
-
-def test_session_events_jsonl_requires_a_store():
-    with pytest.raises(ConfigurationError, match="jsonl"):
-        Session(no_cache=True, events="jsonl")
-    with pytest.raises(ConfigurationError, match="events mode"):
-        Session(no_cache=True, events="sometimes")
+    with pytest.raises(ConfigurationError, match="persists no runs"):
+        session.events("fig3-20260101-000000-abc123")
 
 
 # ----------------------------------------------------------------------
-# Byte identity: events on/off, every backend
+# Byte identity: events dispatched or not, every backend
 # ----------------------------------------------------------------------
-
-
-def _rendered(tmp_path, tag, **session_kwargs):
-    session = Session(cache_dir=str(tmp_path / tag), **session_kwargs)
-    return session.submit("fig3", days=2).rendered
 
 
 @pytest.mark.parametrize(
@@ -524,11 +523,13 @@ def _rendered(tmp_path, tag, **session_kwargs):
     ids=["serial", "async"],
 )
 def test_artifacts_byte_identical_events_on_and_off(tmp_path, kwargs):
+    """A Session run (aggregator plus trail writer) renders what the
+    serial oracle renders with no dispatcher installed at all."""
     with cache_disabled():
         oracle = SerialRunner().run([RunRequest.for_days("fig3", days=2)])
-    on = _rendered(tmp_path, "on", events="jsonl", **kwargs)
-    off = _rendered(tmp_path, "off", events="off", **kwargs)
-    assert on == off == oracle[0].rendered
+    session = Session(cache_dir=str(tmp_path / "cache"), **kwargs)
+    assert session.submit("fig3", days=2).rendered == oracle[0].rendered
+    assert session.last_events_path is not None
 
 
 def test_artifacts_byte_identical_under_remote_workers(tmp_path, fresh_cache):
@@ -542,8 +543,7 @@ def test_artifacts_byte_identical_under_remote_workers(tmp_path, fresh_cache):
             runner = AsyncShardRunner(executor=RemoteExecutor(addresses))
             outcomes = runner.run([RunRequest.for_days("fig3", days=2)])
         assert outcomes[0].rendered == oracle[0].rendered
-        replayed = replay_events(recorder.events)
-        assert replayed.scheduler_profile() == aggregator.scheduler_profile()
+        assert replay_events(recorder.events) == aggregator
         assert set(aggregator.slots) == set(addresses)
         assert aggregator.worker_connects, "dials must be observable"
     finally:

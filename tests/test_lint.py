@@ -36,7 +36,6 @@ RULE_CASES = [
     ("hot-path-scalar-calls", "hot_path", ["hot-path-scalar-calls"]),
     ("pickle-discipline", "pickle", ["pickle-discipline"]),
     ("telemetry-discipline", "telemetry", ["telemetry-discipline"]),
-    ("event-wire-exhaustiveness", "events_wire", ["event-wire-exhaustiveness"]),
     ("lock-discipline", "locks", ["lock-discipline"]),
     ("suppression-discipline", "suppress", ["suppression-discipline"]),
     ("unused-suppression", "unused", ["unused-suppression", "telemetry-discipline"]),
@@ -45,17 +44,10 @@ RULE_CASES = [
 _CASE_IDS = [rule for rule, _, _ in RULE_CASES]
 
 
-def _fixture_options(tree: Path) -> dict:
-    catalogue = tree / "catalogue.py"
-    if catalogue.is_file():
-        return {"event-catalogue": str(catalogue)}
-    return {}
-
-
 @pytest.mark.parametrize("rule,subdir,select", RULE_CASES, ids=_CASE_IDS)
 def test_bad_fixture_is_flagged(rule, subdir, select):
     tree = FIXTURES / subdir / "bad"
-    result = lint_paths([tree], select=select, options=_fixture_options(tree))
+    result = lint_paths([tree], select=select)
     assert not result.errors
     assert result.findings, f"bad fixture for {rule} produced no findings"
     assert all(f.rule == rule for f in result.findings)
@@ -64,7 +56,7 @@ def test_bad_fixture_is_flagged(rule, subdir, select):
 @pytest.mark.parametrize("rule,subdir,select", RULE_CASES, ids=_CASE_IDS)
 def test_good_fixture_is_clean(rule, subdir, select):
     tree = FIXTURES / subdir / "good"
-    result = lint_paths([tree], select=select, options=_fixture_options(tree))
+    result = lint_paths([tree], select=select)
     assert not result.errors
     assert result.findings == []
 
@@ -121,26 +113,6 @@ def test_hot_path_confines_capability_predicates_to_the_oracles():
         in realtime.message
     )
     assert "in _apply_visit_feasibility)" in realtime.message
-
-
-def test_telemetry_confines_profiles_to_the_aggregator():
-    """A ``SchedulerProfile`` or ``TaskRecord`` is built only by the
-    aggregator in ``events/processors.py``; one built anywhere else,
-    bare or through a module attribute, is a tally beside the events."""
-    select = ["telemetry-discipline"]
-    tree = FIXTURES / "telemetry" / "profiles"
-    good = lint_paths([tree / "good"], select=select)
-    assert not good.errors
-    assert good.findings == []
-    bad = lint_paths([tree / "bad"], select=select)
-    assert not bad.errors
-    assert all(f.path.endswith("runner/scheduler.py") for f in bad.findings)
-    assert all("events/processors.py" in f.message for f in bad.findings)
-    assert sorted((f.line, f.message.split("(")[0]) for f in bad.findings) == [
-        (9, "SchedulerProfile"),
-        (12, "TaskRecord"),
-        (16, "SchedulerProfile"),
-    ]
 
 
 def test_lock_discipline_names_the_lock_and_declaration():
@@ -307,7 +279,6 @@ def test_cli_list_rules(capsys):
 
 def test_rule_registry_is_complete():
     assert set(all_rules()) == {
-        "event-wire-exhaustiveness",
         "hot-path-scalar-calls",
         "lock-discipline",
         "pickle-discipline",

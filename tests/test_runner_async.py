@@ -117,11 +117,10 @@ def test_profile_reports_tasks_and_cache_traffic(fresh_cache):
     runner = AsyncShardRunner(jobs=2)
     with collect_events() as events:
         runner.run(_requests([("fig3", {"n_days": 2, "seed": 22})]))
-    profile = events.scheduler_profile()
-    labels = {record.label for record in profile.tasks}
+    labels = {event.label for event in events.task_events}
     assert any(label.startswith("fig3/shard") for label in labels)
     assert "fig3/merge" in labels
-    assert profile.wall_seconds > 0
+    assert events.wall_seconds > 0
     assert events.cache_stats.get("trace.puts", 0) >= 1
 
 
@@ -287,7 +286,7 @@ def test_prepares_skipped_when_cache_disabled():
     with cache_disabled(), collect_events() as events:
         runner = AsyncShardRunner(jobs=2)
         outcomes = runner.run([RunRequest("fig3", {"n_days": 2, "seed": 7})])
-    labels = {r.label for r in events.scheduler_profile().tasks}
+    labels = {event.label for event in events.task_events}
     assert outcomes[0].rendered
     assert not any("prep" in label for label in labels)
     assert {"fig3/shard0", "fig3/shard1", "fig3/merge"} <= labels

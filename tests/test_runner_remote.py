@@ -26,7 +26,13 @@ from repro.core.serialization import (
     task_payload_to_wire,
 )
 from repro.errors import ConfigurationError
-from repro.events import CachePut, collect_events, replay_events
+from repro.events import (
+    CachePut,
+    TaskFailed,
+    TaskFinished,
+    collect_events,
+    replay_events,
+)
 from repro.runner import (
     AsyncShardRunner,
     RemoteExecutor,
@@ -183,7 +189,7 @@ def test_remote_result_without_a_frame_encoding_is_a_task_error(
             payload = ("shard", exp.name, {}, {"part": 0})
             with pytest.raises(RemoteTaskError, match="Configuration.*builtins.set"):
                 executor.run(worker_pair[0], payload)
-            assert executor.ping(worker_pair[0])
+            assert executor.probe(worker_pair[0]) == 1
     finally:
         unregister(exp.name)
 
@@ -223,9 +229,9 @@ def test_pooled_worker_runs_tasks_in_its_members(fresh_cache):
     assert not members & _member_pids(), "close() must stop every member"
 
 
-def test_worker_ping_and_remote_error(fresh_cache, worker_pair):
+def test_worker_probe_and_remote_error(fresh_cache, worker_pair):
     with RemoteExecutor(worker_pair, cache=fresh_cache) as executor:
-        assert executor.ping(worker_pair[0])
+        assert executor.probe(worker_pair[0]) == 1
         payload = ("shard", "no-such-exp", {}, {})
         with pytest.raises(RemoteTaskError, match="no-such-exp"):
             executor.run(worker_pair[0], payload)
@@ -381,16 +387,15 @@ def _assert_remote_matches_serial(addresses, capacity):
     assert [o.name for o in remote] == [o.name for o in serial]
     for s, r in zip(serial, remote):
         assert r.rendered == s.rendered, f"{s.name} diverged under remote"
-    profile = run.scheduler_profile()
-    workers = {record.worker for record in profile.tasks if not record.local}
+    workers = {event.worker for event in run.task_events if not event.local}
     assert workers <= set(addresses) and workers, "tasks must name workers"
-    assert profile.slots == {address: capacity for address in addresses}
+    assert run.slots == {address: capacity for address in addresses}
     # Persistent-connection telemetry: every dial shows in the profile,
     # and no worker dialed more than once per slot it served.
-    connects = profile.worker_connects
+    connects = run.worker_connects
     assert set(connects) <= set(addresses) and connects
     for address, count in connects.items():
-        assert count <= profile.slots[address], (
+        assert count <= run.slots[address], (
             f"worker {address} reconnected per task ({count} dials)"
         )
 
@@ -537,13 +542,15 @@ def test_worker_crash_mid_shard_retries_on_survivor(fresh_cache):
         with collect_events() as run:
             outcome = runner.run_one("fig3", params={"n_days": 2, "seed": 9})
         assert outcome.rendered  # the run survived the crash
-        profile = run.scheduler_profile()
-        lost = [record for record in profile.tasks if record.failed]
+        lost = [e for e in run.task_events if isinstance(e, TaskFailed)]
         assert flaky.tasks_dropped >= 1, "the flaky worker must see a task"
-        assert lost and all(r.worker == flaky.address for r in lost)
+        assert lost and all(e.worker == flaky.address for e in lost)
         # Everything that completed ran on the survivor.
-        done = [r for r in profile.tasks if not r.failed and not r.local]
-        assert done and all(r.worker == solid_address for r in done)
+        done = [
+            e for e in run.task_events
+            if isinstance(e, TaskFinished) and not e.local
+        ]
+        assert done and all(e.worker == solid_address for e in done)
     finally:
         flaky.close()
         solid.close()
@@ -594,13 +601,13 @@ def test_pool_member_killed_mid_shard_retries_on_survivor(fresh_cache, tmp_path)
             remote = runner.run([RunRequest(exp.name, {})])
         assert remote[0].rendered == serial[0].rendered
         assert not flag.exists(), "a member must have been killed"
-        profile = run.scheduler_profile()
-        failed = [record for record in profile.tasks if record.failed]
-        assert failed and all(r.worker == addresses[0] for r in failed)
+        failed = [e for e in run.task_events if isinstance(e, TaskFailed)]
+        assert failed and all(e.worker == addresses[0] for e in failed)
         assert pooled.broken
         probe = RemoteExecutor(None, cache=fresh_cache, connect_timeout=2.0)
-        assert not probe.ping(addresses[0]), "a broken worker serves nothing"
-        assert probe.ping(addresses[1])
+        with pytest.raises(WorkerLostError):
+            probe.probe(addresses[0])  # a broken worker serves nothing
+        assert probe.probe(addresses[1]) == 1
     finally:
         pooled.close()
         single.close()
@@ -659,9 +666,8 @@ def test_cancellation_drains_inflight_remote_tasks(fresh_cache, worker_pair):
             ) as info:
                 runner.run([RunRequest(exp.name, {})])
         assert "explode-remote" in info.value.label
-        profile = run.scheduler_profile()
-        assert any(record.failed for record in profile.tasks)
-        merges = [r for r in profile.tasks if r.local]
+        assert any(isinstance(e, TaskFailed) for e in run.task_events)
+        merges = [e for e in run.task_events if e.local]
         assert not merges, "merge must not have run"
     finally:
         unregister(exp.name)

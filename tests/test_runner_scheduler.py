@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.events import RunFinished, collect_events, emit
+from repro.events import RunFinished, TaskFailed, TaskFinished, collect_events, emit
 from repro.runner.scheduler import (
     GraphScheduler,
     Task,
@@ -84,7 +84,7 @@ def test_dependencies_complete_before_dependents():
     tasks = _graph(
         ("t1", []), ("t2", ["t1"]), ("t3", ["t1"]), ("t4", ["t2", "t3"])
     )
-    results = GraphScheduler(jobs=4, execute=execute).run(tasks)
+    results = GraphScheduler(execute=execute, slots={"local": 4}).run(tasks)
     assert set(results) == {"t1", "t2", "t3", "t4"}
     assert finished.index("t1") < finished.index("t2")
     assert finished.index("t1") < finished.index("t3")
@@ -98,7 +98,7 @@ def test_dependency_results_are_passed_to_dependents():
         return int(task.key)
 
     tasks = _graph(("1", []), ("2", []), ("sum", ["1", "2"]))
-    results = GraphScheduler(jobs=2, execute=execute).run(tasks)
+    results = GraphScheduler(execute=execute, slots={"local": 2}).run(tasks)
     assert results["sum"] == 3
 
 
@@ -117,7 +117,7 @@ def test_concurrency_never_exceeds_jobs():
         return None
 
     tasks = _graph(*((f"t{i}", []) for i in range(12)))
-    GraphScheduler(jobs=3, execute=execute).run(tasks)
+    GraphScheduler(execute=execute, slots={"local": 3}).run(tasks)
     assert max(peak) <= 3
 
 
@@ -132,7 +132,7 @@ def test_independent_tasks_interleave():
         return None
 
     tasks = _graph(("a1", []), ("b1", []), ("a2", ["a1"]), ("b2", ["b1"]))
-    GraphScheduler(jobs=2, execute=execute).run(tasks)
+    GraphScheduler(execute=execute, slots={"local": 2}).run(tasks)
     a_start, a_end = stamps["a1"]
     b_start, b_end = stamps["b1"]
     assert a_start < b_end and b_start < a_end, "chains did not overlap"
@@ -150,7 +150,7 @@ def test_local_tasks_run_on_the_coordinator_thread():
         Task(key="pool", payload=None),
         Task(key="merge", payload=None, deps=("pool",), local=True),
     ]
-    GraphScheduler(jobs=2, execute=execute).run(tasks)
+    GraphScheduler(execute=execute, slots={"local": 2}).run(tasks)
     assert seen["merge"] == main_thread
     assert seen["pool"] != main_thread
 
@@ -171,7 +171,7 @@ def test_failure_propagates_and_cancels_descendants():
 
     tasks = _graph(("boom", []), ("after", ["boom"]))
     with pytest.raises(TaskExecutionError, match="shard exploded") as info:
-        GraphScheduler(jobs=2, execute=execute).run(tasks)
+        GraphScheduler(execute=execute, slots={"local": 2}).run(tasks)
     assert "after" not in ran, "dependent of a failed task must not start"
     # The wrapper names the failing task and chains the original error.
     assert info.value.key == "boom"
@@ -194,7 +194,7 @@ def test_failure_cancels_unstarted_independent_tasks():
     # jobs=1 serializes: boom runs first, the rest must be skipped.
     tasks = _graph(("boom", []), *((f"t{i}", []) for i in range(8)))
     with pytest.raises(RuntimeError, match="early failure"):
-        GraphScheduler(jobs=1, execute=execute).run(tasks)
+        GraphScheduler(execute=execute, slots={"local": 1}).run(tasks)
     assert ran == ["boom"]
 
 
@@ -203,14 +203,13 @@ def test_profile_records_every_task():
         time.sleep(0.01)
         return None
 
-    scheduler = GraphScheduler(jobs=2, execute=execute)
+    scheduler = GraphScheduler(execute=execute, slots={"local": 2})
     with _collected_run() as run:
         scheduler.run(_graph(("a", []), ("b", ["a"]), ("c", ["a"])))
-    profile = run.scheduler_profile()
-    assert {record.key for record in profile.tasks} == {"a", "b", "c"}
-    assert profile.wall_seconds > 0
-    assert profile.busy_seconds >= 0.03
-    assert 0.0 < profile.utilization <= 1.0
+    assert {event.key for event in run.task_events} == {"a", "b", "c"}
+    assert run.wall_seconds > 0
+    assert run.busy_seconds >= 0.03
+    assert 0.0 < run.utilization <= 1.0
 
 
 def test_failed_task_still_recorded_in_profile():
@@ -223,18 +222,16 @@ def test_failed_task_still_recorded_in_profile():
             raise RuntimeError("kaboom")
         return None
 
-    scheduler = GraphScheduler(jobs=1, execute=execute)
+    scheduler = GraphScheduler(execute=execute, slots={"local": 1})
     with _collected_run() as run, pytest.raises(TaskExecutionError, match="kaboom"):
         scheduler.run(_graph(("ok", []), ("boom", [])))
-    profile = run.scheduler_profile()
-    records = {record.key: record for record in profile.tasks}
-    assert set(records) == {"ok", "boom"}
-    assert records["boom"].failed and not records["ok"].failed
-    assert records["boom"].seconds > 0
-    assert profile.busy_seconds >= (
-        records["ok"].seconds + records["boom"].seconds
-    )
-    assert profile.wall_seconds > 0, "a failed run keeps its wall time"
+    events = {event.key: event for event in run.task_events}
+    assert set(events) == {"ok", "boom"}
+    assert isinstance(events["boom"], TaskFailed)
+    assert isinstance(events["ok"], TaskFinished)
+    assert events["boom"].seconds > 0
+    assert run.busy_seconds >= events["ok"].seconds + events["boom"].seconds
+    assert run.wall_seconds > 0, "a failed run keeps its wall time"
 
 
 # ----------------------------------------------------------------------
@@ -273,12 +270,11 @@ def test_profile_attributes_tasks_to_workers():
     scheduler = GraphScheduler(execute=execute, slots={"w1": 1, "w2": 1})
     with _collected_run() as run:
         scheduler.run(_graph(*((f"t{i}", []) for i in range(4))))
-    profile = run.scheduler_profile()
-    assert profile.slots == {"w1": 1, "w2": 1}
-    assert {record.worker for record in profile.tasks} == {"w1", "w2"}
-    busy = profile.worker_busy()
+    assert run.slots == {"w1": 1, "w2": 1}
+    assert {event.worker for event in run.task_events} == {"w1", "w2"}
+    busy = run.worker_busy()
     assert busy["w1"] > 0 and busy["w2"] > 0
-    utilization = profile.worker_utilization()
+    utilization = run.worker_utilization()
     assert 0.0 < utilization["w1"] <= 1.0
     assert 0.0 < utilization["w2"] <= 1.0
 
@@ -301,9 +297,9 @@ def test_worker_lost_retries_on_a_survivor():
     with _collected_run() as run:
         results = scheduler.run(tasks)
     assert all(value == "solid" for value in results.values())
-    lost = [record for record in run.scheduler_profile().tasks if record.failed]
+    lost = [event for event in run.task_events if isinstance(event, TaskFailed)]
     assert lost, "the lost attempt must be recorded"
-    assert all(record.worker == "flaky" for record in lost)
+    assert all(event.worker == "flaky" for event in lost)
     # After the loss, nothing else was sent to the dead worker.
     flaky_attempts = [key for key, worker in attempts if worker == "flaky"]
     assert len(flaky_attempts) == 1

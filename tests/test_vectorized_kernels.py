@@ -183,10 +183,8 @@ def test_stay_range_table_matches_scalar_tier_in_the_fleet_regime(seed):
     hull vertices.  Every row must equal the scalar tier, on the minute
     grid and within (and just beyond) the slice epsilon of every vertex,
     and the whole table must equal the edge-matrix pass run over every
-    arrival.  That includes a NaN arrival, which passes the kernels'
-    range tests: its row is not empty when a non-vertical segment or a
-    polygon is present.  (The two tiers order NaN bounds differently,
-    so the scalar tier is not the oracle for that row.)"""
+    arrival.  A NaN arrival, whose bounds the scalar tier leaves
+    unordered, is rejected."""
     from repro.geometry.halfplane import _merged_stay_rows
 
     rng = np.random.default_rng(seed)
@@ -197,11 +195,10 @@ def test_stay_range_table_matches_scalar_tier_in_the_fleet_regime(seed):
             [
                 np.arange(1440.0),
                 *(xs + offset for offset in (-2e-9, -0.5e-9, 0.5e-9, 2e-9)),
-                [np.nan],
             ]
         )
         table = stay_range_table(hulls, arrivals)
-        for index, arrival in enumerate(arrivals[:-1]):
+        for index, arrival in enumerate(arrivals):
             assert table.intervals(index) == union_stay_ranges(hulls, float(arrival))
         lows, highs, counts = _merged_stay_rows(hulls, arrivals)
         width = max(1, int(counts.max()))
@@ -209,11 +206,8 @@ def test_stay_range_table_matches_scalar_tier_in_the_fleet_regime(seed):
         assert table.highs.tobytes() == highs[:, :width].tobytes()
         assert table.counts.tobytes() == counts.tobytes()
         assert table.lows.shape == (len(arrivals), width)
-        sliced_at_nan = any(
-            hull.n_vertices > 2 or hull.vertices[0, 0] != hull.vertices[-1, 0]
-            for hull in hulls
-        )
-        assert (table.counts[-1] > 0) == sliced_at_nan
+        with pytest.raises(ValueError, match="NaN"):
+            stay_range_table(hulls, np.append(arrivals, np.nan))
 
 
 @pytest.fixture(scope="module")
