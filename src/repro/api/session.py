@@ -19,7 +19,7 @@ use instead of shelling out:
 A run's event stream is its only record: :attr:`Session.last_events`
 (its aggregate) and :attr:`Session.last_events_path` (its trail) are
 published before it starts, so they describe a run that fails too, and
-manifests take their slot table and cache figures from the aggregate.
+each manifest names the trail instead of copying figures out of it.
 
 The byte-identity invariant carries over: a sweep of one point renders
 byte-identically to ``repro run`` of the same experiment/parameters,
@@ -417,9 +417,7 @@ class Session:
             # session-lived, and the aggregator stays readable.
             if writer is not None:
                 writer.close()
-        self.last_manifests = self._record(
-            requests, outcomes, runner, aggregator, trail_name
-        )
+        self.last_manifests = self._record(requests, outcomes, runner, trail_name)
         return outcomes
 
     def _record(
@@ -427,8 +425,7 @@ class Session:
         requests: list[RunRequest],
         outcomes: list[RunOutcome],
         runner: BaseRunner,
-        aggregator: ProfileAggregator,
-        trail_name: str = "",
+        trail_name: str,
     ) -> list[RunManifest]:
         if self.store is None:
             return []
@@ -443,13 +440,10 @@ class Session:
                 created=created,
                 fingerprint=code_fingerprint(),
                 runner=runner.capabilities.name,
-                jobs=runner.capabilities.max_workers,
-                workers=dict(aggregator.slots),
                 seconds=outcome.seconds,
                 cached=outcome.cached,
                 shards=outcome.shards,
                 sweep=request.sweep,
-                cache_stats=dict(aggregator.cache_stats),
                 rendered_path="",  # filled by the store
                 origin=self.origin,
                 events_path=trail_name,

@@ -3,18 +3,21 @@
 Until now a run's identity evaporated the moment its artifact scrolled
 by.  :class:`RunStore` fixes that: every completed run persists a
 :class:`RunManifest` — experiment, resolved parameters, code
-fingerprint, runner/worker profile, cache traffic, and the path of the
-rendered artifact — as one JSON file under ``<cache dir>/runs/``, next
-to a ``.txt`` holding the rendered text itself.  The store is queryable
-from Python (:meth:`repro.api.Session.runs`) and from the shell
-(``repro runs list|show|diff``), and two manifests can be diffed to
-answer "what changed between these runs?" without re-running anything.
+fingerprint, runner name, timing, the path of the rendered artifact
+and the path of its batch's event trail — as one JSON file under
+``<cache dir>/runs/``, next to a ``.txt`` holding the rendered text
+itself.  The store is queryable from Python
+(:meth:`repro.api.Session.runs`) and from the shell (``repro runs
+list|show|diff``), and two manifests can be diffed to answer "what
+changed between these runs?" without re-running anything.  What the
+run's workers did (slots, cache traffic, tasks) is not copied into the
+manifest: it is in the trail, which ``repro runs show`` folds.
 
-Manifests go through the wire codec
-(:func:`repro.core.serialization.encode_wire_value`), the same encoding
-task payloads use, so parameter values that are not plain JSON —
-tuples, numpy scalars — survive the round-trip *exactly*; a manifest
-read back is equal to the one written.
+Manifests go through the record codec
+(:func:`repro.core.serialization.record_to_wire`), the same wire
+encoding task payloads and events use, so parameter values that are
+not plain JSON — tuples, numpy scalars — survive the round-trip
+*exactly*; a manifest read back is equal to the one written.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from repro.core.serialization import decode_wire_value, encode_wire_value
+from repro.core.serialization import record_from_wire, record_to_wire
 from repro.errors import ConfigurationError
 from repro.runner.cache import atomic_write
 
@@ -57,81 +60,36 @@ class RunManifest:
     created: float
     fingerprint: str
     runner: str
-    jobs: int
-    workers: dict[str, int]
     seconds: float
     cached: bool
     shards: int
     sweep: str | None
-    cache_stats: dict[str, int]
     rendered_path: str
     origin: str = "api"
     # Store-root-relative path of the run's JSONL event trail, or ""
-    # when the run was executed with event persistence off.
+    # for a manifest written before runs kept trails.
     events_path: str = ""
 
 
 def manifest_to_wire(manifest: RunManifest) -> dict:
-    """A JSON-ready encoding of a manifest (wire-codec'd parameters)."""
-    return {
-        "format_version": _MANIFEST_VERSION,
-        "run_id": manifest.run_id,
-        "experiment": manifest.experiment,
-        "artifact": manifest.artifact,
-        "params": encode_wire_value(dict(manifest.params)),
-        "created": manifest.created,
-        "fingerprint": manifest.fingerprint,
-        "runner": manifest.runner,
-        "jobs": manifest.jobs,
-        "workers": dict(manifest.workers),
-        "seconds": manifest.seconds,
-        "cached": manifest.cached,
-        "shards": manifest.shards,
-        "sweep": manifest.sweep,
-        "cache_stats": dict(manifest.cache_stats),
-        "rendered_path": manifest.rendered_path,
-        "origin": manifest.origin,
-        "events_path": manifest.events_path,
-    }
+    """A JSON-ready encoding of a manifest: its format version plus
+    every field through the record codec."""
+    return {"format_version": _MANIFEST_VERSION, **record_to_wire(manifest)}
 
 
 def manifest_from_wire(payload: dict) -> RunManifest:
-    """Invert :func:`manifest_to_wire`; validates the format version."""
+    """Invert :func:`manifest_to_wire`; validates the format version.
+
+    Keys the manifest no longer has are ignored: version-1 manifests
+    that still carry ``jobs``, ``workers`` and ``cache_stats`` read
+    back, and one without ``events_path`` reads back with no trail.
+    """
     version = payload.get("format_version")
     if version != _MANIFEST_VERSION:
         raise ConfigurationError(
             f"unsupported run-manifest format version {version!r}"
         )
-    try:
-        return RunManifest(
-            run_id=str(payload["run_id"]),
-            experiment=str(payload["experiment"]),
-            artifact=str(payload["artifact"]),
-            params=decode_wire_value(payload["params"]),
-            created=float(payload["created"]),
-            fingerprint=str(payload["fingerprint"]),
-            runner=str(payload["runner"]),
-            jobs=int(payload["jobs"]),
-            workers={
-                str(worker): int(count)
-                for worker, count in (payload.get("workers") or {}).items()
-            },
-            seconds=float(payload["seconds"]),
-            cached=bool(payload["cached"]),
-            shards=int(payload["shards"]),
-            sweep=payload.get("sweep"),
-            cache_stats={
-                str(key): int(value)
-                for key, value in (payload.get("cache_stats") or {}).items()
-            },
-            rendered_path=str(payload["rendered_path"]),
-            origin=str(payload.get("origin") or "api"),
-            # .get: version-1 manifests from before event trails existed
-            # read back with no trail, which is also what "" means.
-            events_path=str(payload.get("events_path") or ""),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"missing run-manifest field: {exc}") from exc
+    return record_from_wire(RunManifest, payload)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,11 @@ from repro.api.store import STORE_SUBDIR, RunStore
 from repro.core.report import format_table
 from repro.devtools.lint.cli import add_lint_parser, run_lint
 from repro.errors import ConfigurationError, ReproError
-from repro.events.processors import read_events_jsonl, render_profile
+from repro.events.processors import (
+    read_events_jsonl,
+    render_profile,
+    replay_events,
+)
 from repro.runner import (
     ArtifactCache,
     all_experiments,
@@ -593,12 +597,24 @@ def _cmd_runs_inner(
         if len(args.run_id) != 1:
             parser.error("'runs show' takes exactly one run id")
         manifest = store.get(args.run_id[0])
+        # Slots and cache traffic are the batch trail's facts, folded
+        # here as --profile folds them; a manifest without a readable
+        # trail (written before trails, or pruned) shows neither.
+        try:
+            trail = store.events_file(manifest)
+        except ConfigurationError:
+            profile = None
+        else:
+            profile = replay_events(read_events_jsonl(trail))
+        runner = manifest.runner
+        if profile is not None:
+            runner += f" ({profile.jobs} job(s))"
         rows = [
             ["experiment", manifest.experiment],
             ["artifact", manifest.artifact],
             ["when (UTC)", _format_when(manifest.created)],
             ["origin", manifest.origin],
-            ["runner", f"{manifest.runner} ({manifest.jobs} job(s))"],
+            ["runner", runner],
             ["code fingerprint", manifest.fingerprint],
             ["seconds", f"{manifest.seconds:.2f}"],
             ["cached replay", str(manifest.cached)],
@@ -607,12 +623,13 @@ def _cmd_runs_inner(
         ]
         for name in sorted(manifest.params):
             rows.append([f"param {name}", repr(manifest.params[name])])
-        for worker in sorted(manifest.workers):
-            rows.append(
-                [f"worker {worker}", f"{manifest.workers[worker]} slot(s)"]
-            )
-        for key in sorted(manifest.cache_stats):
-            rows.append([f"cache {key}", manifest.cache_stats[key]])
+        if profile is not None:
+            for worker in sorted(profile.slots):
+                rows.append(
+                    [f"worker {worker}", f"{profile.slots[worker]} slot(s)"]
+                )
+            for key in sorted(profile.cache_stats):
+                rows.append([f"cache {key}", profile.cache_stats[key]])
         print(format_table(f"Run {manifest.run_id}", ["field", "value"], rows))
         print()
         print(store.rendered(manifest))

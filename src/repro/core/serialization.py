@@ -12,17 +12,21 @@ ADMs, reward tables, results, spills) as frames
 (:func:`encode_artifact` / :func:`decode_artifact`), and a remote
 worker sends each task's value home as one.  A fitted ADM enters a
 frame as plain arrays (:func:`cluster_adm_to_arrays`).  JSON-shaped
-records (task payloads, events, run manifests, job records) are tagged
-JSON (:func:`encode_wire_value`), which carries exact scalar, container
-and array types and raises on anything else.
+values (task payloads) are tagged JSON (:func:`encode_wire_value`),
+which carries exact scalar, container and array types and raises on
+anything else.  Dataclass records (events, run manifests, job records)
+go through it field by field (:func:`record_to_wire` /
+:func:`record_from_wire`), so a record's schema is its dataclass and
+nothing else.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -275,7 +279,11 @@ _WIRE_VERSION = 1
 _TAG_TUPLE = "__tuple__"
 _TAG_BYTES = "__bytes__"
 _TAG_NDARRAY = "__ndarray__"
-_TAGS = (_TAG_TUPLE, _TAG_BYTES, _TAG_NDARRAY)
+# Reserved: older releases stored values they could not encode as
+# pickles under this tag, and this codec reads no pickles, so decoding
+# one raises rather than hand back the raw tag as a dict.
+_TAG_PICKLE = "__pickle__"
+_TAGS = (_TAG_TUPLE, _TAG_BYTES, _TAG_NDARRAY, _TAG_PICKLE)
 
 
 def _ndarray_tag(value: Any) -> dict:
@@ -357,8 +365,45 @@ def decode_wire_value(obj: Any) -> Any:
             return base64.b64decode(obj[_TAG_BYTES])
         if _TAG_NDARRAY in obj and len(obj) == 1:
             return _ndarray_untag(obj[_TAG_NDARRAY])
+        if _TAG_PICKLE in obj and len(obj) == 1:
+            raise ConfigurationError(
+                "a value was pickled by an older repro release; this "
+                "release reads no pickled values (run it again to "
+                "record it in the current encoding)"
+            )
         return {key: decode_wire_value(item) for key, item in obj.items()}
     return obj
+
+
+_Record = TypeVar("_Record")
+
+
+def record_to_wire(record: Any) -> dict:
+    """A JSON-ready encoding of a dataclass record: every field, by
+    name, through :func:`encode_wire_value`."""
+    return {
+        f.name: encode_wire_value(getattr(record, f.name))
+        for f in fields(record)
+    }
+
+
+def record_from_wire(cls: type[_Record], data: dict) -> _Record:
+    """Invert :func:`record_to_wire` for the dataclass ``cls``.
+
+    Keys ``cls`` has no field for are ignored, so a record written by a
+    newer producer, or by an older one that still carried a field since
+    removed, reads back; an absent field takes its default, and an
+    absent required field raises :class:`ConfigurationError`.
+    """
+    values = {}
+    for f in fields(cls):  # type: ignore[arg-type]
+        if f.name in data:
+            values[f.name] = decode_wire_value(data[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(
+                f"missing {cls.__name__} field {f.name!r}"
+            )
+    return cls(**values)
 
 
 def task_payload_to_wire(payload: tuple) -> dict:

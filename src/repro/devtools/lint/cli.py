@@ -30,9 +30,9 @@ def add_lint_parser(subparsers: argparse._SubParsersAction) -> None:
         help="run the project's AST static-analysis rules",
         description=(
             "Static analysis for repro's own invariants (hot-path "
-            "batching, pickle/telemetry/lock discipline, event wire "
-            "exhaustiveness).  Exit codes: 0 clean, 1 findings, 2 the "
-            "lint run itself failed."
+            "batching; pickle, telemetry, lock and suppression "
+            "discipline).  Exit codes: 0 clean, 1 findings, 2 the lint "
+            "run itself failed."
         ),
     )
     parser.add_argument(

@@ -15,17 +15,19 @@ Events are plain data — no behaviour, no references into the runner —
 so they can cross the JSONL audit trail and a remote worker's result
 frame, and be replayed later into the same aggregates a live run
 produces.  They are a run's only record: nothing in the execution
-stack keeps a tally of the same facts beside them.  :func:`event_to_wire` /
-:func:`event_from_wire` go through the task-payload wire codec
-(:mod:`repro.core.serialization`), so non-JSON field values like tuple
-task keys (``(0, "shard", 3)``) survive the round-trip *exactly*; the
-decoder's kind table, :data:`EVENT_KINDS`, is every subclass of
-:class:`Event`.
+stack keeps a tally of the same facts beside them, and a run manifest
+names its batch's trail instead of copying figures out of it.
+:func:`event_to_wire` / :func:`event_from_wire` wrap an event's
+fields, encoded by the record codec that run manifests and job records
+share (:func:`repro.core.serialization.record_to_wire`), in a dispatch
+envelope, so non-JSON field values like tuple task keys
+(``(0, "shard", 3)``) survive the round-trip *exactly*; the decoder's
+kind table, :data:`EVENT_KINDS`, is every subclass of :class:`Event`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -221,11 +223,9 @@ def event_to_wire(event: Event, seq: int = 0, ts: float = 0.0) -> dict:
     """A JSON-ready encoding of one event plus its dispatch envelope."""
     # Imported lazily: kernel call sites (attack/hvac) import this
     # module at import time, before repro.core finishes initialising.
-    from repro.core.serialization import encode_wire_value
+    from repro.core.serialization import record_to_wire
 
-    data = {
-        f.name: encode_wire_value(getattr(event, f.name)) for f in fields(event)
-    }
+    data = record_to_wire(event)
     return {"seq": seq, "ts": ts, "kind": type(event).__name__, "data": data}
 
 
@@ -237,16 +237,10 @@ def event_from_wire(payload: dict) -> Event:
     removed, replay; an unknown *kind* raises — callers that scan whole
     trails filter on :data:`EVENT_KINDS` first.
     """
-    from repro.core.serialization import decode_wire_value
+    from repro.core.serialization import record_from_wire
 
     kind = payload.get("kind")
     cls = EVENT_KINDS.get(str(kind))
     if cls is None:
         raise ConfigurationError(f"unknown event kind {kind!r}")
-    names = {f.name for f in fields(cls)}
-    data = {
-        key: decode_wire_value(value)
-        for key, value in (payload.get("data") or {}).items()
-        if key in names
-    }
-    return cls(**data)
+    return record_from_wire(cls, payload.get("data") or {})

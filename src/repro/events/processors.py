@@ -5,9 +5,10 @@ table, its task events (one per task attempt, failed ones included, in
 dispatch order) with their busy time, the run's cache stats, and
 per-kernel rollups.  It is the only record of a run: the scheduler,
 the executors and the cache keep no tallies of their own, ``--profile``
-is a pure renderer over the aggregate, and run manifests take their
-slot table and cache figures from it, identically for every runner and
-executor (pool and remote workers send their events home).  Runners
+is a pure renderer over the aggregate, and ``repro runs show`` folds a
+stored run's trail to print its slot table and cache figures,
+identically for every runner and executor (pool and remote workers
+send their events home).  Runners
 emit ``RunFinished`` even when a run fails, so a failed run's
 aggregate still holds its tasks and wall time.
 

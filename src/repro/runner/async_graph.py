@@ -191,9 +191,7 @@ class AsyncShardRunner(BaseRunner):
 
     @property
     def capabilities(self) -> RunnerCapabilities:
-        return RunnerCapabilities(
-            name=f"async-graph[{self.executor.name}]", max_workers=self.jobs
-        )
+        return RunnerCapabilities(name=f"async-graph[{self.executor.name}]")
 
     # ------------------------------------------------------------------
     # Graph construction

@@ -36,10 +36,9 @@ from repro.runner.registry import Experiment, get_experiment
 @dataclass(frozen=True)
 class RunnerCapabilities:
     """What an execution backend declares about itself: its name (run
-    manifests and trails record it) and its concurrency bound."""
+    manifests and trails record it)."""
 
     name: str
-    max_workers: int = 1
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ class SerialRunner(BaseRunner):
 
     @property
     def capabilities(self) -> RunnerCapabilities:
-        return RunnerCapabilities(name="serial", max_workers=1)
+        return RunnerCapabilities(name="serial")
 
     def run(self, requests: Sequence[RunRequest | str]) -> list[RunOutcome]:
         # Install this runner's cache for the duration so the trace/ADM

@@ -8,10 +8,11 @@ uses, so the queue survives a control-plane crash: ``repro serve
 --resume`` lists the directory, finds everything not in a terminal
 state, and re-enqueues it.
 
-Parameter values ride through the wire codec
-(:func:`repro.core.serialization.encode_wire_value`), matching run
-manifests: a job read back is equal to the one written, tuples and
-numpy scalars included.
+A record is encoded field by field through the record codec
+(:func:`repro.core.serialization.record_to_wire`), as run manifests
+and events are: a job read back is equal to the one written, tuples
+and numpy scalars in its parameters included, and the HTTP job view
+is the same encoding without the format version.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any
 # The run store names the queue directory (its prune reads the
 # records); the plane imports the name from here.
 from repro.api.store import JOBS_SUBDIR as JOBS_SUBDIR
-from repro.core.serialization import decode_wire_value, encode_wire_value
+from repro.core.serialization import record_from_wire, record_to_wire
 from repro.errors import ConfigurationError
 from repro.runner.cache import atomic_write
 
@@ -74,68 +75,27 @@ class JobRecord:
     attempts: int = 0
     isolate: bool = False
     error: str = ""
-    run_ids: tuple[str, ...] = ()
+    run_ids: list[str] = field(default_factory=list)
     events_path: str = ""
+
+    def __post_init__(self) -> None:
+        if self.state not in STATES:
+            raise ConfigurationError(f"unknown job state {self.state!r}")
 
 
 def job_to_wire(record: JobRecord) -> dict:
-    """A JSON-ready encoding of a job (wire-codec'd parameters)."""
-    return {
-        "format_version": _JOB_VERSION,
-        "job_id": record.job_id,
-        "client": record.client,
-        "experiment": record.experiment,
-        "kind": record.kind,
-        "days": record.days,
-        "params": encode_wire_value(dict(record.params)),
-        "grid": (
-            encode_wire_value(dict(record.grid))
-            if record.grid is not None
-            else None
-        ),
-        "state": record.state,
-        "submitted": record.submitted,
-        "started": record.started,
-        "finished": record.finished,
-        "attempts": record.attempts,
-        "isolate": record.isolate,
-        "error": record.error,
-        "run_ids": list(record.run_ids),
-        "events_path": record.events_path,
-    }
+    """A JSON-ready encoding of a job: its format version plus every
+    field through the record codec."""
+    return {"format_version": _JOB_VERSION, **record_to_wire(record)}
 
 
 def job_from_wire(payload: dict) -> JobRecord:
-    """Invert :func:`job_to_wire`; validates version and state."""
+    """Invert :func:`job_to_wire`; validates the format version (the
+    record validates its state)."""
     version = payload.get("format_version")
     if version != _JOB_VERSION:
         raise ConfigurationError(f"unsupported job format version {version!r}")
-    state = str(payload.get("state") or "")
-    if state not in STATES:
-        raise ConfigurationError(f"unknown job state {state!r}")
-    try:
-        days = payload.get("days")
-        grid = payload.get("grid")
-        return JobRecord(
-            job_id=str(payload["job_id"]),
-            client=str(payload.get("client") or ""),
-            experiment=str(payload["experiment"]),
-            kind=str(payload.get("kind") or "run"),
-            days=int(days) if days is not None else None,
-            params=decode_wire_value(payload["params"]),
-            grid=decode_wire_value(grid) if grid is not None else None,
-            state=state,
-            submitted=float(payload.get("submitted") or 0.0),
-            started=float(payload.get("started") or 0.0),
-            finished=float(payload.get("finished") or 0.0),
-            attempts=int(payload.get("attempts") or 0),
-            isolate=bool(payload.get("isolate")),
-            error=str(payload.get("error") or ""),
-            run_ids=tuple(str(r) for r in payload.get("run_ids") or ()),
-            events_path=str(payload.get("events_path") or ""),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"missing job field: {exc}") from exc
+    return record_from_wire(JobRecord, payload)
 
 
 class JobStore:

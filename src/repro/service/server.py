@@ -18,8 +18,9 @@
 * **Fairness** — the dispatch loop drains the *whole* queue into one
   batch: every job's requests enter a single union shard DAG, each
   tagged with its submitting client, and the graph scheduler
-  round-robins ready tasks across clients (cost order within a client),
-  so one tenant's wide sweep cannot starve another's single figure.
+  round-robins ready tasks across clients (submission order within a
+  client), so one tenant's wide sweep cannot starve another's single
+  figure.
 
 Execution goes through the session's normal path — same event trail,
 same run manifests, same merge-in-coordinator rule — so a job's
@@ -45,6 +46,7 @@ from typing import Any
 
 from repro.api.session import Session, expand_grid
 from repro.api.store import RunStore
+from repro.core.serialization import record_to_wire
 from repro.errors import ConfigurationError, ReproError
 from repro.events.dispatch import emit
 from repro.events.model import (
@@ -396,9 +398,7 @@ class ControlPlane:
 
     @staticmethod
     def _job_view(record: JobRecord) -> dict:
-        view = jobstates.job_to_wire(record)
-        view.pop("format_version", None)
-        return view
+        return record_to_wire(record)
 
     def _job_events(self, job_id: str) -> dict:
         record = self._get_job(job_id)
@@ -658,7 +658,7 @@ class ControlPlane:
         manifests = self.session.last_manifests
         with self._jobs_lock:
             for record, start, end in spans:
-                run_ids = tuple(m.run_id for m in manifests[start:end])
+                run_ids = [m.run_id for m in manifests[start:end]]
                 events_path = (
                     manifests[start].events_path if end > start else ""
                 )

@@ -6,6 +6,7 @@ import pytest
 from repro.api import RunRequest, RunnerPolicy, Session, expand_grid
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.events import replay_events
 from repro.runner import SerialRunner, cache_disabled
 
 
@@ -190,9 +191,11 @@ def test_submit_runs_and_persists_manifest(tmp_path):
     assert manifest.params == outcome.params
     assert manifest.origin == "api"
     assert manifest.fingerprint
-    # Slots and cache figures come from the run's event aggregate.
-    assert manifest.workers == {"local": 1}
-    assert manifest.cache_stats == session.last_events.cache_stats
+    # Slots and cache figures are not copied into the manifest: the
+    # trail it names folds to the run's live aggregate.
+    folded = replay_events(session.events(manifest))
+    assert folded == session.last_events
+    assert folded.slots == {"local": 1}
     assert session.rendered(manifest) == outcome.rendered
     # A second, replayed run records its own manifest, marked cached.
     again = session.submit("fig3", days=2)

@@ -3,6 +3,7 @@ schema stability, and run diffing."""
 
 import json
 import os
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.api import (
     manifest_from_wire,
     manifest_to_wire,
 )
+from repro.cli import main
 from repro.errors import ConfigurationError
 
 
@@ -26,13 +28,10 @@ def _manifest(run_id="fig3-20260101-000000-abc123", **overrides):
         created=1_750_000_000.25,
         fingerprint="deadbeefcafef00d",
         runner="async-graph[thread]",
-        jobs=2,
-        workers={"local": 2},
         seconds=1.5,
         cached=False,
         shards=2,
         sweep=None,
-        cache_stats={"trace.puts": 1, "hits": 4},
         rendered_path="",
         origin="api",
     )
@@ -67,6 +66,80 @@ def test_manifest_missing_field_is_reported():
     del wire["experiment"]
     with pytest.raises(ConfigurationError, match="experiment"):
         manifest_from_wire(wire)
+
+
+# A version-1 manifest as the store wrote it before manifests named
+# their trail and while they still copied the trail's slot and cache
+# figures (jobs, workers, cache_stats): the exact bytes on disk.
+_OLD_MANIFEST_JSON = (
+    '{"artifact": "Fig. 3", "cache_stats": {"misses": 3, "puts": 3}, '
+    '"cached": false, "created": 1792425192.5, "experiment": "fig3", '
+    '"fingerprint": "b1f9b62dfb3f9586", "format_version": 1, "jobs": 1, '
+    '"origin": "cli", "params": {"n_days": 2, "seed": 2023, '
+    '"window": {"__tuple__": [2, 5]}}, '
+    '"rendered_path": "fig3-20261019-160312-a1af7f.txt", '
+    '"run_id": "fig3-20261019-160312-a1af7f", '
+    '"runner": "async-graph[remote]", "seconds": 0.13, "shards": 2, '
+    '"sweep": null, "workers": {"127.0.0.1:34087": 1, "127.0.0.1:46093": 1}}'
+)
+
+# The same manifest holding a parameter an older release pickled.
+_PICKLED_MANIFEST_JSON = _OLD_MANIFEST_JSON.replace(
+    '"seed": 2023,', '"min_pts_values": {"__pickle__": "gASVCQAAAAAAAACPlChLAksEkC4="},'
+).replace("fig3-20261019-160312-a1af7f", "fig4-20261019-160312-b2c3d4")
+
+
+def test_old_manifest_with_copied_trail_figures_reads_back():
+    assert manifest_from_wire(json.loads(_OLD_MANIFEST_JSON)) == RunManifest(
+        run_id="fig3-20261019-160312-a1af7f",
+        experiment="fig3",
+        artifact="Fig. 3",
+        params={"n_days": 2, "seed": 2023, "window": (2, 5)},
+        created=1792425192.5,
+        fingerprint="b1f9b62dfb3f9586",
+        runner="async-graph[remote]",
+        seconds=0.13,
+        cached=False,
+        shards=2,
+        sweep=None,
+        rendered_path="fig3-20261019-160312-a1af7f.txt",
+        origin="cli",
+        events_path="",
+    )
+
+
+def test_old_manifest_shows_no_slot_or_cache_rows(tmp_path, capsys):
+    """`repro runs show` folds slots and cache traffic from the run's
+    trail; a manifest from before trails has none to fold."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "fig3-20261019-160312-a1af7f.json").write_text(_OLD_MANIFEST_JSON)
+    (runs / "fig3-20261019-160312-a1af7f.txt").write_text("Fig. 3 text\n")
+    assert main(["runs", "show", "fig3-2026", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert not re.search(r"^(worker|cache) ", out, re.M)
+    # No trail, so no job count either: the runner row is the name.
+    assert re.search(r"^runner +async-graph\[remote\] *$", out, re.M)
+    assert re.search(r"^param window +\(2, 5\) *$", out, re.M)
+    assert out.endswith("Fig. 3 text\n\n")
+
+
+def test_pickled_parameter_makes_a_manifest_unreadable(tmp_path, capsys):
+    """An older release pickled what the wire codec could not carry; this
+    one reads no pickles, so such a manifest is skipped by the listing
+    like a torn one, and `runs show` fails with one line."""
+    store = RunStore(tmp_path / "runs")
+    kept = store.record(_manifest(), "text")
+    pickled = tmp_path / "runs" / "fig4-20261019-160312-b2c3d4.json"
+    pickled.write_text(_PICKLED_MANIFEST_JSON)
+    assert store.list() == [kept]
+    with pytest.raises(ConfigurationError, match="pickled"):
+        store.get("fig4-20261019-160312-b2c3d4")
+    code = main(["runs", "show", "fig4-2026", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("runs show failed: ")
+    assert "pickled" in captured.err and len(captured.err.splitlines()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +396,6 @@ def test_identical_runs_diff_clean(tmp_path):
 
 
 def test_cli_and_api_runs_land_in_the_same_store(tmp_path, capsys):
-    from repro.cli import main
-
     cache_dir = str(tmp_path / "cache")
     assert main(["run", "fig3", "--days", "2", "--cache-dir", cache_dir]) == 0
     capsys.readouterr()

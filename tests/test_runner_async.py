@@ -39,7 +39,6 @@ def fresh_cache(tmp_path):
 def test_capabilities_declare_async_graph():
     caps = AsyncShardRunner(jobs=4).capabilities
     assert caps.name == "async-graph[thread]"
-    assert caps.max_workers == 4
     process = AsyncShardRunner(jobs=2, executor=ProcessExecutor(2))
     assert process.capabilities.name == "async-graph[process]"
     assert SerialRunner().capabilities.name == "serial"

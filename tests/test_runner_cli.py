@@ -1,6 +1,7 @@
 """Tests for the registry-driven CLI surface (new commands and flags)."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -386,6 +387,19 @@ def test_cli_run_remote_local_workers_matches_serial(tmp_path, capsys):
     ) == 0
     remote_out = capsys.readouterr().out
     assert remote_out == serial_out
+    # `runs show` folds each run's trail: the remote run leased two
+    # one-slot workers, the serial run one local slot.
+    for backend, runner, workers in (
+        ("remote", r"async-graph\[remote\] \(2 job\(s\)\)", 2),
+        ("serial", r"serial \(1 job\(s\)\)", 1),
+    ):
+        cache_dir = str(tmp_path / backend)
+        assert main(["runs", "show", "fig3-", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"^runner +{runner} *$", out, re.M), out
+        slots = re.findall(r"^worker \S+ +1 slot\(s\) *$", out, re.M)
+        assert len(slots) == workers, out
+        assert re.search(r"^cache trace\.puts +2 *$", out, re.M), out
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Round-trip tests for attack-vector and report serialization."""
+"""Round-trip tests for attack-vector, report and record serialization."""
+
+import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -10,8 +13,12 @@ from repro.core.serialization import (
     attack_report_to_dict,
     attack_vector_from_dict,
     attack_vector_to_dict,
+    decode_wire_value,
+    encode_wire_value,
     load_attack_report,
     load_attack_vector,
+    record_from_wire,
+    record_to_wire,
     save_attack_report,
     save_attack_vector,
 )
@@ -104,3 +111,40 @@ def test_report_rejects_bad_version():
     payload["format_version"] = 0
     with pytest.raises(ConfigurationError):
         attack_report_from_dict(payload)
+
+
+@dataclass(frozen=True)
+class _Record:
+    name: str
+    key: tuple
+    value: np.float64
+    tags: list = field(default_factory=list)
+
+
+def test_record_codec_round_trips_fields_and_skips_unknown_keys():
+    record = _Record(name="r", key=(0, "shard", 3), value=np.float64(0.5))
+    wire = json.loads(json.dumps(record_to_wire(record)))
+    assert sorted(wire) == ["key", "name", "tags", "value"]
+    rebuilt = record_from_wire(_Record, wire)
+    assert rebuilt == record
+    assert type(rebuilt.key) is tuple and type(rebuilt.value) is np.float64
+    # Keys the class has no field for are ignored, an absent field takes
+    # its default, and an absent required field is a typed error.
+    del wire["tags"]
+    wire["retired"] = 7
+    assert record_from_wire(_Record, wire) == record
+    del wire["key"]
+    with pytest.raises(ConfigurationError, match="missing _Record field 'key'"):
+        record_from_wire(_Record, wire)
+
+
+def test_pickle_tag_is_reserved_and_refused():
+    """Older releases wrapped values the wire codec could not carry in a
+    pickle tag; the tag is reserved, and a stored one is refused rather
+    than unpickled or passed through as a plain dict."""
+    with pytest.raises(ConfigurationError, match="__pickle__"):
+        encode_wire_value({"__pickle__": 1})
+    stored = {"__pickle__": "gASVCQAAAAAAAACPlChLAksEkC4="}
+    for wire in (stored, {"params": [stored]}):
+        with pytest.raises(ConfigurationError, match="pickled by an older"):
+            decode_wire_value(wire)

@@ -119,7 +119,7 @@ def test_job_record_wire_round_trip(tmp_path):
         attempts=2,
         isolate=True,
         error="transient",
-        run_ids=("r1", "r2"),
+        run_ids=["r1", "r2"],
         events_path="events/t.jsonl",
     )
     assert job_from_wire(job_to_wire(record)) == record
@@ -128,6 +128,71 @@ def test_job_record_wire_round_trip(tmp_path):
     assert store.get("job-x-1") == record
     with pytest.raises(ConfigurationError, match="no job"):
         store.get("job-missing")
+
+
+# A job record exactly as the store wrote it before records went through
+# the record codec (same keys, same encoding).
+_OLD_JOB_JSON = (
+    '{"attempts": 1, "client": "alice", "days": 3, "error": "", '
+    '"events_path": "events/fig4-20261019-160313-cccccc.jsonl", '
+    '"experiment": "fig4", "finished": 1792425195.75, "format_version": 1, '
+    '"grid": {"min_pts_values": [[2], [2, 4]]}, "isolate": false, '
+    '"job_id": "job-fig4-20261019-160312-0a1b2c", "kind": "sweep", '
+    '"params": {"seed": 7, "weights": {"__tuple__": [0.5, 1.5]}}, '
+    '"run_ids": ["fig4-20261019-160313-aaaaaa", "fig4-20261019-160314-bbbbbb"], '
+    '"started": 1792425193.25, "state": "done", "submitted": 1792425192.5}'
+)
+
+
+def test_old_job_record_reads_back_and_keeps_its_bytes(tmp_path):
+    record = job_from_wire(json.loads(_OLD_JOB_JSON))
+    assert record == JobRecord(
+        job_id="job-fig4-20261019-160312-0a1b2c",
+        client="alice",
+        experiment="fig4",
+        kind="sweep",
+        days=3,
+        params={"seed": 7, "weights": (0.5, 1.5)},
+        grid={"min_pts_values": [[2], [2, 4]]},
+        state="done",
+        submitted=1792425192.5,
+        started=1792425193.25,
+        finished=1792425195.75,
+        attempts=1,
+        error="",
+        run_ids=["fig4-20261019-160313-aaaaaa", "fig4-20261019-160314-bbbbbb"],
+        events_path="events/fig4-20261019-160313-cccccc.jsonl",
+    )
+    store = JobStore(tmp_path / "jobs")
+    store.save(record)
+    on_disk = (tmp_path / "jobs" / f"{record.job_id}.json").read_text()
+    assert on_disk == _OLD_JOB_JSON
+    # The HTTP view is the same encoding without the format version.
+    view = ControlPlane._job_view(record)
+    assert view == {
+        key: value
+        for key, value in json.loads(_OLD_JOB_JSON).items()
+        if key != "format_version"
+    }
+
+
+def test_job_record_states_are_checked_and_pickles_refused(tmp_path):
+    with pytest.raises(ConfigurationError, match="unknown job state"):
+        JobRecord(job_id="j", client="c", experiment="fig3", state="lost")
+    wire = json.loads(_OLD_JOB_JSON)
+    wire["state"] = "lost"
+    with pytest.raises(ConfigurationError, match="unknown job state"):
+        job_from_wire(wire)
+    store = JobStore(tmp_path / "jobs")
+    kept = store.save(JobRecord(job_id="j", client="c", experiment="fig3"))
+    # An older release pickled values the wire codec could not carry; a
+    # record holding one is skipped like a torn one.
+    pickled = json.loads(_OLD_JOB_JSON)
+    pickled["params"]["weights"] = {"__pickle__": "gASVCQAAAAAAAACPlChLAksEkC4="}
+    (tmp_path / "jobs" / "pickled.json").write_text(json.dumps(pickled))
+    assert store.list() == [kept]
+    with pytest.raises(ConfigurationError, match="pickled"):
+        store.get("pickled")
 
 
 def test_job_store_lists_in_submission_order_skipping_torn(tmp_path):
@@ -157,7 +222,7 @@ def test_job_transitions_stamp_times(tmp_path):
     )
     running = store.transition(record, "running", attempts=1)
     assert running.started > 0 and running.attempts == 1
-    done = store.transition(running, "done", run_ids=("r",))
+    done = store.transition(running, "done", run_ids=["r"])
     assert done.finished >= running.started
     assert store.get("j").state == "done"
 
