@@ -8,9 +8,10 @@ reference* path and its *vectorized* path, verifying the outputs agree
 exactly, and writing the measured speedups to ``BENCH_hotpaths.json``
 at the repository root (the committed file documents the speedups on
 the reference machine).  ``fleet_geometry`` has no scalar arm: it
-times a k-means fleet's ADM fits and, separately, their stay tables and
-stealth oracles, and checks every table row against the scalar
-``union_stay_ranges``.
+times a k-means fleet's ADM fits and, separately, its stealth oracles
+built one stay pass per oracle and from one shared pass, requires the
+two arms' oracle arrays to be equal, and checks every oracle row
+against the scalar ``union_stay_ranges``.
 
 Usage::
 
@@ -56,6 +57,7 @@ from repro.attack.realtime import (  # noqa: E402
 )
 from repro.attack.schedule import (  # noqa: E402
     ScheduleConfig,
+    _OracleBatch,
     _StealthOracle,
     shatter_schedule,
 )
@@ -522,11 +524,7 @@ def bench(smoke: bool) -> dict:
         "speedup": before_s / after_s,
     }
 
-    # --- fleet ADM geometry (fits, stay tables, stealth oracles) --------
-    from repro.core.serialization import (
-        cluster_adm_from_arrays,
-        cluster_adm_to_arrays,
-    )
+    # --- fleet ADM geometry (fits, stealth oracles) ---------------------
     from repro.runner.common import params_for
 
     geometry_homes = 4 if smoke else 16
@@ -544,45 +542,49 @@ def bench(smoke: bool) -> dict:
             for g_home, g_train in geometry_fleet
         ],
     )
-    # Every round builds the tables and oracles of fresh ADM copies
-    # (an ADM caches its stay tables), made outside the timed region.
-    unbuilt = [
-        [cluster_adm_from_arrays(cluster_adm_to_arrays(adm)) for adm in geometry_adms]
-        for _ in range(rounds)
+    oracle_pairs = [
+        (adm, occupant, adm.n_zones)
+        for adm in geometry_adms
+        for occupant in range(adm.n_occupants)
     ]
+    # Oracles built one pair at a time (one stay pass per oracle) vs all
+    # of them from one shared pass, as a schedule batch builds them.
+    per_pair_s, per_pair_oracles = _best_of(
+        rounds, lambda: [_StealthOracle(*pair) for pair in oracle_pairs]
+    )
 
-    def tables_and_oracles():
-        adms = unbuilt.pop()
-        for adm in adms:
-            for occupant in range(adm.n_occupants):
-                _StealthOracle(adm, occupant, adm.n_zones)
-        return adms
+    def batched_oracles():
+        batch = _OracleBatch(oracle_pairs)
+        return [_StealthOracle(*pair, batch) for pair in oracle_pairs]
 
-    geometry_s, built = _best_of(rounds, tables_and_oracles)
+    batched_s, batched = _best_of(rounds, batched_oracles)
+    for one, shared in zip(per_pair_oracles, batched):
+        for name in ("entry", "max_int", "min_int", "lo", "hi"):
+            assert getattr(one, name).shape == getattr(shared, name).shape
+            assert getattr(one, name).tobytes() == getattr(shared, name).tobytes()
     hull_kinds = [0, 0, 0]
     rows_with_intervals = 0
     n_rows = 0
-    for adm in built:
-        for occupant in range(adm.n_occupants):
-            for zone in range(adm.n_zones):
-                hulls = adm.hulls(occupant, zone)
-                table = adm.stay_table(occupant, zone)
-                for arrival in range(table.n_arrivals):
-                    assert table.intervals(arrival) == union_stay_ranges(
-                        hulls, float(arrival)
-                    )
-                for hull in hulls:
-                    hull_kinds[min(hull.n_vertices, 3) - 1] += 1
-                rows_with_intervals += int(np.count_nonzero(table.counts))
-                n_rows += table.n_arrivals
+    for (adm, occupant, n_zones), oracle in zip(oracle_pairs, batched):
+        for zone in range(n_zones):
+            hulls = adm.hulls(occupant, zone)
+            for arrival in range(1440):
+                intervals = oracle.intervals(zone, arrival)
+                assert intervals == union_stay_ranges(hulls, float(arrival))
+                rows_with_intervals += bool(intervals)
+            for hull in hulls:
+                hull_kinds[min(hull.n_vertices, 3) - 1] += 1
+            n_rows += 1440
     results["fleet_geometry"] = {
         "workload": (
             f"{geometry_homes}-home k-means fleet (4 zones, 6 days, 2 training "
-            "days): the ADM fits, then every stay table and both stealth "
-            "oracles of each home"
+            "days): the ADM fits, then both stealth oracles of each home, "
+            "one stay pass per oracle vs one pass for all of them"
         ),
         "fit_s": fit_s,
-        "tables_oracles_s": geometry_s,
+        "before_s": per_pair_s,
+        "after_s": batched_s,
+        "speedup": per_pair_s / batched_s,
         "hulls": dict(zip(("points", "segments", "polygons"), hull_kinds)),
         "rows_with_intervals": rows_with_intervals / n_rows,
     }
@@ -844,11 +846,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{kernel:18s} base {numbers['rss_base_kb']:10.0f}KB  "
                 f"10x {numbers['rss_10x_kb']:10.0f}KB  "
                 f"ratio {numbers['ratio']:6.2f}x"
-            )
-        elif "fit_s" in numbers:
-            print(
-                f"{kernel:18s} fits {numbers['fit_s']:8.4f}s  "
-                f"tables+oracles {numbers['tables_oracles_s']:8.4f}s"
             )
         else:
             print(f"{kernel:18s} {numbers['seconds']:8.4f}s")

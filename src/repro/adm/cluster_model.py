@@ -192,9 +192,10 @@ class ClusterADM:
         ``self.stay_ranges(occupant, zone, float(a))`` bit for bit, for
         all 1440 arrivals, and is cached until the next :meth:`fit`.
         :func:`stay_range_table` slices the hulls only at the arrivals
-        inside some hull's x-range; every other row is empty.  This is
-        the table the attack scheduler's per-day DP feeds on instead of
-        querying stay ranges one ``(zone, arrival)`` pair at a time.
+        inside some hull's x-range; every other row is empty.  The
+        attack scheduler builds no such table: its stealth oracles read
+        the rows of all their (occupant, zone) groups from one
+        :func:`~repro.geometry.stay_range_rows` pass per schedule batch.
         """
         self._require_fitted()
         key = (occupant, zone)

@@ -15,7 +15,8 @@ optimum:
 * the default ``vector`` engine — a table-driven array program
   (:func:`_optimize_spans_batch`) that advances many spans as the rows
   of one program: all per-(zone, arrival) stay feasibility is
-  precomputed for the full day (:meth:`ClusterADM.stay_table`), DP
+  precomputed for the full day (the stealth oracles, built for a
+  whole batch from one multi-group stay-row pass), DP
   states live in ``[rows, states]`` index arrays in canonical
   (arrival, zone) order, and each slot advance is a handful of numpy
   operations with parent pointers kept in index arrays.  A single span
@@ -53,6 +54,7 @@ from repro.events.dispatch import (
     SCHEDULE_DP_BATCH,
     kernel_timer,
 )
+from repro.geometry import StayRangeRows, stay_range_rows
 from repro.home.builder import SmartHome
 from repro.home.state import HomeTrace
 from repro.hvac.controller import (
@@ -123,16 +125,88 @@ class AttackSchedule:
     substituted_days: list[tuple[int, int]] = field(default_factory=list)
 
 
+class _OracleBatch:
+    """The stay rows of many (ADM, occupant) oracles, from one pass.
+
+    ``pairs`` lists distinct ``(adm, occupant_id, n_zones)`` triples.
+    The first oracle that asks runs the pass: one
+    :func:`stay_range_rows` call slices every (occupant, zone) hull
+    group of every pair at all 1440 arrival minutes, and the
+    scheduler's integer-minute values of every row that holds an
+    interval are derived from it in vectorized form:
+
+    * ``max_int`` / ``min_int`` — the largest/smallest integer stay the
+      row's intervals admit (``-1`` when none).  Entries are feasible
+      only when some integer stay exists in the admitted intervals,
+      which mirrors the scalar reference semantics bit for bit.
+
+    A batch lives for one round of constructions (see
+    :func:`_build_oracles`); the oracles keep copies of their own rows
+    and no reference to it or to an ADM.
+    """
+
+    def __init__(self, pairs: Sequence[tuple[ClusterADM, int, int]]) -> None:
+        self._pairs = list(pairs)
+        self._index = {
+            (id(adm), occupant_id, n_zones): index
+            for index, (adm, occupant_id, n_zones) in enumerate(self._pairs)
+        }
+        self._rows: StayRangeRows | None = None
+
+    def _run(self) -> StayRangeRows:
+        rows = stay_range_rows(
+            [
+                adm.hulls(occupant_id, zone)
+                for adm, occupant_id, n_zones in self._pairs
+                for zone in range(n_zones)
+            ],
+            np.arange(MINUTES_PER_DAY, dtype=float),
+        )
+        valid = np.arange(rows.lows.shape[1])[None, :] < rows.counts[:, None]
+        # Integer-duration feasibility, vectorized over every interval:
+        # the largest integer stay floor(high + eps) counts only when it
+        # reaches the smallest one max(1, ceil(low - eps)).
+        high_int = np.floor(rows.highs + _EPS)
+        low_int = np.maximum(1.0, np.ceil(rows.lows - _EPS))
+        feasible = valid & (high_int >= low_int)
+        self.max_int = np.where(
+            feasible.any(axis=1),
+            np.max(np.where(feasible, high_int, -np.inf), axis=1),
+            -1.0,
+        ).astype(np.int64)
+        admissible = valid & (low_int <= rows.highs + _EPS)
+        self.min_int = np.where(
+            admissible.any(axis=1),
+            np.min(np.where(admissible, low_int, np.inf), axis=1),
+            -1.0,
+        ).astype(np.int64)
+        first_group = np.cumsum([0] + [n_zones for _, _, n_zones in self._pairs])
+        self._bounds = np.searchsorted(rows.group, first_group)
+        self._first_group = first_group
+        self._rows = rows
+        return rows
+
+    def rows_of(
+        self, adm: ClusterADM, occupant_id: int, n_zones: int
+    ) -> tuple[StayRangeRows, slice, int]:
+        """``(rows, span, first group)``: the pass's rows (run on first
+        use), the contiguous span of them that belongs to this pair, and
+        the group index of its zone 0."""
+        rows = self._rows if self._rows is not None else self._run()
+        index = self._index[(id(adm), occupant_id, n_zones)]
+        span = slice(int(self._bounds[index]), int(self._bounds[index + 1]))
+        return rows, span, int(self._first_group[index])
+
+
 class _StealthOracle:
     """Table-backed ADM stay queries for one occupant.
 
-    The construction pulls, per zone, the full 1440-arrival merged stay
-    interval table from :meth:`ClusterADM.stay_table` and derives the
-    scheduler's integer-minute feasibility arrays from it in vectorized
-    form.  Only the (zone, arrival) rows holding an interval are
-    derived; every other row gets the values the derivation gives an
-    all-padding row (``-1``, ``False``, ``+inf``/``-inf``), which is
-    most of them for ADMs fitted on a few training days:
+    The construction reads its (zone, arrival) rows — the ones holding
+    a merged stay interval — from an :class:`_OracleBatch` pass and
+    scatters them into the scheduler's full-day arrays.  Every other
+    row gets the values the derivation gives an all-padding row
+    (``-1``, ``False``, ``+inf``/``-inf``), which is most of them for
+    ADMs fitted on a few training days:
 
     * ``max_int[Z, 1440]`` / ``min_int[Z, 1440]`` — the largest/smallest
       integer stay admitted at each arrival (``-1`` when none, i.e. the
@@ -141,63 +215,56 @@ class _StealthOracle:
     * ``lo[Z, 1440, K]`` / ``hi[Z, 1440, K]`` — merged interval bounds
       pre-shifted by the scheduler tolerance (``low - eps`` /
       ``high + eps``), padded with ``+inf`` / ``-inf`` so membership
-      tests are vacuously false on padding.
+      tests are vacuously false on padding; ``K`` is the occupant's
+      largest interval count (at least one).
 
-    The scalar methods answer from the same arrays (there is no memo
-    dict left to warm), and the vector DP engine reads the arrays
-    directly.  The integer-duration logic mirrors the scalar reference
-    semantics bit for bit: entries are only feasible when some integer
-    stay exists in the admitted intervals.
+    Constructed without a batch, an oracle is a one-pair batch.  The
+    scalar methods answer from the same arrays and from the oracle's
+    own copy of its raw rows, and the vector DP engine reads the arrays
+    directly.  An oracle holds no reference to its ADM: the memo is
+    keyed weakly by the ADM.
     """
 
-    def __init__(self, adm: ClusterADM, occupant_id: int, n_zones: int) -> None:
+    def __init__(
+        self,
+        adm: ClusterADM,
+        occupant_id: int,
+        n_zones: int,
+        batch: _OracleBatch | None = None,
+    ) -> None:
+        if batch is None:
+            batch = _OracleBatch([(adm, occupant_id, n_zones)])
+        rows, span, first_group = batch.rows_of(adm, occupant_id, n_zones)
         self._occupant = occupant_id
         self._n_zones = n_zones
-        tables = [adm.stay_table(occupant_id, zone) for zone in range(n_zones)]
-        width = max(table.max_intervals for table in tables)
-        slots = tables[0].n_arrivals
-        counts = np.stack([table.counts for table in tables])
-        # Only the (zone, arrival) rows holding an interval are derived.
-        # Every other row is all padding, and the fills below are what
-        # the derivation gives padding: no stay (-1), no entry, and
-        # +inf - eps == +inf / -inf + eps == -inf bounds.
-        zone_rows, arrival_rows = np.nonzero(counts)
-        lows = np.full((len(zone_rows), width), np.inf)
-        highs = np.full((len(zone_rows), width), -np.inf)
-        for zone, table in enumerate(tables):
-            picked = zone_rows == zone
-            lows[picked, : table.max_intervals] = table.lows[arrival_rows[picked]]
-            highs[picked, : table.max_intervals] = table.highs[arrival_rows[picked]]
-        valid = np.arange(width)[None, :] < counts[zone_rows, arrival_rows][:, None]
-        # Integer-duration feasibility, vectorized over every interval:
-        # the largest integer stay floor(high + eps) counts only when it
-        # reaches the smallest one max(1, ceil(low - eps)).
-        high_int = np.floor(highs + _EPS)
-        low_int = np.maximum(1.0, np.ceil(lows - _EPS))
-        feasible = valid & (high_int >= low_int)
-        self.max_int = np.full((n_zones, slots), -1, dtype=np.int64)
-        self.max_int[zone_rows, arrival_rows] = np.where(
-            feasible.any(axis=1),
-            np.max(np.where(feasible, high_int, -np.inf), axis=1),
-            -1.0,
-        ).astype(np.int64)
-        admissible = valid & (low_int <= highs + _EPS)
-        self.min_int = np.full((n_zones, slots), -1, dtype=np.int64)
-        self.min_int[zone_rows, arrival_rows] = np.where(
-            admissible.any(axis=1),
-            np.min(np.where(admissible, low_int, np.inf), axis=1),
-            -1.0,
-        ).astype(np.int64)
+        zone = rows.group[span] - first_group
+        arrival = rows.arrival[span]
+        self._counts = rows.counts[span].copy()
+        width = max(1, int(self._counts.max(initial=0)))
+        self._lows = rows.lows[span, :width].copy()
+        self._highs = rows.highs[span, :width].copy()
+        shape = (n_zones, MINUTES_PER_DAY)
+        self._row = np.full(shape, -1, dtype=np.int64)
+        self._row[zone, arrival] = np.arange(len(zone))
+        self.max_int = np.full(shape, -1, dtype=np.int64)
+        self.max_int[zone, arrival] = batch.max_int[span]
+        self.min_int = np.full(shape, -1, dtype=np.int64)
+        self.min_int[zone, arrival] = batch.min_int[span]
         self.entry = self.max_int >= 0
-        self.lo = np.full((n_zones, slots, width), np.inf)
-        self.lo[zone_rows, arrival_rows] = lows - _EPS
-        self.hi = np.full((n_zones, slots, width), -np.inf)
-        self.hi[zone_rows, arrival_rows] = highs + _EPS
-        self._tables = tables
+        self.lo = np.full((*shape, width), np.inf)
+        self.lo[zone, arrival] = self._lows - _EPS
+        self.hi = np.full((*shape, width), -np.inf)
+        self.hi[zone, arrival] = self._highs + _EPS
 
     def intervals(self, zone: int, arrival: int) -> list[tuple[float, float]]:
         """Merged admissible stay intervals at an arrival minute."""
-        return self._tables[zone].intervals(arrival)
+        row = int(self._row[zone, arrival])
+        if row < 0:
+            return []
+        return [
+            (float(self._lows[row, k]), float(self._highs[row, k]))
+            for k in range(int(self._counts[row]))
+        ]
 
     def max_stay(self, zone: int, arrival: int) -> int | None:
         """Largest integer stay admitted at this arrival, if any."""
@@ -223,11 +290,33 @@ class _StealthOracle:
 # Oracles are pure functions of (ADM identity, occupant, n_zones) — an
 # ADM never mutates after fit() — so sweeps over non-ADM parameters
 # (capabilities, pricing, schedule configs) reuse one oracle instead of
-# re-deriving the stay tables per call.  Keyed weakly by the ADM object:
+# re-deriving the stay rows per call.  Keyed weakly by the ADM object:
 # dropping the ADM drops its oracles.
 _ORACLE_MEMO: "weakref.WeakKeyDictionary[ClusterADM, dict]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def _memo_of(adm: ClusterADM) -> dict:
+    per_adm = _ORACLE_MEMO.get(adm)
+    if per_adm is None:
+        per_adm = _ORACLE_MEMO.setdefault(adm, {})
+    return per_adm
+
+
+def _build_oracles(pairs: Sequence[tuple[ClusterADM, int, int]]) -> None:
+    """Construct and memoize the oracles of ``pairs`` from one pass.
+
+    ``pairs`` are distinct and not memoized yet.  Each construction is
+    charged to the ``GEOMETRY`` kernel timer as its own call, and the
+    first one runs the batch's pass, so the kernel's time covers the
+    pass and its call count stays one per oracle.
+    """
+    batch = _OracleBatch(pairs)
+    for adm, occupant_id, n_zones in pairs:
+        with kernel_timer(GEOMETRY):
+            oracle = _StealthOracle(adm, occupant_id, n_zones, batch)
+        _memo_of(adm)[(occupant_id, n_zones)] = oracle
 
 
 def stealth_oracle(
@@ -235,19 +324,15 @@ def stealth_oracle(
 ) -> _StealthOracle:
     """Memoized :class:`_StealthOracle` per (adm identity, occupant, zones).
 
-    Only real constructions are charged to the ``GEOMETRY`` kernel
-    timer; memo hits are free, which keeps the profile honest.
+    A miss builds the oracle as a one-pair batch; only real
+    constructions are charged to the ``GEOMETRY`` kernel timer, so memo
+    hits are free, which keeps the profile honest.
     """
-    per_adm = _ORACLE_MEMO.get(adm)
-    if per_adm is None:
-        per_adm = _ORACLE_MEMO.setdefault(adm, {})
+    per_adm = _memo_of(adm)
     key = (occupant_id, n_zones)
-    oracle = per_adm.get(key)
-    if oracle is None:
-        with kernel_timer(GEOMETRY):
-            oracle = _StealthOracle(adm, occupant_id, n_zones)
-        per_adm[key] = oracle
-    return oracle
+    if key not in per_adm:
+        _build_oracles([(adm, occupant_id, n_zones)])
+    return per_adm[key]
 
 
 @dataclass(frozen=True)
@@ -1720,6 +1805,22 @@ def _shatter_schedule_scalar(
     )
 
 
+def _prefetch_oracles(jobs: Sequence[ScheduleJob]) -> None:
+    """Build every oracle ``jobs`` will ask for and the memo lacks,
+    from one pass over all their (occupant, zone) hull groups."""
+    missing: dict[tuple[int, int, int], tuple[ClusterADM, int, int]] = {}
+    for job in jobs:
+        n_zones = job.home.n_zones
+        per_adm = _memo_of(job.adm)
+        for occupant in job.home.occupants:
+            oid = occupant.occupant_id
+            if oid in job.capability.occupants and (oid, n_zones) not in per_adm:
+                key = (id(job.adm), oid, n_zones)
+                missing.setdefault(key, (job.adm, oid, n_zones))
+    if missing:
+        _build_oracles(list(missing.values()))
+
+
 def shatter_schedule_batch(jobs: Sequence[ScheduleJob]) -> list[AttackSchedule]:
     """Synthesize SHATTER schedules for many homes in one array program.
 
@@ -1729,17 +1830,27 @@ def shatter_schedule_batch(jobs: Sequence[ScheduleJob]) -> list[AttackSchedule]:
     advance together as rows of the batched engine
     (:func:`_solve_span_tasks`), and the solutions are adopted back per
     job, day by day, in the scalar engine's original order
-    (:func:`_assemble_schedule`).  Results are bit-identical to
-    calling :func:`shatter_schedule` per job — which itself is this
-    function applied to a single job.  ``reference``/``exhaustive``
-    jobs run the scalar loop unchanged.
+    (:func:`_assemble_schedule`).  Before planning, the stealth
+    oracles of every vector job that the memo lacks are built from one
+    :func:`stay_range_rows` pass over all their hull groups
+    (:func:`_prefetch_oracles`).  Results are bit-identical to calling
+    :func:`shatter_schedule` per job — which itself is this function
+    applied to a single job.  ``reference``/``exhaustive`` jobs run the
+    scalar loop unchanged.
     """
     results: list[AttackSchedule | None] = [None] * len(jobs)
     planned: list[tuple[int, ScheduleJob, ScheduleConfig, list[_DayPlan]]] = []
     tasks: list[_SpanTask] = []
-    for index, job in enumerate(jobs):
+    configs = [job.config or ScheduleConfig() for job in jobs]
+    _prefetch_oracles(
+        [
+            job
+            for job, config in zip(jobs, configs)
+            if config.engine == "vector" and not config.exhaustive
+        ]
+    )
+    for index, (job, config) in enumerate(zip(jobs, configs)):
         controller_config = job.controller_config or ControllerConfig()
-        config = job.config or ScheduleConfig()
         if config.exhaustive or config.engine != "vector":
             results[index] = _shatter_schedule_scalar(
                 job.home,

@@ -38,6 +38,8 @@ from repro.errors import ConfigurationError
 from repro.geometry import ConvexHull
 
 _FORMAT_VERSION = 1
+# Version 2 packs each field of every group into one array.
+_ADM_FORMAT_VERSION = 2
 
 
 def attack_vector_to_dict(vector: AttackVector) -> dict:
@@ -208,34 +210,54 @@ def cluster_adm_to_arrays(adm: ClusterADM) -> dict:
 
     Captures the full decision surface — per-(occupant, zone) training
     points, cluster labels, and hull vertices — so a reloaded ADM
-    answers every membership / stay-range query identically.  The
-    arrays stay numpy arrays, which the frame codec writes as raw
-    buffers.
+    answers every membership / stay-range query identically.  Each
+    field is one array across all groups, so a frame holds a handful of
+    buffers whatever the group and hull counts:
+
+    * ``groups`` — ``[G, 4]`` rows of (occupant, zone, point count,
+      hull count), in (occupant, zone) order;
+    * ``points`` / ``labels`` — every group's training points ``[P, 2]``
+      and cluster labels ``[P]``, concatenated in group order;
+    * ``hull_sizes`` — every hull's vertex count ``[H]``, in group
+      order; and
+    * ``vertices`` — every hull's vertices ``[V, 2]``, concatenated.
     """
-    groups = []
-    for (occupant, zone), group in sorted(adm._groups.items()):
-        groups.append(
-            {
-                "occupant": occupant,
-                "zone": zone,
-                "points": group.points,
-                "labels": group.labels,
-                "hulls": [hull.vertices for hull in group.hulls],
-            }
-        )
+    keys = sorted(adm._groups)
+    models = [adm._groups[key] for key in keys]
+    hulls = [hull for model in models for hull in model.hulls]
+    groups = np.array(
+        [
+            (occupant, zone, len(model.points), len(model.hulls))
+            for (occupant, zone), model in zip(keys, models)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
     return {
-        "format_version": _FORMAT_VERSION,
+        "format_version": _ADM_FORMAT_VERSION,
         "params": adm_params_to_dict(adm.params),
         "n_zones": adm.n_zones,
         "n_occupants": adm.n_occupants,
         "groups": groups,
+        "points": _concat([model.points for model in models], float, (0, 2)),
+        "labels": _concat([model.labels for model in models], np.int64, (0,)),
+        "hull_sizes": np.array([hull.n_vertices for hull in hulls], dtype=np.int64),
+        "vertices": _concat([hull.vertices for hull in hulls], float, (0, 2)),
     }
 
 
+def _concat(arrays: list[np.ndarray], dtype: Any, empty: tuple) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(empty, dtype)
+
+
 def cluster_adm_from_arrays(payload: dict) -> ClusterADM:
-    """Invert :func:`cluster_adm_to_arrays` without re-clustering."""
+    """Invert :func:`cluster_adm_to_arrays` without re-clustering.
+
+    Each group's points, labels and hull vertices are slices of the
+    payload's arrays, so an ADM decoded from a frame holds read-only
+    views of the frame's buffers.
+    """
     version = payload.get("format_version")
-    if version != _FORMAT_VERSION:
+    if version != _ADM_FORMAT_VERSION:
         raise ConfigurationError(
             f"unsupported cluster-ADM format version {version!r}"
         )
@@ -243,18 +265,37 @@ def cluster_adm_from_arrays(payload: dict) -> ClusterADM:
         adm = ClusterADM(adm_params_from_dict(payload["params"]))
         adm._n_zones = int(payload["n_zones"])
         adm._n_occupants = int(payload["n_occupants"])
-        for entry in payload["groups"]:
-            points = np.asarray(entry["points"], dtype=float).reshape(-1, 2)
-            labels = np.asarray(entry["labels"], dtype=np.int64)
-            hulls = [
-                ConvexHull(np.asarray(vertices, dtype=float))
-                for vertices in entry["hulls"]
-            ]
-            adm._groups[(int(entry["occupant"]), int(entry["zone"]))] = (
-                _GroupModel(points=points, labels=labels, hulls=hulls)
-            )
+        groups = np.asarray(payload["groups"], dtype=np.int64).reshape(-1, 4)
+        points = np.asarray(payload["points"], dtype=float).reshape(-1, 2)
+        labels = np.asarray(payload["labels"], dtype=np.int64)
+        sizes = np.asarray(payload["hull_sizes"], dtype=np.int64)
+        vertices = np.asarray(payload["vertices"], dtype=float).reshape(-1, 2)
     except KeyError as exc:
         raise ConfigurationError(f"missing cluster-ADM field: {exc}") from exc
+    if (
+        len(labels) != len(points)
+        or groups[:, 2:].min(initial=0) < 0
+        or int(groups[:, 2].sum()) != len(points)
+        or int(groups[:, 3].sum()) != len(sizes)
+        or int(sizes.sum()) != len(vertices)
+    ):
+        raise ConfigurationError(
+            "cluster-ADM arrays disagree with their group table"
+        )
+    point_at = hull_at = vertex_at = 0
+    size_list = sizes.tolist()
+    for occupant, zone, n_points, n_hulls in groups.tolist():
+        hulls = []
+        for size in size_list[hull_at : hull_at + n_hulls]:
+            hulls.append(ConvexHull(vertices[vertex_at : vertex_at + size]))
+            vertex_at += size
+        adm._groups[(occupant, zone)] = _GroupModel(
+            points=points[point_at : point_at + n_points],
+            labels=labels[point_at : point_at + n_points],
+            hulls=hulls,
+        )
+        point_at += n_points
+        hull_at += n_hulls
     return adm
 
 

@@ -7,7 +7,10 @@ equivalence oracle, not a hot-path API, and the span-level DP internals
 (``_optimize_span*``, ``_shatter_schedule_scalar``) are private to
 ``attack/schedule.py`` — drivers must enter through
 ``shatter_schedule`` / ``shatter_schedule_batch`` so fleets advance as
-one array program instead of a per-day Python loop.
+one array program instead of a per-day Python loop.  The schedule's
+stealth oracles are built the same way: ``attack/schedule.py`` calls
+neither ``.stay_table(`` nor ``stay_range_table(``, because a batch's
+oracles read their rows from one multi-group ``stay_range_rows`` pass.
 
 This rule is call-graph-aware where the greps could not be: inside
 ``attack/schedule.py`` the restricted internals may only be called from
@@ -42,6 +45,11 @@ from repro.devtools.lint.rules.common import (
 
 # Scalar-tier geometry: oracle-only, banned from the schedule drivers.
 _SCALAR_GEOMETRY = ("point_in_hull", "stay_range", "union_stay_ranges")
+
+# Per-group stay tables: the schedule's oracles come from one
+# multi-group stay_range_rows pass per batch, so attack/schedule.py
+# builds neither kind.
+_PER_GROUP_TABLES = ("stay_table", "stay_range_table")
 
 # Who may call the span-DP internals inside attack/schedule.py.
 _ALLOWED_CALLERS = {
@@ -108,6 +116,7 @@ class HotPathScalarCalls(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.match("attack/schedule.py"):
             yield from self._check_schedule(ctx)
+            yield from self._check_per_group_tables(ctx)
         if ctx.match("attack/schedule.py", "attack/greedy.py"):
             yield from self._check_scalar_geometry(ctx)
         if ctx.match("attack/greedy.py"):
@@ -140,6 +149,18 @@ class HotPathScalarCalls(Rule):
                     "shatter_schedule/shatter_schedule_batch",
                 )
 
+    def _check_per_group_tables(self, ctx: FileContext) -> Iterator[Finding]:
+        for call, enclosing in iter_calls_with_enclosing(ctx.tree):
+            name = call_name(call)
+            if name in _PER_GROUP_TABLES:
+                yield self.finding(
+                    ctx,
+                    call,
+                    f"{name}() builds one (occupant, zone) stay table (found "
+                    f"in {enclosing}); stealth oracles read their rows from "
+                    "the batch's one stay_range_rows pass",
+                )
+
     def _check_scalar_geometry(self, ctx: FileContext) -> Iterator[Finding]:
         for node, name in iter_name_references(ctx.tree):
             if name in _SCALAR_GEOMETRY:
@@ -147,8 +168,8 @@ class HotPathScalarCalls(Rule):
                     ctx,
                     node,
                     f"scalar geometry {name!r} reintroduced into a batched "
-                    "hot path; use the table/batched kernels "
-                    "(points_in_hulls, stay_range_table)",
+                    "hot path; use the batched kernels "
+                    "(points_in_hulls, stay_range_rows)",
                 )
 
     def _check_greedy(self, ctx: FileContext) -> Iterator[Finding]:

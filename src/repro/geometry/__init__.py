@@ -10,23 +10,27 @@ the attack scheduler is built on — membership, and the vertical-slice
 
 from repro.geometry.convexhull import ConvexHull, quickhull
 from repro.geometry.halfplane import (
+    StayRangeRows,
     StayRangeTable,
     left_of_line_segment,
     point_in_hull,
     points_in_hulls,
     stay_range,
+    stay_range_rows,
     stay_range_table,
     union_stay_ranges,
 )
 
 __all__ = [
     "ConvexHull",
+    "StayRangeRows",
     "StayRangeTable",
     "left_of_line_segment",
     "point_in_hull",
     "points_in_hulls",
     "quickhull",
     "stay_range",
+    "stay_range_rows",
     "stay_range_table",
     "union_stay_ranges",
 ]

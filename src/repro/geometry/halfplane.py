@@ -17,14 +17,18 @@ Two execution tiers share these semantics:
   property tests and the Fig. 11 exhaustive-engine study use them as the
   oracle, and hot paths are forbidden (by a CI grep gate) from calling
   them per element.
-* ``points_in_hulls`` and ``stay_range_table`` are the *batched* tier —
-  edge-matrix array programs over ``[N]`` query points/arrivals at once,
-  guaranteed bit-identical to looping the scalar tier (property-tested).
+* ``points_in_hulls``, ``stay_range_rows`` and ``stay_range_table`` are
+  the *batched* tier — array programs over ``[N]`` query
+  points/arrivals at once, guaranteed bit-identical to looping the
+  scalar tier (property-tested).  ``stay_range_rows`` slices the hulls
+  of many (occupant, zone) groups in one pass; ``stay_range_table`` is
+  its one-group call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from repro.geometry.convexhull import ConvexHull
 _EPS = 1e-9
 
 # How far outside a hull's vertex x-range an arrival may lie and still
-# go through the edge-matrix pass.  Any value above the slice epsilon is
+# be sliced by that hull.  Any value above the slice epsilon is
 # exact; this one is a thousand times above it, so rounding near the
 # bound can never drop an arrival the slice tests would admit.
 _CANDIDATE_MARGIN = 1e-6
@@ -292,76 +296,138 @@ class StayRangeTable:
         ]
 
 
-def _hull_stay_slices(
-    hull: ConvexHull, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`stay_range` for one hull over arrivals ``xs``.
+@dataclass(frozen=True)
+class StayRangeRows:
+    """The non-empty rows of many stay tables at once.
 
-    Returns ``(low, high, valid)`` arrays of shape ``[N]``; entries with
-    ``valid[i] == False`` correspond to scalar ``stay_range`` returning
-    ``None`` and carry ``+inf``/``-inf`` sentinels.
+    Row ``r`` holds the merged interval list that
+    ``union_stay_ranges(hull_groups[group[r]], arrivals[arrival[r]])``
+    returns: ``counts[r]`` (at least one) intervals, with bounds in
+    ``lows[r, :counts[r]]`` / ``highs[r, :counts[r]]`` sorted by lower
+    bound and padded with ``+inf`` / ``-inf``.  Rows are sorted by
+    ``(group, arrival)``; a pair with no row admits no stay.
+
+    Attributes:
+        group: Hull-group index of each row, ``[R]``.
+        arrival: Arrival index of each row, ``[R]``.
+        lows: Interval lower bounds, ``[R, K]`` (``K`` = max intervals,
+            at least one).
+        highs: Interval upper bounds, ``[R, K]``.
+        counts: Number of valid intervals per row, ``[R]``.
     """
-    n = len(xs)
-    low = np.full(n, np.inf)
-    high = np.full(n, -np.inf)
-    if hull.n_vertices == 1:
-        vertex = hull.vertices[0]
-        valid = np.abs(xs - vertex[0]) <= _EPS
-        vy = float(vertex[1])
-        low[valid] = vy
-        high[valid] = vy
-        return low, high, valid
-    if hull.n_vertices == 2:
-        return _segment_slices(hull.vertices[0], hull.vertices[1], xs)
-    x_low, x_high = hull.x_range()
-    in_range = ~((xs < x_low - _EPS) | (xs > x_high + _EPS))
-    got = np.zeros(n, dtype=bool)
-    for start, end in hull.edges():
-        y, crossed = _edge_crossings(start, end, xs)
-        update = in_range & crossed
-        low = np.where(update & (y < low), y, low)
-        high = np.where(update & (y > high), y, high)
-        got |= update
-    # First-crossing bookkeeping: min/max over an empty set stays at the
-    # sentinels, matching the scalar "no ys -> None" branch.
-    return low, high, got
+
+    group: np.ndarray
+    arrival: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
+    counts: np.ndarray
 
 
-def _segment_slices(
-    start: np.ndarray, end: np.ndarray, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`_segment_slice`."""
-    n = len(xs)
-    x0, y0 = float(start[0]), float(start[1])
-    x1, y1 = float(end[0]), float(end[1])
-    low = np.full(n, np.inf)
-    high = np.full(n, -np.inf)
-    if abs(x1 - x0) <= _EPS:
-        valid = np.abs(xs - x0) <= _EPS
-        low[valid] = min(y0, y1)
-        high[valid] = max(y0, y1)
-        return low, high, valid
-    valid = ~((xs < min(x0, x1) - _EPS) | (xs > max(x0, x1) + _EPS))
-    t = (xs - x0) / (x1 - x0)
-    y = y0 + t * (y1 - y0)
-    low = np.where(valid, y, low)
-    high = np.where(valid, y, high)
-    return low, high, valid
+@dataclass(frozen=True)
+class _PackedHulls:
+    """Every hull of many groups in flat arrays: hull ``h`` of group
+    ``group[h]`` has vertices ``xs/ys[start[h] : start[h] + size[h]]``
+    and vertex x-range ``[x_low[h], x_high[h]]``."""
+
+    group: np.ndarray
+    size: np.ndarray
+    start: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    x_low: np.ndarray
+    x_high: np.ndarray
+
+    @classmethod
+    def of(cls, hull_groups: Sequence[Sequence[ConvexHull]]) -> "_PackedHulls":
+        group = np.repeat(
+            np.arange(len(hull_groups)),
+            [len(hulls) for hulls in hull_groups],
+        )
+        vertices = [hull.vertices for hulls in hull_groups for hull in hulls]
+        size = np.array([len(v) for v in vertices], dtype=np.int64)
+        start = np.cumsum(size) - size
+        flat = np.concatenate(vertices) if vertices else np.zeros((0, 2))
+        xs, ys = flat[:, 0], flat[:, 1]
+        if vertices:
+            x_low = np.minimum.reduceat(xs, start)
+            x_high = np.maximum.reduceat(xs, start)
+        else:
+            x_low = x_high = np.zeros(0)
+        return cls(group, size, start, xs, ys, x_low, x_high)
 
 
-def _edge_crossings(
-    start: np.ndarray, end: np.ndarray, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_edge_crossing`: ``(y, crossed)`` arrays."""
-    x0, y0 = float(start[0]), float(start[1])
-    x1, y1 = float(end[0]), float(end[1])
-    if abs(x1 - x0) <= _EPS:
-        crossed = np.abs(xs - x0) <= _EPS
-        y = np.full(len(xs), max(y0, y1))
-        return y, crossed
-    crossed = ~((xs < min(x0, x1) - _EPS) | (xs > max(x0, x1) + _EPS))
-    t = (xs - x0) / (x1 - x0)
-    return y0 + t * (y1 - y0), crossed
+def stay_range_rows(
+    hull_groups: Sequence[Sequence[ConvexHull]], arrivals: np.ndarray
+) -> StayRangeRows:
+    """Batched :func:`union_stay_ranges` over many hull groups and arrivals.
+
+    One pass for every group: the merged admissible stay intervals of
+    each ``(group, arrival)`` pair, bit for bit what
+    ``union_stay_ranges(hull_groups[g], arrivals[a])`` returns, as the
+    rows that hold an interval.  The pass
+
+    * pairs each hull with the arrivals inside its vertex x-range
+      widened by ``_CANDIDATE_MARGIN`` (a sorted-arrival range, so the
+      cost follows the pairs, not groups x arrivals).  Any other arrival
+      misses the hull by more than the slice epsilon, so its slice is
+      empty;
+    * slices every hull at its paired arrivals (points, segments
+      including vertical ones, polygon edges) in flat arrays; and
+    * merges each ``(group, arrival)`` row's slices with the scalar
+      tier's sort-and-merge over padded ``[rows, slices]`` arrays.
+
+    ADM hulls fitted on a few training days are mostly points and short
+    segments, so a day of arrivals has few pairs per hull, and one call
+    over a whole schedule batch's groups replaces a call per group.
+
+    Args:
+        hull_groups: The cluster hulls of each group (one (occupant,
+            zone) pair); a group may have none.
+        arrivals: Arrival times (x coordinates), ``[N]``, shared by
+            every group.
+
+    Returns:
+        The :class:`StayRangeRows` of every non-empty row.
+
+    Raises:
+        ValueError: An arrival is NaN.  The scalar tier slices a hull at
+            NaN into NaN bounds, which merge in no defined order, so no
+            row could reproduce it.
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    if np.isnan(arrivals).any():
+        raise ValueError("stay range rows: an arrival time is NaN")
+    hulls = _PackedHulls.of(hull_groups)
+    # Each hull's candidates are one range of the sorted arrivals:
+    # exactly those with low - margin <= arrival <= high + margin.
+    order = np.argsort(arrivals, kind="stable")
+    ordered = arrivals[order]
+    first = np.searchsorted(ordered, hulls.x_low - _CANDIDATE_MARGIN, side="left")
+    stop = np.searchsorted(ordered, hulls.x_high + _CANDIDATE_MARGIN, side="right")
+    per_hull = stop - first
+    pair_hull = np.repeat(np.arange(len(per_hull)), per_hull)
+    offset = np.arange(len(pair_hull)) - np.repeat(
+        np.cumsum(per_hull) - per_hull, per_hull
+    )
+    pair_arrival = order[first[pair_hull] + offset]
+    pair_group = hulls.group[pair_hull]
+    row_keys, row_pair, pair_row = np.unique(
+        pair_group * len(arrivals) + pair_arrival,
+        return_index=True,
+        return_inverse=True,
+    )
+    lows, highs, counts = _merge_pairs(
+        hulls, pair_hull, pair_row, arrivals[pair_arrival], len(row_keys)
+    )
+    kept = counts > 0
+    width = max(1, int(counts.max(initial=0)))
+    return StayRangeRows(
+        group=pair_group[row_pair[kept]],
+        arrival=pair_arrival[row_pair[kept]],
+        lows=lows[kept, :width],
+        highs=highs[kept, :width],
+        counts=counts[kept],
+    )
 
 
 def stay_range_table(
@@ -370,19 +436,10 @@ def stay_range_table(
     """Batched :func:`union_stay_ranges` over many arrival times.
 
     Computes the merged admissible stay intervals at every arrival in
-    ``arrivals`` — the table the attack scheduler's
-    ``maxStay``/``minStay``/feasibility arrays are derived from.  Row
-    ``i`` of the result reproduces ``union_stay_ranges(hulls,
-    arrivals[i])`` bit for bit.
-
-    Rows are independent, so the edge-matrix pass
-    (:func:`_merged_stay_rows`) runs only on the *candidate* arrivals:
-    those inside some hull's vertex x-range widened by
-    ``_CANDIDATE_MARGIN``.  Every other arrival misses every hull by
-    more than the slice epsilon, so its row is empty and stays padding.
-    ADM hulls fitted on a few training days are mostly points and short
-    segments, so a full day of arrivals usually has only a handful of
-    candidates.
+    ``arrivals``.  Row ``i`` of the result reproduces
+    ``union_stay_ranges(hulls, arrivals[i])`` bit for bit.  This is the
+    one-group call of :func:`stay_range_rows`: its rows fill the table
+    and every other row is padding.
 
     Args:
         hulls: The cluster hulls of one (occupant, zone) pair.
@@ -392,62 +449,159 @@ def stay_range_table(
         The packed :class:`StayRangeTable`.
 
     Raises:
-        ValueError: An arrival is NaN.  The scalar tier slices a hull at
-            NaN into NaN bounds, which merge in no defined order, so no
-            table could reproduce it.
+        ValueError: An arrival is NaN (see :func:`stay_range_rows`).
     """
     arrivals = np.asarray(arrivals, dtype=float)
-    if np.isnan(arrivals).any():
-        raise ValueError("stay_range_table: an arrival time is NaN")
+    rows = stay_range_rows([hulls], arrivals)
     n = len(arrivals)
-    rows = _candidate_rows(hulls, arrivals)
-    if len(rows) == 0:
-        return StayRangeTable(
-            arrivals=arrivals,
-            lows=np.full((n, 1), np.inf),
-            highs=np.full((n, 1), -np.inf),
-            counts=np.zeros(n, dtype=np.int64),
-        )
-    row_low, row_high, row_counts = _merged_stay_rows(hulls, arrivals[rows])
-    width = max(1, int(row_counts.max()))
+    width = rows.lows.shape[1]
     lows = np.full((n, width), np.inf)
     highs = np.full((n, width), -np.inf)
     counts = np.zeros(n, dtype=np.int64)
-    lows[rows] = row_low[:, :width]
-    highs[rows] = row_high[:, :width]
-    counts[rows] = row_counts
+    lows[rows.arrival] = rows.lows
+    highs[rows.arrival] = rows.highs
+    counts[rows.arrival] = rows.counts
     return StayRangeTable(arrivals=arrivals, lows=lows, highs=highs, counts=counts)
-
-
-def _candidate_rows(hulls: list[ConvexHull], arrivals: np.ndarray) -> np.ndarray:
-    """Indices of the arrivals some hull's slice test could admit."""
-    inside = np.zeros(len(arrivals), dtype=bool)
-    for hull in hulls:
-        low, high = hull.x_range()
-        inside |= ~(
-            (arrivals < low - _CANDIDATE_MARGIN) | (arrivals > high + _CANDIDATE_MARGIN)
-        )
-    return np.flatnonzero(inside)
 
 
 def _merged_stay_rows(
     hulls: list[ConvexHull], arrivals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edge-matrix pass: merged intervals at every arrival given.
+    """The slice-and-merge pass of one group at *every* arrival given.
 
-    Returns ``(lows, highs, counts)`` with ``[N, H]`` bound arrays
-    (``H = len(hulls)``, padded with ``+inf``/``-inf``) and ``[N]``
-    counts.  ``hulls`` must not be empty.
+    Pairs every hull with every arrival, with no candidate pruning, and
+    returns ``(lows, highs, counts)``: ``[N, K]`` bound arrays (``K`` at
+    least the largest count, padded with ``+inf``/``-inf``) and ``[N]``
+    counts.  The equivalence tests hold :func:`stay_range_table` to it,
+    which shows that pruning drops no interval.
     """
-    n = len(arrivals)
-    n_hulls = len(hulls)
-    per_low = np.full((n, n_hulls), np.inf)
-    per_high = np.full((n, n_hulls), -np.inf)
-    per_valid = np.zeros((n, n_hulls), dtype=bool)
-    for j, hull in enumerate(hulls):
-        per_low[:, j], per_high[:, j], per_valid[:, j] = _hull_stay_slices(
-            hull, arrivals
+    arrivals = np.asarray(arrivals, dtype=float)
+    n_hulls, n = len(hulls), len(arrivals)
+    pair_hull = np.tile(np.arange(n_hulls), n)
+    pair_row = np.repeat(np.arange(n), n_hulls)
+    return _merge_pairs(
+        _PackedHulls.of([hulls]), pair_hull, pair_row, arrivals[pair_row], n
+    )
+
+
+def _merge_pairs(
+    hulls: _PackedHulls,
+    pair_hull: np.ndarray,
+    pair_row: np.ndarray,
+    xs: np.ndarray,
+    n_rows: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slice hull ``pair_hull[p]`` at ``xs[p]`` and merge each row's slices.
+
+    Returns ``([n_rows, K] lows, [n_rows, K] highs, [n_rows] counts)``.
+    Empty slices are dropped before the merge: the scalar tier skips
+    them, and padded they would sort last and merge as no-ops.
+    """
+    low, high, valid = _slice_pairs(hulls, pair_hull, xs)
+    pair_row = pair_row[valid]
+    order = np.argsort(pair_row, kind="stable")
+    pair_row = pair_row[order]
+    per_row = np.bincount(pair_row, minlength=n_rows)
+    width = max(1, int(per_row.max(initial=0)))
+    column = np.arange(len(pair_row)) - np.repeat(
+        np.cumsum(per_row) - per_row, per_row
+    )
+    per_low = np.full((n_rows, width), np.inf)
+    per_high = np.full((n_rows, width), -np.inf)
+    per_low[pair_row, column] = low[valid][order]
+    per_high[pair_row, column] = high[valid][order]
+    per_valid = np.arange(width)[None, :] < per_row[:, None]
+    return _merge_sorted_rows(per_low, per_high, per_valid)
+
+
+def _slice_pairs(
+    hulls: _PackedHulls, pair_hull: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`stay_range` of hull ``pair_hull[p]`` at ``xs[p]``.
+
+    Returns ``(low, high, valid)`` arrays of shape ``[P]``; entries with
+    ``valid[p] == False`` correspond to scalar ``stay_range`` returning
+    ``None`` and carry ``+inf``/``-inf`` sentinels.  Each hull kind runs
+    its scalar expressions, operation for operation, over its pairs.
+    """
+    low = np.full(len(xs), np.inf)
+    high = np.full(len(xs), -np.inf)
+    size = hulls.size[pair_hull]
+    first = hulls.start[pair_hull]
+
+    point = np.flatnonzero(size == 1)
+    hit = np.abs(xs[point] - hulls.xs[first[point]]) <= _EPS
+    low[point[hit]] = high[point[hit]] = hulls.ys[first[point[hit]]]
+
+    seg = np.flatnonzero(size == 2)
+    x = xs[seg]
+    x0, y0 = hulls.xs[first[seg]], hulls.ys[first[seg]]
+    x1, y1 = hulls.xs[first[seg] + 1], hulls.ys[first[seg] + 1]
+    vertical = np.abs(x1 - x0) <= _EPS
+    # A vertical segment's slice is its whole y extent.
+    on_line = vertical & (np.abs(x - x0) <= _EPS)
+    across = ~vertical & ~(
+        (x < np.minimum(x0, x1) - _EPS) | (x > np.maximum(x0, x1) + _EPS)
+    )
+    t = (x - x0) / np.where(vertical, 1.0, x1 - x0)
+    y = y0 + t * (y1 - y0)
+    low[seg] = np.where(on_line, np.minimum(y0, y1), np.where(across, y, np.inf))
+    high[seg] = np.where(on_line, np.maximum(y0, y1), np.where(across, y, -np.inf))
+
+    poly = np.flatnonzero(size >= 3)
+    low[poly], high[poly] = _polygon_slices(hulls, pair_hull[poly], xs[poly])
+    return low, high, low <= high
+
+
+def _polygon_slices(
+    hulls: _PackedHulls, pair_hull: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized polygon :func:`stay_range`: ``(low, high)`` per pair,
+    ``(+inf, -inf)`` where no edge crosses.
+
+    Edge ``k`` of every pair's polygon advances together; min/max keep
+    the first extreme crossing in edge order, like the scalar
+    ``min(ys)``/``max(ys)``.
+    """
+    low = np.full(len(x), np.inf)
+    high = np.full(len(x), -np.inf)
+    if len(x) == 0:
+        return low, high
+    size = hulls.size[pair_hull]
+    first = hulls.start[pair_hull]
+    in_range = ~(
+        (x < hulls.x_low[pair_hull] - _EPS) | (x > hulls.x_high[pair_hull] + _EPS)
+    )
+    for k in range(int(size.max())):
+        start = first + k % size
+        end = first + (k + 1) % size
+        x0, y0 = hulls.xs[start], hulls.ys[start]
+        x1, y1 = hulls.xs[end], hulls.ys[end]
+        vertical = np.abs(x1 - x0) <= _EPS
+        # A vertical edge on the query line counts its upper endpoint.
+        crossed = np.where(
+            vertical,
+            np.abs(x - x0) <= _EPS,
+            ~((x < np.minimum(x0, x1) - _EPS) | (x > np.maximum(x0, x1) + _EPS)),
         )
+        t = (x - x0) / np.where(vertical, 1.0, x1 - x0)
+        y = np.where(vertical, np.maximum(y0, y1), y0 + t * (y1 - y0))
+        update = (k < size) & in_range & crossed
+        low = np.where(update & (y < low), y, low)
+        high = np.where(update & (y > high), y, high)
+    return low, high
+
+
+def _merge_sorted_rows(
+    per_low: np.ndarray, per_high: np.ndarray, per_valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort each row's slices and merge them, as :func:`union_stay_ranges`
+    does one arrival's.
+
+    Returns ``(lows, highs, counts)`` shaped like the inputs (bounds)
+    and ``[N]`` (counts).
+    """
+    n, width = per_low.shape
     # Sort each row's intervals by (low, high), exactly like the scalar
     # ``intervals.sort()`` on (low, high) tuples; invalid slots carry
     # +inf lows, so they sort to the end of every row.
@@ -458,13 +612,13 @@ def _merged_stay_rows(
     hi = per_high[rows, order]
     valid = per_valid[rows, order]
 
-    out_low = np.full((n, n_hulls), np.inf)
-    out_high = np.full((n, n_hulls), -np.inf)
+    out_low = np.full((n, width), np.inf)
+    out_high = np.full((n, width), -np.inf)
     counts = np.zeros(n, dtype=np.int64)
     cur_low = lo[:, 0].copy()
     cur_high = hi[:, 0].copy()
     open_ = valid[:, 0].copy()
-    for j in range(1, n_hulls):
+    for j in range(1, width):
         vj = valid[:, j]
         # Merge rule, verbatim from union_stay_ranges: touching means
         # low <= last_high + eps.

@@ -184,6 +184,9 @@ class ControlPlane:
         self._poll = poll_interval
         self._jobs_lock = threading.Lock()
         self._jobs = JobStore(self.store.root / JOBS_SUBDIR)  # guarded-by: _jobs_lock
+        # The queued jobs' ids: a claim reads those records alone, not
+        # the store's whole history.
+        self._queued: set[str] = set()  # guarded-by: _jobs_lock
         self._sched_lock = threading.Lock()
         self._scheduler: GraphScheduler | None = None  # guarded-by: _sched_lock
         self._stop = threading.Event()
@@ -245,6 +248,7 @@ class ControlPlane:
                     self._jobs.transition(
                         record, jobstates.QUEUED, started=0.0
                     )
+                    self._queued.add(record.job_id)
                 else:
                     self._jobs.transition(
                         record,
@@ -365,6 +369,7 @@ class ControlPlane:
         self._job_requests(record)
         with self._jobs_lock:
             self._jobs.save(record)
+            self._queued.add(record.job_id)
         emit(
             JobQueued(
                 job_id=record.job_id, client=client, experiment=experiment
@@ -385,6 +390,7 @@ class ControlPlane:
                     f"job {job_id} is {record.state}; only queued jobs "
                     "can be cancelled",
                 )
+            self._queued.discard(job_id)
             return self._jobs.transition(
                 record, jobstates.CANCELLED, error="cancelled by client"
             )
@@ -536,13 +542,20 @@ class ControlPlane:
         Isolated jobs (requeued after a shared-batch payload failure)
         run one at a time; otherwise the whole queue becomes one batch —
         that union is what the fairness interleaving schedules across.
+        Jobs are taken in submission order (time, then id), and only the
+        queued jobs' records are read.
         """
         with self._jobs_lock:
-            queued = self._jobs.list(state=jobstates.QUEUED)
-            if not queued:
-                return []
+            queued: list[JobRecord] = []
+            for job_id in list(self._queued):
+                try:
+                    queued.append(self._jobs.get(job_id))
+                except ConfigurationError:
+                    self._queued.discard(job_id)  # unreadable, as `list` skips it
+            queued.sort(key=lambda r: (r.submitted, r.job_id))
             isolated = [record for record in queued if record.isolate]
             take = [isolated[0]] if isolated else queued
+            self._queued.difference_update(record.job_id for record in take)
             return [
                 self._jobs.transition(
                     record, jobstates.RUNNING, attempts=record.attempts + 1
@@ -702,6 +715,7 @@ class ControlPlane:
                         error=reason,
                         **changes,
                     )
+                    self._queued.add(current.job_id)
         with self._wake:
             self._wake.notify_all()
 

@@ -115,6 +115,23 @@ def test_hot_path_confines_capability_predicates_to_the_oracles():
     assert "in _apply_visit_feasibility)" in realtime.message
 
 
+def test_hot_path_builds_schedule_oracles_from_the_batched_pass():
+    """``attack/schedule.py`` builds no per-group stay table: neither
+    ``.stay_table(`` nor ``stay_range_table(``."""
+    select = ["hot-path-scalar-calls"]
+    good = lint_paths([FIXTURES / "hot_path_oracle" / "good"], select=select)
+    assert not good.errors
+    assert good.findings == []
+    bad = lint_paths([FIXTURES / "hot_path_oracle" / "bad"], select=select)
+    assert not bad.errors
+    table, zone_table = sorted(bad.findings, key=lambda f: f.line)
+    assert table.path.endswith("attack/schedule.py")
+    assert table.message.startswith("stay_table() builds one (occupant, zone)")
+    assert "(found in __init__)" in table.message
+    assert zone_table.message.startswith("stay_range_table() builds one")
+    assert "(found in _zone_table)" in zone_table.message
+
+
 def test_lock_discipline_names_the_lock_and_declaration():
     tree = FIXTURES / "locks" / "bad"
     result = lint_paths([tree], select=["lock-discipline"])

@@ -116,6 +116,14 @@ def test_members_exit_when_the_worker_is_killed(process_table):
         worker.stderr.close()
 
 
+def _ignores_sigint(pid: int) -> bool:
+    """Whether process ``pid`` has SIGINT in its ignored-signal mask."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("SigIgn:"):
+            return bool(int(line.split()[1], 16) & (1 << (signal.SIGINT - 1)))
+    return False
+
+
 def test_members_ignore_ctrl_c_mid_task(tmp_path):
     """Ctrl-C reaches every process of the foreground group; the owner
     decides what it means, so a member finishes its task regardless."""
@@ -155,6 +163,12 @@ def test_members_ignore_ctrl_c_mid_task(tmp_path):
             time.sleep(0.01)
         members = {c.pid for c in multiprocessing.active_children()} - known
         assert members
+        # The pool forks both members at the first submit; one may still
+        # be in its initializer, before it ignores SIGINT.
+        for pid in members:
+            while not _ignores_sigint(pid):
+                assert time.monotonic() < deadline, f"member {pid} must ignore SIGINT"
+                time.sleep(0.01)
         for pid in members:
             os.kill(pid, signal.SIGINT)
         task.join(timeout=30.0)

@@ -501,6 +501,53 @@ def test_cancel_only_queued_jobs(fresh_cache, tmp_path, sum_exp):
         plane.stop()
 
 
+def test_claim_reads_only_the_queued_records(
+    fresh_cache, tmp_path, sum_exp, monkeypatch
+):
+    """With a long job history on disk, a claim decodes the queued
+    records alone, takes them in submission order, leaves cancelled
+    jobs behind, and claims a requeued isolated job by itself."""
+    import repro.service.jobs as job_module
+
+    plane = _make_plane(tmp_path)  # no workers: nothing claims but us
+    try:
+        store = JobStore(plane.session.store.root / JOBS_SUBDIR)
+        for index in range(1000):
+            store.save(
+                JobRecord(
+                    job_id=f"job-old-{index:04d}",
+                    client="alice",
+                    experiment=sum_exp.name,
+                    state="done",
+                    submitted=float(index),
+                )
+            )
+        client = ServiceClient(plane.address)
+        ids = [client.submit(sum_exp.name)["job_id"] for _ in range(3)]
+        client.cancel(ids[1])
+        decoded: list[str] = []
+        real = job_module.job_from_wire
+
+        def counting(payload):
+            decoded.append(payload["job_id"])
+            return real(payload)
+
+        monkeypatch.setattr(job_module, "job_from_wire", counting)
+        claimed = plane._claim_queued()
+        assert [record.job_id for record in claimed] == [ids[0], ids[2]]
+        assert all(record.state == "running" for record in claimed)
+        assert sorted(decoded) == sorted([ids[0], ids[2]])
+        assert plane._claim_queued() == []
+        plane._requeue(claimed[1:], reason="payload failure", isolate=True)
+        later = client.submit(sum_exp.name)["job_id"]
+        (isolated,) = plane._claim_queued()
+        assert (isolated.job_id, isolated.isolate) == (ids[2], True)
+        assert [record.job_id for record in plane._claim_queued()] == [later]
+        assert not any(job_id.startswith("job-old-") for job_id in decoded)
+    finally:
+        plane.stop()
+
+
 # ----------------------------------------------------------------------
 # Worker churn
 # ----------------------------------------------------------------------

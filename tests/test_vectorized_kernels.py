@@ -65,6 +65,7 @@ from repro.geometry import (
     point_in_hull,
     points_in_hulls,
     quickhull,
+    stay_range_rows,
     stay_range_table,
     union_stay_ranges,
 )
@@ -338,6 +339,143 @@ def _assert_decoded_adm_geometry_matches(decoded, adm, home) -> None:
         for field in ("max_int", "min_int", "entry", "lo", "hi"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
             assert getattr(got, field).shape == getattr(want, field).shape
+
+
+def _kernel_groups(aras_world, fleet_adms, seed: int) -> list:
+    """Hull groups of every shape in one list: fleet-regime random sets
+    (vertical segments included), an empty group, 2-training-day fleet
+    ADMs and ARAS ADMs (whose polygons give rows several intervals)."""
+    rng = np.random.default_rng(seed)
+    _, aras_adm, _ = aras_world
+    groups = [_fleet_regime_hulls(rng) for _ in range(10)] + [[]]
+    for adm in [aras_adm] + [adm for _, adm in fleet_adms]:
+        groups += [
+            adm.hulls(occupant, zone)
+            for occupant in range(adm.n_occupants)
+            for zone in range(adm.n_zones)
+        ]
+    return [groups[i] for i in rng.permutation(len(groups))]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stay_range_rows_match_per_group_pass_and_scalar_tier(
+    aras_world, fleet_adms, seed
+):
+    """One multi-group call equals the per-group pass over every arrival
+    (no candidate pruning) row for row and bit for bit, and every row
+    equals the scalar tier, on the minute grid and on and within ±2e-9
+    of every vertex.  A NaN arrival is rejected."""
+    from repro.geometry.halfplane import _merged_stay_rows
+
+    groups = _kernel_groups(aras_world, fleet_adms, seed)
+    hulls = [hull for group in groups for hull in group]
+    assert any(
+        h.n_vertices == 2 and h.vertices[0, 0] == h.vertices[1, 0] for h in hulls
+    )
+    assert {1, 2, 3} <= {min(h.n_vertices, 3) for h in hulls}
+    xs = np.unique(np.concatenate([h.vertices[:, 0] for h in hulls]))
+    arrivals = np.concatenate(
+        [np.arange(1440.0), *(xs + d for d in (-2e-9, -0.5e-9, 0.0, 0.5e-9, 2e-9))]
+    )
+    rows = stay_range_rows(groups, arrivals)
+    order = np.lexsort((rows.arrival, rows.group))
+    assert np.array_equal(order, np.arange(len(order)))
+    assert (rows.counts >= 1).all()
+    widths = set()
+    for g, group in enumerate(groups):
+        lows, highs, counts = _merged_stay_rows(group, arrivals)
+        mine = rows.group == g
+        assert np.array_equal(rows.arrival[mine], np.flatnonzero(counts))
+        width = max(1, int(counts.max()))
+        widths.add(width)
+        assert rows.lows.shape[1] >= width
+        assert rows.lows[mine, :width].tobytes() == lows[counts > 0, :width].tobytes()
+        assert rows.highs[mine, :width].tobytes() == highs[counts > 0, :width].tobytes()
+        assert (rows.lows[mine, width:] == np.inf).all()
+        assert rows.counts[mine].tobytes() == counts[counts > 0].tobytes()
+    assert len(widths) > 1
+    for r in range(len(rows.group)):
+        group, arrival = groups[rows.group[r]], arrivals[rows.arrival[r]]
+        assert [
+            (float(rows.lows[r, k]), float(rows.highs[r, k]))
+            for k in range(rows.counts[r])
+        ] == union_stay_ranges(group, float(arrival))
+    held = set(zip(rows.group.tolist(), rows.arrival.tolist()))
+    for g, group in enumerate(groups):
+        for a in range(0, len(arrivals), 29):
+            if (g, a) not in held:
+                assert union_stay_ranges(group, float(arrivals[a])) == []
+    with pytest.raises(ValueError, match="NaN"):
+        stay_range_rows(groups, np.append(arrivals, np.nan))
+
+
+def test_batch_built_oracles_equal_one_pair_oracles(aras_world, fleet_adms):
+    """Oracles constructed from one shared pass hold the arrays (and
+    interval width) a one-pair oracle holds, and their raw rows answer
+    ``intervals()`` like the ADM's scalar ``stay_ranges``."""
+    home, aras_adm, _ = aras_world
+    pairs = [(aras_adm, o, home.n_zones) for o in range(home.n_occupants)]
+    pairs += [
+        (adm, o, fleet_home.n_zones)
+        for fleet_home, adm in fleet_adms
+        for o in range(fleet_home.n_occupants)
+    ]
+    batch = schedule_module._OracleBatch(pairs)
+    for adm, occupant, n_zones in pairs:
+        got = _StealthOracle(adm, occupant, n_zones, batch)
+        want = _StealthOracle(adm, occupant, n_zones)
+        for name in ("entry", "max_int", "min_int", "lo", "hi"):
+            got_array, want_array = getattr(got, name), getattr(want, name)
+            assert got_array.dtype == want_array.dtype
+            assert got_array.shape == want_array.shape
+            assert got_array.tobytes() == want_array.tobytes()
+        step = 1 if adm is not aras_adm else 7
+        for zone in range(n_zones):
+            for arrival in range(0, 1440, step):
+                assert got.intervals(zone, arrival) == adm.stay_ranges(
+                    occupant, zone, float(arrival)
+                )
+
+
+def test_packed_adm_frame_round_trips_every_group(fleet_adms, aras_world, tmp_path):
+    """An ADM's frame holds one array per field across its groups; the
+    ADM read back from its ``.raf`` tier entry has the same groups,
+    points, labels and hulls and answers like the fitted one.  A frame
+    of another version, or one whose arrays disagree with its group
+    table, is refused."""
+    from repro.errors import ConfigurationError
+
+    _, aras_adm, _ = aras_world
+    adms = [aras_adm] + [adm for _, adm in fleet_adms]
+    cache = ArtifactCache(memory=False, disk_dir=tmp_path)
+    for index, adm in enumerate(adms):
+        payload = cluster_adm_to_arrays(adm)
+        assert payload["groups"].shape == (len(adm._groups), 4)
+        assert payload["vertices"].shape == (int(payload["hull_sizes"].sum()), 2)
+        cache.put_adm(("packed", index), adm)
+        decoded = cache.get_adm(("packed", index))
+        assert sorted(decoded._groups) == sorted(adm._groups)
+        for key, model in adm._groups.items():
+            clone = decoded._groups[key]
+            assert clone.points.tobytes() == model.points.tobytes()
+            assert clone.labels.tobytes() == model.labels.tobytes()
+            assert [h.vertices.tobytes() for h in clone.hulls] == [
+                h.vertices.tobytes() for h in model.hulls
+            ]
+            occupant, zone = key
+            for arrival in range(0, 1440, 37):
+                assert decoded.stay_ranges(occupant, zone, arrival) == (
+                    adm.stay_ranges(occupant, zone, arrival)
+                )
+            if len(model.points):
+                assert decoded.benign_mask(occupant, zone, model.points).tolist() == (
+                    adm.benign_mask(occupant, zone, model.points).tolist()
+                )
+    payload = cluster_adm_to_arrays(aras_adm)
+    with pytest.raises(ConfigurationError, match="version"):
+        cluster_adm_from_arrays({**payload, "format_version": 1})
+    with pytest.raises(ConfigurationError, match="group table"):
+        cluster_adm_from_arrays({**payload, "hull_sizes": payload["hull_sizes"][1:]})
 
 
 def _schedules_equal(a, b) -> bool:
@@ -1759,6 +1897,45 @@ def test_stealth_oracle_memoized_per_adm(aras_world):
         home.n_zones,
     )
     assert stealth_oracle(fresh, 0, home.n_zones) is not first
+
+
+def test_schedule_batch_builds_its_oracles_in_one_pass(monkeypatch):
+    """One batch call over an 8-home chunk builds every oracle from one
+    multi-group pass (one ``GEOMETRY`` call per oracle) and builds no
+    per-group stay table; a repeat call hits the memo and makes no pass;
+    dropping the ADMs drops their memo entries."""
+    import gc
+    import weakref
+
+    jobs = _fleet_jobs(8)
+    n_oracles = sum(job.home.n_occupants for job in jobs)
+    passes: list[int] = []
+    real = schedule_module.stay_range_rows
+
+    def counting(groups, arrivals):
+        passes.append(len(groups))
+        return real(groups, arrivals)
+
+    def no_table(self, occupant, zone):
+        raise AssertionError("a per-group stay table was built")
+
+    monkeypatch.setattr(schedule_module, "stay_range_rows", counting)
+    monkeypatch.setattr(ClusterADM, "stay_table", no_table)
+    with collect_events() as events:
+        first = shatter_schedule_batch(jobs)
+    assert passes == [sum(job.home.n_occupants * job.home.n_zones for job in jobs)]
+    assert events.kernels[GEOMETRY].calls == n_oracles
+    with collect_events() as events:
+        again = shatter_schedule_batch(jobs)
+    assert len(passes) == 1
+    assert GEOMETRY not in events.kernels
+    assert all(_schedules_equal(a, b) for a, b in zip(first, again))
+    refs = [weakref.ref(job.adm) for job in jobs]
+    before = len(schedule_module._ORACLE_MEMO)
+    del jobs, first, again
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(schedule_module._ORACLE_MEMO) <= before - len(refs)
 
 
 def test_reward_tables_shared_through_cache(aras_world):
