@@ -11,7 +11,10 @@ the reference machine).  ``fleet_geometry`` has no scalar arm: it
 times a k-means fleet's ADM fits and, separately, its stealth oracles
 built one stay pass per oracle and from one shared pass, requires the
 two arms' oracle arrays to be equal, and checks every oracle row
-against the scalar ``union_stay_ranges``.
+against the scalar ``union_stay_ranges``.  ``fleet_schedule`` has no
+scalar arm either: it times the batch pipeline's planning, DP and
+assembly phases on one fleet chunk, counts the DP's born events, and
+requires every schedule to equal the reference engine's.
 
 Usage::
 
@@ -589,6 +592,108 @@ def bench(smoke: bool) -> dict:
         "rows_with_intervals": rows_with_intervals / n_rows,
     }
 
+    # --- fleet_schedule (the batch pipeline's phases, fleet regime) -----
+    from repro.attack.schedule import (
+        _assemble_schedule,
+        _plan_vector_job,
+        _prefetch_oracles,
+        _solve_span_tasks,
+    )
+
+    chunk_jobs = []
+    for c_home, c_trace in generate_home_fleet(8, n_zones=4, n_days=6, seed=53):
+        c_train, c_eval = split_days(c_trace, 2)
+        chunk_jobs.append(
+            ScheduleJob(
+                home=c_home,
+                adm=ClusterADM(kmeans_params).fit(c_train, c_home.n_zones),
+                capability=AttackerCapability.full_access(c_home),
+                pricing=pricing,
+                actual_trace=c_eval,
+            )
+        )
+    _prefetch_oracles(chunk_jobs)  # the stealth oracles are prebuilt
+    chunk_config = ScheduleConfig()
+
+    def plan_chunk():
+        tasks: list = []
+        plans = [
+            _plan_vector_job(job, loop_controller, chunk_config, tasks)
+            for job in chunk_jobs
+        ]
+        return tasks, plans
+
+    plan_s, _ = _best_of(rounds, plan_chunk)
+    dp_s = float("inf")
+    for _ in range(rounds):
+        chunk_tasks, chunk_plans = plan_chunk()
+        started = time.perf_counter()
+        _solve_span_tasks(chunk_tasks)
+        dp_s = min(dp_s, time.perf_counter() - started)
+    assemble_s, chunk_schedules = _best_of(
+        rounds,
+        lambda: [
+            _assemble_schedule(job, chunk_config, plans)
+            for job, plans in zip(chunk_jobs, chunk_plans)
+        ],
+    )
+    for job, schedule in zip(chunk_jobs, chunk_schedules):
+        reference = shatter_schedule(
+            job.home,
+            job.adm,
+            job.capability,
+            job.pricing,
+            job.actual_trace,
+            config=ScheduleConfig(engine="reference"),
+        )
+        assert _schedules_equal(reference, schedule)
+        assert reference.infeasible_days == schedule.infeasible_days
+        assert reference.substituted_days == schedule.substituted_days
+
+    # Born events, counted from the oracles' entry tables the way the DP
+    # defines them: slots after a call's ``start`` where some live row
+    # (one that can enter a zone other than its forbidden first zone at
+    # ``start``) can enter some group zone.
+    dp_calls: list[tuple] = []
+    solve_batch = schedule_mod._optimize_spans_batch
+
+    def recording(batch_tasks, zones, config, start, end):
+        dp_calls.append((batch_tasks, zones, start, end))
+        return solve_batch(batch_tasks, zones, config, start, end)
+
+    schedule_mod._optimize_spans_batch = recording
+    try:
+        _solve_span_tasks(plan_chunk()[0])
+    finally:
+        schedule_mod._optimize_spans_batch = solve_batch
+
+    def born_events(batch_tasks, zones, start, end) -> int:
+        gates = [
+            task.oracle.entry[zones, start + 1 : end].any(axis=0)
+            for task in batch_tasks
+            if any(
+                z != task.forbidden_first and task.oracle.entry[z, start]
+                for z in zones
+            )
+        ]
+        return int(np.logical_or.reduce(gates).sum()) if gates else 0
+
+    born = [born_events(*call) for call in dp_calls]
+    results["fleet_schedule"] = {
+        "workload": (
+            "one 8-home fleet chunk (4 zones, 6 days, 2 training days, "
+            "k-means ADMs, oracles prebuilt) through the batch pipeline's "
+            "phases; gated on equality with the reference engine"
+        ),
+        "plan_s": plan_s,
+        "dp_s": dp_s,
+        "assemble_s": assemble_s,
+        "dp_calls": len(dp_calls),
+        "rows_per_call": [len(call[0]) for call in dp_calls],
+        "born_events_per_call": born,
+        "us_per_born_event": dp_s * 1e6 / max(1, sum(born)),
+    }
+
     # --- simulate (7-day closed loop; 2-day in smoke) -------------------
     sim_days = 2 if smoke else 7
     sim_trace = generate_house_trace(
@@ -840,6 +945,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"{kernel:18s} before {numbers['before_s']:8.4f}s  "
                 f"after {numbers['after_s']:8.4f}s  "
                 f"speedup {numbers['speedup']:6.2f}x"
+            )
+        elif "dp_s" in numbers:
+            print(
+                f"{kernel:18s} plan {numbers['plan_s']:8.4f}s  "
+                f"dp {numbers['dp_s']:8.4f}s  "
+                f"assemble {numbers['assemble_s']:8.4f}s  "
+                f"{numbers['us_per_born_event']:6.1f}us/born event"
             )
         elif "ratio" in numbers:
             print(

@@ -674,7 +674,8 @@ def _optimize_span(
             config,
         )
         with kernel_timer(SCHEDULE_DP_BATCH):
-            return _optimize_spans_batch([task], zones, config, start, end)[0]
+            outcome = _optimize_spans_batch([task], zones, config, start, end)[0]
+        return None if outcome is None else (outcome[0].tolist(), outcome[1])
     states = _span_initial_states(oracle, zones, start, forbidden_first)
     if not states:
         return None
@@ -718,6 +719,44 @@ def _optimize_span(
 
 
 def _accessible_segments(
+    actual: np.ndarray,
+    spoofable_zone: np.ndarray,
+    attackable: np.ndarray | None,
+) -> list[list[tuple[int, int]]]:
+    """:func:`_accessible_segments_reference` for every day of a trace
+    in one array pass.
+
+    ``actual`` is one occupant's real zone per slot over whole days,
+    ``spoofable_zone`` the capability's ``zone_mask`` over zone ids and
+    ``attackable`` its ``slot_mask`` over the trace (``None`` when every
+    slot is attackable).  Visits are cut at midnight, as a day slice
+    cuts them; a visit is spoofable when its zone is and all of its
+    slots are attackable, and each day's maximal runs of spoofable
+    visits are its segments, as minute-of-day ``(start, end)`` pairs.
+    """
+    n_days = len(actual) // MINUTES_PER_DAY
+    ok = spoofable_zone[actual]
+    if attackable is not None:
+        visit_start = np.empty(len(actual), dtype=bool)
+        visit_start[0] = True
+        np.not_equal(actual[1:], actual[:-1], out=visit_start[1:])
+        visit_start[::MINUTES_PER_DAY] = True
+        starts = np.flatnonzero(visit_start)
+        whole = np.logical_and.reduceat(attackable, starts)
+        ok &= np.repeat(whole, np.diff(starts, append=len(actual)))
+    # Runs of spoofable slots per day, framed by unspoofable sentinels:
+    # edges alternate start, end within each day row.
+    framed = np.zeros((n_days, MINUTES_PER_DAY + 2), dtype=bool)
+    framed[:, 1:-1] = ok.reshape(n_days, MINUTES_PER_DAY)
+    day, edge = np.nonzero(framed[:, 1:] != framed[:, :-1])
+    segments: list[list[tuple[int, int]]] = [[] for _ in range(n_days)]
+    edges = edge.tolist()
+    for index, d in enumerate(day[::2].tolist()):
+        segments[d].append((edges[2 * index], edges[2 * index + 1]))
+    return segments
+
+
+def _accessible_segments_reference(
     occupant_id: int,
     day_trace: HomeTrace,
     capability: AttackerCapability,
@@ -728,7 +767,8 @@ def _accessible_segments(
     A real visit can be spoofed only if every one of its slots is inside
     ``T^A`` and its real zone's sensors are accessible (the real-time
     feasibility condition of Section IV-C); consecutive spoofable visits
-    merge into one segment.
+    merge into one segment.  This per-visit loop is the planner of the
+    scalar engines and the oracle of :func:`_accessible_segments`.
     """
     actual = day_trace.occupant_zone[:, occupant_id]
     changes = np.flatnonzero(actual[1:] != actual[:-1]) + 1
@@ -773,35 +813,31 @@ def _reality_rewards(
     home: SmartHome,
     occupant_id: int,
     day_trace: HomeTrace,
-    pricing: TouPricing,
     controller_config: ControllerConfig,
     config: ScheduleConfig,
-    day_start_slot: int,
+    rates: np.ndarray,
 ) -> np.ndarray:
     """Per-slot marginal cost of the occupant's *actual* behaviour.
 
-    The per-minute kWh depends only on the conducted activity, so it is
-    resolved once per distinct activity id and gathered across the
-    trace; the products are bit-identical to pricing each slot one at a
-    time.  ``day_trace`` may be one day or a whole multi-day trace —
-    because the rate pattern is day-periodic and every kWh entry is a
-    pure per-slot product, a whole-trace table sliced per day equals the
-    per-day tables bit for bit (the batch planner relies on this).
+    ``rates`` is the tariff's marginal rate of every slot of
+    ``day_trace``.  The per-minute kWh depends only on the conducted
+    activity, so it is resolved once per activity id present and
+    gathered across the trace; the products are bit-identical to
+    pricing each slot one at a time.  ``day_trace`` may be one day or a
+    whole multi-day trace — because the rate pattern is day-periodic and
+    every kWh entry is a pure per-slot product, a whole-trace table
+    sliced per day equals the per-day tables bit for bit (the batch
+    planner relies on this).
     """
     zones = day_trace.occupant_zone[:, occupant_id]
     activities = day_trace.occupant_activity[:, occupant_id]
-    kwh_by_activity: dict[int, float] = {}
-    for activity in np.unique(activities).tolist():
-        cfm = occupant_marginal_cfm(
-            home, controller_config, occupant_id, int(activity)
-        )
-        kwh_by_activity[int(activity)] = hvac_kwh_per_minute(
+    present = np.bincount(activities)
+    table = np.zeros(len(present))
+    for activity in np.flatnonzero(present).tolist():
+        cfm = occupant_marginal_cfm(home, controller_config, occupant_id, activity)
+        table[activity] = hvac_kwh_per_minute(
             cfm, controller_config, config.outdoor_temperature_f
         )
-    table = np.zeros(max(kwh_by_activity) + 1)
-    for activity, kwh in kwh_by_activity.items():
-        table[activity] = kwh
-    rates = pricing.marginal_rates(day_start_slot + np.arange(day_trace.n_slots))
     return np.where(zones == 0, 0.0, table[activities] * rates)
 
 
@@ -859,8 +895,9 @@ class _SpanTask:
     shared by every day whose segment poses the same problem: the span
     bounds are minutes-of-day, the oracle and reward table identify the
     occupant, and ``outcome`` is filled in by
-    :func:`_solve_span_tasks` — ``(path, value)`` exactly as
-    :func:`_optimize_span_with_retry` would have returned, or ``None``.
+    :func:`_solve_span_tasks` — ``(path, value)`` as
+    :func:`_optimize_span_with_retry` would have returned, with the path
+    as an int64 array, or ``None``.
     """
 
     oracle: _StealthOracle
@@ -871,7 +908,7 @@ class _SpanTask:
     forbidden_first: int | None
     forbidden_last: int | None
     config: ScheduleConfig
-    outcome: tuple[list[int], float] | None = None
+    outcome: tuple[np.ndarray, float] | None = None
 
 
 def _solve_span_tasks(tasks: list[_SpanTask]) -> None:
@@ -906,10 +943,24 @@ def _solve_task_wave(tasks: list[_SpanTask], widen: bool) -> None:
             task.outcome = outcome
 
 
-# Dead-state death sentinel of the batched DP: placeholder states (an
-# invalid entry in an otherwise-uniform born block) carry this death
-# slot so they never tighten the group's min-death early-out.
-_NEVER_DIES = 1 << 60
+# A window checkpoint also compacts the batched DP's states once this
+# many positions have been born since the last one, dropping the dead
+# placeholders that sparse rows accumulate (the reference never held
+# them, so this prunes nothing it keeps).
+_COMPACT_SLACK = 16
+
+
+def _distinct(objects: list) -> tuple[list, np.ndarray]:
+    """The distinct objects of a list by identity, in first-seen order,
+    and the index of each entry among them."""
+    first: dict[int, int] = {}
+    unique: list = []
+    index = np.empty(len(objects), dtype=np.int64)
+    for position, item in enumerate(objects):
+        index[position] = found = first.setdefault(id(item), len(unique))
+        if found == len(unique):
+            unique.append(item)
+    return unique, index
 
 
 def _optimize_spans_batch(
@@ -918,41 +969,62 @@ def _optimize_spans_batch(
     config: ScheduleConfig,
     start: int,
     end: int,
-) -> list[tuple[list[int], float] | None]:
+) -> list[tuple[np.ndarray, float] | None]:
     """The ``vector`` engine: one row of one array program per span task.
 
     Each row is the :func:`_optimize_span` problem of its task over
-    ``[start, end)``.  DP states are ``[B, capacity]`` columns — group
-    zone position, stay, value, death slot (the last slot the zone can
-    still be occupied) and merged exit-interval bounds — and each slot
-    advance runs once for the whole batch.  Results are bit-identical
-    to the reference dict DP (:func:`_advance_slot` /
+    ``[start, end)``; a solved row is ``(zone path as an int64 array,
+    value)``.  DP states are ``[B, capacity]`` columns and each slot
+    advance runs once for the whole batch.  A state keeps its float
+    fields in one ``[C, B, capacity]`` block — value, death slot (the
+    last slot the zone can still be occupied) and the *absolute* exit
+    bounds of its merged stay intervals — and its int keys in one
+    ``[2, B, capacity]`` block: its index into a reward row (row offset
+    plus group-zone position) and its born column, so a beam prune is
+    two takes and a birth three block writes.  A stay is an integer, so
+    ``lo <= stay <= hi`` holds exactly when ``arrival + ceil(lo) <= t <=
+    arrival + floor(hi)``: states carry no stay, and every exit test
+    compares against the slot itself (the ``+inf`` / ``-inf`` padding
+    stays never-true).  A born column is one (born slot, group zone)
+    that some row may enter; each birth records its parent's column,
+    and one walk up those columns recovers every winning path.  Results
+    are bit-identical to the reference dict DP (:func:`_advance_slot` /
     :func:`_prune_beam`) because:
 
     * states keep the reference's canonical (arrival, zone) order: the
-      entry block and every born block hold one position per group zone,
-      in the order of ``zones``.  A state the reference would not hold
-      (not enterable, no eligible parent, ``maxStay`` exhausted) is a
-      dead ``-inf`` entry; it never wins an ``argmax``, never finishes,
-      and stays ``-inf`` under reward addition.  So every ``argmax``
-      (which returns the first maximum) picks the state the reference's
-      strict ``>`` scan picks: the best exit-eligible state, and the
-      best outside its zone for a transition into that zone;
+      entry block and every born block hold one position per group zone
+      some row may enter, in the order of ``zones``.  A state the
+      reference would not hold (not enterable in its row, no eligible
+      parent) is a dead ``-inf`` entry; it never wins an ``argmax``,
+      never finishes, and stays ``-inf`` under reward addition.  So
+      every ``argmax`` (which returns the first maximum) picks the state
+      the reference's strict ``>`` scan picks: the best exit-eligible
+      state, and the best outside its zone for a transition into that
+      zone;
+    * a state whose ``maxStay`` ran out (the reference drops it) keeps
+      its value until the next beam prune masks it: an integer stay past
+      ``maxStay`` lies in no admitted interval (``maxStay`` is the
+      largest integer they admit), so such a state can neither be a
+      parent nor finish, and only the prune ranks it;
     * the beam prune reproduces the stable value sort plus canonical
-      re-sort of :func:`_prune_beam`.  Dead states sort last, so a row
-      that prunes where the reference would not (the position count is
-      shared and counts dead states) drops only dead states;
+      re-sort of :func:`_prune_beam`.  It keeps ``min(beam, most live
+      states in any row)`` positions per row and dead states sort
+      last, so a row that prunes where the reference would not (the
+      position count is shared and counts dead states) drops only dead
+      states.  That lets a window checkpoint also compact the dead
+      placeholders away once :data:`_COMPACT_SLACK` positions were born
+      since the last one, which keeps sparse rows' arrays short;
     * rewards are added in the same order, so every float operation is
       identical.
 
     A row with no enterable first zone gets ``None`` before any table is
     stacked, as the reference returns on an empty initial state set,
     and a call with no live row returns at once.  The oracle/reward
-    tables are stacked once per distinct ``(oracle, rewards)`` pair and
+    tables are stacked once per distinct oracle and reward table and
     gathered per row, so memory scales with occupants, not with
     ``occupants x days``.
     """
-    outcomes: list[tuple[list[int], float] | None] = [None] * len(tasks)
+    outcomes: list[tuple[np.ndarray, float] | None] = [None] * len(tasks)
     live_rows = [
         r
         for r, task in enumerate(tasks)
@@ -966,60 +1038,28 @@ def _optimize_spans_batch(
     tasks = [tasks[r] for r in live_rows]
     n_rows = len(tasks)
     m = len(zones)
+    span = end - start
     zarr = np.array(zones, dtype=np.int64)
     pos_of_zone = {z: p for p, z in enumerate(zones)}
     beam = config.beam_width
     minus_inf = -np.inf
 
-    # Stack the per-(oracle, rewards) tables, restricted to the group's
-    # zones and padded to a common interval width (+inf/-inf padding
-    # keeps membership tests vacuously false, the oracle's own
-    # convention).
-    pair_index: dict[tuple[int, int], int] = {}
-    pairs: list[tuple[_StealthOracle, np.ndarray]] = []
-    row_pair = np.empty(n_rows, dtype=np.int64)
-    for r, task in enumerate(tasks):
-        key = (id(task.oracle), id(task.rewards))
-        idx = pair_index.get(key)
-        if idx is None:
-            idx = pair_index[key] = len(pairs)
-            pairs.append((task.oracle, task.rewards))
-        row_pair[r] = idx
-    width = max(oracle.lo.shape[2] for oracle, _ in pairs)
-    n_pairs = len(pairs)
-    n_slots = pairs[0][0].lo.shape[1]
-    entry_tab = np.empty((n_pairs, m, n_slots), dtype=bool)
-    rew_tab = np.empty((n_pairs, m, n_slots))
-    for p, (oracle, rewards) in enumerate(pairs):
-        entry_tab[p] = oracle.entry[zarr]
-        rew_tab[p] = rewards[zarr]
-    # Group-level birth gate: a slot where no group zone is enterable in
-    # any row can have no birth, so the loop treats it as quiet.
-    entry_any = entry_tab.any(axis=(0, 1))
-    # The interval and max-stay tables are only ever read at ``start``
-    # and at born slots, so only those columns are stacked — column 0 is
-    # ``start`` and columns 1: line up with ``born_slots``.
-    born_slots = np.flatnonzero(entry_any[start + 1 : end]) + start + 1
-    sel = np.concatenate(([start], born_slots))
-    lo_tab = np.full((n_pairs, m, len(sel), width), np.inf)
-    hi_tab = np.full((n_pairs, m, len(sel), width), -np.inf)
-    max_tab = np.empty((n_pairs, m, len(sel)), dtype=np.int64)
-    for p, (oracle, _) in enumerate(pairs):
-        w = oracle.lo.shape[2]
-        cols = np.ix_(zarr, sel)
-        lo_tab[p, :, :, :w] = oracle.lo[cols]
-        hi_tab[p, :, :, :w] = oracle.hi[cols]
-        max_tab[p] = oracle.max_int[cols]
-
-    # Per-row stacks for the small 3-D tables, gathered once: the DP
-    # loop reads each slot as one [B, m] slice instead of a fancy
-    # gather per slot.  Rewards are slot-major *contiguous* so a run of
-    # quiet slots can gather all its reward rows in one take.  The 4-D
-    # interval tables stay per-pair (a per-row copy would be tens of
-    # MB) and gather per born slot.
-    ent_rows = entry_tab[row_pair].transpose(2, 0, 1)
-    rew_rows = np.ascontiguousarray(rew_tab[row_pair].transpose(2, 0, 1))
-    rew_flat = rew_rows.reshape(n_slots, n_rows * m)
+    # Stack the oracle and reward tables over the span, restricted to the
+    # group's zones, once per distinct table.  Rewards are slot-major
+    # *contiguous* [span, B, m] so a run of quiet slots gathers all its
+    # reward rows in one take.
+    oracles, row_oracle = _distinct([task.oracle for task in tasks])
+    reward_tables, row_rewards = _distinct([task.rewards for task in tasks])
+    width = max(oracle.lo.shape[2] for oracle in oracles)
+    n_oracles = len(oracles)
+    entry_tab = np.empty((n_oracles, m, span), dtype=bool)
+    for o, oracle in enumerate(oracles):
+        entry_tab[o] = oracle.entry[zarr, start:end]
+    rew_rows = np.empty((span, len(reward_tables), m))
+    for p, rewards in enumerate(reward_tables):
+        rew_rows[:, p] = rewards[zarr, start:end].T
+    rew_rows = rew_rows.take(row_rewards, axis=1)
+    rew_flat = rew_rows.reshape(span, n_rows * m)
 
     # Forbidden zones as group-zone positions; -1 when absent (a real
     # zone outside the schedulable set never equals a scheduled one).
@@ -1041,276 +1081,219 @@ def _optimize_spans_batch(
         ],
         dtype=np.int64,
     )
+    valid = entry_tab[row_oracle, :, 0] & (np.arange(m) != ff_pos[:, None])
 
-    # State columns, now [B, capacity]; states hold their zone as a
-    # group-zone *position* so every table gather is a direct index.
+    # Born slots: where some group zone is enterable in some row.  State
+    # structure changes only there and at beam prunes; every other slot
+    # replays one reward addition over a static state set.  A block of
+    # states is born at ``start`` (the entry block) and at every born
+    # slot: one state per group zone that some row may enter there, in
+    # zone order, so each block keeps the reference's canonical order.
+    born_rel = np.flatnonzero(entry_tab[:, :, 1:].any(axis=(0, 1))) + 1
+    born_list = (born_rel + start).tolist()
+    block_open = np.concatenate(
+        (valid.any(axis=0)[None, :], entry_tab[:, :, born_rel].any(axis=0).T)
+    )
+    block, col_pos = np.nonzero(block_open)
+    col_first = np.searchsorted(block, np.arange(len(born_list) + 2)).tolist()
+    col_rel = np.concatenate(([0], born_rel))[block]
+    col_slot = col_rel + start
+    col_zone = zarr[col_pos]
+    # Every born column's state block: death slot and absolute exit
+    # bounds, padded to a common interval width with +inf/-inf; row 0
+    # (the value) is written at the birth.  A column's reward is -inf in
+    # a row that cannot enter its zone, so one add both prices the
+    # valid births and kills the rest (a missing parent's -inf absorbs
+    # the reward too).
+    n_fields = 2 + 2 * width
+    columns = np.empty((n_fields, n_oracles, len(block)))
+    col_lows = columns[2 : 2 + width]
+    col_highs = columns[2 + width :]
+    for o, oracle in enumerate(oracles):
+        w = oracle.lo.shape[2]
+        columns[1, o] = oracle.max_int[col_zone, col_slot]
+        col_lows[:w, o] = oracle.lo[col_zone, col_slot].T
+        col_highs[:w, o] = oracle.hi[col_zone, col_slot].T
+        if w < width:
+            col_lows[w:, o] = np.inf
+            col_highs[w:, o] = -np.inf
+    columns[1] += col_slot - 1
+    np.ceil(col_lows, out=col_lows)
+    col_lows += col_slot
+    np.floor(col_highs, out=col_highs)
+    col_highs += col_slot
+    if n_oracles < n_rows:
+        columns = columns.take(row_oracle, axis=1)
+    col_open = entry_tab[row_oracle[:, None], col_pos, col_rel]
+    col_rew = np.where(col_open, rew_rows[col_rel, :, col_pos].T, minus_inf)
+
     capacity = beam + (config.window + 1) * m + m
-    zpos = np.zeros((n_rows, capacity), dtype=np.int64)
-    stay_len = np.zeros((n_rows, capacity), dtype=np.int64)
-    value = np.zeros((n_rows, capacity))
-    death = np.full((n_rows, capacity), _NEVER_DIES, dtype=np.int64)
-    exit_lo = np.zeros((n_rows, capacity, width))
-    exit_hi = np.zeros((n_rows, capacity, width))
-
+    state = np.empty((n_fields, n_rows, capacity))
+    value = state[0]
+    death = state[1]
+    lows = state[2 : 2 + width]
+    highs = state[2 + width :]
+    # A state's int keys: its index into a [B * m] reward row (row
+    # offset plus group-zone position, which also tells zones apart
+    # within a row) and its born column.  ``parent[row, column]`` is the
+    # column of the state a birth was entered from; entry columns are
+    # their own parents.
+    keys = np.empty((2, n_rows, capacity), dtype=np.int64)
+    slot_index = keys[0]
     rows = np.arange(n_rows)
-    rcol = rows[:, None]  # broadcast row index for per-slot gathers
-    positions = np.arange(m)
+    row_base = (rows * capacity)[:, None]
+    col_keys = np.empty((2, n_rows, len(block)), dtype=np.int64)
+    col_keys[0] = (rows * m)[:, None] + col_pos
+    col_keys[1] = np.arange(len(block))
+    n_entry = col_first[1]
+    parent = np.empty((n_rows, len(block)), dtype=np.int64)
+    parent[:, :n_entry] = np.arange(n_entry)
 
-    # Init block: one state per group zone in every row; invalid entries
-    # (zone not enterable at ``start``, or the forbidden first zone) are
-    # dead -inf placeholders.
-    ent0 = ent_rows[start]
-    valid = ent0 & (positions[None, :] != ff_pos[:, None])
-    rew0 = rew_rows[start]
-    zpos[:, :m] = positions[None, :]
-    value[:, :m] = np.where(valid, 0.0 + rew0, minus_inf)
-    d0 = start + max_tab[row_pair, :, 0] - 1
-    death[:, :m] = np.where(valid, d0, _NEVER_DIES)
-    exit_lo[:, :m] = lo_tab[row_pair, :, 0, :]
-    exit_hi[:, :m] = hi_tab[row_pair, :, 0, :]
-    n = m
-    min_death = int(death[:, :m].min())
-
-    slot_records: list[tuple] = []
-
-    # The slot loop is event-driven: state *structure* only changes at
-    # born slots (entry_any), beam prunes (window checkpoints), and
-    # death slots.  Between events every slot just replays one reward
-    # addition over a static state set, so those "quiet" runs gather
-    # all their reward rows in a single take and keep only the
-    # per-slot adds — float addition is still applied slot by slot in
-    # the original order, so every value is bit-identical to the
-    # slot-at-a-time loop.  Lazy bookkeeping preserving bit-identity:
-    #
-    # * stays advance uniformly on quiet slots, so ``stay_len`` holds
-    #   values exact as of ``synced`` and is caught up (one add) when a
-    #   born slot or the finish actually reads stays;
-    # * the original loop re-masks dead states every slot past
-    #   ``min_death``; masking is idempotent (-inf absorbs the reward
-    #   adds), so masking once at each state's first dead slot and
-    #   retiring its death sentinel yields the same arrays.
-    base_rows = (rows * m)[:, None]
-    idx_flat = base_rows + zpos[:, :n]
-    synced = start
-    # Reusable gather buffer for quiet runs (a run never exceeds one
-    # window, so window + 1 reward rows plus the accumulator suffice).
-    _scratch = np.empty((config.window + 1) * n_rows * capacity)
-    boundaries = list(range(start + config.window, end, config.window))
-    boundaries.append(end)
-    b_ptr = 0
-    born_ptr = 0
-    # Interval bounds for every born slot, gathered once up front as
-    # [K, B, m, W] so each born event reads a contiguous slice instead
-    # of paying a 4-D fancy gather.  Only the born slots' slices are
-    # materialised (the full per-row tables would be tens of MB).
-    born_lo = np.ascontiguousarray(
-        lo_tab[:, :, 1:, :][row_pair].transpose(2, 0, 1, 3)
+    # Entry block: invalid entries (zone not enterable at ``start``, or
+    # the forbidden first zone) are dead -inf placeholders.
+    n = n_entry
+    entry_pos = col_pos[:n]
+    state[:, :, :n] = columns[:, :, :n]
+    value[:, :n] = np.where(
+        valid[:, entry_pos], 0.0 + rew_rows[0][:, entry_pos], minus_inf
     )
-    born_hi = np.ascontiguousarray(
-        hi_tab[:, :, 1:, :][row_pair].transpose(2, 0, 1, 3)
-    )
-    # Same for the entry gate, max-stay, and reward rows read at born
-    # slots: [K, B, m] contiguous (the transposed views stride a cache
-    # line per element, which dominated the born path).
-    born_ent = np.ascontiguousarray(ent_rows[born_slots])
-    born_max = np.ascontiguousarray(
-        max_tab[:, :, 1:][row_pair].transpose(2, 0, 1)
-    )
-    born_rew = np.ascontiguousarray(rew_rows[born_slots])
+    keys[:, :, :n] = col_keys[:, :, :n]
 
-    def _prune() -> None:
-        nonlocal n, idx_flat
-        # Top-beam per row with the stable argsort's tie-break (lowest
+    def exits(t: int, n: int) -> np.ndarray:
+        """Which of the first ``n`` states may end their visit at ``t``."""
+        inside = (lows[:, :, :n] <= t) & (highs[:, :, :n] >= t)
+        return inside[0] if width == 1 else inside.any(axis=0)
+
+    def prune(last_slot: int) -> None:
+        nonlocal n, compact_at
+        vals = value[:, :n]
+        # States whose maxStay ran out before ``last_slot`` (the last
+        # slot advanced) are the ones the reference has dropped.
+        vals[death[:, :n] < last_slot] = minus_inf
+        # Keep k positions per row: the beam, or fewer when no row holds
+        # that many live states, so the dead placeholders go too.
+        live = int(np.count_nonzero(vals > minus_inf, axis=1).max())
+        k = max(1, min(beam, live))
+        # Top-k per row with the stable argsort's tie-break (lowest
         # position wins among equal values), via one partition instead
-        # of a full stable sort: everything strictly above the beam-th
+        # of a full stable sort: everything strictly above the k-th
         # largest value is kept, and the remaining slots fill with the
         # *earliest* states tied at that value.  The kept positions are
         # then read out in ascending order — exactly the stable
         # argsort + canonical re-sort of _prune_beam.
-        vals = value[:, :n]
-        kth = np.partition(vals, n - beam, axis=1)[:, n - beam]
+        kth = np.partition(vals, n - k, axis=1)[:, n - k]
         above = vals > kth[:, None]
         ties = vals == kth[:, None]
-        need = beam - np.count_nonzero(above, axis=1)
+        need = k - np.count_nonzero(above, axis=1)
         tie_rank = np.cumsum(ties, axis=1)
         keep = above | (ties & (tie_rank <= need[:, None]))
-        order = np.nonzero(keep)[1].reshape(n_rows, beam)
-        flat_idx = rcol * capacity + order
-        for columns in (zpos, stay_len, value, death):
-            columns[:, :beam] = columns.take(flat_idx, mode="clip")
-        exit_lo[:, :beam] = np.take(
-            exit_lo.reshape(-1, width),
-            flat_idx.reshape(-1),
-            axis=0,
-            mode="clip",
-        ).reshape(n_rows, beam, width)
-        exit_hi[:, :beam] = np.take(
-            exit_hi.reshape(-1, width),
-            flat_idx.reshape(-1),
-            axis=0,
-            mode="clip",
-        ).reshape(n_rows, beam, width)
-        slot_records.append(("prune", order))
-        n = beam
-        idx_flat = base_rows + zpos[:, :n]
+        order = np.nonzero(keep)[1].reshape(n_rows, k)
+        flat = (row_base + order).reshape(-1)
+        state[:, :, :k] = (
+            state.reshape(n_fields, -1).take(flat, axis=1).reshape(n_fields, n_rows, k)
+        )
+        keys[:, :, :k] = keys.reshape(2, -1).take(flat, axis=1).reshape(2, n_rows, k)
+        n = k
+        compact_at = k + _COMPACT_SLACK
 
+    # Reusable gather buffer for quiet runs (a run never exceeds one
+    # window, so window + 1 reward rows plus the accumulator suffice).
+    scratch = np.empty((config.window + 1) * n_rows * capacity)
+    boundaries = [*range(start + config.window, end, config.window), end]
+    compact_at = n + _COMPACT_SLACK
+    b_ptr = 0
+    j = 0
     t = start + 1
     while t < end:
         boundary = boundaries[b_ptr]
         if t == boundary:
-            if n > beam:
-                _prune()
+            if n > beam or n >= compact_at:
+                prune(t - 1)
             b_ptr += 1
             continue
-        while born_ptr < len(born_slots) and born_slots[born_ptr] < t:
-            born_ptr += 1
-        next_born = (
-            int(born_slots[born_ptr]) if born_ptr < len(born_slots) else end
-        )
-        death_evt = min_death + 1 if min_death < _NEVER_DIES else end
-        stop = min(boundary, next_born, max(death_evt, t))
+        stop = min(boundary, born_list[j]) if j < len(born_list) else boundary
         if stop > t:
+            # A quiet run: all its reward rows in a single take, then the
+            # per-slot adds.  An outer-axis reduce adds rows
+            # sequentially, so seeding row 0 with the accumulator
+            # reproduces the slot-by-slot addition order bit for bit.
+            # One state in one row would collapse the reduce to a 1-D
+            # pairwise sum, so that case takes the last prefix of a
+            # sequential accumulate.
             vs = value[:, :n]
             length = stop - t
-            buf = _scratch[: (length + 1) * n_rows * n].reshape(
-                length + 1, n_rows, n
-            )
+            buf = scratch[: (length + 1) * n_rows * n].reshape(length + 1, n_rows, n)
             buf[0] = vs
             np.take(
-                rew_flat[t:stop], idx_flat, axis=1, out=buf[1:], mode="clip"
+                rew_flat[t - start : stop - start],
+                slot_index[:, :n],
+                axis=1,
+                out=buf[1:],
+                mode="clip",
             )
-            # An outer-axis reduce adds rows sequentially, so seeding
-            # row 0 with the accumulator reproduces the slot-by-slot
-            # addition order bit for bit.  One state in one row would
-            # collapse the reduce to a 1-D pairwise sum, so that case
-            # takes the last prefix of a sequential accumulate.
             if vs.size == 1:
                 vs[...] = np.add.accumulate(buf.reshape(-1))[-1]
             else:
                 np.add.reduce(buf, axis=0, out=vs)
-            slot_records.append(("run", n, length))
             t = stop
             continue
-        # Event slot: a birth and/or a death lands on t.
-        zs = zpos[:, :n]
+        # Born event: every row appends the slot's block of states, each
+        # entered from the best exit-eligible state outside its zone.
         vs = value[:, :n]
-        born = bool(entry_any[t])
-        if born:
-            ss = stay_len[:, :n]
-            ss += t - synced
-            synced = t
-            # Interval membership, unrolled over the (tiny) width axis:
-            # the broadcast 3-D test costs ~10x these 2-D ops.  Stays
-            # are cast to float once (exact for these magnitudes) so
-            # each comparison skips its own int -> float promotion.
-            ssf = ss.astype(np.float64)
-            exits = (exit_lo[:, :n, 0] <= ssf) & (ssf <= exit_hi[:, :n, 0])
-            for w in range(1, width):
-                exits |= (exit_lo[:, :n, w] <= ssf) & (
-                    ssf <= exit_hi[:, :n, w]
-                )
-            exit_value = np.where(exits, vs, minus_inf)
-            best = np.argmax(exit_value, axis=1)
-            best_ok = exit_value[rows, best] != minus_inf
-            best_zpos = zs[rows, best]
-            other = np.where(
-                zs == best_zpos[:, None], minus_inf, exit_value
+        index = slot_index[:, :n]
+        exit_value = np.where(exits(t, n), vs, minus_inf)
+        best = exit_value.argmax(axis=1)
+        best_index, best_column = keys[:, rows, best]
+        best_value = exit_value[rows, best][:, None]
+        j += 1
+        first, last = col_first[j], col_first[j + 1]
+        use_second = col_keys[0, :, first:last] == best_index[:, None]
+        if (use_second & col_open[:, first:last]).any():
+            # Some valid birth is into the best state's own zone: it
+            # is entered from the best state outside that zone.
+            other = np.where(index == best_index[:, None], minus_inf, exit_value)
+            second = other.argmax(axis=1)
+            parent[:, first:last] = np.where(
+                use_second, keys[1, rows, second][:, None], best_column[:, None]
             )
-            second = np.argmax(other, axis=1)
-            second_ok = other[rows, second] != minus_inf
-            use_second = positions[None, :] == best_zpos[:, None]
-            pick = np.where(use_second, second[:, None], best[:, None])
-            ent_t = born_ent[born_ptr]
-            # second_ok implies best_ok (a live second requires a
-            # live best), so the two gates fuse into one where().
-            birth_valid = ent_t & np.where(
-                use_second, second_ok[:, None], best_ok[:, None]
-            )
-            rew_t = born_rew[born_ptr]
-            pick_value = exit_value.take(rcol * n + pick, mode="clip")
-            parent_zpos = zpos.take(rcol * capacity + pick, mode="clip")
-        vs += rew_flat[t].take(idx_flat, mode="clip")
-        if t > min_death:
-            dead = death[:, :n] < t
-            vs[dead] = minus_inf
-            death[:, :n][dead] = _NEVER_DIES
-            min_death = int(death[:, :n].min())
-        if born:
-            zpos[:, n : n + m] = positions[None, :]
-            stay_len[:, n : n + m] = 0
-            value[:, n : n + m] = np.where(
-                birth_valid, pick_value + rew_t, minus_inf
-            )
-            born_death = np.where(
-                birth_valid, t + born_max[born_ptr] - 1, _NEVER_DIES
-            )
-            death[:, n : n + m] = born_death
-            exit_lo[:, n : n + m] = born_lo[born_ptr]
-            exit_hi[:, n : n + m] = born_hi[born_ptr]
-            slot_records.append((n, pick, parent_zpos))
-            n += m
-            idx_flat = base_rows + zpos[:, :n]
-            # Dead placeholders carry _NEVER_DIES, so the min is a
-            # no-op when no birth was valid.
-            min_death = min(min_death, int(born_death.min()))
+            pick_value = np.where(use_second, other[rows, second][:, None], best_value)
         else:
-            slot_records.append((n, None, None))
+            parent[:, first:last] = best_column[:, None]
+            pick_value = best_value
+        vs += rew_flat[t - start].take(index, mode="clip")
+        born = slice(n, n + last - first)
+        state[:, :, born] = columns[:, :, first:last]
+        np.add(pick_value, col_rew[:, first:last], out=value[:, born])
+        keys[:, :, born] = col_keys[:, :, first:last]
+        n = born.stop
         t += 1
     if n > beam:
-        _prune()  # the final window's checkpoint
+        prune(end - 1)  # the final window's checkpoint
 
-    stay_len[:, :n] += (end - 1) - synced  # catch stays up to the last slot
-    final_stay = (stay_len[:, :n] + 1).astype(np.float64)
-    finish = (exit_lo[:, :n, 0] <= final_stay) & (
-        final_stay <= exit_hi[:, :n, 0]
-    )
-    for w in range(1, width):
-        finish |= (exit_lo[:, :n, w] <= final_stay) & (
-            final_stay <= exit_hi[:, :n, w]
-        )
-    finish &= zpos[:, :n] != fl_pos[:, None]
+    finish = exits(end, n) & (slot_index[:, :n] != (rows * m + fl_pos)[:, None])
     finish_value = np.where(finish, value[:, :n], minus_inf)
     winner = np.argmax(finish_value, axis=1)
     winner_value = finish_value[rows, winner]
     feasible = winner_value != minus_inf
 
-    # One backward walk for the whole batch; rows with no finisher walk
-    # along garbage and are discarded below.
-    span = end - start
-    paths = np.empty((n_rows, span), dtype=np.int64)
-    col = span - 1
-    index = winner.copy()
-    zone_now = zpos[rows, winner].copy()
-    for record in reversed(slot_records):
-        if record[0] == "prune":
-            index = record[1][rows, index]
-            continue
-        if record[0] == "run":
-            # A quiet run: no state changed, so the whole stretch holds
-            # the current zone and the walk index is unchanged.
-            length = record[2]
-            paths[:, col - length + 1 : col + 1] = zone_now[:, None]
-            col -= length
-            continue
-        n_prev, pick, parent_zpos = record
-        paths[:, col] = zone_now
-        col -= 1
-        if pick is not None:
-            is_born = index >= n_prev
-            offset = np.where(is_born, index - n_prev, 0)
-            zone_now = np.where(is_born, parent_zpos[rows, offset], zone_now)
-            index = np.where(is_born, pick[rows, offset], index)
-    if col != 0:
-        raise AttackError(
-            f"internal scheduling error: {col + 1} unwritten path slots "
-            f"for span [{start}, {end})"
-        )
-    paths[:, 0] = zone_now  # the entry slot emitted by the init block
-
-    zone_paths = zarr[paths]  # group-zone positions -> real zone ids
+    # One walk up the parent columns for the whole batch marks the slot
+    # where each visit of the winning chain starts with its zone; a
+    # parent is born before its child, so every chain reaches the entry
+    # block.  Rows with no finisher walk along garbage and are discarded
+    # below.
+    marks = np.full((n_rows, span), -1, dtype=np.int64)
+    chain = keys[1, rows, winner]
+    marks[rows, col_rel[chain]] = col_zone[chain]
+    while (chain >= n_entry).any():
+        chain = parent[rows, chain]
+        marks[rows, col_rel[chain]] = col_zone[chain]
+    # Each slot holds the zone of the latest visit start at or before it.
+    last_start = np.where(marks >= 0, np.arange(span), 0)
+    np.maximum.accumulate(last_start, axis=1, out=last_start)
+    zone_paths = np.take_along_axis(marks, last_start, axis=1)
     for row, r in enumerate(live_rows):
         if feasible[row]:
-            outcomes[r] = (zone_paths[row].tolist(), float(winner_value[row]))
+            outcomes[r] = (zone_paths[row], float(winner_value[row]))
     return outcomes
 
 
@@ -1471,7 +1454,12 @@ class _SegmentPlan:
 
 @dataclass
 class _DayPlan:
-    """Everything needed to assemble one (occupant, day) of a job."""
+    """Everything needed to assemble one (occupant, day) of a job.
+
+    ``activity_lut`` maps a scheduled zone id to the activity reported
+    with it; it, the tables and the oracle are shared by every day plan
+    of the occupant.
+    """
 
     occupant_id: int
     day: int
@@ -1480,7 +1468,7 @@ class _DayPlan:
     actual_day: np.ndarray
     oracle: _StealthOracle
     rewards: np.ndarray
-    best_activity: dict[int, int]
+    activity_lut: np.ndarray
     reality_day: np.ndarray
     zones: list[int]
 
@@ -1498,8 +1486,10 @@ def _plan_vector_job(
     appends a :class:`_SpanTask` to the shared worklist.  Day-invariant
     work is hoisted: the oracle is memoized per ADM, the reward /
     best-activity tables are computed once per occupant (they are
-    day-periodic) and the reality table once over the whole trace (its
-    per-day slices are bit-identical to per-day computation).  So two
+    day-periodic), the reality table once over the whole trace (its
+    per-day slices are bit-identical to per-day computation), and the
+    day gate and every day's segments come from one array pass over
+    the occupant's zone column (:func:`_accessible_segments`).  So two
     days of one occupant whose segments share bounds and forbidden
     zones pose the same DP problem: they share one task, and each day
     plan reads its outcome.  A row's result does not depend on its
@@ -1511,8 +1501,19 @@ def _plan_vector_job(
     n_slots = trace.n_slots
     if n_slots % MINUTES_PER_DAY != 0:
         raise AttackError("attack traces must cover whole days")
-    n_days = n_slots // MINUTES_PER_DAY
     zones = capability.schedulable_zones(home)
+    spoofable_zone = capability.zone_mask(np.arange(home.n_zones))
+    if capability.slot_range is None:
+        attackable = None
+        days = list(range(n_slots // MINUTES_PER_DAY))
+    else:
+        # A day is attacked only when its first and last slots are.
+        attackable = capability.slot_mask(n_slots)
+        days = np.flatnonzero(
+            attackable[::MINUTES_PER_DAY]
+            & attackable[MINUTES_PER_DAY - 1 :: MINUTES_PER_DAY]
+        ).tolist()
+    rates = job.pricing.marginal_rates(np.arange(n_slots))
     day_plans: list[_DayPlan] = []
     distinct: dict[tuple, _SpanTask] = {}
     for occupant in home.occupants:
@@ -1523,29 +1524,21 @@ def _plan_vector_job(
         rewards, best_activity = occupant_reward_table(
             home, oid, zones, job.pricing, controller_config, config
         )
+        # Zone -> reported activity as a lookup table (default 1 for
+        # zones with no priced menu, matching best_activity.get(z, 1)).
+        activity_lut = np.ones(max(zones, default=0) + 1, dtype=np.int64)
+        for zone_id, activity_id in best_activity.items():
+            if zone_id < len(activity_lut):
+                activity_lut[zone_id] = activity_id
         reality_full = _reality_rewards(
-            home,
-            oid,
-            trace,
-            job.pricing,
-            controller_config,
-            config,
-            day_start_slot=0,
+            home, oid, trace, controller_config, config, rates
         )
-        for day in range(n_days):
+        actual = trace.occupant_zone[:, oid]
+        segments_of_day = _accessible_segments(actual, spoofable_zone, attackable)
+        for day in days:
             day_start = day * MINUTES_PER_DAY
-            if not (
-                capability.can_attack_slot(day_start)
-                and capability.can_attack_slot(day_start + MINUTES_PER_DAY - 1)
-            ):
-                continue
-            day_trace = trace.slice_slots(
-                day_start, day_start + MINUTES_PER_DAY
-            )
-            segments = _accessible_segments(
-                oid, day_trace, capability, day_start
-            )
-            actual_day = day_trace.occupant_zone[:, oid]
+            segments = segments_of_day[day]
+            actual_day = actual[day_start : day_start + MINUTES_PER_DAY]
             plan = _DayPlan(
                 occupant_id=oid,
                 day=day,
@@ -1554,7 +1547,7 @@ def _plan_vector_job(
                 actual_day=actual_day,
                 oracle=oracle,
                 rewards=rewards,
-                best_activity=best_activity,
+                activity_lut=activity_lut,
                 reality_day=reality_full[day_start : day_start + MINUTES_PER_DAY],
                 zones=zones,
             )
@@ -1604,8 +1597,9 @@ def _assemble_schedule(
     Replays the scalar engine's adoption logic in its original
     (occupant, day, segment) order — including the float accumulation
     order of ``expected_reward`` — so the result is bit-identical to a
-    per-job call.  Segments whose whole-span DP failed (or failed to
-    beat reality) run the sequential per-visit fallback here.
+    per-job call.  An adopted whole-span path is written with one slice
+    per array.  Segments whose whole-span DP failed (or failed to beat
+    reality) run the sequential per-visit fallback here.
     """
     trace = job.actual_trace
     spoofed_zone = trace.occupant_zone.copy()
@@ -1618,57 +1612,45 @@ def _assemble_schedule(
         day_start = plan.day * MINUTES_PER_DAY
         adopted_any = False
         day_value = 0.0
-        # Zone -> reported activity as a lookup table (default 1 for
-        # zones with no priced menu, matching best_activity.get(z, 1)).
-        activity_lut = np.ones(max(plan.zones, default=0) + 1, dtype=np.int64)
-        for zone_id, activity_id in plan.best_activity.items():
-            if zone_id < len(activity_lut):
-                activity_lut[zone_id] = activity_id
         for seg in plan.segments:
             reality_value = float(
                 plan.reality_day[seg.seg_start : seg.seg_end].sum()
             )
             outcome = seg.task.outcome
             if outcome is not None and outcome[1] > reality_value + 1e-12:
+                # Activity misinformation applies to the whole adopted
+                # span: even where the scheduled zone coincides with
+                # reality, the costliest plausible activity is reported
+                # (that is what the reward model priced).
                 path, value = outcome
-                spoofed_mask: list[bool] = [True] * (
-                    seg.seg_end - seg.seg_start
+                day_value += value
+                adopted_any = True
+                span = slice(day_start + seg.seg_start, day_start + seg.seg_end)
+                spoofed_zone[span, oid] = path
+                spoofed_activity[span, oid] = plan.activity_lut[path]
+                continue
+            with kernel_timer(SCHEDULE_DP):
+                fallback, value, spoofed_mask = _segment_fallback(
+                    plan.zones,
+                    plan.rewards,
+                    plan.reality_day,
+                    plan.actual_day,
+                    plan.oracle,
+                    config,
+                    seg.seg_start,
+                    seg.seg_end,
+                    seg.forbidden_first,
+                    seg.forbidden_last,
                 )
-            else:
-                with kernel_timer(SCHEDULE_DP):
-                    path, value, spoofed_mask = _segment_fallback(
-                        plan.zones,
-                        plan.rewards,
-                        plan.reality_day,
-                        plan.actual_day,
-                        plan.oracle,
-                        config,
-                        seg.seg_start,
-                        seg.seg_end,
-                        seg.forbidden_first,
-                        seg.forbidden_last,
-                    )
             day_value += value
             if not any(spoofed_mask):
                 continue
             adopted_any = True
-            # Activity misinformation applies to the whole adopted
-            # sub-span: even where the scheduled zone coincides with
-            # reality, the costliest plausible activity is reported
-            # (that is what the reward model priced).
-            path_arr = np.asarray(path, dtype=np.int64)
-            if all(spoofed_mask):
-                span = slice(
-                    day_start + seg.seg_start, day_start + seg.seg_end
-                )
-                spoofed_zone[span, oid] = path_arr
-                spoofed_activity[span, oid] = activity_lut[path_arr]
-            else:
-                offsets = np.nonzero(spoofed_mask)[0]
-                slots = day_start + seg.seg_start + offsets
-                adopted = path_arr[offsets]
-                spoofed_zone[slots, oid] = adopted
-                spoofed_activity[slots, oid] = activity_lut[adopted]
+            offsets = np.flatnonzero(spoofed_mask)
+            slots = day_start + seg.seg_start + offsets
+            adopted = np.asarray(fallback, dtype=np.int64)[offsets]
+            spoofed_zone[slots, oid] = adopted
+            spoofed_activity[slots, oid] = plan.activity_lut[adopted]
         if adopted_any:
             total_reward += day_value
             if not plan.full_day:
@@ -1739,12 +1721,11 @@ def _shatter_schedule_scalar(
                 home,
                 occupant.occupant_id,
                 day_trace,
-                pricing,
                 controller_config,
                 config,
-                day_start,
+                pricing.marginal_rates(day_start + np.arange(MINUTES_PER_DAY)),
             )
-            segments = _accessible_segments(
+            segments = _accessible_segments_reference(
                 occupant.occupant_id, day_trace, capability, day_start
             )
             actual_day = day_trace.occupant_zone[:, occupant.occupant_id]

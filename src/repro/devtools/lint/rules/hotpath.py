@@ -26,9 +26,11 @@ oracle, because the production path runs the deceived loop through
 ASHRAE baseline's fixed decision, because the kernels inline the
 control laws.  The attacker's per-slot capability predicates
 (``can_attack_slot`` / ``can_spoof_zone``) are confined the same way in
-``attack/biota.py`` and ``attack/realtime.py``: the BIoTA attack and the
-visit-feasibility filter read ``slot_mask`` / ``zone_mask`` arrays, and
-only their ``_reference`` oracles test slot by slot.
+``attack/biota.py``, ``attack/realtime.py`` and ``attack/schedule.py``:
+the BIoTA attack, the visit-feasibility filter and the batch schedule
+planner read ``slot_mask`` / ``zone_mask`` arrays, and only their
+reference oracles (for the schedule: the per-visit segment planner and
+the scalar engines' driver) test slot by slot.
 """
 
 from __future__ import annotations
@@ -90,6 +92,14 @@ _CONFINED_CALLS: dict[str, tuple[_Confinement, ...]] = {
             _CAPABILITY_PREDICATES,
             {"_apply_visit_feasibility_reference"},
             "visit feasibility reads the capability's slot_mask()/"
+            "zone_mask() arrays",
+        ),
+    ),
+    "attack/schedule.py": (
+        (
+            _CAPABILITY_PREDICATES,
+            {"_accessible_segments_reference", "_shatter_schedule_scalar"},
+            "the batch schedule planner reads the capability's slot_mask()/"
             "zone_mask() arrays",
         ),
     ),

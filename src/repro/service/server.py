@@ -184,6 +184,11 @@ class ControlPlane:
         self._poll = poll_interval
         self._jobs_lock = threading.Lock()
         self._jobs = JobStore(self.store.root / JOBS_SUBDIR)  # guarded-by: _jobs_lock
+        # The listings (GET /jobs, GET /info) read the same records
+        # without the lock: records are written atomically and
+        # JobStore.list skips torn ones, so a scan of a long history
+        # never stalls a submit, a cancel, a job view or a claim.
+        self._history = JobStore(self.store.root / JOBS_SUBDIR)
         # The queued jobs' ids: a claim reads those records alone, not
         # the store's whole history.
         self._queued: set[str] = set()  # guarded-by: _jobs_lock
@@ -274,8 +279,7 @@ class ControlPlane:
                     "workers": [asdict(i) for i in self.registry.snapshot()]
                 }
             if parts == ["jobs"]:
-                with self._jobs_lock:
-                    records = self._jobs.list()
+                records = self._history.list()
                 return 200, {"jobs": [self._job_view(r) for r in records]}
             if len(parts) == 2 and parts[0] == "jobs":
                 return 200, {"job": self._job_view(self._get_job(parts[1]))}
@@ -318,9 +322,8 @@ class ControlPlane:
 
     def _info(self) -> dict:
         jobs: dict[str, int] = {}
-        with self._jobs_lock:
-            for record in self._jobs.list():
-                jobs[record.state] = jobs.get(record.state, 0) + 1
+        for record in self._history.list():
+            jobs[record.state] = jobs.get(record.state, 0) + 1
         return {
             "protocol": PROTOCOL_VERSION,
             "fingerprint": code_fingerprint(),

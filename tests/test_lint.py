@@ -94,14 +94,23 @@ def test_hot_path_confines_simulation_decide_to_the_oracle_and_probe():
 def test_hot_path_confines_capability_predicates_to_the_oracles():
     """``attack/biota.py`` and ``attack/realtime.py`` may call
     ``.can_attack_slot(`` / ``.can_spoof_zone(`` only inside their
-    ``_reference`` oracles."""
+    ``_reference`` oracles, and ``attack/schedule.py`` only inside its
+    reference segment planner and the scalar engines' driver."""
     select = ["hot-path-scalar-calls"]
     good = lint_paths([FIXTURES / "hot_path_capability" / "good"], select=select)
     assert not good.errors
     assert good.findings == []
     bad = lint_paths([FIXTURES / "hot_path_capability" / "bad"], select=select)
     assert not bad.errors
-    biota, realtime = sorted(bad.findings, key=lambda f: f.path)
+    biota, realtime, *schedule = sorted(bad.findings, key=lambda f: (f.path, f.line))
+    assert len(schedule) == 2
+    for finding in schedule:
+        assert finding.path.endswith("attack/schedule.py")
+        assert (
+            ".can_attack_slot() belongs only in _accessible_segments_reference, "
+            "_shatter_schedule_scalar" in finding.message
+        )
+        assert "in _plan_vector_job)" in finding.message
     assert biota.path.endswith("attack/biota.py")
     assert ".can_attack_slot() belongs only in biota_greedy_attack_reference" in (
         biota.message

@@ -548,6 +548,55 @@ def test_claim_reads_only_the_queued_records(
         plane.stop()
 
 
+def test_job_listings_hold_no_lock_the_queue_needs(
+    fresh_cache, tmp_path, sum_exp, monkeypatch
+):
+    """GET /jobs and GET /info read the job history without the job
+    lock: while both are held mid-scan, a submit and a job view
+    complete, and the listings then return."""
+    plane = _make_plane(tmp_path)  # no workers: nothing claims
+    release = threading.Event()
+    try:
+        client = ServiceClient(plane.address)
+        first = client.submit(sum_exp.name)["job_id"]
+        scanning = threading.Semaphore(0)
+        real = JobStore.list
+
+        def held(self, state=None):
+            scanning.release()
+            release.wait(30.0)
+            return real(self, state)
+
+        monkeypatch.setattr(JobStore, "list", held)
+        listed: dict[str, object] = {}
+        listings = [
+            threading.Thread(target=lambda: listed.update(jobs=client.jobs())),
+            threading.Thread(target=lambda: listed.update(info=client.info())),
+        ]
+        for thread in listings:
+            thread.start()
+        assert scanning.acquire(timeout=10.0) and scanning.acquire(timeout=10.0)
+        queued: dict[str, object] = {}
+
+        def queue_work():
+            queued["second"] = client.submit(sum_exp.name)["job_id"]
+            queued["view"] = client.job(first)
+
+        worker = threading.Thread(target=queue_work)
+        worker.start()
+        worker.join(5.0)
+        assert not worker.is_alive(), "a submit waited for a listing's scan"
+        assert queued["view"]["state"] == "queued"
+        release.set()
+        for thread in listings:
+            thread.join(10.0)
+        assert {job["job_id"] for job in listed["jobs"]} >= {first}
+        assert listed["info"]["jobs"]["queued"] >= 1
+    finally:
+        release.set()
+        plane.stop()
+
+
 # ----------------------------------------------------------------------
 # Worker churn
 # ----------------------------------------------------------------------

@@ -40,6 +40,8 @@ from repro.attack.schedule import (
     ScheduleJob,
     _SpanTask,
     _StealthOracle,
+    _accessible_segments,
+    _accessible_segments_reference,
     _optimize_span,
     _optimize_spans_batch,
     _plan_vector_job,
@@ -521,30 +523,49 @@ def test_vector_dp_matches_reference_engine(aras_world, config_kwargs):
     assert _schedules_equal(reference, vector)
 
 
+def _second_day_only(home) -> AttackerCapability:
+    """Occupant 0 over the second day of a two-day trace: the planners
+    attack only days whose first and last slots are in range."""
+    return AttackerCapability(
+        zones=frozenset(range(home.n_zones)),
+        occupants=frozenset({0}),
+        appliances=frozenset(),
+        slot_range=(1440, 2880),
+    )
+
+
+def _assert_spoofs_only_in_range(schedule, actual, capability) -> None:
+    """The schedule spoofs something, and nothing outside ``T^A``."""
+    changed = schedule.spoofed_zone != actual.occupant_zone
+    spoofed = np.flatnonzero(changed.any(axis=1))
+    low, high = capability.slot_range
+    assert len(spoofed) > 0
+    assert low <= spoofed.min() and spoofed.max() < high
+
+
 def test_vector_dp_matches_reference_under_restricted_capability(aras_world):
-    """Segment anchoring (forbidden first/last zones) agrees bit for bit."""
+    """Segment anchoring (forbidden first/last zones) and a slot range
+    agree bit for bit."""
     home, adm, evaluation = aras_world
+    assert evaluation.n_slots == 2 * 1440
     pricing = TouPricing()
     day = evaluation.slice_slots(0, 1440)
-    for capability in (
-        AttackerCapability.with_zones(home, [1, 3]),
-        AttackerCapability(
-            zones=frozenset(range(home.n_zones)),
-            occupants=frozenset({0}),
-            appliances=frozenset(),
-            slot_range=(300, 1100),
-        ),
+    for capability, trace in (
+        (AttackerCapability.with_zones(home, [1, 3]), day),
+        (_second_day_only(home), evaluation),
     ):
         reference = shatter_schedule(
             home,
             adm,
             capability,
             pricing,
-            day,
+            trace,
             config=ScheduleConfig(engine="reference"),
         )
-        vector = shatter_schedule(home, adm, capability, pricing, day)
+        vector = shatter_schedule(home, adm, capability, pricing, trace)
         assert _schedules_equal(reference, vector)
+    # The last case is the slot range: it attacks its own day only.
+    _assert_spoofs_only_in_range(vector, evaluation, capability)
 
 
 def test_vector_dp_matches_reference_kmeans_house_b():
@@ -835,6 +856,14 @@ def test_span_dp_matches_reference_engine(span_worlds, config_kwargs):
     assert any(outcome is not None for outcome in outcomes)
 
 
+def _same_outcome(a, b) -> bool:
+    """Two span outcomes agree: both ``None``, or equal paths (array or
+    list) and equal values."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
 def test_spans_batch_rows_match_rows_solved_alone(span_worlds):
     """One batch mixing dead rows (no enterable first zone) with live
     ones returns, row for row, what each row returns alone and what the
@@ -890,7 +919,12 @@ def test_spans_batch_rows_match_rows_solved_alone(span_worlds):
         )
         for task in tasks
     ]
-    assert together == alone == reference
+    assert len(together) == len(alone) == len(reference) == len(tasks)
+    for got, solo, expected in zip(together, alone, reference):
+        assert _same_outcome(got, solo) and _same_outcome(got, expected)
+    assert all(
+        outcome[0].dtype == np.int64 for outcome in together if outcome is not None
+    )
     assert all(together[row] is None for row in dead)
     assert any(outcome is not None for outcome in together)
     task = tasks[dead[0]]
@@ -1789,24 +1823,15 @@ def test_shatter_schedule_batch_matches_per_job_calls(aras_world):
     jobs = [
         ScheduleJob(home, adm, AttackerCapability.full_access(home), pricing, evaluation),
         ScheduleJob(home, adm, AttackerCapability.with_zones(home, [1, 3]), pricing, day),
-        ScheduleJob(
-            home,
-            adm,
-            AttackerCapability(
-                zones=frozenset(range(home.n_zones)),
-                occupants=frozenset({0}),
-                appliances=frozenset(),
-                slot_range=(300, 1100),
-            ),
-            pricing,
-            day,
-        ),
+        ScheduleJob(home, adm, _second_day_only(home), pricing, evaluation),
     ]
-    for job, got in zip(jobs, shatter_schedule_batch(jobs)):
+    got = shatter_schedule_batch(jobs)
+    for job, schedule in zip(jobs, got):
         solo = shatter_schedule(
             job.home, job.adm, job.capability, job.pricing, job.actual_trace
         )
-        assert _schedules_equal(got, solo)
+        assert _schedules_equal(schedule, solo)
+    _assert_spoofs_only_in_range(got[2], evaluation, jobs[2].capability)
 
 
 def test_shatter_schedule_batch_matches_reference_fleet():
@@ -1823,6 +1848,101 @@ def test_shatter_schedule_batch_matches_reference_fleet():
             config=ScheduleConfig(engine="reference"),
         )
         assert _schedules_equal(got, reference)
+
+
+def test_shatter_schedule_batch_matches_reference_in_the_fleet_regime(monkeypatch):
+    """The fleet benchmark's regime: one 8-home chunk of 6-day homes
+    fitted on 2 training days with the standard k-means ADMs (k=4,
+    tolerance 20), plus one zone-restricted job.  The full-access days
+    advance as one 16-row DP call over the union of its rows' born
+    slots, and every job equals the reference engine home by home."""
+    from repro.runner.common import params_for
+
+    pricing = TouPricing()
+    jobs = []
+    for home, trace in generate_home_fleet(8, n_zones=4, n_days=6, seed=1):
+        train, evaluation = split_days(trace, 2)
+        adm = ClusterADM(params_for(ClusterBackend.KMEANS)).fit(train, home.n_zones)
+        jobs.append(
+            ScheduleJob(
+                home, adm, AttackerCapability.full_access(home), pricing, evaluation
+            )
+        )
+    restricted = ScheduleJob(
+        jobs[0].home,
+        jobs[0].adm,
+        AttackerCapability.with_zones(jobs[0].home, [1, 3]),
+        pricing,
+        jobs[0].actual_trace,
+    )
+    jobs.append(restricted)
+    full_days: list[list[_SpanTask]] = []
+    solve = _optimize_spans_batch
+    beam = ScheduleConfig().beam_width
+
+    def recording(tasks, zones, config, start, end):
+        if (start, end) == (0, 1440) and config.beam_width == beam:
+            full_days.append(list(tasks))
+        return solve(tasks, zones, config, start, end)
+
+    monkeypatch.setattr(schedule_module, "_optimize_spans_batch", recording)
+    got = shatter_schedule_batch(jobs)
+    (wide,) = full_days
+    assert len(wide) == 16
+    enterable = [task.oracle.entry[:, 1:].any(axis=0) for task in wide]
+    union = np.logical_or.reduce(enterable)
+    assert all(union.sum() > gate.sum() for gate in enterable)
+    for job, schedule in zip(jobs, got):
+        reference = shatter_schedule(
+            job.home,
+            job.adm,
+            job.capability,
+            job.pricing,
+            job.actual_trace,
+            config=ScheduleConfig(engine="reference"),
+        )
+        assert _schedules_equal(schedule, reference)
+    assert got[-1].substituted_days  # the restricted job adopted segments
+
+
+def test_whole_trace_segments_match_the_per_visit_planner(aras_world):
+    """The batch planner's one-pass segments equal the per-visit
+    reference planner's, day by day, under full access, limited zones,
+    an occupant subset, a whole-day slot range and a slot range that
+    cuts visits and crosses midnight."""
+    home, _, evaluation = aras_world
+    everything = AttackerCapability.full_access(home)
+    capabilities = [
+        everything,
+        AttackerCapability.with_zones(home, [1, 3]),
+        replace(everything, occupants=frozenset({1})),
+        replace(everything, slot_range=(1440, 2880)),
+        replace(everything, slot_range=(1000, 2000)),
+    ]
+    for capability in capabilities:
+        spoofable = capability.zone_mask(np.arange(home.n_zones))
+        attackable = (
+            None
+            if capability.slot_range is None
+            else capability.slot_mask(evaluation.n_slots)
+        )
+        for occupant in sorted(capability.occupants):
+            per_day = [
+                _accessible_segments_reference(
+                    occupant,
+                    evaluation.slice_slots(day * 1440, (day + 1) * 1440),
+                    capability,
+                    day * 1440,
+                )
+                for day in range(evaluation.n_days)
+            ]
+            assert any(per_day)
+            assert (
+                _accessible_segments(
+                    evaluation.occupant_zone[:, occupant], spoofable, attackable
+                )
+                == per_day
+            )
 
 
 def test_shatter_schedule_batch_accepts_mixed_engines(aras_world):
