@@ -7,7 +7,10 @@ fit/containment — running each workload through its *scalar
 reference* path and its *vectorized* path, verifying the outputs agree
 exactly, and writing the measured speedups to ``BENCH_hotpaths.json``
 at the repository root (the committed file documents the speedups on
-the reference machine).  ``fleet_geometry`` has no scalar arm: it
+the reference machine).  ``adm_fit`` fits a 64-home k-means fleet
+and the ARAS-A DBSCAN ADM through the per-group loop
+(``ClusterADM._fit_reference``) and through ``fit``'s one array program,
+and requires equal encoded ADM frames.  ``fleet_geometry`` has no scalar arm: it
 times a k-means fleet's ADM fits and, separately, its stealth oracles
 built one stay pass per oracle and from one shared pass, requires the
 two arms' oracle arrays to be equal, and checks every oracle row
@@ -46,7 +49,7 @@ if str(_ROOT / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.adm.cluster_model import AdmParams, ClusterADM  # noqa: E402
+from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend  # noqa: E402
 from repro.attack.biota import (  # noqa: E402
     biota_greedy_attack,
     biota_greedy_attack_reference,
@@ -65,7 +68,16 @@ from repro.attack.schedule import (  # noqa: E402
     shatter_schedule,
 )
 from repro.dataset.splits import split_days  # noqa: E402
-from repro.dataset.synthetic import SyntheticConfig, generate_house_trace  # noqa: E402
+from repro.core.serialization import (  # noqa: E402
+    cluster_adm_to_arrays,
+    decode_artifact,
+    encode_artifact,
+)
+from repro.dataset.synthetic import (  # noqa: E402
+    SyntheticConfig,
+    generate_home_fleet,
+    generate_house_trace,
+)
 from repro.errors import AttackError  # noqa: E402
 from repro.geometry import (  # noqa: E402
     point_in_hull,
@@ -77,9 +89,11 @@ from repro.home.builder import build_house_a  # noqa: E402
 from repro.hvac.controller import DemandControlledHVAC  # noqa: E402
 from repro.hvac.pricing import TouPricing  # noqa: E402
 from repro.hvac.simulation import simulate, simulate_reference  # noqa: E402
+from repro.runner.common import params_for  # noqa: E402
 
 # Speedup floors for the non-smoke run.
 TARGET_SCHEDULE_SPEEDUP = 5.0
+TARGET_ADM_FIT_SPEEDUP = 2.0
 TARGET_SIMULATE_SPEEDUP = 6.0
 TARGET_EXECUTE_SPEEDUP = 6.0
 TARGET_BIOTA_SPEEDUP = 10.0
@@ -105,6 +119,13 @@ def _schedules_equal(a, b) -> bool:
         np.array_equal(a.spoofed_zone, b.spoofed_zone)
         and np.array_equal(a.spoofed_activity, b.spoofed_activity)
         and a.expected_reward == b.expected_reward
+    )
+
+
+def _adms_equal(a: ClusterADM, b: ClusterADM) -> bool:
+    """Same groups, points, labels and hulls: equal encoded frames."""
+    return encode_artifact(cluster_adm_to_arrays(a)) == encode_artifact(
+        cluster_adm_to_arrays(b)
     )
 
 
@@ -334,11 +355,50 @@ def bench(smoke: bool) -> dict:
     train, evaluation = split_days(trace, 7)
     adm_params = AdmParams(eps=40.0, min_pts=4, tolerance=20.0)
 
-    # --- ClusterADM.fit -------------------------------------------------
-    fit_seconds, adm = _best_of(
+    # --- ClusterADM.fit (per-group loop vs one array program) ----------
+    fit_homes = 16 if smoke else 64
+    fit_fleet = [
+        (f_home, split_days(f_trace, 2)[0])
+        for f_home, f_trace in generate_home_fleet(
+            fit_homes, n_zones=4, n_days=3, seed=61
+        )
+    ]
+    kmeans_params = params_for(ClusterBackend.KMEANS)
+    before_s, reference_adms = _best_of(
+        rounds,
+        lambda: [
+            ClusterADM(kmeans_params)._fit_reference(f_train, f_home.n_zones)
+            for f_home, f_train in fit_fleet
+        ],
+    )
+    after_s, fleet_adms = _best_of(
+        rounds,
+        lambda: [
+            ClusterADM(kmeans_params).fit(f_train, f_home.n_zones)
+            for f_home, f_train in fit_fleet
+        ],
+    )
+    assert all(map(_adms_equal, fleet_adms, reference_adms))
+    aras_before_s, aras_reference = _best_of(
+        rounds, lambda: ClusterADM(adm_params)._fit_reference(train, home.n_zones)
+    )
+    aras_after_s, adm = _best_of(
         rounds, lambda: ClusterADM(adm_params).fit(train, home.n_zones)
     )
-    results["adm_fit"] = {"seconds": fit_seconds}
+    assert _adms_equal(adm, aras_reference)
+    results["adm_fit"] = {
+        "workload": (
+            f"{fit_homes}-home k-means fleet (4 zones, 2 training days), "
+            "per-group loop (_fit_reference) vs one array program (fit); "
+            "the ARAS-A DBSCAN fit (7 training days) alongside"
+        ),
+        "before_s": before_s,
+        "after_s": after_s,
+        "speedup": before_s / after_s,
+        "aras_dbscan_before_s": aras_before_s,
+        "aras_dbscan_after_s": aras_after_s,
+        "aras_dbscan_speedup": aras_before_s / aras_after_s,
+    }
 
     # --- containment (flag_visits vs per-visit scalar) ------------------
     from repro.dataset.features import extract_visits
@@ -424,13 +484,11 @@ def bench(smoke: bool) -> dict:
 
     # --- shatter_schedule_batch (fleet, per-day loop vs one batch) ------
     import repro.attack.schedule as schedule_mod
-    from repro.adm.cluster_model import ClusterBackend
     from repro.attack.schedule import (
         ScheduleJob,
         _shatter_schedule_scalar,
         shatter_schedule_batch,
     )
-    from repro.dataset.synthetic import generate_home_fleet
     from repro.hvac.controller import ControllerConfig
     from repro.runner.cache import cache_disabled
 
@@ -528,8 +586,6 @@ def bench(smoke: bool) -> dict:
     }
 
     # --- fleet ADM geometry (fits, stealth oracles) ---------------------
-    from repro.runner.common import params_for
-
     geometry_homes = 4 if smoke else 16
     geometry_fleet = [
         (g_home, split_days(g_trace, 2)[0])
@@ -537,7 +593,6 @@ def bench(smoke: bool) -> dict:
             geometry_homes, n_zones=4, n_days=6, seed=47
         )
     ]
-    kmeans_params = params_for(ClusterBackend.KMEANS)
     fit_s, geometry_adms = _best_of(
         rounds,
         lambda: [
@@ -819,7 +874,6 @@ def bench(smoke: bool) -> dict:
     }
 
     # --- artifact codec (base64-pickle JSON vs binary frames) -----------
-    from repro.core.serialization import decode_artifact, encode_artifact
 
     codec_homes, codec_days = (2, 2) if smoke else (6, 6)
     codec_payload = [
@@ -926,6 +980,7 @@ def main(argv: list[str] | None = None) -> int:
         "bench": "hotpath kernels, scalar reference vs vectorized",
         "mode": "smoke" if smoke else "full",
         "targets": {
+            "adm_fit": TARGET_ADM_FIT_SPEEDUP,
             "shatter_schedule": TARGET_SCHEDULE_SPEEDUP,
             "shatter_schedule_batch": TARGET_SCHEDULE_BATCH_SPEEDUP,
             "simulate": TARGET_SIMULATE_SPEEDUP,
@@ -953,17 +1008,19 @@ def main(argv: list[str] | None = None) -> int:
                 f"assemble {numbers['assemble_s']:8.4f}s  "
                 f"{numbers['us_per_born_event']:6.1f}us/born event"
             )
-        elif "ratio" in numbers:
+        else:
             print(
                 f"{kernel:18s} base {numbers['rss_base_kb']:10.0f}KB  "
                 f"10x {numbers['rss_10x_kb']:10.0f}KB  "
                 f"ratio {numbers['ratio']:6.2f}x"
             )
-        else:
-            print(f"{kernel:18s} {numbers['seconds']:8.4f}s")
     print(f"report written to {args.output}")
 
     if not smoke:
+        fit_x = results["adm_fit"]["speedup"]
+        if fit_x < TARGET_ADM_FIT_SPEEDUP:
+            print(f"FAIL: adm_fit speedup {fit_x:.2f}x < {TARGET_ADM_FIT_SPEEDUP}x")
+            return 1
         schedule_x = results["shatter_schedule"]["speedup"]
         simulate_x = results["simulate"]["speedup"]
         if schedule_x < TARGET_SCHEDULE_SPEEDUP:

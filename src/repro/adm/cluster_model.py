@@ -17,12 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adm.dbscan import DBSCAN_NOISE, dbscan
-from repro.adm.kmeans import kmeans
-from repro.dataset.features import Visit, extract_visits, visits_to_points
+from repro.adm.kmeans import kmeans, kmeans_groups
+from repro.dataset.features import (
+    Visit,
+    extract_visits,
+    group_visit_points,
+    visits_to_points,
+)
 from repro.errors import ClusteringError
 from repro.geometry import (
     ConvexHull,
     StayRangeTable,
+    cluster_hulls,
     point_in_hull,
     points_in_hulls,
     quickhull,
@@ -94,7 +100,58 @@ class ClusterADM:
     # ------------------------------------------------------------------
 
     def fit(self, trace: HomeTrace, n_zones: int) -> "ClusterADM":
-        """Learn hulls from a benign training trace."""
+        """Learn hulls from a benign training trace.
+
+        One array program over the home's (occupant, zone) groups: one
+        visit pass yields every group's points
+        (:func:`group_visit_points`), :func:`kmeans_groups` labels all
+        k-means groups together (DBSCAN labels group by group), and one
+        sort builds every cluster's hull (:func:`cluster_hulls`).  The
+        points, labels and hulls equal :meth:`_fit_reference`'s bit for
+        bit.
+        """
+        points, sizes = group_visit_points(trace, n_zones)
+        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        if self.params.backend is ClusterBackend.DBSCAN:
+            labels = np.empty(len(points), dtype=np.int64)
+            for start, end in zip(bounds[:-1], bounds[1:]):
+                if end > start:
+                    labels[start:end] = dbscan(
+                        points[start:end],
+                        eps=self.params.eps,
+                        min_pts=self.params.min_pts,
+                    )
+        else:
+            filled = sizes[sizes > 0]
+            labels = kmeans_groups(
+                points,
+                filled,
+                np.minimum(self.params.k, filled),
+                seed=self.params.seed,
+            )
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        hull_groups, hulls = cluster_hulls(points, groups, labels)
+        hull_bounds = np.searchsorted(hull_groups, np.arange(len(sizes) + 1)).tolist()
+        self._n_zones = n_zones
+        self._n_occupants = trace.n_occupants
+        self._stay_tables = {}
+        self._groups = {
+            (g // n_zones, g % n_zones): _GroupModel(
+                points=points[bounds[g] : bounds[g + 1]],
+                labels=labels[bounds[g] : bounds[g + 1]],
+                hulls=hulls[hull_bounds[g] : hull_bounds[g + 1]],
+            )
+            for g in range(len(sizes))
+        }
+        return self
+
+    def _fit_reference(self, trace: HomeTrace, n_zones: int) -> "ClusterADM":
+        """:meth:`fit` as a per-group loop: the equivalence oracle.
+
+        Extracts the visits, then clusters each (occupant, zone) group
+        with :func:`dbscan` or :func:`kmeans` and hulls each cluster
+        with :func:`quickhull`, one group at a time.
+        """
         visits = extract_visits(trace)
         self._n_zones = n_zones
         self._n_occupants = trace.n_occupants
@@ -103,22 +160,22 @@ class ClusterADM:
         for occupant in range(trace.n_occupants):
             for zone in range(n_zones):
                 points = visits_to_points(visits, occupant, zone)
-                self._groups[(occupant, zone)] = self._fit_group(points)
+                if len(points) == 0:
+                    labels = np.zeros(0, dtype=np.int64)
+                elif self.params.backend is ClusterBackend.DBSCAN:
+                    labels = dbscan(
+                        points, eps=self.params.eps, min_pts=self.params.min_pts
+                    )
+                else:
+                    k = min(self.params.k, len(points))
+                    labels, _ = kmeans(points, k=k, seed=self.params.seed)
+                clusters = sorted(set(int(c) for c in labels) - {DBSCAN_NOISE})
+                self._groups[(occupant, zone)] = _GroupModel(
+                    points=points,
+                    labels=labels,
+                    hulls=[quickhull(points[labels == c]) for c in clusters],
+                )
         return self
-
-    def _fit_group(self, points: np.ndarray) -> _GroupModel:
-        if len(points) == 0:
-            return _GroupModel(points=points, labels=np.zeros(0, dtype=np.int64))
-        if self.params.backend is ClusterBackend.DBSCAN:
-            labels = dbscan(points, eps=self.params.eps, min_pts=self.params.min_pts)
-        else:
-            k = min(self.params.k, len(points))
-            labels, _ = kmeans(points, k=k, seed=self.params.seed)
-        hulls = []
-        for cluster in sorted(set(int(c) for c in labels) - {DBSCAN_NOISE}):
-            members = points[labels == cluster]
-            hulls.append(quickhull(members))
-        return _GroupModel(points=points, labels=labels, hulls=hulls)
 
     def _require_fitted(self) -> None:
         if self._n_zones is None:

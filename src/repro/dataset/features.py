@@ -91,6 +91,41 @@ def visits_to_points(
     return np.array(selected, dtype=float)
 
 
+def group_visit_points(
+    trace: HomeTrace, n_zones: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (occupant, zone) group's (arrival, stay) points, from one pass.
+
+    Returns ``(points, sizes)``: group ``g = occupant * n_zones + zone``
+    holds ``sizes[g]`` consecutive rows of ``points`` (``[P, 2]``), in
+    group order, and those rows are
+    ``visits_to_points(extract_visits(trace), occupant, zone)``.  One
+    run-length pass over the occupant-major ``[O, T]`` zone matrix
+    cuts the visits (a zone change, a midnight and an occupant's first
+    slot each start one); visits to zone ids outside ``range(n_zones)``
+    belong to no group.
+    """
+    n_slots, n_occupants = trace.occupant_zone.shape
+    zones = trace.occupant_zone.T.ravel()
+    cut = np.empty(zones.size, dtype=bool)
+    cut[:1] = True
+    np.not_equal(zones[1:], zones[:-1], out=cut[1:])
+    day_starts = np.arange(0, n_slots, MINUTES_PER_DAY)
+    cut[(np.arange(n_occupants)[:, None] * n_slots + day_starts).ravel()] = True
+    starts = np.flatnonzero(cut)
+    stays = np.diff(starts, append=zones.size)
+    occupant, slot = np.divmod(starts, max(n_slots, 1))
+    zone = zones[starts].astype(np.int64)
+    grouped = (zone >= 0) & (zone < n_zones)
+    key = (occupant * n_zones + zone)[grouped]
+    order = np.argsort(key, kind="stable")
+    points = np.empty((len(order), 2))
+    points[:, 0] = (slot % MINUTES_PER_DAY)[grouped][order]
+    points[:, 1] = stays[grouped][order]
+    sizes = np.bincount(key, minlength=n_occupants * n_zones)
+    return points, sizes
+
+
 def visits_by_zone(
     visits: list[Visit], occupant_id: int, n_zones: int
 ) -> dict[int, np.ndarray]:

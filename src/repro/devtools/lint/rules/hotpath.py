@@ -30,7 +30,11 @@ control laws.  The attacker's per-slot capability predicates
 the BIoTA attack, the visit-feasibility filter and the batch schedule
 planner read ``slot_mask`` / ``zone_mask`` arrays, and only their
 reference oracles (for the schedule: the per-visit segment planner and
-the scalar engines' driver) test slot by slot.
+the scalar engines' driver) test slot by slot.  The ADM fit follows
+suit: in ``adm/cluster_model.py`` the per-group ``visits_to_points(``,
+``kmeans(`` and ``quickhull(`` calls belong only in the
+``_fit_reference`` oracle, because ``fit`` runs one visit pass,
+``kmeans_groups`` and one ``cluster_hulls`` pass over all groups.
 """
 
 from __future__ import annotations
@@ -69,8 +73,9 @@ _BATCH_PRIVATE = (
 )
 _BATCH_INTERNAL_PREFIXES = ("_optimize_span", "_shatter_schedule_scalar")
 
-# Per-slot scalar methods confined per file: (methods, the functions
-# that may call them, why the rest of the file must not).
+# Per-slot and per-group scalar calls confined per file: (the called
+# names, methods or plain functions; the functions that may call them;
+# why the rest of the file must not).
 _Confinement = tuple[tuple[str, ...], set[str], str]
 _CAPABILITY_PREDICATES = ("can_attack_slot", "can_spoof_zone")
 _CONFINED_CALLS: dict[str, tuple[_Confinement, ...]] = {
@@ -101,6 +106,14 @@ _CONFINED_CALLS: dict[str, tuple[_Confinement, ...]] = {
             {"_accessible_segments_reference", "_shatter_schedule_scalar"},
             "the batch schedule planner reads the capability's slot_mask()/"
             "zone_mask() arrays",
+        ),
+    ),
+    "adm/cluster_model.py": (
+        (
+            ("visits_to_points", "kmeans", "quickhull"),
+            {"_fit_reference"},
+            "the ADM fit runs one visit pass, kmeans_groups and one "
+            "cluster_hulls pass over all (occupant, zone) groups",
         ),
     ),
     "hvac/simulation.py": (
@@ -241,16 +254,13 @@ class HotPathScalarCalls(Rule):
         reason: str,
     ) -> Iterator[Finding]:
         for call, enclosing in iter_calls_with_enclosing(ctx.tree):
-            func = call.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in methods
-                and enclosing not in allowed
-            ):
+            name = call_name(call)
+            if name in methods and enclosing not in allowed:
+                dot = "." if isinstance(call.func, ast.Attribute) else ""
                 yield self.finding(
                     ctx,
                     call,
-                    f"{reason}; .{func.attr}() belongs only in "
+                    f"{reason}; {dot}{name}() belongs only in "
                     f"{', '.join(sorted(allowed))} (found one in "
                     f"{enclosing})",
                 )

@@ -8,7 +8,7 @@ the attack scheduler is built on — membership, and the vertical-slice
 "stay range" used by ``maxStay``/``minStay``.
 """
 
-from repro.geometry.convexhull import ConvexHull, quickhull
+from repro.geometry.convexhull import ConvexHull, cluster_hulls, quickhull
 from repro.geometry.halfplane import (
     StayRangeRows,
     StayRangeTable,
@@ -25,6 +25,7 @@ __all__ = [
     "ConvexHull",
     "StayRangeRows",
     "StayRangeTable",
+    "cluster_hulls",
     "left_of_line_segment",
     "point_in_hull",
     "points_in_hulls",

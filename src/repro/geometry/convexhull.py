@@ -219,6 +219,44 @@ def quickhull(points: np.ndarray) -> ConvexHull:
     return ConvexHull(vertices=vertices)
 
 
+def cluster_hulls(
+    points: np.ndarray, groups: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, list[ConvexHull]]:
+    """The :func:`quickhull` of every (group, label) cluster, from one sort.
+
+    Row ``i`` of ``points`` (``[P, 2]``) belongs to cluster
+    ``(groups[i], labels[i])``; a row with a negative label belongs to
+    none.  Returns ``(hull_groups, hulls)``: one hull per cluster, in
+    (group, label) order, each equal to ``quickhull`` of the cluster's
+    rows.  One lexsort of (group, label, x, y) puts every cluster's
+    distinct points in :func:`_dedupe` order, and each cluster takes the
+    branch ``quickhull`` would: one distinct point is a point hull, two
+    are the segment :func:`_segment_extremes` picks, and three or more
+    go through ``quickhull``.
+    """
+    keep = labels >= 0
+    group, label = groups[keep], labels[keep]
+    xs, ys = points[keep, 0], points[keep, 1]
+    order = np.lexsort((ys, xs, label, group))
+    group, label, xs, ys = group[order], label[order], xs[order], ys[order]
+    new_cluster = np.ones(len(order), dtype=bool)
+    new_cluster[1:] = (group[1:] != group[:-1]) | (label[1:] != label[:-1])
+    distinct = new_cluster.copy()
+    distinct[1:] |= (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    unique = np.column_stack((xs[distinct], ys[distinct]))
+    starts = np.flatnonzero(new_cluster[distinct])
+    ends = np.append(starts[1:], len(unique))
+    hulls = []
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        if end - start == 1:
+            hulls.append(ConvexHull(vertices=unique[start:end]))
+        elif end - start == 2:
+            hulls.append(ConvexHull(vertices=_segment_extremes(unique[start:end])))
+        else:
+            hulls.append(quickhull(unique[start:end]))
+    return group[distinct][starts], hulls
+
+
 def _signed_area(vertices: np.ndarray) -> float:
     """Shoelace signed area; positive for counter-clockwise order."""
     x = vertices[:, 0]

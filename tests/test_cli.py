@@ -34,15 +34,15 @@ def test_list_command(capsys):
         assert name in out
 
 
-def test_run_fig3(capsys):
-    assert main(["run", "fig3", "--days", "3"]) == 0
+def test_run_fig3(capsys, tmp_path):
+    assert main(["run", "fig3", "--days", "3", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "Fig. 3" in out
     assert "ASHRAE" in out
 
 
-def test_run_sec6(capsys):
-    assert main(["run", "sec6"]) == 0
+def test_run_sec6(capsys, tmp_path):
+    assert main(["run", "sec6", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "testbed" in out
 

@@ -141,6 +141,23 @@ def test_hot_path_builds_schedule_oracles_from_the_batched_pass():
     assert "(found in _zone_table)" in zone_table.message
 
 
+def test_hot_path_confines_per_group_fit_calls_to_the_reference():
+    """``adm/cluster_model.py`` may call ``visits_to_points(``,
+    ``kmeans(`` and ``quickhull(`` only inside ``_fit_reference``."""
+    select = ["hot-path-scalar-calls"]
+    good = lint_paths([FIXTURES / "hot_path_adm" / "good"], select=select)
+    assert not good.errors
+    assert good.findings == []
+    bad = lint_paths([FIXTURES / "hot_path_adm" / "bad"], select=select)
+    assert not bad.errors
+    points, labels = sorted(bad.findings, key=lambda f: f.line)
+    for finding, name in ((points, "visits_to_points"), (labels, "kmeans")):
+        assert finding.path.endswith("adm/cluster_model.py")
+        assert f"; {name}() belongs only in _fit_reference (found one in fit)" in (
+            finding.message
+        )
+
+
 def test_lock_discipline_names_the_lock_and_declaration():
     tree = FIXTURES / "locks" / "bad"
     result = lint_paths([tree], select=["lock-discipline"])

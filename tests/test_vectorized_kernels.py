@@ -13,6 +13,8 @@ exhaustive exact-equality checks per draw) so failures replay
 deterministically.
 """
 
+import importlib
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend
+from repro.adm.kmeans import kmeans, kmeans_groups
 from repro.attack.biota import (
     BiotaRules,
     biota_greedy_attack,
@@ -57,6 +60,7 @@ from repro.core.serialization import (
     encode_artifact,
 )
 from repro.core.shatter import ShatterAnalysis, StudyConfig
+from repro.dataset.features import extract_visits, group_visit_points, visits_to_points
 from repro.dataset.splits import split_days
 from repro.dataset.synthetic import (
     SyntheticConfig,
@@ -64,6 +68,7 @@ from repro.dataset.synthetic import (
     generate_house_trace,
 )
 from repro.geometry import (
+    cluster_hulls,
     point_in_hull,
     points_in_hulls,
     quickhull,
@@ -480,6 +485,248 @@ def test_packed_adm_frame_round_trips_every_group(fleet_adms, aras_world, tmp_pa
         cluster_adm_from_arrays({**payload, "hull_sizes": payload["hull_sizes"][1:]})
 
 
+# ---------------------------------------------------------------------------
+# ADM fit: one array program vs the per-group loop
+
+
+# The module, not the function that ``repro.adm`` re-exports under its name.
+kmeans_module = importlib.import_module("repro.adm.kmeans")
+
+
+def _same_arrays(ours: list[np.ndarray], theirs: list[np.ndarray]) -> bool:
+    return [(a.dtype, a.shape, a.tobytes()) for a in ours] == [
+        (b.dtype, b.shape, b.tobytes()) for b in theirs
+    ]
+
+
+def _fit_params(backend: ClusterBackend, k: int) -> AdmParams:
+    return AdmParams(backend=backend, k=k, eps=40.0, min_pts=4, tolerance=20.0)
+
+
+_FIT_PARAMS = [
+    _fit_params(backend, k)
+    for backend in (ClusterBackend.KMEANS, ClusterBackend.DBSCAN)
+    for k in (2, 4, 6)
+]
+
+
+def _assert_fit_matches_reference(params: AdmParams, trace, n_zones: int) -> ClusterADM:
+    """``fit`` and ``_fit_reference`` agree on every group's points,
+    labels (dtype included) and hulls in order, and on the encoded ADM
+    frame's bytes; the visit pass's rows are ``visits_to_points``'s."""
+    fitted = ClusterADM(params).fit(trace, n_zones)
+    reference = ClusterADM(params)._fit_reference(trace, n_zones)
+    assert list(fitted._groups) == list(reference._groups)
+    for key, model in reference._groups.items():
+        batched = fitted._groups[key]
+        assert _same_arrays(
+            [batched.points, batched.labels, *(h.vertices for h in batched.hulls)],
+            [model.points, model.labels, *(h.vertices for h in model.hulls)],
+        ), key
+    assert encode_artifact(cluster_adm_to_arrays(fitted)) == encode_artifact(
+        cluster_adm_to_arrays(reference)
+    )
+    points, sizes = group_visit_points(trace, n_zones)
+    visits = extract_visits(trace)
+    assert _same_arrays(
+        np.split(points, np.cumsum(sizes)[:-1]),
+        [
+            visits_to_points(visits, occupant, zone)
+            for occupant in range(trace.n_occupants)
+            for zone in range(n_zones)
+        ],
+    )
+    return fitted
+
+
+@pytest.mark.parametrize("seed", [1, 77, 2023])
+def test_batched_fit_matches_reference_on_fleet_homes(seed):
+    """Fleet homes with 2 training days, the ``fleet_attack`` regime:
+    most groups hold 2 points, some hold duplicates."""
+    kinds = set()
+    for home, trace in generate_home_fleet(6, n_zones=4, n_days=3, seed=seed):
+        train, _ = split_days(trace, 2)
+        for params in _FIT_PARAMS:
+            adm = _assert_fit_matches_reference(params, train, home.n_zones)
+            kinds.update(
+                min(hull.n_vertices, 3)
+                for model in adm._groups.values()
+                for hull in model.hulls
+            )
+    assert {1, 2} <= kinds
+
+
+@pytest.mark.parametrize("house", ["A", "B"])
+def test_batched_fit_matches_reference_on_aras_homes(house):
+    """ARAS houses A and B at 1, 3, 5 and 9 training days: larger groups,
+    which batch by exact size, and polygon hulls."""
+    home = build_house_a() if house == "A" else build_house_b()
+    trace = generate_house_trace(
+        home, house=house, config=SyntheticConfig(n_days=10, seed=19)
+    )
+    kinds = set()
+    for days in (1, 3, 5, 9):
+        train, _ = split_days(trace, days)
+        for params in _FIT_PARAMS:
+            adm = _assert_fit_matches_reference(params, train, home.n_zones)
+            kinds.update(
+                min(hull.n_vertices, 3)
+                for model in adm._groups.values()
+                for hull in model.hulls
+            )
+    assert kinds == {1, 2, 3}
+
+
+def test_batched_fit_matches_reference_on_partial_days_and_foreign_zones():
+    """A trace that ends mid-day, and one whose zone ids fall outside
+    ``range(n_zones)``: those visits belong to no group."""
+    home = build_house_a()
+    trace = generate_house_trace(
+        home, house="A", config=SyntheticConfig(n_days=3, seed=5)
+    )
+    partial = trace.slice_slots(0, 2 * 1440 + 517)
+    foreign = trace.slice_slots(0, 2 * 1440)
+    zones = foreign.occupant_zone
+    zones[100:160, 0] = home.n_zones
+    zones[1500:1530, 1] = home.n_zones + 3
+    zones[2000:2010, 0] = -1
+    for params in _FIT_PARAMS:
+        _assert_fit_matches_reference(params, partial, home.n_zones)
+        _assert_fit_matches_reference(params, foreign, home.n_zones)
+    points, sizes = group_visit_points(foreign, home.n_zones)
+    assert int(sizes.sum()) == len(points) < len(extract_visits(foreign))
+
+
+def _groups_of(rng, sizes) -> list[np.ndarray]:
+    return [rng.uniform(0, 1440, (n, 2)).round(rng.integers(0, 3)) for n in sizes]
+
+
+def _assert_kmeans_groups_match(groups: list[np.ndarray], ks, seed: int) -> None:
+    sizes = np.array([len(group) for group in groups])
+    labels = kmeans_groups(np.concatenate(groups), sizes, ks, seed=seed)
+    assert labels.dtype == np.int64
+    expected = [kmeans(group, k=int(k), seed=seed)[0] for group, k in zip(groups, ks)]
+    assert _same_arrays(np.split(labels, np.cumsum(sizes)[:-1]), expected)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_kmeans_groups_matches_per_group_kmeans(seed):
+    """Groups of 1 point, below numpy's 8-term sequential-sum limit
+    (one padded batch), of exactly 8 and 9, and larger (each size its
+    own batch), at every k up to the group size."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 3, 5, 7, 7, 8, 8, 9, 9, 12, 30, 64]
+    for k in range(1, 7):
+        groups = _groups_of(rng, sizes)
+        _assert_kmeans_groups_match(groups, np.minimum(k, sizes), seed)
+    one = _groups_of(rng, [9])
+    _assert_kmeans_groups_match(one, [3], seed)
+
+
+def test_numpy_sums_rows_shorter_than_the_padding_limit_left_to_right():
+    """``kmeans_groups`` zero-pads only groups shorter than
+    ``_SEQUENTIAL_SUM``: numpy sums such a row left to right, so its
+    trailing zeros leave the D^2 total unchanged, while a row of that
+    length takes numpy's pairwise path and must batch by exact size."""
+    limit = kmeans_module._SEQUENTIAL_SUM
+    rng = np.random.default_rng(5)
+    rows = rng.random((500, limit)) * 10.0 ** rng.integers(-3, 4, (500, limit))
+
+    def left_to_right(row) -> float:
+        total = 0.0
+        for value in row.tolist():
+            total += value
+        return total
+
+    for width in range(1, limit):
+        short = np.ascontiguousarray(rows[:, :width])
+        assert short.sum(axis=1).tolist() == [left_to_right(r) for r in short]
+    assert rows.sum(axis=1).tolist() != [left_to_right(r) for r in rows]
+
+
+def test_kmeans_groups_reruns_groups_whose_seeding_meets_a_zero_total(monkeypatch):
+    """A group with fewer distinct points than ``k`` meets a zero D^2
+    total in k-means++, where ``kmeans`` draws from another branch of
+    the generator; ``kmeans_groups`` reruns exactly those groups alone.
+    With inexact means (three copies of 0.1 do not average to 0.1),
+    which duplicate that branch draws decides the labels."""
+    reruns = []
+
+    def counting(points, k, *args):
+        reruns.append(len(points))
+        return kmeans(points, k, *args)
+
+    monkeypatch.setattr(kmeans_module, "kmeans", counting)
+    tenth = [[0.1, 0.0]] * 3
+    groups = [
+        np.array(tenth + [[5.0, 0.0]]),
+        np.array([[5.0, 0.0]] + tenth),
+        np.array(tenth + [[5.0, 0.0], [0.1, 0.0], [9.0, 1.0]]),
+        np.array([[3.0, 4.0]] * 9 + [[1.0, 1.0]]),
+        np.array([[2.0, 2.0], [7.0, 1.0], [4.0, 9.0]]),
+    ]
+    ks = [3, 3, 4, 3, 3]
+    for seed in range(12):
+        reruns.clear()
+        _assert_kmeans_groups_match(groups, ks, seed)
+        assert sorted(reruns) == [4, 4, 6, 10]
+
+
+def test_kmeans_groups_rejects_an_invalid_k():
+    from repro.errors import ClusteringError
+
+    points = np.zeros((5, 2))
+    with pytest.raises(ClusteringError, match="k must be >= 1, got 0"):
+        kmeans_groups(points, [2, 3], [1, 0])
+    with pytest.raises(ClusteringError, match="cannot form 3 clusters from 2 points"):
+        kmeans_groups(points, [2, 3], [3, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cluster_hulls_match_quickhull_per_cluster(seed):
+    """Point, segment and polygon clusters in one call: horizontal,
+    vertical and slanted collinear sets give segment hulls, repeated
+    points count once, and noise rows belong to no cluster."""
+    rng = np.random.default_rng(seed)
+    clusters = []
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        x0, y0 = rng.integers(0, 1440, 2).astype(float)
+        kind = rng.integers(5)
+        if kind == 0:  # horizontal
+            pts = np.column_stack((x0 + rng.integers(0, 60, n), np.full(n, y0)))
+        elif kind == 1:  # vertical
+            pts = np.column_stack((np.full(n, x0), y0 + rng.integers(0, 60, n)))
+        elif kind == 2:  # slanted collinear
+            t = rng.integers(-20, 20, n)
+            pts = np.column_stack((x0 + 3 * t, y0 - 7 * t))
+        elif kind == 3:  # two points, either order
+            dx, dy = rng.integers(0, 30), rng.integers(-40, 40)
+            pts = np.array([[x0, y0], [x0 + dx, y0 - dy]])
+        else:
+            pts = np.array([x0, y0]) + rng.integers(0, 90, (n, 2))
+        pts = pts.astype(float)
+        clusters.append(pts[rng.integers(0, len(pts), len(pts) + 2)])
+    group_of = rng.integers(0, 6, len(clusters))
+    label_of = rng.integers(-1, 4, len(clusters))
+    points = np.concatenate(clusters)
+    groups = np.repeat(group_of, [len(c) for c in clusters])
+    labels = np.repeat(label_of, [len(c) for c in clusters])
+    order = rng.permutation(len(points))
+    points, groups, labels = points[order], groups[order], labels[order]
+    hull_groups, hulls = cluster_hulls(points, groups, labels)
+    expected = [
+        (g, quickhull(points[(groups == g) & (labels == label)]))
+        for g in range(6)
+        for label in sorted(set(labels[(groups == g) & (labels >= 0)].tolist()))
+    ]
+    assert hull_groups.tolist() == [g for g, _ in expected]
+    assert [(h.vertices.shape, h.vertices.tobytes()) for h in hulls] == [
+        (h.vertices.shape, h.vertices.tobytes()) for _, h in expected
+    ]
+    assert {1, 2, 3} <= {min(h.n_vertices, 3) for h in hulls}
+
+
 def _schedules_equal(a, b) -> bool:
     return (
         np.array_equal(a.spoofed_zone, b.spoofed_zone)
@@ -637,9 +884,9 @@ def test_full_access_days_of_one_occupant_are_one_row(aras_world, monkeypatch):
 
 def test_restricted_days_keep_one_row_per_distinct_segment(aras_world, monkeypatch):
     """With zone-restricted access the segments differ per day: the batch
-    gets one row per distinct (occupant, segment, anchors) problem, days
-    that pose the same problem share its row, and the schedule is still
-    the reference engine's."""
+    gets one row per distinct (occupant, segment, anchors) problem that
+    some zone can enter, days that pose the same problem share its row,
+    and the schedule is still the reference engine's."""
     home, adm, evaluation = aras_world
     capability = AttackerCapability.with_zones(home, [1, 3])
     pricing = TouPricing()
@@ -663,9 +910,26 @@ def test_restricted_days_keep_one_row_per_distinct_segment(aras_world, monkeypat
     assert all(len(ids) == 1 for ids in by_key.values())
     assert len(tasks) == len(by_key) > home.n_occupants
 
+    def problem(task):
+        return (
+            id(task.oracle),
+            task.start,
+            task.end,
+            task.forbidden_first,
+            task.forbidden_last,
+        )
+
+    enterable = [
+        problem(task)
+        for task in tasks
+        if schedule_module._can_enter(
+            task.oracle, task.zones, task.start, task.forbidden_first
+        )
+    ]
+    assert 0 < len(enterable) < len(tasks)
     rows = _record_first_wave_rows(monkeypatch)
     vector = shatter_schedule(home, adm, capability, pricing, evaluation)
-    assert len(rows) == len(by_key)
+    assert Counter(map(problem, rows)) == Counter(enterable)
     reference = shatter_schedule(
         home,
         adm,
@@ -934,6 +1198,61 @@ def test_spans_batch_rows_match_rows_solved_alone(span_worlds):
         )
     assert outcome is None
     assert aggregator.kernels[SCHEDULE_DP_BATCH].calls == 1
+
+
+def test_spans_no_zone_can_enter_make_no_dp_call(span_worlds, monkeypatch):
+    """A span whose first slot no zone but ``forbidden_first`` can enter
+    has no stealthy schedule at any beam width: it is ``None`` on every
+    engine without a DP call or a widened retry, and the batch planner
+    leaves such a task out of both of its waves."""
+    zones, rewards, oracle, _ = span_worlds[0]
+    enterable = {
+        start: [z for z in zones if oracle.entry[z, start]] for start in range(1380)
+    }
+    start = next(start for start, entered in enterable.items() if len(entered) == 1)
+    (only,) = enterable[start]
+    live_start = next(s for s, entered in enterable.items() if len(entered) > 1)
+    dp_rows: list[list[_SpanTask]] = []
+    scalar_spans: list[int] = []
+    solve_batch, solve_span = _optimize_spans_batch, _optimize_span
+
+    def batch(tasks, *args):
+        dp_rows.append(list(tasks))
+        return solve_batch(tasks, *args)
+
+    def span(*args, **kwargs):
+        scalar_spans.append(kwargs["start"])
+        return solve_span(*args, **kwargs)
+
+    monkeypatch.setattr(schedule_module, "_optimize_spans_batch", batch)
+    monkeypatch.setattr(schedule_module, "_optimize_span", span)
+    for config in (ScheduleConfig(), ScheduleConfig(engine="reference")):
+        with collect_events() as aggregator:
+            outcome = schedule_module._optimize_span_with_retry(
+                zones, rewards, oracle, config, start, start + 60, only, None
+            )
+        assert outcome is None
+        assert SCHEDULE_DP_BATCH not in aggregator.kernels
+    assert dp_rows == [] and scalar_spans == []
+
+    dead, live = (
+        _SpanTask(
+            oracle,
+            rewards,
+            tuple(zones),
+            first,
+            first + 60,
+            forbidden,
+            None,
+            ScheduleConfig(),
+        )
+        for first, forbidden in ((start, only), (live_start, None))
+    )
+    with collect_events() as aggregator:
+        schedule_module._solve_span_tasks([dead, live])
+    assert dead.outcome is None
+    assert dp_rows and all(len(rows) == 1 and rows[0] is live for rows in dp_rows)
+    assert aggregator.kernels[SCHEDULE_DP_BATCH].calls == len(dp_rows)
 
 
 def _results_equal(a, b) -> bool:
