@@ -9,11 +9,14 @@ SHATTER attacks despite better F1 against naive BIoTA samples).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.errors import ClusteringError
+
+# Lloyd's iteration cap and convergence threshold on centroid movement,
+# shared by :func:`kmeans` and :func:`kmeans_groups`.
+_MAX_ITERATIONS = 200
+_TOLERANCE = 1e-6
 
 
 def _kmeans_pp_init(
@@ -44,8 +47,8 @@ def kmeans(
     points: np.ndarray,
     k: int,
     seed: int = 0,
-    max_iterations: int = 200,
-    tolerance: float = 1e-6,
+    max_iterations: int = _MAX_ITERATIONS,
+    tolerance: float = _TOLERANCE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster points into ``k`` groups.
 
@@ -106,20 +109,27 @@ def kmeans(
 _SEQUENTIAL_SUM = 8
 
 
-@functools.lru_cache(maxsize=1024)
-def _seed_draws(seed: int, n: int, k: int) -> tuple[int, tuple[float, ...]]:
-    """The random draws :func:`_kmeans_pp_init` makes for ``n`` points
-    and ``k`` clusters, if every D^2 total it meets is positive: the
-    first centroid's index and one uniform per further centroid.
+def _seed_draws(
+    seed: int, pairs: set[tuple[int, int]]
+) -> dict[tuple[int, int], tuple[int, list[float]]]:
+    """The random draws :func:`_kmeans_pp_init` makes for each ``(n,
+    k)`` pair of ``n`` points and ``k`` clusters, if every D^2 total it
+    meets is positive: the first centroid's index and one uniform per
+    further centroid.
 
     ``Generator.choice(n, p=p)`` draws one ``random()`` and returns
     ``searchsorted(cumsum(p) / cumsum(p)[-1], u, side="right")``, so a
     seed's draws depend on ``(seed, n, k)`` alone and one sequence
-    serves every group of that size.
+    serves every group of that size and ``k``.  One generator serves
+    every pair, reset to the seed's start state before each.
     """
     rng = np.random.default_rng(seed)
-    first = int(rng.integers(n))
-    return first, tuple(rng.random() for _ in range(k - 1))
+    start = rng.bit_generator.state
+    draws = {}
+    for n, k in pairs:
+        rng.bit_generator.state = start
+        draws[n, k] = (int(rng.integers(n)), rng.random(k - 1).tolist())
+    return draws
 
 
 def kmeans_groups(
@@ -127,20 +137,19 @@ def kmeans_groups(
     sizes: np.ndarray,
     ks: np.ndarray,
     seed: int = 0,
-    max_iterations: int = 200,
-    tolerance: float = 1e-6,
 ) -> np.ndarray:
     """:func:`kmeans` labels of many groups, computed together.
 
     Group ``g`` is the next ``sizes[g]`` rows of ``points``; its labels
-    equal ``kmeans(group, k=ks[g], seed=seed, ...)[0]`` bit for bit,
-    and they are returned concatenated in group order.  Groups advance
-    as rows of padded arrays: k-means++ takes each group size's draws
-    once (:func:`_seed_draws`), Lloyd means are ``np.bincount`` sums
-    (left to right, as ``mean(axis=0)`` sums), and a converged group
-    stops moving while the rest iterate.  A group whose k-means++ meets
-    a zero D^2 total (fewer distinct points than ``k``) draws from
-    another branch of the generator, so it reruns through :func:`kmeans`.
+    equal ``kmeans(group, k=ks[g], seed=seed)[0]`` bit for bit, and
+    they are returned concatenated in group order.  Groups advance as
+    rows of padded arrays: k-means++ takes the draws of each distinct
+    (size, k) once (:func:`_seed_draws`), Lloyd means are
+    ``np.bincount`` sums (left to right, as ``mean(axis=0)`` sums), and
+    a converged group stops moving while the rest iterate.  A group
+    whose k-means++ meets a zero D^2 total (fewer distinct points than
+    ``k``) draws from another branch of the generator, so it reruns
+    through :func:`kmeans`.
 
     Raises:
         ClusteringError: If some ``k`` is invalid for its group.
@@ -163,6 +172,7 @@ def kmeans_groups(
     starts = np.cumsum(sizes) - sizes
     labels = np.zeros(len(points), dtype=np.int64)
     split = ks > 1  # a one-cluster group is all label 0
+    draws = _seed_draws(seed, set(zip(sizes[split].tolist(), ks[split].tolist())))
     padded = split & (sizes < _SEQUENTIAL_SUM)
     batches = [np.flatnonzero(padded)] + [
         np.flatnonzero(split & (sizes == n))
@@ -176,16 +186,12 @@ def kmeans_groups(
             starts[members],
             sizes[members],
             ks[members],
-            seed,
-            max_iterations,
-            tolerance,
+            draws,
             labels,
         )
         for g in members[rerun]:
             rows = slice(starts[g], starts[g] + sizes[g])
-            labels[rows] = kmeans(
-                points[rows], int(ks[g]), seed, max_iterations, tolerance
-            )[0]
+            labels[rows] = kmeans(points[rows], int(ks[g]), seed)[0]
     return labels
 
 
@@ -194,9 +200,7 @@ def _kmeans_batch(
     starts: np.ndarray,
     sizes: np.ndarray,
     ks: np.ndarray,
-    seed: int,
-    max_iterations: int,
-    tolerance: float,
+    draws: dict[tuple[int, int], tuple[int, list[float]]],
     labels: np.ndarray,
 ) -> np.ndarray:
     """Cluster one batch of groups as ``[B, W]`` rows; write their
@@ -211,13 +215,11 @@ def _kmeans_batch(
     gather = starts[:, None] + np.minimum(np.arange(width), sizes[:, None] - 1)
     grid = points[gather]  # [B, W, 2]
 
-    group_draws = [
-        _seed_draws(seed, n, k) for n, k in zip(sizes.tolist(), ks.tolist())
-    ]
+    group_draws = [draws[pair] for pair in zip(sizes.tolist(), ks.tolist())]
     firsts = np.array([first for first, _ in group_draws])
     uniforms = np.zeros((n_groups, n_centroids))
-    for b, (_, draws) in enumerate(group_draws):
-        uniforms[b, 1 : len(draws) + 1] = draws
+    for b, (_, following) in enumerate(group_draws):
+        uniforms[b, 1 : len(following) + 1] = following
 
     # k-means++ seeding, one draw per group per step.
     centroids = np.zeros((n_groups, n_centroids, 2))
@@ -252,7 +254,7 @@ def _kmeans_batch(
     xs = grid[..., 0][valid]
     ys = grid[..., 1][valid]
     active = ~rerun
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if not active.any():
             break
         current = distances()
@@ -283,6 +285,6 @@ def _kmeans_batch(
             moved[group_of, slot_of] = farthest[group_of]
         movement = np.abs(moved - centroids).max(axis=(1, 2))
         centroids[active] = moved[active]
-        active &= ~(movement < tolerance)
+        active &= ~(movement < _TOLERANCE)
     labels[gather[valid]] = distances().argmin(axis=2)[valid]
     return rerun

@@ -515,21 +515,6 @@ def _span_initial_states(
     return states
 
 
-def _can_enter(
-    oracle: _StealthOracle,
-    zones: Sequence[int],
-    start: int,
-    forbidden_first: int | None,
-) -> bool:
-    """Whether a span beginning at ``start`` has an entry state at all:
-    some zone other than ``forbidden_first`` can start a visit there.
-
-    A span without one has no stealthy schedule at any beam width and
-    on every engine, so callers skip its DP and its wider-beam retry.
-    """
-    return any(z != forbidden_first and oracle.entry[z, start] for z in zones)
-
-
 def _advance_slot(
     states: dict[_State, tuple[float, _PathNode]],
     t: int,
@@ -869,11 +854,8 @@ def _optimize_span_with_retry(
     """``_optimize_span`` with one wider-beam retry on failure.
 
     Beam pruning can discard every state with a valid forced exit; a
-    single 4x-wider retry recovers those rare dead ends cheaply.  A span
-    no zone can enter is ``None`` without either try.
+    single 4x-wider retry recovers those rare dead ends cheaply.
     """
-    if not _can_enter(oracle, zones, start, forbidden_first):
-        return None
     outcome = _optimize_span(
         zones,
         rewards,
@@ -937,16 +919,10 @@ def _solve_span_tasks(tasks: list[_SpanTask]) -> None:
     attackable days of all occupants of all homes together, and a group
     of one as a one-row batch.  Failures get the same one-shot
     4x-wider-beam retry as :func:`_optimize_span_with_retry`, again
-    batched.  A task no zone can enter (:func:`_can_enter`) keeps its
-    ``None`` outcome and joins neither wave.
+    batched.
     """
-    live = [
-        task
-        for task in tasks
-        if _can_enter(task.oracle, task.zones, task.start, task.forbidden_first)
-    ]
-    _solve_task_wave(live, widen=False)
-    retry = [task for task in live if task.outcome is None]
+    _solve_task_wave(tasks, widen=False)
+    retry = [task for task in tasks if task.outcome is None]
     if retry:
         _solve_task_wave(retry, widen=True)
 
@@ -1052,7 +1028,10 @@ def _optimize_spans_batch(
     live_rows = [
         r
         for r, task in enumerate(tasks)
-        if _can_enter(task.oracle, zones, start, task.forbidden_first)
+        if any(
+            z != task.forbidden_first and task.oracle.entry[z, start]
+            for z in zones
+        )
     ]
     if not live_rows:
         return outcomes

@@ -196,9 +196,19 @@ def quickhull(points: np.ndarray) -> ConvexHull:
         raise GeometryError(f"points must be [n, 2], got {points.shape}")
     if len(points) == 0:
         raise GeometryError("cannot build a hull from zero points")
-    unique = _dedupe(points)
+    return _hull_of_unique(_dedupe(points))
+
+
+def _hull_of_unique(unique: np.ndarray) -> ConvexHull:
+    """:func:`quickhull` of distinct points in :func:`_dedupe` order.
+
+    One point is a point hull, two are the segment
+    :func:`_segment_extremes` picks, and three or more recurse.
+    """
     if len(unique) == 1:
         return ConvexHull(vertices=unique.copy())
+    if len(unique) == 2:
+        return ConvexHull(vertices=_segment_extremes(unique))
     # Extreme points in x (ties broken by y) anchor the two recursions.
     order = np.lexsort((unique[:, 1], unique[:, 0]))
     leftmost = unique[order[0]]
@@ -229,10 +239,8 @@ def cluster_hulls(
     none.  Returns ``(hull_groups, hulls)``: one hull per cluster, in
     (group, label) order, each equal to ``quickhull`` of the cluster's
     rows.  One lexsort of (group, label, x, y) puts every cluster's
-    distinct points in :func:`_dedupe` order, and each cluster takes the
-    branch ``quickhull`` would: one distinct point is a point hull, two
-    are the segment :func:`_segment_extremes` picks, and three or more
-    go through ``quickhull``.
+    distinct points in :func:`_dedupe` order, so each cluster's hull is
+    :func:`_hull_of_unique` of its slice.
     """
     keep = labels >= 0
     group, label = groups[keep], labels[keep]
@@ -246,14 +254,10 @@ def cluster_hulls(
     unique = np.column_stack((xs[distinct], ys[distinct]))
     starts = np.flatnonzero(new_cluster[distinct])
     ends = np.append(starts[1:], len(unique))
-    hulls = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        if end - start == 1:
-            hulls.append(ConvexHull(vertices=unique[start:end]))
-        elif end - start == 2:
-            hulls.append(ConvexHull(vertices=_segment_extremes(unique[start:end])))
-        else:
-            hulls.append(quickhull(unique[start:end]))
+    hulls = [
+        _hull_of_unique(unique[start:end])
+        for start, end in zip(starts.tolist(), ends.tolist())
+    ]
     return group[distinct][starts], hulls
 
 
