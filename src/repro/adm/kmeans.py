@@ -112,8 +112,8 @@ _SEQUENTIAL_SUM = 8
 def _seed_draws(
     seed: int, pairs: set[tuple[int, int]]
 ) -> dict[tuple[int, int], tuple[int, list[float]]]:
-    """The random draws :func:`_kmeans_pp_init` makes for each ``(n,
-    k)`` pair of ``n`` points and ``k`` clusters, if every D^2 total it
+    """The random draws :func:`_kmeans_pp_init` makes for each pair of
+    ``n`` points and ``k`` clusters in ``pairs``, if every D^2 total it
     meets is positive: the first centroid's index and one uniform per
     further centroid.
 
