@@ -17,7 +17,13 @@ two arms' oracle arrays to be equal, and checks every oracle row
 against the scalar ``union_stay_ranges``.  ``fleet_schedule`` has no
 scalar arm either: it times the batch pipeline's planning, DP and
 assembly phases on one fleet chunk, counts the DP's born events, and
-requires every schedule to equal the reference engine's.
+requires every schedule to equal the reference oracle's
+(``_shatter_schedule_reference``).
+
+The two arms of every before/after entry run in alternating rounds
+(before, after, before, ...), and each arm reports its best round, so a
+slow spell of a shared host lands on both arms instead of on all of one
+arm's rounds.
 
 Usage::
 
@@ -41,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 _ROOT = Path(__file__).parent.parent
@@ -63,8 +70,10 @@ from repro.attack.realtime import (  # noqa: E402
 )
 from repro.attack.schedule import (  # noqa: E402
     ScheduleConfig,
+    ScheduleJob,
     _OracleBatch,
     _StealthOracle,
+    _shatter_schedule_reference,
     shatter_schedule,
 )
 from repro.dataset.splits import split_days  # noqa: E402
@@ -89,6 +98,7 @@ from repro.home.builder import build_house_a  # noqa: E402
 from repro.hvac.controller import DemandControlledHVAC  # noqa: E402
 from repro.hvac.pricing import TouPricing  # noqa: E402
 from repro.hvac.simulation import simulate, simulate_reference  # noqa: E402
+from repro.runner.cache import cache_disabled  # noqa: E402
 from repro.runner.common import params_for  # noqa: E402
 
 # Speedup floors for the non-smoke run.
@@ -112,6 +122,19 @@ def _best_of(rounds: int, fn):
         value = fn()
         best = min(best, time.perf_counter() - started)
     return best, value
+
+
+def _best_of_alternating(rounds: int, before, after):
+    """``_best_of`` for both arms of an entry, run in alternating rounds:
+    ``(before_s, before_value, after_s, after_value)``."""
+    best = [float("inf"), float("inf")]
+    values = [None, None]
+    for _ in range(rounds):
+        for arm, fn in enumerate((before, after)):
+            started = time.perf_counter()
+            values[arm] = fn()
+            best[arm] = min(best[arm], time.perf_counter() - started)
+    return best[0], values[0], best[1], values[1]
 
 
 def _schedules_equal(a, b) -> bool:
@@ -364,26 +387,22 @@ def bench(smoke: bool) -> dict:
         )
     ]
     kmeans_params = params_for(ClusterBackend.KMEANS)
-    before_s, reference_adms = _best_of(
+    before_s, reference_adms, after_s, fleet_adms = _best_of_alternating(
         rounds,
         lambda: [
             ClusterADM(kmeans_params)._fit_reference(f_train, f_home.n_zones)
             for f_home, f_train in fit_fleet
         ],
-    )
-    after_s, fleet_adms = _best_of(
-        rounds,
         lambda: [
             ClusterADM(kmeans_params).fit(f_train, f_home.n_zones)
             for f_home, f_train in fit_fleet
         ],
     )
     assert all(map(_adms_equal, fleet_adms, reference_adms))
-    aras_before_s, aras_reference = _best_of(
-        rounds, lambda: ClusterADM(adm_params)._fit_reference(train, home.n_zones)
-    )
-    aras_after_s, adm = _best_of(
-        rounds, lambda: ClusterADM(adm_params).fit(train, home.n_zones)
+    aras_before_s, aras_reference, aras_after_s, adm = _best_of_alternating(
+        rounds,
+        lambda: ClusterADM(adm_params)._fit_reference(train, home.n_zones),
+        lambda: ClusterADM(adm_params).fit(train, home.n_zones),
     )
     assert _adms_equal(adm, aras_reference)
     results["adm_fit"] = {
@@ -414,9 +433,8 @@ def bench(smoke: bool) -> dict:
             for v in extract_visits(containment_trace)
         ]
 
-    before_s, scalar_flags = _best_of(rounds, scalar_containment)
-    after_s, batched = _best_of(
-        rounds, lambda: adm.flag_visits(containment_trace)
+    before_s, scalar_flags, after_s, batched = _best_of_alternating(
+        rounds, scalar_containment, lambda: adm.flag_visits(containment_trace)
     )
     assert [flag for _, flag in batched] == scalar_flags
     results["adm_containment"] = {
@@ -440,12 +458,13 @@ def bench(smoke: bool) -> dict:
         ranges = [union_stay_ranges(hulls, float(a)) for a in arrivals]
         return membership, ranges
 
-    before_s, (scalar_membership, scalar_ranges) = _best_of(rounds, scalar_geometry)
-
     def batched_geometry():
         return points_in_hulls(points, hulls), stay_range_table(hulls, arrivals)
 
-    after_s, (membership, table) = _best_of(rounds, batched_geometry)
+    before_s, scalar, after_s, batched_result = _best_of_alternating(
+        rounds, scalar_geometry, batched_geometry
+    )
+    (scalar_membership, scalar_ranges), (membership, table) = scalar, batched_result
     assert membership.tolist() == scalar_membership
     assert all(
         table.intervals(i) == scalar_ranges[i] for i in range(len(arrivals))
@@ -459,19 +478,10 @@ def bench(smoke: bool) -> dict:
     # --- shatter_schedule (default ARAS-A day) --------------------------
     capability = AttackerCapability.full_access(home)
     pricing = TouPricing()
-    before_s, reference_schedule = _best_of(
+    day_job = ScheduleJob(home, adm, capability, pricing, evaluation)
+    before_s, reference_schedule, after_s, vector_schedule = _best_of_alternating(
         rounds,
-        lambda: shatter_schedule(
-            home,
-            adm,
-            capability,
-            pricing,
-            evaluation,
-            config=ScheduleConfig(engine="reference"),
-        ),
-    )
-    after_s, vector_schedule = _best_of(
-        rounds,
+        lambda: _shatter_schedule_reference(day_job),
         lambda: shatter_schedule(home, adm, capability, pricing, evaluation),
     )
     assert _schedules_equal(reference_schedule, vector_schedule)
@@ -484,13 +494,8 @@ def bench(smoke: bool) -> dict:
 
     # --- shatter_schedule_batch (fleet, per-day loop vs one batch) ------
     import repro.attack.schedule as schedule_mod
-    from repro.attack.schedule import (
-        ScheduleJob,
-        _shatter_schedule_scalar,
-        shatter_schedule_batch,
-    )
+    from repro.attack.schedule import shatter_schedule_batch
     from repro.hvac.controller import ControllerConfig
-    from repro.runner.cache import cache_disabled
 
     fleet_homes = 4 if smoke else 10
     fleet_days = 4 if smoke else 6
@@ -515,47 +520,49 @@ def bench(smoke: bool) -> dict:
         )
 
     loop_controller = ControllerConfig()
-    loop_config = ScheduleConfig()
+
+    def frozen_span_solver(*args, exhaustive=False, **kwargs):
+        assert not exhaustive
+        return _optimize_span_vector(*args, **kwargs)
 
     def per_day_loop():
-        # The pre-batching code path: one vector-engine schedule per
-        # (home, day), rebuilding the stealth oracles and reward tables
-        # each call exactly as the per-day driver did before the batch
-        # engine (no oracle memo hits, no shared reward-table cache),
-        # with every span solved by the frozen per-span engine.
+        # The pre-batching code path: one schedule per (home, day) from
+        # the reference driver, rebuilding the stealth oracles and reward
+        # tables each call exactly as the per-day driver did before the
+        # batch engine (no oracle memo hits, no shared reward-table
+        # cache), with every span solved by the frozen per-span engine.
+        # The batch arm's warm oracle memo is put back afterwards.
         out = []
+        memo = schedule_mod._ORACLE_MEMO
+        warm = dict(memo)
         span_solver = schedule_mod._optimize_span
-        schedule_mod._optimize_span = _optimize_span_vector
+        schedule_mod._optimize_span = frozen_span_solver
         try:
             with cache_disabled():
                 for job in fleet_jobs:
                     days = []
                     for day in range(eval_days):
-                        schedule_mod._ORACLE_MEMO.clear()
+                        memo.clear()
+                        day_trace = job.actual_trace.slice_slots(
+                            day * 1440, (day + 1) * 1440
+                        )
                         days.append(
-                            _shatter_schedule_scalar(
-                                job.home,
-                                job.adm,
-                                job.capability,
-                                job.pricing,
-                                job.actual_trace.slice_slots(
-                                    day * 1440, (day + 1) * 1440
-                                ),
-                                loop_controller,
-                                loop_config,
+                            _shatter_schedule_reference(
+                                replace(job, actual_trace=day_trace)
                             )
                         )
                     out.append(days)
         finally:
             schedule_mod._optimize_span = span_solver
+            memo.clear()
+            memo.update(warm)
         return out
 
     # Warm the oracle memo and the shared reward-table cache once so
     # the timed batch rounds measure the steady-state fleet path.
     shatter_schedule_batch(fleet_jobs)
-    before_s, looped = _best_of(rounds, per_day_loop)
-    after_s, batched_schedules = _best_of(
-        rounds, lambda: shatter_schedule_batch(fleet_jobs)
+    before_s, looped, after_s, batched_schedules = _best_of_alternating(
+        rounds, per_day_loop, lambda: shatter_schedule_batch(fleet_jobs)
     )
     for days, whole in zip(looped, batched_schedules):
         assert (
@@ -607,15 +614,15 @@ def bench(smoke: bool) -> dict:
     ]
     # Oracles built one pair at a time (one stay pass per oracle) vs all
     # of them from one shared pass, as a schedule batch builds them.
-    per_pair_s, per_pair_oracles = _best_of(
-        rounds, lambda: [_StealthOracle(*pair) for pair in oracle_pairs]
-    )
-
     def batched_oracles():
         batch = _OracleBatch(oracle_pairs)
         return [_StealthOracle(*pair, batch) for pair in oracle_pairs]
 
-    batched_s, batched = _best_of(rounds, batched_oracles)
+    per_pair_s, per_pair_oracles, batched_s, batched = _best_of_alternating(
+        rounds,
+        lambda: [_StealthOracle(*pair) for pair in oracle_pairs],
+        batched_oracles,
+    )
     for one, shared in zip(per_pair_oracles, batched):
         for name in ("entry", "max_int", "min_int", "lo", "hi"):
             assert getattr(one, name).shape == getattr(shared, name).shape
@@ -688,19 +695,12 @@ def bench(smoke: bool) -> dict:
     assemble_s, chunk_schedules = _best_of(
         rounds,
         lambda: [
-            _assemble_schedule(job, chunk_config, plans)
+            _assemble_schedule(job, plans)
             for job, plans in zip(chunk_jobs, chunk_plans)
         ],
     )
     for job, schedule in zip(chunk_jobs, chunk_schedules):
-        reference = shatter_schedule(
-            job.home,
-            job.adm,
-            job.capability,
-            job.pricing,
-            job.actual_trace,
-            config=ScheduleConfig(engine="reference"),
-        )
+        reference = _shatter_schedule_reference(job)
         assert _schedules_equal(reference, schedule)
         assert reference.infeasible_days == schedule.infeasible_days
         assert reference.substituted_days == schedule.substituted_days
@@ -738,7 +738,7 @@ def bench(smoke: bool) -> dict:
         "workload": (
             "one 8-home fleet chunk (4 zones, 6 days, 2 training days, "
             "k-means ADMs, oracles prebuilt) through the batch pipeline's "
-            "phases; gated on equality with the reference engine"
+            "phases; gated on equality with the reference oracle"
         ),
         "plan_s": plan_s,
         "dp_s": dp_s,
@@ -755,11 +755,10 @@ def bench(smoke: bool) -> dict:
         home, house="A", config=SyntheticConfig(n_days=sim_days, seed=6)
     )
     controller = DemandControlledHVAC(home)
-    before_s, reference_result = _best_of(
-        rounds, lambda: simulate_reference(home, sim_trace, controller)
-    )
-    after_s, fast_result = _best_of(
-        rounds, lambda: simulate(home, sim_trace, controller)
+    before_s, reference_result, after_s, fast_result = _best_of_alternating(
+        rounds,
+        lambda: simulate_reference(home, sim_trace, controller),
+        lambda: simulate(home, sim_trace, controller),
     )
     assert _results_equal(reference_result, fast_result)
     results["simulate"] = {
@@ -791,15 +790,16 @@ def bench(smoke: bool) -> dict:
             start_slot=7 * 1440,
         )
 
-    before_s, reference_outcome = _best_of(
-        rounds, lambda: run_execution(execute_attack_reference)
+    def run_uncached():
+        # With the cache on, every round after the first would replay
+        # the first one's memoized closed loop: time the kernel, not the
+        # memo.
+        with cache_disabled():
+            return run_execution(execute_attack)
+
+    before_s, reference_outcome, after_s, fast_outcome = _best_of_alternating(
+        rounds, lambda: run_execution(execute_attack_reference), run_uncached
     )
-    # With the cache on, every round after the first would replay the
-    # first one's memoized closed loop: time the kernel, not the memo.
-    with cache_disabled():
-        after_s, fast_outcome = _best_of(
-            rounds, lambda: run_execution(execute_attack)
-        )
     assert fast_outcome.vector.triggered.any()
     assert _results_equal(reference_outcome.result, fast_outcome.result)
     for field in (
@@ -830,12 +830,10 @@ def bench(smoke: bool) -> dict:
     }
 
     # --- BIoTA greedy baseline (same evaluation trace, full access) ----
-    before_s, reference_biota = _best_of(
+    before_s, reference_biota, after_s, fast_biota = _best_of_alternating(
         rounds,
         lambda: biota_greedy_attack_reference(home, capability, pricing, execute_eval),
-    )
-    after_s, fast_biota = _best_of(
-        rounds, lambda: biota_greedy_attack(home, capability, pricing, execute_eval)
+        lambda: biota_greedy_attack(home, capability, pricing, execute_eval),
     )
     assert _schedules_equal(reference_biota, fast_biota)
     assert type(reference_biota.expected_reward) is type(fast_biota.expected_reward)
@@ -850,14 +848,11 @@ def bench(smoke: bool) -> dict:
     }
 
     # --- visit feasibility (the SHATTER schedule above, full access) ----
-    before_s, reference_story = _best_of(
+    before_s, reference_story, after_s, fast_story = _best_of_alternating(
         rounds,
         lambda: _apply_visit_feasibility_reference(
             execute_schedule, execute_eval, capability
         ),
-    )
-    after_s, fast_story = _best_of(
-        rounds,
         lambda: _apply_visit_feasibility(execute_schedule, execute_eval, capability),
     )
     assert np.array_equal(reference_story[0], fast_story[0])
@@ -894,8 +889,9 @@ def bench(smoke: bool) -> dict:
     def frame_round_trip():
         return decode_artifact(encode_artifact(codec_payload))
 
-    before_s, via_pickle = _best_of(rounds, pickle_json_round_trip)
-    after_s, via_frame = _best_of(rounds, frame_round_trip)
+    before_s, via_pickle, after_s, via_frame = _best_of_alternating(
+        rounds, pickle_json_round_trip, frame_round_trip
+    )
     for a, b in zip(via_pickle, via_frame):
         for field in ("occupant_zone", "occupant_activity", "appliance_status"):
             assert (

@@ -27,16 +27,13 @@ from repro.dataset.features import (
 from repro.errors import ClusteringError
 from repro.geometry import (
     ConvexHull,
-    StayRangeTable,
     cluster_hulls,
     point_in_hull,
     points_in_hulls,
     quickhull,
-    stay_range_table,
     union_stay_ranges,
 )
 from repro.home.state import HomeTrace
-from repro.units import MINUTES_PER_DAY
 
 
 class ClusterBackend(enum.Enum):
@@ -93,7 +90,6 @@ class ClusterADM:
         self._groups: dict[tuple[int, int], _GroupModel] = {}
         self._n_zones: int | None = None
         self._n_occupants: int | None = None
-        self._stay_tables: dict[tuple[int, int], StayRangeTable] = {}
 
     # ------------------------------------------------------------------
     # Fitting
@@ -134,7 +130,6 @@ class ClusterADM:
         hull_bounds = np.searchsorted(hull_groups, np.arange(len(sizes) + 1)).tolist()
         self._n_zones = n_zones
         self._n_occupants = trace.n_occupants
-        self._stay_tables = {}
         self._groups = {
             (g // n_zones, g % n_zones): _GroupModel(
                 points=points[bounds[g] : bounds[g + 1]],
@@ -156,7 +151,6 @@ class ClusterADM:
         self._n_zones = n_zones
         self._n_occupants = trace.n_occupants
         self._groups = {}
-        self._stay_tables = {}
         for occupant in range(trace.n_occupants):
             for zone in range(n_zones):
                 points = visits_to_points(visits, occupant, zone)
@@ -215,7 +209,12 @@ class ClusterADM:
     def is_benign_visit(
         self, occupant: int, zone: int, arrival: float, stay: float
     ) -> bool:
-        """``withinCluster(t1, t2, C_{z,o})`` — Eq. 9 of the paper."""
+        """``withinCluster(t1, t2, C_{z,o})`` — Eq. 9 of the paper.
+
+        One visit on the scalar geometry tier: the oracle of
+        :meth:`benign_mask` and :meth:`flag_visits`, which classify
+        visits for every detection metric.
+        """
         return any(
             point_in_hull(arrival, stay, hull, tolerance=self.params.tolerance)
             for hull in self.hulls(occupant, zone)
@@ -241,28 +240,6 @@ class ClusterADM:
     # ------------------------------------------------------------------
     # Batched queries (the hot-path tier)
     # ------------------------------------------------------------------
-
-    def stay_table(self, occupant: int, zone: int) -> StayRangeTable:
-        """Admissible stay intervals for *every* minute-of-day arrival.
-
-        Row ``a`` of the returned table equals
-        ``self.stay_ranges(occupant, zone, float(a))`` bit for bit, for
-        all 1440 arrivals, and is cached until the next :meth:`fit`.
-        :func:`stay_range_table` slices the hulls only at the arrivals
-        inside some hull's x-range; every other row is empty.  The
-        attack scheduler builds no such table: its stealth oracles read
-        the rows of all their (occupant, zone) groups from one
-        :func:`~repro.geometry.stay_range_rows` pass per schedule batch.
-        """
-        self._require_fitted()
-        key = (occupant, zone)
-        table = self._stay_tables.get(key)
-        if table is None:
-            table = stay_range_table(
-                self.hulls(occupant, zone), np.arange(MINUTES_PER_DAY, dtype=float)
-            )
-            self._stay_tables[key] = table
-        return table
 
     def benign_mask(
         self, occupant: int, zone: int, points: np.ndarray

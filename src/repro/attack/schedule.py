@@ -8,29 +8,32 @@ inside an ADM cluster hull (Eq. 20), staying never exceeding ``maxStay``
 
 The optimization is windowed, exactly as the paper describes: the
 NP-hard full-day problem (O(|Z|^|T|)) is solved optimally inside
-windows of ``I`` slots and the window solutions are merged.  One
-production engine and its scalar oracles compute the same windowed
-optimum:
+windows of ``I`` slots and the window solutions are merged.  Every
+production span, whole segment or single visit, is solved by one
+engine, :func:`_optimize_spans_batch`: a table-driven array program
+that advances many spans as the rows of one program.  All
+per-(zone, arrival) stay feasibility is precomputed for the full day
+(the stealth oracles, built for a whole batch from one multi-group
+stay-row pass), DP states live in ``[rows, states]`` index arrays in
+canonical (arrival, zone) order, and each slot advance is a handful of
+numpy operations with parent pointers kept in index arrays.
+:func:`shatter_schedule_batch` plans, solves and assembles every job
+through it, and :func:`shatter_schedule` is a one-job batch.
 
-* the default ``vector`` engine — a table-driven array program
-  (:func:`_optimize_spans_batch`) that advances many spans as the rows
-  of one program: all per-(zone, arrival) stay feasibility is
-  precomputed for the full day (the stealth oracles, built for a
-  whole batch from one multi-group stay-row pass), DP
-  states live in ``[rows, states]`` index arrays in canonical
-  (arrival, zone) order, and each slot advance is a handful of numpy
-  operations with parent pointers kept in index arrays.  A single span
-  is a one-row batch;
-* the ``reference`` engine — the scalar dict-based dynamic program over
-  (zone, arrival) states, kept as the bit-exact oracle the equivalence
-  property tests compare against; and
-* an ``exhaustive`` path enumeration replicating the SMT-style search
-  whose cost grows exponentially with ``I`` (used by the Fig. 11
-  scalability study; equivalence with the DP is property-tested).
+Two scalar oracles compute the same windowed optimum and serve only the
+equivalence tests and the hot-path benchmark, through
+:func:`_shatter_schedule_reference`:
+
+* the scalar dict-based dynamic program over (zone, arrival) states
+  (:func:`_optimize_span`), the bit-exact oracle; and
+* with ``exhaustive=True``, a path enumeration replicating the
+  SMT-style search whose cost grows exponentially with ``I``
+  (:func:`_enumerate_window`, which the Fig. 11a scalability study
+  times directly; its equivalence with the DP is property-tested).
 
 Ties between equal-value states are broken canonically — toward the
-smallest (arrival, zone) — in every engine, so the engines agree on the
-synthesized path bit for bit, not just on its value.
+smallest (arrival, zone) — by the engine and both oracles, so they
+agree on the synthesized path bit for bit, not just on its value.
 
 Between windows a beam of the best states is carried, which is the
 "merging" step of the paper.
@@ -39,8 +42,9 @@ Between windows a beam of the best states is carried, which is the
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,31 +79,18 @@ class ScheduleConfig:
     Attributes:
         window: The paper's optimization horizon ``I`` in slots.
         beam_width: States carried across window boundaries (the merge).
-        exhaustive: Use the exponential path-enumeration engine instead
-            of the DP (same answer, Fig. 11 cost profile).
         outdoor_temperature_f: Weather assumed when pricing airflow.
-        engine: DP implementation — ``"vector"`` (the batched
-            table-driven array program, default) or ``"reference"`` (the
-            scalar dict DP kept as the equivalence oracle).  Ignored when
-            ``exhaustive``.
     """
 
     window: int = 10
     beam_width: int = 64
-    exhaustive: bool = False
     outdoor_temperature_f: float = 88.0
-    engine: str = "vector"
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise AttackError("window must be at least one slot")
         if self.beam_width < 1:
             raise AttackError("beam width must be at least one")
-        if self.engine not in ("vector", "reference"):
-            raise AttackError(
-                f"unknown schedule engine {self.engine!r}; "
-                "expected 'vector' or 'reference'"
-            )
 
 
 @dataclass
@@ -220,7 +211,7 @@ class _StealthOracle:
 
     Constructed without a batch, an oracle is a one-pair batch.  The
     scalar methods answer from the same arrays and from the oracle's
-    own copy of its raw rows, and the vector DP engine reads the arrays
+    own copy of its raw rows, and the batched DP engine reads the arrays
     directly.  An oracle holds no reference to its ADM: the memo is
     keyed weakly by the ADM.
     """
@@ -522,7 +513,7 @@ def _advance_slot(
     rewards: np.ndarray,
     oracle: _StealthOracle,
 ) -> dict[_State, tuple[float, _PathNode]]:
-    """One reference-engine DP step: stay in the zone or transition.
+    """One step of the scalar reference DP: stay in the zone or transition.
 
     The input dict is in canonical (arrival, zone) order and the output
     preserves the invariant: surviving stay states keep their relative
@@ -532,7 +523,7 @@ def _advance_slot(
     exit-eligible state in a *different* zone, ties broken toward the
     canonically smallest state; only the overall best and the best
     outside the overall best's zone can ever win, which is what the
-    vector engine's two-argmax step mirrors.
+    batched engine's two-argmax step mirrors.
     """
     new_states: dict[_State, tuple[float, _PathNode]] = {}
     best: tuple[float, _State, _PathNode] | None = None
@@ -577,11 +568,11 @@ def _enumerate_window(
     rewards: np.ndarray,
     oracle: _StealthOracle,
 ) -> dict[_State, tuple[float, _PathNode]]:
-    """Exhaustive engine: expand raw paths without state merging.
+    """Exhaustive oracle: expand raw paths without state merging.
 
     Work (and memory) grows exponentially with the window length, as in
     an SMT enumeration; the final per-state maxima are identical to the
-    DP engine's.
+    DP's.
     """
     # Each entry is (state, value, node); duplicates are NOT merged.
     frontier = [(state, value, node) for state, (value, node) in states.items()]
@@ -616,7 +607,7 @@ def _enumerate_window(
         if existing is None or value > existing[0]:
             best[state] = (value, node)
     # Restore the canonical (arrival, zone) ordering so beam pruning and
-    # the final winner pick break ties exactly like the DP engines.
+    # the final winner pick break ties exactly like the DP.
     return dict(
         sorted(best.items(), key=lambda item: (item[0].arrival, item[0].zone))
     )
@@ -629,7 +620,7 @@ def _prune_beam(
 
     The value sort is stable, so equal-value states survive in canonical
     (arrival, zone) priority; the kept states are re-sorted canonically
-    to preserve the engines' shared ordering invariant.
+    to preserve the shared ordering invariant.
     """
     if len(states) <= beam_width:
         return states
@@ -648,34 +639,23 @@ def _optimize_span(
     end: int = MINUTES_PER_DAY,
     forbidden_first: int | None = None,
     forbidden_last: int | None = None,
+    exhaustive: bool = False,
 ) -> tuple[list[int], float] | None:
-    """Windowed optimization of slots ``[start, end)`` within one day.
+    """Windowed optimization of slots ``[start, end)`` within one day:
+    the scalar oracle of one :func:`_optimize_spans_batch` row.
 
     A full day is the span ``(0, 1440)``; restricted attackers optimize
     shorter spans anchored to reality on both sides.  ``forbidden_last``
     is the real zone right after the span — ending the spoof there would
     merge visits.  At ``end`` the final (possibly truncated) visit must
     still be an in-cluster exit; for ``end == 1440`` this is the forced
-    midnight exit rule.
+    midnight exit rule.  Each window runs the dict DP
+    (:func:`_advance_slot`), or with ``exhaustive`` the path enumeration
+    (:func:`_enumerate_window`).
 
     Returns ``(zone_per_slot, value)`` with ``end - start`` entries, or
-    ``None`` when no stealthy span schedule exists.  The ``vector``
-    engine solves the span as a one-row :func:`_optimize_spans_batch`.
+    ``None`` when no stealthy span schedule exists.
     """
-    if not config.exhaustive and config.engine == "vector":
-        task = _SpanTask(
-            oracle,
-            rewards,
-            tuple(zones),
-            start,
-            end,
-            forbidden_first,
-            forbidden_last,
-            config,
-        )
-        with kernel_timer(SCHEDULE_DP_BATCH):
-            outcome = _optimize_spans_batch([task], zones, config, start, end)[0]
-        return None if outcome is None else (outcome[0].tolist(), outcome[1])
     states = _span_initial_states(oracle, zones, start, forbidden_first)
     if not states:
         return None
@@ -691,7 +671,7 @@ def _optimize_span(
             }
             slots = range(start + 1, window_end)
             first = False
-        if config.exhaustive:
+        if exhaustive:
             states = _enumerate_window(states, slots, zones, rewards, oracle)
         else:
             for t in slots:
@@ -768,7 +748,7 @@ def _accessible_segments_reference(
     ``T^A`` and its real zone's sensors are accessible (the real-time
     feasibility condition of Section IV-C); consecutive spoofable visits
     merge into one segment.  This per-visit loop is the planner of the
-    scalar engines and the oracle of :func:`_accessible_segments`.
+    reference driver and the oracle of :func:`_accessible_segments`.
     """
     actual = day_trace.occupant_zone[:, occupant_id]
     changes = np.flatnonzero(actual[1:] != actual[:-1]) + 1
@@ -850,11 +830,14 @@ def _optimize_span_with_retry(
     end: int,
     forbidden_first: int | None,
     forbidden_last: int | None,
+    exhaustive: bool = False,
 ) -> tuple[list[int], float] | None:
-    """``_optimize_span`` with one wider-beam retry on failure.
+    """:func:`_optimize_span` with one wider-beam retry on failure.
 
     Beam pruning can discard every state with a valid forced exit; a
-    single 4x-wider retry recovers those rare dead ends cheaply.
+    single 4x-wider retry recovers those rare dead ends cheaply.  An
+    ``exhaustive`` span gets no retry.  This is the oracle of
+    :func:`_solve_span_tasks`'s batched retry.
     """
     outcome = _optimize_span(
         zones,
@@ -865,21 +848,15 @@ def _optimize_span_with_retry(
         end=end,
         forbidden_first=forbidden_first,
         forbidden_last=forbidden_last,
+        exhaustive=exhaustive,
     )
-    if outcome is not None or config.exhaustive:
+    if outcome is not None or exhaustive:
         return outcome
-    wide = ScheduleConfig(
-        window=config.window,
-        beam_width=config.beam_width * 4,
-        exhaustive=False,
-        outdoor_temperature_f=config.outdoor_temperature_f,
-        engine=config.engine,
-    )
     return _optimize_span(
         zones,
         rewards,
         oracle,
-        wide,
+        replace(config, beam_width=config.beam_width * 4),
         start=start,
         end=end,
         forbidden_first=forbidden_first,
@@ -917,7 +894,8 @@ def _solve_span_tasks(tasks: list[_SpanTask]) -> None:
     Tasks sharing ``(start, end, zones, window, beam)`` advance through
     :func:`_optimize_spans_batch` as rows of one array program — all
     attackable days of all occupants of all homes together, and a group
-    of one as a one-row batch.  Failures get the same one-shot
+    of one as a one-row batch (each visit span of the per-visit
+    fallback is a one-task call).  Failures get the same one-shot
     4x-wider-beam retry as :func:`_optimize_span_with_retry`, again
     batched.
     """
@@ -970,7 +948,7 @@ def _optimize_spans_batch(
     start: int,
     end: int,
 ) -> list[tuple[np.ndarray, float] | None]:
-    """The ``vector`` engine: one row of one array program per span task.
+    """The production DP engine: one row of one array program per span task.
 
     Each row is the :func:`_optimize_span` problem of its task over
     ``[start, end)``; a solved row is ``(zone path as an int64 array,
@@ -1297,52 +1275,40 @@ def _optimize_spans_batch(
     return outcomes
 
 
+# One visit span of the per-visit fallback: ``(start, end,
+# forbidden_first, forbidden_last)`` to ``(zone path, value)``, or
+# ``None`` when no stealthy path exists.
+_SpanSolver = Callable[
+    [int, int, int | None, int | None], tuple[Sequence[int], float] | None
+]
+
+
 def _schedule_segment(
-    zones: list[int],
-    rewards: np.ndarray,
+    solve: _SpanSolver,
     reality: np.ndarray,
     actual_day: np.ndarray,
-    oracle: _StealthOracle,
-    config: ScheduleConfig,
     seg_start: int,
     seg_end: int,
     forbidden_first: int | None,
     forbidden_last: int | None,
-) -> tuple[list[int], float, bool]:
-    """Best stealthy reported path for one accessible segment.
+) -> tuple[list[int], float, list[bool]]:
+    """Best stealthy reported path for one accessible segment, solved in
+    place: the reference driver's form of what the batch pipeline splits
+    between :func:`_solve_span_tasks` and :func:`_assemble_schedule`.
 
     Tries the whole-span optimization first; when that is infeasible
     (or beats reality by nothing), falls back to optimizing each real
-    visit's span independently, left to right, anchoring adjacency on
-    the previously decided reported zone.  Visits that resist spoofing
-    keep reality and earn the reality reward.
-
-    Returns ``(reported_zone_per_slot, value, spoofed_mask)``; the mask
-    marks slots belonging to adopted spoofed sub-spans (reality-kept
-    slots report the occupant's true activity, spoofed slots the
-    costliest plausible one).
+    visit's span (:func:`_segment_fallback`).  Returns what
+    :func:`_segment_fallback` returns.
     """
-    span_length = seg_end - seg_start
     reality_value = float(reality[seg_start:seg_end].sum())
-    outcome = _optimize_span_with_retry(
-        zones,
-        rewards,
-        oracle,
-        config,
-        seg_start,
-        seg_end,
-        forbidden_first,
-        forbidden_last,
-    )
+    outcome = solve(seg_start, seg_end, forbidden_first, forbidden_last)
     if outcome is not None and outcome[1] > reality_value + 1e-12:
-        return outcome[0], outcome[1], [True] * span_length
+        return list(outcome[0]), outcome[1], [True] * (seg_end - seg_start)
     return _segment_fallback(
-        zones,
-        rewards,
+        solve,
         reality,
         actual_day,
-        oracle,
-        config,
         seg_start,
         seg_end,
         forbidden_first,
@@ -1351,23 +1317,29 @@ def _schedule_segment(
 
 
 def _segment_fallback(
-    zones: list[int],
-    rewards: np.ndarray,
+    solve: _SpanSolver,
     reality: np.ndarray,
     actual_day: np.ndarray,
-    oracle: _StealthOracle,
-    config: ScheduleConfig,
     seg_start: int,
     seg_end: int,
     forbidden_first: int | None,
     forbidden_last: int | None,
 ) -> tuple[list[int], float, list[bool]]:
-    """Per-visit fallback of :func:`_schedule_segment`.
+    """Per-visit fallback for a segment whose whole-span DP failed (or
+    failed to beat reality).
 
-    Each real visit's span is optimized independently, left to right;
-    the adjacency anchor chains through the previously decided reported
-    zone, so this stays a sequential scalar walk (the batch planner
-    calls it only for the rare segments whose whole-span DP failed).
+    Each real visit's span is optimized independently by ``solve``,
+    left to right; the adjacency anchor chains through the previously
+    decided reported zone, so this stays a sequential walk.  Visits that
+    resist spoofing keep reality and earn the reality reward.  The batch
+    pipeline solves each span as a one-task :func:`_solve_span_tasks`
+    call (:func:`_solve_visit_span`), the reference driver with
+    :func:`_optimize_span_with_retry`.
+
+    Returns ``(reported_zone_per_slot, value, spoofed_mask)``; the mask
+    marks slots belonging to adopted spoofed sub-spans (reality-kept
+    slots report the occupant's true activity, spoofed slots the
+    costliest plausible one).
     """
     boundaries = [seg_start]
     for t in range(seg_start + 1, seg_end):
@@ -1387,29 +1359,43 @@ def _segment_fallback(
             if is_last
             else (int(actual_day[v_end]) if v_end < MINUTES_PER_DAY else None)
         )
-        sub = _optimize_span_with_retry(
-            zones,
-            rewards,
-            oracle,
-            config,
-            v_start,
-            v_end,
-            previous_reported,
-            v_forbidden_last,
-        )
+        sub = solve(v_start, v_end, previous_reported, v_forbidden_last)
         sub_reality = float(reality[v_start:v_end].sum())
         if sub is not None and sub[1] > sub_reality + 1e-12:
             sub_path, sub_value = sub
             path.extend(sub_path)
             mask.extend([True] * (v_end - v_start))
             value += sub_value
-            previous_reported = sub_path[-1]
+            previous_reported = int(sub_path[-1])
         else:
             path.extend(int(z) for z in actual_day[v_start:v_end])
             mask.extend([False] * (v_end - v_start))
             value += sub_reality
             previous_reported = int(actual_day[v_start])
     return path, value, mask
+
+
+def _solve_visit_span(
+    segment: _SpanTask,
+    start: int,
+    end: int,
+    forbidden_first: int | None,
+    forbidden_last: int | None,
+) -> tuple[np.ndarray, float] | None:
+    """The batch pipeline's :data:`_SpanSolver`: one visit span of
+    ``segment``'s per-visit fallback, solved as a one-task
+    :func:`_solve_span_tasks` call with the segment's oracle, tables and
+    config."""
+    task = replace(
+        segment,
+        start=start,
+        end=end,
+        forbidden_first=forbidden_first,
+        forbidden_last=forbidden_last,
+        outcome=None,
+    )
+    _solve_span_tasks([task])
+    return task.outcome
 
 
 @dataclass(frozen=True)
@@ -1429,7 +1415,7 @@ class ScheduleJob:
             infeasible days fall back to it.
         controller_config: Controller setpoints used to price airflow;
             defaults to the standard configuration.
-        config: Window length, beam width, engine choice.
+        config: Window length, beam width, assumed weather.
     """
 
     home: SmartHome
@@ -1442,35 +1428,22 @@ class ScheduleJob:
 
 
 @dataclass
-class _SegmentPlan:
-    """One accessible segment of a planned day, with its span task."""
-
-    seg_start: int
-    seg_end: int
-    forbidden_first: int | None
-    forbidden_last: int | None
-    task: _SpanTask
-
-
-@dataclass
 class _DayPlan:
     """Everything needed to assemble one (occupant, day) of a job.
 
+    ``segments`` holds the span task of each accessible segment, in day
+    order; a task's bounds and forbidden zones are the segment's.
     ``activity_lut`` maps a scheduled zone id to the activity reported
-    with it; it, the tables and the oracle are shared by every day plan
-    of the occupant.
+    with it and is shared by every day plan of the occupant.
     """
 
     occupant_id: int
     day: int
-    segments: list[_SegmentPlan]
+    segments: list[_SpanTask]
     full_day: bool
     actual_day: np.ndarray
-    oracle: _StealthOracle
-    rewards: np.ndarray
     activity_lut: np.ndarray
     reality_day: np.ndarray
-    zones: list[int]
 
 
 def _plan_vector_job(
@@ -1481,8 +1454,8 @@ def _plan_vector_job(
 ) -> list[_DayPlan]:
     """Phase A of the batch pipeline: expand a job into span tasks.
 
-    Walks the same (occupant, day, segment) structure as the scalar
-    engine, but instead of solving each whole-span DP in place it
+    Walks the same (occupant, day, segment) structure as the reference
+    driver, but instead of solving each whole-span DP in place it
     appends a :class:`_SpanTask` to the shared worklist.  Day-invariant
     work is hoisted: the oracle is memoized per ADM, the reward /
     best-activity tables are computed once per occupant (they are
@@ -1545,11 +1518,8 @@ def _plan_vector_job(
                 segments=[],
                 full_day=segments == [(0, MINUTES_PER_DAY)],
                 actual_day=actual_day,
-                oracle=oracle,
-                rewards=rewards,
                 activity_lut=activity_lut,
                 reality_day=reality_full[day_start : day_start + MINUTES_PER_DAY],
-                zones=zones,
             )
             for seg_start, seg_end in segments:
                 forbidden_first = (
@@ -1574,32 +1544,23 @@ def _plan_vector_job(
                         config=config,
                     )
                     tasks.append(task)
-                plan.segments.append(
-                    _SegmentPlan(
-                        seg_start,
-                        seg_end,
-                        forbidden_first,
-                        forbidden_last,
-                        task,
-                    )
-                )
+                plan.segments.append(task)
             day_plans.append(plan)
     return day_plans
 
 
 def _assemble_schedule(
-    job: ScheduleJob,
-    config: ScheduleConfig,
-    day_plans: list[_DayPlan],
+    job: ScheduleJob, day_plans: list[_DayPlan]
 ) -> AttackSchedule:
     """Phase C of the batch pipeline: adopt solved spans into a schedule.
 
-    Replays the scalar engine's adoption logic in its original
+    Replays the reference driver's adoption logic in its original
     (occupant, day, segment) order — including the float accumulation
     order of ``expected_reward`` — so the result is bit-identical to a
     per-job call.  An adopted whole-span path is written with one slice
     per array.  Segments whose whole-span DP failed (or failed to beat
-    reality) run the sequential per-visit fallback here.
+    reality) run the sequential per-visit fallback here, each visit span
+    a one-task :func:`_solve_span_tasks` call.
     """
     trace = job.actual_trace
     spoofed_zone = trace.occupant_zone.copy()
@@ -1613,10 +1574,8 @@ def _assemble_schedule(
         adopted_any = False
         day_value = 0.0
         for seg in plan.segments:
-            reality_value = float(
-                plan.reality_day[seg.seg_start : seg.seg_end].sum()
-            )
-            outcome = seg.task.outcome
+            reality_value = float(plan.reality_day[seg.start : seg.end].sum())
+            outcome = seg.outcome
             if outcome is not None and outcome[1] > reality_value + 1e-12:
                 # Activity misinformation applies to the whole adopted
                 # span: even where the scheduled zone coincides with
@@ -1625,20 +1584,17 @@ def _assemble_schedule(
                 path, value = outcome
                 day_value += value
                 adopted_any = True
-                span = slice(day_start + seg.seg_start, day_start + seg.seg_end)
+                span = slice(day_start + seg.start, day_start + seg.end)
                 spoofed_zone[span, oid] = path
                 spoofed_activity[span, oid] = plan.activity_lut[path]
                 continue
             with kernel_timer(SCHEDULE_DP):
                 fallback, value, spoofed_mask = _segment_fallback(
-                    plan.zones,
-                    plan.rewards,
+                    partial(_solve_visit_span, seg),
                     plan.reality_day,
                     plan.actual_day,
-                    plan.oracle,
-                    config,
-                    seg.seg_start,
-                    seg.seg_end,
+                    seg.start,
+                    seg.end,
                     seg.forbidden_first,
                     seg.forbidden_last,
                 )
@@ -1647,7 +1603,7 @@ def _assemble_schedule(
                 continue
             adopted_any = True
             offsets = np.flatnonzero(spoofed_mask)
-            slots = day_start + seg.seg_start + offsets
+            slots = day_start + seg.start + offsets
             adopted = np.asarray(fallback, dtype=np.int64)[offsets]
             spoofed_zone[slots, oid] = adopted
             spoofed_activity[slots, oid] = plan.activity_lut[adopted]
@@ -1666,23 +1622,24 @@ def _assemble_schedule(
     )
 
 
-def _shatter_schedule_scalar(
-    home: SmartHome,
-    adm: ClusterADM,
-    capability: AttackerCapability,
-    pricing: TouPricing,
-    actual_trace: HomeTrace,
-    controller_config: ControllerConfig,
-    config: ScheduleConfig,
+def _shatter_schedule_reference(
+    job: ScheduleJob, exhaustive: bool = False
 ) -> AttackSchedule:
-    """The per-(occupant, day) scheduling loop for the scalar engines.
+    """One job's schedule from a per-(occupant, day) loop that solves
+    every span in place, one at a time: the bit-exact oracle
+    :func:`shatter_schedule_batch` is property-tested against.
 
-    ``reference`` and ``exhaustive`` jobs solve their spans in place,
-    one at a time — this is the bit-exact oracle the batched pipeline
-    is property-tested against.  Day-invariant tables are still hoisted
-    (memoized oracle, shared reward tables): both changes are
-    bit-neutral per day, so the oracle stays exact.
+    Spans go through the scalar dict DP (:func:`_optimize_span` and its
+    retry), or with ``exhaustive`` through the path enumeration; segments
+    come from the per-visit planner (:func:`_accessible_segments_reference`).
+    Day-invariant tables are still hoisted (memoized oracle, shared
+    reward tables): both are bit-neutral per day, so the oracle stays
+    exact.  Only tests and the hot-path benchmark call it.
     """
+    home, adm, capability = job.home, job.adm, job.capability
+    pricing, actual_trace = job.pricing, job.actual_trace
+    controller_config = job.controller_config or ControllerConfig()
+    config = job.config or ScheduleConfig()
     n_slots = actual_trace.n_slots
     if n_slots % MINUTES_PER_DAY != 0:
         raise AttackError("attack traces must cover whole days")
@@ -1706,6 +1663,14 @@ def _shatter_schedule_scalar(
             pricing,
             controller_config,
             config,
+        )
+        solve = partial(
+            _optimize_span_with_retry,
+            zones,
+            rewards,
+            oracle,
+            config,
+            exhaustive=exhaustive,
         )
         for day in range(n_days):
             day_start = day * MINUTES_PER_DAY
@@ -1741,19 +1706,15 @@ def _shatter_schedule_scalar(
                     if seg_end < MINUTES_PER_DAY
                     else None
                 )
-                with kernel_timer(SCHEDULE_DP):
-                    path, value, spoofed_mask = _schedule_segment(
-                        zones,
-                        rewards,
-                        reality,
-                        actual_day,
-                        oracle,
-                        config,
-                        seg_start,
-                        seg_end,
-                        forbidden_first,
-                        forbidden_last,
-                    )
+                path, value, spoofed_mask = _schedule_segment(
+                    solve,
+                    reality,
+                    actual_day,
+                    seg_start,
+                    seg_end,
+                    forbidden_first,
+                    forbidden_last,
+                )
                 day_value += value
                 if not any(spoofed_mask):
                     continue
@@ -1805,52 +1766,34 @@ def _prefetch_oracles(jobs: Sequence[ScheduleJob]) -> None:
 def shatter_schedule_batch(jobs: Sequence[ScheduleJob]) -> list[AttackSchedule]:
     """Synthesize SHATTER schedules for many homes in one array program.
 
-    ``vector``-engine jobs run through a three-phase pipeline: every
-    distinct (occupant, segment) problem of every job becomes one
-    whole-span DP task (:func:`_plan_vector_job`), compatible tasks
-    advance together as rows of the batched engine
-    (:func:`_solve_span_tasks`), and the solutions are adopted back per
-    job, day by day, in the scalar engine's original order
-    (:func:`_assemble_schedule`).  Before planning, the stealth
-    oracles of every vector job that the memo lacks are built from one
+    Every job runs through a three-phase pipeline: every distinct
+    (occupant, segment) problem of every job becomes one whole-span DP
+    task (:func:`_plan_vector_job`), compatible tasks advance together
+    as rows of the batched engine (:func:`_solve_span_tasks`), and the
+    solutions are adopted back per job, day by day, in the reference
+    driver's order (:func:`_assemble_schedule`).  Before planning, the
+    stealth oracles of every job that the memo lacks are built from one
     :func:`stay_range_rows` pass over all their hull groups
     (:func:`_prefetch_oracles`).  Results are bit-identical to calling
     :func:`shatter_schedule` per job — which itself is this function
-    applied to a single job.  ``reference``/``exhaustive`` jobs run the
-    scalar loop unchanged.
+    applied to a single job — and to the scalar oracle
+    (:func:`_shatter_schedule_reference`).
     """
-    results: list[AttackSchedule | None] = [None] * len(jobs)
-    planned: list[tuple[int, ScheduleJob, ScheduleConfig, list[_DayPlan]]] = []
+    _prefetch_oracles(jobs)
     tasks: list[_SpanTask] = []
-    configs = [job.config or ScheduleConfig() for job in jobs]
-    _prefetch_oracles(
-        [
-            job
-            for job, config in zip(jobs, configs)
-            if config.engine == "vector" and not config.exhaustive
-        ]
-    )
-    for index, (job, config) in enumerate(zip(jobs, configs)):
-        controller_config = job.controller_config or ControllerConfig()
-        if config.exhaustive or config.engine != "vector":
-            results[index] = _shatter_schedule_scalar(
-                job.home,
-                job.adm,
-                job.capability,
-                job.pricing,
-                job.actual_trace,
-                controller_config,
-                config,
-            )
-        else:
-            day_plans = _plan_vector_job(job, controller_config, config, tasks)
-            planned.append((index, job, config, day_plans))
-    if planned:
-        _solve_span_tasks(tasks)
-        for index, job, config, day_plans in planned:
-            results[index] = _assemble_schedule(job, config, day_plans)
-    assert all(result is not None for result in results)
-    return results  # type: ignore[return-value]
+    planned = [
+        _plan_vector_job(
+            job,
+            job.controller_config or ControllerConfig(),
+            job.config or ScheduleConfig(),
+            tasks,
+        )
+        for job in jobs
+    ]
+    _solve_span_tasks(tasks)
+    return [
+        _assemble_schedule(job, day_plans) for job, day_plans in zip(jobs, planned)
+    ]
 
 
 def shatter_schedule(
@@ -1874,14 +1817,13 @@ def shatter_schedule(
             infeasible days fall back to it.
         controller_config: The controller setpoints used to price
             airflow; defaults to the standard configuration.
-        config: Window length, beam width, engine choice.
+        config: Window length, beam width, assumed weather.
 
     Returns:
         The schedule with per-day feasibility diagnostics.
 
-    A single-job :func:`shatter_schedule_batch`: with the ``vector``
-    engine, all attackable days of all accessible occupants advance
-    through the windowed DP together.
+    A single-job :func:`shatter_schedule_batch`: all attackable days of
+    all accessible occupants advance through the windowed DP together.
     """
     return shatter_schedule_batch(
         [

@@ -60,13 +60,12 @@ def attack_visit_flag_fraction(
     falsified (slot, occupant) entry count; untouched stretches of real
     behaviour are the defender's false-positive problem, not the
     attacker's detection rate.  Returns 0.0 when nothing was spoofed.
+    The verdicts come from :meth:`ClusterADM.flag_visits`.
     """
     trace = reported_trace(spoofed_zone, spoofed_activity, n_appliances=1)
-    from repro.dataset.features import extract_visits
-
     attacked = 0
     flagged = 0
-    for visit in extract_visits(trace):
+    for visit, anomalous in adm.flag_visits(trace):
         start = visit.day * 1440 + visit.arrival
         stop = start + visit.stay
         if not (
@@ -75,10 +74,7 @@ def attack_visit_flag_fraction(
         ).any():
             continue
         attacked += 1
-        if not adm.is_benign_visit(
-            visit.occupant_id, visit.zone_id, visit.arrival, visit.stay
-        ):
-            flagged += 1
+        flagged += anomalous
     if attacked == 0:
         return 0.0
     return flagged / attacked

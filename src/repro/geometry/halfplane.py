@@ -13,10 +13,11 @@ These are the geometric primitives behind the paper's ADM constraints:
 Two execution tiers share these semantics:
 
 * The scalar functions above are the *reference* tier — one point or one
-  arrival per call.  They stay importable forever: the equivalence
-  property tests and the Fig. 11 exhaustive-engine study use them as the
-  oracle, and hot paths are forbidden (by a CI grep gate) from calling
-  them per element.
+  arrival per call.  They stay importable forever: ``ClusterADM``'s
+  scalar queries (``is_benign_visit``, ``stay_ranges``) and the
+  equivalence property tests use them as the oracle, and the
+  ``hot-path-scalar-calls`` lint rule keeps the schedule drivers from
+  calling them per element.
 * ``points_in_hulls``, ``stay_range_rows`` and ``stay_range_table`` are
   the *batched* tier — array programs over ``[N]`` query
   points/arrivals at once, guaranteed bit-identical to looping the

@@ -16,7 +16,6 @@ from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend
 from repro.adm.metrics import BinaryMetrics, binary_metrics
 from repro.attack.biota import biota_attack_samples
 from repro.core.shatter import ShatterAnalysis, StudyConfig
-from repro.dataset.features import extract_visits
 from repro.dataset.splits import KnowledgeLevel, split_days
 from repro.dataset.synthetic import SyntheticConfig, generate_house_trace
 from repro.home.builder import SmartHome, build_house_a, build_house_b
@@ -104,22 +103,21 @@ def evaluate_adm_on_attacked(
 ) -> BinaryMetrics:
     """Visit-level detection metrics against labelled attacked data.
 
-    A visit counts as attacked (positive) when any of its slots was
-    falsified; the ADM's prediction is its hull-membership flag.
+    A visit of ``occupant_id`` counts as attacked (positive) when any of
+    its slots was falsified; the ADM's prediction is its hull-membership
+    flag from :meth:`ClusterADM.flag_visits`.
     """
     y_true, y_pred = [], []
-    for visit in extract_visits(reported, occupant_id=occupant_id):
+    for visit, anomalous in adm.flag_visits(reported):
+        if visit.occupant_id != occupant_id:
+            continue
         day_base = visit.day * 1440
         window = labels[
             day_base + visit.arrival : day_base + visit.arrival + visit.stay,
             visit.occupant_id,
         ]
         y_true.append(bool(window.any()))
-        y_pred.append(
-            not adm.is_benign_visit(
-                visit.occupant_id, visit.zone_id, visit.arrival, visit.stay
-            )
-        )
+        y_pred.append(anomalous)
     return binary_metrics(np.array(y_true), np.array(y_pred))
 
 

@@ -1,8 +1,9 @@
 """Fig. 11 — execution-time scalability of attack-vector synthesis.
 
-(a) vs the optimization time horizon ``I`` — run with the exhaustive
-    (SMT-style) engine, whose cost grows combinatorially with the
-    window, reproducing the paper's exponential curve;
+(a) vs the optimization time horizon ``I`` — timed on the exhaustive
+    (SMT-style) path enumeration, the schedule's
+    ``_enumerate_window`` oracle, whose cost grows combinatorially
+    with the window, reproducing the paper's exponential curve;
 (b) vs the number of zones at a fixed small lookback — constraint count
     grows linearly with zones, and so does execution time.
 
@@ -101,8 +102,8 @@ def run_fig11_horizon(
 ) -> ScalabilityResult:
     """Execution time vs optimization horizon ``I`` (Fig. 11a).
 
-    Times the exhaustive (SMT-style, no state merging) engine over one
-    window of each length against the dense worst-case oracle, for both
+    Times the exhaustive (SMT-style, no state merging) enumeration over
+    one window of each length against the dense worst-case oracle, for both
     houses' zone sets.  Cost grows exponentially with the horizon, the
     paper's reported behaviour; the production DP solves the same
     instances in polynomial time (the ablation the Fig. 11 benchmark

@@ -1,5 +1,5 @@
 """Schedule fixture: the batch planner reads capability masks; only the
-reference planner and the scalar driver ask per slot and per zone."""
+reference planner and the reference driver ask per slot and per zone."""
 
 
 def _plan_vector_job(job, capability, n_slots):
@@ -14,5 +14,5 @@ def _accessible_segments_reference(occupant_id, day_trace, capability, day_start
     ]
 
 
-def _shatter_schedule_scalar(capability, n_days):
+def _shatter_schedule_reference(capability, n_days):
     return [day for day in range(n_days) if capability.can_attack_slot(day * 1440)]

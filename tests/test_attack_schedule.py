@@ -6,7 +6,12 @@ import pytest
 from repro.adm.cluster_model import AdmParams, ClusterADM, ClusterBackend
 from repro.attack.greedy import greedy_schedule
 from repro.attack.model import AttackerCapability
-from repro.attack.schedule import ScheduleConfig, shatter_schedule
+from repro.attack.schedule import (
+    ScheduleConfig,
+    ScheduleJob,
+    _shatter_schedule_reference,
+    shatter_schedule,
+)
 from repro.attack.stealth import (
     anomalous_visit_fraction,
     occupant_count_preserved,
@@ -106,13 +111,11 @@ def test_exhaustive_engine_matches_dp(setup):
     dp = shatter_schedule(
         home, adm, capability, pricing, day, config=ScheduleConfig(window=6)
     )
-    exhaustive = shatter_schedule(
-        home,
-        adm,
-        capability,
-        pricing,
-        day,
-        config=ScheduleConfig(window=6, exhaustive=True),
+    exhaustive = _shatter_schedule_reference(
+        ScheduleJob(
+            home, adm, capability, pricing, day, config=ScheduleConfig(window=6)
+        ),
+        exhaustive=True,
     )
     assert dp.expected_reward == pytest.approx(exhaustive.expected_reward)
     assert np.array_equal(dp.spoofed_zone, exhaustive.spoofed_zone)

@@ -95,7 +95,7 @@ def test_hot_path_confines_capability_predicates_to_the_oracles():
     """``attack/biota.py`` and ``attack/realtime.py`` may call
     ``.can_attack_slot(`` / ``.can_spoof_zone(`` only inside their
     ``_reference`` oracles, and ``attack/schedule.py`` only inside its
-    reference segment planner and the scalar engines' driver."""
+    reference segment planner and the reference driver."""
     select = ["hot-path-scalar-calls"]
     good = lint_paths([FIXTURES / "hot_path_capability" / "good"], select=select)
     assert not good.errors
@@ -108,7 +108,7 @@ def test_hot_path_confines_capability_predicates_to_the_oracles():
         assert finding.path.endswith("attack/schedule.py")
         assert (
             ".can_attack_slot() belongs only in _accessible_segments_reference, "
-            "_shatter_schedule_scalar" in finding.message
+            "_shatter_schedule_reference" in finding.message
         )
         assert "in _plan_vector_job)" in finding.message
     assert biota.path.endswith("attack/biota.py")
@@ -135,10 +135,56 @@ def test_hot_path_builds_schedule_oracles_from_the_batched_pass():
     assert not bad.errors
     table, zone_table = sorted(bad.findings, key=lambda f: f.line)
     assert table.path.endswith("attack/schedule.py")
-    assert table.message.startswith("stay_table() builds one (occupant, zone)")
-    assert "(found in __init__)" in table.message
-    assert zone_table.message.startswith("stay_range_table() builds one")
-    assert "(found in _zone_table)" in zone_table.message
+    assert table.message.startswith("stealth oracles read their rows from the")
+    assert table.message.endswith(
+        "; .stay_table() belongs in no function of this file (found one in __init__)"
+    )
+    assert zone_table.message.endswith(
+        "; stay_range_table() belongs in no function of this file "
+        "(found one in _zone_table)"
+    )
+
+
+def test_hot_path_bans_one_job_schedules_in_fleet_attack():
+    """``runner/experiments/fleet_attack.py`` schedules a chunk through
+    the batched front door and never calls ``shatter_schedule(``."""
+    select = ["hot-path-scalar-calls"]
+    good = lint_paths([FIXTURES / "hot_path_fleet" / "good"], select=select)
+    assert not good.errors
+    assert good.findings == []
+    bad = lint_paths([FIXTURES / "hot_path_fleet" / "bad"], select=select)
+    assert not bad.errors
+    (finding,) = bad.findings
+    assert finding.path.endswith("runner/experiments/fleet_attack.py")
+    assert finding.message.startswith("fleet_attack schedules through the batched")
+    assert "; shatter_schedule() belongs in no function of this file" in (
+        finding.message
+    )
+    assert "(found one in _run_chunk)" in finding.message
+
+
+def test_hot_path_keeps_visit_classifiers_on_the_batched_kernel():
+    """The visit classifiers (``flag_visits`` in ``adm/cluster_model.py``,
+    ``attack/stealth.py`` and ``runner/common.py``) never call the scalar
+    ``.is_benign_visit(``."""
+    select = ["hot-path-scalar-calls"]
+    good = lint_paths([FIXTURES / "hot_path_detection" / "good"], select=select)
+    assert not good.errors
+    assert good.findings == []
+    bad = lint_paths([FIXTURES / "hot_path_detection" / "bad"], select=select)
+    assert not bad.errors
+    adm, stealth, common = sorted(bad.findings, key=lambda f: f.path)
+    for finding, path, enclosing in (
+        (adm, "adm/cluster_model.py", "flag_visits"),
+        (stealth, "attack/stealth.py", "attack_visit_flag_fraction"),
+        (common, "runner/common.py", "evaluate_adm_on_attacked"),
+    ):
+        assert finding.path.endswith(path)
+        assert finding.message.startswith("visit verdicts come from the batched")
+        assert finding.message.endswith(
+            "; .is_benign_visit() belongs in no function of this file "
+            f"(found one in {enclosing})"
+        )
 
 
 def test_hot_path_confines_per_group_fit_calls_to_the_reference():

@@ -14,6 +14,7 @@ deterministically.
 """
 
 import importlib
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -45,8 +46,11 @@ from repro.attack.schedule import (
     _accessible_segments,
     _accessible_segments_reference,
     _optimize_span,
+    _optimize_span_with_retry,
     _optimize_spans_batch,
     _plan_vector_job,
+    _shatter_schedule_reference,
+    _solve_span_tasks,
     occupant_reward_table,
     shatter_schedule,
     shatter_schedule_batch,
@@ -334,8 +338,8 @@ def _assert_decoded_adm_geometry_matches(decoded, adm, home) -> None:
         for zone in range(home.n_zones):
             hulls = decoded.hulls(occupant, zone)
             assert all(not hull.vertices.flags.writeable for hull in hulls)
-            got = decoded.stay_table(occupant, zone)
-            want = adm.stay_table(occupant, zone)
+            got = stay_range_table(hulls, np.arange(1440.0))
+            want = stay_range_table(adm.hulls(occupant, zone), np.arange(1440.0))
             for field in ("lows", "highs", "counts"):
                 got_array, want_array = getattr(got, field), getattr(want, field)
                 assert got_array.tobytes() == want_array.tobytes()
@@ -750,21 +754,12 @@ def test_vector_dp_matches_reference_engine(aras_world, config_kwargs):
     home, adm, evaluation = aras_world
     capability = AttackerCapability.full_access(home)
     pricing = TouPricing()
-    reference = shatter_schedule(
-        home,
-        adm,
-        capability,
-        pricing,
-        evaluation,
-        config=ScheduleConfig(engine="reference", **config_kwargs),
+    config = ScheduleConfig(**config_kwargs)
+    reference = _shatter_schedule_reference(
+        ScheduleJob(home, adm, capability, pricing, evaluation, config=config)
     )
     vector = shatter_schedule(
-        home,
-        adm,
-        capability,
-        pricing,
-        evaluation,
-        config=ScheduleConfig(engine="vector", **config_kwargs),
+        home, adm, capability, pricing, evaluation, config=config
     )
     assert _schedules_equal(reference, vector)
 
@@ -800,13 +795,8 @@ def test_vector_dp_matches_reference_under_restricted_capability(aras_world):
         (AttackerCapability.with_zones(home, [1, 3]), day),
         (_second_day_only(home), evaluation),
     ):
-        reference = shatter_schedule(
-            home,
-            adm,
-            capability,
-            pricing,
-            trace,
-            config=ScheduleConfig(engine="reference"),
+        reference = _shatter_schedule_reference(
+            ScheduleJob(home, adm, capability, pricing, trace)
         )
         vector = shatter_schedule(home, adm, capability, pricing, trace)
         assert _schedules_equal(reference, vector)
@@ -825,13 +815,8 @@ def test_vector_dp_matches_reference_kmeans_house_b():
     ).fit(train, home.n_zones)
     capability = AttackerCapability.full_access(home)
     pricing = TouPricing()
-    reference = shatter_schedule(
-        home,
-        adm,
-        capability,
-        pricing,
-        evaluation,
-        config=ScheduleConfig(engine="reference"),
+    reference = _shatter_schedule_reference(
+        ScheduleJob(home, adm, capability, pricing, evaluation)
     )
     vector = shatter_schedule(home, adm, capability, pricing, evaluation)
     assert _schedules_equal(reference, vector)
@@ -839,23 +824,23 @@ def test_vector_dp_matches_reference_kmeans_house_b():
 
 def _record_first_wave_rows(monkeypatch) -> list[_SpanTask]:
     """The rows ``_optimize_spans_batch`` receives from the batch
-    planner's first DP wave: not the widened retry wave, and not the
-    per-visit fallback's calls."""
+    planner's first DP wave: the planned tasks (those of the first
+    ``_solve_span_tasks`` call) at the unwidened beam, so not the
+    widened retry wave, and not the per-visit fallback's one-task
+    calls."""
     rows: list[_SpanTask] = []
-    in_waves: list[bool] = []
+    planned: set[int] = set()
     solve_tasks, solve_batch = schedule_module._solve_span_tasks, _optimize_spans_batch
     beam = ScheduleConfig().beam_width
 
     def waves(tasks):
-        in_waves.append(True)
-        try:
-            solve_tasks(tasks)
-        finally:
-            in_waves.pop()
+        if not planned:
+            planned.update(map(id, tasks))
+        solve_tasks(tasks)
 
     def batch(tasks, zones, config, start, end):
-        if in_waves and config.beam_width == beam:
-            rows.extend(tasks)
+        if config.beam_width == beam:
+            rows.extend(task for task in tasks if id(task) in planned)
         return solve_batch(tasks, zones, config, start, end)
 
     monkeypatch.setattr(schedule_module, "_solve_span_tasks", waves)
@@ -885,7 +870,7 @@ def test_restricted_days_keep_one_row_per_distinct_segment(aras_world, monkeypat
     """With zone-restricted access the segments differ per day: the batch
     gets one row per distinct (occupant, segment, anchors) problem, days
     that pose the same problem share its row, and the schedule is still
-    the reference engine's."""
+    the reference oracle's."""
     home, adm, evaluation = aras_world
     capability = AttackerCapability.with_zones(home, [1, 3])
     pricing = TouPricing()
@@ -898,12 +883,12 @@ def test_restricted_days_keep_one_row_per_distinct_segment(aras_world, monkeypat
         for seg in plan.segments:
             key = (
                 plan.occupant_id,
-                seg.seg_start,
-                seg.seg_end,
+                seg.start,
+                seg.end,
                 seg.forbidden_first,
                 seg.forbidden_last,
             )
-            by_key.setdefault(key, set()).add(id(seg.task))
+            by_key.setdefault(key, set()).add(id(seg))
             days.setdefault(plan.day, set()).add(key)
     assert len(days) > 1 and len({frozenset(keys) for keys in days.values()}) > 1
     assert all(len(ids) == 1 for ids in by_key.values())
@@ -912,14 +897,7 @@ def test_restricted_days_keep_one_row_per_distinct_segment(aras_world, monkeypat
     rows = _record_first_wave_rows(monkeypatch)
     vector = shatter_schedule(home, adm, capability, pricing, evaluation)
     assert len(rows) == len(by_key)
-    reference = shatter_schedule(
-        home,
-        adm,
-        capability,
-        pricing,
-        evaluation,
-        config=ScheduleConfig(engine="reference"),
-    )
+    reference = _shatter_schedule_reference(job)
     assert _schedules_equal(reference, vector)
 
 
@@ -927,7 +905,7 @@ def test_days_differing_only_in_an_anchor_keep_their_own_rows(aras_world):
     """Two days with the same segment bounds whose real zone just before
     or just after a segment differs pose different problems there:
     those segments get a row per day, every other segment shares one,
-    and the schedule is still the reference engine's."""
+    and the schedule is still the reference oracle's."""
     home, adm, evaluation = aras_world
     capability = AttackerCapability.with_zones(home, [1, 3])
     day = evaluation.slice_slots(0, 1440)
@@ -962,26 +940,21 @@ def test_days_differing_only_in_an_anchor_keep_their_own_rows(aras_world):
         )
         if plan.occupant_id == 0
     ]
-    assert [(s.seg_start, s.seg_end) for s in first.segments] == [
-        (s.seg_start, s.seg_end) for s in second.segments
+    assert [(s.start, s.end) for s in first.segments] == [
+        (s.start, s.end) for s in second.segments
     ]
     pairs = list(zip(first.segments, second.segments))
     assert any(a.forbidden_first != b.forbidden_first for a, b in pairs)
     assert any(a.forbidden_last != b.forbidden_last for a, b in pairs)
-    own_rows = [a.seg_start for a, b in pairs if a.task is not b.task]
+    own_rows = [a.start for a, b in pairs if a is not b]
     assert own_rows == [
-        a.seg_start
+        a.start
         for a, b in pairs
         if (a.forbidden_first, a.forbidden_last)
         != (b.forbidden_first, b.forbidden_last)
     ]
-    reference = shatter_schedule(
-        home,
-        adm,
-        capability,
-        pricing,
-        trace,
-        config=ScheduleConfig(engine="reference"),
+    reference = _shatter_schedule_reference(
+        ScheduleJob(home, adm, capability, pricing, trace)
     )
     vector = shatter_schedule(home, adm, capability, pricing, trace)
     assert _schedules_equal(reference, vector)
@@ -1077,28 +1050,22 @@ def _random_spans(rng, zones, oracle, actual, count):
     [{"window": 1}, {"window": 10}, {"window": 30}, {"beam_width": 1}],
 )
 def test_span_dp_matches_reference_engine(span_worlds, config_kwargs):
-    """The vector engine solves any single span (a one-row batch) with
-    the dict DP's exact path and value."""
+    """A one-task ``_solve_span_tasks`` call (a one-row batch and its
+    widened retry) solves any single span with the dict DP's exact path
+    and value (``_optimize_span`` and its retry)."""
+    config = ScheduleConfig(**config_kwargs)
     outcomes = []
     for index, (zones, rewards, oracle, actual) in enumerate(span_worlds):
         rng = np.random.default_rng(index)
-        for start, end, first, last in _random_spans(rng, zones, oracle, actual, 8):
-            span = dict(
-                start=start, end=end, forbidden_first=first, forbidden_last=last
+        for span in _random_spans(rng, zones, oracle, actual, 8):
+            reference = _optimize_span_with_retry(
+                zones, rewards, oracle, config, *span
             )
-            reference = _optimize_span(
-                zones,
-                rewards,
-                oracle,
-                ScheduleConfig(engine="reference", **config_kwargs),
-                **span,
-            )
-            vector = _optimize_span(
-                zones, rewards, oracle, ScheduleConfig(**config_kwargs), **span
-            )
-            assert vector == reference, (index, span)
-            outcomes.append(vector)
-    assert None in outcomes
+            task = _SpanTask(oracle, rewards, tuple(zones), *span, config)
+            _solve_span_tasks([task])
+            assert _same_outcome(task.outcome, reference), (index, span)
+            outcomes.append(task.outcome)
+    assert any(outcome is None for outcome in outcomes)
     assert any(outcome is not None for outcome in outcomes)
 
 
@@ -1113,8 +1080,8 @@ def _same_outcome(a, b) -> bool:
 def test_spans_batch_rows_match_rows_solved_alone(span_worlds):
     """One batch mixing dead rows (no enterable first zone) with live
     ones returns, row for row, what each row returns alone and what the
-    dict DP returns; a lone span solved through ``_optimize_span``
-    records one ``schedule_dp_batch`` event."""
+    dict DP returns; a live span solved through a one-task
+    ``_solve_span_tasks`` call records one ``schedule_dp_batch`` event."""
     zones, rewards, oracle, actual = span_worlds[0]
     config = ScheduleConfig()
     bounds = _visit_bounds(actual)
@@ -1127,10 +1094,7 @@ def test_spans_batch_rows_match_rows_solved_alone(span_worlds):
     start, end = next(
         (start, end)
         for start, end in runs
-        if _optimize_span(
-            zones, rewards, oracle, ScheduleConfig(engine="reference"), start, end
-        )
-        is not None
+        if _optimize_span(zones, rewards, oracle, config, start, end) is not None
     )
     tasks = [
         _SpanTask(world[2], world[1], tuple(zones), start, end, first, last, config)
@@ -1157,7 +1121,7 @@ def test_spans_batch_rows_match_rows_solved_alone(span_worlds):
             zones,
             task.rewards,
             task.oracle,
-            ScheduleConfig(engine="reference"),
+            config,
             start,
             end,
             task.forbidden_first,
@@ -1173,12 +1137,11 @@ def test_spans_batch_rows_match_rows_solved_alone(span_worlds):
     )
     assert all(together[row] is None for row in dead)
     assert any(outcome is not None for outcome in together)
-    task = tasks[dead[0]]
+    live = next(row for row, outcome in enumerate(together) if outcome is not None)
+    task = tasks[live]
     with collect_events() as aggregator:
-        outcome = _optimize_span(
-            zones, task.rewards, task.oracle, config, start, end, task.forbidden_first
-        )
-    assert outcome is None
+        _solve_span_tasks([task])
+    assert _same_outcome(task.outcome, together[live])
     assert aggregator.kernels[SCHEDULE_DP_BATCH].calls == 1
 
 
@@ -1553,6 +1516,83 @@ def test_flag_visits_matches_scalar_classification(aras_world):
                 visit.occupant_id, visit.zone_id, visit.arrival, visit.stay
             )
         )
+
+
+def _attacked_visit_verdicts(adm, reported, attacked, occupant_id=None):
+    """``(attacked, flagged)`` per visit of ``reported`` (of one occupant
+    when given), flagged by the scalar ``is_benign_visit``: the oracle
+    of the batched detection metrics."""
+    verdicts = []
+    for visit in extract_visits(reported, occupant_id=occupant_id):
+        start = visit.day * 1440 + visit.arrival
+        window = attacked[start : start + visit.stay, visit.occupant_id]
+        verdicts.append(
+            (
+                bool(window.any()),
+                not adm.is_benign_visit(
+                    visit.occupant_id, visit.zone_id, visit.arrival, visit.stay
+                ),
+            )
+        )
+    return verdicts
+
+
+def test_detection_metrics_match_a_scalar_visit_loop(aras_world):
+    """``attack_visit_flag_fraction`` and ``evaluate_adm_on_attacked``,
+    which classify through ``flag_visits``, equal an ``is_benign_visit``
+    loop on SHATTER, greedy and BIoTA schedules, for the attacker's ADM
+    and for a k-means defender."""
+    from repro.adm.metrics import binary_metrics
+    from repro.attack.stealth import attack_visit_flag_fraction, reported_trace
+    from repro.runner.common import evaluate_adm_on_attacked
+
+    home, adm, evaluation = aras_world
+    defender = ClusterADM(AdmParams(backend=ClusterBackend.KMEANS, k=4))
+    defender.fit(
+        generate_house_trace(
+            home, house="A", config=SyntheticConfig(n_days=9, seed=33)
+        ).slice_slots(0, 7 * 1440),
+        home.n_zones,
+    )
+    capability = AttackerCapability.full_access(home)
+    pricing = TouPricing()
+    schedules = [
+        shatter_schedule(home, adm, capability, pricing, evaluation),
+        greedy_schedule(home, adm, capability, pricing, evaluation),
+        biota_greedy_attack(home, capability, pricing, evaluation),
+    ]
+    fractions = []
+    for schedule in schedules:
+        attacked = schedule.spoofed_zone != evaluation.occupant_zone
+        reported = reported_trace(
+            schedule.spoofed_zone, schedule.spoofed_activity, home.n_appliances
+        )
+        for detector in (adm, defender):
+            flags = [
+                flagged
+                for hit, flagged in _attacked_visit_verdicts(
+                    detector, reported, attacked
+                )
+                if hit
+            ]
+            expected = sum(flags) / len(flags) if flags else 0.0
+            fraction = attack_visit_flag_fraction(
+                detector,
+                schedule.spoofed_zone,
+                schedule.spoofed_activity,
+                evaluation.occupant_zone,
+            )
+            assert fraction == expected
+            fractions.append(fraction)
+            for occupant in range(home.n_occupants):
+                verdicts = _attacked_visit_verdicts(
+                    detector, reported, attacked, occupant
+                )
+                assert evaluate_adm_on_attacked(
+                    detector, reported, attacked, occupant
+                ) == binary_metrics(*np.array(verdicts).T)
+    assert 0.0 in fractions and 1.0 in fractions
+    assert any(0.0 < fraction < 1.0 for fraction in fractions)
 
 
 # ----------------------------------------------------------------------
@@ -2082,18 +2122,10 @@ def test_shatter_schedule_batch_matches_per_job_calls(aras_world):
 
 def test_shatter_schedule_batch_matches_reference_fleet():
     """Acceptance oracle: the whole-fleet batch is bit-identical to the
-    scalar reference engine run home by home."""
+    scalar reference oracle run home by home."""
     jobs = _fleet_jobs(3)
     for job, got in zip(jobs, shatter_schedule_batch(jobs)):
-        reference = shatter_schedule(
-            job.home,
-            job.adm,
-            job.capability,
-            job.pricing,
-            job.actual_trace,
-            config=ScheduleConfig(engine="reference"),
-        )
-        assert _schedules_equal(got, reference)
+        assert _schedules_equal(got, _shatter_schedule_reference(job))
 
 
 def test_shatter_schedule_batch_matches_reference_in_the_fleet_regime(monkeypatch):
@@ -2101,7 +2133,7 @@ def test_shatter_schedule_batch_matches_reference_in_the_fleet_regime(monkeypatc
     fitted on 2 training days with the standard k-means ADMs (k=4,
     tolerance 20), plus one zone-restricted job.  The full-access days
     advance as one 16-row DP call over the union of its rows' born
-    slots, and every job equals the reference engine home by home."""
+    slots, and every job equals the reference oracle home by home."""
     from repro.runner.common import params_for
 
     pricing = TouPricing()
@@ -2139,16 +2171,54 @@ def test_shatter_schedule_batch_matches_reference_in_the_fleet_regime(monkeypatc
     union = np.logical_or.reduce(enterable)
     assert all(union.sum() > gate.sum() for gate in enterable)
     for job, schedule in zip(jobs, got):
-        reference = shatter_schedule(
-            job.home,
-            job.adm,
-            job.capability,
-            job.pricing,
-            job.actual_trace,
-            config=ScheduleConfig(engine="reference"),
-        )
-        assert _schedules_equal(schedule, reference)
+        assert _schedules_equal(schedule, _shatter_schedule_reference(job))
     assert got[-1].substituted_days  # the restricted job adopted segments
+
+
+def test_every_dp_call_runs_in_the_wave_solver(aras_world, monkeypatch):
+    """Zone-restricted schedules, whose per-visit fallback runs and whose
+    partial days are adopted (``substituted_days``), make every
+    ``_optimize_spans_batch`` call from ``_solve_task_wave``, batched and
+    as one-job calls, and the ``schedule_dp_batch`` kernel counts exactly
+    those calls (perfbench's trace-coverage test equates the two)."""
+    home, adm, evaluation = aras_world
+    pricing = TouPricing()
+    jobs = [
+        ScheduleJob(
+            home,
+            adm,
+            AttackerCapability.with_zones(home, zones),
+            pricing,
+            evaluation,
+        )
+        for zones in ([1, 2], [2], [1, 3])
+    ]
+    callers: list[str] = []
+    fallbacks: list[int] = []
+    solve, fallback = _optimize_spans_batch, schedule_module._segment_fallback
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve(*args)
+
+    def counting(*args):
+        before = len(callers)
+        outcome = fallback(*args)
+        fallbacks.append(len(callers) - before)
+        return outcome
+
+    monkeypatch.setattr(schedule_module, "_optimize_spans_batch", recording)
+    monkeypatch.setattr(schedule_module, "_segment_fallback", counting)
+    with collect_events() as events:
+        schedules = shatter_schedule_batch(jobs)
+        schedules += [
+            shatter_schedule(home, adm, job.capability, pricing, evaluation)
+            for job in jobs
+        ]
+    assert any(schedule.substituted_days for schedule in schedules)
+    assert fallbacks and all(fallbacks)  # each fallback made DP calls
+    assert set(callers) == {"_solve_task_wave"}
+    assert events.kernels[SCHEDULE_DP_BATCH].calls == len(callers)
 
 
 def test_whole_trace_segments_match_the_per_visit_planner(aras_world):
@@ -2191,26 +2261,23 @@ def test_whole_trace_segments_match_the_per_visit_planner(aras_world):
             )
 
 
-def test_shatter_schedule_batch_accepts_mixed_engines(aras_world):
-    """Reference-engine jobs ride the same batch call unchanged."""
+def test_shatter_schedule_batch_mixes_schedule_configs(aras_world):
+    """Jobs with different windows and beams ride one batch call, and
+    each equals the reference oracle of its own config."""
     home, adm, evaluation = aras_world
     day = evaluation.slice_slots(0, 1440)
     pricing = TouPricing()
     capability = AttackerCapability.full_access(home)
-    vector, reference = shatter_schedule_batch(
-        [
-            ScheduleJob(home, adm, capability, pricing, day),
-            ScheduleJob(
-                home,
-                adm,
-                capability,
-                pricing,
-                day,
-                config=ScheduleConfig(engine="reference"),
-            ),
-        ]
-    )
-    assert _schedules_equal(vector, reference)
+    jobs = [
+        ScheduleJob(home, adm, capability, pricing, day, config=config)
+        for config in (
+            None,
+            ScheduleConfig(window=6, beam_width=4),
+            ScheduleConfig(beam_width=1),
+        )
+    ]
+    for job, got in zip(jobs, shatter_schedule_batch(jobs)):
+        assert _schedules_equal(got, _shatter_schedule_reference(job))
 
 
 def test_multi_day_schedule_equals_assembled_day_slices(aras_world):
@@ -2267,9 +2334,9 @@ def test_stealth_oracle_memoized_per_adm(aras_world):
 
 def test_schedule_batch_builds_its_oracles_in_one_pass(monkeypatch):
     """One batch call over an 8-home chunk builds every oracle from one
-    multi-group pass (one ``GEOMETRY`` call per oracle) and builds no
-    per-group stay table; a repeat call hits the memo and makes no pass;
-    dropping the ADMs drops their memo entries."""
+    multi-group pass (one ``GEOMETRY`` call per oracle); a repeat call
+    hits the memo and makes no pass; dropping the ADMs drops their memo
+    entries."""
     import gc
     import weakref
 
@@ -2282,11 +2349,7 @@ def test_schedule_batch_builds_its_oracles_in_one_pass(monkeypatch):
         passes.append(len(groups))
         return real(groups, arrivals)
 
-    def no_table(self, occupant, zone):
-        raise AssertionError("a per-group stay table was built")
-
     monkeypatch.setattr(schedule_module, "stay_range_rows", counting)
-    monkeypatch.setattr(ClusterADM, "stay_table", no_table)
     with collect_events() as events:
         first = shatter_schedule_batch(jobs)
     assert passes == [sum(job.home.n_occupants * job.home.n_zones for job in jobs)]
